@@ -73,7 +73,7 @@ from .engine import (
     run_protocol,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BasisLabel",

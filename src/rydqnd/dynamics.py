@@ -10,21 +10,16 @@ block while retrieval fidelity needs all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, cos, pi, sin, sqrt
+from math import pi, sqrt
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError
 from .records import NO_RYDBERG, RYDBERG
-from .symbasis import BasisLabel, build_block, enumerate_basis, normalization, trace_vector
-
-# Labels with the Rydberg excitation on both the ket and bra side; a
-# NoRydberg projection keeps only ss, everything else is a cross coherence.
-_RYDBERG_KINDS = frozenset({"rr", "rs_gr", "sr_rg", "rs_sr", "rg_gr"})
-_NO_RYDBERG_KINDS = frozenset({"ss"})
+from .symbasis import SectorBlock, build_block, sector
 
 
 @dataclass
@@ -108,27 +103,20 @@ class SymmetricBlockState:
     N: int
     j: int
     x: np.ndarray
+    block: SectorBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=complex)
-        expected = len(enumerate_basis(self.n, self.N, self.j))
-        if self.x.shape != (expected,):
+        blocks = sector(self.n, self.N).blocks
+        if not 0 <= self.j < len(blocks):
+            raise DomainError(f"need 0 <= j <= {len(blocks) - 1}, got j={self.j}")
+        self.block = blocks[self.j]
+        if self.x.shape != (self.block.dim,):
             raise DomainError(
-                f"coefficient vector has length {self.x.size}, block needs {expected}")
-
-    @property
-    def labels(self) -> list[BasisLabel]:
-        return enumerate_basis(self.n, self.N, self.j)
-
-    def coefficient(self, kind: str) -> complex:
-        for i, lab in enumerate(self.labels):
-            if lab.kind == kind:
-                return complex(self.x[i])
-        return 0.0
+                f"coefficient vector has length {self.x.size}, block needs {self.block.dim}")
 
     def trace(self) -> float:
-        blk = build_block(self.n, self.N, self.j, 0.0, 0.0)
-        return float(np.real(trace_vector(blk) @ self.x))
+        return float((self.block.trace @ self.x).real)
 
 
 BlockList = list[SymmetricBlockState]
@@ -147,47 +135,9 @@ def _j0(blocks: BlockList) -> SymmetricBlockState:
     raise PreconditionError("measurement probabilities live in the j=0 block, which is missing")
 
 
-@lru_cache(maxsize=4096)
-def _label_coefficient_map(part: str, n: int, N: int) -> tuple[tuple[int, str, float], ...]:
-    """Superket decomposition of one pure collective dyad over all j blocks.
-
-    ``part`` picks the dyad: SS = |S_n><S_n|, RR = |R_n><R_n|, SR = |S_n><R_n|,
-    RS = |R_n><S_n|.  Every (ket assignment, bra assignment) pair contributes
-    exactly one symmetrized-basis term, so each coefficient is
-    norm * count / (number of assignment pairs) = sqrt(count) / pairs.
-    """
-    c_s = comb(N, n)
-    if part == "SS":
-        kinds, pairs = ("ss",), c_s
-    elif part == "RR":
-        kinds, pairs = ("rr", "rs_sr", "rg_gr", "rs_gr", "sr_rg"), n * c_s
-    elif part == "SR":
-        kinds, pairs = ("sr", "gr"), c_s * sqrt(n)
-    elif part == "RS":
-        kinds, pairs = ("rs", "rg"), c_s * sqrt(n)
-    else:
-        raise DomainError(f"unknown dyad part {part!r}")
-    out = []
-    for j in range(0, min(n, N - n) + 1):
-        for lab in enumerate_basis(n, N, j):
-            if lab.kind in kinds:
-                out.append((j, lab.kind, sqrt(lab.assignment_count()) / pairs))
-    return tuple(out)
-
-
 def symmetric_state_blocks(n: int, N: int) -> BlockList:
     """Block decomposition of the freshly stored state |S_n><S_n|."""
-    if not 0 <= n <= N:
-        raise DomainError(f"need 0 <= n <= N, got n={n}, N={N}")
-    coeffs = dict()
-    for j, kind, c in _label_coefficient_map("SS", n, N):
-        coeffs[(j, kind)] = c
-    blocks = []
-    for j in range(0, min(n, N - n) + 1):
-        labels = enumerate_basis(n, N, j)
-        x = np.array([coeffs.get((j, lab.kind), 0.0) for lab in labels], dtype=complex)
-        blocks.append(SymmetricBlockState(n, N, j, x))
-    return blocks
+    return [SymmetricBlockState(n, N, blk.j, blk.dyads[0]) for blk in sector(n, N).blocks]
 
 
 @lru_cache(maxsize=8192)
@@ -217,17 +167,10 @@ def evolve_blocks(blocks, tau: float, omega: float, gamma: float,
 def sector_probabilities(blocks) -> tuple[float, float]:
     """(p_NoRydberg, p_Rydberg) read from the j=0 populations."""
     b0 = _j0(_as_blocks(blocks))
-    blk = build_block(b0.n, b0.N, 0, 0.0, 0.0)
-    v = trace_vector(blk)
-    p_s = p_r = 0.0
-    for i, lab in enumerate(blk.labels):
-        w = float(np.real(v[i] * b0.x[i]))
-        if lab.kind == "ss":
-            p_s += w
-        elif lab.kind == "rr":
-            p_r += w
-    p_s, p_r = max(p_s, 0.0), max(p_r, 0.0)
-    return p_s, p_r
+    blk = b0.block
+    p_s = float(np.real(blk.trace[blk.ss] * b0.x[blk.ss]))
+    p_r = 0.0 if blk.rr is None else float(np.real(blk.trace[blk.rr] * b0.x[blk.rr]))
+    return max(p_s, 0.0), max(p_r, 0.0)
 
 
 def project_blocks(blocks, outcome: str) -> tuple[float, BlockList]:
@@ -241,14 +184,10 @@ def project_blocks(blocks, outcome: str) -> tuple[float, BlockList]:
     p = p_r if outcome == RYDBERG else p_s
     if p <= 0:
         raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
-    keep = _RYDBERG_KINDS if outcome == RYDBERG else _NO_RYDBERG_KINDS
     out = []
     for blk in blocks:
-        x = np.array([
-            xi / p if lab.kind in keep else 0.0
-            for xi, lab in zip(blk.x, blk.labels)
-        ], dtype=complex)
-        out.append(SymmetricBlockState(blk.n, blk.N, blk.j, x))
+        keep = blk.block.rydberg if outcome == RYDBERG else blk.block.no_rydberg
+        out.append(SymmetricBlockState(blk.n, blk.N, blk.j, np.where(keep, blk.x / p, 0.0)))
     return p, out
 
 
@@ -271,28 +210,22 @@ def eject_block(blocks) -> BlockList:
     """Remove the detected Rydberg atom: (n, N) Rydberg sector -> (n-1, N-1).
 
     Each rr coefficient maps onto the ss label of the corresponding j block
-    with a sqrt(N) normalization-ratio factor (fixed by the dense partial
-    trace); all within-Rydberg coherence labels are annihilated.
+    (see `Sector.ejection`); all within-Rydberg coherence labels are
+    annihilated.
     """
     blocks = _as_blocks(blocks)
     n, N = blocks[0].n, blocks[0].N
     if n < 1 or N < 2:
         raise PreconditionError("nothing to eject")
     b0 = _j0(blocks)
-    if abs(b0.coefficient("ss")) > 1e-9:
+    if abs(b0.x[b0.block.ss]) > 1e-9:
         raise PreconditionError("state has weight in the NoRydberg sector; eject only after a Rydberg outcome")
-    new_jmax = min(n - 1, N - n)
-    out = []
-    for j in range(0, new_jmax + 1):
-        labels = enumerate_basis(n - 1, N - 1, j)
-        x = np.zeros(len(labels), dtype=complex)
-        src = next((b for b in blocks if b.j == j), None)
-        if src is not None:
-            rr = src.coefficient("rr")
-            for i, lab in enumerate(labels):
-                if lab.kind == "ss":
-                    x[i] = rr * sqrt(N)
-        out.append(SymmetricBlockState(n - 1, N - 1, j, x))
+    target, factor = sector(n, N).ejection
+    xs = [np.zeros(blk.dim, dtype=complex) for blk in target.blocks]
+    for src in blocks:
+        if src.j < len(xs):
+            xs[src.j][target.blocks[src.j].ss] = src.x[src.block.rr] * factor
+    out = [SymmetricBlockState(n - 1, N - 1, j, x) for j, x in enumerate(xs)]
     tr = sum(b.trace() for b in out)
     if tr <= 0:
         raise PreconditionError("ejection produced a zero-trace state")
@@ -304,29 +237,14 @@ def eject_block(blocks) -> BlockList:
 def retrieval_fidelity(blocks, ideal: PureCollectiveState) -> float:
     """Overlap <psi_ideal| rho |psi_ideal> of the block state with a fixed-n pure state."""
     blocks = _as_blocks(blocks)
-    n, N = blocks[0].n, blocks[0].N
+    n = blocks[0].n
     n_ideal = ideal.single_n()
     if n_ideal != n:
         raise DomainError(f"ideal state has n={n_ideal}, block state has n={n}")
     a, b = complex(ideal.a[n]), complex(ideal.b[n])
-    weights = {
-        "SS": abs(a) ** 2,
-        "RR": abs(b) ** 2,
-        "SR": a * b.conjugate(),
-        "RS": b * a.conjugate(),
-    }
-    coeffs: dict[tuple[int, str], complex] = {}
-    for part, w in weights.items():
-        if w == 0:
-            continue
-        for j, kind, c in _label_coefficient_map(part, n, N):
-            coeffs[(j, kind)] = coeffs.get((j, kind), 0.0) + w * c
-    fid = 0.0 + 0.0j
-    for blk in blocks:
-        for xi, lab in zip(blk.x, blk.labels):
-            c = coeffs.get((blk.j, lab.kind))
-            if c is not None:
-                fid += c.conjugate() * xi
+    # weights of the dyads |S><S|, |R><R|, |S><R|, |R><S| (the rows of block.dyads)
+    weights = np.array([abs(a) ** 2, abs(b) ** 2, a * b.conjugate(), b * a.conjugate()])
+    fid = sum(complex(np.vdot(weights @ blk.block.dyads, blk.x)) for blk in blocks)
     if abs(fid.imag) > 1e-8:
         raise IntegratorError("fidelity came out complex", residual=abs(fid.imag))
     return float(min(max(fid.real, 0.0), 1.0))

@@ -239,22 +239,6 @@ class _IdealReference:
         self.state = dyn.PureCollectiveState.from_stored_amplitudes(amps)
 
 
-def run_observation_cycle(state, tau: float, params: ProtocolParams,
-                          rng: np.random.Generator):
-    """One drive + measurement (+ optional ejection); returns (outcome, state')."""
-    if params.mode == NOISELESS_PURE:
-        evolved = dyn.evolve_pure(state, tau, params.omega)
-        outcome, collapsed, _p = dyn.measure_pure(evolved, rng.random())
-        if params.ejection_enabled and outcome == RYDBERG:
-            collapsed = _eject_pure(collapsed)
-        return outcome, collapsed
-    blocks = dyn.evolve_blocks(state, tau, params.omega, params.gamma, drive_on=True)
-    outcome, collapsed, _p = dyn.measure_block(blocks, params.tau_eit, params.gamma, rng.random())
-    if params.ejection_enabled and outcome == RYDBERG:
-        collapsed = dyn.eject_block(collapsed)
-    return outcome, collapsed
-
-
 def _eject_pure(state: dyn.PureCollectiveState) -> dyn.PureCollectiveState:
     """Eject from a Rydberg-sector pure state: amplitudes shift down one photon."""
     if float(np.sum(np.abs(state.a) ** 2)) > 1e-9:

@@ -7,19 +7,21 @@ Rydberg excitation).  Each basis element is a normalized sum over all distinct
 site assignments of a fixed multiset of single-site operators; blocks are
 labelled by the number j of ground-state sg/gs coherence pairs, which is
 conserved.  Every block contains at most ten families, so the generator is a
-tiny dense matrix regardless of the atom count N.
+tiny dense matrix regardless of the atom count N.  Everything that depends
+only on (n, N, j) is built once per (n, N) by `sector` and cached.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 # Family listing order is fixed; matrices, coefficient vectors and all
 # serialized states index into this order (after pruning).
@@ -134,7 +136,7 @@ def normalization(label: BasisLabel) -> float:
     so the constant is 1/sqrt(multinomial count).  The count is computed in
     exact integer arithmetic.
     """
-    return 1.0 / math.sqrt(label.assignment_count())
+    return _sqrt_ratio(1, label.assignment_count())
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,6 @@ class BlockOperators:
     D: np.ndarray
     omega: float
     gamma: float
-
-    def index(self, kind: str) -> int:
-        for i, lab in enumerate(self.labels):
-            if lab.kind == kind:
-                return i
-        raise KeyError(kind)
 
     @property
     def dim(self) -> int:
@@ -236,18 +232,123 @@ _H_TABLE = (
 )
 
 
-@lru_cache(maxsize=None)
-def _block_structure(n: int, N: int, j: int):
+# Families a projective measurement keeps: a Rydberg outcome keeps those with
+# the excitation on both the ket and bra side, NoRydberg keeps only ss;
+# everything else is a cross coherence.
+_RYDBERG_KINDS = frozenset({"rr", "rs_gr", "sr_rg", "rs_sr", "rg_gr"})
+_NO_RYDBERG_KINDS = frozenset({"ss"})
+
+# Superket decomposition of the pure collective dyads |S_n><S_n|, |R_n><R_n|,
+# |S_n><R_n| and |R_n><S_n|, as (families they populate, squared dyad
+# normalization over comb(N, n)**2 as a function of n).  Every (ket, bra)
+# assignment pair contributes exactly one symmetrized-basis term, so a
+# family's coefficient is norm * count / pairs = sqrt(count / pairs**2).
+_DYAD_TABLE = (
+    (("ss",), lambda n: 1),
+    (("rr", "rs_sr", "rg_gr", "rs_gr", "sr_rg"), lambda n: n * n),
+    (("sr", "gr"), lambda n: n),
+    (("rs", "rg"), lambda n: n),
+)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for positive integers of any size, never converting either
+    to float: Python's correctly rounded integer true division is kept in range
+    by an even power of two, which the square root then undoes exactly."""
+    half = (num.bit_length() - den.bit_length()) // 2
+    q = num / (den << 2 * half) if half >= 0 else (num << -2 * half) / den
+    try:
+        out = math.ldexp(math.sqrt(q), half)
+    except OverflowError:
+        out = math.inf
+    if not sys.float_info.min <= out < math.inf:
+        raise ResourceError(f"basis constant sqrt(2^{num.bit_length()} / 2^{den.bit_length()}) "
+                            "is outside float range")
+    return out
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBlock:
+    """Basis structure of one j block of an (n, N) sector; arrays are read-only.
+
+    ``drive`` is the drive superoperator H at Omega = 1 and ``dephasing`` the
+    diagonal D multiplying gamma.  ``trace`` reads Tr rho off a coefficient
+    vector, ``ss``/``rr`` index the population families (``rr`` is None where
+    it does not exist), ``rydberg``/``no_rydberg`` mask the families each
+    measurement outcome keeps, and the rows of ``dyads`` hold the coefficients
+    of |S_n><S_n|, |R_n><R_n|, |S_n><R_n| and |R_n><S_n|.
+    """
+
+    j: int
+    labels: tuple[BasisLabel, ...]
+    norms: np.ndarray
+    drive: np.ndarray
+    dephasing: np.ndarray
+    trace: np.ndarray
+    ss: int
+    rr: int | None
+    rydberg: np.ndarray
+    no_rydberg: np.ndarray
+    dyads: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+
+def _sector_block(n: int, N: int, j: int) -> SectorBlock:
     labels = tuple(enumerate_basis(n, N, j))
-    norms = np.array([normalization(lab) for lab in labels])
-    kinds = {lab.kind: i for i, lab in enumerate(labels)}
-    hmat = np.zeros((len(labels), len(labels)))
+    kinds = [lab.kind for lab in labels]
+    index = {kind: i for i, kind in enumerate(kinds)}
+    counts = [lab.assignment_count() for lab in labels]
+    drive = np.zeros((len(labels), len(labels)))
     for row, col, coeff in _H_TABLE:
-        if row in kinds and col in kinds:
-            r, c = kinds[row], kinds[col]
-            hmat[r, c] = coeff(n, j) * norms[r] / norms[c]
-    dee = np.array([-_DISSIPATOR_DIAG[lab.kind] for lab in labels])
-    return labels, norms, hmat, dee
+        if row in index and col in index:
+            r, c = index[row], index[col]
+            drive[r, c] = coeff(n, j) * _sqrt_ratio(counts[c], counts[r])
+    c_s = math.comb(N, n)
+    dyads = [[_sqrt_ratio(count, pairs(n) * c_s * c_s) if kind in fams else 0.0
+              for kind, count in zip(kinds, counts)] for fams, pairs in _DYAD_TABLE]
+    return SectorBlock(
+        j=j, labels=labels,
+        norms=_frozen([_sqrt_ratio(1, count) for count in counts]),
+        drive=_frozen(drive),
+        dephasing=_frozen([-_DISSIPATOR_DIAG[kind] for kind in kinds]),
+        trace=_frozen([_sqrt_ratio(count, 1) if lab.is_diagonal() else 0.0
+                       for lab, count in zip(labels, counts)]),
+        ss=index["ss"], rr=index.get("rr"),
+        rydberg=_frozen([kind in _RYDBERG_KINDS for kind in kinds], bool),
+        no_rydberg=_frozen([kind in _NO_RYDBERG_KINDS for kind in kinds], bool),
+        dyads=_frozen(dyads),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """All j blocks of the fixed-(n, N) state space, built once by `sector`."""
+
+    n: int
+    N: int
+    blocks: tuple[SectorBlock, ...]
+
+    @cached_property
+    def ejection(self) -> tuple["Sector", float]:
+        """Ejection map: the (n-1, N-1) sector, whose j block's ss coefficient is
+        sqrt(N) (fixed by the dense partial trace) times the rr one of block j."""
+        return sector(self.n - 1, self.N - 1), math.sqrt(self.N)
+
+
+@lru_cache(maxsize=256)
+def sector(n: int, N: int) -> Sector:
+    """The cached basis structure of every j block at fixed (n, N)."""
+    _check_block_args(n, N, 0)
+    return Sector(n, N, tuple(_sector_block(n, N, j) for j in range(min(n, N - n) + 1)))
 
 
 def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> BlockOperators:
@@ -261,10 +362,10 @@ def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> BlockOper
     _check_block_args(n, N, j)
     if omega < 0 or gamma < 0:
         raise DomainError("omega and gamma must be non-negative")
-    labels, norms, hmat, dee = _block_structure(n, N, j)
+    blk = sector(n, N).blocks[j]
     return BlockOperators(
-        n=n, N=N, j=j, labels=labels, norms=norms.copy(),
-        H=omega * hmat.astype(complex), D=dee.copy(),
+        n=n, N=N, j=j, labels=blk.labels, norms=blk.norms.copy(),
+        H=omega * blk.drive.astype(complex), D=blk.dephasing.copy(),
         omega=omega, gamma=gamma,
     )
 
@@ -275,8 +376,4 @@ def trace_vector(ops: BlockOperators) -> np.ndarray:
     Only families built purely from diagonal site operators carry trace; each
     of their assignment terms has unit trace, so the entry is count * norm.
     """
-    v = np.zeros(ops.dim)
-    for i, lab in enumerate(ops.labels):
-        if lab.is_diagonal():
-            v[i] = lab.assignment_count() * ops.norms[i]
-    return v
+    return sector(ops.n, ops.N).blocks[ops.j].trace.copy()

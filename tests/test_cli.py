@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, units, config files, exit codes."""
 
 import json
+import tomllib
+from pathlib import Path
 
 import pytest
 
+import rydqnd
 from rydqnd import cli
 
 
@@ -190,3 +193,20 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["analyze", "bogus"])
     assert err.value.code == 2
+
+
+def test_large_array_simulation_exits_cleanly(tmp_path):
+    # exit 0, or 5 if a resource guard trips; never an uncaught exception
+    rc = run(["simulate", "--n-true", "200", "--n-atoms", "700", "--max-cycles", "1",
+              "--trace-points", "0", "--outdir", str(tmp_path / "big")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_RESOURCE)
+
+
+def test_version_matches_pyproject(capsys):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert rydqnd.__version__ == version
+    with pytest.raises(SystemExit):
+        run(["--version"])
+    assert capsys.readouterr().out.strip() == version

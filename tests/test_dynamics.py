@@ -74,6 +74,14 @@ def test_initial_block_state_has_unit_trace_and_no_rydberg():
     assert p_r == pytest.approx(0.0, abs=1e-12)
 
 
+def test_large_array_state_has_unit_trace():
+    # multinomial counts here reach ~1e364, beyond float range
+    blocks = dyn.symmetric_state_blocks(200, 700)
+    assert len(blocks) == 201
+    assert sum(b.trace() for b in blocks) == pytest.approx(1.0, abs=1e-12)
+    assert dyn.sector_probabilities(blocks) == pytest.approx((1.0, 0.0), abs=1e-12)
+
+
 def test_projection_matches_dense_oracle():
     n, N, omega, gamma = 2, 4, 1.0, 0.3
     blocks = dyn.evolve_blocks(dyn.symmetric_state_blocks(n, N), 0.7, omega, gamma)
