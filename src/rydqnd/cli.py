@@ -366,9 +366,19 @@ def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     omega = _freq_rad_s(args.omega_mhz, args.angular)
+    if not isinstance(args.time_points, int) or args.time_points < 1:
+        raise DomainError(f"--time-points must be a positive integer, got {args.time_points!r}")
     corrupt_cell = None
     if args.corrupt_cell:
-        n_c, N_c = (int(tok) for tok in args.corrupt_cell.split(","))
+        try:
+            n_c, N_c = (int(tok) for tok in args.corrupt_cell.split(","))
+        except ValueError:
+            raise DomainError(
+                f"--corrupt-cell must be 'n,N', got {args.corrupt_cell!r}") from None
+        if (N_c, n_c) not in ORACLE_CELLS:
+            cells = ", ".join(f"{n},{N}" for N, n in ORACLE_CELLS)
+            raise DomainError(
+                f"--corrupt-cell {args.corrupt_cell!r} is not an oracle cell ({cells})")
         corrupt_cell = (n_c, N_c)
     rows = []
     worst = 0.0
@@ -380,9 +390,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             gamma = factor * omega
             dense = dense_oracle.pure_state(dense_oracle.build_symmetric_ket(n, N), N)
             p_dense = np.zeros(times.size)
-            for k, t in enumerate(times):
-                evolved = dense_oracle.evolve_dense(dense, t, omega, gamma)
-                p_dense[k] = dense_oracle.sector_populations_dense(evolved)[1]
+            for k, dt in enumerate(np.diff(times, prepend=0.0)):
+                dense = dense_oracle.evolve_dense(dense, dt, omega, gamma)
+                p_dense[k] = dense_oracle.sector_populations_dense(dense)[1]
             p_block = _block_sector_populations(
                 n, N, omega, gamma, times, corrupt=corrupt_cell == (n, N))
             dev = float(np.max(np.abs(p_block - p_dense)))

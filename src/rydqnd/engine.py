@@ -324,9 +324,9 @@ def run_protocol(initial, params: ProtocolParams,
                 for dt in np.linspace(params.tau_eit / params.trace_points,
                                       params.tau_eit, params.trace_points):
                     sub = dyn.evolve_blocks(state, dt, 0.0, params.gamma, drive_on=False)
+                    p_s, p_r = sector(sub)
                     trace.append({"time_s": t_now + dt, "phase": "measure",
-                                  "p_no_rydberg": sector(sub)[0],
-                                  "p_rydberg": sector(sub)[1], "fidelity": fid(sub),
+                                  "p_no_rydberg": p_s, "p_rydberg": p_r, "fidelity": fid(sub),
                                   "posterior": post.weights.tolist()})
             outcome, state, _p = dyn.measure_block(state, params.tau_eit, params.gamma,
                                                    rng.random())

@@ -86,7 +86,8 @@ class ConditionalState:
             self.log_l = -math.inf
             return -math.inf
         if self.noise.eject and outcome == RYDBERG:
-            blocks = eject_block(blocks)
+            # from a j=0-only input, ejection fills only j=0 as well
+            blocks = eject_block(blocks)[:1]
         self.blocks = blocks
         step = math.log(p)
         self.log_l += step

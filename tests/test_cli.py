@@ -146,6 +146,20 @@ def test_oracle_check_detects_corrupted_entry(tmp_path, capsys):
     assert "N=4" in err and "n=2" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--time-points", "0"],
+    ["--time-points", "-3"],
+    ["--corrupt-cell", "2"],
+    ["--corrupt-cell", "a,b"],
+    ["--corrupt-cell", "9,9"],
+])
+def test_oracle_check_rejects_bad_input(flags, tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    assert run(["oracle-check", *flags, "--out", str(out)]) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

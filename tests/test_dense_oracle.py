@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from rydqnd import dense_oracle as do
 from rydqnd.errors import ImpossibleOutcomeError, ResourceError
@@ -122,3 +125,85 @@ def test_equal_diagonals_stay_equal_despite_cross_coherences():
         ea = do.evolve_dense(a, float(t), 1.0, 0.2)
         eb = do.evolve_dense(b, float(t), 1.0, 0.2)
         assert np.max(np.abs(np.diag(ea.rho) - np.diag(eb.rho))) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# excitation-number restriction
+
+def _full_master_equation(rho0, N, t, omega, gamma):
+    """Reference: the master equation on the whole blockaded basis, built from
+    the textbook drive and dephasing terms rather than the oracle's matrices."""
+    states = do.basis_states(N)
+    dim = len(states)
+    h = np.zeros((dim, dim))
+    for a, cfg_a in enumerate(states):
+        for b, cfg_b in enumerate(states):
+            diff = [(x, y) for x, y in zip(cfg_a, cfg_b) if x != y]
+            if len(diff) == 1 and set(diff[0]) == {do.S, do.R}:
+                h[a, b] = omega
+    projectors = [np.diag([float(cfg[i] == do.R) for cfg in states]) for i in range(N)]
+
+    def rhs(_t, y):
+        rho = y.reshape(dim, dim)
+        out = -1j * (h @ rho - rho @ h)
+        for p in projectors:
+            out += gamma * (p @ rho @ p - 0.5 * (p @ rho + rho @ p))
+        return out.ravel()
+
+    sol = solve_ivp(rhs, (0.0, t), rho0.ravel().astype(complex),
+                    method="DOP853", rtol=1e-10, atol=1e-12)
+    assert sol.success
+    return sol.y[:, -1].reshape(dim, dim)
+
+
+def test_restricted_evolution_matches_full_master_equation():
+    # a state mixing excitation numbers 0, 1 and 2 with cross coherences;
+    # the three-excitation sector (sss, ssr, ...) is unoccupied
+    N = 3
+    exc = np.array([cfg.count(do.S) + cfg.count(do.R) for cfg in do.basis_states(N)])
+    rng = np.random.default_rng(5)
+    kets = []
+    for _ in range(2):
+        vec = np.where(exc < 3, rng.normal(size=exc.size) + 1j * rng.normal(size=exc.size), 0)
+        kets.append(vec / np.linalg.norm(vec))
+    rho0 = 0.7 * np.outer(kets[0], kets[0].conj()) + 0.3 * np.outer(kets[1], kets[1].conj())
+    assert len(rho0) == 20
+    omega, gamma, t = 1.3, 0.6, 2.5
+    evolved = do.evolve_dense(do.DenseState(N, rho0), t, omega, gamma)
+    reference = _full_master_equation(rho0, N, t, omega, gamma)
+    assert np.max(np.abs(evolved.rho - reference)) < 1e-9
+    outside = exc == 3
+    assert np.all(evolved.rho[outside, :] == 0)
+    assert np.all(evolved.rho[:, outside] == 0)
+
+
+@st.composite
+def symmetric_mixtures(draw):
+    """Random mixtures of superpositions of the collective S_n and R_n kets."""
+    N = draw(st.integers(1, 4))
+    kets = [do.build_symmetric_ket(n, N) for n in range(N + 1)]
+    kets += [do.build_rydberg_ket(n, N) for n in range(1, N + 1)]
+    unit = st.floats(-1.0, 1.0)
+    rho = np.zeros((len(kets[0]), len(kets[0])), dtype=complex)
+    for _ in range(draw(st.integers(1, 3))):
+        amps = [complex(draw(unit), draw(unit)) for _ in kets]
+        vec = sum(a * k for a, k in zip(amps, kets))
+        norm = np.linalg.norm(vec)
+        if norm < 1e-3:
+            continue
+        rho += draw(st.floats(0.1, 1.0)) * np.outer(vec, vec.conj()) / norm ** 2
+    if np.trace(rho).real == 0:
+        rho = np.outer(kets[0], kets[0].conj())
+    rho /= np.trace(rho).real
+    return do.DenseState(N, rho)
+
+
+@given(symmetric_mixtures(), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+       st.floats(0.2, 2.0), st.floats(0.0, 1.0))
+def test_dense_evolution_invariants(state, t1, t2, omega, gamma):
+    once = do.evolve_dense(state, t1 + t2, omega, gamma)
+    assert np.trace(once.rho).real == pytest.approx(1.0, abs=1e-9)
+    assert np.max(np.abs(once.rho - once.rho.conj().T)) < 1e-9
+    assert np.linalg.eigvalsh(once.rho).min() > -1e-9
+    chained = do.evolve_dense(do.evolve_dense(state, t1, omega, gamma), t2, omega, gamma)
+    assert np.max(np.abs(chained.rho - once.rho)) < 1e-9

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
 from rydqnd.errors import InconsistentRecordError
 from rydqnd.records import (
@@ -200,3 +201,22 @@ def test_sequential_ejection_tracks_reduced_photon_number():
         raw.append(f1 * f2 / 3.0)
     raw = np.array(raw)
     assert np.allclose(post.weights, raw / raw.sum(), atol=1e-12)
+
+
+def test_ejecting_update_keeps_only_the_j0_block():
+    # ejection from a j=0-only state fills only j=0, so the conditional state
+    # drops the empty j>0 blocks; the reference propagates all of them
+    noise = inf.NoiseParams(gamma=0.3, tau_eit=0.2, N=10, eject=True)
+    state = inf.ConditionalState(4, OMEGA, noise)
+    blocks = dyn.symmetric_state_blocks(4, 10)[:1]
+    entries = [(0.9, RYDBERG), (0.5, NO_RYDBERG), (1.1, RYDBERG), (0.7, NO_RYDBERG)]
+    for tau, outcome in entries:
+        step = state.update(tau, outcome)
+        assert len(state.blocks) == 1
+        blocks = dyn.evolve_blocks(blocks, tau, OMEGA, noise.gamma)
+        blocks = dyn.evolve_blocks(blocks, noise.tau_eit, 0.0, noise.gamma, drive_on=False)
+        p, blocks = dyn.project_blocks(blocks, outcome)
+        if outcome == RYDBERG:
+            blocks = dyn.eject_block(blocks)
+            assert len(blocks) > 1
+        assert step == pytest.approx(math.log(p), abs=1e-12)
