@@ -292,13 +292,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
         noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us),
                                       args.n_atoms, eject=args.eject)
 
-    seq = inference.SequentialInference(cands, prior, omega, noise=noise,
-                                        eject=args.eject)
-    trace = [prior.weights.tolist()]
-    post = prior
-    for tau, outcome in record.entries:
-        post = seq.update(tau, outcome)
-        trace.append(post.weights.tolist())
+    trace = inference.posterior_trace(record, cands, prior, omega, noise=noise,
+                                      eject=args.eject)
 
     config = {
         "omega_rad_s": omega,
@@ -314,11 +309,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     doc = {
         "schema": POSTERIOR_SCHEMA,
         "config": config,
-        "weights": post.weights.tolist(),
-        "mle_index": int(np.argmax(post.weights)),
-        "trace": trace,
+        "weights": trace[-1].tolist(),
+        "mle_index": int(np.argmax(trace[-1])),
+        "trace": trace.tolist(),
     }
-    _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True))
+    # compact, so json uses its C encoder: long traces are slow to indent
+    _write_text(args.out, json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 

@@ -140,10 +140,28 @@ def symmetric_state_blocks(n: int, N: int) -> BlockList:
     return [SymmetricBlockState(n, N, blk.j, blk.dyads[0]) for blk in sector(n, N).blocks]
 
 
-@lru_cache(maxsize=8192)
+# V exp(lam tau) V^-1 errs by up to ~cond(V) * 2e-16; past this condition number
+# (degenerate gamma = 0 and critically damped generators) expm is used instead.
+_EIG_COND_LIMIT = 1e3
+
+
+@lru_cache(maxsize=256)
+def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
+    """Block generator and its (eigenvalues, V, V^-1), the latter None if V is ill-conditioned."""
+    gen = build_block(n, N, j, omega, gamma).generator()
+    lam, vecs = np.linalg.eig(gen)
+    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
+        return gen, None
+    return gen, (lam, vecs, np.linalg.inv(vecs))
+
+
+@lru_cache(maxsize=1024)
 def _propagator(n: int, N: int, j: int, omega: float, gamma: float, tau: float) -> np.ndarray:
-    blk = build_block(n, N, j, omega, gamma)
-    return expm(blk.generator() * tau)
+    gen, eig = _eigensystem(n, N, j, omega, gamma)
+    if eig is None:
+        return expm(gen * tau)
+    lam, vecs, inv = eig
+    return (vecs * np.exp(lam * tau)) @ inv
 
 
 def evolve_block(state: SymmetricBlockState, tau: float, omega: float, gamma: float,

@@ -35,20 +35,26 @@ class NoiseParams:
             raise DomainError("gamma and tau_eit must be non-negative")
 
 
+def _noiseless_log_table(record: MeasurementRecord, ns: list[int], omega: float,
+                         eject: bool = False) -> np.ndarray:
+    """log Pr(first t outcomes | n) for t = 0..T, shape (T + 1, len(ns))."""
+    rydberg = np.array([outcome == RYDBERG for _, outcome in record.entries], dtype=bool)
+    taus = np.array([tau for tau, _ in record.entries], dtype=float)
+    # ejection removes a photon per Rydberg outcome and resets the reference outcome
+    shift = (np.cumsum(rydberg) - rydberg) * eject
+    prev = np.concatenate(([False], rydberg))[:-1] & (not eject)
+    phase = np.sqrt(np.maximum(np.asarray(ns) - shift[:, None], 0)) * omega * taus[:, None]
+    factor = np.where((rydberg == prev)[:, None], np.cos(phase) ** 2, np.sin(phase) ** 2)
+    with np.errstate(divide="ignore"):
+        log_f = np.log(factor)
+    return np.vstack((np.zeros((1, len(ns))), np.cumsum(log_f, axis=0)))
+
+
 def log_likelihood_noiseless(record: MeasurementRecord, n: int, omega: float) -> float:
     """log Pr(M_T | n) for the noiseless protocol."""
     if n < 0:
         raise DomainError("photon number must be non-negative")
-    omega_n = math.sqrt(n) * omega
-    log_l = 0.0
-    prev = NO_RYDBERG
-    for tau, outcome in record.entries:
-        factor = math.cos(omega_n * tau) ** 2 if outcome == prev else math.sin(omega_n * tau) ** 2
-        if factor <= 0.0:
-            return -math.inf
-        log_l += math.log(factor)
-        prev = outcome
-    return log_l
+    return float(_noiseless_log_table(record, [n], omega)[-1, 0])
 
 
 def likelihood_noiseless(record: MeasurementRecord, n: int, omega: float) -> float:
@@ -103,13 +109,26 @@ class ConditionalState:
         return sector_probabilities(blocks)
 
 
+def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,
+                          noise: NoiseParams | None, eject: bool = False) -> np.ndarray:
+    """log Pr(first t outcomes | n), shape (T + 1, len(ns)); with noise one
+    conditional state per n, and ``noise.eject`` sets ejection."""
+    if noise is None:
+        return _noiseless_log_table(record, ns, omega, eject)
+    table = np.full((len(record) + 1, len(ns)), -np.inf)
+    table[0] = 0.0
+    for i, n in enumerate(ns):
+        state = ConditionalState(n, omega, noise)
+        for t, (tau, outcome) in enumerate(record.entries, start=1):
+            if state.update(tau, outcome) == -math.inf:
+                break
+            table[t, i] = state.log_l
+    return table
+
+
 def log_likelihood_noisy(record: MeasurementRecord, n: int, omega: float,
                          noise: NoiseParams) -> float:
-    state = ConditionalState(n, omega, noise)
-    for tau, outcome in record.entries:
-        if state.update(tau, outcome) == -math.inf:
-            return -math.inf
-    return state.log_l
+    return float(_log_likelihood_table(record, [n], omega, noise)[-1, 0])
 
 
 def likelihood_noisy(record: MeasurementRecord, n: int, omega: float, gamma: float,
@@ -118,37 +137,43 @@ def likelihood_noisy(record: MeasurementRecord, n: int, omega: float, gamma: flo
                                          NoiseParams(gamma, tau_eit, N, eject)))
 
 
-def _per_n_log_likelihoods(record: MeasurementRecord, ns: list[int], omega: float,
-                           noise: NoiseParams | None) -> dict[int, float]:
-    if noise is None:
-        return {n: log_likelihood_noiseless(record, n, omega) for n in ns}
-    return {n: log_likelihood_noisy(record, n, omega, noise) for n in ns}
-
-
 def marginal_likelihood(record: MeasurementRecord, dist: FockDistribution, omega: float,
                         noise: NoiseParams | None = None) -> float:
     """Pr(M_T | P) = sum_n p_n Pr(M_T | n)."""
-    logs = _per_n_log_likelihoods(record, dist.support(), omega, noise)
-    return float(sum(dist.p[n] * math.exp(logs[n]) for n in dist.support()))
+    logs = _log_likelihood_table(record, dist.support(), omega, noise)[-1]
+    return float(dist.p[dist.support()] @ np.exp(logs))
+
+
+def posterior_trace(record: MeasurementRecord, candidates: list[FockDistribution],
+                    prior: Posterior, omega: float, noise: NoiseParams | None = None,
+                    eject: bool = False) -> np.ndarray:
+    """Posterior over the candidates after every prefix of the record, shape (T + 1, K).
+
+    Each row leaves the log domain scaled by its largest finite likelihood, so
+    long records do not underflow.
+    """
+    if not candidates:
+        raise DomainError("need at least one candidate distribution")
+    if prior.weights.size != len(candidates):
+        raise DomainError("prior size does not match the candidate list")
+    ns = sorted({n for c in candidates for n in c.support()})
+    log_l = _log_likelihood_table(record, ns, omega, noise, eject)
+    mix = np.array([[c.p[n] if n <= c.n_max else 0.0 for c in candidates] for n in ns])
+    top = np.max(log_l, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    weights = np.exp(log_l - top) @ (mix * prior.weights)
+    total = weights.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
+        raise InconsistentRecordError("record has zero likelihood under every candidate "
+                                      f"from cycle {np.argmax(total <= 0.0)}")
+    return weights / total
 
 
 def posterior(record: MeasurementRecord, candidates: list[FockDistribution],
               prior: Posterior, omega: float,
               noise: NoiseParams | None = None) -> Posterior:
     """Bayes update of the prior over candidate distributions."""
-    if not candidates:
-        raise DomainError("need at least one candidate distribution")
-    if prior.weights.size != len(candidates):
-        raise DomainError("prior size does not match the candidate list")
-    ns = sorted({n for c in candidates for n in c.support()})
-    logs = _per_n_log_likelihoods(record, ns, omega, noise)
-    marginals = np.array([
-        sum(c.p[n] * math.exp(logs[n]) for n in c.support()) for c in candidates])
-    weights = marginals * prior.weights
-    total = weights.sum()
-    if total <= 0.0:
-        raise InconsistentRecordError("record has zero likelihood under every candidate")
-    return Posterior(weights / total)
+    return Posterior(posterior_trace(record, candidates, prior, omega, noise)[-1])
 
 
 def mle(post: Posterior) -> int:
@@ -173,6 +198,8 @@ class SequentialInference:
                       if noise is not None else None)
         self._record = MeasurementRecord()
         self._log_l = {n: 0.0 for n in self.ns}
+        self._mix = [(float(w), [(n, float(c.p[n])) for n in c.support()])
+                     for w, c in zip(prior.weights, candidates)]
         self._shift = 0  # photons ejected so far (noiseless bookkeeping)
 
     def update(self, tau: float, outcome: str) -> Posterior:
@@ -196,14 +223,13 @@ class SequentialInference:
         return self.posterior()
 
     def posterior(self) -> Posterior:
-        marginals = np.array([
-            sum(c.p[n] * math.exp(self._log_l[n]) for n in c.support())
-            for c in self.candidates])
-        weights = marginals * self.prior.weights
-        total = weights.sum()
-        if total <= 0.0:
+        top = max(self._log_l.values())
+        scaled = {n: math.exp(log_l - top) for n, log_l in self._log_l.items()}
+        weights = [w * sum(p * scaled[n] for n, p in mix) for w, mix in self._mix]
+        total = sum(weights)
+        if not total > 0.0:  # nan when every likelihood is zero (top = -inf)
             raise InconsistentRecordError("record has zero likelihood under every candidate")
-        return Posterior(weights / total)
+        return Posterior(np.array(weights) / total)
 
     @property
     def record(self) -> MeasurementRecord:

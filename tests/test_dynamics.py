@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from rydqnd import dense_oracle as do
 from rydqnd import dynamics as dyn
+from rydqnd.symbasis import build_block, sector
 from rydqnd.errors import DomainError, ImpossibleOutcomeError, PreconditionError
 from rydqnd.records import NO_RYDBERG, RYDBERG
 
@@ -170,3 +174,18 @@ def test_realignment_returns_rydberg_state_to_storage():
     assert dyn.sector_probabilities(blocks)[1] == pytest.approx(1.0, abs=1e-9)
     realigned = dyn.realign_for_retrieval(blocks, omega)
     assert dyn.sector_probabilities(realigned)[0] == pytest.approx(1.0, abs=1e-9)
+
+
+@given(st.integers(1, 4), st.integers(5, 10), st.integers(0, 4),
+       st.floats(0.0, 8.0), st.floats(0.0, 30.0))
+@example(1, 10, 1, 0.0, 7.3)  # gamma = 0: degenerate generator, expm fallback
+@example(1, 10, 1, 4.0, 7.3)  # critical damping: defective generator, expm fallback
+@example(1, 10, 1, 3.99999, 1.0)  # cond(V) ~ 1e6: the eigenbasis alone errs by ~2e-11
+@example(4, 10, 4, 7.999, 11.0)
+def test_propagator_matches_expm(n, N, j, gamma_over_omega, tau_omega):
+    omega = 2.0
+    j = min(j, len(sector(n, N).blocks) - 1)
+    gamma, tau = gamma_over_omega * omega, tau_omega / omega
+    prop = dyn._propagator(n, N, j, omega, gamma, tau)
+    ref = expm(build_block(n, N, j, omega, gamma).generator() * tau)
+    assert np.max(np.abs(prop - ref)) <= 1e-12

@@ -1,11 +1,15 @@
 """Record likelihoods and Bayesian posterior updates."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rydqnd import cli
 from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
 from rydqnd.errors import InconsistentRecordError
@@ -220,3 +224,105 @@ def test_ejecting_update_keeps_only_the_j0_block():
             blocks = dyn.eject_block(blocks)
             assert len(blocks) > 1
         assert step == pytest.approx(math.log(p), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# posterior traces
+
+def test_long_noiseless_record_does_not_underflow(tmp_path):
+    # every factor of n = 1 is 1/2, so its likelihood is 2^-1500; exponentiating
+    # before normalising used to report this valid record as inconsistent
+    tau = math.pi / (4 * OMEGA)
+    rng = np.random.default_rng(1500)
+    rydberg = np.cumsum(rng.random(1500) < 0.5) % 2 == 1
+    rec = record_of([tau] * 1500, [RYDBERG if r else NO_RYDBERG for r in rydberg])
+    logs = [inf.log_likelihood_noiseless(rec, n, OMEGA) for n in (1, 2, 3, 4)]
+    assert logs[0] == pytest.approx(1500 * math.log(0.5), rel=1e-12)
+    assert all(-60000 < v < -1000 for v in logs)
+    cands = [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)]
+    prior = Posterior.uniform(4)
+    trace = inf.posterior_trace(rec, cands, prior, OMEGA)
+    post = inf.posterior(rec, cands, prior, OMEGA)
+    seq = inf.SequentialInference(cands, prior, OMEGA)
+    for row, (t, outcome) in zip(trace[1:], rec.entries):
+        assert np.allclose(seq.update(t, outcome).weights, row, rtol=0, atol=1e-12)
+    assert np.allclose(post.weights, trace[-1], rtol=0, atol=1e-12)
+    assert trace[-1][0] == pytest.approx(1.0, abs=1e-12)
+    assert trace[-1][1] == pytest.approx(math.exp(logs[1] - logs[0]), rel=1e-9)
+
+    path = tmp_path / "rec.json"
+    path.write_text(rec.to_json())
+    out = tmp_path / "post.json"
+    assert cli.main(["infer", str(path), "--angular", "--omega-mhz", "1e-6",
+                     "--gamma-mhz", "0", "--candidates", "1..4",
+                     "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert np.allclose(doc["trace"], trace, rtol=0, atol=1e-12)
+    assert doc["mle_index"] == 0
+
+
+@st.composite
+def inference_cases(draw):
+    """Short records with N <= 6, noiseless or noisy, with and without ejection."""
+    N = draw(st.integers(4, 6))
+    ns = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    cands = [FockDistribution.delta(n, 3) for n in ns]
+    if draw(st.booleans()):
+        cands.append(FockDistribution(np.array([0.0, 0.5, 0.3, 0.2])))
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(cands),
+                                 max_size=len(cands))))
+    prior = Posterior(raw / raw.sum())
+    eject = draw(st.booleans())
+    noise = None
+    if draw(st.booleans()):
+        noise = inf.NoiseParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)),
+                                N, eject=eject)
+    entries = draw(st.lists(st.tuples(st.floats(0.05, 2.0),
+                                      st.sampled_from((NO_RYDBERG, RYDBERG))), max_size=6))
+    return MeasurementRecord(entries), cands, prior, noise, eject
+
+
+@given(inference_cases())
+def test_posterior_trace_matches_sequential_inference(case):
+    rec, cands, prior, noise, eject = case
+    seq = inf.SequentialInference(cands, prior, OMEGA, noise=noise, eject=eject)
+    rows = [prior.weights]
+    try:
+        rows += [seq.update(t, outcome).weights for t, outcome in rec.entries]
+    except InconsistentRecordError:
+        with pytest.raises(InconsistentRecordError):
+            inf.posterior_trace(rec, cands, prior, OMEGA, noise=noise, eject=eject)
+        return
+    trace = inf.posterior_trace(rec, cands, prior, OMEGA, noise=noise, eject=eject)
+    assert trace.shape == (len(rec) + 1, len(cands))
+    assert np.allclose(trace.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(trace, rows, rtol=0, atol=1e-12)
+
+
+@given(inference_cases())
+def test_posterior_trace_of_empty_record_is_the_prior(case):
+    _, cands, prior, noise, eject = case
+    trace = inf.posterior_trace(MeasurementRecord(), cands, prior, OMEGA,
+                                noise=noise, eject=eject)
+    assert trace.shape == (1, len(cands))
+    assert np.allclose(trace[0], prior.weights, rtol=0, atol=1e-15)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.floats(0.05, 2.0), st.booleans()), max_size=5))
+def test_record_that_becomes_impossible_is_inconsistent(tmp_path, prefix):
+    # a changed outcome after zero drive time has probability sin^2(0) = 0
+    entries = [(t, RYDBERG if r else NO_RYDBERG) for t, r in prefix]
+    last = entries[-1][1] if entries else NO_RYDBERG
+    cands = [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)]
+    prior = Posterior.uniform(4)
+    inf.posterior_trace(MeasurementRecord(list(entries)), cands, prior, OMEGA)
+    entries.append((0.0, RYDBERG if last == NO_RYDBERG else NO_RYDBERG))
+    rec = MeasurementRecord(entries)
+    with pytest.raises(InconsistentRecordError):
+        inf.posterior_trace(rec, cands, prior, OMEGA)
+    path = tmp_path / "rec.json"
+    path.write_text(rec.to_json())
+    assert cli.main(["infer", str(path), "--angular", "--omega-mhz", "1e-6",
+                     "--gamma-mhz", "0", "--candidates", "1..4",
+                     "--out", str(tmp_path / "post.json")]) == cli.EXIT_INCONSISTENT
