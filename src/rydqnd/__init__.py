@@ -47,7 +47,6 @@ from .inference import (
     NoiseParams,
     SequentialInference,
     likelihood_noiseless,
-    likelihood_noisy,
     log_likelihood_noiseless,
     log_likelihood_noisy,
     marginal_likelihood,
@@ -111,7 +110,6 @@ __all__ = [
     "fisher_closed_form",
     "fisher_numeric",
     "likelihood_noiseless",
-    "likelihood_noisy",
     "log_likelihood_noiseless",
     "log_likelihood_noisy",
     "marginal_likelihood",

@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -206,18 +207,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config["trajectories"] = args.trajectories
     config["version"] = __version__
 
-    # One file per trajectory first (unique names, no appends), then merged.
     header = json.dumps({"schema": TRAJECTORY_SCHEMA, "config": config},
                         sort_keys=True)
-    parts = []
-    for i, log in enumerate(logs):
-        part = outdir / f".traj_{i:05d}.json"
-        part.write_text(log.to_json())
-        parts.append(part)
-    merged = header + "\n" + "\n".join(p.read_text() for p in parts) + "\n"
-    (outdir / "trajectories.jsonl").write_text(merged)
-    for p in parts:
-        p.unlink()
+    (outdir / "trajectories.jsonl").write_text(
+        header + "\n" + "\n".join(log.to_json() for log in logs) + "\n")
 
     if params.trace_points:
         for i, log in enumerate(logs):
@@ -574,9 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config_file(args, args.defaults)
         return args.func(args)

@@ -233,7 +233,7 @@ def eject_block(blocks) -> BlockList:
     """
     blocks = _as_blocks(blocks)
     n, N = blocks[0].n, blocks[0].N
-    if n < 1 or N < 2:
+    if n < 1:
         raise PreconditionError("nothing to eject")
     b0 = _j0(blocks)
     if abs(b0.x[b0.block.ss]) > 1e-9:

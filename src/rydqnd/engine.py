@@ -18,7 +18,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DomainError, ScheduleExhaustedError
-from .inference import NoiseParams, SequentialInference
+from .inference import (NoiseParams, NoiselessLikelihoods, SequentialInference,
+                        mixture_terms, posterior_rows)
 from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
 NOISELESS_PURE = "noiseless-pure"
@@ -239,28 +240,206 @@ class _IdealReference:
         self.state = dyn.PureCollectiveState.from_stored_amplitudes(amps)
 
 
-def _eject_pure(state: dyn.PureCollectiveState) -> dyn.PureCollectiveState:
-    """Eject from a Rydberg-sector pure state: amplitudes shift down one photon."""
-    if float(np.sum(np.abs(state.a) ** 2)) > 1e-9:
-        raise DomainError("pure ejection requires a Rydberg-sector state")
-    a = np.array(state.b[1:], dtype=complex)
-    norm = math.sqrt(float(np.sum(np.abs(a) ** 2)))
-    return dyn.PureCollectiveState(a / norm, np.zeros_like(a))
+def _shared_taus(params: ProtocolParams):
+    """Drive time per cycle index for schedules that draw nothing, or None.
+
+    Fixed, precomputed and adaptive-greedy drive times depend only on the
+    earlier drive times, so every trajectory of a batch gets the same
+    sequence; each entry is computed once, when a trajectory first needs it.
+    """
+    if params.schedule.kind == "uniform-random":
+        return None
+    table: list[float] = []
+
+    def tau_at(cycle: int) -> float:
+        while len(table) <= cycle:
+            table.append(schedule_next_tau(params.schedule, table, params, None))
+        return table[cycle]
+
+    return tau_at
 
 
-def run_protocol(initial, params: ProtocolParams,
-                 rng: np.random.Generator | None = None,
-                 seed_key: tuple[int, ...] = ()) -> TrajectoryLog:
-    """Simulate one experiment; deterministic given params.seed (and seed_key)."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=seed_key))
+def _check_norm(norm_sq: np.ndarray) -> None:
+    """The unit-norm check of `PureCollectiveState`, for every row."""
+    norm = np.sqrt(norm_sq)
+    bad = np.abs(norm - 1.0) > 1e-12
+    if np.any(bad):
+        raise DomainError(f"state norm is {norm[bad][0]}, expected 1")
+
+
+class _PureRows:
+    """Pure states of the active noiseless trajectories, one row each.
+
+    Amplitudes a, b have shape (rows, n_max + 1), photon number k in column
+    k.  An ejection shifts a row one column left and narrows its width; the
+    columns past a row's width stay zero.  Every operation computes what
+    `evolve_pure`, `measure_pure` and ejection compute for one state, bit for
+    bit.
+    """
+
+    def __init__(self, state: dyn.PureCollectiveState, rows: int, omega: float):
+        self.a = np.tile(state.a, (rows, 1))
+        self.b = np.tile(state.b, (rows, 1))
+        self.width = np.full(rows, state.a.size)
+        self.ragged = False  # True once the widths may differ
+        self.freq = np.sqrt(np.arange(state.a.size)) * omega
+
+    def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
+        together, as numpy sums a vector of that length (pairwise past 8
+        entries, so the length matters)."""
+        sq = np.abs(x) ** 2
+        if not self.ragged:
+            return sq.sum(axis=1)
+        width, out = self.width[rows], np.empty(len(x))
+        for w in np.unique(width).tolist():
+            out[width == w] = sq[width == w, :w].sum(axis=1)
+        return out
+
+    def driven(self, taus: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) of the selected rows after driving row r for taus[r]."""
+        a, b = self.a[rows], self.b[rows]
+        theta = self.freq * taus[:, None]
+        c, s = np.cos(theta), np.sin(theta)
+        a, b = a * c - 1j * b * s, b * c - 1j * a * s
+        b[:, 0] = 0.0
+        return a, b
+
+    def measure(self, draws: np.ndarray, eject: bool) -> np.ndarray:
+        """Project every row by its uniform draw; True where the outcome is Rydberg.
+
+        The kept sector is renormalised, and with `eject` the Rydberg rows
+        lose a photon.
+        """
+        p_s, p_r = self.sum_sq(self.a), self.sum_sq(self.b)
+        _check_norm(p_s + p_r)
+        rydberg = draws < p_r
+        root = np.sqrt(np.where(rydberg, p_r, p_s))[:, None]
+        self.a = np.where(rydberg[:, None], 0.0, self.a / root)
+        self.b = np.where(rydberg[:, None], self.b / root, 0.0)
+        if eject and np.any(rydberg):
+            self.ragged = True
+            self.width[rydberg] -= 1
+            self.a[rydberg, :-1] = self.b[rydberg, 1:]
+            self.b[rydberg] = 0.0
+            self.a[rydberg] /= np.sqrt(self.sum_sq(self.a[rydberg], rydberg))[:, None]
+        _check_norm(self.sum_sq(self.a) + self.sum_sq(self.b))
+        return rydberg
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows not selected by the boolean mask."""
+        self.a, self.b, self.width = self.a[rows], self.b[rows], self.width[rows]
+
+
+def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generator],
+                   seed_keys: list[tuple[int, ...]]) -> list[TrajectoryLog]:
+    """Noiseless trajectories advanced together, trajectory i drawing from rngs[i].
+
+    Each cycle drives, measures, collapses, ejects and updates the posterior
+    of every active trajectory at once; a trajectory leaves when its
+    posterior reaches the threshold.  Each generator yields its draws in the
+    order of a lone trajectory: per cycle the drive time (uniform-random
+    schedules only), then the measurement.  Draws are taken in blocks of
+    cycles, one block per generator at a time.
+    """
+    cands, prior = params.resolved_candidates()
+    state, _ = sample_initial(initial, NOISELESS_PURE, None, params)
+    n_traj, points = len(rngs), params.trace_points
+    tau_at = _shared_taus(params)
+    per_cycle = 1 if tau_at else 2
+    if not tau_at:
+        lo = float(params.schedule.tau_min)
+        span = float(params.schedule.tau_max) - lo
+        if not math.isfinite(span):
+            raise OverflowError("Range exceeds valid bounds")
+
+    ids = np.arange(n_traj)  # trajectory of each active row
+    pure = _PureRows(state, n_traj, params.omega)
+    ns = sorted({n for c in cands for n in c.support()})
+    likelihoods = NoiselessLikelihoods(ns, params.omega, params.ejection_enabled, n_traj)
+    mixture = mixture_terms(cands, prior, ns)
+    draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
+
+    entries: list[list] = [[] for _ in range(n_traj)]
+    posteriors = [[prior.weights.tolist()] for _ in range(n_traj)]
+    traces: list[list[dict]] = [[] for _ in range(n_traj)]
+    ejections = np.zeros(n_traj, dtype=int)
+    converged = np.zeros(n_traj, dtype=bool)
+    final = np.zeros(n_traj, dtype=int)
+    t_now = np.zeros(n_traj)
+
+    def trace_rows(phase: str, rows, times, p_r) -> None:
+        for i, t, p in zip(ids[rows].tolist(), times.tolist(), p_r.tolist()):
+            traces[i].append({"time_s": t, "phase": phase, "p_no_rydberg": 1.0 - p,
+                              "p_rydberg": p, "fidelity": 1.0,
+                              "posterior": posteriors[i][-1]})
+
+    if points:
+        trace_rows("init", slice(None), t_now, pure.sum_sq(pure.b))
+
+    for cycle in range(params.max_cycles):
+        if ids.size == 0:
+            break
+        if per_cycle * (cycle + 1) > first_draw + draws.shape[1]:
+            block = min(2 * block, params.max_cycles - cycle)
+            first_draw = per_cycle * cycle
+            draws = np.array([rngs[i].random(per_cycle * block) for i in ids.tolist()])
+        col = per_cycle * cycle - first_draw
+        taus = np.full(ids.size, tau_at(cycle)) if tau_at else lo + span * draws[:, col]
+        if taus.min() < 0:
+            raise DomainError("drive time must be non-negative")
+
+        if points:
+            driven = np.nonzero(taus > 0)[0]
+            steps = np.array([np.linspace(t / points, t, points)
+                              for t in taus[driven].tolist()]).reshape(driven.size, points)
+            for k in range(points):
+                sub_a, sub_b = pure.driven(steps[:, k], driven)
+                p_r = pure.sum_sq(sub_b, driven)
+                _check_norm(pure.sum_sq(sub_a, driven) + p_r)
+                trace_rows("drive", driven, t_now[ids[driven]] + steps[:, k], p_r)
+        pure.a, pure.b = pure.driven(taus)
+        t_now[ids] += taus
+        rydberg = pure.measure(draws[:, col + per_cycle - 1], params.ejection_enabled)
+        if params.ejection_enabled:
+            ejections[ids] += rydberg
+
+        likelihoods.update(taus, rydberg)
+        weights = posterior_rows(likelihoods.log_l, mixture)
+        for i, tau, ryd, w in zip(ids.tolist(), taus.tolist(), rydberg.tolist(),
+                                  weights.tolist()):
+            entries[i].append((tau, RYDBERG if ryd else NO_RYDBERG))
+            posteriors[i].append(w)
+        if points:
+            trace_rows("collapse", slice(None), t_now[ids], pure.sum_sq(pure.b))
+
+        final[ids] = np.argmax(weights, axis=1)
+        done = weights.max(axis=1) >= params.threshold
+        if np.any(done):
+            converged[ids[done]] = True
+            keep = ~done
+            ids, draws = ids[keep], draws[keep]
+            pure.keep(keep)
+            likelihoods.keep(keep)
+
+    config = params.to_dict()
+    return [TrajectoryLog(record=MeasurementRecord(entries[i]), posteriors=posteriors[i],
+                          fidelities=[1.0] * len(entries[i]), trace=traces[i],
+                          ejections=int(ejections[i]), n_true=None,
+                          final_candidate=int(final[i]), converged=bool(converged[i]),
+                          seed_key=list(seed_keys[i]), params=config)
+            for i in range(n_traj)]
+
+
+def _run_noisy(initial, params: ProtocolParams, rng: np.random.Generator,
+               seed_key: tuple[int, ...], tau_at, config: dict) -> TrajectoryLog:
+    """One noisy fixed-n trajectory, with its retrieval fidelity to an ideal twin."""
     cands, prior = params.resolved_candidates()
     noise = params.noise()
     inference = SequentialInference(cands, prior, params.omega, noise,
                                     eject=params.ejection_enabled)
     state, n_true = sample_initial(initial, params.mode, rng, params)
-    noisy = params.mode == NOISY_FIXED_N
-    ideal = _IdealReference(n_true) if noisy else None
+    ideal = _IdealReference(n_true)
 
     posteriors: list[list[float]] = [prior.weights.tolist()]
     fidelities: list[float] = []
@@ -273,81 +452,56 @@ def run_protocol(initial, params: ProtocolParams,
     post = prior
 
     def fid(st) -> float:
-        return dyn.retrieval_fidelity(st, ideal.state) if noisy and ideal.n > 0 else 1.0
+        return dyn.retrieval_fidelity(st, ideal.state) if ideal.n > 0 else 1.0
 
-    def sector(st) -> tuple[float, float]:
-        if noisy:
-            return dyn.sector_probabilities(st)
-        p_r = float(np.sum(np.abs(st.b) ** 2))
-        return 1.0 - p_r, p_r
-
-    def trace_row(st, phase: str) -> dict:
-        p_s, p_r = sector(st)
-        return {"time_s": t_now, "phase": phase, "p_no_rydberg": p_s,
-                "p_rydberg": p_r, "fidelity": fid(st),
+    def trace_row(st, phase: str, t: float, fidelity: float) -> dict:
+        p_s, p_r = dyn.sector_probabilities(st)
+        return {"time_s": t, "phase": phase, "p_no_rydberg": p_s,
+                "p_rydberg": p_r, "fidelity": fidelity,
                 "posterior": post.weights.tolist()}
 
     if params.trace_points:
-        trace.append(trace_row(state, "init"))
+        trace.append(trace_row(state, "init", t_now, fid(state)))
 
-    for _cycle in range(params.max_cycles):
-        tau = schedule_next_tau(params.schedule, taus, params, rng)
+    for cycle in range(params.max_cycles):
+        tau = (tau_at(cycle) if tau_at
+               else schedule_next_tau(params.schedule, taus, params, rng))
         taus.append(tau)
 
         # drive window
         if params.trace_points and tau > 0:
             for dt in np.linspace(tau / params.trace_points, tau, params.trace_points):
-                if noisy:
-                    sub = dyn.evolve_blocks(state, dt, params.omega, params.gamma)
-                    sub_fid = 1.0
-                    if ideal.n > 0:
-                        sub_ideal = dyn.evolve_pure(ideal.state, dt, params.omega)
-                        sub_fid = dyn.retrieval_fidelity(sub, sub_ideal)
-                else:
-                    sub = dyn.evolve_pure(state, dt, params.omega)
-                    sub_fid = 1.0
-                p_s, p_r = sector(sub)
-                trace.append({"time_s": t_now + dt, "phase": "drive",
-                              "p_no_rydberg": p_s, "p_rydberg": p_r,
-                              "fidelity": sub_fid,
-                              "posterior": post.weights.tolist()})
-        if noisy:
-            state = dyn.evolve_blocks(state, tau, params.omega, params.gamma, drive_on=True)
-            ideal.drive(tau, params.omega)
-        else:
-            state = dyn.evolve_pure(state, tau, params.omega)
+                sub = dyn.evolve_blocks(state, dt, params.omega, params.gamma)
+                sub_fid = 1.0
+                if ideal.n > 0:
+                    sub_fid = dyn.retrieval_fidelity(
+                        sub, dyn.evolve_pure(ideal.state, dt, params.omega))
+                trace.append(trace_row(sub, "drive", t_now + dt, sub_fid))
+        state = dyn.evolve_blocks(state, tau, params.omega, params.gamma, drive_on=True)
+        ideal.drive(tau, params.omega)
         t_now += tau
 
         # measurement window (dephasing only), then projection
-        if noisy:
-            if params.trace_points and params.tau_eit > 0:
-                for dt in np.linspace(params.tau_eit / params.trace_points,
-                                      params.tau_eit, params.trace_points):
-                    sub = dyn.evolve_blocks(state, dt, 0.0, params.gamma, drive_on=False)
-                    p_s, p_r = sector(sub)
-                    trace.append({"time_s": t_now + dt, "phase": "measure",
-                                  "p_no_rydberg": p_s, "p_rydberg": p_r, "fidelity": fid(sub),
-                                  "posterior": post.weights.tolist()})
-            outcome, state, _p = dyn.measure_block(state, params.tau_eit, params.gamma,
-                                                   rng.random())
-            t_now += params.tau_eit
-            ideal.collapse(outcome)
-            if params.ejection_enabled and outcome == RYDBERG:
-                state = dyn.eject_block(state)
-                ideal.eject()
-                ejections += 1
-        else:
-            outcome, state, _p = dyn.measure_pure(state, rng.random())
-            if params.ejection_enabled and outcome == RYDBERG:
-                state = _eject_pure(state)
-                ejections += 1
+        if params.trace_points and params.tau_eit > 0:
+            for dt in np.linspace(params.tau_eit / params.trace_points,
+                                  params.tau_eit, params.trace_points):
+                sub = dyn.evolve_blocks(state, dt, 0.0, params.gamma, drive_on=False)
+                trace.append(trace_row(sub, "measure", t_now + dt, fid(sub)))
+        outcome, state, _p = dyn.measure_block(state, params.tau_eit, params.gamma,
+                                               rng.random())
+        t_now += params.tau_eit
+        ideal.collapse(outcome)
+        if params.ejection_enabled and outcome == RYDBERG:
+            state = dyn.eject_block(state)
+            ideal.eject()
+            ejections += 1
 
         record.append(tau, outcome)
         post = inference.update(tau, outcome)
         posteriors.append(post.weights.tolist())
         fidelities.append(fid(state))
         if params.trace_points:
-            trace.append(trace_row(state, "collapse"))
+            trace.append(trace_row(state, "collapse", t_now, fid(state)))
         if float(post.weights.max()) >= params.threshold:
             converged = True
             break
@@ -362,14 +516,39 @@ def run_protocol(initial, params: ProtocolParams,
         final_candidate=int(np.argmax(post.weights)),
         converged=converged,
         seed_key=list(seed_key),
-        params=params.to_dict(),
+        params=config,
     )
+
+
+def _seeded(params: ProtocolParams, seed_key: tuple[int, ...]) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=seed_key))
+
+
+def run_protocol(initial, params: ProtocolParams,
+                 rng: np.random.Generator | None = None,
+                 seed_key: tuple[int, ...] = ()) -> TrajectoryLog:
+    """Simulate one experiment; deterministic given params.seed (and seed_key)."""
+    if params.mode == NOISY_FIXED_N:
+        rng = rng if rng is not None else _seeded(params, seed_key)
+        return _run_noisy(initial, params, rng, seed_key, _shared_taus(params),
+                          params.to_dict())
+    if rng is None:
+        return _run_noiseless(initial, params, [_seeded(params, seed_key)], [seed_key])[0]
+    # the batch kernel draws ahead; leave the caller's generator where a lone
+    # trajectory leaves it, one draw per cycle (two when the drive time is drawn)
+    start = rng.bit_generator.state
+    log = _run_noiseless(initial, params, [rng], [seed_key])[0]
+    rng.bit_generator.state = start
+    rng.random(len(log.record) * (1 if _shared_taus(params) else 2))
+    return log
 
 
 def run_batch(initial, params: ProtocolParams, n_trajectories: int) -> list[TrajectoryLog]:
     """Independent seeded trajectories; trajectory i uses spawn key (i,)."""
-    logs = []
-    for i in range(n_trajectories):
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(i,)))
-        logs.append(run_protocol(initial, params, rng=rng, seed_key=(i,)))
-    return logs
+    keys = [(i,) for i in range(n_trajectories)]
+    rngs = [_seeded(params, key) for key in keys]
+    if params.mode == NOISELESS_PURE:
+        return _run_noiseless(initial, params, rngs, keys)
+    tau_at, config = _shared_taus(params), params.to_dict()
+    return [_run_noisy(initial, params, rng, key, tau_at, config)
+            for rng, key in zip(rngs, keys)]

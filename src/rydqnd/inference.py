@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import evolve_blocks, eject_block, project_blocks, sector_probabilities, symmetric_state_blocks
 from .errors import DomainError, ImpossibleOutcomeError, InconsistentRecordError
-from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
+from .records import FockDistribution, MeasurementRecord, Posterior, RYDBERG
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,21 @@ class NoiseParams:
             raise DomainError("gamma and tau_eit must be non-negative")
 
 
+def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
+                       shift: np.ndarray) -> np.ndarray:
+    """Pr(outcome | n) of noiseless cycles, shape (len(taus), len(ns)).
+
+    Cycle t drove for taus[t] after shift[t] ejections: cos^2 of the
+    sqrt(n - shift) * omega * tau phase where repeat[t] (the outcome equals
+    the reference outcome), sin^2 where it changed.  The square is libm's
+    pow, as Python's ``x ** 2`` computes it.
+    """
+    m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
+    phase = np.sqrt(m) * omega * np.asarray(taus, dtype=float)[:, None]
+    trig = np.where(np.asarray(repeat)[:, None], np.cos(phase), np.sin(phase))
+    return np.float_power(trig, 2.0)
+
+
 def _noiseless_log_table(record: MeasurementRecord, ns: list[int], omega: float,
                          eject: bool = False) -> np.ndarray:
     """log Pr(first t outcomes | n) for t = 0..T, shape (T + 1, len(ns))."""
@@ -43,10 +58,8 @@ def _noiseless_log_table(record: MeasurementRecord, ns: list[int], omega: float,
     # ejection removes a photon per Rydberg outcome and resets the reference outcome
     shift = (np.cumsum(rydberg) - rydberg) * eject
     prev = np.concatenate(([False], rydberg))[:-1] & (not eject)
-    phase = np.sqrt(np.maximum(np.asarray(ns) - shift[:, None], 0)) * omega * taus[:, None]
-    factor = np.where((rydberg == prev)[:, None], np.cos(phase) ** 2, np.sin(phase) ** 2)
     with np.errstate(divide="ignore"):
-        log_f = np.log(factor)
+        log_f = np.log(_noiseless_factors(ns, omega, taus, rydberg == prev, shift))
     return np.vstack((np.zeros((1, len(ns))), np.cumsum(log_f, axis=0)))
 
 
@@ -131,12 +144,6 @@ def log_likelihood_noisy(record: MeasurementRecord, n: int, omega: float,
     return float(_log_likelihood_table(record, [n], omega, noise)[-1, 0])
 
 
-def likelihood_noisy(record: MeasurementRecord, n: int, omega: float, gamma: float,
-                     tau_eit: float, N: int, eject: bool = False) -> float:
-    return math.exp(log_likelihood_noisy(record, n, omega,
-                                         NoiseParams(gamma, tau_eit, N, eject)))
-
-
 def marginal_likelihood(record: MeasurementRecord, dist: FockDistribution, omega: float,
                         noise: NoiseParams | None = None) -> float:
     """Pr(M_T | P) = sum_n p_n Pr(M_T | n)."""
@@ -181,6 +188,69 @@ def mle(post: Posterior) -> int:
     return int(np.argmax(post.weights))
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """A ``math`` function applied element by element.  numpy's vectorised exp
+    and log differ from libm's by an ulp on some arguments; this does not."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def mixture_terms(candidates: list[FockDistribution], prior: Posterior,
+                  ns: list[int]) -> list[tuple[float, list[tuple[int, float]]]]:
+    """Per candidate, its prior weight and its (column of n in ns, p_n) terms."""
+    col = {n: i for i, n in enumerate(ns)}
+    return [(float(w), [(col[n], float(c.p[n])) for n in c.support()])
+            for w, c in zip(prior.weights, candidates)]
+
+
+def posterior_rows(log_l: np.ndarray, mixture) -> np.ndarray:
+    """Posterior over the candidates for each row of log Pr(record | n), shape (B, K).
+
+    Each row leaves the log domain scaled by its largest likelihood; sums run
+    left to right, so a row equals the one-record scalar computation bit for bit.
+    """
+    top = log_l.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # -inf - -inf: every likelihood is zero
+        scaled = _libm(math.exp, log_l - top)
+    weights = np.stack([w * sum(p * scaled[:, col] for col, p in terms)
+                        for w, terms in mixture], axis=1)
+    total = sum(weights.T)
+    if not np.all(total > 0.0):  # nan when every likelihood is zero (top = -inf)
+        raise InconsistentRecordError("record has zero likelihood under every candidate")
+    return weights / total[:, None]
+
+
+class NoiselessLikelihoods:
+    """log Pr(record | n) of B noiseless records growing together, shape (B, len(ns)).
+
+    Row r keeps its last outcome (the reference for the cos^2/sin^2 choice,
+    NoRydberg with ejection) and its ejection count (the photon shift).
+    """
+
+    def __init__(self, ns: list[int], omega: float, eject: bool = False, rows: int = 1):
+        self.ns = np.asarray(ns)
+        self.omega = omega
+        self.eject = eject
+        self.log_l = np.zeros((rows, len(ns)))
+        self._last = np.zeros(rows, dtype=bool)
+        self._shift = np.zeros(rows, dtype=int)
+
+    def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
+        """One cycle for every row: drive times and outcomes (True for Rydberg)."""
+        factor = _noiseless_factors(self.ns, self.omega, taus, rydberg == self._last,
+                                    self._shift)
+        log_f = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
+        self.log_l = self.log_l + np.where(factor > 0.0, log_f, -math.inf)
+        if self.eject:
+            self._shift = self._shift + rydberg
+        else:
+            self._last = rydberg
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows not selected by the boolean mask."""
+        self.log_l, self._last, self._shift = (self.log_l[rows], self._last[rows],
+                                               self._shift[rows])
+
+
 class SequentialInference:
     """Incremental posterior over candidate distributions along a growing record."""
 
@@ -194,42 +264,27 @@ class SequentialInference:
         self.noise = noise
         self.eject = noise.eject if noise is not None else eject
         self.ns = sorted({n for c in candidates for n in c.support()})
-        self._cond = ({n: ConditionalState(n, omega, noise) for n in self.ns}
+        self._cond = ([ConditionalState(n, omega, noise) for n in self.ns]
                       if noise is not None else None)
+        self._noiseless = (NoiselessLikelihoods(self.ns, omega, self.eject)
+                           if noise is None else None)
+        self._log_l = np.zeros((1, len(self.ns)))
         self._record = MeasurementRecord()
-        self._log_l = {n: 0.0 for n in self.ns}
-        self._mix = [(float(w), [(n, float(c.p[n])) for n in c.support()])
-                     for w, c in zip(prior.weights, candidates)]
-        self._shift = 0  # photons ejected so far (noiseless bookkeeping)
+        self._mix = mixture_terms(candidates, prior, self.ns)
 
     def update(self, tau: float, outcome: str) -> Posterior:
         self._record.append(tau, outcome)
         if self._cond is not None:
-            for n in self.ns:
-                self._cond[n].update(tau, outcome)
-                self._log_l[n] = self._cond[n].log_l
+            for i, cond in enumerate(self._cond):
+                cond.update(tau, outcome)
+                self._log_l[0, i] = cond.log_l
         else:
-            prev = (NO_RYDBERG if self.eject or len(self._record) == 1
-                    else self._record.entries[-2][1])
-            for n in self.ns:
-                m = max(n - self._shift, 0)
-                omega_m = math.sqrt(m) * self.omega
-                factor = (math.cos(omega_m * tau) ** 2 if outcome == prev
-                          else math.sin(omega_m * tau) ** 2)
-                self._log_l[n] = (-math.inf if factor <= 0.0
-                                  else self._log_l[n] + math.log(factor))
-            if self.eject and outcome == RYDBERG:
-                self._shift += 1
+            self._noiseless.update(np.array([tau]), np.array([outcome == RYDBERG]))
+            self._log_l = self._noiseless.log_l
         return self.posterior()
 
     def posterior(self) -> Posterior:
-        top = max(self._log_l.values())
-        scaled = {n: math.exp(log_l - top) for n, log_l in self._log_l.items()}
-        weights = [w * sum(p * scaled[n] for n, p in mix) for w, mix in self._mix]
-        total = sum(weights)
-        if not total > 0.0:  # nan when every likelihood is zero (top = -inf)
-            raise InconsistentRecordError("record has zero likelihood under every candidate")
-        return Posterior(np.array(weights) / total)
+        return Posterior(posterior_rows(self._log_l, self._mix)[0])
 
     @property
     def record(self) -> MeasurementRecord:

@@ -114,8 +114,9 @@ class BasisLabel:
 
 
 def _check_block_args(n: int, N: int, j: int) -> None:
-    if not (1 <= N):
-        raise DomainError(f"need N >= 1, got N={N}")
+    # N = 0 holds only the vacuum, what ejecting the last atom leaves
+    if not (0 <= N):
+        raise DomainError(f"need N >= 0, got N={N}")
     if not (0 <= n <= N):
         raise DomainError(f"need 0 <= n <= N, got n={n}, N={N}")
     if not (0 <= j <= min(n, N - n)):

@@ -326,3 +326,24 @@ def test_record_that_becomes_impossible_is_inconsistent(tmp_path, prefix):
     assert cli.main(["infer", str(path), "--angular", "--omega-mhz", "1e-6",
                      "--gamma-mhz", "0", "--candidates", "1..4",
                      "--out", str(tmp_path / "post.json")]) == cli.EXIT_INCONSISTENT
+
+
+def test_noisy_ejection_down_to_the_empty_array(tmp_path):
+    # n = N = 2: two Rydberg outcomes eject (2, 2) -> (1, 1) -> (0, 0), the vacuum
+    rec = record_of([2e-7, 2e-7], [RYDBERG, RYDBERG])
+    path = tmp_path / "rec.json"
+    path.write_text(rec.to_json())
+    out = tmp_path / "post.json"
+    assert cli.main(["infer", str(path), "--gamma-mhz", "0.3", "--tau-eit-us", "0.1",
+                     "--n-atoms", "2", "--candidates", "1..2", "--eject",
+                     "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert np.allclose(np.sum(doc["trace"], axis=1), 1.0, rtol=0, atol=1e-12)
+    omega = 2 * math.pi * 2.5e6
+    state = inf.ConditionalState(2, omega, inf.NoiseParams(2 * math.pi * 0.3e6, 1e-7, 2,
+                                                           eject=True))
+    for tau, outcome in rec.entries:
+        assert state.update(tau, outcome) > -math.inf
+    assert (state.blocks[0].n, state.blocks[0].N) == (0, 0)
+    p_s, p_r = state.outcome_probabilities(2e-7)
+    assert p_s == pytest.approx(1.0, abs=1e-12) and p_r == 0.0
