@@ -65,17 +65,94 @@ class PureCollectiveState:
         return int(occupied[0])
 
 
+def _check_norm(norm_sq: np.ndarray) -> None:
+    """The unit-norm check of `PureCollectiveState`, for every row."""
+    norm = np.sqrt(norm_sq)
+    bad = np.abs(norm - 1.0) > 1e-12
+    if np.any(bad):
+        raise DomainError(f"state norm is {norm[bad][0]}, expected 1")
+
+
+class PureBatch:
+    """Pure collective states of a batch of noiseless trajectories, one row each.
+
+    Amplitudes a, b have shape (rows, n_max + 1), photon number k in column
+    k.  An ejection shifts a row one column left and narrows its width; the
+    columns past a row's width stay zero.  A row computes what a lone
+    `PureCollectiveState` computes, bit for bit.
+    """
+
+    def __init__(self, state: PureCollectiveState, rows: int):
+        self.a = np.tile(state.a, (rows, 1))
+        self.b = np.tile(state.b, (rows, 1))
+        self.width = np.full(rows, state.a.size)
+        self.ragged = False  # True once the widths may differ
+
+    def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
+        together, as numpy sums a vector of that length (pairwise past 8
+        entries, so the length matters)."""
+        sq = np.abs(x) ** 2
+        if not self.ragged:
+            return sq.sum(axis=1)
+        width, out = self.width[rows], np.empty(len(x))
+        for w in np.unique(width).tolist():
+            out[width == w] = sq[width == w, :w].sum(axis=1)
+        return out
+
+    def driven(self, taus: np.ndarray, omega: float,
+               rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) of the selected rows after driving row r for taus[r]: within
+        each n, (a_n, b_n) rotates at sqrt(n) * omega."""
+        a, b = self.a[rows], self.b[rows]
+        theta = np.sqrt(np.arange(a.shape[1])) * omega * taus[:, None]
+        c, s = np.cos(theta), np.sin(theta)
+        a, b = a * c - 1j * b * s, b * c - 1j * a * s
+        b[:, 0] = 0.0
+        return a, b
+
+    def rydberg_if_driven(self, taus: np.ndarray, omega: float, rows) -> np.ndarray:
+        """Rydberg probability of the selected rows were they driven for taus."""
+        a, b = self.driven(taus, omega, rows)
+        p_r = self.sum_sq(b, rows)
+        _check_norm(self.sum_sq(a, rows) + p_r)
+        return p_r
+
+    def measure(self, draws: np.ndarray, eject: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Project every row by its uniform [0, 1) draw.
+
+        Returns where the outcome is Rydberg and the outcome's probability.
+        The kept sector is renormalised, and with `eject` the Rydberg rows
+        lose a photon.
+        """
+        p_s, p_r = self.sum_sq(self.a), self.sum_sq(self.b)
+        _check_norm(p_s + p_r)
+        rydberg = draws < p_r
+        p = np.where(rydberg, p_r, p_s)
+        root = np.sqrt(p)[:, None]
+        self.a = np.where(rydberg[:, None], 0.0, self.a / root)
+        self.b = np.where(rydberg[:, None], self.b / root, 0.0)
+        if eject and np.any(rydberg):
+            self.ragged = True
+            self.width[rydberg] -= 1
+            self.a[rydberg, :-1] = self.b[rydberg, 1:]
+            self.b[rydberg] = 0.0
+            self.a[rydberg] /= np.sqrt(self.sum_sq(self.a[rydberg], rydberg))[:, None]
+        _check_norm(self.sum_sq(self.a) + self.sum_sq(self.b))
+        return rydberg, p
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows not selected by the boolean mask."""
+        self.a, self.b, self.width = self.a[rows], self.b[rows], self.width[rows]
+
+
 def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCollectiveState:
     """Drive for time tau: within each n, rotate (a_n, b_n) at sqrt(n)*Omega."""
     if tau < 0:
         raise DomainError("drive time must be non-negative")
-    ns = np.arange(state.a.size)
-    theta = np.sqrt(ns) * omega * tau
-    c, s = np.cos(theta), np.sin(theta)
-    a = state.a * c - 1j * state.b * s
-    b = state.b * c - 1j * state.a * s
-    b[0] = 0.0
-    return PureCollectiveState(a, b)
+    a, b = PureBatch(state, 1).driven(np.array([tau]), omega)
+    return PureCollectiveState(a[0], b[0])
 
 
 def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureCollectiveState, float]:
@@ -84,15 +161,10 @@ def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureColl
     The collapsed state keeps the measured sector's amplitudes, renormalized
     to unit norm.
     """
-    p_r = float(np.sum(np.abs(state.b) ** 2))
-    p_s = float(np.sum(np.abs(state.a) ** 2))
-    if draw < p_r:
-        outcome, p = RYDBERG, p_r
-        a, b = np.zeros_like(state.a), state.b / sqrt(p_r)
-    else:
-        outcome, p = NO_RYDBERG, p_s
-        a, b = state.a / sqrt(p_s), np.zeros_like(state.b)
-    return outcome, PureCollectiveState(a, b), p
+    batch = PureBatch(state, 1)
+    rydberg, p = batch.measure(np.array([draw]))
+    return (RYDBERG if rydberg[0] else NO_RYDBERG,
+            PureCollectiveState(batch.a[0], batch.b[0]), float(p[0]))
 
 
 @dataclass

@@ -240,6 +240,12 @@ class _IdealReference:
         self.state = dyn.PureCollectiveState.from_stored_amplitudes(amps)
 
 
+def _draws_per_cycle(schedule: Schedule) -> int:
+    """Uniform draws a trajectory takes per cycle: the measurement's, and the
+    drive time's under the uniform-random schedule."""
+    return 2 if schedule.kind == "uniform-random" else 1
+
+
 def _shared_taus(params: ProtocolParams):
     """Drive time per cycle index for schedules that draw nothing, or None.
 
@@ -259,78 +265,6 @@ def _shared_taus(params: ProtocolParams):
     return tau_at
 
 
-def _check_norm(norm_sq: np.ndarray) -> None:
-    """The unit-norm check of `PureCollectiveState`, for every row."""
-    norm = np.sqrt(norm_sq)
-    bad = np.abs(norm - 1.0) > 1e-12
-    if np.any(bad):
-        raise DomainError(f"state norm is {norm[bad][0]}, expected 1")
-
-
-class _PureRows:
-    """Pure states of the active noiseless trajectories, one row each.
-
-    Amplitudes a, b have shape (rows, n_max + 1), photon number k in column
-    k.  An ejection shifts a row one column left and narrows its width; the
-    columns past a row's width stay zero.  Every operation computes what
-    `evolve_pure`, `measure_pure` and ejection compute for one state, bit for
-    bit.
-    """
-
-    def __init__(self, state: dyn.PureCollectiveState, rows: int, omega: float):
-        self.a = np.tile(state.a, (rows, 1))
-        self.b = np.tile(state.b, (rows, 1))
-        self.width = np.full(rows, state.a.size)
-        self.ragged = False  # True once the widths may differ
-        self.freq = np.sqrt(np.arange(state.a.size)) * omega
-
-    def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
-        together, as numpy sums a vector of that length (pairwise past 8
-        entries, so the length matters)."""
-        sq = np.abs(x) ** 2
-        if not self.ragged:
-            return sq.sum(axis=1)
-        width, out = self.width[rows], np.empty(len(x))
-        for w in np.unique(width).tolist():
-            out[width == w] = sq[width == w, :w].sum(axis=1)
-        return out
-
-    def driven(self, taus: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b) of the selected rows after driving row r for taus[r]."""
-        a, b = self.a[rows], self.b[rows]
-        theta = self.freq * taus[:, None]
-        c, s = np.cos(theta), np.sin(theta)
-        a, b = a * c - 1j * b * s, b * c - 1j * a * s
-        b[:, 0] = 0.0
-        return a, b
-
-    def measure(self, draws: np.ndarray, eject: bool) -> np.ndarray:
-        """Project every row by its uniform draw; True where the outcome is Rydberg.
-
-        The kept sector is renormalised, and with `eject` the Rydberg rows
-        lose a photon.
-        """
-        p_s, p_r = self.sum_sq(self.a), self.sum_sq(self.b)
-        _check_norm(p_s + p_r)
-        rydberg = draws < p_r
-        root = np.sqrt(np.where(rydberg, p_r, p_s))[:, None]
-        self.a = np.where(rydberg[:, None], 0.0, self.a / root)
-        self.b = np.where(rydberg[:, None], self.b / root, 0.0)
-        if eject and np.any(rydberg):
-            self.ragged = True
-            self.width[rydberg] -= 1
-            self.a[rydberg, :-1] = self.b[rydberg, 1:]
-            self.b[rydberg] = 0.0
-            self.a[rydberg] /= np.sqrt(self.sum_sq(self.a[rydberg], rydberg))[:, None]
-        _check_norm(self.sum_sq(self.a) + self.sum_sq(self.b))
-        return rydberg
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the rows not selected by the boolean mask."""
-        self.a, self.b, self.width = self.a[rows], self.b[rows], self.width[rows]
-
-
 def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generator],
                    seed_keys: list[tuple[int, ...]]) -> list[TrajectoryLog]:
     """Noiseless trajectories advanced together, trajectory i drawing from rngs[i].
@@ -346,15 +280,15 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
     state, _ = sample_initial(initial, NOISELESS_PURE, None, params)
     n_traj, points = len(rngs), params.trace_points
     tau_at = _shared_taus(params)
-    per_cycle = 1 if tau_at else 2
-    if not tau_at:
+    per_cycle = _draws_per_cycle(params.schedule)
+    if not tau_at:  # drawn as Generator.uniform draws them
         lo = float(params.schedule.tau_min)
         span = float(params.schedule.tau_max) - lo
         if not math.isfinite(span):
             raise OverflowError("Range exceeds valid bounds")
 
     ids = np.arange(n_traj)  # trajectory of each active row
-    pure = _PureRows(state, n_traj, params.omega)
+    pure = dyn.PureBatch(state, n_traj)
     ns = sorted({n for c in cands for n in c.support()})
     likelihoods = NoiselessLikelihoods(ns, params.omega, params.ejection_enabled, n_traj)
     mixture = mixture_terms(cands, prior, ns)
@@ -394,13 +328,11 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
             steps = np.array([np.linspace(t / points, t, points)
                               for t in taus[driven].tolist()]).reshape(driven.size, points)
             for k in range(points):
-                sub_a, sub_b = pure.driven(steps[:, k], driven)
-                p_r = pure.sum_sq(sub_b, driven)
-                _check_norm(pure.sum_sq(sub_a, driven) + p_r)
-                trace_rows("drive", driven, t_now[ids[driven]] + steps[:, k], p_r)
-        pure.a, pure.b = pure.driven(taus)
+                trace_rows("drive", driven, t_now[ids[driven]] + steps[:, k],
+                           pure.rydberg_if_driven(steps[:, k], params.omega, driven))
+        pure.a, pure.b = pure.driven(taus, params.omega)
         t_now[ids] += taus
-        rydberg = pure.measure(draws[:, col + per_cycle - 1], params.ejection_enabled)
+        rydberg, _ = pure.measure(draws[:, col + per_cycle - 1], params.ejection_enabled)
         if params.ejection_enabled:
             ejections[ids] += rydberg
 
@@ -535,11 +467,11 @@ def run_protocol(initial, params: ProtocolParams,
     if rng is None:
         return _run_noiseless(initial, params, [_seeded(params, seed_key)], [seed_key])[0]
     # the batch kernel draws ahead; leave the caller's generator where a lone
-    # trajectory leaves it, one draw per cycle (two when the drive time is drawn)
+    # trajectory leaves it
     start = rng.bit_generator.state
     log = _run_noiseless(initial, params, [rng], [seed_key])[0]
     rng.bit_generator.state = start
-    rng.random(len(log.record) * (1 if _shared_taus(params) else 2))
+    rng.random(len(log.record) * _draws_per_cycle(params.schedule))
     return log
 
 
