@@ -65,6 +65,14 @@ class PureCollectiveState:
         return int(occupied[0])
 
 
+def _rotate(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each (a_n, b_n) pair by theta_n, n along the last axis."""
+    c, s = np.cos(theta), np.sin(theta)
+    a, b = a * c - 1j * b * s, b * c - 1j * a * s
+    b[..., 0] = 0.0
+    return a, b
+
+
 def _check_norm(norm_sq: np.ndarray) -> None:
     """The unit-norm check of `PureCollectiveState`, for every row."""
     norm = np.sqrt(norm_sq)
@@ -104,12 +112,8 @@ class PureBatch:
                rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(a, b) of the selected rows after driving row r for taus[r]: within
         each n, (a_n, b_n) rotates at sqrt(n) * omega."""
-        a, b = self.a[rows], self.b[rows]
-        theta = np.sqrt(np.arange(a.shape[1])) * omega * taus[:, None]
-        c, s = np.cos(theta), np.sin(theta)
-        a, b = a * c - 1j * b * s, b * c - 1j * a * s
-        b[:, 0] = 0.0
-        return a, b
+        theta = np.sqrt(np.arange(self.a.shape[1])) * omega * taus[:, None]
+        return _rotate(self.a[rows], self.b[rows], theta)
 
     def rydberg_if_driven(self, taus: np.ndarray, omega: float, rows) -> np.ndarray:
         """Rydberg probability of the selected rows were they driven for taus."""
@@ -151,8 +155,8 @@ def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCol
     """Drive for time tau: within each n, rotate (a_n, b_n) at sqrt(n)*Omega."""
     if tau < 0:
         raise DomainError("drive time must be non-negative")
-    a, b = PureBatch(state, 1).driven(np.array([tau]), omega)
-    return PureCollectiveState(a[0], b[0])
+    theta = np.sqrt(np.arange(state.a.size)) * omega * tau
+    return PureCollectiveState(*_rotate(state.a, state.b, theta))
 
 
 def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureCollectiveState, float]:

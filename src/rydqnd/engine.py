@@ -18,8 +18,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DomainError, ScheduleExhaustedError
-from .inference import (NoiseParams, NoiselessLikelihoods, SequentialInference,
-                        mixture_terms, posterior_rows)
+from .inference import Mixture, NoiseParams, NoiselessLikelihoods, SequentialInference
 from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
 NOISELESS_PURE = "noiseless-pure"
@@ -285,13 +284,13 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
         lo = float(params.schedule.tau_min)
         span = float(params.schedule.tau_max) - lo
         if not math.isfinite(span):
-            raise OverflowError("Range exceeds valid bounds")
+            raise OverflowError("high - low range exceeds valid bounds")
 
     ids = np.arange(n_traj)  # trajectory of each active row
     pure = dyn.PureBatch(state, n_traj)
     ns = sorted({n for c in cands for n in c.support()})
     likelihoods = NoiselessLikelihoods(ns, params.omega, params.ejection_enabled, n_traj)
-    mixture = mixture_terms(cands, prior, ns)
+    mixture = Mixture(cands, prior, ns)
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
 
     entries: list[list] = [[] for _ in range(n_traj)]
@@ -337,7 +336,7 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
             ejections[ids] += rydberg
 
         likelihoods.update(taus, rydberg)
-        weights = posterior_rows(likelihoods.log_l, mixture)
+        weights = mixture.posterior(likelihoods.log_l)
         for i, tau, ryd, w in zip(ids.tolist(), taus.tolist(), rydberg.tolist(),
                                   weights.tolist()):
             entries[i].append((tau, RYDBERG if ryd else NO_RYDBERG))

@@ -194,29 +194,35 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def mixture_terms(candidates: list[FockDistribution], prior: Posterior,
-                  ns: list[int]) -> list[tuple[float, list[tuple[int, float]]]]:
-    """Per candidate, its prior weight and its (column of n in ns, p_n) terms."""
-    col = {n: i for i, n in enumerate(ns)}
-    return [(float(w), [(col[n], float(c.p[n])) for n in c.support()])
-            for w, c in zip(prior.weights, candidates)]
+class Mixture:
+    """Candidate distributions over the photon numbers ns, weighted by a prior."""
 
+    def __init__(self, candidates: list[FockDistribution], prior: Posterior, ns: list[int]):
+        col = {n: i for i, n in enumerate(ns)}
+        terms = [c.support() for c in candidates]
+        width = max(len(t) for t in terms)
+        # candidate k's terms p_n * L_n, padded with zero terms
+        self.cols = np.array([[col[n] for n in t] + [0] * (width - len(t)) for t in terms])
+        self.p = np.array([[c.p[n] for n in t] + [0.0] * (width - len(t))
+                           for c, t in zip(candidates, terms)])
+        self.prior = prior.weights.astype(float)
 
-def posterior_rows(log_l: np.ndarray, mixture) -> np.ndarray:
-    """Posterior over the candidates for each row of log Pr(record | n), shape (B, K).
+    def posterior(self, log_l: np.ndarray) -> np.ndarray:
+        """Posterior over the candidates for each row of log Pr(record | n), shape (B, K).
 
-    Each row leaves the log domain scaled by its largest likelihood; sums run
-    left to right, so a row equals the one-record scalar computation bit for bit.
-    """
-    top = log_l.max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):  # -inf - -inf: every likelihood is zero
+        Each row leaves the log domain scaled by its largest likelihood.  Sums
+        accumulate left to right, as the scalar code sums, so a row's weights
+        are the same to the last bit.
+        """
+        top = log_l.max(axis=1, keepdims=True)
+        top[top == -math.inf] = 0.0  # every likelihood zero: the total check fails
         scaled = _libm(math.exp, log_l - top)
-    weights = np.stack([w * sum(p * scaled[:, col] for col, p in terms)
-                        for w, terms in mixture], axis=1)
-    total = sum(weights.T)
-    if not np.all(total > 0.0):  # nan when every likelihood is zero (top = -inf)
-        raise InconsistentRecordError("record has zero likelihood under every candidate")
-    return weights / total[:, None]
+        terms = self.p * scaled[:, self.cols]
+        weights = self.prior * np.add.accumulate(terms, axis=2)[:, :, -1]
+        total = np.add.accumulate(weights, axis=1)[:, -1]
+        if not (total > 0.0).all():
+            raise InconsistentRecordError("record has zero likelihood under every candidate")
+        return weights / total[:, None]
 
 
 class NoiselessLikelihoods:
@@ -270,7 +276,7 @@ class SequentialInference:
                            if noise is None else None)
         self._log_l = np.zeros((1, len(self.ns)))
         self._record = MeasurementRecord()
-        self._mix = mixture_terms(candidates, prior, self.ns)
+        self._mix = Mixture(candidates, prior, self.ns)
 
     def update(self, tau: float, outcome: str) -> Posterior:
         self._record.append(tau, outcome)
@@ -284,7 +290,7 @@ class SequentialInference:
         return self.posterior()
 
     def posterior(self) -> Posterior:
-        return Posterior(posterior_rows(self._log_l, self._mix)[0])
+        return Posterior(self._mix.posterior(self._log_l)[0])
 
     @property
     def record(self) -> MeasurementRecord:

@@ -4,7 +4,9 @@ Each case runs one seeded batch and compares the sha256 of its logs, joined
 by newlines, with a digest captured from the per-trajectory engine (one
 trajectory at a time through `PureCollectiveState`, `evolve_pure`,
 `measure_pure` and `SequentialInference`).  Any change to a record, a
-posterior bit, a trace row or the stopping cycle changes the digest.
+posterior bit, a trace row or the stopping cycle changes the digest.  The
+digests hold where they were captured (x86-64 Linux, glibc libm, numpy 2.4):
+the posteriors carry libm's exp, log and pow to the last bit.
 """
 
 import hashlib
