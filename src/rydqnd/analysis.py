@@ -9,16 +9,18 @@ sector populations.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .inference import NoiseParams, log_likelihood_noisy
-from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
+from .inference import ConditionalState, NoiseParams, _noiseless_factors
+from .records import FockDistribution, NO_RYDBERG, Posterior, RYDBERG
 
 REGIMES = ("noiseless", "noisy-frequency", "steady-state")
 
@@ -94,6 +96,8 @@ def default_tau_grid(omega: float, points: int = 800) -> np.ndarray:
     The discrimination optimum for the two-candidate toy sits near 2*pi/Omega,
     outside a single drive period, so the grid spans several periods.
     """
+    if points < 1:
+        raise DomainError(f"need at least one grid point, got {points}")
     upper = 4 * math.pi / omega
     return np.linspace(upper / points, upper, points)
 
@@ -113,23 +117,69 @@ class ScheduleResult:
     grid: np.ndarray = field(repr=False, default=None)
 
 
-def _sequence_marginals(taus: Sequence[float], outcomes: Sequence[str],
-                        candidates: list[FockDistribution], omega: float,
-                        noise: NoiseParams | None) -> np.ndarray:
-    record = MeasurementRecord(list(zip(taus, outcomes)))
-    ns = sorted({n for c in candidates for n in c.support()})
+def _outcome_tree(prefix: Sequence[float], ns: list[int], omega: float,
+                  noise: NoiseParams | None) -> tuple[np.ndarray, list | None]:
+    """Pr(record | n) of the 2^T records of the drive times in prefix, shape (2^T, len(ns)).
+    Level t splits each record into its NoRydberg and Rydberg continuations: noiseless
+    by the cos^2/sin^2 factors, noisy by one conditional state per record and n."""
     if noise is None:
-        like = {}
-        for n in ns:
-            log_l, prev, omega_n = 0.0, NO_RYDBERG, math.sqrt(n) * omega
-            for tau, m in record.entries:
-                f = math.cos(omega_n * tau) ** 2 if m == prev else math.sin(omega_n * tau) ** 2
-                log_l = -math.inf if f <= 0 else log_l + math.log(f)
-                prev = m
-            like[n] = math.exp(log_l)
-    else:
-        like = {n: math.exp(log_likelihood_noisy(record, n, omega, noise)) for n in ns}
-    return np.array([sum(c.p[n] * like[n] for n in c.support()) for c in candidates])
+        like, last = np.ones((1, len(ns))), np.zeros(1, dtype=bool)  # last outcome Rydberg?
+        for tau in prefix:
+            rydberg = np.tile([False, True], last.size)
+            pair = _noiseless_factors(ns, omega, [tau, tau], [True, False], [0, 0])  # cos^2, sin^2
+            changed = (rydberg != np.repeat(last, 2)).astype(int)
+            like, last = np.repeat(like, 2, axis=0) * pair[changed], rydberg
+        return like, None
+    states = [[ConditionalState(n, omega, noise) for n in ns]]
+    for tau in prefix:
+        states = [[copy.copy(state) for state in row] for row in states for _ in range(2)]
+        for row, outcome in zip(states, itertools.cycle((NO_RYDBERG, RYDBERG))):
+            for state in row:
+                state.update(tau, outcome)
+    return np.exp([[state.log_l for state in row] for row in states]), states
+
+
+@lru_cache(maxsize=16)
+def _noiseless_step(ns: tuple[int, ...], omega: float, grid: bytes) -> np.ndarray:
+    """Noiseless Pr(next outcome | record, n) over a grid, shape (len(ns), 2G): cos^2
+    for the last outcome repeated, then sin^2 for it changed; cached per grid."""
+    taus = np.frombuffer(grid)
+    step = _noiseless_factors(ns, omega, np.tile(taus, 2), np.repeat([True, False], taus.size),
+                              np.zeros(2 * taus.size, int)).T
+    step.flags.writeable = False  # every call with this grid shares the array
+    return step
+
+
+def _noisy_step(row: list[ConditionalState], grid: np.ndarray) -> np.ndarray:
+    """Pr(next outcome | record, n) of one record's conditional states, shape
+    (len(row), 2G): NoRydberg over the grid, then Rydberg."""
+    return np.array([np.zeros(2 * grid.size) if state.dead else np.ravel(
+        [state.outcome_probabilities(tau) for tau in grid.tolist()], order="F") for state in row])
+
+
+def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
+                        candidates: list[FockDistribution], prior: Posterior,
+                        omega: float, noise: NoiseParams | None) -> np.ndarray:
+    """F_{T+1}(tau) over the grid for the schedules prefix + [tau]: the sum of
+    max_k w_k sum_n p_kn Pr(record | n) Pr(m | record, n, tau) over the leaves of
+    the prefix's outcome tree, a chunk at a time, and both next outcomes m."""
+    if len(prefix) >= MAX_ENUMERATED_CYCLES:
+        raise ResourceError(f"2^{len(prefix) + 1} outcome sequences exceed the enumeration guard")
+    ns = sorted({n for c in candidates for n in c.support()})
+    weights = prior.weights[:, None] * np.array(
+        [[c.p[n] if n <= c.n_max else 0.0 for n in ns] for c in candidates])
+    like, states = _outcome_tree(prefix, ns, omega, noise)
+    step = _noiseless_step(tuple(ns), omega, grid.tobytes()) if states is None else None
+    chunk = max(1, (1 << 18) // (2 * grid.size * (len(ns) + len(candidates))))
+    out = np.zeros(2 * grid.size)
+    for start in range(0, like.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        if states is not None:
+            step = np.array([_noisy_step(row, grid) for row in states[rows]])
+        # Pr(candidate k, record continued by m after tau), shape (rows, K, 2G)
+        joint = (like[rows, None, :] * weights) @ step
+        out += joint.max(axis=1).sum(axis=0)
+    return out.reshape(2, grid.size).sum(axis=0)
 
 
 def expected_fidelity(taus: Sequence[float], candidates: list[FockDistribution],
@@ -140,52 +190,20 @@ def expected_fidelity(taus: Sequence[float], candidates: list[FockDistribution],
     Sums max_alpha Pr(M_T | P_alpha) Pr(P_alpha) over the 2^T records that the
     schedule can produce.
     """
-    T = len(taus)
-    if T > MAX_ENUMERATED_CYCLES:
-        raise ResourceError(f"2^{T} outcome sequences exceed the enumeration guard")
     if len(candidates) == 1:
         return 1.0
-    total = 0.0
-    for outcomes in itertools.product((NO_RYDBERG, RYDBERG), repeat=T):
-        marg = _sequence_marginals(taus, outcomes, candidates, omega, noise)
-        total += float(np.max(marg * prior.weights))
-    return total
+    if len(taus) == 0:
+        return float(np.max(prior.weights))
+    grid = np.array([taus[-1]], dtype=float)
+    return float(_fidelity_over_grid(taus[:-1], grid, candidates, prior, omega, noise)[0])
 
 
-def _noiseless_factor_table(grid: np.ndarray, ns: list[int], omega: float) -> dict:
-    """Per-n arrays of repeat/flip probabilities over the tau grid."""
-    table = {}
-    for n in ns:
-        theta = math.sqrt(n) * omega * grid
-        s = np.sin(theta) ** 2
-        table[n] = {"same": 1.0 - s, "diff": s}
-    return table
-
-
-def _expected_fidelity_grid_noiseless(prefix: Sequence[float], grid: np.ndarray,
-                                      candidates: list[FockDistribution],
-                                      prior: Posterior, omega: float) -> np.ndarray:
-    """F_{T+1}(tau) over the grid for schedules prefix + [tau], noiseless case."""
-    ns = sorted({n for c in candidates for n in c.support()})
-    table = _noiseless_factor_table(grid, ns, omega)
-    T = len(prefix)
-    out = np.zeros_like(grid)
-    for outcomes in itertools.product((NO_RYDBERG, RYDBERG), repeat=T + 1):
-        # prefix factors are scalars, the last factor is a grid array
-        like = {}
-        for n in ns:
-            log_l, prev, omega_n = 0.0, NO_RYDBERG, math.sqrt(n) * omega
-            for tau, m in zip(prefix, outcomes[:-1]):
-                f = math.cos(omega_n * tau) ** 2 if m == prev else math.sin(omega_n * tau) ** 2
-                log_l = -math.inf if f <= 0 else log_l + math.log(f)
-                prev = m
-            key = "same" if outcomes[-1] == prev else "diff"
-            like[n] = math.exp(log_l) * table[n][key]
-        marg = np.stack([
-            sum(c.p[n] * like[n] for n in c.support()) * w
-            for c, w in zip(candidates, prior.weights)])
-        out += np.max(marg, axis=0)
-    return out
+def _schedule_grid(T: int, grid: np.ndarray) -> np.ndarray:
+    if grid.size == 0:
+        raise DomainError("tau grid must be non-empty")
+    if T < 1:
+        raise DomainError(f"schedule length must be at least 1, got {T}")
+    return np.sort(np.asarray(grid, dtype=float))
 
 
 def optimize_schedule_local(T: int, candidates: list[FockDistribution], prior: Posterior,
@@ -195,13 +213,11 @@ def optimize_schedule_local(T: int, candidates: list[FockDistribution], prior: P
 
     Ties resolve to the smallest grid time.
     """
-    if grid.size == 0:
-        raise DomainError("tau grid must be non-empty")
-    grid = np.sort(np.asarray(grid, dtype=float))
+    grid = _schedule_grid(T, grid)
     taus: list[float] = []
     trace: list[float] = []
     for _ in range(T):
-        taus.append(float(grid[int(np.argmax(_fidelity_over_grid(taus, grid, candidates, prior, omega, noise)))]))
+        taus.append(greedy_next_tau(taus, candidates, prior, grid, omega, noise))
         trace.append(expected_fidelity(taus, candidates, prior, omega, noise))
     return ScheduleResult(taus, trace, "local", grid)
 
@@ -211,82 +227,26 @@ def greedy_next_tau(prefix: Sequence[float], candidates: list[FockDistribution],
                     noise: NoiseParams | None = None) -> float:
     """Single step of the local strategy, for adaptive scheduling."""
     grid = np.sort(np.asarray(grid, dtype=float))
-    vals = _fidelity_over_grid(list(prefix), grid, candidates, prior, omega, noise)
-    return float(grid[int(np.argmax(vals))])
-
-
-def _fidelity_over_grid(prefix: list[float], grid: np.ndarray,
-                        candidates: list[FockDistribution], prior: Posterior,
-                        omega: float, noise: NoiseParams | None) -> np.ndarray:
-    if noise is None:
-        return _expected_fidelity_grid_noiseless(prefix, grid, candidates, prior, omega)
-    return np.array([
-        expected_fidelity(prefix + [tau], candidates, prior, omega, noise) for tau in grid])
+    return float(grid[np.argmax(_fidelity_over_grid(prefix, grid, candidates, prior, omega, noise))])
 
 
 def optimize_schedule_global(T: int, candidates: list[FockDistribution], prior: Posterior,
                              grid: np.ndarray, omega: float,
                              noise: NoiseParams | None = None) -> ScheduleResult:
     """Exhaustive maximization of F_T over grid^T drive-time tuples."""
-    if grid.size == 0:
-        raise DomainError("tau grid must be non-empty")
-    grid = np.sort(np.asarray(grid, dtype=float))
+    grid = _schedule_grid(T, grid)
     if grid.size**T > MAX_GLOBAL_TUPLES:
-        raise ResourceError(
-            f"{grid.size}^{T} schedule tuples exceed the exhaustive-search guard")
-    if noise is None:
-        best_taus, _ = _global_noiseless(T, grid, candidates, prior, omega)
-    else:
-        best, tied = -1.0, []
-        for taus in itertools.product(grid, repeat=T):
-            f = expected_fidelity(taus, candidates, prior, omega, noise)
-            if f > best + 1e-12:
-                best, tied = f, [list(map(float, taus))]
-            elif f >= best - 1e-12:
-                tied.append(list(map(float, taus)))
-        # Among tied tuples (typically permutations), report the ordering
-        # whose intermediate fidelities are largest.
-        best_taus = max(tied, key=lambda ts: tuple(
-            expected_fidelity(ts[: i + 1], candidates, prior, omega, noise)
-            for i in range(T - 1)))
-    trace = [expected_fidelity(best_taus[: i + 1], candidates, prior, omega, noise)
-             for i in range(T)]
-    return ScheduleResult(list(best_taus), trace, "global", grid)
-
-
-def _global_noiseless(T: int, grid: np.ndarray, candidates: list[FockDistribution],
-                      prior: Posterior, omega: float) -> tuple[list[float], float]:
-    """Vectorized exhaustive search: F_T as an array over the grid^T lattice."""
-    ns = sorted({n for c in candidates for n in c.support()})
-    table = _noiseless_factor_table(grid, ns, omega)
-    shape = (grid.size,) * T
-    total = np.zeros(shape)
-    for outcomes in itertools.product((NO_RYDBERG, RYDBERG), repeat=T):
-        marg = None
-        for c, w in zip(candidates, prior.weights):
-            like = np.zeros(shape)
-            for n in c.support():
-                prod = np.ones(())
-                prev = NO_RYDBERG
-                for m in outcomes:
-                    key = "same" if m == prev else "diff"
-                    prod = np.multiply.outer(prod, table[n][key])
-                    prev = m
-                like = like + c.p[n] * prod
-            like = like * w
-            marg = like if marg is None else np.maximum(marg, like)
-        total += marg
-    flat = total.ravel()
-    best = float(flat.max())
-    tied = np.nonzero(flat >= best - 1e-12)[0]
+        raise ResourceError(f"{grid.size}^{T} schedule tuples exceed the exhaustive-search guard")
+    # F_T over the grid^T lattice, one grid of last drive times per prefix
+    total = np.concatenate([
+        _fidelity_over_grid(prefix, grid, candidates, prior, omega, noise)
+        for prefix in itertools.product(grid.tolist(), repeat=T - 1)])
+    tied = np.nonzero(total >= total.max() - 1e-12)[0]
     # Permutations of one tuple often tie in F_T; report the ordering whose
     # intermediate fidelities F_1, ..., F_{T-1} are largest.
-    def intermediate(flat_index: int) -> tuple[float, ...]:
-        idx = np.unravel_index(int(flat_index), shape)
-        taus = [float(grid[i]) for i in idx]
-        return tuple(expected_fidelity(taus[: i + 1], candidates, prior, omega)
-                     for i in range(T - 1))
-
-    winner = max(tied, key=intermediate) if tied.size > 1 else tied[0]
-    idx = np.unravel_index(int(winner), shape)
-    return [float(grid[i]) for i in idx], best
+    tuples = [[float(grid[i]) for i in np.unravel_index(k, (grid.size,) * T)] for k in tied]
+    best_taus = max(tuples, key=lambda taus: tuple(
+        expected_fidelity(taus[: i + 1], candidates, prior, omega, noise) for i in range(T - 1)))
+    trace = [expected_fidelity(best_taus[: i + 1], candidates, prior, omega, noise)
+             for i in range(T)]
+    return ScheduleResult(best_taus, trace, "global", grid)

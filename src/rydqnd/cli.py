@@ -198,6 +198,8 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.trajectories < 1:
+        raise DomainError("need --trajectories >= 1")
     params = _build_params(args)
     logs = run_batch(args.n_true, params, args.trajectories)
     outdir = Path(args.outdir)
@@ -462,7 +464,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.toy != "appendix-c":
             raise DomainError(f"unknown toy problem {args.toy!r}")
         cands, prior = analysis.appendix_toy_candidates()
-        grid = analysis.default_tau_grid(omega, args.grid_points or 800)
+        grid = analysis.default_tau_grid(
+            omega, 800 if args.grid_points is None else args.grid_points)
         rows = []
         for strategy, run in (("local", analysis.optimize_schedule_local),
                               ("global", analysis.optimize_schedule_global)):

@@ -36,6 +36,15 @@ class Schedule:
     taus: tuple[float, ...] | None = None
     grid_points: int = 800
 
+    def __post_init__(self):
+        times = [t for t in (self.tau, self.tau_min, self.tau_max) if t is not None]
+        if not all(math.isfinite(t) and t >= 0 for t in times + list(self.taus or ())):
+            raise DomainError("drive times must be finite and non-negative")
+        if self.tau_min is not None and self.tau_max is not None and self.tau_min > self.tau_max:
+            raise DomainError("need tau_min <= tau_max")
+        if self.grid_points < 1:
+            raise DomainError("need grid_points >= 1")
+
     @staticmethod
     def fixed(tau: float) -> "Schedule":
         return Schedule("fixed", tau=tau)
@@ -93,6 +102,8 @@ class ProtocolParams:
             raise DomainError("need 1 <= n_max <= N")
         if self.max_cycles < 1:
             raise DomainError("need max_cycles >= 1")
+        if math.isnan(self.threshold):
+            raise DomainError("threshold must be a number")
         if self.mode not in (NOISELESS_PURE, NOISY_FIXED_N):
             raise DomainError(f"unknown mode {self.mode!r}")
 
@@ -283,8 +294,6 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
     if not tau_at:  # drawn as Generator.uniform draws them
         lo = float(params.schedule.tau_min)
         span = float(params.schedule.tau_max) - lo
-        if not math.isfinite(span):
-            raise OverflowError("high - low range exceeds valid bounds")
 
     ids = np.arange(n_traj)  # trajectory of each active row
     pure = dyn.PureBatch(state, n_traj)
@@ -319,8 +328,6 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
             draws = np.array([rngs[i].random(per_cycle * block) for i in ids.tolist()])
         col = per_cycle * cycle - first_draw
         taus = np.full(ids.size, tau_at(cycle)) if tau_at else lo + span * draws[:, col]
-        if taus.min() < 0:
-            raise DomainError("drive time must be non-negative")
 
         if points:
             driven = np.nonzero(taus > 0)[0]

@@ -1,13 +1,17 @@
 """Fisher information, detection times, and schedule optimization."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rydqnd import analysis as an
+from rydqnd import inference as inf
 from rydqnd.errors import DomainError, ResourceError
-from rydqnd.records import FockDistribution, Posterior
+from rydqnd.records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
 OMEGA = 2 * math.pi * 2.5e6
 GAMMA = 2 * math.pi * 0.3e6
@@ -152,3 +156,85 @@ def test_default_tau_grid_excludes_zero():
     assert grid.size == 100
     assert grid[0] > 0.0
     assert grid[-1] == pytest.approx(4 * math.pi / 2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the outcome-tree kernel against a brute-force sum over records
+
+POOL = [FockDistribution.delta(1, 3), FockDistribution.delta(2, 3), FockDistribution.delta(3, 3),
+        FockDistribution(np.array([0.0, 0.5, 0.3, 0.2])),
+        FockDistribution(np.array([0.2, 0.0, 0.5, 0.3]))]
+
+
+@st.composite
+def fidelity_cases(draw, max_cycles):
+    """2-3 candidates (mixtures and vacuum weight included), a non-uniform prior,
+    drive times, and noiseless or noisy (N 3-5, ejection on or off) dynamics."""
+    cands = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=3, unique_by=id))
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(cands),
+                                 max_size=len(cands))))
+    noise = None
+    if draw(st.booleans()):
+        noise = inf.NoiseParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)),
+                                draw(st.integers(3, 5)), eject=draw(st.booleans()))
+    taus = draw(st.lists(st.floats(0.05, 2.0), max_size=max_cycles))
+    return taus, cands, Posterior(raw / raw.sum()), noise
+
+
+def _brute_force_fidelity(taus, cands, prior, noise):
+    total = 0.0
+    for outcomes in itertools.product((NO_RYDBERG, RYDBERG), repeat=len(taus)):
+        record = MeasurementRecord(list(zip(taus, outcomes)))
+        total += max(w * inf.marginal_likelihood(record, c, 1.0, noise)
+                     for c, w in zip(cands, prior.weights))
+    return total
+
+
+@given(fidelity_cases(max_cycles=4))
+def test_expected_fidelity_matches_brute_force_sum_over_records(case):
+    taus, cands, prior, noise = case
+    assert an.expected_fidelity(taus, cands, prior, 1.0, noise) == pytest.approx(
+        _brute_force_fidelity(taus, cands, prior, noise), rel=0, abs=1e-12)
+
+
+@given(fidelity_cases(max_cycles=3), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=5))
+def test_grid_entries_are_expected_fidelities(case, grid):
+    prefix, cands, prior, noise = case
+    vals = an._fidelity_over_grid(prefix, np.array(grid), cands, prior, 1.0, noise)
+    expect = [an.expected_fidelity(prefix + [tau], cands, prior, 1.0, noise) for tau in grid]
+    assert np.allclose(vals, expect, rtol=0, atol=1e-12)
+
+
+def test_grid_step_over_many_chunks_of_leaves():
+    # 2^9 leaves times an 800-point grid do not fit in one chunk
+    cands, prior = POOL[:3], Posterior(np.array([0.5, 0.3, 0.2]))
+    prefix = [0.3 + 0.17 * k for k in range(9)]
+    grid = an.default_tau_grid(1.0)
+    vals = an._fidelity_over_grid(prefix, grid, cands, prior, 1.0, None)
+    for i in (0, 123, 799):
+        assert vals[i] == pytest.approx(
+            an.expected_fidelity(prefix + [grid[i]], cands, prior, 1.0), rel=0, abs=1e-12)
+
+
+def test_greedy_step_past_the_enumeration_guard_raises_at_once():
+    cands, prior = _two_candidates()
+    grid = an.default_tau_grid(1.0)
+    noise = inf.NoiseParams(gamma=0.1, tau_eit=0.2, N=4)
+    for quiet_or_noisy in (None, noise):
+        with pytest.raises(ResourceError):
+            an.greedy_next_tau([0.3] * an.MAX_ENUMERATED_CYCLES, cands, prior, grid, 1.0,
+                               quiet_or_noisy)
+
+
+@pytest.mark.parametrize("optimize", [an.optimize_schedule_local, an.optimize_schedule_global])
+@pytest.mark.parametrize("T", [0, -1])
+def test_optimizers_reject_empty_schedules(optimize, T):
+    cands, prior = _two_candidates()
+    with pytest.raises(DomainError):
+        optimize(T, cands, prior, an.default_tau_grid(1.0, 10), 1.0)
+
+
+@pytest.mark.parametrize("points", [0, -5])
+def test_default_tau_grid_needs_a_point(points):
+    with pytest.raises(DomainError):
+        an.default_tau_grid(1.0, points)

@@ -209,6 +209,27 @@ def test_usage_errors_exit_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--gamma-mhz", "0", "--schedule", "uniform-random", "--tau-max-us", "inf"],
+    ["simulate", "--gamma-mhz", "0", "--tau-us", "nan"],
+    ["simulate", "--tau-us", "nan"],
+    ["simulate", "--tau-us", "-0.1"],
+    ["simulate", "--schedule", "uniform-random", "--tau-min-us", "0.5", "--tau-max-us", "0.1"],
+    ["simulate", "--threshold", "nan"],
+    ["simulate", "--trajectories", "0"],
+    ["analyze", "optimize-schedule", "--cycles", "-1"],
+    ["analyze", "optimize-schedule", "--cycles", "0"],
+    ["analyze", "optimize-schedule", "--grid-points", "-5"],
+    ["analyze", "optimize-schedule", "--grid-points", "0"],
+])
+def test_bad_drive_times_and_counts_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "simulate":
+        argv = argv + ["--max-cycles", "3", "--outdir", str(tmp_path / "run")]
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_large_array_simulation_exits_cleanly(tmp_path):
     # exit 0, or 5 if a resource guard trips; never an uncaught exception
     rc = run(["simulate", "--n-true", "200", "--n-atoms", "700", "--max-cycles", "1",
