@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .inference import ConditionalState, NoiseParams, _noiseless_factors
+from .inference import ConditionalState, Mixture, NoiseParams, _noiseless_factors
 from .records import FockDistribution, NO_RYDBERG, Posterior, RYDBERG
 
 REGIMES = ("noiseless", "noisy-frequency", "steady-state")
@@ -28,16 +28,18 @@ MAX_ENUMERATED_CYCLES = 20
 MAX_GLOBAL_TUPLES = 2_000_000
 
 
-def _check_regime(regime: str, gamma: float) -> None:
+def _check_regime(regime: str, gamma: float, n: float) -> None:
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if regime != "noiseless" and gamma <= 0:
         raise DomainError(f"regime {regime!r} requires gamma > 0")
+    if not n > 0:
+        raise DomainError(f"photon number must be positive, got {n}")
 
 
 def fisher_closed_form(regime: str, n: float, t: float, omega: float, gamma: float = 0.0) -> float:
     """Closed-form Fisher information about n accumulated by time t."""
-    _check_regime(regime, gamma)
+    _check_regime(regime, gamma, n)
     if t < 0:
         raise DomainError("time must be non-negative")
     if regime == "noiseless":
@@ -49,7 +51,7 @@ def fisher_closed_form(regime: str, n: float, t: float, omega: float, gamma: flo
 
 def detection_time(regime: str, n: float, omega: float, gamma: float = 0.0) -> float:
     """Time t_* at which the accumulated Fisher information reaches 1."""
-    _check_regime(regime, gamma)
+    _check_regime(regime, gamma, n)
     if regime == "noiseless":
         return math.sqrt(n) / omega
     if regime == "noisy-frequency":
@@ -165,9 +167,8 @@ def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
     the prefix's outcome tree, a chunk at a time, and both next outcomes m."""
     if len(prefix) >= MAX_ENUMERATED_CYCLES:
         raise ResourceError(f"2^{len(prefix) + 1} outcome sequences exceed the enumeration guard")
-    ns = sorted({n for c in candidates for n in c.support()})
-    weights = prior.weights[:, None] * np.array(
-        [[c.p[n] if n <= c.n_max else 0.0 for n in ns] for c in candidates])
+    mixture = Mixture(candidates, prior)
+    ns, weights = mixture.ns, mixture.prior[:, None] * mixture.p
     like, states = _outcome_tree(prefix, ns, omega, noise)
     step = _noiseless_step(tuple(ns), omega, grid.tobytes()) if states is None else None
     chunk = max(1, (1 << 18) // (2 * grid.size * (len(ns) + len(candidates))))

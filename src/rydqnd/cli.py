@@ -67,11 +67,28 @@ def _us_to_s(value_us: float) -> float:
 
 
 def _parse_int_range(text: str) -> list[int]:
-    """Accept '2', '1..4', or '1,2,5'."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+    """Accept '2', '1..4', or '1,2,5'; the result is never empty."""
+    lo, _, hi = text.partition("..")
+    try:
+        values = (list(range(int(lo), int(hi) + 1)) if hi
+                  else [int(tok) for tok in text.split(",")])
+    except ValueError:
+        values = []
+    if not values:
+        raise DomainError(f"expected an integer, a list 'a,b,c' or a non-empty "
+                          f"range 'a..b', got {text!r}")
+    return values
+
+
+def _read_json(path: str, what: str, parse=json.loads):
+    """parse(text of the file); bad JSON and missing or misplaced fields are
+    DomainErrors that name the file and line."""
+    try:
+        return parse(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: line {exc.lineno}: malformed {what} ({exc.msg})") from exc
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"{path}: line 1: missing or misplaced {what} field ({exc})") from exc
 
 
 def _parse_candidates(spec: str | None, path: str | None, n_max: int
@@ -82,11 +99,15 @@ def _parse_candidates(spec: str | None, path: str | None, n_max: int
     where "prior" is optional (uniform if absent).
     """
     if path is not None:
-        doc = json.loads(Path(path).read_text())
-        cands = [FockDistribution(np.array(p)) for p in doc["candidates"]]
-        prior = (Posterior(np.array(doc["prior"])) if "prior" in doc
-                 else Posterior.uniform(len(cands)))
-        return cands, prior
+        def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
+            doc = json.loads(text)
+            cands = [FockDistribution(np.array(p)) for p in doc["candidates"]]
+            if not cands:
+                raise DomainError(f"{path}: the candidate list is empty")
+            prior = (Posterior(np.array(doc["prior"])) if "prior" in doc
+                     else Posterior.uniform(len(cands)))
+            return cands, prior
+        return _read_json(path, "candidates file", parse)
     if spec is not None:
         ns = _parse_int_range(spec)
         top = max(n_max, max(ns))
@@ -99,7 +120,7 @@ def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
     """Fill unset options from the JSON config file, then from defaults."""
     file_values: dict = {}
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
+        doc = _read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise DomainError("config file must hold a JSON object")
         file_values = doc
@@ -267,23 +288,18 @@ INFER_DEFAULTS = {
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    try:
-        record = MeasurementRecord.from_json(Path(args.record).read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(
-            f"{args.record}: line {exc.lineno}: malformed record ({exc.msg})") from exc
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"{args.record}: line 1: missing record field {exc}") from exc
-
+    record = _read_json(args.record, "record", MeasurementRecord.from_json)
     cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
     if cands is None:
         cands = [FockDistribution.delta(n, args.n_max) for n in range(1, args.n_max + 1)]
         prior = Posterior.uniform(len(cands))
 
     omega = _freq_rad_s(args.omega_mhz, args.angular)
+    if not 0 < omega < math.inf:
+        raise DomainError("omega must be positive and finite")
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
     noise = None
-    if gamma > 0:
+    if gamma != 0:  # NoiseParams rejects a negative or non-finite gamma
         noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us),
                                       args.n_atoms, eject=args.eject)
 
@@ -331,26 +347,23 @@ ORACLE_DEFAULTS = {
 def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
                               times: np.ndarray,
                               corrupt: bool) -> np.ndarray:
-    """Symmetric-block p_R(t), optionally with a corrupted drive matrix.
+    """Symmetric-block p_R(t) from the simulator's own block propagator.
 
-    The corruption hook perturbs one off-diagonal drive entry in every block
-    of the cell so the check demonstrably catches a wrong matrix element.
+    p_R lives in the j = 0 block, so only that block is evolved.  The
+    corruption hook scales one off-diagonal drive entry of its generator and
+    exponentiates the result, so the check demonstrably catches a wrong
+    matrix element.
     """
-    blocks = dynamics.symmetric_state_blocks(n, N)
-    out = np.zeros(times.size)
-    gens = []
-    for blk in blocks:
-        ops = build_block(blk.n, blk.N, blk.j, omega, gamma)
+    blocks = dynamics.symmetric_state_blocks(n, N)[:1]
+    if corrupt:
+        ops = build_block(n, N, 0, omega, gamma)
         gen = ops.generator()
-        if corrupt and gen.shape[0] > 1:
-            rows, cols = np.nonzero(ops.H)
-            gen[rows[0], cols[0]] *= 1.001
-        gens.append(gen)
+        rows, cols = np.nonzero(ops.H)
+        gen[rows[0], cols[0]] *= 1.001
+    out = np.zeros(times.size)
     for k, t in enumerate(times):
-        evolved = []
-        for blk, gen in zip(blocks, gens):
-            x = expm(gen * t) @ blk.x
-            evolved.append(dynamics.SymmetricBlockState(blk.n, blk.N, blk.j, x))
+        evolved = ([dynamics.SymmetricBlockState(n, N, 0, expm(gen * t) @ blocks[0].x)]
+                   if corrupt else dynamics.evolve_blocks(blocks, t, omega, gamma))
         out[k] = dynamics.sector_probabilities(evolved)[1]
     return out
 
@@ -374,8 +387,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     rows = []
     worst = 0.0
     for N, n in ORACLE_CELLS:
-        if N > 5:
-            raise PreconditionError("oracle check is limited to N <= 5")
         times = np.linspace(0.0, 5.0 / omega, args.time_points)
         for factor in ORACLE_GAMMA_FACTORS:
             gamma = factor * omega

@@ -94,10 +94,10 @@ class ProtocolParams:
     trace_points: int = 0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise DomainError("omega must be positive")
-        if self.gamma < 0 or self.tau_eit < 0:
-            raise DomainError("gamma and tau_eit must be non-negative")
+        if not 0 < self.omega < math.inf:
+            raise DomainError("omega must be positive and finite")
+        if not (0 <= self.gamma < math.inf and 0 <= self.tau_eit < math.inf):
+            raise DomainError("gamma and tau_eit must be finite and non-negative")
         if not 1 <= self.n_max <= self.N:
             raise DomainError("need 1 <= n_max <= N")
         if self.max_cycles < 1:
@@ -297,9 +297,9 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
 
     ids = np.arange(n_traj)  # trajectory of each active row
     pure = dyn.PureBatch(state, n_traj)
-    ns = sorted({n for c in cands for n in c.support()})
-    likelihoods = NoiselessLikelihoods(ns, params.omega, params.ejection_enabled, n_traj)
-    mixture = Mixture(cands, prior, ns)
+    mixture = Mixture(cands, prior)
+    likelihoods = NoiselessLikelihoods(mixture.ns, params.omega, params.ejection_enabled,
+                                       n_traj)
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
 
     entries: list[list] = [[] for _ in range(n_traj)]
@@ -463,22 +463,13 @@ def _seeded(params: ProtocolParams, seed_key: tuple[int, ...]) -> np.random.Gene
 
 
 def run_protocol(initial, params: ProtocolParams,
-                 rng: np.random.Generator | None = None,
                  seed_key: tuple[int, ...] = ()) -> TrajectoryLog:
-    """Simulate one experiment; deterministic given params.seed (and seed_key)."""
+    """Simulate one experiment; deterministic given params.seed and seed_key."""
+    rng = _seeded(params, seed_key)
     if params.mode == NOISY_FIXED_N:
-        rng = rng if rng is not None else _seeded(params, seed_key)
         return _run_noisy(initial, params, rng, seed_key, _shared_taus(params),
                           params.to_dict())
-    if rng is None:
-        return _run_noiseless(initial, params, [_seeded(params, seed_key)], [seed_key])[0]
-    # the batch kernel draws ahead; leave the caller's generator where a lone
-    # trajectory leaves it
-    start = rng.bit_generator.state
-    log = _run_noiseless(initial, params, [rng], [seed_key])[0]
-    rng.bit_generator.state = start
-    rng.random(len(log.record) * _draws_per_cycle(params.schedule))
-    return log
+    return _run_noiseless(initial, params, [rng], [seed_key])[0]
 
 
 def run_batch(initial, params: ProtocolParams, n_trajectories: int) -> list[TrajectoryLog]:

@@ -31,8 +31,8 @@ class NoiseParams:
     eject: bool = False
 
     def __post_init__(self):
-        if self.gamma < 0 or self.tau_eit < 0:
-            raise DomainError("gamma and tau_eit must be non-negative")
+        if not (0 <= self.gamma < math.inf and 0 <= self.tau_eit < math.inf):
+            raise DomainError("gamma and tau_eit must be finite and non-negative")
 
 
 def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
@@ -91,15 +91,19 @@ class ConditionalState:
         self.log_l = 0.0
         self.dead = False
 
+    def _windowed(self, tau: float):
+        """The blocks after a drive of length tau and the measurement window."""
+        blocks = evolve_blocks(self.blocks, tau, self.omega, self.noise.gamma, drive_on=True)
+        if self.noise.tau_eit > 0:
+            blocks = evolve_blocks(blocks, self.noise.tau_eit, 0.0, self.noise.gamma, drive_on=False)
+        return blocks
+
     def update(self, tau: float, outcome: str) -> float:
         """Advance one observation cycle; returns log of the conditional probability."""
         if self.dead:
             return -math.inf
-        blocks = evolve_blocks(self.blocks, tau, self.omega, self.noise.gamma, drive_on=True)
-        if self.noise.tau_eit > 0:
-            blocks = evolve_blocks(blocks, self.noise.tau_eit, 0.0, self.noise.gamma, drive_on=False)
         try:
-            p, blocks = project_blocks(blocks, outcome)
+            p, blocks = project_blocks(self._windowed(tau), outcome)
         except ImpossibleOutcomeError:
             self.dead = True
             self.log_l = -math.inf
@@ -116,10 +120,7 @@ class ConditionalState:
         """(p_NoRydberg, p_Rydberg) for the next cycle without committing to it."""
         if self.dead:
             raise ImpossibleOutcomeError("conditional state already has zero likelihood")
-        blocks = evolve_blocks(self.blocks, tau, self.omega, self.noise.gamma, drive_on=True)
-        if self.noise.tau_eit > 0:
-            blocks = evolve_blocks(blocks, self.noise.tau_eit, 0.0, self.noise.gamma, drive_on=False)
-        return sector_probabilities(blocks)
+        return sector_probabilities(self._windowed(tau))
 
 
 def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,
@@ -159,16 +160,11 @@ def posterior_trace(record: MeasurementRecord, candidates: list[FockDistribution
     Each row leaves the log domain scaled by its largest finite likelihood, so
     long records do not underflow.
     """
-    if not candidates:
-        raise DomainError("need at least one candidate distribution")
-    if prior.weights.size != len(candidates):
-        raise DomainError("prior size does not match the candidate list")
-    ns = sorted({n for c in candidates for n in c.support()})
-    log_l = _log_likelihood_table(record, ns, omega, noise, eject)
-    mix = np.array([[c.p[n] if n <= c.n_max else 0.0 for c in candidates] for n in ns])
+    mixture = Mixture(candidates, prior)
+    log_l = _log_likelihood_table(record, mixture.ns, omega, noise, eject)
     top = np.max(log_l, axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
-    weights = np.exp(log_l - top) @ (mix * prior.weights)
+    weights = np.exp(log_l - top) @ (mixture.p * mixture.prior[:, None]).T
     total = weights.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise InconsistentRecordError("record has zero likelihood under every candidate "
@@ -195,16 +191,17 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 
 
 class Mixture:
-    """Candidate distributions over the photon numbers ns, weighted by a prior."""
+    """Candidate distributions weighted by a prior: the photon numbers ns in
+    their supports, sorted, and p[k, i] = Pr(ns[i] | candidate k), shape (K, len(ns))."""
 
-    def __init__(self, candidates: list[FockDistribution], prior: Posterior, ns: list[int]):
-        col = {n: i for i, n in enumerate(ns)}
-        terms = [c.support() for c in candidates]
-        width = max(len(t) for t in terms)
-        # candidate k's terms p_n * L_n, padded with zero terms
-        self.cols = np.array([[col[n] for n in t] + [0] * (width - len(t)) for t in terms])
-        self.p = np.array([[c.p[n] for n in t] + [0.0] * (width - len(t))
-                           for c, t in zip(candidates, terms)])
+    def __init__(self, candidates: list[FockDistribution], prior: Posterior):
+        if not candidates:
+            raise DomainError("need at least one candidate distribution")
+        if prior.weights.size != len(candidates):
+            raise DomainError("prior size does not match the candidate list")
+        self.ns = sorted({n for c in candidates for n in c.support()})
+        self.p = np.array([[c.p[n] if n <= c.n_max else 0.0 for n in self.ns]
+                           for c in candidates])
         self.prior = prior.weights.astype(float)
 
     def posterior(self, log_l: np.ndarray) -> np.ndarray:
@@ -212,12 +209,13 @@ class Mixture:
 
         Each row leaves the log domain scaled by its largest likelihood.  Sums
         accumulate left to right, as the scalar code sums, so a row's weights
-        are the same to the last bit.
+        are the same to the last bit; the zero terms outside a candidate's
+        support add exactly nothing.
         """
         top = log_l.max(axis=1, keepdims=True)
         top[top == -math.inf] = 0.0  # every likelihood zero: the total check fails
         scaled = _libm(math.exp, log_l - top)
-        terms = self.p * scaled[:, self.cols]
+        terms = self.p * scaled[:, None, :]
         weights = self.prior * np.add.accumulate(terms, axis=2)[:, :, -1]
         total = np.add.accumulate(weights, axis=1)[:, -1]
         if not (total > 0.0).all():
@@ -262,21 +260,19 @@ class SequentialInference:
 
     def __init__(self, candidates: list[FockDistribution], prior: Posterior,
                  omega: float, noise: NoiseParams | None = None, eject: bool = False):
-        if prior.weights.size != len(candidates):
-            raise DomainError("prior size does not match the candidate list")
+        self._mix = Mixture(candidates, prior)
         self.candidates = candidates
         self.prior = prior
         self.omega = omega
         self.noise = noise
         self.eject = noise.eject if noise is not None else eject
-        self.ns = sorted({n for c in candidates for n in c.support()})
-        self._cond = ([ConditionalState(n, omega, noise) for n in self.ns]
+        ns = self._mix.ns
+        self._cond = ([ConditionalState(n, omega, noise) for n in ns]
                       if noise is not None else None)
-        self._noiseless = (NoiselessLikelihoods(self.ns, omega, self.eject)
+        self._noiseless = (NoiselessLikelihoods(ns, omega, self.eject)
                            if noise is None else None)
-        self._log_l = np.zeros((1, len(self.ns)))
+        self._log_l = np.zeros((1, len(ns)))
         self._record = MeasurementRecord()
-        self._mix = Mixture(candidates, prior, self.ns)
 
     def update(self, tau: float, outcome: str) -> Posterior:
         self._record.append(tau, outcome)

@@ -146,6 +146,17 @@ def test_oracle_check_detects_corrupted_entry(tmp_path, capsys):
     assert "N=4" in err and "n=2" in err
 
 
+def test_oracle_check_runs_the_simulator_propagator(tmp_path, capsys, monkeypatch):
+    # a propagator that drives 0.1% too long must fail the gate
+    from rydqnd import dynamics
+    exact = dynamics._propagator
+    monkeypatch.setattr(dynamics, "_propagator", lambda n, N, j, omega, gamma, tau:
+                        exact(n, N, j, omega, gamma, 1.001 * tau))
+    assert run(["oracle-check", "--time-points", "4",
+                "--out", str(tmp_path / "oracle.json")]) == cli.EXIT_ORACLE
+    assert "FAIL cell" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [
     ["--time-points", "0"],
     ["--time-points", "-3"],
@@ -221,6 +232,8 @@ def test_usage_errors_exit_2(tmp_path):
     ["analyze", "optimize-schedule", "--cycles", "0"],
     ["analyze", "optimize-schedule", "--grid-points", "-5"],
     ["analyze", "optimize-schedule", "--grid-points", "0"],
+    ["simulate", "--omega-mhz", "nan"],
+    ["simulate", "--gamma-mhz", "nan"],
 ])
 def test_bad_drive_times_and_counts_exit_2(argv, tmp_path, capsys):
     if argv[0] == "simulate":
@@ -228,6 +241,52 @@ def test_bad_drive_times_and_counts_exit_2(argv, tmp_path, capsys):
     assert run(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--omega-mhz", "nan"],
+    ["--omega-mhz", "0"],
+    ["--omega-mhz", "-2.5"],
+    ["--gamma-mhz", "-0.3"],
+    ["--gamma-mhz", "nan"],
+    ["--gamma-mhz", "0.3", "--tau-eit-us", "nan"],
+])
+def test_infer_rejects_invalid_rates_and_windows(flags, tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    _write_record(rec, [(1e-7, "Rydberg"), (1e-7, "NoRydberg")])
+    out = tmp_path / "post.json"
+    assert run(["infer", str(rec), *flags, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("cands.json", '{"candidates": [[0, 1]', ["simulate", "--candidates-file"]),
+    ("cands.json", '{"prior": [1]}', ["simulate", "--candidates-file"]),
+    ("cands.json", "[[0, 1]]", ["infer", "--candidates-file"]),
+    ("cands.json", '{"candidates": []}', ["infer", "--candidates-file"]),
+    ("cfg.json", '{"seed": 3,\n "n_true" 2}', ["simulate", "--config"]),
+    (None, None, ["simulate", "--candidates", "1..x"]),
+    (None, None, ["infer", "--candidates", "3..1"]),
+    (None, None, ["analyze", "fisher", "--n", "0"]),
+], ids=["candidates-bad-json", "candidates-no-key", "candidates-list", "candidates-empty",
+        "config-bad-json", "range-not-integer", "range-reversed", "fisher-n-zero"])
+def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    _write_record(rec, [(1e-7, "Rydberg")])
+    if name is not None:
+        (tmp_path / name).write_text(text)
+        argv = argv + [str(tmp_path / name)]
+    if argv[0] == "simulate":
+        argv = argv + ["--max-cycles", "3", "--outdir", str(tmp_path / "run")]
+    elif argv[0] == "infer":
+        argv = [argv[0], str(rec), *argv[1:]]
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    if name is not None:
+        assert name in err
 
 
 def test_large_array_simulation_exits_cleanly(tmp_path):
