@@ -78,6 +78,15 @@ CASES = {
         schedule=eng.Schedule.uniform_random(0.05e-6, 0.4e-6), ejection_enabled=True), 3),
     "noisy-greedy": (3, _noisy(schedule=eng.Schedule.adaptive_greedy(grid_points=12),
                                max_cycles=3), 2),
+    # the ideal twin ejects between fidelity sub-steps; one row ejects to the vacuum
+    "noisy-int-eject-trace": (3, _noisy(ejection_enabled=True, trace_points=2, seed=10), 3),
+    "noisy-mixtures-prior": (BORN, _noisy(candidates=MIXTURES,
+                                          prior=Posterior(np.array([0.2, 0.5, 0.3]))), 3),
+    # no measurement window, so no measure-phase trace rows
+    "noisy-unconverged-no-window-trace": (2, _noisy(threshold=1.1, tau_eit=0.0,
+                                                    trace_points=2, max_cycles=6), 2),
+    "noisy-random-born-trace": (BORN, _noisy(
+        schedule=eng.Schedule.uniform_random(0.05e-6, 0.4e-6), trace_points=2), 3),
 }
 
 DIGESTS = {
@@ -87,7 +96,11 @@ DIGESTS = {
     "greedy-born": "55d6aa036b913774e4b0891ad475cfa7832a27d0346ad951351dd57b7f0a279e",
     "noisy-fixed-trace": "0fd139e618e1f74fe5e5d38c60a35d5c2830c9db25a65a2acea724bfa5eba2f0",
     "noisy-greedy": "81022ab44372ff451cb0dbf39a6d51e361fbb8ccdbd8ed8d194359dc5116c774",
+    "noisy-int-eject-trace": "0eff37cde8f756e82cb9cdf30a8d8ce9240420278c98cd9a5d4c332cea4a6a53",
+    "noisy-mixtures-prior": "c7777bc53fe87d07afd87c187b0b14a37c29f9d5b382d0bab8382d4def8fd57a",
     "noisy-random-born-eject": "421916438c0f1642fc11740dc51ea0be2882c481100d5239eefe57eb2db64fcc",
+    "noisy-random-born-trace": "1777b1071da9706502dcdf98b172500395e9651ccffcbd296f8c8063f5d130db",
+    "noisy-unconverged-no-window-trace": "91f1308100df400f79a14069e5c5599db5647d95364ab0e314868b76d16301e8",
     "precomputed-int-eject-trace": "369f11a27372302fa7996bb326c1aeaba03cf92e4e48c6b94d205ddce4a1a6b1",
     "random-amps-eject": "3a6e8cd8d13bfba19f9d3ca5e0edddaba89213114c699c4c0d95fea3f6156f49",
     "random-born-trace": "646ff7003d8a839d603af8377674fb775f9b4aa2e6f810457dceab265ed15f64",
