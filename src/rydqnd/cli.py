@@ -116,17 +116,38 @@ def _parse_candidates(spec: str | None, path: str | None, n_max: int
     return None, None
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill unset options from the JSON config file, then from defaults."""
+def _apply_config_file(args: argparse.Namespace) -> None:
+    """Fill unset options from the JSON config file, then from defaults.
+
+    A file value is converted by its option's argparse type, as the text of
+    the flag would be.
+    """
     file_values: dict = {}
     if getattr(args, "config", None):
         doc = _read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise DomainError("config file must hold a JSON object")
         file_values = doc
-    for key, default in parser_defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, default))
+    for key, default in args.defaults.items():
+        if getattr(args, key, None) is not None:
+            continue
+        value = file_values.get(key, default)
+        convert = args.types.get(key)
+        if key in file_values and convert is not None:
+            try:
+                value = convert(str(value))
+            except ValueError:
+                raise DomainError(f"{args.config}: {key!r} must be "
+                                  f"{convert.__name__}, got {value!r}") from None
+        setattr(args, key, value)
+
+
+def _check_rates(args: argparse.Namespace) -> None:
+    """Omega positive and finite, gamma finite and non-negative, for every subcommand."""
+    if not 0 < _freq_rad_s(args.omega_mhz, args.angular) < math.inf:
+        raise DomainError("omega must be positive and finite")
+    if not 0 <= _freq_rad_s(getattr(args, "gamma_mhz", 0.0), args.angular) < math.inf:
+        raise DomainError("gamma must be finite and non-negative")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -291,15 +312,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
     record = _read_json(args.record, "record", MeasurementRecord.from_json)
     cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
     if cands is None:
+        if args.n_max < 1:
+            raise DomainError("need --n-max >= 1")
         cands = [FockDistribution.delta(n, args.n_max) for n in range(1, args.n_max + 1)]
         prior = Posterior.uniform(len(cands))
 
     omega = _freq_rad_s(args.omega_mhz, args.angular)
-    if not 0 < omega < math.inf:
-        raise DomainError("omega must be positive and finite")
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
     noise = None
-    if gamma != 0:  # NoiseParams rejects a negative or non-finite gamma
+    if gamma != 0:
         noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us),
                                       args.n_atoms, eject=args.eject)
 
@@ -441,7 +462,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
     config = {"omega_rad_s": omega, "gamma_rad_s": gamma,
               "subcommand": args.analysis, "version": __version__}
-    doc = {"schema": TABLE_SCHEMA, "config": config}
+    if args.analysis in ("fisher", "detection-time"):
+        config["regime"] = args.regime
 
     if args.analysis == "fisher":
         rows = []
@@ -451,27 +473,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             rows.append({"regime": args.regime, "n": n, "t_s": t,
                          "fisher": analysis.fisher_closed_form(
                              args.regime, n, t, omega, gamma)})
-        config["regime"] = args.regime
-        _table_output(doc, rows, args.out)
-        return EXIT_OK
-
-    if args.analysis == "detection-time":
+    elif args.analysis == "detection-time":
         rows = [{"regime": args.regime, "n": n,
                  "t_star_s": analysis.detection_time(args.regime, n, omega, gamma)}
                 for n in _parse_int_range(args.n)]
-        config["regime"] = args.regime
-        _table_output(doc, rows, args.out)
-        return EXIT_OK
-
-    if args.analysis == "steady-state":
+    elif args.analysis == "steady-state":
         rows = [{"n": n,
                  "p_no_rydberg": analysis.steady_state_populations(n)[0],
                  "p_rydberg": analysis.steady_state_populations(n)[1]}
                 for n in _parse_int_range(args.n)]
-        _table_output(doc, rows, args.out)
-        return EXIT_OK
-
-    if args.analysis == "optimize-schedule":
+    elif args.analysis == "optimize-schedule":
         if args.toy != "appendix-c":
             raise DomainError(f"unknown toy problem {args.toy!r}")
         cands, prior = analysis.appendix_toy_candidates()
@@ -488,10 +499,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                              "fidelity_percent": 100.0 * fid})
         config["grid_points"] = int(grid.size)
         config["toy"] = args.toy
-        _table_output(doc, rows, args.out)
-        return EXIT_OK
-
-    raise DomainError(f"unknown analyze subcommand {args.analysis!r}")
+    else:
+        raise DomainError(f"unknown analyze subcommand {args.analysis!r}")
+    _table_output({"schema": TABLE_SCHEMA, "config": config}, rows, args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze, defaults=ANALYZE_DEFAULTS)
 
+    for p in sub.choices.values():
+        p.set_defaults(types={a.dest: a.type for a in p._actions if a.type is not None})
     return parser
 
 
@@ -590,7 +603,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _apply_config_file(args, args.defaults)
+        _apply_config_file(args)
+        _check_rates(args)
         return args.func(args)
     except InconsistentRecordError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,6 +90,8 @@ class PureBatch:
     `PureCollectiveState` computes, bit for bit.
     """
 
+    window = 0.0  # the projective measurement takes no time
+
     def __init__(self, state: PureCollectiveState, rows: int):
         self.a = np.tile(state.a, (rows, 1))
         self.b = np.tile(state.b, (rows, 1))
@@ -115,12 +117,22 @@ class PureBatch:
         theta = np.sqrt(np.arange(self.a.shape[1])) * omega * taus[:, None]
         return _rotate(self.a[rows], self.b[rows], theta)
 
-    def rydberg_if_driven(self, taus: np.ndarray, omega: float, rows) -> np.ndarray:
-        """Rydberg probability of the selected rows were they driven for taus."""
-        a, b = self.driven(taus, omega, rows)
+    def drive(self, taus: np.ndarray, omega: float) -> None:
+        """Drive row r for taus[r]."""
+        self.a, self.b = self.driven(taus, omega)
+
+    def fidelity(self) -> np.ndarray:
+        """Retrieval fidelity of every row: a noiseless row is its own ideal."""
+        return np.ones(len(self.a))
+
+    def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=slice(None)
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or of the
+        selected rows were they driven for taus."""
+        a, b = (self.a, self.b) if taus is None else self.driven(taus, omega, rows)
         p_r = self.sum_sq(b, rows)
         _check_norm(self.sum_sq(a, rows) + p_r)
-        return p_r
+        return 1.0 - p_r, p_r, np.ones(p_r.size)
 
     def measure(self, draws: np.ndarray, eject: bool = False
                 ) -> tuple[np.ndarray, np.ndarray]:

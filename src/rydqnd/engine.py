@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import dynamics as dyn
 from .errors import DomainError, ScheduleExhaustedError
-from .inference import Mixture, NoiseParams, NoiselessLikelihoods, SequentialInference
+from .inference import Mixture, NoiseParams, record_likelihoods
 from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
 NOISELESS_PURE = "noiseless-pure"
@@ -199,61 +199,105 @@ class TrajectoryLog:
     params: dict
 
     def to_json(self) -> str:
-        doc = {
-            "record": [{"tau_s": t, "outcome": m} for t, m in self.record.entries],
-            "posteriors": self.posteriors,
-            "fidelities": self.fidelities,
-            "trace": self.trace,
-            "ejections": self.ejections,
-            "n_true": self.n_true,
-            "final_candidate": self.final_candidate,
-            "converged": self.converged,
-            "seed_key": self.seed_key,
-            "params": self.params,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["record"] = [{"tau_s": t, "outcome": m} for t, m in self.record.entries]
         return json.dumps(doc, sort_keys=True)
 
 
-class _IdealReference:
-    """Noiseless companion trajectory used as the retrieval-fidelity target."""
-
-    def __init__(self, n: int):
-        self.n = n
-        amps = np.zeros(n + 1, dtype=complex)
-        amps[n] = 1.0
-        self.state = dyn.PureCollectiveState.from_stored_amplitudes(amps)
-
-    def drive(self, tau: float, omega: float) -> None:
-        if self.n > 0:
-            self.state = dyn.evolve_pure(self.state, tau, omega)
-
-    def collapse(self, outcome: str) -> None:
-        n = self.n
-        if n == 0:
-            return
-        a, b = self.state.a.copy(), self.state.b.copy()
-        if outcome == RYDBERG:
-            amp = b[n]
-            a[:] = 0.0
-            b[n] = amp / abs(amp) if abs(amp) > 1e-9 else 1.0
-        else:
-            amp = a[n]
-            b[:] = 0.0
-            a[n] = amp / abs(amp) if abs(amp) > 1e-9 else 1.0
-        self.state = dyn.PureCollectiveState(a, b)
-
-    def eject(self) -> None:
-        # the ejected ideal target is the stored state with one fewer photon
-        self.n -= 1
-        amps = np.zeros(self.n + 1, dtype=complex)
-        amps[self.n] = 1.0
-        self.state = dyn.PureCollectiveState.from_stored_amplitudes(amps)
+def _twin(n: int) -> dyn.PureCollectiveState | None:
+    """The ideal noiseless state right after storing n photons, |S_n>; None
+    for the vacuum, which needs no twin."""
+    if n == 0:
+        return None
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[n] = 1.0
+    return dyn.PureCollectiveState.from_stored_amplitudes(amps)
 
 
-def _draws_per_cycle(schedule: Schedule) -> int:
-    """Uniform draws a trajectory takes per cycle: the measurement's, and the
-    drive time's under the uniform-random schedule."""
-    return 2 if schedule.kind == "uniform-random" else 1
+def _collapsed(twin: dyn.PureCollectiveState, rydberg: bool) -> dyn.PureCollectiveState:
+    """A twin after an outcome: its amplitude in the measured sector, made unit-modulus."""
+    n, a, b = twin.n_max, twin.a.copy(), twin.b.copy()
+    kept, dropped = (b, a) if rydberg else (a, b)
+    amp = kept[n]
+    dropped[:] = 0.0
+    kept[n] = amp / abs(amp) if abs(amp) > 1e-9 else 1.0
+    return dyn.PureCollectiveState(a, b)
+
+
+def _sectors(states: list, twins: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_NoRydberg, p_Rydberg, retrieval fidelity) of block states against twins."""
+    probs = np.array([dyn.sector_probabilities(st) for st in states]).reshape(-1, 2)
+    return probs[:, 0], probs[:, 1], _fidelity(states, twins)
+
+
+def _fidelity(states: list, twins: list) -> np.ndarray:
+    return np.array([1.0 if twin is None else dyn.retrieval_fidelity(st, twin)
+                     for st, twin in zip(states, twins)])
+
+
+class _BlockRows:
+    """Noisy fixed-n states of a batch, the counterpart of `dynamics.PureBatch`.
+
+    Each row holds a block list, advanced by the one-state kernels of
+    `dynamics`, and an ideal noiseless twin that is driven, collapsed and
+    ejected alike.  A row's retrieval fidelity is its overlap with the twin.
+    """
+
+    def __init__(self, sampled: list, gamma: float, window: float):
+        self.states = [state for state, _ in sampled]
+        self.twins = [_twin(n) for _, n in sampled]
+        self.gamma = gamma
+        self.window = window  # the dephasing-only measurement window
+
+    def fidelity(self) -> np.ndarray:
+        """Retrieval fidelity of every row."""
+        return _fidelity(self.states, self.twins)
+
+    def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=None):
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or of the
+        selected rows were they and their twins driven for taus."""
+        if taus is None:
+            return _sectors(self.states, self.twins)
+        picked = [(self.states[r], self.twins[r], t)
+                  for r, t in zip(rows.tolist(), taus.tolist())]
+        return _sectors([dyn.evolve_blocks(st, t, omega, self.gamma) for st, _, t in picked],
+                        [None if twin is None else dyn.evolve_pure(twin, t, omega)
+                         for _, twin, t in picked])
+
+    def sectors_in_window(self, dt: float):
+        """`sectors` of every row dt into the measurement window."""
+        return _sectors([dyn.evolve_blocks(st, dt, 0.0, self.gamma, drive_on=False)
+                         for st in self.states], self.twins)
+
+    def drive(self, taus: np.ndarray, omega: float) -> None:
+        """Drive row r and its twin for taus[r]."""
+        for r, tau in enumerate(taus.tolist()):
+            self.states[r] = dyn.evolve_blocks(self.states[r], tau, omega, self.gamma,
+                                               drive_on=True)
+            if self.twins[r] is not None:
+                self.twins[r] = dyn.evolve_pure(self.twins[r], tau, omega)
+
+    def measure(self, draws: np.ndarray, eject: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """`dynamics.PureBatch.measure` for block states: the measurement
+        window, then the projection of every row and its twin."""
+        rydberg, probs = np.zeros(len(self.states), dtype=bool), np.empty(len(self.states))
+        for r, draw in enumerate(draws.tolist()):
+            outcome, self.states[r], probs[r] = dyn.measure_block(
+                self.states[r], self.window, self.gamma, draw)
+            rydberg[r] = outcome == RYDBERG
+            if self.twins[r] is not None:
+                self.twins[r] = _collapsed(self.twins[r], rydberg[r])
+            if eject and rydberg[r]:
+                self.states[r] = dyn.eject_block(self.states[r])
+                self.twins[r] = _twin(self.states[r][0].n)
+        return rydberg, probs
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows not selected by the boolean mask."""
+        kept = np.nonzero(rows)[0].tolist()
+        self.states = [self.states[r] for r in kept]
+        self.twins = [self.twins[r] for r in kept]
 
 
 def _shared_taus(params: ProtocolParams):
@@ -275,49 +319,58 @@ def _shared_taus(params: ProtocolParams):
     return tau_at
 
 
-def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generator],
-                   seed_keys: list[tuple[int, ...]]) -> list[TrajectoryLog]:
-    """Noiseless trajectories advanced together, trajectory i drawing from rngs[i].
+def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
+         seed_keys: list[tuple[int, ...]]) -> list[TrajectoryLog]:
+    """Trajectories advanced together, trajectory i drawing from rngs[i].
 
     Each cycle drives, measures, collapses, ejects and updates the posterior
     of every active trajectory at once; a trajectory leaves when its
-    posterior reaches the threshold.  Each generator yields its draws in the
-    order of a lone trajectory: per cycle the drive time (uniform-random
-    schedules only), then the measurement.  Draws are taken in blocks of
-    cycles, one block per generator at a time.
+    posterior reaches the threshold.  The states are a `dynamics.PureBatch`
+    in noiseless mode and a `_BlockRows` in noisy mode.  Each generator
+    yields its draws in the order of a lone trajectory: the initial photon
+    number (noisy mode, Fock-distribution input only), then per cycle the
+    drive time (uniform-random schedules only) and the measurement.  Cycle
+    draws are taken in blocks of cycles, one block per generator at a time.
     """
     cands, prior = params.resolved_candidates()
-    state, _ = sample_initial(initial, NOISELESS_PURE, None, params)
     n_traj, points = len(rngs), params.trace_points
+    mixture = Mixture(cands, prior)
+    likelihoods = record_likelihoods(mixture.ns, params.omega, params.noise(),
+                                     params.ejection_enabled, n_traj)
+    if params.mode == NOISELESS_PURE:
+        state, _ = sample_initial(initial, NOISELESS_PURE, None, params)
+        states, n_true = dyn.PureBatch(state, n_traj), [None] * n_traj
+    else:
+        sampled = [sample_initial(initial, params.mode, rng, params) for rng in rngs]
+        states = _BlockRows(sampled, params.gamma, params.tau_eit)
+        n_true = [n for _, n in sampled]
     tau_at = _shared_taus(params)
-    per_cycle = _draws_per_cycle(params.schedule)
+    per_cycle = 1 if tau_at else 2  # the measurement's draw, after the drive time's
     if not tau_at:  # drawn as Generator.uniform draws them
         lo = float(params.schedule.tau_min)
         span = float(params.schedule.tau_max) - lo
 
     ids = np.arange(n_traj)  # trajectory of each active row
-    pure = dyn.PureBatch(state, n_traj)
-    mixture = Mixture(cands, prior)
-    likelihoods = NoiselessLikelihoods(mixture.ns, params.omega, params.ejection_enabled,
-                                       n_traj)
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
 
     entries: list[list] = [[] for _ in range(n_traj)]
     posteriors = [[prior.weights.tolist()] for _ in range(n_traj)]
+    fidelities: list[list[float]] = [[] for _ in range(n_traj)]
     traces: list[list[dict]] = [[] for _ in range(n_traj)]
     ejections = np.zeros(n_traj, dtype=int)
     converged = np.zeros(n_traj, dtype=bool)
     final = np.zeros(n_traj, dtype=int)
     t_now = np.zeros(n_traj)
 
-    def trace_rows(phase: str, rows, times, p_r) -> None:
-        for i, t, p in zip(ids[rows].tolist(), times.tolist(), p_r.tolist()):
-            traces[i].append({"time_s": t, "phase": phase, "p_no_rydberg": 1.0 - p,
-                              "p_rydberg": p, "fidelity": 1.0,
+    def trace_rows(phase: str, rows, times, report) -> None:
+        for i, t, p_s, p_r, fid in zip(ids[rows].tolist(), times.tolist(),
+                                        *(x.tolist() for x in report)):
+            traces[i].append({"time_s": t, "phase": phase, "p_no_rydberg": p_s,
+                              "p_rydberg": p_r, "fidelity": fid,
                               "posterior": posteriors[i][-1]})
 
     if points:
-        trace_rows("init", slice(None), t_now, pure.sum_sq(pure.b))
+        trace_rows("init", slice(None), t_now, states.sectors())
 
     for cycle in range(params.max_cycles):
         if ids.size == 0:
@@ -335,21 +388,27 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
                               for t in taus[driven].tolist()]).reshape(driven.size, points)
             for k in range(points):
                 trace_rows("drive", driven, t_now[ids[driven]] + steps[:, k],
-                           pure.rydberg_if_driven(steps[:, k], params.omega, driven))
-        pure.a, pure.b = pure.driven(taus, params.omega)
+                           states.sectors(steps[:, k], params.omega, driven))
+        states.drive(taus, params.omega)
         t_now[ids] += taus
-        rydberg, _ = pure.measure(draws[:, col + per_cycle - 1], params.ejection_enabled)
+        if points and states.window > 0:
+            for dt in np.linspace(states.window / points, states.window, points):
+                trace_rows("measure", slice(None), t_now[ids] + dt,
+                           states.sectors_in_window(dt))
+        rydberg, _ = states.measure(draws[:, col + per_cycle - 1], params.ejection_enabled)
+        t_now[ids] += states.window
         if params.ejection_enabled:
             ejections[ids] += rydberg
 
         likelihoods.update(taus, rydberg)
         weights = mixture.posterior(likelihoods.log_l)
-        for i, tau, ryd, w in zip(ids.tolist(), taus.tolist(), rydberg.tolist(),
-                                  weights.tolist()):
+        for i, tau, ryd, w, fid in zip(ids.tolist(), taus.tolist(), rydberg.tolist(),
+                                       weights.tolist(), states.fidelity().tolist()):
             entries[i].append((tau, RYDBERG if ryd else NO_RYDBERG))
             posteriors[i].append(w)
+            fidelities[i].append(fid)
         if points:
-            trace_rows("collapse", slice(None), t_now[ids], pure.sum_sq(pure.b))
+            trace_rows("collapse", slice(None), t_now[ids], states.sectors())
 
         final[ids] = np.argmax(weights, axis=1)
         done = weights.max(axis=1) >= params.threshold
@@ -357,105 +416,16 @@ def _run_noiseless(initial, params: ProtocolParams, rngs: list[np.random.Generat
             converged[ids[done]] = True
             keep = ~done
             ids, draws = ids[keep], draws[keep]
-            pure.keep(keep)
+            states.keep(keep)
             likelihoods.keep(keep)
 
     config = params.to_dict()
     return [TrajectoryLog(record=MeasurementRecord(entries[i]), posteriors=posteriors[i],
-                          fidelities=[1.0] * len(entries[i]), trace=traces[i],
-                          ejections=int(ejections[i]), n_true=None,
+                          fidelities=fidelities[i], trace=traces[i],
+                          ejections=int(ejections[i]), n_true=n_true[i],
                           final_candidate=int(final[i]), converged=bool(converged[i]),
                           seed_key=list(seed_keys[i]), params=config)
             for i in range(n_traj)]
-
-
-def _run_noisy(initial, params: ProtocolParams, rng: np.random.Generator,
-               seed_key: tuple[int, ...], tau_at, config: dict) -> TrajectoryLog:
-    """One noisy fixed-n trajectory, with its retrieval fidelity to an ideal twin."""
-    cands, prior = params.resolved_candidates()
-    noise = params.noise()
-    inference = SequentialInference(cands, prior, params.omega, noise,
-                                    eject=params.ejection_enabled)
-    state, n_true = sample_initial(initial, params.mode, rng, params)
-    ideal = _IdealReference(n_true)
-
-    posteriors: list[list[float]] = [prior.weights.tolist()]
-    fidelities: list[float] = []
-    trace: list[dict] = []
-    taus: list[float] = []
-    record = MeasurementRecord()
-    ejections = 0
-    t_now = 0.0
-    converged = False
-    post = prior
-
-    def fid(st) -> float:
-        return dyn.retrieval_fidelity(st, ideal.state) if ideal.n > 0 else 1.0
-
-    def trace_row(st, phase: str, t: float, fidelity: float) -> dict:
-        p_s, p_r = dyn.sector_probabilities(st)
-        return {"time_s": t, "phase": phase, "p_no_rydberg": p_s,
-                "p_rydberg": p_r, "fidelity": fidelity,
-                "posterior": post.weights.tolist()}
-
-    if params.trace_points:
-        trace.append(trace_row(state, "init", t_now, fid(state)))
-
-    for cycle in range(params.max_cycles):
-        tau = (tau_at(cycle) if tau_at
-               else schedule_next_tau(params.schedule, taus, params, rng))
-        taus.append(tau)
-
-        # drive window
-        if params.trace_points and tau > 0:
-            for dt in np.linspace(tau / params.trace_points, tau, params.trace_points):
-                sub = dyn.evolve_blocks(state, dt, params.omega, params.gamma)
-                sub_fid = 1.0
-                if ideal.n > 0:
-                    sub_fid = dyn.retrieval_fidelity(
-                        sub, dyn.evolve_pure(ideal.state, dt, params.omega))
-                trace.append(trace_row(sub, "drive", t_now + dt, sub_fid))
-        state = dyn.evolve_blocks(state, tau, params.omega, params.gamma, drive_on=True)
-        ideal.drive(tau, params.omega)
-        t_now += tau
-
-        # measurement window (dephasing only), then projection
-        if params.trace_points and params.tau_eit > 0:
-            for dt in np.linspace(params.tau_eit / params.trace_points,
-                                  params.tau_eit, params.trace_points):
-                sub = dyn.evolve_blocks(state, dt, 0.0, params.gamma, drive_on=False)
-                trace.append(trace_row(sub, "measure", t_now + dt, fid(sub)))
-        outcome, state, _p = dyn.measure_block(state, params.tau_eit, params.gamma,
-                                               rng.random())
-        t_now += params.tau_eit
-        ideal.collapse(outcome)
-        if params.ejection_enabled and outcome == RYDBERG:
-            state = dyn.eject_block(state)
-            ideal.eject()
-            ejections += 1
-
-        record.append(tau, outcome)
-        post = inference.update(tau, outcome)
-        posteriors.append(post.weights.tolist())
-        fidelities.append(fid(state))
-        if params.trace_points:
-            trace.append(trace_row(state, "collapse", t_now, fid(state)))
-        if float(post.weights.max()) >= params.threshold:
-            converged = True
-            break
-
-    return TrajectoryLog(
-        record=record,
-        posteriors=posteriors,
-        fidelities=fidelities,
-        trace=trace,
-        ejections=ejections,
-        n_true=n_true,
-        final_candidate=int(np.argmax(post.weights)),
-        converged=converged,
-        seed_key=list(seed_key),
-        params=config,
-    )
 
 
 def _seeded(params: ProtocolParams, seed_key: tuple[int, ...]) -> np.random.Generator:
@@ -465,19 +435,10 @@ def _seeded(params: ProtocolParams, seed_key: tuple[int, ...]) -> np.random.Gene
 def run_protocol(initial, params: ProtocolParams,
                  seed_key: tuple[int, ...] = ()) -> TrajectoryLog:
     """Simulate one experiment; deterministic given params.seed and seed_key."""
-    rng = _seeded(params, seed_key)
-    if params.mode == NOISY_FIXED_N:
-        return _run_noisy(initial, params, rng, seed_key, _shared_taus(params),
-                          params.to_dict())
-    return _run_noiseless(initial, params, [rng], [seed_key])[0]
+    return _run(initial, params, [_seeded(params, seed_key)], [seed_key])[0]
 
 
 def run_batch(initial, params: ProtocolParams, n_trajectories: int) -> list[TrajectoryLog]:
     """Independent seeded trajectories; trajectory i uses spawn key (i,)."""
     keys = [(i,) for i in range(n_trajectories)]
-    rngs = [_seeded(params, key) for key in keys]
-    if params.mode == NOISELESS_PURE:
-        return _run_noiseless(initial, params, rngs, keys)
-    tau_at, config = _shared_taus(params), params.to_dict()
-    return [_run_noisy(initial, params, rng, key, tau_at, config)
-            for rng, key in zip(rngs, keys)]
+    return _run(initial, params, [_seeded(params, key) for key in keys], keys)

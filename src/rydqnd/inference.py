@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import evolve_blocks, eject_block, project_blocks, sector_probabilities, symmetric_state_blocks
 from .errors import DomainError, ImpossibleOutcomeError, InconsistentRecordError
-from .records import FockDistribution, MeasurementRecord, Posterior, RYDBERG
+from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,11 @@ def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float
     conditional state per n, and ``noise.eject`` sets ejection."""
     if noise is None:
         return _noiseless_log_table(record, ns, omega, eject)
-    table = np.full((len(record) + 1, len(ns)), -np.inf)
-    table[0] = 0.0
-    for i, n in enumerate(ns):
-        state = ConditionalState(n, omega, noise)
-        for t, (tau, outcome) in enumerate(record.entries, start=1):
-            if state.update(tau, outcome) == -math.inf:
-                break
-            table[t, i] = state.log_l
+    likelihoods = NoisyLikelihoods(ns, omega, noise)
+    table = np.zeros((len(record) + 1, len(ns)))
+    for t, (tau, outcome) in enumerate(record.entries, start=1):
+        likelihoods.update(np.array([tau], dtype=float), np.array([outcome == RYDBERG]))
+        table[t] = likelihoods.log_l[0]
     return table
 
 
@@ -255,38 +252,52 @@ class NoiselessLikelihoods:
                                                self._shift[rows])
 
 
+class NoisyLikelihoods:
+    """log Pr(record | n) of B noisy records growing together, shape (B, len(ns)),
+    from one `ConditionalState` per (row, n); ``noise.eject`` sets ejection."""
+
+    def __init__(self, ns: list[int], omega: float, noise: NoiseParams, rows: int = 1):
+        self._states = [[ConditionalState(n, omega, noise) for n in ns] for _ in range(rows)]
+        self.log_l = np.zeros((rows, len(ns)))
+
+    def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
+        """One cycle for every row: drive times and outcomes (True for Rydberg)."""
+        for r, (tau, ryd) in enumerate(zip(taus.tolist(), rydberg.tolist())):
+            outcome = RYDBERG if ryd else NO_RYDBERG
+            for i, state in enumerate(self._states[r]):
+                state.update(tau, outcome)
+                self.log_l[r, i] = state.log_l
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows not selected by the boolean mask."""
+        self._states = [states for states, kept in zip(self._states, rows.tolist()) if kept]
+        self.log_l = self.log_l[rows]
+
+
+def record_likelihoods(ns: list[int], omega: float, noise: NoiseParams | None = None,
+                       eject: bool = False, rows: int = 1):
+    """`NoiselessLikelihoods`, or with noise `NoisyLikelihoods` (``noise.eject`` sets ejection)."""
+    return (NoiselessLikelihoods(ns, omega, eject, rows) if noise is None
+            else NoisyLikelihoods(ns, omega, noise, rows))
+
+
 class SequentialInference:
     """Incremental posterior over candidate distributions along a growing record."""
 
     def __init__(self, candidates: list[FockDistribution], prior: Posterior,
                  omega: float, noise: NoiseParams | None = None, eject: bool = False):
         self._mix = Mixture(candidates, prior)
-        self.candidates = candidates
-        self.prior = prior
-        self.omega = omega
-        self.noise = noise
-        self.eject = noise.eject if noise is not None else eject
-        ns = self._mix.ns
-        self._cond = ([ConditionalState(n, omega, noise) for n in ns]
-                      if noise is not None else None)
-        self._noiseless = (NoiselessLikelihoods(ns, omega, self.eject)
-                           if noise is None else None)
-        self._log_l = np.zeros((1, len(ns)))
+        self._likelihoods = record_likelihoods(self._mix.ns, omega, noise, eject)
         self._record = MeasurementRecord()
 
     def update(self, tau: float, outcome: str) -> Posterior:
         self._record.append(tau, outcome)
-        if self._cond is not None:
-            for i, cond in enumerate(self._cond):
-                cond.update(tau, outcome)
-                self._log_l[0, i] = cond.log_l
-        else:
-            self._noiseless.update(np.array([tau]), np.array([outcome == RYDBERG]))
-            self._log_l = self._noiseless.log_l
+        self._likelihoods.update(np.array([tau], dtype=float),
+                                 np.array([outcome == RYDBERG]))
         return self.posterior()
 
     def posterior(self) -> Posterior:
-        return Posterior(self._mix.posterior(self._log_l)[0])
+        return Posterior(self._mix.posterior(self._likelihoods.log_l)[0])
 
     @property
     def record(self) -> MeasurementRecord:

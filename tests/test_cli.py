@@ -163,6 +163,8 @@ def test_oracle_check_runs_the_simulator_propagator(tmp_path, capsys, monkeypatc
     ["--corrupt-cell", "2"],
     ["--corrupt-cell", "a,b"],
     ["--corrupt-cell", "9,9"],
+    ["--omega-mhz", "0"],
+    ["--omega-mhz", "nan"],
 ])
 def test_oracle_check_rejects_bad_input(flags, tmp_path, capsys):
     out = tmp_path / "oracle.json"
@@ -234,6 +236,10 @@ def test_usage_errors_exit_2(tmp_path):
     ["analyze", "optimize-schedule", "--grid-points", "0"],
     ["simulate", "--omega-mhz", "nan"],
     ["simulate", "--gamma-mhz", "nan"],
+    ["analyze", "detection-time", "--omega-mhz", "0", "--n", "2"],
+    ["analyze", "optimize-schedule", "--omega-mhz", "0"],
+    ["analyze", "fisher", "--omega-mhz", "nan", "--n", "2"],
+    ["analyze", "fisher", "--gamma-mhz", "nan", "--n", "2"],
 ])
 def test_bad_drive_times_and_counts_exit_2(argv, tmp_path, capsys):
     if argv[0] == "simulate":
@@ -270,8 +276,11 @@ def test_infer_rejects_invalid_rates_and_windows(flags, tmp_path, capsys):
     (None, None, ["simulate", "--candidates", "1..x"]),
     (None, None, ["infer", "--candidates", "3..1"]),
     (None, None, ["analyze", "fisher", "--n", "0"]),
+    (None, None, ["infer", "--n-max", "0"]),
+    ("cfg.json", '{"seed": "x"}', ["simulate", "--config"]),
 ], ids=["candidates-bad-json", "candidates-no-key", "candidates-list", "candidates-empty",
-        "config-bad-json", "range-not-integer", "range-reversed", "fisher-n-zero"])
+        "config-bad-json", "range-not-integer", "range-reversed", "fisher-n-zero",
+        "infer-n-max-zero", "config-wrong-type"])
 def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):
     rec = tmp_path / "rec.json"
     _write_record(rec, [(1e-7, "Rydberg")])
