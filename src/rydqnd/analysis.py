@@ -40,8 +40,8 @@ def _check_regime(regime: str, gamma: float, n: float) -> None:
 def fisher_closed_form(regime: str, n: float, t: float, omega: float, gamma: float = 0.0) -> float:
     """Closed-form Fisher information about n accumulated by time t."""
     _check_regime(regime, gamma, n)
-    if t < 0:
-        raise DomainError("time must be non-negative")
+    if not 0 <= t < math.inf:
+        raise DomainError("time must be finite and non-negative")
     if regime == "noiseless":
         return t**2 * omega**2 / n
     if regime == "noisy-frequency":

@@ -8,7 +8,8 @@ Output files always record rad/s and seconds.
 
 A JSON config file (--config) may supply any long-option value by its
 destination name (e.g. {"omega_mhz": 2.5, "seed": 7}); explicit command-line
-flags override the file, which overrides built-in defaults.
+flags override the file, which overrides built-in defaults.  Each file value
+is converted through the declaration of the option it names (`_config_values`).
 
 Exit codes: 0 success, 2 usage error, 3 record inconsistent with all
 candidates, 4 oracle check failure, 5 resource guard tripped.
@@ -92,8 +93,9 @@ def _read_json(path: str, what: str, parse=json.loads):
 
 
 def _parse_candidates(spec: str | None, path: str | None, n_max: int
-                      ) -> tuple[list[FockDistribution], Posterior] | tuple[None, None]:
-    """Candidates from an integer range (delta distributions) or a JSON file.
+                      ) -> tuple[list[FockDistribution], Posterior]:
+    """Candidates from a JSON file, an integer range (delta distributions) or,
+    with neither, the deltas at 1..n_max.
 
     The file format is {"candidates": [[p0, ...], ...], "prior": [w, ...]}
     where "prior" is optional (uniform if absent).
@@ -108,38 +110,46 @@ def _parse_candidates(spec: str | None, path: str | None, n_max: int
                      else Posterior.uniform(len(cands)))
             return cands, prior
         return _read_json(path, "candidates file", parse)
-    if spec is not None:
-        ns = _parse_int_range(spec)
-        top = max(n_max, max(ns))
-        cands = [FockDistribution.delta(n, top) for n in ns]
-        return cands, Posterior.uniform(len(cands))
-    return None, None
+    ns = _parse_int_range(spec) if spec is not None else list(range(1, n_max + 1))
+    if not ns:
+        raise DomainError("need --n-max >= 1")
+    top = max(n_max, max(ns))
+    cands = [FockDistribution.delta(n, top) for n in ns]
+    return cands, Posterior.uniform(len(cands))
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset options from the JSON config file, then from defaults.
+def _config_values(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The config file's values, each converted through the declaration of
+    the option it names; keys that name no option of `parser` are ignored.
 
-    A file value is converted by its option's argparse type, as the text of
-    the flag would be.
+    A typed option takes the type of the value's text, a flag a JSON boolean
+    and any other option a string; a value must be one of the option's
+    choices, if it has any.
     """
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        doc = _read_json(args.config, "config file")
-        if not isinstance(doc, dict):
-            raise DomainError("config file must hold a JSON object")
-        file_values = doc
-    for key, default in args.defaults.items():
-        if getattr(args, key, None) is not None:
+    doc = _read_json(path, "config file")
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: config file must hold a JSON object")
+    values = {}
+    for action in parser._actions:
+        key, flag = action.dest, isinstance(action, argparse._StoreTrueAction)
+        stores = flag or isinstance(action, argparse._StoreAction)
+        if key not in doc or not (stores and action.option_strings):
             continue
-        value = file_values.get(key, default)
-        convert = args.types.get(key)
-        if key in file_values and convert is not None:
+        value = doc[key]
+        if action.type is not None:
             try:
-                value = convert(str(value))
+                value = action.type(str(value))
             except ValueError:
-                raise DomainError(f"{args.config}: {key!r} must be "
-                                  f"{convert.__name__}, got {value!r}") from None
-        setattr(args, key, value)
+                raise DomainError(f"{path}: {key!r} must be {action.type.__name__}, "
+                                  f"got {value!r}") from None
+        elif not isinstance(value, bool if flag else str):
+            raise DomainError(f"{path}: {key!r} must be "
+                              f"{'true or false' if flag else 'a string'}, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise DomainError(f"{path}: {key!r} must be one of "
+                              f"{', '.join(action.choices)}, got {value!r}")
+        values[key] = value
+    return values
 
 
 def _check_rates(args: argparse.Namespace) -> None:
@@ -183,29 +193,6 @@ def _table_output(doc: dict, rows: list[dict], out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-SIMULATE_DEFAULTS = {
-    "omega_mhz": 2.5,
-    "gamma_mhz": 0.3,
-    "tau_eit_us": 0.3,
-    "tau_us": 0.21,
-    "schedule": "fixed",
-    "tau_min_us": 0.05,
-    "tau_max_us": 0.4,
-    "n_true": 2,
-    "n_atoms": 10,
-    "n_max": 4,
-    "candidates": None,
-    "candidates_file": None,
-    "seed": 0,
-    "trajectories": 1,
-    "max_cycles": 25,
-    "threshold": 0.99,
-    "eject": False,
-    "trace_points": 8,
-    "outdir": "out",
-}
-
-
 def _build_params(args: argparse.Namespace) -> ProtocolParams:
     angular = args.angular
     omega = _freq_rad_s(args.omega_mhz, angular)
@@ -215,10 +202,8 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
     elif args.schedule == "uniform-random":
         schedule = Schedule.uniform_random(_us_to_s(args.tau_min_us),
                                            _us_to_s(args.tau_max_us))
-    elif args.schedule == "adaptive-greedy":
-        schedule = Schedule.adaptive_greedy()
     else:
-        raise DomainError(f"unknown schedule {args.schedule!r}")
+        schedule = Schedule.adaptive_greedy()
     cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
     mode = NOISELESS_PURE if gamma == 0.0 else NOISY_FIXED_N
     return ProtocolParams(
@@ -258,20 +243,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if params.trace_points:
         for i, log in enumerate(logs):
-            buf = io.StringIO()
-            buf.write(f"# schema: {TRACE_SCHEMA}\n")
-            buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-            k = len(log.posteriors[0])
-            writer = csv.writer(buf)
-            writer.writerow(["time_s", "phase", "p_no_rydberg", "p_rydberg",
-                             "fidelity"] + [f"w_{c}" for c in range(k)])
-            for row in log.trace:
-                writer.writerow([f"{row['time_s']:.12e}", row["phase"],
-                                 f"{row['p_no_rydberg']:.12e}",
-                                 f"{row['p_rydberg']:.12e}",
-                                 f"{row['fidelity']:.12e}"]
-                                + [f"{w:.12e}" for w in row["posterior"]])
-            (outdir / f"trace_{i:03d}.csv").write_text(buf.getvalue())
+            rows = [{"time_s": f"{row['time_s']:.12e}", "phase": row["phase"],
+                     **{key: f"{row[key]:.12e}"
+                        for key in ("p_no_rydberg", "p_rydberg", "fidelity")},
+                     **{f"w_{c}": f"{w:.12e}" for c, w in enumerate(row["posterior"])}}
+                    for row in log.trace]
+            _table_output({"schema": TRACE_SCHEMA, "config": config}, rows,
+                          str(outdir / f"trace_{i:03d}.csv"))
 
     counts: dict[int, int] = {}
     for log in logs:
@@ -295,28 +273,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # infer
 
-INFER_DEFAULTS = {
-    "omega_mhz": 2.5,
-    "gamma_mhz": 0.0,
-    "tau_eit_us": 0.0,
-    "n_atoms": 10,
-    "n_max": 4,
-    "candidates": None,
-    "candidates_file": None,
-    "eject": False,
-    "out": None,
-}
-
-
 def cmd_infer(args: argparse.Namespace) -> int:
     record = _read_json(args.record, "record", MeasurementRecord.from_json)
     cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
-    if cands is None:
-        if args.n_max < 1:
-            raise DomainError("need --n-max >= 1")
-        cands = [FockDistribution.delta(n, args.n_max) for n in range(1, args.n_max + 1)]
-        prior = Posterior.uniform(len(cands))
-
     omega = _freq_rad_s(args.omega_mhz, args.angular)
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
     noise = None
@@ -357,14 +316,6 @@ ORACLE_CELLS = ((2, 1), (3, 1), (4, 2), (5, 2), (5, 3))
 ORACLE_GAMMA_FACTORS = (0.0, 0.1, 1.0)
 ORACLE_TOLERANCE = 1e-6
 
-ORACLE_DEFAULTS = {
-    "omega_mhz": 2.5,
-    "time_points": 50,
-    "corrupt_cell": None,
-    "out": None,
-}
-
-
 def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
                               times: np.ndarray,
                               corrupt: bool) -> np.ndarray:
@@ -391,7 +342,7 @@ def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     omega = _freq_rad_s(args.omega_mhz, args.angular)
-    if not isinstance(args.time_points, int) or args.time_points < 1:
+    if args.time_points < 1:
         raise DomainError(f"--time-points must be a positive integer, got {args.time_points!r}")
     corrupt_cell = None
     if args.corrupt_cell:
@@ -444,19 +395,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-ANALYZE_DEFAULTS = {
-    "omega_mhz": 2.5,
-    "gamma_mhz": 0.3,
-    "regime": "noiseless",
-    "n": "1..10",
-    "time_us": None,
-    "toy": "appendix-c",
-    "cycles": 2,
-    "grid_points": None,
-    "out": None,
-}
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     omega = _freq_rad_s(args.omega_mhz, args.angular)
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
@@ -486,8 +424,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.toy != "appendix-c":
             raise DomainError(f"unknown toy problem {args.toy!r}")
         cands, prior = analysis.appendix_toy_candidates()
-        grid = analysis.default_tau_grid(
-            omega, 800 if args.grid_points is None else args.grid_points)
+        grid = analysis.default_tau_grid(omega, args.grid_points)
         rows = []
         for strategy, run in (("local", analysis.optimize_schedule_local),
                               ("global", analysis.optimize_schedule_global)):
@@ -499,8 +436,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                              "fidelity_percent": 100.0 * fid})
         config["grid_points"] = int(grid.size)
         config["toy"] = args.toy
-    else:
-        raise DomainError(f"unknown analyze subcommand {args.analysis!r}")
     _table_output({"schema": TABLE_SCHEMA, "config": config}, rows, args.out)
     return EXIT_OK
 
@@ -525,72 +460,82 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded protocol trajectories")
     _add_common(p)
-    p.add_argument("--omega-mhz", type=float, help="drive Rabi frequency")
-    p.add_argument("--gamma-mhz", type=float, help="Rydberg dephasing rate (0 = noiseless)")
-    p.add_argument("--tau-eit-us", type=float, help="measurement window duration")
-    p.add_argument("--schedule", choices=("fixed", "uniform-random", "adaptive-greedy"))
-    p.add_argument("--tau-us", type=float, help="fixed drive time per cycle")
-    p.add_argument("--tau-min-us", type=float, help="uniform-random lower bound")
-    p.add_argument("--tau-max-us", type=float, help="uniform-random upper bound")
-    p.add_argument("--n-true", type=int, help="true stored photon number")
-    p.add_argument("--n-atoms", type=int, help="number of atoms N")
-    p.add_argument("--n-max", type=int, help="largest candidate photon number")
-    p.add_argument("--candidates", help="candidate n values, e.g. '1..4'")
+    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
+    p.add_argument("--gamma-mhz", type=float, default=0.3,
+                   help="Rydberg dephasing rate (0 = noiseless)")
+    p.add_argument("--tau-eit-us", type=float, default=0.3,
+                   help="measurement window duration")
+    p.add_argument("--schedule", choices=("fixed", "uniform-random", "adaptive-greedy"),
+                   default="fixed", help="drive-time schedule")
+    p.add_argument("--tau-us", type=float, default=0.21, help="fixed drive time per cycle")
+    p.add_argument("--tau-min-us", type=float, default=0.05, help="uniform-random lower bound")
+    p.add_argument("--tau-max-us", type=float, default=0.4, help="uniform-random upper bound")
+    p.add_argument("--n-true", type=int, default=2, help="true stored photon number")
+    p.add_argument("--n-atoms", type=int, default=10, help="number of atoms N")
+    p.add_argument("--n-max", type=int, default=4, help="largest candidate photon number")
+    p.add_argument("--candidates", help="candidate n values, e.g. '1..4'; None: 1..n-max")
     p.add_argument("--candidates-file", help="JSON file with candidate distributions")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trajectories", type=int)
-    p.add_argument("--max-cycles", type=int)
-    p.add_argument("--threshold", type=float, help="posterior stopping threshold")
-    p.add_argument("--eject", action="store_true", default=None,
+    p.add_argument("--seed", type=int, default=0, help="base seed of every trajectory")
+    p.add_argument("--trajectories", type=int, default=1, help="number of trajectories")
+    p.add_argument("--max-cycles", type=int, default=25, help="cycles per trajectory at most")
+    p.add_argument("--threshold", type=float, default=0.99,
+                   help="posterior stopping threshold")
+    p.add_argument("--eject", action="store_true",
                    help="remove the Rydberg excitation after each Rydberg outcome")
-    p.add_argument("--trace-points", type=int,
+    p.add_argument("--trace-points", type=int, default=8,
                    help="sub-samples per window in the trace CSV (0 disables)")
-    p.add_argument("--outdir")
-    p.set_defaults(func=cmd_simulate, defaults=SIMULATE_DEFAULTS)
+    p.add_argument("--outdir", default="out", help="output directory")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("infer", help="posterior over candidates from a record file")
     _add_common(p)
     p.add_argument("record", help="measurement record JSON file")
-    p.add_argument("--omega-mhz", type=float)
-    p.add_argument("--gamma-mhz", type=float)
-    p.add_argument("--tau-eit-us", type=float)
-    p.add_argument("--n-atoms", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--candidates", help="candidate n values, e.g. '1..4'")
+    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
+    p.add_argument("--gamma-mhz", type=float, default=0.0,
+                   help="Rydberg dephasing rate (0 = noiseless)")
+    p.add_argument("--tau-eit-us", type=float, default=0.0,
+                   help="measurement window duration")
+    p.add_argument("--n-atoms", type=int, default=10, help="number of atoms N")
+    p.add_argument("--n-max", type=int, default=4, help="largest candidate photon number")
+    p.add_argument("--candidates", help="candidate n values, e.g. '1..4'; None: 1..n-max")
     p.add_argument("--candidates-file", help="JSON file with candidate distributions")
-    p.add_argument("--eject", action="store_true", default=None)
+    p.add_argument("--eject", action="store_true",
+                   help="the record's Rydberg excitations were removed")
     p.add_argument("--out", help="output file ('-' or omitted for stdout)")
-    p.set_defaults(func=cmd_infer, defaults=INFER_DEFAULTS)
+    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("oracle-check",
                        help="compare the block solver against the dense oracle")
     _add_common(p)
-    p.add_argument("--omega-mhz", type=float)
-    p.add_argument("--time-points", type=int)
+    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
+    p.add_argument("--time-points", type=int, default=50, help="time points per cell")
     p.add_argument("--corrupt-cell",
                    help="fault-injection hook: 'n,N' cell whose drive matrix "
                         "is deliberately perturbed")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_oracle_check, defaults=ORACLE_DEFAULTS)
+    p.add_argument("--out", help="output file, CSV if it ends .csv")
+    p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("analyze", help="closed-form tables and schedule optimization")
     _add_common(p)
     p.add_argument("analysis",
                    choices=("fisher", "detection-time", "steady-state",
                             "optimize-schedule"))
-    p.add_argument("--omega-mhz", type=float)
-    p.add_argument("--gamma-mhz", type=float)
-    p.add_argument("--regime", choices=analysis.REGIMES)
-    p.add_argument("--n", help="photon numbers, e.g. '5' or '1..20'")
-    p.add_argument("--time-us", type=float, help="evaluation time for fisher")
-    p.add_argument("--toy", help="named toy problem for optimize-schedule")
-    p.add_argument("--cycles", type=int, help="schedule length T")
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_analyze, defaults=ANALYZE_DEFAULTS)
+    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
+    p.add_argument("--gamma-mhz", type=float, default=0.3, help="Rydberg dephasing rate")
+    p.add_argument("--regime", choices=analysis.REGIMES, default="noiseless",
+                   help="Fisher-information regime")
+    p.add_argument("--n", default="1..10", help="photon numbers, e.g. '5' or '1..20'")
+    p.add_argument("--time-us", type=float,
+                   help="evaluation time for fisher; None: the detection time")
+    p.add_argument("--toy", default="appendix-c",
+                   help="named toy problem for optimize-schedule")
+    p.add_argument("--cycles", type=int, default=2, help="schedule length T")
+    p.add_argument("--grid-points", type=int, default=800, help="drive times in the grid")
+    p.add_argument("--out", help="output file, CSV if it ends .csv")
+    p.set_defaults(func=cmd_analyze)
 
     for p in sub.choices.values():
-        p.set_defaults(types={a.dest: a.type for a in p._actions if a.type is not None})
+        p.formatter_class = argparse.ArgumentDefaultsHelpFormatter
     return parser
 
 
@@ -601,9 +546,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(argv)
     try:
-        _apply_config_file(args)
+        if args.config:
+            # the subcommand's own parser, over the file's values: argparse
+            # fills a default only where the namespace holds no value yet
+            own = next(a for a in _parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+            args = own.parse_args(argv[argv.index(args.command) + 1:],
+                                  argparse.Namespace(**_config_values(args.config, own)))
         _check_rates(args)
         return args.func(args)
     except InconsistentRecordError as exc:

@@ -102,6 +102,8 @@ class ProtocolParams:
             raise DomainError("need 1 <= n_max <= N")
         if self.max_cycles < 1:
             raise DomainError("need max_cycles >= 1")
+        if self.trace_points < 0 or self.seed < 0:
+            raise DomainError("need trace_points >= 0 and seed >= 0")
         if math.isnan(self.threshold):
             raise DomainError("threshold must be a number")
         if self.mode not in (NOISELESS_PURE, NOISY_FIXED_N):
@@ -402,13 +404,15 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
         likelihoods.update(taus, rydberg)
         weights = mixture.posterior(likelihoods.log_l)
+        collapse = states.sectors() if points else None
+        fids = collapse[2] if points else states.fidelity()
         for i, tau, ryd, w, fid in zip(ids.tolist(), taus.tolist(), rydberg.tolist(),
-                                       weights.tolist(), states.fidelity().tolist()):
+                                       weights.tolist(), fids.tolist()):
             entries[i].append((tau, RYDBERG if ryd else NO_RYDBERG))
             posteriors[i].append(w)
             fidelities[i].append(fid)
         if points:
-            trace_rows("collapse", slice(None), t_now[ids], states.sectors())
+            trace_rows("collapse", slice(None), t_now[ids], collapse)
 
         final[ids] = np.argmax(weights, axis=1)
         done = weights.max(axis=1) >= params.threshold

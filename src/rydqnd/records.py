@@ -67,6 +67,8 @@ class FockDistribution:
 
     @staticmethod
     def delta(n: int, n_max: int) -> "FockDistribution":
+        if not 0 <= n <= n_max:
+            raise DomainError(f"photon number {n} is outside 0..{n_max}")
         p = np.zeros(n_max + 1)
         p[n] = 1.0
         return FockDistribution(p)

@@ -56,6 +56,12 @@ def test_unknown_regime_rejected():
         an.fisher_closed_form("noisy-frequency", 1, 1e-7, OMEGA, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1e-7])
+def test_fisher_rejects_times_that_are_not_finite_and_non_negative(t):
+    with pytest.raises(DomainError):
+        an.fisher_closed_form("noiseless", 2, t, OMEGA)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_numeric_fisher_matches_noiseless_closed_form(n):
     t = 0.5 * math.sqrt(n) / OMEGA

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, units, config files, exit codes."""
 
+import contextlib
+import io
 import json
 import tomllib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydqnd
 from rydqnd import cli
@@ -313,3 +317,169 @@ def test_version_matches_pyproject(capsys):
     with pytest.raises(SystemExit):
         run(["--version"])
     assert capsys.readouterr().out.strip() == version
+
+
+# ---------------------------------------------------------------------------
+# config files, help, and the error-mapping property
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--gamma-mhz", "0", "--n-true", "-1"],
+    ["simulate", "--n-true", "-1"],
+    ["simulate", "--trace-points", "-2"],
+    ["simulate", "--seed", "-3"],
+    ["infer", "--candidates=-1..2"],
+    ["analyze", "fisher", "--n", "2", "--time-us", "nan"],
+    ["analyze", "fisher", "--n", "2", "--time-us", "inf"],
+], ids=["n-true-negative-noiseless", "n-true-negative-noisy", "trace-points-negative",
+        "seed-negative", "candidate-negative", "fisher-time-nan", "fisher-time-inf"])
+def test_out_of_range_counts_and_times_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "simulate":
+        argv = argv + ["--max-cycles", "2", "--outdir", str(tmp_path / "run")]
+    elif argv[0] == "infer":
+        rec = tmp_path / "rec.json"
+        _write_record(rec, [(1e-7, "Rydberg")])
+        argv = [argv[0], str(rec), *argv[1:]]
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"candidates": [1, 2]}, "candidates"),
+    ({"eject": "no"}, "eject"),
+    ({"schedule": "bogus"}, "schedule"),
+    ({"seed": "x"}, "seed"),
+    ({"angular": 1}, "angular"),
+    ({"outdir": None}, "outdir"),
+])
+def test_config_values_are_converted_by_their_option(doc, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", str(cfg), "--max-cycles", "2",
+                "--outdir", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(cfg) in err and repr(key) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _simulate_files(argv, outdir):
+    assert run(["simulate", "--max-cycles", "4", "--trajectories", "2", "--n-true", "3",
+                *argv, "--outdir", str(outdir)]) == cli.EXIT_OK
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("doc, flags", [
+    ({"eject": True}, ["--eject"]),
+    ({"candidates": "1..3"}, ["--candidates", "1..3"]),
+    ({"angular": True, "omega_mhz": 15.7}, ["--angular", "--omega-mhz", "15.7"]),
+    ({"schedule": "uniform-random", "tau_max_us": 0.3},
+     ["--schedule", "uniform-random", "--tau-max-us", "0.3"]),
+])
+def test_config_values_act_like_their_flags(doc, flags, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    from_flags = _simulate_files(flags, tmp_path / "flags")
+    assert _simulate_files(["--config", str(cfg)], tmp_path / "file") == from_flags
+    # keys that name no option of the subcommand are ignored
+    cfg.write_text(json.dumps({**doc, "no_such_option": [1], "time_points": "x"}))
+    assert _simulate_files(["--config", str(cfg)], tmp_path / "extra") == from_flags
+
+
+def test_config_precedence_is_flag_then_file_then_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eject": True, "threshold": 0.9, "n_max": 3}))
+    assert (_simulate_files(["--config", str(cfg), "--threshold", "0.95"], tmp_path / "a")
+            == _simulate_files(["--eject", "--threshold", "0.95", "--n-max", "3"],
+                               tmp_path / "b"))
+
+
+def test_simulate_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "0.21" in out and "(default: fixed)" in out
+
+
+RATE_FLAGS = {"simulate": ["--omega-mhz", "--gamma-mhz", "--tau-eit-us", "--tau-us",
+                           "--tau-min-us", "--tau-max-us", "--threshold"],
+              "infer": ["--omega-mhz", "--gamma-mhz", "--tau-eit-us"],
+              "analyze": ["--omega-mhz", "--gamma-mhz", "--time-us"],
+              "oracle-check": ["--omega-mhz"]}
+COUNT_FLAGS = {"simulate": ["--n-true", "--n-atoms", "--n-max", "--seed", "--trajectories",
+                            "--max-cycles", "--trace-points"],
+               "infer": ["--n-atoms", "--n-max"],
+               "analyze": ["--cycles", "--grid-points"],
+               "oracle-check": ["--time-points"]}
+RANGE_FLAGS = {"simulate": "--candidates", "infer": "--candidates", "analyze": "--n"}
+# a JSON value of the wrong type for each kind of option
+WRONG_JSON = {"typed": [[1], True, None, {}], "flag": ["yes", 1, None, [True]],
+              "string": [[1, 2], False, None, 3, 2.5]}
+CONFIG_KEYS = {"simulate": {"seed": "typed", "tau_us": "typed", "eject": "flag",
+                            "angular": "flag", "candidates": "string", "outdir": "string",
+                            "schedule": "string"},
+               "infer": {"n_max": "typed", "eject": "flag", "candidates": "string"},
+               "analyze": {"cycles": "typed", "regime": "string", "n": "string"},
+               "oracle-check": {"time_points": "typed", "corrupt_cell": "string"}}
+OUT_OF_CHOICES = {"simulate": "schedule", "analyze": "regime"}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep")
+    _write_record(path / "rec.json", [(1e-7, "Rydberg"), (2e-7, "NoRydberg")])
+    return path
+
+
+@st.composite
+def invalid_argv(draw, workdir):
+    """A subcommand with one invalid input; everything else at cheap values."""
+    command = draw(st.sampled_from(sorted(RATE_FLAGS)))
+    kinds = ["rate", "count", "config"] + (["range"] if command in RANGE_FLAGS else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rate":
+        value = draw(st.sampled_from(["nan", "inf", "-inf", "-0.5", "-1e-9"]))
+        bad = [f"{draw(st.sampled_from(RATE_FLAGS[command]))}={value}"]
+    elif kind == "count":
+        bad = [f"{draw(st.sampled_from(COUNT_FLAGS[command]))}={draw(st.integers(-5, -1))}"]
+    elif kind == "range":
+        text = draw(st.sampled_from(["", ",", "..", "3..1", "-2..1", "-1", "1..", "a..b"]))
+        bad = [f"{RANGE_FLAGS[command]}={text}"]
+    else:
+        key, want = draw(st.sampled_from(sorted(CONFIG_KEYS[command].items())))
+        value = draw(st.sampled_from(WRONG_JSON[want]))
+        if command in OUT_OF_CHOICES and draw(st.booleans()):
+            key, value = OUT_OF_CHOICES[command], "bogus"
+        cfg = workdir / f"cfg_{command}.json"
+        cfg.write_text(json.dumps({key: value}))
+        bad = ["--config", str(cfg)]
+    if command == "simulate":
+        base = ["--max-cycles", "2", "--outdir", str(workdir / "run")]
+    elif command == "infer":
+        base = [str(workdir / "rec.json"), "--out", str(workdir / "post.json")]
+    elif command == "analyze":
+        base = [draw(st.sampled_from(["fisher", "detection-time", "steady-state",
+                                      "optimize-schedule"])),
+                "--cycles", "1", "--grid-points", "20", "--n", "1..3",
+                "--out", str(workdir / "table.json")]
+    else:
+        base = ["--time-points", "2"]
+    return [command, *base, *bad]
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_invalid_inputs_map_to_documented_exit_codes(workdir, data):
+    argv = data.draw(invalid_argv(workdir))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:  # argparse's own rejections
+            rc = exc.code
+    assert rc in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if argv[0] == "oracle-check":  # only inputs that fail before integrating
+        assert rc == cli.EXIT_USAGE, argv

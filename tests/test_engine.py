@@ -76,6 +76,19 @@ def test_invalid_params_rejected():
         noisy_params(mode="other")
 
 
+@pytest.mark.parametrize("field", ["trace_points", "seed"])
+def test_negative_trace_points_and_seed_rejected(field):
+    with pytest.raises(DomainError):
+        noisy_params(**{field: -1})
+
+
+@pytest.mark.parametrize("n", [-1, -5, 4])
+def test_delta_rejects_photon_numbers_outside_its_range(n):
+    # numpy's negative indexing would otherwise put the delta at n_max + 1 + n
+    with pytest.raises(DomainError):
+        FockDistribution.delta(n, 3)
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
