@@ -278,19 +278,17 @@ def cmd_infer(args: argparse.Namespace) -> int:
     cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
     omega = _freq_rad_s(args.omega_mhz, args.angular)
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
-    noise = None
-    if gamma != 0:
-        noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us),
-                                      args.n_atoms, eject=args.eject)
-
-    trace = inference.posterior_trace(record, cands, prior, omega, noise=noise,
-                                      eject=args.eject)
+    # checked at any gamma, since posterior.json records tau_eit and N either way
+    noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us), args.n_atoms,
+                                  eject=args.eject)
+    trace = inference.posterior_trace(record, cands, prior, omega,
+                                      noise=noise if gamma else None, eject=args.eject)
 
     config = {
         "omega_rad_s": omega,
         "gamma_rad_s": gamma,
-        "tau_eit_s": _us_to_s(args.tau_eit_us),
-        "N": args.n_atoms,
+        "tau_eit_s": noise.tau_eit,
+        "N": noise.N,
         "eject": args.eject,
         "candidates": [c.tolist() for c in cands],
         "prior": prior.weights.tolist(),

@@ -31,8 +31,8 @@ class NoiseParams:
     eject: bool = False
 
     def __post_init__(self):
-        if not (0 <= self.gamma < math.inf and 0 <= self.tau_eit < math.inf):
-            raise DomainError("gamma and tau_eit must be finite and non-negative")
+        if not (0 <= self.gamma < math.inf and 0 <= self.tau_eit < math.inf and self.N >= 1):
+            raise DomainError("gamma and tau_eit must be finite and non-negative, and N >= 1")
 
 
 def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,

@@ -271,6 +271,40 @@ def test_infer_rejects_invalid_rates_and_windows(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tau-eit-us", "nan"],
+    ["--tau-eit-us", "inf"],
+    ["--tau-eit-us=-3"],
+    ["--n-atoms=-4"],
+    ["--n-atoms", "0"],
+])
+def test_infer_rejects_invalid_noise_flags_without_dephasing(flags, tmp_path, capsys):
+    # posterior.json records tau_EIT and N at gamma = 0 as well
+    rec = tmp_path / "rec.json"
+    _write_record(rec, [(1e-7, "Rydberg"), (1e-7, "NoRydberg")])
+    out = tmp_path / "post.json"
+    assert run(["infer", str(rec), "--gamma-mhz", "0", *flags,
+                "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_infer_without_dephasing_records_valid_noise_flags(tmp_path):
+    rec = tmp_path / "rec.json"
+    _write_record(rec, [(1e-7, "Rydberg"), (1e-7, "NoRydberg")])
+    out = tmp_path / "post.json"
+    assert run(["infer", str(rec), "--gamma-mhz", "0", "--tau-eit-us", "0.2",
+                "--n-atoms", "6", "--out", str(out)]) == cli.EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    config = json.loads(out.read_text(), parse_constant=reject)["config"]
+    assert config["tau_eit_s"] == pytest.approx(2e-7)
+    assert config["N"] == 6
+
+
 @pytest.mark.parametrize("name, text, argv", [
     ("cands.json", '{"candidates": [[0, 1]', ["simulate", "--candidates-file"]),
     ("cands.json", '{"prior": [1]}', ["simulate", "--candidates-file"]),

@@ -1,6 +1,10 @@
 """Dense brute-force reference solver on the blockaded product space."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from rydqnd import dense_oracle as do
-from rydqnd.errors import ImpossibleOutcomeError, ResourceError
+from rydqnd.errors import DomainError, ImpossibleOutcomeError, ResourceError
 from rydqnd.records import NO_RYDBERG, RYDBERG
 
 
@@ -207,3 +211,36 @@ def test_dense_evolution_invariants(state, t1, t2, omega, gamma):
     assert np.linalg.eigvalsh(once.rho).min() > -1e-9
     chained = do.evolve_dense(do.evolve_dense(state, t1, omega, gamma), t2, omega, gamma)
     assert np.max(np.abs(chained.rho - once.rho)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# input guards and import cost
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", ["t", "omega", "gamma"])
+def test_non_finite_evolution_inputs_rejected(arg, value):
+    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
+    for t in (0.0, 0.5):
+        kwargs = {"t": t, "omega": 1.0, "gamma": 0.3, arg: value}
+        with pytest.raises(DomainError):
+            do.evolve_dense(state, **kwargs)
+
+
+def test_vanishing_time_step_leaves_state_unchanged():
+    # a subnormal L*t: exp(L t) is the identity in double precision
+    state = do.evolve_dense(do.pure_state(do.build_symmetric_ket(2, 3), 3), 0.7, 1.0, 0.4)
+    for omega in (0.0, 1.0):
+        evolved = do.evolve_dense(state, 5e-324, omega, 0.4)
+        assert np.max(np.abs(evolved.rho - state.rho)) < 1e-15
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # the oracle applies exp(L t) directly; this module imports solve_ivp only
+    # for its own reference solution, so the check runs in a fresh interpreter
+    src = str(Path(do.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, rydqnd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
