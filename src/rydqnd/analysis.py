@@ -9,7 +9,6 @@ sector populations.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .inference import ConditionalState, Mixture, NoiseParams, _noiseless_factors
-from .records import FockDistribution, NO_RYDBERG, Posterior, RYDBERG
+from .inference import Mixture, NoiseParams, NoisyLikelihoods, _noiseless_factors
+from .records import FockDistribution, Posterior
 
 REGIMES = ("noiseless", "noisy-frequency", "steady-state")
 
@@ -120,10 +119,10 @@ class ScheduleResult:
 
 
 def _outcome_tree(prefix: Sequence[float], ns: list[int], omega: float,
-                  noise: NoiseParams | None) -> tuple[np.ndarray, list | None]:
+                  noise: NoiseParams | None) -> tuple[np.ndarray, NoisyLikelihoods | None]:
     """Pr(record | n) of the 2^T records of the drive times in prefix, shape (2^T, len(ns)).
     Level t splits each record into its NoRydberg and Rydberg continuations: noiseless
-    by the cos^2/sin^2 factors, noisy by one conditional state per record and n."""
+    by the cos^2/sin^2 factors, noisy by a `NoisyLikelihoods` row per record."""
     if noise is None:
         like, last = np.ones((1, len(ns))), np.zeros(1, dtype=bool)  # last outcome Rydberg?
         for tau in prefix:
@@ -132,13 +131,12 @@ def _outcome_tree(prefix: Sequence[float], ns: list[int], omega: float,
             changed = (rydberg != np.repeat(last, 2)).astype(int)
             like, last = np.repeat(like, 2, axis=0) * pair[changed], rydberg
         return like, None
-    states = [[ConditionalState(n, omega, noise) for n in ns]]
+    tree = NoisyLikelihoods(ns, omega, noise)
     for tau in prefix:
-        states = [[copy.copy(state) for state in row] for row in states for _ in range(2)]
-        for row, outcome in zip(states, itertools.cycle((NO_RYDBERG, RYDBERG))):
-            for state in row:
-                state.update(tau, outcome)
-    return np.exp([[state.log_l for state in row] for row in states]), states
+        rows = 2 * len(tree.log_l)
+        tree.take(np.arange(rows) // 2)
+        tree.update(np.full(rows, float(tau)), np.arange(rows) % 2 == 1)
+    return np.exp(tree.log_l), tree
 
 
 @lru_cache(maxsize=16)
@@ -152,13 +150,6 @@ def _noiseless_step(ns: tuple[int, ...], omega: float, grid: bytes) -> np.ndarra
     return step
 
 
-def _noisy_step(row: list[ConditionalState], grid: np.ndarray) -> np.ndarray:
-    """Pr(next outcome | record, n) of one record's conditional states, shape
-    (len(row), 2G): NoRydberg over the grid, then Rydberg."""
-    return np.array([np.zeros(2 * grid.size) if state.dead else np.ravel(
-        [state.outcome_probabilities(tau) for tau in grid.tolist()], order="F") for state in row])
-
-
 def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
                         candidates: list[FockDistribution], prior: Posterior,
                         omega: float, noise: NoiseParams | None) -> np.ndarray:
@@ -169,14 +160,14 @@ def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
         raise ResourceError(f"2^{len(prefix) + 1} outcome sequences exceed the enumeration guard")
     mixture = Mixture(candidates, prior)
     ns, weights = mixture.ns, mixture.prior[:, None] * mixture.p
-    like, states = _outcome_tree(prefix, ns, omega, noise)
-    step = _noiseless_step(tuple(ns), omega, grid.tobytes()) if states is None else None
+    like, tree = _outcome_tree(prefix, ns, omega, noise)
+    step = _noiseless_step(tuple(ns), omega, grid.tobytes()) if tree is None else None
     chunk = max(1, (1 << 18) // (2 * grid.size * (len(ns) + len(candidates))))
     out = np.zeros(2 * grid.size)
     for start in range(0, like.shape[0], chunk):
         rows = slice(start, start + chunk)
-        if states is not None:
-            step = np.array([_noisy_step(row, grid) for row in states[rows]])
+        if tree is not None:  # the spectral readout of `NoisyLikelihoods.outcome_grid`
+            step = tree.outcome_grid(grid, rows)
         # Pr(candidate k, record continued by m after tau), shape (rows, K, 2G)
         joint = (like[rows, None, :] * weights) @ step
         out += joint.max(axis=1).sum(axis=0)

@@ -205,11 +205,14 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
     else:
         schedule = Schedule.adaptive_greedy()
     cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
+    tau_eit = _us_to_s(args.tau_eit_us)
+    if not 0 <= tau_eit < math.inf:  # checked at any gamma, as `infer` checks it
+        raise DomainError("tau_eit must be finite and non-negative")
     mode = NOISELESS_PURE if gamma == 0.0 else NOISY_FIXED_N
     return ProtocolParams(
         omega=omega,
         gamma=gamma,
-        tau_eit=_us_to_s(args.tau_eit_us) if gamma > 0 else 0.0,
+        tau_eit=tau_eit if gamma > 0 else 0.0,
         N=args.n_atoms,
         n_max=args.n_max,
         mode=mode,
@@ -361,10 +364,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         for factor in ORACLE_GAMMA_FACTORS:
             gamma = factor * omega
             dense = dense_oracle.pure_state(dense_oracle.build_symmetric_ket(n, N), N)
-            p_dense = np.zeros(times.size)
-            for k, dt in enumerate(np.diff(times, prepend=0.0)):
-                dense = dense_oracle.evolve_dense(dense, dt, omega, gamma)
-                p_dense[k] = dense_oracle.sector_populations_dense(dense)[1]
+            p_dense = np.array([dense_oracle.sector_populations_dense(state)[1]
+                                for state in dense_oracle.evolve_dense_grid(
+                                    dense, times[-1], times.size, omega, gamma)])
             p_block = _block_sector_populations(
                 n, N, omega, gamma, times, corrupt=corrupt_cell == (n, N))
             dev = float(np.max(np.abs(p_block - p_dense)))

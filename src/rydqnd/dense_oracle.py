@@ -15,7 +15,10 @@ conserves the excitation number and the dephasing term acts elementwise, so
 an entry rho_ab only ever feeds entries in the same (exc(a), exc(b)) block,
 and a block that starts at zero stays zero.  No permutation symmetry and no
 eigendecomposition is used, so the oracle stays independent of the
-symmetric-block solver it checks.
+symmetric-block solver it checks.  `evolve_dense_grid` returns the states at
+equally spaced times from one `expm_multiply` call over the whole interval,
+and an evolution that would need more than `MAX_DENSE_STEPS` scaling steps
+raises `ResourceError` instead of running for hours.
 """
 
 from __future__ import annotations
@@ -150,32 +153,78 @@ def _liouvillian(N: int, idx: tuple[int, ...], omega: float, gamma: float) -> sp
             + sparse.diags(gamma * _dephasing_weights(N)[np.ix_(idx, idx)].ravel())).tocsr()
 
 
-def evolve_dense(state: DenseState, t: float, omega: float, gamma: float) -> DenseState:
-    """exp(L t) applied to the occupied sectors (module docstring); every
-    other entry of the result is exactly zero."""
+# expm_multiply scales L t down by at least ||L t||_1 / theta_55 steps, theta_55 = 9.9
+# (Al-Mohy & Higham, Table 3.1, double precision); a longer evolution is refused.
+# Every oracle-check, test and record property stays below ||L t||_1 = 60.
+_THETA_55 = 9.9
+MAX_DENSE_STEPS = 1000
+
+
+def _check_inputs(t: float, omega: float, gamma: float) -> None:
     if not all(map(isfinite, (t, omega, gamma))):
         raise DomainError("evolution time, omega and gamma must be finite")
     if t < 0:
         raise DomainError("evolution time must be non-negative")
-    if t == 0:
-        return state.copy()
-    N = state.N
-    exc = _excitation_numbers(N)
+
+
+def _restricted(state: DenseState, t: float, omega: float,
+                gamma: float) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The occupied basis states (module docstring) and L over them, refused
+    past `MAX_DENSE_STEPS` for an evolution of length t."""
+    exc = _excitation_numbers(state.N)
     nonzero = state.rho != 0
     occupied = exc[nonzero.any(axis=0) | nonzero.any(axis=1)]
     idx = np.flatnonzero(np.isin(exc, occupied))
-    keep = np.ix_(idx, idx)
-    lt = _liouvillian(N, tuple(idx.tolist()), omega, gamma) * t
-    vec = state.rho[keep].ravel().astype(complex)
-    if abs(lt).max() > 1e-300:  # else exp(L t) = 1 and scipy's step count rounds to 0
-        vec = expm_multiply(lt, vec)
+    liouvillian = _liouvillian(state.N, tuple(idx.tolist()), omega, gamma)
+    norm = float(abs(liouvillian).sum(axis=0).max()) * t
+    if norm / _THETA_55 > MAX_DENSE_STEPS:
+        raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
+                            f"{MAX_DENSE_STEPS} expm_multiply steps")
+    return idx, liouvillian
+
+
+def _scattered(state: DenseState, idx: np.ndarray, vec: np.ndarray) -> DenseState:
+    """vec(rho) over idx scattered into a full-size zero rho, its trace and
+    Hermiticity checked against the input's."""
     rho = np.zeros(state.rho.shape, dtype=complex)
-    rho[keep] = vec.reshape(idx.size, idx.size)
+    rho[np.ix_(idx, idx)] = vec.reshape(idx.size, idx.size)
     residual = max(abs(np.trace(rho).real - np.trace(state.rho).real),
                    np.max(np.abs(rho - rho.conj().T)))
     if residual > 1e-8:
         raise IntegratorError("dense evolution outside tolerance", residual=residual)
-    return DenseState(N, rho)
+    return DenseState(state.N, rho)
+
+
+def evolve_dense(state: DenseState, t: float, omega: float, gamma: float) -> DenseState:
+    """exp(L t) applied to the occupied sectors (module docstring); every
+    other entry of the result is exactly zero."""
+    _check_inputs(t, omega, gamma)
+    if t == 0:
+        return state.copy()
+    idx, liouvillian = _restricted(state, t, omega, gamma)
+    lt = liouvillian * t
+    vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)
+    if abs(lt).max() > 1e-300:  # else exp(L t) = 1 and scipy's step count rounds to 0
+        vec = expm_multiply(lt, vec)
+    return _scattered(state, idx, vec)
+
+
+def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: float,
+                      gamma: float) -> list[DenseState]:
+    """`evolve_dense` at `points` equally spaced times from 0 to t_stop (both
+    included, as np.linspace places them), from one expm_multiply call over
+    the whole grid; every state is checked as `evolve_dense` checks its result."""
+    if points < 1:
+        raise DomainError(f"need at least one time point, got {points}")
+    _check_inputs(t_stop, omega, gamma)
+    if points == 1 or t_stop == 0:
+        return [state.copy() for _ in range(points)]
+    idx, liouvillian = _restricted(state, t_stop, omega, gamma)
+    vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)
+    if abs(liouvillian).max() * t_stop <= 1e-300:  # as in `evolve_dense`
+        return [state.copy() for _ in range(points)]
+    vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points, endpoint=True)
+    return [_scattered(state, idx, v) for v in vecs]
 
 
 @lru_cache(maxsize=None)

@@ -233,7 +233,7 @@ def symmetric_state_blocks(n: int, N: int) -> BlockList:
 _EIG_COND_LIMIT = 1e3
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2048)  # a drive and a window entry per block of n = N / 2 = 500
 def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
     """Block generator and its (eigenvalues, V, V^-1), the latter None if V is ill-conditioned."""
     gen = build_block(n, N, j, omega, gamma).generator()

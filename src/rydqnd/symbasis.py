@@ -104,9 +104,12 @@ class BasisLabel:
         ops = self.site_operators()
         if any(m < 0 for m in ops.values()):
             raise DomainError(f"label {self.kind} does not exist at n={self.n}, N={self.N}, j={self.j}")
-        count = math.factorial(self.N)
+        # the multinomial N! / prod(mult!) as a product of binomials; the
+        # multiplicities fill all N sites
+        count, left = 1, self.N
         for mult in ops.values():
-            count //= math.factorial(mult)
+            count *= math.comb(left, mult)
+            left -= mult
         return count
 
     def is_diagonal(self) -> bool:

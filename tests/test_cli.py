@@ -305,6 +305,24 @@ def test_infer_without_dephasing_records_valid_noise_flags(tmp_path):
     assert config["N"] == 6
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3"])
+def test_simulate_rejects_invalid_window_without_dephasing(value, tmp_path, capsys):
+    # at gamma = 0 the window is recorded as 0.0, but a bad flag is still an error
+    outdir = tmp_path / "run"
+    assert run(["simulate", "--gamma-mhz", "0", f"--tau-eit-us={value}", "--n-true", "1",
+                "--max-cycles", "3", "--outdir", str(outdir)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_simulate_without_dephasing_records_no_window(tmp_path):
+    outdir = tmp_path / "run"
+    assert run(["simulate", "--gamma-mhz", "0", "--tau-eit-us", "0.2", "--n-true", "1",
+                "--max-cycles", "3", "--outdir", str(outdir)]) == cli.EXIT_OK
+    assert json.loads((outdir / "summary.json").read_text())["config"]["tau_eit_s"] == 0.0
+
+
 @pytest.mark.parametrize("name, text, argv", [
     ("cands.json", '{"candidates": [[0, 1]', ["simulate", "--candidates-file"]),
     ("cands.json", '{"prior": [1]}', ["simulate", "--candidates-file"]),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -244,3 +245,48 @@ def test_cli_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_unbounded_evolution_raises_resource_error_quickly():
+    # ||L t||_1 ~ 1e12 would take ~1e11 expm_multiply steps; the guard refuses it
+    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        do.evolve_dense(state, 1e12, 1.0, 0.3)
+    with pytest.raises(ResourceError):
+        do.evolve_dense_grid(state, 1e12, 3, 1.0, 0.3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_step_guard_sits_far_above_the_oracle_check_horizon():
+    # the largest oracle-check ||L T||_1: N = 5, gamma = omega, T = 5 / omega
+    N = 5
+    full = tuple(range(len(do.basis_states(N))))
+    norm = float(abs(do._liouvillian(N, full, 1.0, 1.0)).sum(axis=0).max()) * 5.0
+    assert 100 * norm / 9.9 < do.MAX_DENSE_STEPS
+    state = do.pure_state(do.build_symmetric_ket(3, N), N)
+    assert np.trace(do.evolve_dense(state, 5.0, 1.0, 1.0).rho).real == pytest.approx(1.0)
+
+
+@given(symmetric_mixtures(), st.floats(0.1, 3.0), st.integers(1, 6),
+       st.floats(0.2, 2.0), st.floats(0.0, 1.0))
+def test_grid_evolution_matches_single_evolutions(state, t_stop, points, omega, gamma):
+    grid = do.evolve_dense_grid(state, t_stop, points, omega, gamma)
+    assert len(grid) == points
+    for t, evolved in zip(np.linspace(0.0, t_stop, points), grid):
+        single = do.evolve_dense(state, float(t), omega, gamma)
+        assert np.max(np.abs(evolved.rho - single.rho)) < 1e-12
+
+
+def test_grid_evolution_rejects_bad_inputs():
+    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
+    for args in ((1.0, 0, 1.0, 0.3), (-1.0, 3, 1.0, 0.3), (math.nan, 3, 1.0, 0.3)):
+        with pytest.raises(DomainError):
+            do.evolve_dense_grid(state, *args)
+
+
+def test_vanishing_grid_leaves_state_unchanged():
+    # as `evolve_dense` with a subnormal L*t: every grid point is the input
+    state = do.evolve_dense(do.pure_state(do.build_symmetric_ket(2, 3), 3), 0.7, 1.0, 0.4)
+    for evolved in do.evolve_dense_grid(state, 5e-324, 3, 1.0, 0.4):
+        assert np.max(np.abs(evolved.rho - state.rho)) < 1e-15
