@@ -5,7 +5,10 @@ Pure states carry amplitudes a_n on the stored collective states and b_n on
 the single-Rydberg collective states; noiseless observation cycles are exact
 rotations within each n.  Noisy fixed-n states are lists of block coefficient
 vectors, one per conserved j sector; sector probabilities live in the j = 0
-block while retrieval fidelity needs all of them.
+block while retrieval fidelity needs all of them.  `PureBatch` and
+`BlockBatch` hold the states of a batch of trajectories as arrays;
+`eject_block` and `retrieval_fidelity` run the array kernels of `BlockBatch`
+on one row.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from scipy.linalg import expm
 
 from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError
 from .records import NO_RYDBERG, RYDBERG
-from .symbasis import SectorBlock, build_block, sector
+from .symbasis import Sector, SectorBlock, build_block, sector
 
 
 @dataclass
@@ -65,10 +68,15 @@ class PureCollectiveState:
         return int(occupied[0])
 
 
+def _rotation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each (a, b) pair rotated by its theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    return a * c - 1j * b * s, b * c - 1j * a * s
+
+
 def _rotate(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each (a_n, b_n) pair by theta_n, n along the last axis."""
-    c, s = np.cos(theta), np.sin(theta)
-    a, b = a * c - 1j * b * s, b * c - 1j * a * s
+    a, b = _rotation(a, b, theta)
     b[..., 0] = 0.0
     return a, b
 
@@ -127,12 +135,18 @@ class PureBatch:
 
     def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=slice(None)
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or of the
-        selected rows were they driven for taus."""
-        a, b = (self.a, self.b) if taus is None else self.driven(taus, omega, rows)
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or, shaped
+        like taus, of the selected rows were they driven for each of their
+        times in the (rows, points) array taus."""
+        if taus is None:
+            a, b, shape = self.a, self.b, (len(self.a),)
+        else:
+            rows, shape = np.repeat(np.arange(len(self.a))[rows], taus.shape[1]), taus.shape
+            a, b = self.driven(taus.ravel(), omega, rows)
         p_r = self.sum_sq(b, rows)
         _check_norm(self.sum_sq(a, rows) + p_r)
-        return 1.0 - p_r, p_r, np.ones(p_r.size)
+        p_r = p_r.reshape(shape)
+        return 1.0 - p_r, p_r, np.ones(shape)
 
     def measure(self, draws: np.ndarray, eject: bool = False
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,10 +209,10 @@ class SymmetricBlockState:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=complex)
-        blocks = sector(self.n, self.N).blocks
-        if not 0 <= self.j < len(blocks):
-            raise DomainError(f"need 0 <= j <= {len(blocks) - 1}, got j={self.j}")
-        self.block = blocks[self.j]
+        sec = sector(self.n, self.N)
+        if not 0 <= self.j <= min(self.n, self.N - self.n):
+            raise DomainError(f"need 0 <= j <= {min(self.n, self.N - self.n)}, got j={self.j}")
+        self.block = sec.block(self.j)
         if self.x.shape != (self.block.dim,):
             raise DomainError(
                 f"coefficient vector has length {self.x.size}, block needs {self.block.dim}")
@@ -317,27 +331,11 @@ def eject_block(blocks) -> BlockList:
 
     Each rr coefficient maps onto the ss label of the corresponding j block
     (see `Sector.ejection`); all within-Rydberg coherence labels are
-    annihilated.
+    annihilated.  The blocks are j = 0, 1, ... in order, any number of them.
     """
-    blocks = _as_blocks(blocks)
-    n, N = blocks[0].n, blocks[0].N
-    if n < 1:
-        raise PreconditionError("nothing to eject")
-    b0 = _j0(blocks)
-    if abs(b0.x[b0.block.ss]) > 1e-9:
-        raise PreconditionError("state has weight in the NoRydberg sector; eject only after a Rydberg outcome")
-    target, factor = sector(n, N).ejection
-    xs = [np.zeros(blk.dim, dtype=complex) for blk in target.blocks]
-    for src in blocks:
-        if src.j < len(xs):
-            xs[src.j][target.blocks[src.j].ss] = src.x[src.block.rr] * factor
-    out = [SymmetricBlockState(n - 1, N - 1, j, x) for j, x in enumerate(xs)]
-    tr = sum(b.trace() for b in out)
-    if tr <= 0:
-        raise PreconditionError("ejection produced a zero-trace state")
-    for b in out:
-        b.x = b.x / tr
-    return out
+    b0 = _j0(_as_blocks(blocks))
+    xs = _ejected(sector(b0.n, b0.N), [blk.x[None] for blk in _as_blocks(blocks)])
+    return [SymmetricBlockState(b0.n - 1, b0.N - 1, j, x[0]) for j, x in enumerate(xs)]
 
 
 def retrieval_fidelity(blocks, ideal: PureCollectiveState) -> float:
@@ -347,13 +345,263 @@ def retrieval_fidelity(blocks, ideal: PureCollectiveState) -> float:
     n_ideal = ideal.single_n()
     if n_ideal != n:
         raise DomainError(f"ideal state has n={n_ideal}, block state has n={n}")
-    a, b = complex(ideal.a[n]), complex(ideal.b[n])
-    # weights of the dyads |S><S|, |R><R|, |S><R|, |R><S| (the rows of block.dyads)
-    weights = np.array([abs(a) ** 2, abs(b) ** 2, a * b.conjugate(), b * a.conjugate()])
-    fid = sum(complex(np.vdot(weights @ blk.block.dyads, blk.x)) for blk in blocks)
-    if abs(fid.imag) > 1e-8:
-        raise IntegratorError("fidelity came out complex", residual=abs(fid.imag))
-    return float(min(max(fid.real, 0.0), 1.0))
+    fid = _overlaps(sector(n, blocks[0].N), [blk.x[None] for blk in blocks],
+                    ideal.a[n:n + 1], ideal.b[n:n + 1])
+    return float(fid[0])
+
+
+@lru_cache(maxsize=64)
+def _propagator_grid(n: int, N: int, j: int, omega: float, gamma: float,
+                     taus: tuple[float, ...]) -> np.ndarray:
+    grid = np.array([_propagator(n, N, j, omega, gamma, t) for t in taus])
+    grid.setflags(write=False)
+    return grid
+
+
+def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
+                 taus: np.ndarray) -> np.ndarray:
+    """`_propagator` at every time of taus, shape taus.shape + (dim, dim).  A
+    1-d taus holds times every row shares; a fixed schedule repeats them, so
+    their propagators are cached."""
+    if taus.ndim == 1:
+        return _propagator_grid(n, N, j, omega, gamma, tuple(taus.tolist()))
+    _, eig = _eigensystem(n, N, j, omega, gamma)
+    if eig is None:
+        props = np.array([_propagator(n, N, j, omega, gamma, t) for t in taus.ravel().tolist()])
+        return props.reshape(taus.shape + props.shape[1:])
+    lam, vecs, inv = eig
+    return (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
+
+
+def _advance(blk: SectorBlock, x: np.ndarray, prop: np.ndarray) -> np.ndarray:
+    """prop @ x for every row of x, prop and x broadcast against each other;
+    a row whose trace moves by more than 1e-9 raises `IntegratorError`."""
+    out = (prop @ x[..., None])[..., 0]
+    drift = np.abs(out.real @ blk.trace - x.real @ blk.trace)
+    if (drift > 1e-9).any():
+        raise IntegratorError("block propagation lost trace", residual=float(np.nanmax(drift)))
+    return out
+
+
+def _populations(blk: SectorBlock, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_NoRydberg, p_Rydberg) of every row of a j = 0 block array: its ss and
+    rr populations, negative rounding clipped to 0."""
+    p_s = np.maximum((blk.trace[blk.ss] * x[:, blk.ss]).real, 0.0)
+    if blk.rr is None:
+        return p_s, np.zeros(len(x))
+    return p_s, np.maximum((blk.trace[blk.rr] * x[:, blk.rr]).real, 0.0)
+
+
+def _overlaps(sec: Sector, xs: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Retrieval fidelity <psi|rho|psi> of every row of the block arrays of
+    j = 0, 1, ... against psi = a_n |S_n> + b_n |R_n>: the weights of the dyads
+    |S><S|, |R><R|, |S><R|, |R><S| as Python's complex arithmetic and libm
+    compute them, a vdot per block and row, summed over the blocks left to
+    right."""
+    amp = np.stack((a, b))
+    re, im = amp.real, amp.imag
+    pre, pim = re[::-1], -im[::-1]  # each amplitude's conjugated partner
+    weights = np.empty((len(a), 4), dtype=complex)
+    weights[:, :2] = np.float_power(np.hypot(re, im), 2.0).T
+    weights[:, 2:].real, weights[:, 2:].imag = (re * pre - im * pim).T, (re * pim + im * pre).T
+    # every family lies in one dyad, so a family's weight is one product however
+    # the rows of all blocks' dyads are combined
+    u = (weights[:, None, :] @ sec.dyads).conj()
+    fid, at = np.zeros(len(a), dtype=complex), 0
+    for x in xs:
+        fid = fid + (u[..., at:at + x.shape[1]] @ x[:, :, None])[:, 0, 0]
+        at += x.shape[1]
+    if (np.abs(fid.imag) > 1e-8).any():
+        raise IntegratorError("fidelity came out complex", residual=float(np.abs(fid.imag).max()))
+    return np.minimum(np.maximum(fid.real, 0.0), 1.0)
+
+
+def _ejected(sec: Sector, xs: list[np.ndarray]) -> list[np.ndarray]:
+    """Every row of the block arrays of j = 0, 1, ... after the ejection: the
+    rr coefficient of block j times sqrt(N) moves to the ss of block j of
+    (n - 1, N - 1), and the result is divided by its trace."""
+    if sec.n < 1:
+        raise PreconditionError("nothing to eject")
+    if (np.abs(xs[0][:, sec.block(0).ss]) > 1e-9).any():
+        raise PreconditionError("state has weight in the NoRydberg sector; eject only after a Rydberg outcome")
+    (target, factor), out, tr = sec.ejection, [], 0.0
+    for j, blk in enumerate(target.blocks):
+        y = np.zeros((len(xs[0]), blk.dim), dtype=complex)
+        if j < len(xs):
+            y[:, blk.ss] = xs[j][:, sec.block(j).rr] * factor
+        tr = tr + blk.trace[blk.ss] * y[:, blk.ss].real
+        out.append(y)
+    if (tr <= 0.0).any():
+        raise PreconditionError("ejection produced a zero-trace state")
+    return [y / tr[:, None] for y in out]
+
+
+def _times(taus: np.ndarray) -> np.ndarray:
+    """Non-negative drive times of the rows, (rows, points); the first row
+    alone where every row has the same times."""
+    if (taus < 0).any():
+        raise DomainError("evolution time must be non-negative")
+    return taus[0] if (taus == taus[0]).all() else taus
+
+
+def _twin_driven(n, a: np.ndarray, b: np.ndarray, omega: float, taus: np.ndarray):
+    """Twin amplitudes (a_n, b_n) after a drive of taus, norm-checked as
+    `evolve_pure` checks its state."""
+    a, b = _rotation(a, b, np.sqrt(n) * omega * taus)
+    _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)
+    return a, b
+
+
+class BlockBatch:
+    """Noisy fixed-n states of a batch of trajectories, one row each: the noisy
+    counterpart of `PureBatch`.
+
+    Rows are grouped by their sector (n, N).  A group holds the batch indices
+    of its rows, ascending, and each j block of their states as one
+    (rows, dim_j) complex array.  A row's ideal noiseless twin is its pair of
+    amplitudes (a_n, b_n) on |S_n> and |R_n>, driven, collapsed and ejected
+    alike; the row's retrieval fidelity is its overlap with the twin (1 in the
+    vacuum, whose twin stays |S_0>).  A row computes what the one-state
+    kernels compute for its block list and its `PureCollectiveState` twin,
+    bit for bit.
+    """
+
+    def __init__(self, ns, N: int, gamma: float, window: float):
+        self.n = np.asarray(ns, dtype=int)
+        self.gamma = gamma
+        self.window = window  # the dephasing-only measurement window
+        self.a = np.ones(self.n.size, dtype=complex)
+        self.b = np.zeros(self.n.size, dtype=complex)
+        self.groups = {}
+        for n in np.unique(self.n).tolist():
+            rows = np.flatnonzero(self.n == n)
+            self.groups[(n, N)] = (rows, [np.tile(blk.dyads[0].astype(complex), (rows.size, 1))
+                                          for blk in sector(n, N).blocks])
+
+    def _groups(self, picked: np.ndarray | None = None):
+        """(sector, block arrays, positions in picked, slots in the arrays) of
+        every group holding some of the picked rows; all rows if picked is None."""
+        if picked is None:
+            for key, (rows, xs) in list(self.groups.items()):
+                yield sector(*key), xs, rows, slice(None)
+            return
+        slot = np.full(self.n.size, -1)
+        for key, (rows, xs) in self.groups.items():
+            slot[rows] = np.arange(rows.size)
+            local = slot[picked]
+            slot[rows] = -1
+            at = np.flatnonzero(local >= 0)
+            if at.size:
+                yield sector(*key), xs, at, local[at]
+
+    def fidelity(self) -> np.ndarray:
+        """Retrieval fidelity of every row (1 in the vacuum, which has no twin)."""
+        fid = np.ones(self.n.size)
+        for sec, xs, rows, _ in self._groups():
+            if sec.n:
+                fid[rows] = _overlaps(sec, xs, self.a[rows], self.b[rows])
+        return fid
+
+    def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=slice(None)):
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or, shaped
+        like taus, of the selected rows were they and their twins driven for
+        each of their times in the (rows, points) array taus."""
+        return self._read(np.arange(self.n.size)[rows], taus, omega, True)
+
+    def sectors_in_window(self, dts: np.ndarray):
+        """`sectors` of every row at each time of dts into the measurement
+        window, shape (rows, len(dts))."""
+        return self._read(np.arange(self.n.size), np.tile(dts, (self.n.size, 1)), 0.0, False)
+
+    def _read(self, picked: np.ndarray, taus, omega: float, drive_on: bool):
+        points = 1 if taus is None else taus.shape[1]
+        out = np.empty((3, picked.size, points))
+        for sec, xs, at, slot in self._groups(picked):
+            a, b, xs = self.a[picked[at]], self.b[picked[at]], [x[slot] for x in xs]
+            if taus is not None:
+                t = _times(taus[at])
+                if drive_on:
+                    a, b = (z.ravel() for z in _twin_driven(sec.n, a[:, None], b[:, None], omega, t))
+                else:
+                    a, b = a.repeat(points), b.repeat(points)
+                xs = [_advance(blk, x[:, None], _propagators(sec.n, sec.N, blk.j, omega,
+                                                             self.gamma, t)).reshape(-1, blk.dim)
+                      for blk, x in zip(sec.blocks, xs)]
+            fid = np.ones(len(a)) if sec.n == 0 else _overlaps(sec, xs, a, b)  # vacuum: no twin
+            read = (*_populations(sec.block(0), xs[0]), fid)
+            out[:, at] = np.reshape(read, (3, at.size, points))
+        return tuple(out[..., 0] if taus is None else out)
+
+    def drive(self, taus: np.ndarray, omega: float) -> None:
+        """Drive row r and its twin for taus[r]."""
+        for sec, xs, rows, _ in self._groups():
+            t = _times(taus[rows, None])
+            self.groups[(sec.n, sec.N)] = (rows, [
+                _advance(blk, x[:, None], _propagators(sec.n, sec.N, blk.j, omega, self.gamma,
+                                                       t))[:, 0]
+                for blk, x in zip(sec.blocks, xs)])
+        self.a, self.b = _twin_driven(self.n, self.a, self.b, omega, taus)
+
+    def measure(self, draws: np.ndarray, eject: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """`PureBatch.measure` for block states: the measurement window, then
+        the projection of every row and its twin; with `eject`, the Rydberg
+        rows lose the detected atom and restart from the fresh twin |S_n-1>."""
+        rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
+        moved = []
+        for sec, xs, rows, _ in self._groups():
+            if self.window > 0:
+                xs = [_advance(blk, x, _propagator(sec.n, sec.N, blk.j, 0.0, self.gamma,
+                                                   self.window))
+                      for blk, x in zip(sec.blocks, xs)]
+            p_s, p_r = _populations(sec.block(0), xs[0])
+            ryd = draws[rows] * (p_s + p_r) < p_r
+            p = np.where(ryd, p_r, p_s)
+            if (p <= 0.0).any():
+                outcome = RYDBERG if ryd[p <= 0.0][0] else NO_RYDBERG
+                raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
+            xs = [np.where(np.where(ryd[:, None], blk.rydberg, blk.no_rydberg),
+                           x / p[:, None], 0.0) for blk, x in zip(sec.blocks, xs)]
+            rydberg[rows], probs[rows] = ryd, p
+            out = ryd & eject
+            if not out.any():
+                self.groups[(sec.n, sec.N)] = (rows, xs)
+                continue
+            del self.groups[(sec.n, sec.N)]
+            if not out.all():
+                self.groups[(sec.n, sec.N)] = (rows[~out], [x[~out] for x in xs])
+            moved.append((sec, rows[out], [x[out] for x in xs]))
+        amp = np.where(rydberg, self.b, self.a)
+        mag = np.hypot(amp.real, amp.imag)
+        big = mag > 1e-9
+        unit = np.where(big, amp / np.where(big, mag, 1.0), 1.0)
+        self.a, self.b = np.where(rydberg, 0.0, unit), np.where(rydberg, unit, 0.0)
+        _check_norm(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
+        for sec, rows, xs in moved:
+            self._join((sec.n - 1, sec.N - 1), rows, _ejected(sec, xs))
+            self.n[rows] -= 1
+            self.a[rows], self.b[rows] = 1.0, 0.0
+        return rydberg, probs
+
+    def _join(self, key: tuple[int, int], rows: np.ndarray, xs: list[np.ndarray]) -> None:
+        """Add rows to the group of sector key, keeping its rows ascending."""
+        if key in self.groups:
+            old_rows, old_xs = self.groups[key]
+            order = np.argsort(np.concatenate((old_rows, rows)))
+            rows = np.concatenate((old_rows, rows))[order]
+            xs = [np.concatenate((o, x))[order] for o, x in zip(old_xs, xs)]
+        self.groups[key] = (rows, xs)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows not selected by the boolean mask."""
+        index = np.cumsum(rows) - 1
+        groups = {}
+        for key, (idx, xs) in self.groups.items():
+            sel = rows[idx]
+            if sel.any():
+                groups[key] = (index[idx[sel]], [x[sel] for x in xs])
+        self.groups = groups
+        self.n, self.a, self.b = self.n[rows], self.a[rows], self.b[rows]
 
 
 def realign_for_retrieval(state, omega: float, gamma: float = 0.0):

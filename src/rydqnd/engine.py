@@ -178,11 +178,15 @@ def sample_initial(dist, mode: str, rng: np.random.Generator, params: ProtocolPa
             amps = np.asarray(dist, dtype=complex)
         state = dyn.PureCollectiveState.from_stored_amplitudes(amps)
         return state, None
-    if isinstance(dist, FockDistribution):
-        n = int(rng.choice(dist.p.size, p=dist.p))
-    else:
-        n = int(dist)
+    n = _sample_n(dist, rng)
     return dyn.symmetric_state_blocks(n, params.N), n
+
+
+def _sample_n(dist, rng: np.random.Generator) -> int:
+    """The photon number of a noisy trajectory: drawn from a FockDistribution, else given."""
+    if isinstance(dist, FockDistribution):
+        return int(rng.choice(dist.p.size, p=dist.p))
+    return int(dist)
 
 
 @dataclass
@@ -204,102 +208,6 @@ class TrajectoryLog:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["record"] = [{"tau_s": t, "outcome": m} for t, m in self.record.entries]
         return json.dumps(doc, sort_keys=True)
-
-
-def _twin(n: int) -> dyn.PureCollectiveState | None:
-    """The ideal noiseless state right after storing n photons, |S_n>; None
-    for the vacuum, which needs no twin."""
-    if n == 0:
-        return None
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[n] = 1.0
-    return dyn.PureCollectiveState.from_stored_amplitudes(amps)
-
-
-def _collapsed(twin: dyn.PureCollectiveState, rydberg: bool) -> dyn.PureCollectiveState:
-    """A twin after an outcome: its amplitude in the measured sector, made unit-modulus."""
-    n, a, b = twin.n_max, twin.a.copy(), twin.b.copy()
-    kept, dropped = (b, a) if rydberg else (a, b)
-    amp = kept[n]
-    dropped[:] = 0.0
-    kept[n] = amp / abs(amp) if abs(amp) > 1e-9 else 1.0
-    return dyn.PureCollectiveState(a, b)
-
-
-def _sectors(states: list, twins: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p_NoRydberg, p_Rydberg, retrieval fidelity) of block states against twins."""
-    probs = np.array([dyn.sector_probabilities(st) for st in states]).reshape(-1, 2)
-    return probs[:, 0], probs[:, 1], _fidelity(states, twins)
-
-
-def _fidelity(states: list, twins: list) -> np.ndarray:
-    return np.array([1.0 if twin is None else dyn.retrieval_fidelity(st, twin)
-                     for st, twin in zip(states, twins)])
-
-
-class _BlockRows:
-    """Noisy fixed-n states of a batch, the counterpart of `dynamics.PureBatch`.
-
-    Each row holds a block list, advanced by the one-state kernels of
-    `dynamics`, and an ideal noiseless twin that is driven, collapsed and
-    ejected alike.  A row's retrieval fidelity is its overlap with the twin.
-    """
-
-    def __init__(self, sampled: list, gamma: float, window: float):
-        self.states = [state for state, _ in sampled]
-        self.twins = [_twin(n) for _, n in sampled]
-        self.gamma = gamma
-        self.window = window  # the dephasing-only measurement window
-
-    def fidelity(self) -> np.ndarray:
-        """Retrieval fidelity of every row."""
-        return _fidelity(self.states, self.twins)
-
-    def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=None):
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or of the
-        selected rows were they and their twins driven for taus."""
-        if taus is None:
-            return _sectors(self.states, self.twins)
-        picked = [(self.states[r], self.twins[r], t)
-                  for r, t in zip(rows.tolist(), taus.tolist())]
-        return _sectors([dyn.evolve_blocks(st, t, omega, self.gamma) for st, _, t in picked],
-                        [None if twin is None else dyn.evolve_pure(twin, t, omega)
-                         for _, twin, t in picked])
-
-    def sectors_in_window(self, dt: float):
-        """`sectors` of every row dt into the measurement window."""
-        return _sectors([dyn.evolve_blocks(st, dt, 0.0, self.gamma, drive_on=False)
-                         for st in self.states], self.twins)
-
-    def drive(self, taus: np.ndarray, omega: float) -> None:
-        """Drive row r and its twin for taus[r]."""
-        for r, tau in enumerate(taus.tolist()):
-            self.states[r] = dyn.evolve_blocks(self.states[r], tau, omega, self.gamma,
-                                               drive_on=True)
-            if self.twins[r] is not None:
-                self.twins[r] = dyn.evolve_pure(self.twins[r], tau, omega)
-
-    def measure(self, draws: np.ndarray, eject: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """`dynamics.PureBatch.measure` for block states: the measurement
-        window, then the projection of every row and its twin."""
-        rydberg, probs = np.zeros(len(self.states), dtype=bool), np.empty(len(self.states))
-        for r, draw in enumerate(draws.tolist()):
-            outcome, self.states[r], probs[r] = dyn.measure_block(
-                self.states[r], self.window, self.gamma, draw)
-            rydberg[r] = outcome == RYDBERG
-            if self.twins[r] is not None:
-                self.twins[r] = _collapsed(self.twins[r], rydberg[r])
-            if eject and rydberg[r]:
-                self.states[r] = dyn.eject_block(self.states[r])
-                self.twins[r] = _twin(self.states[r][0].n)
-        return rydberg, probs
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the rows not selected by the boolean mask."""
-        kept = np.nonzero(rows)[0].tolist()
-        self.states = [self.states[r] for r in kept]
-        self.twins = [self.twins[r] for r in kept]
 
 
 def _shared_taus(params: ProtocolParams):
@@ -328,7 +236,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     Each cycle drives, measures, collapses, ejects and updates the posterior
     of every active trajectory at once; a trajectory leaves when its
     posterior reaches the threshold.  The states are a `dynamics.PureBatch`
-    in noiseless mode and a `_BlockRows` in noisy mode.  Each generator
+    in noiseless mode and a `dynamics.BlockBatch` in noisy mode.  Each generator
     yields its draws in the order of a lone trajectory: the initial photon
     number (noisy mode, Fock-distribution input only), then per cycle the
     drive time (uniform-random schedules only) and the measurement.  Cycle
@@ -343,9 +251,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         state, _ = sample_initial(initial, NOISELESS_PURE, None, params)
         states, n_true = dyn.PureBatch(state, n_traj), [None] * n_traj
     else:
-        sampled = [sample_initial(initial, params.mode, rng, params) for rng in rngs]
-        states = _BlockRows(sampled, params.gamma, params.tau_eit)
-        n_true = [n for _, n in sampled]
+        n_true = [_sample_n(initial, rng) for rng in rngs]
+        states = dyn.BlockBatch(n_true, params.N, params.gamma, params.tau_eit)
     tau_at = _shared_taus(params)
     per_cycle = 1 if tau_at else 2  # the measurement's draw, after the drive time's
     if not tau_at:  # drawn as Generator.uniform draws them
@@ -365,11 +272,15 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     t_now = np.zeros(n_traj)
 
     def trace_rows(phase: str, rows, times, report) -> None:
-        for i, t, p_s, p_r, fid in zip(ids[rows].tolist(), times.tolist(),
-                                        *(x.tolist() for x in report)):
-            traces[i].append({"time_s": t, "phase": phase, "p_no_rydberg": p_s,
-                              "p_rydberg": p_r, "fidelity": fid,
-                              "posterior": posteriors[i][-1]})
+        """A trace row per entry of times: one per selected trajectory, or a
+        (trajectories, sub-steps) array of them."""
+        shape = (len(times), -1)
+        for i, *row in zip(ids[rows].tolist(), times.reshape(shape).tolist(),
+                           *(x.reshape(shape).tolist() for x in report)):
+            for t, p_s, p_r, fid in zip(*row):
+                traces[i].append({"time_s": t, "phase": phase, "p_no_rydberg": p_s,
+                                  "p_rydberg": p_r, "fidelity": fid,
+                                  "posterior": posteriors[i][-1]})
 
     if points:
         trace_rows("init", slice(None), t_now, states.sectors())
@@ -388,15 +299,14 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             driven = np.nonzero(taus > 0)[0]
             steps = np.array([np.linspace(t / points, t, points)
                               for t in taus[driven].tolist()]).reshape(driven.size, points)
-            for k in range(points):
-                trace_rows("drive", driven, t_now[ids[driven]] + steps[:, k],
-                           states.sectors(steps[:, k], params.omega, driven))
+            trace_rows("drive", driven, t_now[ids[driven], None] + steps,
+                       states.sectors(steps, params.omega, driven))
         states.drive(taus, params.omega)
         t_now[ids] += taus
         if points and states.window > 0:
-            for dt in np.linspace(states.window / points, states.window, points):
-                trace_rows("measure", slice(None), t_now[ids] + dt,
-                           states.sectors_in_window(dt))
+            dts = np.linspace(states.window / points, states.window, points)
+            trace_rows("measure", slice(None), t_now[ids, None] + dts,
+                       states.sectors_in_window(dts))
         rydberg, _ = states.measure(draws[:, col + per_cycle - 1], params.ejection_enabled)
         t_now[ids] += states.window
         if params.ejection_enabled:

@@ -150,7 +150,7 @@ class _J0Block:
 
 @lru_cache(maxsize=256)
 def _j0_block(n: int, N: int, omega: float, gamma: float, tau_eit: float) -> _J0Block:
-    blk = sector(n, N).blocks[0]
+    blk = sector(n, N).block(0)
     _, eig = dyn._eigensystem(n, N, 0, omega, gamma)
     lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), np.eye(1), np.eye(1))
     window = dyn._propagator(n, N, 0, 0.0, gamma, tau_eit) if tau_eit > 0 else np.eye(1)
@@ -233,7 +233,7 @@ def _collapsed(x: np.ndarray, systems: tuple[_J0Block, ...], inv: np.ndarray, N:
     moved = live & rydberg & eject
     if moved.any():
         ss = out[moved, _RR] * np.sqrt(N[moved])
-        ss_trace = [sector(s.n - 1, s.N - 1).blocks[0].trace[_SS] if s.n else 0.0
+        ss_trace = [sector(s.n - 1, s.N - 1).block(0).trace[_SS] if s.n else 0.0
                     for s in systems]
         tr = np.array(ss_trace)[inv[moved]] * ss.real
         if not (tr > 0.0).all():
@@ -329,7 +329,7 @@ class ConditionalState:
         """The state as a one-block list (ejection leaves only j = 0 filled)."""
         shift = int(self._row.shift[0])
         n, N = int(self._row.ns[0]) - shift, self._row.noise.N - shift
-        return [SymmetricBlockState(n, N, 0, self._row.x[0, 0, :sector(n, N).blocks[0].dim])]
+        return [SymmetricBlockState(n, N, 0, self._row.x[0, 0, :sector(n, N).block(0).dim])]
 
 
 def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -335,11 +335,26 @@ def _sector_block(n: int, N: int, j: int) -> SectorBlock:
 
 @dataclass(frozen=True, eq=False)
 class Sector:
-    """All j blocks of the fixed-(n, N) state space, built once by `sector`."""
+    """The j blocks of the fixed-(n, N) state space, each built on first use."""
 
     n: int
     N: int
-    blocks: tuple[SectorBlock, ...]
+    _built: dict = field(default_factory=dict, repr=False)
+
+    def block(self, j: int) -> SectorBlock:
+        """Block j alone: readers of the j = 0 populations build no other block."""
+        if j not in self._built:
+            self._built[j] = _sector_block(self.n, self.N, j)
+        return self._built[j]
+
+    @cached_property
+    def blocks(self) -> tuple[SectorBlock, ...]:
+        return tuple(self.block(j) for j in range(min(self.n, self.N - self.n) + 1))
+
+    @cached_property
+    def dyads(self) -> np.ndarray:
+        """The blocks' ``dyads`` side by side, as complex numbers."""
+        return _frozen(np.hstack([blk.dyads for blk in self.blocks]), complex)
 
     @cached_property
     def ejection(self) -> tuple["Sector", float]:
@@ -350,9 +365,9 @@ class Sector:
 
 @lru_cache(maxsize=256)
 def sector(n: int, N: int) -> Sector:
-    """The cached basis structure of every j block at fixed (n, N)."""
+    """The cached basis structure of the j blocks at fixed (n, N)."""
     _check_block_args(n, N, 0)
-    return Sector(n, N, tuple(_sector_block(n, N, j) for j in range(min(n, N - n) + 1)))
+    return Sector(n, N)
 
 
 def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> BlockOperators:
@@ -366,7 +381,7 @@ def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> BlockOper
     _check_block_args(n, N, j)
     if omega < 0 or gamma < 0:
         raise DomainError("omega and gamma must be non-negative")
-    blk = sector(n, N).blocks[j]
+    blk = sector(n, N).block(j)
     return BlockOperators(
         n=n, N=N, j=j, labels=blk.labels, norms=blk.norms.copy(),
         H=omega * blk.drive.astype(complex), D=blk.dephasing.copy(),
@@ -380,4 +395,4 @@ def trace_vector(ops: BlockOperators) -> np.ndarray:
     Only families built purely from diagonal site operators carry trace; each
     of their assignment terms has unit trace, so the entry is count * norm.
     """
-    return sector(ops.n, ops.N).blocks[ops.j].trace.copy()
+    return sector(ops.n, ops.N).block(ops.j).trace.copy()

@@ -7,8 +7,9 @@ import math
 
 import numpy as np
 
-from rydqnd import cli
+from rydqnd import cli, symbasis
 from rydqnd import dynamics as dyn
+from rydqnd import inference as inf
 from rydqnd.records import MeasurementRecord, RYDBERG
 
 # the paper's parameters, in the CLI's units
@@ -69,3 +70,20 @@ def test_infer_near_half_filling_of_a_thousand_atoms(tmp_path, capsys):
         if rc == cli.EXIT_OK:
             weights = json.loads(out.read_text())["weights"]
             assert math.isclose(sum(weights), 1.0, abs_tol=1e-12)
+
+
+def test_inference_builds_only_the_j0_blocks_it_reads(tmp_path, monkeypatch):
+    """The noisy likelihood reads the j = 0 block alone, so `infer` near half
+    filling of a thousand atoms builds 3 `SectorBlock`s, not the 1,500 of its
+    three sectors."""
+    path, out = tmp_path / "rec.json", tmp_path / "post.json"
+    path.write_text(MeasurementRecord([(2e-7, RYDBERG), (1e-7, "NoRydberg")]).to_json())
+    built = []
+    build = symbasis._sector_block
+    monkeypatch.setattr(symbasis, "_sector_block",
+                        lambda n, N, j: built.append((n, N, j)) or build(n, N, j))
+    for cache in (symbasis.sector, dyn._eigensystem, dyn._propagator, inf._j0_block):
+        cache.cache_clear()
+    assert cli.main(["infer", str(path), *_noise_flags(1000), "--candidates", "498..500",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert sorted(built) == [(498, 1000, 0), (499, 1000, 0), (500, 1000, 0)]
