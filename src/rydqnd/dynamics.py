@@ -85,7 +85,7 @@ def _check_norm(norm_sq: np.ndarray) -> None:
     """The unit-norm check of `PureCollectiveState`, for every row."""
     norm = np.sqrt(norm_sq)
     bad = np.abs(norm - 1.0) > 1e-12
-    if np.any(bad):
+    if bad.any():
         raise DomainError(f"state norm is {norm[bad][0]}, expected 1")
 
 
@@ -262,8 +262,13 @@ def _propagator(n: int, N: int, j: int, omega: float, gamma: float, tau: float) 
     gen, eig = _eigensystem(n, N, j, omega, gamma)
     if eig is None:
         return expm(gen * tau)
-    lam, vecs, inv = eig
-    return (vecs * np.exp(lam * tau)) @ inv
+    return _spectral(*eig, np.asarray(tau))
+
+
+def _spectral(lam: np.ndarray, vecs: np.ndarray, inv: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """(V e^{lam tau}) V^-1 at every time of taus, the eigensystems (V^-1 is
+    inv) broadcast against the times."""
+    return (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
 
 
 def evolve_block(state: SymmetricBlockState, tau: float, omega: float, gamma: float,
@@ -326,16 +331,29 @@ def measure_block(blocks, tau_eit: float, gamma: float, draw: float
     return outcome, collapsed, p
 
 
+def _side_by_side(blocks: BlockList) -> tuple[Sector, np.ndarray]:
+    """The sector of a block list and its coefficient vectors side by side, as
+    one row: each block in the columns of its j, zero where a j is missing."""
+    sec = sector(blocks[0].n, blocks[0].N)
+    x = np.zeros((1, sec.spans[-1].stop), dtype=complex)
+    for blk in blocks:
+        x[0, sec.spans[blk.j]] = blk.x
+    return sec, x
+
+
 def eject_block(blocks) -> BlockList:
     """Remove the detected Rydberg atom: (n, N) Rydberg sector -> (n-1, N-1).
 
     Each rr coefficient maps onto the ss label of the corresponding j block
     (see `Sector.ejection`); all within-Rydberg coherence labels are
-    annihilated.  The blocks are j = 0, 1, ... in order, any number of them.
+    annihilated.  The blocks may be any of the sector's, in any order.
     """
-    b0 = _j0(_as_blocks(blocks))
-    xs = _ejected(sector(b0.n, b0.N), [blk.x[None] for blk in _as_blocks(blocks)])
-    return [SymmetricBlockState(b0.n - 1, b0.N - 1, j, x[0]) for j, x in enumerate(xs)]
+    blocks = _as_blocks(blocks)
+    _j0(blocks)
+    sec, x = _side_by_side(blocks)
+    y, target = _ejected(sec, x)[0], sec.ejection[0]
+    return [SymmetricBlockState(target.n, target.N, blk.j, y[span].copy())
+            for blk, span in zip(target.blocks, target.spans)]
 
 
 def retrieval_fidelity(blocks, ideal: PureCollectiveState) -> float:
@@ -345,9 +363,8 @@ def retrieval_fidelity(blocks, ideal: PureCollectiveState) -> float:
     n_ideal = ideal.single_n()
     if n_ideal != n:
         raise DomainError(f"ideal state has n={n_ideal}, block state has n={n}")
-    fid = _overlaps(sector(n, blocks[0].N), [blk.x[None] for blk in blocks],
-                    ideal.a[n:n + 1], ideal.b[n:n + 1])
-    return float(fid[0])
+    sec, x = _side_by_side(blocks)
+    return float(_overlaps(sec, x, ideal.a[n:n + 1], ideal.b[n:n + 1])[0])
 
 
 @lru_cache(maxsize=64)
@@ -361,40 +378,70 @@ def _propagator_grid(n: int, N: int, j: int, omega: float, gamma: float,
 def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
                  taus: np.ndarray) -> np.ndarray:
     """`_propagator` at every time of taus, shape taus.shape + (dim, dim).  A
-    1-d taus holds times every row shares; a fixed schedule repeats them, so
-    their propagators are cached."""
+    0-d or 1-d taus holds times every row shares; a fixed schedule repeats
+    them, so their propagators are cached."""
+    if taus.ndim == 0:
+        return _propagator(n, N, j, omega, gamma, float(taus))
     if taus.ndim == 1:
         return _propagator_grid(n, N, j, omega, gamma, tuple(taus.tolist()))
     _, eig = _eigensystem(n, N, j, omega, gamma)
     if eig is None:
         props = np.array([_propagator(n, N, j, omega, gamma, t) for t in taus.ravel().tolist()])
         return props.reshape(taus.shape + props.shape[1:])
-    lam, vecs, inv = eig
-    return (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
+    return _spectral(*eig, taus)
 
 
-def _advance(blk: SectorBlock, x: np.ndarray, prop: np.ndarray) -> np.ndarray:
-    """prop @ x for every row of x, prop and x broadcast against each other;
-    a row whose trace moves by more than 1e-9 raises `IntegratorError`."""
-    out = (prop @ x[..., None])[..., 0]
-    drift = np.abs(out.real @ blk.trace - x.real @ blk.trace)
+def _check_drift(after: np.ndarray, before: np.ndarray) -> None:
+    """The trace-drift bound of `evolve_block`, for arrays of traces."""
+    drift = np.abs(after - before)
     if (drift > 1e-9).any():
         raise IntegratorError("block propagation lost trace", residual=float(np.nanmax(drift)))
+
+
+def _advance(x: np.ndarray, props, spans, traces: np.ndarray) -> np.ndarray:
+    """x with the columns spans[k] of every row advanced as props[k] @ x,
+    each propagator broadcast against the rows of x.  Column k of traces
+    reads span k's trace; where one moves by more than 1e-9, `IntegratorError`."""
+    out = [(prop @ x[..., span, None])[..., 0] for prop, span in zip(props, spans)]
+    out = out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
+
+    def traced(y):
+        return (y.real[..., None, :] @ traces)[..., 0, :]
+
+    _check_drift(traced(out), traced(x))
     return out
 
 
-def _populations(blk: SectorBlock, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p_NoRydberg, p_Rydberg) of every row of a j = 0 block array: its ss and
-    rr populations, negative rounding clipped to 0."""
-    p_s = np.maximum((blk.trace[blk.ss] * x[:, blk.ss]).real, 0.0)
-    if blk.rr is None:
-        return p_s, np.zeros(len(x))
-    return p_s, np.maximum((blk.trace[blk.rr] * x[:, blk.rr]).real, 0.0)
+def _populations(trace: np.ndarray, x: np.ndarray, ss: int, rr: int | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(p_NoRydberg, p_Rydberg) of every row of j = 0 block coefficients x:
+    the populations of families ss and rr (None: there is none), negative
+    rounding clipped to 0."""
+    p_s = np.maximum((trace[..., ss] * x[..., ss]).real, 0.0)
+    if rr is None:
+        return p_s, np.zeros(p_s.shape)
+    return p_s, np.maximum((trace[..., rr] * x[..., rr]).real, 0.0)
 
 
-def _overlaps(sec: Sector, xs: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Retrieval fidelity <psi|rho|psi> of every row of the block arrays of
-    j = 0, 1, ... against psi = a_n |S_n> + b_n |R_n>: the weights of the dyads
+def _projected(keep: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Every row of x kept on the families its outcome keeps, divided by p."""
+    return np.where(keep, x / p[..., None], 0.0)
+
+
+def _renormalised(ss: np.ndarray, ss_trace: np.ndarray) -> np.ndarray:
+    """The ss coefficients (rows, blocks) an ejection leaves, divided by the
+    trace they carry, summed over the blocks left to right."""
+    tr = 0.0
+    for k in range(ss.shape[1]):
+        tr = tr + ss_trace[..., k] * ss[:, k].real
+    if not (tr > 0.0).all():
+        raise PreconditionError("ejection produced a zero-trace state")
+    return ss / tr[:, None]
+
+
+def _overlaps(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Retrieval fidelity <psi|rho|psi> of every row of the side-by-side block
+    vectors x against psi = a_n |S_n> + b_n |R_n>: the weights of the dyads
     |S><S|, |R><R|, |S><R|, |R><S| as Python's complex arithmetic and libm
     compute them, a vdot per block and row, summed over the blocks left to
     right."""
@@ -407,41 +454,39 @@ def _overlaps(sec: Sector, xs: list[np.ndarray], a: np.ndarray, b: np.ndarray) -
     # every family lies in one dyad, so a family's weight is one product however
     # the rows of all blocks' dyads are combined
     u = (weights[:, None, :] @ sec.dyads).conj()
-    fid, at = np.zeros(len(a), dtype=complex), 0
-    for x in xs:
-        fid = fid + (u[..., at:at + x.shape[1]] @ x[:, :, None])[:, 0, 0]
-        at += x.shape[1]
+    fid = np.zeros(len(a), dtype=complex)
+    for span in sec.spans:
+        fid = fid + (u[..., span] @ x[:, span, None])[:, 0, 0]
     if (np.abs(fid.imag) > 1e-8).any():
         raise IntegratorError("fidelity came out complex", residual=float(np.abs(fid.imag).max()))
     return np.minimum(np.maximum(fid.real, 0.0), 1.0)
 
 
-def _ejected(sec: Sector, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """Every row of the block arrays of j = 0, 1, ... after the ejection: the
+def _ejected(sec: Sector, x: np.ndarray) -> np.ndarray:
+    """Every row of the side-by-side block vectors x after the ejection: the
     rr coefficient of block j times sqrt(N) moves to the ss of block j of
     (n - 1, N - 1), and the result is divided by its trace."""
     if sec.n < 1:
         raise PreconditionError("nothing to eject")
-    if (np.abs(xs[0][:, sec.block(0).ss]) > 1e-9).any():
+    if (np.abs(x[:, sec.block(0).ss]) > 1e-9).any():
         raise PreconditionError("state has weight in the NoRydberg sector; eject only after a Rydberg outcome")
-    (target, factor), out, tr = sec.ejection, [], 0.0
-    for j, blk in enumerate(target.blocks):
-        y = np.zeros((len(xs[0]), blk.dim), dtype=complex)
-        if j < len(xs):
-            y[:, blk.ss] = xs[j][:, sec.block(j).rr] * factor
-        tr = tr + blk.trace[blk.ss] * y[:, blk.ss].real
-        out.append(y)
-    if (tr <= 0.0).any():
-        raise PreconditionError("ejection produced a zero-trace state")
-    return [y / tr[:, None] for y in out]
+    target, factor = sec.ejection
+    pairs = list(zip(target.blocks, target.spans, sec.blocks, sec.spans))
+    ss = [span.start + blk.ss for blk, span, _, _ in pairs]
+    rr = [span.start + blk.rr for _, _, blk, span in pairs]
+    out = np.zeros((len(x), target.spans[-1].stop), dtype=complex)
+    out[:, ss] = _renormalised(x[:, rr] * factor, np.array([blk.trace[blk.ss] for blk, *_ in pairs]))
+    return out
 
 
 def _times(taus: np.ndarray) -> np.ndarray:
-    """Non-negative drive times of the rows, (rows, points); the first row
-    alone where every row has the same times."""
+    """Non-negative drive times of the rows, (rows, points); where every row
+    has the same times, the first row alone, and a number if it has one."""
     if (taus < 0).any():
         raise DomainError("evolution time must be non-negative")
-    return taus[0] if (taus == taus[0]).all() else taus
+    if (taus == taus[0]).all():
+        return taus[0, 0] if taus.shape[1] == 1 else taus[0]
+    return taus
 
 
 def _twin_driven(n, a: np.ndarray, b: np.ndarray, omega: float, taus: np.ndarray):
@@ -457,13 +502,14 @@ class BlockBatch:
     counterpart of `PureBatch`.
 
     Rows are grouped by their sector (n, N).  A group holds the batch indices
-    of its rows, ascending, and each j block of their states as one
-    (rows, dim_j) complex array.  A row's ideal noiseless twin is its pair of
-    amplitudes (a_n, b_n) on |S_n> and |R_n>, driven, collapsed and ejected
-    alike; the row's retrieval fidelity is its overlap with the twin (1 in the
-    vacuum, whose twin stays |S_0>).  A row computes what the one-state
-    kernels compute for its block list and its `PureCollectiveState` twin,
-    bit for bit.
+    of its rows, ascending, and their states as one (rows, D) complex array,
+    the j blocks side by side (block j in the columns ``Sector.spans[j]``);
+    each block is advanced and read on its own columns.  A row's ideal
+    noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and |R_n>,
+    driven, collapsed and ejected alike; the row's retrieval fidelity is its
+    overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A row
+    computes what the one-state kernels compute for its block list and its
+    `PureCollectiveState` twin, bit for bit.
     """
 
     def __init__(self, ns, N: int, gamma: float, window: float):
@@ -475,31 +521,36 @@ class BlockBatch:
         self.groups = {}
         for n in np.unique(self.n).tolist():
             rows = np.flatnonzero(self.n == n)
-            self.groups[(n, N)] = (rows, [np.tile(blk.dyads[0].astype(complex), (rows.size, 1))
-                                          for blk in sector(n, N).blocks])
+            self.groups[(n, N)] = (rows, np.tile(sector(n, N).dyads[0], (rows.size, 1)))
 
     def _groups(self, picked: np.ndarray | None = None):
-        """(sector, block arrays, positions in picked, slots in the arrays) of
-        every group holding some of the picked rows; all rows if picked is None."""
+        """(sector, states, positions in picked, slots in the states) of every
+        group holding some of the picked rows; all rows if picked is None."""
         if picked is None:
-            for key, (rows, xs) in list(self.groups.items()):
-                yield sector(*key), xs, rows, slice(None)
+            for key, (rows, x) in list(self.groups.items()):
+                yield sector(*key), x, rows, slice(None)
             return
         slot = np.full(self.n.size, -1)
-        for key, (rows, xs) in self.groups.items():
+        for key, (rows, x) in self.groups.items():
             slot[rows] = np.arange(rows.size)
             local = slot[picked]
             slot[rows] = -1
             at = np.flatnonzero(local >= 0)
             if at.size:
-                yield sector(*key), xs, at, local[at]
+                yield sector(*key), x, at, local[at]
+
+    def _evolved(self, sec: Sector, x: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
+        """The states x (rows, D) advanced for each of their times in taus, as
+        `_times` gives them: (rows, points, D)."""
+        props = [_propagators(sec.n, sec.N, blk.j, omega, self.gamma, taus) for blk in sec.blocks]
+        return _advance(x[:, None], props, sec.spans, sec.traces)
 
     def fidelity(self) -> np.ndarray:
         """Retrieval fidelity of every row (1 in the vacuum, which has no twin)."""
         fid = np.ones(self.n.size)
-        for sec, xs, rows, _ in self._groups():
+        for sec, x, rows, _ in self._groups():
             if sec.n:
-                fid[rows] = _overlaps(sec, xs, self.a[rows], self.b[rows])
+                fid[rows] = _overlaps(sec, x, self.a[rows], self.b[rows])
         return fid
 
     def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=slice(None)):
@@ -516,30 +567,27 @@ class BlockBatch:
     def _read(self, picked: np.ndarray, taus, omega: float, drive_on: bool):
         points = 1 if taus is None else taus.shape[1]
         out = np.empty((3, picked.size, points))
-        for sec, xs, at, slot in self._groups(picked):
-            a, b, xs = self.a[picked[at]], self.b[picked[at]], [x[slot] for x in xs]
+        for sec, x, at, slot in self._groups(picked):
+            a, b, x = self.a[picked[at]], self.b[picked[at]], x[slot]
             if taus is not None:
                 t = _times(taus[at])
                 if drive_on:
                     a, b = (z.ravel() for z in _twin_driven(sec.n, a[:, None], b[:, None], omega, t))
                 else:
                     a, b = a.repeat(points), b.repeat(points)
-                xs = [_advance(blk, x[:, None], _propagators(sec.n, sec.N, blk.j, omega,
-                                                             self.gamma, t)).reshape(-1, blk.dim)
-                      for blk, x in zip(sec.blocks, xs)]
-            fid = np.ones(len(a)) if sec.n == 0 else _overlaps(sec, xs, a, b)  # vacuum: no twin
-            read = (*_populations(sec.block(0), xs[0]), fid)
+                x = self._evolved(sec, x, t, omega).reshape(-1, x.shape[1])
+            fid = np.ones(len(a)) if sec.n == 0 else _overlaps(sec, x, a, b)  # vacuum: no twin
+            blk = sec.block(0)
+            read = (*_populations(blk.trace, x, blk.ss, blk.rr), fid)
             out[:, at] = np.reshape(read, (3, at.size, points))
         return tuple(out[..., 0] if taus is None else out)
 
     def drive(self, taus: np.ndarray, omega: float) -> None:
         """Drive row r and its twin for taus[r]."""
-        for sec, xs, rows, _ in self._groups():
-            t = _times(taus[rows, None])
-            self.groups[(sec.n, sec.N)] = (rows, [
-                _advance(blk, x[:, None], _propagators(sec.n, sec.N, blk.j, omega, self.gamma,
-                                                       t))[:, 0]
-                for blk, x in zip(sec.blocks, xs)])
+        t = _times(taus[:, None])
+        for sec, x, rows, _ in self._groups():
+            self.groups[(sec.n, sec.N)] = (rows, self._evolved(sec, x, t if t.ndim < 2 else t[rows],
+                                                               omega)[:, 0])
         self.a, self.b = _twin_driven(self.n, self.a, self.b, omega, taus)
 
     def measure(self, draws: np.ndarray, eject: bool = False
@@ -549,57 +597,54 @@ class BlockBatch:
         rows lose the detected atom and restart from the fresh twin |S_n-1>."""
         rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
         moved = []
-        for sec, xs, rows, _ in self._groups():
+        for sec, x, rows, _ in self._groups():
             if self.window > 0:
-                xs = [_advance(blk, x, _propagator(sec.n, sec.N, blk.j, 0.0, self.gamma,
-                                                   self.window))
-                      for blk, x in zip(sec.blocks, xs)]
-            p_s, p_r = _populations(sec.block(0), xs[0])
+                x = self._evolved(sec, x, np.asarray(self.window), 0.0)[:, 0]
+            blk = sec.block(0)
+            p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
             p = np.where(ryd, p_r, p_s)
             if (p <= 0.0).any():
                 outcome = RYDBERG if ryd[p <= 0.0][0] else NO_RYDBERG
                 raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
-            xs = [np.where(np.where(ryd[:, None], blk.rydberg, blk.no_rydberg),
-                           x / p[:, None], 0.0) for blk, x in zip(sec.blocks, xs)]
+            x = _projected(sec.keeps[ryd.astype(int)], x, p)
             rydberg[rows], probs[rows] = ryd, p
             out = ryd & eject
             if not out.any():
-                self.groups[(sec.n, sec.N)] = (rows, xs)
+                self.groups[(sec.n, sec.N)] = (rows, x)
                 continue
             del self.groups[(sec.n, sec.N)]
             if not out.all():
-                self.groups[(sec.n, sec.N)] = (rows[~out], [x[~out] for x in xs])
-            moved.append((sec, rows[out], [x[out] for x in xs]))
+                self.groups[(sec.n, sec.N)] = (rows[~out], x[~out])
+            moved.append((sec, rows[out], x[out]))
         amp = np.where(rydberg, self.b, self.a)
         mag = np.hypot(amp.real, amp.imag)
         big = mag > 1e-9
         unit = np.where(big, amp / np.where(big, mag, 1.0), 1.0)
         self.a, self.b = np.where(rydberg, 0.0, unit), np.where(rydberg, unit, 0.0)
         _check_norm(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
-        for sec, rows, xs in moved:
-            self._join((sec.n - 1, sec.N - 1), rows, _ejected(sec, xs))
+        for sec, rows, x in moved:
+            self._join((sec.n - 1, sec.N - 1), rows, _ejected(sec, x))
             self.n[rows] -= 1
             self.a[rows], self.b[rows] = 1.0, 0.0
         return rydberg, probs
 
-    def _join(self, key: tuple[int, int], rows: np.ndarray, xs: list[np.ndarray]) -> None:
+    def _join(self, key: tuple[int, int], rows: np.ndarray, x: np.ndarray) -> None:
         """Add rows to the group of sector key, keeping its rows ascending."""
         if key in self.groups:
-            old_rows, old_xs = self.groups[key]
+            old_rows, old_x = self.groups[key]
             order = np.argsort(np.concatenate((old_rows, rows)))
-            rows = np.concatenate((old_rows, rows))[order]
-            xs = [np.concatenate((o, x))[order] for o, x in zip(old_xs, xs)]
-        self.groups[key] = (rows, xs)
+            rows, x = np.concatenate((old_rows, rows))[order], np.concatenate((old_x, x))[order]
+        self.groups[key] = (rows, x)
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""
         index = np.cumsum(rows) - 1
         groups = {}
-        for key, (idx, xs) in self.groups.items():
+        for key, (idx, x) in self.groups.items():
             sel = rows[idx]
             if sel.any():
-                groups[key] = (index[idx[sel]], [x[sel] for x in xs])
+                groups[key] = (index[idx[sel]], x[sel])
         self.groups = groups
         self.n, self.a, self.b = self.n[rows], self.a[rows], self.b[rows]
 

@@ -273,7 +273,9 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
     def trace_rows(phase: str, rows, times, report) -> None:
         """A trace row per entry of times: one per selected trajectory, or a
-        (trajectories, sub-steps) array of them."""
+        (trajectories, sub-steps) array of them; none if no trajectory is selected."""
+        if not len(times):
+            return
         shape = (len(times), -1)
         for i, *row in zip(ids[rows].tolist(), times.reshape(shape).tolist(),
                            *(x.reshape(shape).tolist() for x in report)):

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .dynamics import SymmetricBlockState
-from .errors import (DomainError, ImpossibleOutcomeError, InconsistentRecordError,
-                     IntegratorError, PreconditionError)
+from .errors import DomainError, ImpossibleOutcomeError, InconsistentRecordError
 from .records import FockDistribution, MeasurementRecord, Posterior, RYDBERG
 from .symbasis import sector
 
@@ -144,7 +143,7 @@ class _J0Block:
         else:
             props = np.array([self.propagator(tau) for tau in grid.tolist()])
             raw = np.einsum("pi,gij,mj->mpg", rows, props, x).real
-        _check_drift(raw.sum(axis=1), (x.real @ self.trace)[:, None])
+        dyn._check_drift(raw.sum(axis=1), (x.real @ self.trace)[:, None])
         return np.maximum(raw, 0.0)
 
 
@@ -165,9 +164,10 @@ def _j0_block(n: int, N: int, omega: float, gamma: float, tau_eit: float) -> _J0
 def _systems(n: np.ndarray, N: np.ndarray, omega: float,
              noise: NoiseParams) -> tuple[tuple[_J0Block, ...], np.ndarray]:
     """The distinct `_J0Block`s of items in the (n, N) sectors, and each item's index."""
-    codes, inv = np.unique(n * (noise.N + 1) + N, return_inverse=True)
+    codes = n * (noise.N + 1) + N
+    distinct = np.unique(codes)
     return tuple(_j0_block(*divmod(code, noise.N + 1), omega, noise.gamma, noise.tau_eit)
-                 for code in codes.tolist()), inv
+                 for code in distinct.tolist()), np.searchsorted(distinct, codes)
 
 
 @lru_cache(maxsize=64)
@@ -181,13 +181,6 @@ def _stacked(systems: tuple[_J0Block, ...], inv: np.ndarray, name: str) -> np.nd
     return _table(systems)[name][inv]
 
 
-def _check_drift(after: np.ndarray, before: np.ndarray) -> None:
-    """The trace-drift bound of `dynamics.evolve_block`."""
-    drift = np.abs(after - before)
-    if (drift > 1e-9).any():
-        raise IntegratorError("block propagation lost trace", residual=float(np.nanmax(drift)))
-
-
 def _windowed(x: np.ndarray, systems: tuple[_J0Block, ...], inv: np.ndarray, taus: np.ndarray,
               noise: NoiseParams) -> np.ndarray:
     """States x after a drive of taus and the measurement window.
@@ -199,18 +192,13 @@ def _windowed(x: np.ndarray, systems: tuple[_J0Block, ...], inv: np.ndarray, tau
     """
     if (taus < 0).any():
         raise DomainError("evolution time must be non-negative")
-    lam, vecs, inv_vecs = (_stacked(systems, inv, key) for key in ("lam", "vecs", "inv"))
-    props = (vecs * np.exp(lam * taus[:, None])[:, None, :]) @ inv_vecs
+    props = dyn._spectral(*(_stacked(systems, inv, key) for key in ("lam", "vecs", "inv")), taus)
     for m in np.flatnonzero(~_stacked(systems, inv, "spectral")).tolist():
         props[m] = systems[inv[m]].propagator(float(taus[m]))
-    trace = _stacked(systems, inv, "trace")
+    trace = _stacked(systems, inv, "trace")[:, :, None]
     windows = (props, _stacked(systems, inv, "window")) if noise.tau_eit > 0 else (props,)
-    before = (x.real * trace).sum(axis=1)
     for prop in windows:
-        x = (prop @ x[:, :, None])[:, :, 0]
-        after = (x.real * trace).sum(axis=1)
-        _check_drift(after, before)
-        before = after
+        x = dyn._advance(x, (prop,), (slice(None),), trace)
     return x
 
 
@@ -223,23 +211,18 @@ def _collapsed(x: np.ndarray, systems: tuple[_J0Block, ...], inv: np.ndarray, N:
     kept families divided by p; then the rr coefficient times sqrt(N), moved
     to ss and divided by the trace it carries there.
     """
-    trace = _stacked(systems, inv, "trace")
-    p_s = np.maximum((trace[:, _SS] * x[:, _SS]).real, 0.0)
-    p_r = np.maximum((trace[:, _RR] * x[:, _RR]).real, 0.0)
+    p_s, p_r = dyn._populations(_stacked(systems, inv, "trace"), x, _SS, _RR)
     p = np.where(rydberg, p_r, p_s)
     live = p > 0.0
     keep = _stacked(systems, inv, "keep")[np.arange(len(x)), rydberg.astype(int)]
-    out = np.where(keep, x / np.where(live, p, 1.0)[:, None], 0.0)
+    out = dyn._projected(keep, x, np.where(live, p, 1.0))
     moved = live & rydberg & eject
     if moved.any():
         ss = out[moved, _RR] * np.sqrt(N[moved])
         ss_trace = [sector(s.n - 1, s.N - 1).block(0).trace[_SS] if s.n else 0.0
                     for s in systems]
-        tr = np.array(ss_trace)[inv[moved]] * ss.real
-        if not (tr > 0.0).all():
-            raise PreconditionError("ejection produced a zero-trace state")
         out[moved] = 0.0
-        out[moved, _SS] = ss / tr
+        out[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[inv[moved], None])[:, 0]
     return p, out
 
 

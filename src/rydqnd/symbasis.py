@@ -352,9 +352,29 @@ class Sector:
         return tuple(self.block(j) for j in range(min(self.n, self.N - self.n) + 1))
 
     @cached_property
+    def spans(self) -> tuple[slice, ...]:
+        """The columns of block j in the blocks' coefficient vectors side by side."""
+        ends = np.cumsum([0] + [blk.dim for blk in self.blocks]).tolist()
+        return tuple(slice(lo, hi) for lo, hi in zip(ends, ends[1:]))
+
+    @cached_property
     def dyads(self) -> np.ndarray:
         """The blocks' ``dyads`` side by side, as complex numbers."""
         return _frozen(np.hstack([blk.dyads for blk in self.blocks]), complex)
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Column j reads the trace of block j off the side-by-side vector."""
+        traces = np.zeros((self.spans[-1].stop, len(self.spans)))
+        for j, (blk, span) in enumerate(zip(self.blocks, self.spans)):
+            traces[span, j] = blk.trace
+        return _frozen(traces)
+
+    @cached_property
+    def keeps(self) -> np.ndarray:
+        """Row m: the blocks' families outcome m (1 for Rydberg) keeps, side by side."""
+        return _frozen([np.concatenate([getattr(blk, kind) for blk in self.blocks])
+                        for kind in ("no_rydberg", "rydberg")], bool)
 
     @cached_property
     def ejection(self) -> tuple["Sector", float]:

@@ -158,6 +158,51 @@ def test_retrieval_fidelity_tracks_ideal_evolution():
     assert dyn.retrieval_fidelity(noisy, dyn.evolve_pure(ideal, 0.8, omega)) < 0.99
 
 
+def _partial_state():
+    """A (3, 7) state with all four j blocks filled, its Rydberg projection and its twin."""
+    blocks = dyn.evolve_blocks(dyn.symmetric_state_blocks(3, 7), 0.9, 1.0, 0.4)
+    twin = dyn.evolve_pure(dyn.PureCollectiveState.from_stored_amplitudes(
+        np.eye(4)[3].astype(complex)), 0.9, 1.0)
+    return blocks, dyn.project_blocks(blocks, RYDBERG)[1], twin
+
+
+def _zeroed(blk):
+    return dyn.SymmetricBlockState(blk.n, blk.N, blk.j, 0 * blk.x)
+
+
+def test_fidelity_of_some_blocks_reads_each_block_by_its_j():
+    """A block list may hold any of the sector's blocks in any order: each
+    block is read through its own j, and its overlap is the one of its
+    dyads, as summed block by block; a missing block counts as empty."""
+    blocks, _, twin = _partial_state()
+    a, b = complex(twin.a[3]), complex(twin.b[3])
+    weights = np.array([abs(a) ** 2, abs(b) ** 2, a * b.conjugate(), b * a.conjugate()])
+    for pick in ([1], [0, 2], [2, 3], [0, 1, 2, 3]):
+        some = [blocks[j] for j in pick]
+        by_block = sum(complex(np.vdot(weights @ blk.block.dyads, blk.x)) for blk in some)
+        assert dyn.retrieval_fidelity(some, twin) == min(max(by_block.real, 0.0), 1.0)
+        assert dyn.retrieval_fidelity(some[::-1], twin) == dyn.retrieval_fidelity(some, twin)
+        filled = [blk if blk.j in pick else _zeroed(blk) for blk in blocks]
+        assert dyn.retrieval_fidelity(filled, twin) == dyn.retrieval_fidelity(some, twin)
+
+
+def test_ejection_of_some_blocks_reads_each_block_by_its_j():
+    """Ejection maps block j's rr onto the ss of block j of (n - 1, N - 1),
+    whatever blocks the list holds and in whatever order; a missing block
+    ejects as an empty one, and j = 0 must be there."""
+    _, kept, _ = _partial_state()
+    whole = dyn.eject_block(kept)
+    assert [blk.j for blk in whole] == [0, 1, 2] and whole[0].N == 6
+    for pick in ([0], [0, 2], [0, 1, 3], [0, 1, 2, 3]):
+        some = [kept[j] for j in pick]
+        filled = [blk if blk.j in pick else _zeroed(blk) for blk in kept]
+        expected = [blk.x.tolist() for blk in dyn.eject_block(filled)]
+        assert [blk.x.tolist() for blk in dyn.eject_block(some)] == expected
+        assert [blk.x.tolist() for blk in dyn.eject_block(some[::-1])] == expected
+    with pytest.raises(PreconditionError):
+        dyn.eject_block(kept[1:])
+
+
 def test_fidelity_rejects_mismatched_photon_number():
     blocks = dyn.symmetric_state_blocks(2, 5)
     wrong = dyn.PureCollectiveState.from_stored_amplitudes(

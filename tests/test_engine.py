@@ -190,3 +190,15 @@ def test_adaptive_greedy_schedule_runs():
     assert len(log.record) >= 1
     taus = {tau for tau, _ in log.record.entries}
     assert all(t > 0 for t in taus)
+
+
+@pytest.mark.parametrize("schedule", [eng.Schedule.fixed(0.0), eng.Schedule.uniform_random(0.0, 0.0)])
+@pytest.mark.parametrize("make", [noisy_params, noiseless_params])
+def test_traced_run_with_zero_drive_time_writes_no_drive_rows(make, schedule):
+    """A drive of length zero has no sub-steps to trace: the run goes on and
+    logs the other phases."""
+    logs = eng.run_batch(2, make(schedule=schedule, trace_points=8, max_cycles=5), 2)
+    for log in logs:
+        assert len(log.record) == 5 and all(tau == 0.0 for tau, _ in log.record.entries)
+        phases = [row["phase"] for row in log.trace]
+        assert "drive" not in phases and phases.count("collapse") == 5
