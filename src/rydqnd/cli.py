@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -194,14 +195,12 @@ def _table_output(doc: dict, rows: list[dict], out: str | None) -> None:
 # simulate
 
 def _build_params(args: argparse.Namespace) -> ProtocolParams:
-    angular = args.angular
-    omega = _freq_rad_s(args.omega_mhz, angular)
-    gamma = _freq_rad_s(args.gamma_mhz, angular)
+    omega = _freq_rad_s(args.omega_mhz, args.angular)
+    gamma = _freq_rad_s(args.gamma_mhz, args.angular)
     if args.schedule == "fixed":
         schedule = Schedule.fixed(_us_to_s(args.tau_us))
     elif args.schedule == "uniform-random":
-        schedule = Schedule.uniform_random(_us_to_s(args.tau_min_us),
-                                           _us_to_s(args.tau_max_us))
+        schedule = Schedule.uniform_random(_us_to_s(args.tau_min_us), _us_to_s(args.tau_max_us))
     else:
         schedule = Schedule.adaptive_greedy()
     cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
@@ -227,6 +226,18 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
     )
 
 
+def _trace_csv(config: dict, trace: list[dict]) -> str:
+    """A trace file; the rows of a cycle share one posterior list, formatted once."""
+    posts = {id(row["posterior"]): row["posterior"] for row in trace}
+    weights = {key: "".join([",%.12e" % w for w in post]) for key, post in posts.items()}
+    return "".join([f"# schema: {TRACE_SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n",
+                    "time_s,phase,p_no_rydberg,p_rydberg,fidelity",
+                    *[f",w_{c}" for c in range(len(trace[0]["posterior"]))], "\r\n",
+                    *["%.12e,%s,%.12e,%.12e,%.12e%s\r\n" % (
+                        row["time_s"], row["phase"], row["p_no_rydberg"], row["p_rydberg"],
+                        row["fidelity"], weights[id(row["posterior"])]) for row in trace]])
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trajectories < 1:
         raise DomainError("need --trajectories >= 1")
@@ -234,30 +245,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     logs = run_batch(args.n_true, params, args.trajectories)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = params.to_dict()
-    config["n_true"] = args.n_true
-    config["trajectories"] = args.trajectories
-    config["version"] = __version__
+    config = {**params.to_dict(), "n_true": args.n_true, "trajectories": args.trajectories,
+              "version": __version__}
 
-    header = json.dumps({"schema": TRAJECTORY_SCHEMA, "config": config},
-                        sort_keys=True)
+    header = json.dumps({"schema": TRAJECTORY_SCHEMA, "config": config}, sort_keys=True)
     (outdir / "trajectories.jsonl").write_text(
         header + "\n" + "\n".join(log.to_json() for log in logs) + "\n")
 
-    if params.trace_points:
-        for i, log in enumerate(logs):
-            rows = [{"time_s": f"{row['time_s']:.12e}", "phase": row["phase"],
-                     **{key: f"{row[key]:.12e}"
-                        for key in ("p_no_rydberg", "p_rydberg", "fidelity")},
-                     **{f"w_{c}": f"{w:.12e}" for c, w in enumerate(row["posterior"])}}
-                    for row in log.trace]
-            _table_output({"schema": TRACE_SCHEMA, "config": config}, rows,
-                          str(outdir / f"trace_{i:03d}.csv"))
+    for i, log in enumerate(logs):
+        if log.trace:  # every trajectory has rows when trace points are on, none otherwise
+            (outdir / f"trace_{i:03d}.csv").write_text(_trace_csv(config, log.trace))
 
-    counts: dict[int, int] = {}
-    for log in logs:
-        if log.converged:
-            counts[log.final_candidate] = counts.get(log.final_candidate, 0) + 1
+    counts = Counter(log.final_candidate for log in logs if log.converged)
     summary = {
         "schema": SUMMARY_SCHEMA,
         "config": config,

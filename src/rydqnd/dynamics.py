@@ -260,15 +260,16 @@ def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
 @lru_cache(maxsize=1024)
 def _propagator(n: int, N: int, j: int, omega: float, gamma: float, tau: float) -> np.ndarray:
     gen, eig = _eigensystem(n, N, j, omega, gamma)
-    if eig is None:
-        return expm(gen * tau)
-    return _spectral(*eig, np.asarray(tau))
+    return expm(gen * tau) if eig is None else _spectral(*eig, np.asarray(tau))
 
 
 def _spectral(lam: np.ndarray, vecs: np.ndarray, inv: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """(V e^{lam tau}) V^-1 at every time of taus, the eigensystems (V^-1 is
-    inv) broadcast against the times."""
-    return (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
+    inv) broadcast against the times; exactly I where tau is 0."""
+    props = (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
+    if np.count_nonzero(taus) < taus.size:  # V V^-1 is not I; count_nonzero is cheap
+        props[taus == 0] = np.eye(lam.shape[-1])
+    return props
 
 
 def evolve_block(state: SymmetricBlockState, tau: float, omega: float, gamma: float,

@@ -178,8 +178,8 @@ def _raised(call):
 def test_batch_raises_what_the_chain_raises():
     """Where the one-state chain fails, the batch fails with the same error,
     and where it goes on, so does the batch: a draw of 0 after a zero drive
-    time (p_Rydberg is rounding noise there); a state of zero trace, which has
-    no possible outcome; an ejection from a state with weight left in ss."""
+    time; a state of zero trace, which has no possible outcome; an ejection
+    from a state with weight left in ss."""
     batch, row = dyn.BlockBatch([1], 1, 0.125, 0.0), _Row(1, 1, 0.125, 0.0)
     batch.drive(np.zeros(1), OMEGA)
     row.blocks, row.twin = row.driven(0.0)
@@ -196,6 +196,24 @@ def test_batch_raises_what_the_chain_raises():
     fresh = sector(2, 3).dyads[:1]
     assert _raised(lambda: dyn._ejected(sector(2, 3), fresh)) is PreconditionError
     assert _raised(lambda: dyn.eject_block(dyn.symmetric_state_blocks(2, 3))) is PreconditionError
+
+
+@pytest.mark.parametrize("gamma", [0.125, 1.0])
+def test_zero_drive_is_the_identity(gamma):
+    """A drive of 0 leaves a fresh |S_1> in ss exactly: p_Rydberg is 0, not
+    the rounding of V V^-1, so a draw of 0.0 gives NoRydberg and the
+    retrieval fidelity stays real."""
+    _, eig = dyn._eigensystem(1, 1, 0, OMEGA, gamma)
+    assert eig is not None
+    prop = dyn._propagator(1, 1, 0, OMEGA, gamma, 0.0)
+    assert np.array_equal(prop, np.eye(len(prop)))
+    batch = dyn.BlockBatch([1], 1, gamma, 0.0)
+    batch.drive(np.zeros(1), OMEGA)
+    assert batch.sectors()[1].tolist() == [0.0]
+    rydberg, p = batch.measure(np.zeros(1))
+    assert rydberg.tolist() == [False] and p.tolist() == [1.0]
+    assert batch.sectors()[1].tolist() == [0.0]
+    assert batch.fidelity().tolist() == [1.0]
 
 
 @pytest.mark.parametrize("n, N, gamma", NEAR_EXCEPTIONAL)

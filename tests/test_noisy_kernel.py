@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
-from rydqnd.errors import ImpossibleOutcomeError
-from rydqnd.records import MeasurementRecord, NO_RYDBERG, RYDBERG
+from rydqnd.errors import ImpossibleOutcomeError, InconsistentRecordError
+from rydqnd.records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
 OMEGA = 1.0
 # At n = 1 the j = 0 generator has no well-conditioned eigenbasis at gamma = 0
@@ -148,3 +148,21 @@ def test_take_splits_rows_like_separate_holders():
         lone.update(np.array([0.7]), np.array([True]))
         lone.update(np.array([0.5]), np.array([rydberg]))
         assert log_l.tolist() == lone.log_l[0].tolist()
+
+
+def test_zero_drive_cannot_give_a_rydberg_outcome():
+    """A record entry with tau = 0 after a NoRydberg outcome (or at the start)
+    leaves every candidate's fresh state in ss exactly: a Rydberg outcome there
+    has likelihood 0 under every candidate, and a NoRydberg outcome changes the
+    posterior only by rounding."""
+    cands = [FockDistribution.delta(n, 3) for n in (1, 2, 3)]
+    noise = inf.NoiseParams(gamma=0.3, tau_eit=0.4, N=10)
+    prior = Posterior.uniform(3)
+    with pytest.raises(InconsistentRecordError, match="from cycle 2"):
+        inf.posterior_trace(MeasurementRecord([(1.1, NO_RYDBERG), (0.0, RYDBERG)]), cands,
+                            prior, OMEGA, noise)
+    trace = inf.posterior_trace(MeasurementRecord([(0.0, NO_RYDBERG), (1.1, RYDBERG)]), cands,
+                                prior, OMEGA, noise)
+    np.testing.assert_allclose(trace[1], prior.weights, rtol=0, atol=1e-15)
+    alone = inf.posterior_trace(MeasurementRecord([(1.1, RYDBERG)]), cands, prior, OMEGA, noise)
+    np.testing.assert_allclose(trace[2], alone[1], rtol=0, atol=1e-15)
