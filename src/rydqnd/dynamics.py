@@ -20,7 +20,7 @@ from math import pi, sqrt
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError
+from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError, ResourceError
 from .records import NO_RYDBERG, RYDBERG
 from .symbasis import Sector, SectorBlock, build_block, sector
 
@@ -105,6 +105,7 @@ class PureBatch:
         self.b = np.tile(state.b, (rows, 1))
         self.width = np.full(rows, state.a.size)
         self.ragged = False  # True once the widths may differ
+        self.kept = None  # readouts of the last drive's sub-steps
 
     def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
@@ -118,44 +119,36 @@ class PureBatch:
             out[width == w] = sq[width == w, :w].sum(axis=1)
         return out
 
-    def driven(self, taus: np.ndarray, omega: float,
-               rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b) of the selected rows after driving row r for taus[r]: within
-        each n, (a_n, b_n) rotates at sqrt(n) * omega."""
-        theta = np.sqrt(np.arange(self.a.shape[1])) * omega * taus[:, None]
-        return _rotate(self.a[rows], self.b[rows], theta)
-
-    def drive(self, taus: np.ndarray, omega: float) -> None:
-        """Drive row r for taus[r]."""
-        self.a, self.b = self.driven(taus, omega)
+    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
+        """Drive row r for taus[r]: within each n, (a_n, b_n) rotates at
+        sqrt(n) * omega.  steps as in `BlockBatch.drive`."""
+        rate = np.sqrt(np.arange(self.a.shape[1])) * omega
+        if steps is None:
+            self.a, self.b = _rotate(self.a, self.b, rate * taus[:, None])
+            return
+        driven = np.flatnonzero(taus > 0)
+        rows, points = driven.repeat(steps.shape[1]), steps.shape[1]
+        a, b = _rotate(self.a[rows], self.b[rows], rate * steps.reshape(-1, 1))
+        self.kept = self.sectors(a, b, rows).reshape(3, *steps.shape)
+        self.a[driven], self.b[driven] = a[points - 1::points], b[points - 1::points]
 
     def fidelity(self) -> np.ndarray:
         """Retrieval fidelity of every row: a noiseless row is its own ideal."""
         return np.ones(len(self.a))
 
-    def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=slice(None)
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or, shaped
-        like taus, of the selected rows were they driven for each of their
-        times in the (rows, points) array taus."""
-        if taus is None:
-            a, b, shape = self.a, self.b, (len(self.a),)
-        else:
-            rows, shape = np.repeat(np.arange(len(self.a))[rows], taus.shape[1]), taus.shape
-            a, b = self.driven(taus.ravel(), omega, rows)
+    def sectors(self, a=None, b=None, rows=slice(None)) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or of the
+        amplitudes a, b of batch rows `rows`, shape (3, rows)."""
+        a, b = (self.a, self.b) if a is None else (a, b)
         p_r = self.sum_sq(b, rows)
         _check_norm(self.sum_sq(a, rows) + p_r)
-        p_r = p_r.reshape(shape)
-        return 1.0 - p_r, p_r, np.ones(shape)
+        return np.stack((1.0 - p_r, p_r, np.ones(len(p_r))))
 
-    def measure(self, draws: np.ndarray, eject: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Project every row by its uniform [0, 1) draw.
-
-        Returns where the outcome is Rydberg and the outcome's probability.
-        The kept sector is renormalised, and with `eject` the Rydberg rows
-        lose a photon.
-        """
+    def measure(self, draws: np.ndarray, eject: bool = False, dts=None):
+        """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no
+        window (dts is unused): the kept sector renormalised; with `eject`, Rydberg rows
+        lose a photon."""
+        kept, self.kept = self.kept, None
         p_s, p_r = self.sum_sq(self.a), self.sum_sq(self.b)
         _check_norm(p_s + p_r)
         rydberg = draws < p_r
@@ -170,7 +163,7 @@ class PureBatch:
             self.b[rydberg] = 0.0
             self.a[rydberg] /= np.sqrt(self.sum_sq(self.a[rydberg], rydberg))[:, None]
         _check_norm(self.sum_sq(self.a) + self.sum_sq(self.b))
-        return rydberg, p
+        return rydberg, p, kept, None
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""
@@ -192,7 +185,7 @@ def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureColl
     to unit norm.
     """
     batch = PureBatch(state, 1)
-    rydberg, p = batch.measure(np.array([draw]))
+    rydberg, p, _, _ = batch.measure(np.array([draw]))
     return (RYDBERG if rydberg[0] else NO_RYDBERG,
             PureCollectiveState(batch.a[0], batch.b[0]), float(p[0]))
 
@@ -257,8 +250,27 @@ def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
     return gen, (lam, vecs, np.linalg.inv(vecs))
 
 
+@lru_cache(maxsize=2048)
+def _horizon(n: int, N: int, j: int, omega: float, gamma: float) -> float:
+    """How long the block's propagators keep its trace to 1e-10: the modes carrying
+    it are stationary, but `eig` (and so `expm`) gets their rate 0 as rounding."""
+    gen, eig = _eigensystem(n, N, j, omega, gamma)
+    lam, vecs = np.linalg.eig(gen) if eig is None else eig[:2]
+    carry = np.abs(sector(n, N).block(j).trace @ vecs)
+    return 1e-10 / np.abs(lam.real)[carry > 1e-6 * carry.max()].max(initial=1e-300)
+
+
+def _check_horizon(taus, horizon) -> None:
+    """ResourceError naming the first of taus past its block's `_horizon`."""
+    long = np.asarray(taus > horizon)
+    if long.any():
+        tau = np.broadcast_to(taus, long.shape)[long][0]
+        raise ResourceError(f"drive time {tau} s is too long for a propagator to keep the trace")
+
+
 @lru_cache(maxsize=1024)
 def _propagator(n: int, N: int, j: int, omega: float, gamma: float, tau: float) -> np.ndarray:
+    _check_horizon(tau, _horizon(n, N, j, omega, gamma))
     gen, eig = _eigensystem(n, N, j, omega, gamma)
     return expm(gen * tau) if eig is None else _spectral(*eig, np.asarray(tau))
 
@@ -389,6 +401,7 @@ def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
     if eig is None:
         props = np.array([_propagator(n, N, j, omega, gamma, t) for t in taus.ravel().tolist()])
         return props.reshape(taus.shape + props.shape[1:])
+    _check_horizon(taus, _horizon(n, N, j, omega, gamma))
     return _spectral(*eig, taus)
 
 
@@ -517,6 +530,7 @@ class BlockBatch:
         self.n = np.asarray(ns, dtype=int)
         self.gamma = gamma
         self.window = window  # the dephasing-only measurement window
+        self.kept = (None, {})  # (shape, sub-steps by group) of the last drive
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
         self.groups = {}
@@ -524,83 +538,78 @@ class BlockBatch:
             rows = np.flatnonzero(self.n == n)
             self.groups[(n, N)] = (rows, np.tile(sector(n, N).dyads[0], (rows.size, 1)))
 
-    def _groups(self, picked: np.ndarray | None = None):
-        """(sector, states, positions in picked, slots in the states) of every
-        group holding some of the picked rows; all rows if picked is None."""
-        if picked is None:
-            for key, (rows, x) in list(self.groups.items()):
-                yield sector(*key), x, rows, slice(None)
-            return
-        slot = np.full(self.n.size, -1)
-        for key, (rows, x) in self.groups.items():
-            slot[rows] = np.arange(rows.size)
-            local = slot[picked]
-            slot[rows] = -1
-            at = np.flatnonzero(local >= 0)
-            if at.size:
-                yield sector(*key), x, at, local[at]
-
     def _evolved(self, sec: Sector, x: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
         """The states x (rows, D) advanced for each of their times in taus, as
         `_times` gives them: (rows, points, D)."""
         props = [_propagators(sec.n, sec.N, blk.j, omega, self.gamma, taus) for blk in sec.blocks]
         return _advance(x[:, None], props, sec.spans, sec.traces)
 
-    def fidelity(self) -> np.ndarray:
-        """Retrieval fidelity of every row (1 in the vacuum, which has no twin)."""
-        fid = np.ones(self.n.size)
-        for sec, x, rows, _ in self._groups():
-            if sec.n:
-                fid[rows] = _overlaps(sec, x, self.a[rows], self.b[rows])
-        return fid
+    def fidelity(self) -> np.ndarray:  # 1 in the vacuum, which has no twin
+        return self.sectors()[2]
 
-    def sectors(self, taus: np.ndarray | None = None, omega: float = 0.0, rows=slice(None)):
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or, shaped
-        like taus, of the selected rows were they and their twins driven for
-        each of their times in the (rows, points) array taus."""
-        return self._read(np.arange(self.n.size)[rows], taus, omega, True)
+    @staticmethod
+    def _read(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, fidelity) of states x (M, D) with twins a, b (M,)."""
+        blk = sec.block(0)
+        fid = np.ones(len(x)) if sec.n == 0 else _overlaps(sec, x, a, b)  # vacuum: no twin
+        return np.array((*_populations(blk.trace, x, blk.ss, blk.rr), fid))
 
-    def sectors_in_window(self, dts: np.ndarray):
-        """`sectors` of every row at each time of dts into the measurement
-        window, shape (rows, len(dts))."""
-        return self._read(np.arange(self.n.size), np.tile(dts, (self.n.size, 1)), 0.0, False)
+    def sectors(self) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3, rows)."""
+        out = np.empty((3, self.n.size))
+        for key, (rows, x) in self.groups.items():
+            out[:, rows] = self._read(sector(*key), x, self.a[rows], self.b[rows])
+        return out
 
-    def _read(self, picked: np.ndarray, taus, omega: float, drive_on: bool):
-        points = 1 if taus is None else taus.shape[1]
-        out = np.empty((3, picked.size, points))
-        for sec, x, at, slot in self._groups(picked):
-            a, b, x = self.a[picked[at]], self.b[picked[at]], x[slot]
-            if taus is not None:
-                t = _times(taus[at])
-                if drive_on:
-                    a, b = (z.ravel() for z in _twin_driven(sec.n, a[:, None], b[:, None], omega, t))
-                else:
-                    a, b = a.repeat(points), b.repeat(points)
-                x = self._evolved(sec, x, t, omega).reshape(-1, x.shape[1])
-            fid = np.ones(len(a)) if sec.n == 0 else _overlaps(sec, x, a, b)  # vacuum: no twin
-            blk = sec.block(0)
-            read = (*_populations(blk.trace, x, blk.ss, blk.rr), fid)
-            out[:, at] = np.reshape(read, (3, at.size, points))
-        return tuple(out[..., 0] if taus is None else out)
+    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
+        """Drive row r and its twin for taus[r].  steps, if given, are the sub-step
+        times (driven rows, points) of the rows with taus > 0, each ending at its
+        tau: those rows keep their last sub-step, and the next `measure` reads all."""
+        _times(taus[:, None])  # the times are valid
+        traced, steps = steps is not None, taus[:, None] if steps is None else steps
+        driven = np.flatnonzero(taus > 0) if traced else np.arange(taus.size)
+        a, b = _twin_driven(self.n[driven, None], self.a[driven, None], self.b[driven, None],
+                            omega, steps)
+        self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
+        self.kept = (steps.shape if traced else None, {})
+        for key, (rows, x) in list(self.groups.items()):
+            sec = sector(*key)
+            slot = np.flatnonzero(taus[rows] > 0) if traced else np.arange(rows.size)
+            at = np.searchsorted(driven, rows[slot])  # rows ascend, so do their positions
+            if slot.size:
+                grid = self._evolved(sec, x[slot], _times(steps[at]), omega)
+                x[slot] = grid[:, -1]
+                if traced:
+                    self.kept[1][(sec.n, sec.N)] = (0, at, grid.reshape(-1, x.shape[1]),
+                                                    a[at].ravel(), b[at].ravel())
 
-    def drive(self, taus: np.ndarray, omega: float) -> None:
-        """Drive row r and its twin for taus[r]."""
-        t = _times(taus[:, None])
-        for sec, x, rows, _ in self._groups():
-            self.groups[(sec.n, sec.N)] = (rows, self._evolved(sec, x, t if t.ndim < 2 else t[rows],
-                                                               omega)[:, 0])
-        self.a, self.b = _twin_driven(self.n, self.a, self.b, omega, taus)
-
-    def measure(self, draws: np.ndarray, eject: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """`PureBatch.measure` for block states: the measurement window, then
-        the projection of every row and its twin; with `eject`, the Rydberg
-        rows lose the detected atom and restart from the fresh twin |S_n-1>."""
+    def measure(self, draws: np.ndarray, eject: bool = False, dts: np.ndarray | None = None):
+        """`PureBatch.measure` for block states: the window (through each of dts,
+        the last the window itself, if given), the projection of every row and its
+        twin; with `eject`, Rydberg rows lose the detected atom and restart from
+        the fresh twin |S_n-1>.  Returns the outcomes, their probabilities and the
+        readouts, or None, of the last drive's sub-steps (3, driven, points) and
+        the window's (3, rows, len(dts)), read in one call per group."""
         rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
+        (shape, kept), self.kept, dts = self.kept, (None, {}), dts if self.window > 0 else None
+        reads = [None if shape is None else np.empty((3, *shape)),
+                 None if dts is None else np.empty((3, self.n.size, dts.size))]
         moved = []
-        for sec, x, rows, _ in self._groups():
+        for key, (rows, x) in list(self.groups.items()):
+            sec = sector(*key)
+            # (0 for the drive's, 1 for the window's, their rows, flat states, twin amplitudes)
+            parts = [kept[(sec.n, sec.N)]] if (sec.n, sec.N) in kept else []
             if self.window > 0:
-                x = self._evolved(sec, x, np.asarray(self.window), 0.0)[:, 0]
+                grid = self._evolved(sec, x, np.asarray(self.window) if dts is None else dts, 0.0)
+                x = grid[:, -1]
+            if dts is not None:
+                parts.append((1, rows, grid.reshape(-1, x.shape[1]),
+                              *(z[rows].repeat(dts.size) for z in (self.a, self.b))))
+            if parts:
+                which, at, xs, a, b = zip(*parts)
+                read = self._read(sec, *map(np.concatenate, (xs, a, b)))
+                for k, to, r in zip(which, at, np.split(read, np.cumsum(list(map(len, a)))[:-1], 1)):
+                    reads[k][:, to] = r.reshape(3, len(to), -1)
             blk = sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
@@ -628,7 +637,7 @@ class BlockBatch:
             self._join((sec.n - 1, sec.N - 1), rows, _ejected(sec, x))
             self.n[rows] -= 1
             self.a[rows], self.b[rows] = 1.0, 0.0
-        return rydberg, probs
+        return rydberg, probs, *reads
 
     def _join(self, key: tuple[int, int], rows: np.ndarray, x: np.ndarray) -> None:
         """Add rows to the group of sector key, keeping its rows ascending."""

@@ -189,6 +189,11 @@ def _sample_n(dist, rng: np.random.Generator) -> int:
     return int(dist)
 
 
+# a trace row of `TrajectoryLog.to_json`: keys sorted, the phase one of the engine's names
+_TRACE_ROW = ('{"fidelity": %r, "p_no_rydberg": %r, "p_rydberg": %r, "phase": "%s", '
+              '"posterior": %s, "time_s": %r}')
+
+
 @dataclass
 class TrajectoryLog:
     """Everything observable about one simulated experiment."""
@@ -205,9 +210,24 @@ class TrajectoryLog:
     params: dict
 
     def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        """`json.dumps(..., sort_keys=True)` of the fields; "trace", last, in one %-format
+        per row (`%r` is `float.__repr__`; a row whose numbers do not sum to a finite
+        float goes through json), each posterior list (a cycle's rows share one) once."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
         doc["record"] = [{"tau_s": t, "outcome": m} for t, m in self.record.entries]
-        return json.dumps(doc, sort_keys=True)
+        posts = {id(row["posterior"]): row["posterior"] for row in self.trace}
+        posts = {key: "[%s]" % ", ".join(map(float.__repr__ if math.isfinite(sum(post))
+                                             else json.dumps, post)) for key, post in posts.items()}
+        rows = []
+        for row in self.trace:
+            f, s, r, t = row["fidelity"], row["p_no_rydberg"], row["p_rydberg"], row["time_s"]
+            text = row["phase"], posts[id(row["posterior"])]
+            total = f + s + r + t  # a float subclass (numpy's) sums to its own type
+            rows.append(_TRACE_ROW % (f, s, r, *text, t) if type(total) is float
+                        and math.isfinite(total) else
+                        _TRACE_ROW.replace("%r", "%s") % (*map(json.dumps, (f, s, r)), *text,
+                                                          json.dumps(t)))
+        return '%s, "trace": [%s]}' % (json.dumps(doc, sort_keys=True)[:-1], ", ".join(rows))
 
 
 def _shared_taus(params: ProtocolParams):
@@ -261,31 +281,21 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
     ids = np.arange(n_traj)  # trajectory of each active row
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
+    ejections, final = np.zeros((2, n_traj), dtype=int)
+    converged, t_now = np.zeros(n_traj, dtype=bool), np.zeros(n_traj)
+    cycles = []  # per cycle: (ids, taus, rydberg, weights, fidelities) of its rows
+    segments = []  # traced phases: (phase, posterior number, trajectories, their rows)
 
-    entries: list[list] = [[] for _ in range(n_traj)]
-    posteriors = [[prior.weights.tolist()] for _ in range(n_traj)]
-    fidelities: list[list[float]] = [[] for _ in range(n_traj)]
-    traces: list[list[dict]] = [[] for _ in range(n_traj)]
-    ejections = np.zeros(n_traj, dtype=int)
-    converged = np.zeros(n_traj, dtype=bool)
-    final = np.zeros(n_traj, dtype=int)
-    t_now = np.zeros(n_traj)
+    def trace(phase: str, who: np.ndarray, posterior: int, times: np.ndarray, read) -> None:
+        """Trace rows of trajectories who at times, (rows,) or (rows, sub-steps)."""
+        if len(who):
+            rows = np.stack((times, *read), axis=-1).reshape(len(who), -1, 4)
+            segments.append((phase, posterior, who.tolist(), rows.tolist()))
 
-    def trace_rows(phase: str, rows, times, report) -> None:
-        """A trace row per entry of times: one per selected trajectory, or a
-        (trajectories, sub-steps) array of them; none if no trajectory is selected."""
-        if not len(times):
-            return
-        shape = (len(times), -1)
-        for i, *row in zip(ids[rows].tolist(), times.reshape(shape).tolist(),
-                           *(x.reshape(shape).tolist() for x in report)):
-            for t, p_s, p_r, fid in zip(*row):
-                traces[i].append({"time_s": t, "phase": phase, "p_no_rydberg": p_s,
-                                  "p_rydberg": p_r, "fidelity": fid,
-                                  "posterior": posteriors[i][-1]})
-
+    steps = dts = None
     if points:
-        trace_rows("init", slice(None), t_now, states.sectors())
+        trace("init", ids, 0, t_now, states.sectors())
+        dts = np.linspace(states.window / points, states.window, points) if states.window else None
 
     for cycle in range(params.max_cycles):
         if ids.size == 0:
@@ -297,19 +307,18 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         col = per_cycle * cycle - first_draw
         taus = np.full(ids.size, tau_at(cycle)) if tau_at else lo + span * draws[:, col]
 
-        if points:
-            driven = np.nonzero(taus > 0)[0]
-            steps = np.array([np.linspace(t / points, t, points)
-                              for t in taus[driven].tolist()]).reshape(driven.size, points)
-            trace_rows("drive", driven, t_now[ids[driven], None] + steps,
-                       states.sectors(steps, params.omega, driven))
-        states.drive(taus, params.omega)
+        if points:  # linspace is exact for times > 0 and ends at tau
+            driven = np.flatnonzero(taus > 0)
+            steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
+            steps_at = t_now[ids[driven], None] + steps
+        states.drive(taus, params.omega, steps)
         t_now[ids] += taus
-        if points and states.window > 0:
-            dts = np.linspace(states.window / points, states.window, points)
-            trace_rows("measure", slice(None), t_now[ids, None] + dts,
-                       states.sectors_in_window(dts))
-        rydberg, _ = states.measure(draws[:, col + per_cycle - 1], params.ejection_enabled)
+        rydberg, _, kept, window = states.measure(draws[:, col + per_cycle - 1],
+                                                  params.ejection_enabled, dts)
+        if points:
+            trace("drive", ids[driven], cycle, steps_at, kept)
+        if window is not None:
+            trace("measure", ids, cycle, t_now[ids, None] + dts, window)
         t_now[ids] += states.window
         if params.ejection_enabled:
             ejections[ids] += rydberg
@@ -317,14 +326,9 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         likelihoods.update(taus, rydberg)
         weights = mixture.posterior(likelihoods.log_l)
         collapse = states.sectors() if points else None
-        fids = collapse[2] if points else states.fidelity()
-        for i, tau, ryd, w, fid in zip(ids.tolist(), taus.tolist(), rydberg.tolist(),
-                                       weights.tolist(), fids.tolist()):
-            entries[i].append((tau, RYDBERG if ryd else NO_RYDBERG))
-            posteriors[i].append(w)
-            fidelities[i].append(fid)
+        cycles.append((ids, taus, rydberg, weights, collapse[2] if points else states.fidelity()))
         if points:
-            trace_rows("collapse", slice(None), t_now[ids], collapse)
+            trace("collapse", ids, cycle + 1, t_now[ids], collapse)
 
         final[ids] = np.argmax(weights, axis=1)
         done = weights.max(axis=1) >= params.threshold
@@ -335,9 +339,24 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             states.keep(keep)
             likelihoods.keep(keep)
 
+    if not n_traj:
+        return []
+    who, *columns = map(np.concatenate, zip(*cycles))  # each trajectory's rows in order
+    order = np.argsort(who, kind="stable")
+    bounds = np.cumsum(np.bincount(who, minlength=n_traj)).tolist()
+    taus, rydberg, later, fids = ([col[start:stop] for start, stop in zip([0, *bounds], bounds)]
+                                  for col in (c[order].tolist() for c in columns))
+    posteriors = [[prior.weights.tolist(), *w] for w in later]
+    traces = [[] for _ in range(n_traj)]
+    for phase, k, who, rows in segments:
+        for i, values in zip(who, rows):
+            post = posteriors[i][k]
+            traces[i] += [{"time_s": t, "phase": phase, "p_no_rydberg": p_s, "p_rydberg": p_r,
+                           "fidelity": fid, "posterior": post} for t, p_s, p_r, fid in values]
     config = params.to_dict()
-    return [TrajectoryLog(record=MeasurementRecord(entries[i]), posteriors=posteriors[i],
-                          fidelities=fidelities[i], trace=traces[i],
+    outcomes = [[RYDBERG if ryd else NO_RYDBERG for ryd in row] for row in rydberg]
+    return [TrajectoryLog(record=MeasurementRecord(list(zip(taus[i], outcomes[i]))),
+                          posteriors=posteriors[i], fidelities=fids[i], trace=traces[i],
                           ejections=int(ejections[i]), n_true=n_true[i],
                           final_candidate=int(final[i]), converged=bool(converged[i]),
                           seed_key=list(seed_keys[i]), params=config)

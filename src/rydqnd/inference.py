@@ -137,6 +137,7 @@ class _J0Block:
         propagator is built per drive time."""
         rows = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
         rows[0, _SS], rows[1, _RR] = self.trace[_SS], self.trace[_RR]
+        dyn._check_horizon(grid, dyn._horizon(self.n, self.N, 0, self.omega, self.gamma))
         if self.spectral:
             coef = (rows @ self.vecs)[None] * (x @ self.inv.T)[:, None, :]
             raw = (coef @ np.exp(self.lam[:, None] * grid[None, :])).real
@@ -192,6 +193,8 @@ def _windowed(x: np.ndarray, systems: tuple[_J0Block, ...], inv: np.ndarray, tau
     """
     if (taus < 0).any():
         raise DomainError("evolution time must be non-negative")
+    dyn._check_horizon(taus, np.array([dyn._horizon(s.n, s.N, 0, s.omega, s.gamma)
+                                       for s in systems])[inv])
     props = dyn._spectral(*(_stacked(systems, inv, key) for key in ("lam", "vecs", "inv")), taus)
     for m in np.flatnonzero(~_stacked(systems, inv, "spectral")).tolist():
         props[m] = systems[inv[m]].propagator(float(taus[m]))

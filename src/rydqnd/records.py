@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ class MeasurementRecord:
 
     def __post_init__(self):
         for i, (tau, outcome) in enumerate(self.entries):
-            if tau < 0:
-                raise DomainError(f"entry {i}: drive time must be non-negative")
+            if not 0 <= tau < math.inf:
+                raise DomainError(f"entry {i}: drive time must be finite and non-negative")
             if outcome not in OUTCOMES:
                 raise DomainError(f"entry {i}: unknown outcome {outcome!r}")
 
@@ -32,7 +33,7 @@ class MeasurementRecord:
         return len(self.entries)
 
     def append(self, tau: float, outcome: str) -> None:
-        if tau < 0 or outcome not in OUTCOMES:
+        if not 0 <= tau < math.inf or outcome not in OUTCOMES:
             raise DomainError("invalid record entry")
         self.entries.append((tau, outcome))
 

@@ -125,7 +125,9 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
     """Every row's sector probabilities, fidelities (initial, traced drive and
     window sub-steps, after the collapse), outcomes, outcome probabilities and
     block coefficients equal its one-state chain's, bit for bit, while rows
-    eject into other groups (down to the (0, 0) vacuum) and leave the batch."""
+    eject into other groups (down to the (0, 0) vacuum) and leave the batch.
+    A traced drive or window keeps the state of its last sub-step, and that
+    state is the chain's after the whole drive or window."""
     N, ns, gamma, window, eject, points, cycles = run
     batch = dyn.BlockBatch(ns, N, gamma, window)
     chains = [_Row(n, N, gamma, window) for n in ns]
@@ -136,23 +138,28 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
             break
         active = [chains[i] for i in ids]
         taus_now = np.array([taus[i] for i in ids])
+        steps = dts = None
         if points:
             driven = np.flatnonzero(taus_now > 0)
             steps = np.array([np.linspace(t / points, t, points)
                               for t in taus_now[driven].tolist()]).reshape(driven.size, points)
-            got = batch.sectors(steps, OMEGA, driven)
-            for k, r in enumerate(driven.tolist()):
-                _same([x[k] for x in got], [_Row.read(*active[r].driven(t))
-                                             for t in steps[k].tolist()])
-        batch.drive(taus_now, OMEGA)
+            in_drive = [[_Row.read(*active[r].driven(t)) for t in steps[k].tolist()]
+                        for k, r in enumerate(driven.tolist())]
+        batch.drive(taus_now, OMEGA, steps)
         for c, t in zip(active, taus_now.tolist()):
             c.blocks, c.twin = c.driven(t)
         if points and window > 0:
             dts = np.linspace(window / points, window, points)
-            got = batch.sectors_in_window(dts)
-            for r, c in enumerate(active):
-                _same([x[r] for x in got], [_Row.read(*c.in_window(dt)) for dt in dts.tolist()])
-        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]), eject)
+            in_window = [[_Row.read(*c.in_window(dt)) for dt in dts.tolist()] for c in active]
+        rydberg, probs, got_drive, got_window = batch.measure(np.array([draws[i] for i in ids]),
+                                                              eject, dts)
+        if points:
+            for k, expected in enumerate(in_drive):
+                _same([x[k] for x in got_drive], expected)
+        assert (got_window is None) == (dts is None)
+        if dts is not None:
+            for r, expected in enumerate(in_window):
+                _same([x[r] for x in got_window], expected)
         expected = [c.measure(draws[i], eject) for i, c in zip(ids, active)]
         assert rydberg.tolist() == [ryd for ryd, _ in expected]
         assert probs.tolist() == [p for _, p in expected]
@@ -210,7 +217,7 @@ def test_zero_drive_is_the_identity(gamma):
     batch = dyn.BlockBatch([1], 1, gamma, 0.0)
     batch.drive(np.zeros(1), OMEGA)
     assert batch.sectors()[1].tolist() == [0.0]
-    rydberg, p = batch.measure(np.zeros(1))
+    rydberg, p, _, _ = batch.measure(np.zeros(1))
     assert rydberg.tolist() == [False] and p.tolist() == [1.0]
     assert batch.sectors()[1].tolist() == [0.0]
     assert batch.fidelity().tolist() == [1.0]

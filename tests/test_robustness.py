@@ -6,10 +6,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from rydqnd import cli, symbasis
 from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
+from rydqnd.errors import DomainError, ResourceError
 from rydqnd.records import MeasurementRecord, RYDBERG
 
 # the paper's parameters, in the CLI's units
@@ -87,3 +89,66 @@ def test_inference_builds_only_the_j0_blocks_it_reads(tmp_path, monkeypatch):
     assert cli.main(["infer", str(path), *_noise_flags(1000), "--candidates", "498..500",
                      "--out", str(out)]) == cli.EXIT_OK
     assert sorted(built) == [(498, 1000, 0), (499, 1000, 0), (500, 1000, 0)]
+
+
+@pytest.mark.parametrize("gamma_mhz", ["0", str(GAMMA_MHZ)])
+@pytest.mark.parametrize("tau", ["NaN", "Infinity", "-Infinity"])
+def test_infer_rejects_a_drive_time_that_is_not_finite(tmp_path, capsys, tau, gamma_mhz):
+    """json reads NaN and Infinity as floats; a record holding one is a usage
+    error at any dephasing rate, not NaN weights (which are not JSON) or an
+    inconsistent record."""
+    rec, out = tmp_path / "record.json", tmp_path / "posterior.json"
+    rec.write_text('{"entries": [{"tau_s": 2e-07, "outcome": "NoRydberg"}, '
+                   '{"tau_s": %s, "outcome": "Rydberg"}]}' % tau)
+    flags = [*_noise_flags(), "--gamma-mhz", gamma_mhz, "--candidates", "1..4"]
+    assert cli.main(["infer", str(rec), *flags, "--out", str(out)]) == cli.EXIT_USAGE
+    assert "entry 1: drive time must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1e-7])
+def test_records_refuse_drive_times_that_are_not_finite_and_non_negative(tau):
+    with pytest.raises(DomainError):
+        MeasurementRecord([(tau, RYDBERG)])
+    record = MeasurementRecord([(1e-7, RYDBERG)])
+    with pytest.raises(DomainError):
+        record.append(tau, RYDBERG)
+    assert len(record) == 1
+
+
+def test_simulate_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
+    """A one-second drive at N = 10 would move the trace past the 1e-9 the
+    drift check allows (the stationary eigenvalue is rounding, not 0): exit 5,
+    naming the drive time."""
+    argv = ["simulate", "--n-true", "2", "--trajectories", "1", "--tau-us", "1e6",
+            "--max-cycles", "2", "--trace-points", "0", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert "drive time 1.0 s is too long" in capsys.readouterr().err
+
+
+def test_infer_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
+    rec = tmp_path / "record.json"
+    rec.write_text(MeasurementRecord([(2e-7, RYDBERG), (1e300, RYDBERG)]).to_json())
+    argv = ["infer", str(rec), *_noise_flags(), "--candidates", "1..4",
+            "--out", str(tmp_path / "posterior.json")]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert "drive time 1e+300 s is too long" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_drives_up_to_the_horizon_hold_the_trace(n):
+    """The horizon lies far past any drive the protocol uses; a drive of 0.9
+    of it keeps the trace within the drift bound, through the cached
+    propagator of one time and the batch's per-row times, and a drive past
+    it is refused before any exponential."""
+    omega, gamma = 2 * math.pi * OMEGA_MHZ * 1e6, 2 * math.pi * GAMMA_MHZ * 1e6
+    horizon = dyn._horizon(n, N_ATOMS, 0, omega, gamma)
+    assert 0.01 < horizon < math.inf
+    blocks = dyn.symmetric_state_blocks(n, N_ATOMS)
+    dyn.evolve_blocks(blocks, 0.9 * horizon, omega, gamma)
+    batch = dyn.BlockBatch([n, n], N_ATOMS, gamma, 0.0)
+    batch.drive(np.array([0.5, 0.9]) * horizon, omega)
+    with pytest.raises(ResourceError):
+        dyn.evolve_blocks(blocks, 1.1 * horizon, omega, gamma)
+    with pytest.raises(ResourceError):
+        batch.drive(np.array([0.5, 1.1]) * horizon, omega)
