@@ -40,7 +40,7 @@ from .errors import (
 from .records import FockDistribution, MeasurementRecord, Posterior
 from . import analysis, dense_oracle, dynamics, inference
 from .engine import NOISELESS_PURE, NOISY_FIXED_N, ProtocolParams, Schedule, run_batch
-from .symbasis import build_block
+from .symbasis import build_block, sector
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -319,25 +319,27 @@ ORACLE_TOLERANCE = 1e-6
 def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
                               times: np.ndarray,
                               corrupt: bool) -> np.ndarray:
-    """Symmetric-block p_R(t) from the simulator's own block propagator.
+    """Symmetric-block p_R(t) from the kernels the simulator runs.
 
-    p_R lives in the j = 0 block, so only that block is evolved.  The
-    corruption hook scales one off-diagonal drive entry of its generator and
-    exponentiates the result, so the check demonstrably catches a wrong
-    matrix element.
+    p_R lives in the j = 0 block, so only that block is evolved: the fresh
+    |S_n><S_n| is advanced by the block propagator of every time, with the
+    simulator's trace-drift check, and read as the simulator reads its
+    populations.  The corruption hook scales one off-diagonal drive entry of
+    the generator and exponentiates the result, so the check demonstrably
+    catches a wrong matrix element.
     """
-    blocks = dynamics.symmetric_state_blocks(n, N)[:1]
+    blk = sector(n, N).block(0)
+    fresh = blk.dyads[0].astype(complex)
     if corrupt:
         ops = build_block(n, N, 0, omega, gamma)
         gen = ops.generator()
         rows, cols = np.nonzero(ops.H)
         gen[rows[0], cols[0]] *= 1.001
-    out = np.zeros(times.size)
-    for k, t in enumerate(times):
-        evolved = ([dynamics.SymmetricBlockState(n, N, 0, expm(gen * t) @ blocks[0].x)]
-                   if corrupt else dynamics.evolve_blocks(blocks, t, omega, gamma))
-        out[k] = dynamics.sector_probabilities(evolved)[1]
-    return out
+        x = np.array([expm(gen * t) @ fresh for t in times.tolist()])
+    else:
+        props = np.array([dynamics._propagator(n, N, 0, omega, gamma, t) for t in times.tolist()])
+        x = dynamics._advance(fresh, (props,), (slice(None),), blk.trace[:, None])
+    return dynamics._populations(blk.trace, x, blk.ss, blk.rr)[1]
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from rydqnd import cli
+from rydqnd import cli, dynamics
 
 # name -> (oracle-check flags, output file name, exit code, sha256 of the file)
 CASES = {
@@ -37,3 +37,19 @@ def test_oracle_check_output_bytes(name, tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+
+def test_oracle_check_reads_the_holder_kernels(tmp_path, monkeypatch):
+    """The gate's block side runs the kernels `BlockBatch` runs, not the
+    one-state chain: an uncorrupted run calls neither of its kernels."""
+    calls = {"evolve_block": 0, "sector_probabilities": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle-check", "--time-points", "3", "--out", str(out)]) == cli.EXIT_OK
+    assert calls == {"evolve_block": 0, "sector_probabilities": 0}
