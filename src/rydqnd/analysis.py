@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -115,7 +115,6 @@ class ScheduleResult:
     taus: list[float]
     fidelity_trace: list[float]
     strategy: str
-    grid: np.ndarray = field(repr=False, default=None)
 
 
 def _outcome_tree(prefix: Sequence[float], ns: list[int], omega: float,
@@ -211,7 +210,7 @@ def optimize_schedule_local(T: int, candidates: list[FockDistribution], prior: P
     for _ in range(T):
         taus.append(greedy_next_tau(taus, candidates, prior, grid, omega, noise))
         trace.append(expected_fidelity(taus, candidates, prior, omega, noise))
-    return ScheduleResult(taus, trace, "local", grid)
+    return ScheduleResult(taus, trace, "local")
 
 
 def greedy_next_tau(prefix: Sequence[float], candidates: list[FockDistribution],
@@ -241,4 +240,4 @@ def optimize_schedule_global(T: int, candidates: list[FockDistribution], prior: 
         expected_fidelity(taus[: i + 1], candidates, prior, omega, noise) for i in range(T - 1)))
     trace = [expected_fidelity(best_taus[: i + 1], candidates, prior, omega, noise)
              for i in range(T)]
-    return ScheduleResult(best_taus, trace, "global", grid)
+    return ScheduleResult(best_taus, trace, "global")

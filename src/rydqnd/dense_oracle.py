@@ -5,7 +5,7 @@ excitation; the perfect-blockade Hamiltonian is exactly the projection of the
 collective drive onto that subspace, and the dephasing jump operators preserve
 it, so nothing is lost by the restriction.  Intended for N <= 6 only.
 
-`evolve_dense` applies the exact propagator exp(L t), with L the sparse
+`evolve_dense_grid` applies the exact propagator exp(L t), with L the sparse
 Liouvillian on the row-major vec(rho), through scipy's `expm_multiply`: the
 truncated Taylor series of Al-Mohy & Higham, "Computing the action of the
 matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011).  It evolves only the
@@ -15,10 +15,10 @@ conserves the excitation number and the dephasing term acts elementwise, so
 an entry rho_ab only ever feeds entries in the same (exc(a), exc(b)) block,
 and a block that starts at zero stays zero.  No permutation symmetry and no
 eigendecomposition is used, so the oracle stays independent of the
-symmetric-block solver it checks.  `evolve_dense_grid` returns the states at
-equally spaced times from one `expm_multiply` call over the whole interval,
-and an evolution that would need more than `MAX_DENSE_STEPS` scaling steps
-raises `ResourceError` instead of running for hours.
+symmetric-block solver it checks.  The states at equally spaced times come
+from one `expm_multiply` call over the whole interval; `evolve_dense` is the
+last of two.  An evolution that would need more than `MAX_DENSE_STEPS` scaling
+steps raises `ResourceError` instead of running for hours.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ class DenseState:
 
     N: int
     rho: np.ndarray
-
-    def validate(self, tol: float = 1e-10) -> None:
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > tol:
-            raise PreconditionError("density matrix is not Hermitian")
-        if abs(np.trace(self.rho).real - 1.0) > tol:
-            raise PreconditionError("density matrix trace differs from 1")
-        eigs = np.linalg.eigvalsh(self.rho)
-        if eigs.min() < -1e-9:
-            raise PreconditionError(f"density matrix not PSD (min eigenvalue {eigs.min():.3e})")
 
     def copy(self) -> "DenseState":
         return DenseState(self.N, self.rho.copy())
@@ -160,29 +151,6 @@ _THETA_55 = 9.9
 MAX_DENSE_STEPS = 1000
 
 
-def _check_inputs(t: float, omega: float, gamma: float) -> None:
-    if not all(map(isfinite, (t, omega, gamma))):
-        raise DomainError("evolution time, omega and gamma must be finite")
-    if t < 0:
-        raise DomainError("evolution time must be non-negative")
-
-
-def _restricted(state: DenseState, t: float, omega: float,
-                gamma: float) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The occupied basis states (module docstring) and L over them, refused
-    past `MAX_DENSE_STEPS` for an evolution of length t."""
-    exc = _excitation_numbers(state.N)
-    nonzero = state.rho != 0
-    occupied = exc[nonzero.any(axis=0) | nonzero.any(axis=1)]
-    idx = np.flatnonzero(np.isin(exc, occupied))
-    liouvillian = _liouvillian(state.N, tuple(idx.tolist()), omega, gamma)
-    norm = float(abs(liouvillian).sum(axis=0).max()) * t
-    if norm / _THETA_55 > MAX_DENSE_STEPS:
-        raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
-                            f"{MAX_DENSE_STEPS} expm_multiply steps")
-    return idx, liouvillian
-
-
 def _scattered(state: DenseState, idx: np.ndarray, vec: np.ndarray) -> DenseState:
     """vec(rho) over idx scattered into a full-size zero rho, its trace and
     Hermiticity checked against the input's."""
@@ -196,33 +164,36 @@ def _scattered(state: DenseState, idx: np.ndarray, vec: np.ndarray) -> DenseStat
 
 
 def evolve_dense(state: DenseState, t: float, omega: float, gamma: float) -> DenseState:
-    """exp(L t) applied to the occupied sectors (module docstring); every
-    other entry of the result is exactly zero."""
-    _check_inputs(t, omega, gamma)
-    if t == 0:
-        return state.copy()
-    idx, liouvillian = _restricted(state, t, omega, gamma)
-    lt = liouvillian * t
-    vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)
-    if abs(lt).max() > 1e-300:  # else exp(L t) = 1 and scipy's step count rounds to 0
-        vec = expm_multiply(lt, vec)
-    return _scattered(state, idx, vec)
+    """exp(L t) applied to the occupied sectors (module docstring): the last
+    state of a two-point `evolve_dense_grid`."""
+    return evolve_dense_grid(state, t, 2, omega, gamma)[-1]
 
 
 def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: float,
                       gamma: float) -> list[DenseState]:
-    """`evolve_dense` at `points` equally spaced times from 0 to t_stop (both
-    included, as np.linspace places them), from one expm_multiply call over
-    the whole grid; every state is checked as `evolve_dense` checks its result."""
+    """exp(L t) applied to the occupied sectors at `points` equally spaced
+    times t from 0 to t_stop (both included, as np.linspace places them), from
+    one expm_multiply call over the whole grid; every other entry of a result
+    is exactly zero, and each result's trace and Hermiticity are checked."""
     if points < 1:
         raise DomainError(f"need at least one time point, got {points}")
-    _check_inputs(t_stop, omega, gamma)
+    if not all(map(isfinite, (t_stop, omega, gamma))):
+        raise DomainError("evolution time, omega and gamma must be finite")
+    if t_stop < 0:
+        raise DomainError("evolution time must be non-negative")
     if points == 1 or t_stop == 0:
         return [state.copy() for _ in range(points)]
-    idx, liouvillian = _restricted(state, t_stop, omega, gamma)
-    vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)
-    if abs(liouvillian).max() * t_stop <= 1e-300:  # as in `evolve_dense`
+    exc = _excitation_numbers(state.N)
+    nonzero = state.rho != 0
+    idx = np.flatnonzero(np.isin(exc, exc[nonzero.any(axis=0) | nonzero.any(axis=1)]))
+    liouvillian = _liouvillian(state.N, tuple(idx.tolist()), omega, gamma)
+    norm = float(abs(liouvillian).sum(axis=0).max()) * t_stop
+    if norm / _THETA_55 > MAX_DENSE_STEPS:
+        raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
+                            f"{MAX_DENSE_STEPS} expm_multiply steps")
+    if abs(liouvillian).max() * t_stop <= 1e-300:  # exp(L t) = 1; scipy's step count rounds to 0
         return [state.copy() for _ in range(points)]
+    vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)
     vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points, endpoint=True)
     return [_scattered(state, idx, v) for v in vecs]
 

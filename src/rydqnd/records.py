@@ -20,7 +20,6 @@ class MeasurementRecord:
     """Ordered list of (drive time, outcome) pairs; cycle 0 convention is NoRydberg."""
 
     entries: list[tuple[float, str]] = field(default_factory=list)
-    params: dict | None = None
 
     def __post_init__(self):
         for i, (tau, outcome) in enumerate(self.entries):
@@ -39,15 +38,13 @@ class MeasurementRecord:
 
     def to_json(self) -> str:
         doc = {"entries": [{"tau_s": tau, "outcome": m} for tau, m in self.entries]}
-        if self.params is not None:
-            doc["params"] = self.params
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "MeasurementRecord":
         doc = json.loads(text)
         entries = [(e["tau_s"], e["outcome"]) for e in doc["entries"]]
-        return MeasurementRecord(entries, params=doc.get("params"))
+        return MeasurementRecord(entries)
 
 
 @dataclass
@@ -102,13 +99,3 @@ class Posterior:
     @staticmethod
     def uniform(k: int) -> "Posterior":
         return Posterior(np.full(k, 1.0 / k))
-
-    def to_json(self, candidates: list[FockDistribution] | None = None) -> str:
-        doc: dict = {"weights": self.weights.tolist()}
-        if candidates is not None:
-            doc["candidates"] = [c.tolist() for c in candidates]
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Posterior":
-        return Posterior(np.array(json.loads(text)["weights"]))

@@ -13,7 +13,6 @@ only on (n, N, j) is built once per (n, N) by `sector` and cached.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -23,25 +22,24 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Family listing order is fixed; matrices, coefficient vectors and all
-# serialized states index into this order (after pruning).
-FAMILIES = ("ss", "rs", "sr", "rg", "gr", "rr", "rs_gr", "sr_rg", "rs_sr", "rg_gr")
-
-# Diagonal of the dephasing superoperator as a multiple of -gamma, one entry
-# per family: half for every single cross-sector coherence, one for every
-# doubled one, zero for populations.
-_DISSIPATOR_DIAG = {
-    "ss": 0.0,
-    "rs": 0.5,
-    "sr": 0.5,
-    "rg": 0.5,
-    "gr": 0.5,
-    "rr": 0.0,
-    "rs_gr": 1.0,
-    "sr_rg": 1.0,
-    "rs_sr": 1.0,
-    "rg_gr": 1.0,
+# Every family, in the fixed listing order that matrices and coefficient vectors
+# index into (after pruning), as (its operators beyond the sg/gs/ss/gg
+# background, the shifts of the sg, gs and ss multiplicities from j, j and
+# n - j, its dephasing rate as a multiple of -gamma): half for every single
+# cross-sector coherence, one for every doubled one, zero for populations.
+_FAMILY_TABLE = {
+    "ss": ({}, (0, 0, 0), 0.0),
+    "rs": ({"rs": 1}, (0, 0, -1), 0.5),
+    "sr": ({"sr": 1}, (0, 0, -1), 0.5),
+    "rg": ({"rg": 1}, (-1, 0, 0), 0.5),
+    "gr": ({"gr": 1}, (0, -1, 0), 0.5),
+    "rr": ({"rr": 1}, (0, 0, -1), 0.0),
+    "rs_gr": ({"rs": 1, "gr": 1}, (0, -1, -1), 1.0),
+    "sr_rg": ({"sr": 1, "rg": 1}, (-1, 0, -1), 1.0),
+    "rs_sr": ({"rs": 1, "sr": 1}, (0, 0, -2), 1.0),
+    "rg_gr": ({"rg": 1, "gr": 1}, (-1, -1, 0), 1.0),
 }
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def _site_operator_multiset(kind: str, n: int, N: int, j: int) -> dict[str, int]:
@@ -50,32 +48,12 @@ def _site_operator_multiset(kind: str, n: int, N: int, j: int) -> dict[str, int]
     Keys are two-letter operator names sigma_ab = |a><b| over {g, s, r}; values
     are site multiplicities.  A family exists iff all multiplicities are >= 0.
     """
-    extra: dict[str, int]
-    sg, gs, ss = j, j, n - j
-    if kind == "ss":
-        extra = {}
-    elif kind == "rs":
-        extra, ss = {"rs": 1}, n - j - 1
-    elif kind == "sr":
-        extra, ss = {"sr": 1}, n - j - 1
-    elif kind == "rg":
-        extra, sg = {"rg": 1}, j - 1
-    elif kind == "gr":
-        extra, gs = {"gr": 1}, j - 1
-    elif kind == "rr":
-        extra, ss = {"rr": 1}, n - j - 1
-    elif kind == "rs_gr":
-        extra, gs, ss = {"rs": 1, "gr": 1}, j - 1, n - j - 1
-    elif kind == "sr_rg":
-        extra, sg, ss = {"sr": 1, "rg": 1}, j - 1, n - j - 1
-    elif kind == "rs_sr":
-        extra, ss = {"rs": 1, "sr": 1}, n - j - 2
-    elif kind == "rg_gr":
-        extra, sg, gs = {"rg": 1, "gr": 1}, j - 1, j - 1
-    else:
+    if kind not in _FAMILY_TABLE:
         raise DomainError(f"unknown family kind {kind!r}")
+    extra, (sg, gs, ss), _ = _FAMILY_TABLE[kind]
     ops = dict(extra)
-    for name, mult in (("sg", sg), ("gs", gs), ("ss", ss), ("gg", N - n - j)):
+    for name, mult in (("sg", j + sg), ("gs", j + gs), ("ss", n - j + ss),
+                       ("gg", N - n - j)):
         if mult:
             ops[name] = ops.get(name, 0) + mult
     return ops
@@ -169,34 +147,6 @@ class BlockOperators:
     def generator(self) -> np.ndarray:
         """Full block generator i*H + gamma*diag(D)."""
         return 1j * self.H + self.gamma * np.diag(self.D)
-
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "N": self.N,
-            "j": self.j,
-            "labels": [lab.kind for lab in self.labels],
-            "norms": self.norms.tolist(),
-            "H": [[z.real, z.imag] for z in self.H.ravel()],
-            "D": self.D.tolist(),
-            "omega": self.omega,
-            "gamma": self.gamma,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BlockOperators":
-        doc = json.loads(text)
-        n, N, j = doc["n"], doc["N"], doc["j"]
-        labels = tuple(BasisLabel(kind, j, n, N) for kind in doc["labels"])
-        dim = len(labels)
-        H = np.array([complex(re, im) for re, im in doc["H"]]).reshape(dim, dim)
-        return BlockOperators(
-            n=n, N=N, j=j, labels=labels,
-            norms=np.array(doc["norms"]),
-            H=H, D=np.array(doc["D"]),
-            omega=doc["omega"], gamma=doc["gamma"],
-        )
 
 
 # Nonzero entries of the drive superoperator, as (row, col, coefficient
@@ -323,7 +273,7 @@ def _sector_block(n: int, N: int, j: int) -> SectorBlock:
         j=j, labels=labels,
         norms=_frozen([_sqrt_ratio(1, count) for count in counts]),
         drive=_frozen(drive),
-        dephasing=_frozen([-_DISSIPATOR_DIAG[kind] for kind in kinds]),
+        dephasing=_frozen([-_FAMILY_TABLE[kind][2] for kind in kinds]),
         trace=_frozen([_sqrt_ratio(count, 1) if lab.is_diagonal() else 0.0
                        for lab, count in zip(labels, counts)]),
         ss=index["ss"], rr=index.get("rr"),

@@ -7,7 +7,6 @@ that basis.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -97,6 +96,11 @@ def test_normalization_is_inverse_sqrt_of_assignment_count():
     assert sb.normalization(lab) == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-15)
 
 
+def test_unknown_family_kind_rejected():
+    with pytest.raises(DomainError, match="unknown family kind"):
+        sb.BasisLabel("sg", 0, 2, 5).site_operators()
+
+
 def test_dissipator_diagonal_values():
     blk = sb.build_block(3, 6, 1, omega=1.0, gamma=1.0)
     by_kind = {lab.kind: blk.D[i] for i, lab in enumerate(blk.labels)}
@@ -130,15 +134,6 @@ def test_generator_combines_drive_and_dephasing():
     blk = sb.build_block(1, 3, 1, omega=0.7, gamma=0.2)
     gen = blk.generator()
     assert np.allclose(gen, 1j * blk.H + 0.2 * np.diag(blk.D))
-
-
-def test_block_json_round_trip():
-    blk = sb.build_block(2, 5, 1, omega=2.0, gamma=0.5)
-    clone = sb.BlockOperators.from_json(blk.to_json())
-    assert clone.n == blk.n and clone.N == blk.N and clone.j == blk.j
-    assert np.allclose(clone.H, blk.H)
-    assert np.allclose(clone.D, blk.D)
-    assert json.loads(blk.to_json()) == json.loads(clone.to_json())
 
 
 def test_invalid_block_arguments_rejected():
