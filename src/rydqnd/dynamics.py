@@ -68,23 +68,36 @@ class PureCollectiveState:
         return int(occupied[0])
 
 
-def _rotation(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each (a, b) pair rotated by its theta."""
+def _phases(rate, taus) -> np.ndarray:
+    """The drive phases rate * taus; a phase past float range is a
+    `ResourceError` naming its drive time."""
+    with np.errstate(over="ignore"):
+        theta = rate * taus
+    finite = np.isfinite(theta)
+    if not finite.all():
+        tau = np.broadcast_to(taus, theta.shape)[~finite][0]
+        raise ResourceError(f"drive time {tau} s puts the drive phase past float range")
+    return theta
+
+
+def _rotation(a: np.ndarray, b: np.ndarray, rate, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Each (a, b) pair rotated by its phase rate * taus (`_phases`)."""
+    theta = _phases(rate, taus)
     c, s = np.cos(theta), np.sin(theta)
     return a * c - 1j * b * s, b * c - 1j * a * s
 
 
-def _rotate(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each (a_n, b_n) pair by theta_n, n along the last axis."""
-    a, b = _rotation(a, b, theta)
+def _rotate(a: np.ndarray, b: np.ndarray, rate, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each (a_n, b_n) pair by rate_n * taus, n along the last axis."""
+    a, b = _rotation(a, b, rate, taus)
     b[..., 0] = 0.0
     return a, b
 
 
 def _check_norm(norm_sq: np.ndarray) -> None:
-    """The unit-norm check of `PureCollectiveState`, for every row."""
+    """The unit-norm check of `PureCollectiveState`, for every row; NaN fails it."""
     norm = np.sqrt(norm_sq)
-    bad = np.abs(norm - 1.0) > 1e-12
+    bad = ~(np.abs(norm - 1.0) <= 1e-12)
     if bad.any():
         raise DomainError(f"state norm is {norm[bad][0]}, expected 1")
 
@@ -124,11 +137,11 @@ class PureBatch:
         sqrt(n) * omega.  steps as in `BlockBatch.drive`."""
         rate = np.sqrt(np.arange(self.a.shape[1])) * omega
         if steps is None:
-            self.a, self.b = _rotate(self.a, self.b, rate * taus[:, None])
+            self.a, self.b = _rotate(self.a, self.b, rate, taus[:, None])
             return
         driven = np.flatnonzero(taus > 0)
         rows, points = driven.repeat(steps.shape[1]), steps.shape[1]
-        a, b = _rotate(self.a[rows], self.b[rows], rate * steps.reshape(-1, 1))
+        a, b = _rotate(self.a[rows], self.b[rows], rate, steps.reshape(-1, 1))
         self.kept = self.sectors(a, b, rows).reshape(3, *steps.shape)
         self.a[driven], self.b[driven] = a[points - 1::points], b[points - 1::points]
 
@@ -174,8 +187,8 @@ def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCol
     """Drive for time tau: within each n, rotate (a_n, b_n) at sqrt(n)*Omega."""
     if tau < 0:
         raise DomainError("drive time must be non-negative")
-    theta = np.sqrt(np.arange(state.a.size)) * omega * tau
-    return PureCollectiveState(*_rotate(state.a, state.b, theta))
+    rate = np.sqrt(np.arange(state.a.size)) * omega
+    return PureCollectiveState(*_rotate(state.a, state.b, rate, tau))
 
 
 def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureCollectiveState, float]:
@@ -506,7 +519,7 @@ def _times(taus: np.ndarray) -> np.ndarray:
 def _twin_driven(n, a: np.ndarray, b: np.ndarray, omega: float, taus: np.ndarray):
     """Twin amplitudes (a_n, b_n) after a drive of taus, norm-checked as
     `evolve_pure` checks its state."""
-    a, b = _rotation(a, b, np.sqrt(n) * omega * taus)
+    a, b = _rotation(a, b, np.sqrt(n) * omega, taus)
     _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)
     return a, b
 

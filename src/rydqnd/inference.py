@@ -19,7 +19,7 @@ accumulated in the log domain so long records do not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -55,7 +55,7 @@ def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
     pow, as Python's ``x ** 2`` computes it.
     """
     m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
-    phase = np.sqrt(m) * omega * np.asarray(taus, dtype=float)[:, None]
+    phase = dyn._phases(np.sqrt(m) * omega, np.asarray(taus, dtype=float)[:, None])
     trig = np.where(np.asarray(repeat)[:, None], np.cos(phase), np.sin(phase))
     return np.float_power(trig, 2.0)
 
@@ -320,11 +320,11 @@ class ConditionalState:
 
 def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,
                           noise: NoiseParams | None, eject: bool = False) -> np.ndarray:
-    """log Pr(first t outcomes | n), shape (T + 1, len(ns)); with noise,
-    ``noise.eject`` sets ejection."""
+    """log Pr(first t outcomes | n), shape (T + 1, len(ns)); ejection is on
+    where ``eject`` or ``noise.eject`` says so."""
     if noise is None:
         return _noiseless_log_table(record, ns, omega, eject)
-    return _noisy_log_table(record, ns, omega, noise)
+    return _noisy_log_table(record, ns, omega, replace(noise, eject=True) if eject else noise)
 
 
 def log_likelihood_noisy(record: MeasurementRecord, n: int, omega: float,
@@ -511,9 +511,11 @@ class NoisyLikelihoods:
 
 def record_likelihoods(ns: list[int], omega: float, noise: NoiseParams | None = None,
                        eject: bool = False, rows: int = 1):
-    """`NoiselessLikelihoods`, or with noise `NoisyLikelihoods` (``noise.eject`` sets ejection)."""
-    return (NoiselessLikelihoods(ns, omega, eject, rows) if noise is None
-            else NoisyLikelihoods(ns, omega, noise, rows))
+    """`NoiselessLikelihoods`, or with noise `NoisyLikelihoods`; ejection is on
+    where ``eject`` or ``noise.eject`` says so."""
+    if noise is None:
+        return NoiselessLikelihoods(ns, omega, eject, rows)
+    return NoisyLikelihoods(ns, omega, replace(noise, eject=True) if eject else noise, rows)
 
 
 class SequentialInference:

@@ -347,3 +347,24 @@ def test_noisy_ejection_down_to_the_empty_array(tmp_path):
     assert (state.blocks[0].n, state.blocks[0].N) == (0, 0)
     p_s, p_r = state.outcome_probabilities(2e-7)
     assert p_s == pytest.approx(1.0, abs=1e-12) and p_r == 0.0
+
+
+def test_eject_flag_and_noise_eject_agree():
+    """Ejection is on whichever spelling asks for it: the eject argument beside
+    a noise model without ejection gives what a noise model with it gives."""
+    omega = 2 * math.pi * 2.5e6
+    quiet = inf.NoiseParams(2 * math.pi * 0.3e6, 0.3e-6, 10)
+    ejecting = inf.NoiseParams(2 * math.pi * 0.3e6, 0.3e-6, 10, eject=True)
+    rec = record_of([2.1e-7, 2.1e-7, 2.1e-7], [RYDBERG, RYDBERG, NO_RYDBERG])
+    cands = [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)]
+    prior = Posterior.uniform(4)
+    want = inf.posterior_trace(rec, cands, prior, omega, noise=ejecting)
+    assert not np.allclose(want, inf.posterior_trace(rec, cands, prior, omega, noise=quiet))
+    assert np.array_equal(inf.posterior_trace(rec, cands, prior, omega, noise=quiet,
+                                              eject=True), want)
+    for noise, eject in ((quiet, True), (ejecting, False), (ejecting, True)):
+        seq = inf.SequentialInference(cands, prior, omega, noise=noise, eject=eject)
+        rows = [seq.update(tau, outcome).weights for tau, outcome in rec.entries]
+        assert np.allclose(rows, want[1:], rtol=0, atol=1e-12)
+        likelihoods = inf.record_likelihoods([1, 2, 3, 4], omega, noise, eject)
+        assert likelihoods.noise.eject

@@ -135,6 +135,33 @@ def test_infer_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
     assert "drive time 1e+300 s is too long" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma_mhz", ["0", str(GAMMA_MHZ)])
+def test_simulate_refuses_a_drive_phase_past_float_range(gamma_mhz, tmp_path, capsys):
+    """sqrt(n) * omega * tau overflows to inf, whose cos and sin are NaN: exit 5
+    naming the drive time, before any NaN reaches a state or a likelihood."""
+    argv = ["simulate", "--gamma-mhz", gamma_mhz, "--tau-us", "1e308", "--trajectories", "1",
+            "--max-cycles", "3", "--trace-points", "0", "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert "puts the drive phase past float range" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_noiseless_infer_refuses_a_drive_phase_past_float_range(tmp_path, capsys):
+    rec, out = tmp_path / "record.json", tmp_path / "posterior.json"
+    rec.write_text(MeasurementRecord([(2e-7, "NoRydberg"), (1e303, RYDBERG)]).to_json())
+    argv = ["infer", str(rec), "--gamma-mhz", "0", "--candidates", "1..4", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert "drive time 1e+303 s puts the drive phase" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_nan_norm_fails_the_norm_check():
+    with pytest.raises(DomainError):
+        dyn._check_norm(np.array([1.0, math.nan]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_drives_up_to_the_horizon_hold_the_trace(n):
     """The horizon lies far past any drive the protocol uses; a drive of 0.9
