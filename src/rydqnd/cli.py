@@ -28,7 +28,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .records import FockDistribution, MeasurementRecord, Posterior
 from . import analysis, dense_oracle, dynamics, inference
+from .dynamics import expm
 from .engine import NOISELESS_PURE, NOISY_FIXED_N, ProtocolParams, Schedule, run_batch
 from .symbasis import build_block, sector
 

@@ -28,8 +28,6 @@ from functools import lru_cache
 from math import comb, isfinite, sqrt
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import DomainError, IntegratorError, ImpossibleOutcomeError, PreconditionError, ResourceError
 from .records import RYDBERG, NO_RYDBERG
@@ -136,8 +134,10 @@ def _excitation_numbers(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _liouvillian(N: int, idx: tuple[int, ...], omega: float, gamma: float) -> sparse.csr_matrix:
-    """L = -i (h x I - I x h^T) + gamma diag(vec W) on row-major vec(rho) over idx."""
+def _liouvillian(N: int, idx: tuple[int, ...], omega: float, gamma: float):
+    """L = -i (h x I - I x h^T) + gamma diag(vec W) on row-major vec(rho) over idx,
+    as a scipy.sparse CSR matrix."""
+    from scipy import sparse
     h = sparse.csr_matrix(omega * _drive_hamiltonian(N)[np.ix_(idx, idx)])
     eye = sparse.identity(len(idx))
     return (-1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
@@ -175,6 +175,9 @@ def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: floa
     times t from 0 to t_stop (both included, as np.linspace places them), from
     one expm_multiply call over the whole grid; every other entry of a result
     is exactly zero, and each result's trace and Hermiticity are checked."""
+    # imported here, before the early returns, so that a one-point call (the
+    # warm-up of oracle-check) loads scipy as the real evolution does
+    from scipy.sparse.linalg import expm_multiply
     if points < 1:
         raise DomainError(f"need at least one time point, got {points}")
     if not all(map(isfinite, (t_stop, omega, gamma))):

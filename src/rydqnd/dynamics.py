@@ -18,7 +18,6 @@ from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError, ResourceError
 from .records import NO_RYDBERG, RYDBERG
@@ -279,6 +278,13 @@ def _check_horizon(taus, horizon) -> None:
     if long.any():
         tau = np.broadcast_to(taus, long.shape)[long][0]
         raise ResourceError(f"drive time {tau} s is too long for a propagator to keep the trace")
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """`scipy.linalg.expm`, imported on the first call: only this fallback and
+    oracle-check need scipy, so the other commands start without it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 @lru_cache(maxsize=1024)

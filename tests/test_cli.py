@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -369,6 +372,18 @@ def test_version_matches_pyproject(capsys):
     with pytest.raises(SystemExit):
         run(["--version"])
     assert capsys.readouterr().out.strip() == version
+
+
+def test_python_dash_m_runs_main_and_exits_with_its_code(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for argv, code in ((["--help"], cli.EXIT_OK),
+                       (["infer", str(tmp_path / "missing.json")], cli.EXIT_USAGE)):
+        out = subprocess.run([sys.executable, "-m", "rydqnd", *argv], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == code, out.stderr
+    assert out.stderr.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dense brute-force reference solver on the blockaded product space."""
 
+import json
 import math
 import os
 import subprocess
@@ -235,16 +236,66 @@ def test_vanishing_time_step_leaves_state_unchanged():
         assert np.max(np.abs(evolved.rho - state.rho)) < 1e-15
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # the oracle applies exp(L t) directly; this module imports solve_ivp only
-    # for its own reference solution, so the check runs in a fresh interpreter
+# Run in a fresh interpreter by the test below: prints, after each step, the
+# scipy modules loaded so far.
+_SCIPY_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import rydqnd.cli as cli
+from rydqnd import dynamics
+from rydqnd.symbasis import build_block
+
+seen = {"import": scipy_modules()}
+tmp = Path(tempfile.mkdtemp())
+record = json.dumps({"entries": [{"tau_s": 2.1e-7, "outcome": m}
+                                 for m in ("Rydberg", "NoRydberg", "Rydberg")]})
+(tmp / "rec.json").write_text(record)
+steps = {
+    "simulate-noisy": ["simulate", "--max-cycles", "3", "--outdir", str(tmp / "noisy")],
+    "simulate-noiseless": ["simulate", "--gamma-mhz", "0", "--outdir", str(tmp / "pure")],
+    "infer-noisy": ["infer", str(tmp / "rec.json"), "--gamma-mhz", "0.3",
+                    "--tau-eit-us", "0.3", "--out", str(tmp / "noisy.json")],
+    "infer-noiseless": ["infer", str(tmp / "rec.json"), "--out", str(tmp / "pure.json")],
+    "analyze-fisher": ["analyze", "fisher", "--out", str(tmp / "fisher.json")],
+}
+for name, argv in steps.items():
+    assert cli.main(argv) == 0, name
+    seen[name] = scipy_modules()
+
+omega, tau = 2.0, 7.3 / 2.0  # critical damping: the expm fallback
+prop = dynamics._propagator(1, 10, 1, omega, 4.0 * omega, tau)
+seen["fallback"] = scipy_modules()
+import scipy.linalg
+ref = scipy.linalg.expm(build_block(1, 10, 1, omega, 4.0 * omega).generator() * tau)
+seen["fallback_equal"] = bool((prop == ref).all())
+
+assert cli.main(["oracle-check", "--time-points", "1", "--out", str(tmp / "o.json")]) == 0
+seen["oracle-check"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_scipy_only_for_oracle_check_and_expm_fallback():
+    # simulate, infer and analyze start and run without scipy; the expm
+    # fallback and oracle-check load what they use.  One fresh interpreter.
     src = str(Path(do.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, rydqnd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    seen = json.loads(out.stdout.splitlines()[-1])
+    for step in ("import", "simulate-noisy", "simulate-noiseless", "infer-noisy",
+                 "infer-noiseless", "analyze-fisher"):
+        assert seen[step] == [], step
+    assert "scipy.linalg" in seen["fallback"]
+    assert "scipy.sparse.linalg" not in seen["fallback"]
+    assert seen["fallback_equal"]
+    assert "scipy.sparse.linalg" in seen["oracle-check"]
+    assert not any(m.startswith("scipy.integrate") for m in seen["oracle-check"])
 
 
 def test_unbounded_evolution_raises_resource_error_quickly():
