@@ -135,8 +135,7 @@ def _excitation_numbers(N: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _liouvillian(N: int, idx: tuple[int, ...], omega: float, gamma: float):
-    """L = -i (h x I - I x h^T) + gamma diag(vec W) on row-major vec(rho) over idx,
-    as a scipy.sparse CSR matrix."""
+    """L = -i (h x I - I x h^T) + gamma diag(vec W) on row-major vec(rho) over idx, as CSR."""
     from scipy import sparse
     h = sparse.csr_matrix(omega * _drive_hamiltonian(N)[np.ix_(idx, idx)])
     eye = sparse.identity(len(idx))
@@ -175,8 +174,7 @@ def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: floa
     times t from 0 to t_stop (both included, as np.linspace places them), from
     one expm_multiply call over the whole grid; every other entry of a result
     is exactly zero, and each result's trace and Hermiticity are checked."""
-    # imported here, before the early returns, so that a one-point call (the
-    # warm-up of oracle-check) loads scipy as the real evolution does
+    # before the early returns, so a one-point call (oracle-check's warm-up) loads scipy
     from scipy.sparse.linalg import expm_multiply
     if points < 1:
         raise DomainError(f"need at least one time point, got {points}")
