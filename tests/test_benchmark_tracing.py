@@ -32,7 +32,6 @@ def test_traced_name_resolves(label, module, attr):
     assert callable(target), label
 
 
-
 # Run in a fresh interpreter: `import rydqnd.cli` alone, then the tracer's install.
 _INSTALL_PROBE = """
 import importlib.util, sys

@@ -239,7 +239,7 @@ def test_vanishing_time_step_leaves_state_unchanged():
 # Run in a fresh interpreter by the test below: prints, after each step, the
 # scipy modules loaded so far.
 _SCIPY_PROBE = """
-import json, sys, tempfile
+import json, sys
 from pathlib import Path
 
 def scipy_modules():
@@ -250,7 +250,7 @@ from rydqnd import dynamics
 from rydqnd.symbasis import build_block
 
 seen = {"import": scipy_modules()}
-tmp = Path(tempfile.mkdtemp())
+tmp = Path(sys.argv[1])
 record = json.dumps({"entries": [{"tau_s": 2.1e-7, "outcome": m}
                                  for m in ("Rydberg", "NoRydberg", "Rydberg")]})
 (tmp / "rec.json").write_text(record)
@@ -279,14 +279,14 @@ print(json.dumps(seen))
 """
 
 
-def test_cli_loads_scipy_only_for_oracle_check_and_expm_fallback():
+def test_cli_loads_scipy_only_for_oracle_check_and_expm_fallback(tmp_path):
     # simulate, infer and analyze start and run without scipy; the expm
     # fallback and oracle-check load what they use.  One fresh interpreter.
     src = str(Path(do.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
     for step in ("import", "simulate-noisy", "simulate-noiseless", "infer-noisy",
                  "infer-noiseless", "analyze-fisher"):
