@@ -337,7 +337,7 @@ def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
         gen[rows[0], cols[0]] *= 1.001
         x = np.array([expm(gen * t) @ fresh for t in times.tolist()])
     else:
-        props = np.array([dynamics._propagator(n, N, 0, omega, gamma, t) for t in times.tolist()])
+        props = dynamics._propagator(n, N, 0, omega, gamma, tuple(times.tolist()))
         x = dynamics._advance(fresh, (props,), (slice(None),), blk.trace[:, None])
     return dynamics._populations(blk.trace, x, blk.ss, blk.rr)[1]
 

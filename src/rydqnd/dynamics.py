@@ -254,26 +254,21 @@ _EIG_COND_LIMIT = 1e3
 
 @lru_cache(maxsize=2048)  # a drive and a window entry per block of n = N / 2 = 500
 def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
-    """Block generator and its (eigenvalues, V, V^-1), the latter None if V is ill-conditioned."""
+    """Block generator, its horizon and its (eigenvalues, V, V^-1), the latter
+    None if V is ill-conditioned.  The horizon is how long the block's
+    propagators keep its trace to 1e-10: the modes carrying it are stationary,
+    but `eig` (and so `expm`) gets their rate 0 as rounding."""
     gen = build_block(n, N, j, omega, gamma).generator()
     lam, vecs = np.linalg.eig(gen)
-    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
-        return gen, None
-    return gen, (lam, vecs, np.linalg.inv(vecs))
-
-
-@lru_cache(maxsize=2048)
-def _horizon(n: int, N: int, j: int, omega: float, gamma: float) -> float:
-    """How long the block's propagators keep its trace to 1e-10: the modes carrying
-    it are stationary, but `eig` (and so `expm`) gets their rate 0 as rounding."""
-    gen, eig = _eigensystem(n, N, j, omega, gamma)
-    lam, vecs = np.linalg.eig(gen) if eig is None else eig[:2]
     carry = np.abs(sector(n, N).block(j).trace @ vecs)
-    return 1e-10 / np.abs(lam.real)[carry > 1e-6 * carry.max()].max(initial=1e-300)
+    horizon = 1e-10 / np.abs(lam.real)[carry > 1e-6 * carry.max()].max(initial=1e-300)
+    if np.linalg.cond(vecs) > _EIG_COND_LIMIT:
+        return gen, horizon, None
+    return gen, horizon, (lam, vecs, np.linalg.inv(vecs))
 
 
 def _check_horizon(taus, horizon) -> None:
-    """ResourceError naming the first of taus past its block's `_horizon`."""
+    """ResourceError naming the first of taus past its block's horizon."""
     long = np.asarray(taus > horizon)
     if long.any():
         tau = np.broadcast_to(taus, long.shape)[long][0]
@@ -288,10 +283,17 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _propagator(n: int, N: int, j: int, omega: float, gamma: float, tau: float) -> np.ndarray:
-    _check_horizon(tau, _horizon(n, N, j, omega, gamma))
-    gen, eig = _eigensystem(n, N, j, omega, gamma)
-    return expm(gen * tau) if eig is None else _spectral(*eig, np.asarray(tau))
+def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
+                taus: tuple[float, ...]) -> np.ndarray:
+    """The block's propagators at the times taus, a read-only (len(taus), dim,
+    dim) stack.  Each is computed on its own, so a time's propagator is the
+    same to the bit in every stack that holds it."""
+    gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
+    _check_horizon(np.array(taus), horizon)
+    props = np.array([expm(gen * tau) if eig is None else _spectral(*eig, np.asarray(tau))
+                      for tau in taus])
+    props.setflags(write=False)
+    return props
 
 
 def _spectral(lam: np.ndarray, vecs: np.ndarray, inv: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -308,7 +310,7 @@ def evolve_block(state: SymmetricBlockState, tau: float, omega: float, gamma: fl
     """Propagate one block for time tau (drive optionally off, dephasing always on)."""
     if tau < 0:
         raise DomainError("evolution time must be non-negative")
-    prop = _propagator(state.n, state.N, state.j, omega if drive_on else 0.0, gamma, tau)
+    prop = _propagator(state.n, state.N, state.j, omega if drive_on else 0.0, gamma, (tau,))[0]
     out = SymmetricBlockState(state.n, state.N, state.j, prop @ state.x)
     drift = abs(out.trace() - state.trace())
     if drift > 1e-9:
@@ -399,28 +401,19 @@ def retrieval_fidelity(blocks, ideal: PureCollectiveState) -> float:
     return float(_overlaps(sec, x, ideal.a[n:n + 1], ideal.b[n:n + 1])[0])
 
 
-@lru_cache(maxsize=64)
-def _propagator_grid(n: int, N: int, j: int, omega: float, gamma: float,
-                     taus: tuple[float, ...]) -> np.ndarray:
-    grid = np.array([_propagator(n, N, j, omega, gamma, t) for t in taus])
-    grid.setflags(write=False)
-    return grid
-
-
 def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
                  taus: np.ndarray) -> np.ndarray:
-    """`_propagator` at every time of taus, shape taus.shape + (dim, dim).  A
-    0-d or 1-d taus holds times every row shares; a fixed schedule repeats
-    them, so their propagators are cached."""
-    if taus.ndim == 0:
-        return _propagator(n, N, j, omega, gamma, float(taus))
-    if taus.ndim == 1:
-        return _propagator_grid(n, N, j, omega, gamma, tuple(taus.tolist()))
-    _, eig = _eigensystem(n, N, j, omega, gamma)
-    if eig is None:
-        props = np.array([_propagator(n, N, j, omega, gamma, t) for t in taus.ravel().tolist()])
+    """The block's propagator at every time of taus, shape taus.shape + (dim,
+    dim).  A 0-d or 1-d taus holds times every row shares; a fixed schedule
+    repeats them, so their propagators are cached.  Per-row times are not."""
+    if taus.ndim < 2:
+        props = _propagator(n, N, j, omega, gamma, tuple(taus.ravel().tolist()))
         return props.reshape(taus.shape + props.shape[1:])
-    _check_horizon(taus, _horizon(n, N, j, omega, gamma))
+    gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
+    _check_horizon(taus, horizon)
+    if eig is None:
+        props = np.array([expm(gen * tau) for tau in taus.ravel().tolist()])
+        return props.reshape(taus.shape + props.shape[1:])
     return _spectral(*eig, taus)
 
 

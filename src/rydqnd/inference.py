@@ -19,7 +19,7 @@ accumulated in the log domain so long records do not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -60,14 +60,21 @@ def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
     return np.float_power(trig, 2.0)
 
 
+def _decoded(record: MeasurementRecord, eject: bool
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A record's drive times, its Rydberg flags, each cycle's photon shift and
+    whether each cycle's predecessor was a Rydberg outcome that it continues."""
+    taus = np.array([tau for tau, _ in record.entries], dtype=float)
+    rydberg = np.array([outcome == RYDBERG for _, outcome in record.entries], dtype=bool)
+    # ejection removes a photon per Rydberg outcome and resets the reference outcome
+    shift = (np.cumsum(rydberg) - rydberg) * eject
+    return taus, rydberg, shift, np.concatenate(([False], rydberg))[:-1] & (not eject)
+
+
 def _noiseless_log_table(record: MeasurementRecord, ns: list[int], omega: float,
                          eject: bool = False) -> np.ndarray:
     """log Pr(first t outcomes | n) for t = 0..T, shape (T + 1, len(ns))."""
-    rydberg = np.array([outcome == RYDBERG for _, outcome in record.entries], dtype=bool)
-    taus = np.array([tau for tau, _ in record.entries], dtype=float)
-    # ejection removes a photon per Rydberg outcome and resets the reference outcome
-    shift = (np.cumsum(rydberg) - rydberg) * eject
-    prev = np.concatenate(([False], rydberg))[:-1] & (not eject)
+    taus, rydberg, shift, prev = _decoded(record, eject)
     with np.errstate(divide="ignore"):
         log_f = np.log(_noiseless_factors(ns, omega, taus, rydberg == prev, shift))
     return np.vstack((np.zeros((1, len(ns))), np.cumsum(log_f, axis=0)))
@@ -102,131 +109,64 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _J0Block:
-    """The j = 0 block of one (n, N) sector at fixed rates, padded to five families.
+@lru_cache(maxsize=64)
+def _table(sectors: tuple[tuple[int, int], ...], omega: float, gamma: float,
+           tau_eit: float) -> dict[str, np.ndarray]:
+    """The j = 0 blocks of the (n, N) sectors at fixed rates, padded to five
+    families and stacked, one row per sector.
 
     ``spectral`` says whether `dynamics._eigensystem` gave the drive generator
     an eigenbasis (``lam``, ``vecs``, ``inv``, padded with eigenvalue 0); where
-    it did not, each drive time takes the ``expm`` of `dynamics._propagator`.
-    ``window`` is the measurement window's propagator, ``fresh`` the state
-    |S_n><S_n| and ``keep[m]`` the families outcome m (1 for Rydberg) keeps.
+    it did not, each drive time takes the ``expm`` of `dynamics._propagators`.
+    ``horizon`` bounds the drive times, ``window`` is the measurement window's
+    propagator, ``fresh`` the state |S_n><S_n| and ``keep[:, m]`` the families
+    outcome m (1 for Rydberg) keeps.
     """
-
-    n: int
-    N: int
-    omega: float
-    gamma: float
-    trace: np.ndarray
-    fresh: np.ndarray
-    keep: np.ndarray
-    spectral: bool
-    lam: np.ndarray
-    vecs: np.ndarray
-    inv: np.ndarray
-    window: np.ndarray
-
-    def propagator(self, tau: float) -> np.ndarray:
-        return _padded(dyn._propagator(self.n, self.N, 0, self.omega, self.gamma, tau))
-
-    def populations(self, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg) of the states x were they driven for each
-        time of the grid, shape (len(x), 2, G); the drive-off window leaves
-        both populations as they are.  Spectrally p(tau) = sum_k e^{lam_k tau}
-        (r V)_k (V^-1 x)_k, with r the population's trace row, so no
-        propagator is built per drive time."""
-        rows = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
-        rows[0, _SS], rows[1, _RR] = self.trace[_SS], self.trace[_RR]
-        dyn._check_horizon(grid, dyn._horizon(self.n, self.N, 0, self.omega, self.gamma))
-        if self.spectral:
-            coef = (rows @ self.vecs)[None] * (x @ self.inv.T)[:, None, :]
-            raw = (coef @ np.exp(self.lam[:, None] * grid[None, :])).real
-        else:
-            props = np.array([self.propagator(tau) for tau in grid.tolist()])
-            raw = np.einsum("pi,gij,mj->mpg", rows, props, x).real
-        dyn._check_drift(raw.sum(axis=1), (x.real @ self.trace)[:, None])
-        return np.maximum(raw, 0.0)
+    rows = []
+    for n, N in sectors:
+        blk = sector(n, N).block(0)
+        _, horizon, eig = dyn._eigensystem(n, N, 0, omega, gamma)
+        lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), np.eye(1), np.eye(1))
+        window = dyn._propagator(n, N, 0, 0.0, gamma, (tau_eit,))[0] if tau_eit > 0 else np.eye(1)
+        rows.append({"n": n, "N": N, "trace": _padded(blk.trace),
+                     "fresh": _padded(blk.dyads[0].astype(complex)),
+                     "keep": np.array([_padded(blk.no_rydberg), _padded(blk.rydberg)]),
+                     "spectral": eig is not None, "horizon": horizon,
+                     "lam": _padded(lam.astype(complex)), "vecs": _padded(vecs.astype(complex)),
+                     "inv": _padded(inv.astype(complex)), "window": _padded(window.astype(complex))})
+    return {key: np.stack([row[key] for row in rows]) for key in rows[0]}
 
 
-@lru_cache(maxsize=256)
-def _j0_block(n: int, N: int, omega: float, gamma: float, tau_eit: float) -> _J0Block:
-    blk = sector(n, N).block(0)
-    _, eig = dyn._eigensystem(n, N, 0, omega, gamma)
-    lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), np.eye(1), np.eye(1))
-    window = dyn._propagator(n, N, 0, 0.0, gamma, tau_eit) if tau_eit > 0 else np.eye(1)
-    return _J0Block(n, N, omega, gamma, trace=_padded(blk.trace),
-                    fresh=_padded(blk.dyads[0].astype(complex)),
-                    keep=np.array([_padded(blk.no_rydberg), _padded(blk.rydberg)]),
-                    spectral=eig is not None, lam=_padded(lam.astype(complex)),
-                    vecs=_padded(vecs.astype(complex)), inv=_padded(inv.astype(complex)),
-                    window=_padded(window.astype(complex)))
-
-
-def _systems(n: np.ndarray, N: np.ndarray, omega: float,
-             noise: NoiseParams) -> tuple[tuple[_J0Block, ...], np.ndarray]:
-    """The distinct `_J0Block`s of items in the (n, N) sectors, and each item's index."""
+def _rows(n: np.ndarray, N: np.ndarray, omega: float,
+          noise: NoiseParams) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The `_table` of the distinct (n, N) sectors of items, and each item's row."""
     codes = n * (noise.N + 1) + N
     distinct = np.unique(codes)
-    return tuple(_j0_block(*divmod(code, noise.N + 1), omega, noise.gamma, noise.tau_eit)
-                 for code in distinct.tolist()), np.searchsorted(distinct, codes)
+    sectors = tuple(divmod(code, noise.N + 1) for code in distinct.tolist())
+    return (_table(sectors, omega, noise.gamma, noise.tau_eit),
+            np.searchsorted(distinct, codes))
 
 
-@lru_cache(maxsize=64)
-def _table(systems: tuple[_J0Block, ...]) -> dict[str, np.ndarray]:
-    """Every array field of the systems, stacked."""
-    return {f.name: np.stack([getattr(s, f.name) for s in systems])
-            for f in fields(_J0Block) if f.name not in ("n", "N", "omega", "gamma")}
-
-
-def _stacked(systems: tuple[_J0Block, ...], inv: np.ndarray, name: str) -> np.ndarray:
-    return _table(systems)[name][inv]
-
-
-def _windowed(x: np.ndarray, systems: tuple[_J0Block, ...], inv: np.ndarray, taus: np.ndarray,
-              noise: NoiseParams) -> np.ndarray:
-    """States x after a drive of taus and the measurement window.
-
-    An item's drive propagator is (V e^{lam tau}) V^-1, or expm where its
-    block has no well-conditioned eigenbasis, applied as prop @ x; then comes
-    the window's.  These are the operations of `dynamics.evolve_block`, in its
-    order, so an item matches it to the bit, and so is its trace-drift check.
-    """
-    if (taus < 0).any():
-        raise DomainError("evolution time must be non-negative")
-    dyn._check_horizon(taus, np.array([dyn._horizon(s.n, s.N, 0, s.omega, s.gamma)
-                                       for s in systems])[inv])
-    props = dyn._spectral(*(_stacked(systems, inv, key) for key in ("lam", "vecs", "inv")), taus)
-    for m in np.flatnonzero(~_stacked(systems, inv, "spectral")).tolist():
-        props[m] = systems[inv[m]].propagator(float(taus[m]))
-    trace = _stacked(systems, inv, "trace")[:, :, None]
-    windows = (props, _stacked(systems, inv, "window")) if noise.tau_eit > 0 else (props,)
-    for prop in windows:
-        x = dyn._advance(x, (prop,), (slice(None),), trace)
-    return x
-
-
-def _collapsed(x: np.ndarray, systems: tuple[_J0Block, ...], inv: np.ndarray, N: np.ndarray,
-               rydberg: np.ndarray, eject: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Every item projected on its outcome and, with ejection, a Rydberg one moved
-    to (n - 1, N - 1): (p, states), with p = 0 where the outcome is impossible.
-
-    As `dynamics.project_blocks` and `dynamics.eject_block` compute them: the
-    kept families divided by p; then the rr coefficient times sqrt(N), moved
-    to ss and divided by the trace it carries there.
-    """
-    p_s, p_r = dyn._populations(_stacked(systems, inv, "trace"), x, _SS, _RR)
-    p = np.where(rydberg, p_r, p_s)
-    live = p > 0.0
-    keep = _stacked(systems, inv, "keep")[np.arange(len(x)), rydberg.astype(int)]
-    out = dyn._projected(keep, x, np.where(live, p, 1.0))
-    moved = live & rydberg & eject
-    if moved.any():
-        ss = out[moved, _RR] * np.sqrt(N[moved])
-        ss_trace = [sector(s.n - 1, s.N - 1).block(0).trace[_SS] if s.n else 0.0
-                    for s in systems]
-        out[moved] = 0.0
-        out[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[inv[moved], None])[:, 0]
-    return p, out
+def _grid_populations(table: dict[str, np.ndarray], g: int, x: np.ndarray, grid: np.ndarray,
+                      omega: float, gamma: float) -> np.ndarray:
+    """(p_NoRydberg, p_Rydberg) of the states x of the table's sector g were
+    they driven for each time of the grid, shape (len(x), 2, G); the drive-off
+    window leaves both populations as they are.  Spectrally p(tau) = sum_k
+    e^{lam_k tau} (r V)_k (V^-1 x)_k, with r the population's trace row, so no
+    propagator is built per drive time."""
+    trace = table["trace"][g]
+    rows = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
+    rows[0, _SS], rows[1, _RR] = trace[_SS], trace[_RR]
+    dyn._check_horizon(grid, table["horizon"][g])
+    if table["spectral"][g]:
+        coef = (rows @ table["vecs"][g])[None] * (x @ table["inv"][g].T)[:, None, :]
+        raw = (coef @ np.exp(table["lam"][g][:, None] * grid[None, :])).real
+    else:
+        n, N = int(table["n"][g]), int(table["N"][g])
+        props = np.array([_padded(p) for p in dyn._propagators(n, N, 0, omega, gamma, grid)])
+        raw = np.einsum("pi,gij,mj->mpg", rows, props, x).real
+    dyn._check_drift(raw.sum(axis=1), (x.real @ trace)[:, None])
+    return np.maximum(raw, 0.0)
 
 
 def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
@@ -234,14 +174,45 @@ def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
            ) -> tuple[np.ndarray, np.ndarray]:
     """One record cycle of every item: its j = 0 state x of the (n, N) sector
     (x None: the fresh |S_n><S_n|) driven for its tau, through the window and
-    projected on its outcome.  Returns (p, states) as `_collapsed` does."""
+    projected on its outcome; with ejection, a Rydberg item is moved to
+    (n - 1, N - 1).  Returns (p, states), with p = 0 where the outcome is
+    impossible.
+
+    An item's drive propagator is (V e^{lam tau}) V^-1, or expm where its
+    block has no well-conditioned eigenbasis, applied as prop @ x; then comes
+    the window's; then the kept families are divided by p, and an ejected
+    item's rr coefficient times sqrt(N) moves to ss, divided by the trace it
+    carries there.  These are the operations of `dynamics.evolve_block`,
+    `project_blocks` and `eject_block`, in their order, so an item matches
+    them to the bit, and so does its trace-drift check.
+    """
     if not len(n):
         return np.zeros(0), np.zeros((0, _DIM), dtype=complex)
-    systems, inv = _systems(n, N, omega, noise)
-    if x is None:
-        x = _stacked(systems, inv, "fresh")
-    return _collapsed(_windowed(x, systems, inv, taus, noise), systems, inv, N, rydberg,
-                      noise.eject)
+    if (taus < 0).any():
+        raise DomainError("evolution time must be non-negative")
+    table, row = _rows(n, N, omega, noise)
+    dyn._check_horizon(taus, table["horizon"][row])
+    props = dyn._spectral(table["lam"][row], table["vecs"][row], table["inv"][row], taus)
+    for m in np.flatnonzero(~table["spectral"][row]).tolist():
+        prop = dyn._propagators(int(n[m]), int(N[m]), 0, omega, noise.gamma, taus[m:m + 1, None])
+        props[m] = _padded(prop[0, 0])
+    trace = table["trace"][row]
+    x = table["fresh"][row] if x is None else x
+    for prop in (props, table["window"][row]) if noise.tau_eit > 0 else (props,):
+        x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
+    p_s, p_r = dyn._populations(trace, x, _SS, _RR)
+    p = np.where(rydberg, p_r, p_s)
+    live = p > 0.0
+    keep = table["keep"][row, rydberg.astype(int)]
+    out = dyn._projected(keep, x, np.where(live, p, 1.0))
+    moved = live & rydberg & noise.eject
+    if moved.any():  # a live Rydberg item has n >= 1
+        ss = out[moved, _RR] * np.sqrt(N[moved])
+        ss_trace = [sector(k - 1, M - 1).block(0).trace[_SS]
+                    for k, M in zip(n[moved].tolist(), N[moved].tolist())]
+        out[moved] = 0.0
+        out[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[:, None])[:, 0]
+    return p, out
 
 
 def _noisy_log_table(record: MeasurementRecord, ns: list[int], omega: float,
@@ -256,14 +227,11 @@ def _noisy_log_table(record: MeasurementRecord, ns: list[int], omega: float,
     continues the state its predecessor left, and all cycles at run position
     k take one `_cycle` together.
     """
-    taus = np.array([tau for tau, _ in record.entries], dtype=float)
-    rydberg = np.array([outcome == RYDBERG for _, outcome in record.entries], dtype=bool)
+    taus, rydberg, shift, continued = _decoded(record, noise.eject)
     ns = np.asarray(ns)
-    shift = (np.cumsum(rydberg) - rydberg) * noise.eject
     n = ns[None, :] - shift[:, None]
     N = np.broadcast_to((noise.N - shift)[:, None], n.shape)
     cycle = np.arange(taus.size)
-    continued = np.concatenate(([False], rydberg))[:-1] & (not noise.eject)
     run = cycle - np.maximum.accumulate(np.where(continued, 0, cycle))
     log_p = np.full(n.shape, -math.inf)
     left = np.zeros(n.shape + (_DIM,), dtype=complex)  # the state each cycle leaves
@@ -457,9 +425,8 @@ class NoisyLikelihoods:
         self.ns = np.asarray(ns, dtype=int)
         self.omega = omega
         self.noise = noise
-        fresh = [_j0_block(n, noise.N, omega, noise.gamma, noise.tau_eit).fresh
-                 for n in self.ns.tolist()]
-        self.x = np.tile(np.array(fresh).reshape(1, -1, _DIM), (rows, 1, 1))
+        table, row = _rows(self.ns, np.full(self.ns.size, noise.N), omega, noise)
+        self.x = np.tile(table["fresh"][row].reshape(1, -1, _DIM), (rows, 1, 1))
         self.log_l = np.zeros((rows, self.ns.size))
         self.shift = np.zeros(rows, dtype=int)
 
@@ -493,11 +460,12 @@ class NoisyLikelihoods:
         r, c, n, N = self._live(rows)
         out = np.zeros(self.log_l[rows].shape + (2, grid.size))
         if r.size:
-            systems, inv = _systems(n, N, self.omega, self.noise)
+            table, row = _rows(n, N, self.omega, self.noise)
             x = self.x[rows][r, c]
-            for g, system in enumerate(systems):
-                at = inv == g
-                out[r[at], c[at]] = system.populations(x[at], grid)
+            for g in range(len(table["n"])):
+                at = row == g
+                out[r[at], c[at]] = _grid_populations(table, g, x[at], grid, self.omega,
+                                                      self.noise.gamma)
         return out.reshape(out.shape[0], out.shape[1], -1)
 
     def take(self, index: np.ndarray) -> None:

@@ -57,6 +57,8 @@ class FockDistribution:
         self.p = np.asarray(self.p, dtype=float)
         if self.p.ndim != 1 or self.p.size == 0:
             raise DomainError("distribution must be a non-empty vector")
+        if not np.isfinite(self.p).all():
+            raise DomainError("probabilities must be finite")
         if np.any(self.p < -1e-15):
             raise DomainError("probabilities must be non-negative")
         if abs(self.p.sum() - 1.0) > 1e-12:
@@ -90,6 +92,8 @@ class Posterior:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
+        if not np.isfinite(self.weights).all():
+            raise DomainError("posterior weights must be finite")
         if np.any(self.weights < -1e-15):
             raise DomainError("posterior weights must be non-negative")
         if abs(self.weights.sum() - 1.0) > 1e-12:

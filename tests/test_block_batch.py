@@ -210,9 +210,9 @@ def test_zero_drive_is_the_identity(gamma):
     """A drive of 0 leaves a fresh |S_1> in ss exactly: p_Rydberg is 0, not
     the rounding of V V^-1, so a draw of 0.0 gives NoRydberg and the
     retrieval fidelity stays real."""
-    _, eig = dyn._eigensystem(1, 1, 0, OMEGA, gamma)
+    _, _, eig = dyn._eigensystem(1, 1, 0, OMEGA, gamma)
     assert eig is not None
-    prop = dyn._propagator(1, 1, 0, OMEGA, gamma, 0.0)
+    prop = dyn._propagator(1, 1, 0, OMEGA, gamma, (0.0,))[0]
     assert np.array_equal(prop, np.eye(len(prop)))
     batch = dyn.BlockBatch([1], 1, gamma, 0.0)
     batch.drive(np.zeros(1), OMEGA)
@@ -229,7 +229,7 @@ def test_eigenbasis_just_inside_the_limit_keeps_the_trace_for_ten_thousand_cycle
     propagator (V e^{lam tau}) V^-1, where cond(V) is just under the limit:
     no step loses more than the 1e-9 the drift check allows, nor does the
     whole evolution."""
-    _, eig = dyn._eigensystem(n, N, 0, OMEGA, gamma)
+    _, _, eig = dyn._eigensystem(n, N, 0, OMEGA, gamma)
     assert eig is not None and 900 < np.linalg.cond(eig[1]) < dyn._EIG_COND_LIMIT
     blk = sector(n, N).block(0)
     taus = np.random.default_rng(n).uniform(0.05, 2.0, (10_000, 1))

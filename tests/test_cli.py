@@ -157,8 +157,8 @@ def test_oracle_check_runs_the_simulator_propagator(tmp_path, capsys, monkeypatc
     # a propagator that drives 0.1% too long must fail the gate
     from rydqnd import dynamics
     exact = dynamics._propagator
-    monkeypatch.setattr(dynamics, "_propagator", lambda n, N, j, omega, gamma, tau:
-                        exact(n, N, j, omega, gamma, 1.001 * tau))
+    monkeypatch.setattr(dynamics, "_propagator", lambda n, N, j, omega, gamma, taus:
+                        exact(n, N, j, omega, gamma, tuple(1.001 * tau for tau in taus)))
     assert run(["oracle-check", "--time-points", "4",
                 "--out", str(tmp_path / "oracle.json")]) == cli.EXIT_ORACLE
     assert "FAIL cell" in capsys.readouterr().err

@@ -267,7 +267,7 @@ for name, argv in steps.items():
     seen[name] = scipy_modules()
 
 omega, tau = 2.0, 7.3 / 2.0  # critical damping: the expm fallback
-prop = dynamics._propagator(1, 10, 1, omega, 4.0 * omega, tau)
+prop = dynamics._propagator(1, 10, 1, omega, 4.0 * omega, (tau,))[0]
 seen["fallback"] = scipy_modules()
 import scipy.linalg
 ref = scipy.linalg.expm(build_block(1, 10, 1, omega, 4.0 * omega).generator() * tau)

@@ -231,6 +231,22 @@ def test_propagator_matches_expm(n, N, j, gamma_over_omega, tau_omega):
     omega = 2.0
     j = min(j, len(sector(n, N).blocks) - 1)
     gamma, tau = gamma_over_omega * omega, tau_omega / omega
-    prop = dyn._propagator(n, N, j, omega, gamma, tau)
+    prop = dyn._propagator(n, N, j, omega, gamma, (tau,))[0]
     ref = expm(build_block(n, N, j, omega, gamma).generator() * tau)
     assert np.max(np.abs(prop - ref)) <= 1e-12
+
+
+def test_an_ill_conditioned_block_is_decomposed_once(monkeypatch):
+    """The critically damped block (1, 10, 1) at gamma = 4 Omega has no
+    well-conditioned eigenbasis; its horizon comes from the same `eig` call
+    that found that out, so one drive decomposes the block once."""
+    for cached in vars(dyn).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    omega = 2.0
+    state = dyn.symmetric_state_blocks(1, 10)[1]
+    dyn.evolve_block(state, 7.3 / omega, omega, 4.0 * omega)
+    assert calls == [(state.block.dim, state.block.dim)]

@@ -12,7 +12,7 @@ from rydqnd import cli, symbasis
 from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
 from rydqnd.errors import DomainError, ResourceError
-from rydqnd.records import MeasurementRecord, RYDBERG
+from rydqnd.records import FockDistribution, MeasurementRecord, Posterior, RYDBERG
 
 # the paper's parameters, in the CLI's units
 OMEGA_MHZ, GAMMA_MHZ, TAU_EIT_US, N_ATOMS = 2.5, 0.3, 0.3, 10
@@ -84,7 +84,7 @@ def test_inference_builds_only_the_j0_blocks_it_reads(tmp_path, monkeypatch):
     build = symbasis._sector_block
     monkeypatch.setattr(symbasis, "_sector_block",
                         lambda n, N, j: built.append((n, N, j)) or build(n, N, j))
-    for cache in (symbasis.sector, dyn._eigensystem, dyn._propagator, inf._j0_block):
+    for cache in (symbasis.sector, dyn._eigensystem, dyn._propagator, inf._table):
         cache.cache_clear()
     assert cli.main(["infer", str(path), *_noise_flags(1000), "--candidates", "498..500",
                      "--out", str(out)]) == cli.EXIT_OK
@@ -114,6 +114,33 @@ def test_records_refuse_drive_times_that_are_not_finite_and_non_negative(tau):
     with pytest.raises(DomainError):
         record.append(tau, RYDBERG)
     assert len(record) == 1
+
+
+@pytest.mark.parametrize("p", [[0.0, math.nan], [math.nan, 1.0], [math.inf, -math.inf, 1.0]])
+def test_probabilities_refuse_entries_that_are_not_finite(p):
+    """A NaN satisfies neither the sign check nor the sum check by itself."""
+    with pytest.raises(DomainError, match="finite"):
+        FockDistribution(np.array(p))
+    with pytest.raises(DomainError, match="finite"):
+        Posterior(np.array(p))
+
+
+@pytest.mark.parametrize("doc", [
+    '{"candidates": [[0, NaN], [0, 0, 1]]}',
+    '{"candidates": [[0, 1], [0, 0, 1]], "prior": [NaN, 1]}',
+], ids=["candidate", "prior"])
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_a_nan_in_the_candidates_file_exits_2(tmp_path, capsys, doc, command):
+    """json reads NaN as a float; a NaN weight would reach posterior.json as
+    NaN (not JSON), or fail a record as having zero likelihood."""
+    cands, rec, out = tmp_path / "cands.json", tmp_path / "record.json", tmp_path / "out"
+    cands.write_text(doc)
+    rec.write_text(MeasurementRecord([(2e-7, RYDBERG)]).to_json())
+    argv = (["infer", str(rec), "--out", str(out)] if command == "infer" else
+            ["simulate", "--max-cycles", "3", "--trajectories", "1", "--outdir", str(out)])
+    assert cli.main([*argv, "--candidates-file", str(cands)]) == cli.EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
@@ -169,7 +196,7 @@ def test_drives_up_to_the_horizon_hold_the_trace(n):
     propagator of one time and the batch's per-row times, and a drive past
     it is refused before any exponential."""
     omega, gamma = 2 * math.pi * OMEGA_MHZ * 1e6, 2 * math.pi * GAMMA_MHZ * 1e6
-    horizon = dyn._horizon(n, N_ATOMS, 0, omega, gamma)
+    horizon = dyn._eigensystem(n, N_ATOMS, 0, omega, gamma)[1]
     assert 0.01 < horizon < math.inf
     blocks = dyn.symmetric_state_blocks(n, N_ATOMS)
     dyn.evolve_blocks(blocks, 0.9 * horizon, omega, gamma)
