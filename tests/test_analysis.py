@@ -175,39 +175,40 @@ POOL = [FockDistribution.delta(1, 3), FockDistribution.delta(2, 3), FockDistribu
 @st.composite
 def fidelity_cases(draw, max_cycles):
     """2-3 candidates (mixtures and vacuum weight included), a non-uniform prior,
-    drive times, and noiseless or noisy (N 3-5, ejection on or off) dynamics."""
+    drive times, noiseless or noisy (N 3-5) dynamics, and ejection on or off."""
     cands = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=3, unique_by=id))
     raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(cands),
                                  max_size=len(cands))))
     noise = None
     if draw(st.booleans()):
         noise = inf.NoiseParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)),
-                                draw(st.integers(3, 5)), eject=draw(st.booleans()))
+                                draw(st.integers(3, 5)))
     taus = draw(st.lists(st.floats(0.05, 2.0), max_size=max_cycles))
-    return taus, cands, Posterior(raw / raw.sum()), noise
+    return taus, cands, Posterior(raw / raw.sum()), noise, draw(st.booleans())
 
 
-def _brute_force_fidelity(taus, cands, prior, noise):
+def _brute_force_fidelity(taus, cands, prior, noise, eject):
     total = 0.0
     for outcomes in itertools.product((NO_RYDBERG, RYDBERG), repeat=len(taus)):
         record = MeasurementRecord(list(zip(taus, outcomes)))
-        total += max(w * inf.marginal_likelihood(record, c, 1.0, noise)
+        total += max(w * inf.marginal_likelihood(record, c, 1.0, noise, eject)
                      for c, w in zip(cands, prior.weights))
     return total
 
 
 @given(fidelity_cases(max_cycles=4))
 def test_expected_fidelity_matches_brute_force_sum_over_records(case):
-    taus, cands, prior, noise = case
-    assert an.expected_fidelity(taus, cands, prior, 1.0, noise) == pytest.approx(
-        _brute_force_fidelity(taus, cands, prior, noise), rel=0, abs=1e-12)
+    taus, cands, prior, noise, eject = case
+    assert an.expected_fidelity(taus, cands, prior, 1.0, noise, eject) == pytest.approx(
+        _brute_force_fidelity(taus, cands, prior, noise, eject), rel=0, abs=1e-12)
 
 
 @given(fidelity_cases(max_cycles=3), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=5))
 def test_grid_entries_are_expected_fidelities(case, grid):
-    prefix, cands, prior, noise = case
-    vals = an._fidelity_over_grid(prefix, np.array(grid), cands, prior, 1.0, noise)
-    expect = [an.expected_fidelity(prefix + [tau], cands, prior, 1.0, noise) for tau in grid]
+    prefix, cands, prior, noise, eject = case
+    vals = an._fidelity_over_grid(prefix, np.array(grid), cands, prior, 1.0, noise, eject)
+    expect = [an.expected_fidelity(prefix + [tau], cands, prior, 1.0, noise, eject)
+              for tau in grid]
     assert np.allclose(vals, expect, rtol=0, atol=1e-12)
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rydqnd import analysis as an
 from rydqnd import engine as eng
 from rydqnd.records import FockDistribution, Posterior
 
@@ -109,6 +110,18 @@ DIGESTS = {
     "wide-fixed-trace": "ebab4acdae3cf787b19c2aa2e4e9491a40d379644b2bf8de2851183f786363a7",
     "wide-random-eject-trace": "faa04936071588e356f1baf82b758d3f48309cc658c9616e5cccc1971066fa1c",
 }
+
+
+def test_greedy_eject_batch_follows_the_ejecting_local_schedule():
+    # the shared greedy drive times plan for the ejections the batch performs
+    initial, params, batch = CASES["greedy-amps-eject-trace"]
+    cands, prior = params.resolved_candidates()
+    grid = an.default_tau_grid(params.omega, params.schedule.grid_points)
+    plan = an.optimize_schedule_local(params.max_cycles, cands, prior, grid, params.omega,
+                                      eject=True).taus
+    for log in eng.run_batch(initial, params, batch):
+        taus = [tau for tau, _ in log.record.entries]
+        assert taus == plan[:len(taus)]
 
 
 def _digest(logs) -> str:
