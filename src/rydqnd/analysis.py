@@ -12,13 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .inference import Mixture, NoiseParams, NoisyLikelihoods, _noiseless_factors
+from .inference import Mixture, NoiseParams, record_likelihoods
 from .records import FockDistribution, Posterior
 
 REGIMES = ("noiseless", "noisy-frequency", "steady-state")
@@ -118,19 +117,11 @@ class ScheduleResult:
 
 
 def _outcome_tree(prefix: Sequence[float], ns: list[int], omega: float,
-                  noise: NoiseParams | None) -> tuple[np.ndarray, NoisyLikelihoods | None]:
-    """Pr(record | n) of the 2^T records of the drive times in prefix, shape (2^T, len(ns)).
-    Level t splits each record into its NoRydberg and Rydberg continuations: noiseless
-    by the cos^2/sin^2 factors, noisy by a `NoisyLikelihoods` row per record."""
-    if noise is None:
-        like, last = np.ones((1, len(ns))), np.zeros(1, dtype=bool)  # last outcome Rydberg?
-        for tau in prefix:
-            rydberg = np.tile([False, True], last.size)
-            pair = _noiseless_factors(ns, omega, [tau, tau], [True, False], [0, 0])  # cos^2, sin^2
-            changed = (rydberg != np.repeat(last, 2)).astype(int)
-            like, last = np.repeat(like, 2, axis=0) * pair[changed], rydberg
-        return like, None
-    tree = NoisyLikelihoods(ns, omega, noise)
+                  noise: NoiseParams | None, eject: bool):
+    """Pr(record | n) of the 2^T records of the drive times in prefix, shape
+    (2^T, len(ns)), and the `record_likelihoods` holder of those records.
+    Level t splits each record into its NoRydberg and Rydberg continuations."""
+    tree = record_likelihoods(ns, omega, noise, eject)
     for tau in prefix:
         rows = 2 * len(tree.log_l)
         tree.take(np.arange(rows) // 2)
@@ -138,20 +129,9 @@ def _outcome_tree(prefix: Sequence[float], ns: list[int], omega: float,
     return np.exp(tree.log_l), tree
 
 
-@lru_cache(maxsize=16)
-def _noiseless_step(ns: tuple[int, ...], omega: float, grid: bytes) -> np.ndarray:
-    """Noiseless Pr(next outcome | record, n) over a grid, shape (len(ns), 2G): cos^2
-    for the last outcome repeated, then sin^2 for it changed; cached per grid."""
-    taus = np.frombuffer(grid)
-    step = _noiseless_factors(ns, omega, np.tile(taus, 2), np.repeat([True, False], taus.size),
-                              np.zeros(2 * taus.size, int)).T
-    step.flags.writeable = False  # every call with this grid shares the array
-    return step
-
-
 def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
-                        candidates: list[FockDistribution], prior: Posterior,
-                        omega: float, noise: NoiseParams | None) -> np.ndarray:
+                        candidates: list[FockDistribution], prior: Posterior, omega: float,
+                        noise: NoiseParams | None, eject: bool = False) -> np.ndarray:
     """F_{T+1}(tau) over the grid for the schedules prefix + [tau]: the sum of
     max_k w_k sum_n p_kn Pr(record | n) Pr(m | record, n, tau) over the leaves of
     the prefix's outcome tree, a chunk at a time, and both next outcomes m."""
@@ -159,23 +139,20 @@ def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
         raise ResourceError(f"2^{len(prefix) + 1} outcome sequences exceed the enumeration guard")
     mixture = Mixture(candidates, prior)
     ns, weights = mixture.ns, mixture.prior[:, None] * mixture.p
-    like, tree = _outcome_tree(prefix, ns, omega, noise)
-    step = _noiseless_step(tuple(ns), omega, grid.tobytes()) if tree is None else None
+    like, tree = _outcome_tree(prefix, ns, omega, noise, eject)
     chunk = max(1, (1 << 18) // (2 * grid.size * (len(ns) + len(candidates))))
     out = np.zeros(2 * grid.size)
     for start in range(0, like.shape[0], chunk):
         rows = slice(start, start + chunk)
-        if tree is not None:  # the spectral readout of `NoisyLikelihoods.outcome_grid`
-            step = tree.outcome_grid(grid, rows)
         # Pr(candidate k, record continued by m after tau), shape (rows, K, 2G)
-        joint = (like[rows, None, :] * weights) @ step
+        joint = (like[rows, None, :] * weights) @ tree.outcome_grid(grid, rows)
         out += joint.max(axis=1).sum(axis=0)
     return out.reshape(2, grid.size).sum(axis=0)
 
 
 def expected_fidelity(taus: Sequence[float], candidates: list[FockDistribution],
                       prior: Posterior, omega: float,
-                      noise: NoiseParams | None = None) -> float:
+                      noise: NoiseParams | None = None, eject: bool = False) -> float:
     """Expected MLE success probability over all outcome sequences.
 
     Sums max_alpha Pr(M_T | P_alpha) Pr(P_alpha) over the 2^T records that the
@@ -186,7 +163,7 @@ def expected_fidelity(taus: Sequence[float], candidates: list[FockDistribution],
     if len(taus) == 0:
         return float(np.max(prior.weights))
     grid = np.array([taus[-1]], dtype=float)
-    return float(_fidelity_over_grid(taus[:-1], grid, candidates, prior, omega, noise)[0])
+    return float(_fidelity_over_grid(taus[:-1], grid, candidates, prior, omega, noise, eject)[0])
 
 
 def _schedule_grid(T: int, grid: np.ndarray) -> np.ndarray:
@@ -198,8 +175,8 @@ def _schedule_grid(T: int, grid: np.ndarray) -> np.ndarray:
 
 
 def optimize_schedule_local(T: int, candidates: list[FockDistribution], prior: Posterior,
-                            grid: np.ndarray, omega: float,
-                            noise: NoiseParams | None = None) -> ScheduleResult:
+                            grid: np.ndarray, omega: float, noise: NoiseParams | None = None,
+                            eject: bool = False) -> ScheduleResult:
     """Greedy strategy: pick each tau_i to maximize F_i given tau_1..tau_{i-1}.
 
     Ties resolve to the smallest grid time.
@@ -208,36 +185,38 @@ def optimize_schedule_local(T: int, candidates: list[FockDistribution], prior: P
     taus: list[float] = []
     trace: list[float] = []
     for _ in range(T):
-        taus.append(greedy_next_tau(taus, candidates, prior, grid, omega, noise))
-        trace.append(expected_fidelity(taus, candidates, prior, omega, noise))
+        taus.append(greedy_next_tau(taus, candidates, prior, grid, omega, noise, eject))
+        trace.append(expected_fidelity(taus, candidates, prior, omega, noise, eject))
     return ScheduleResult(taus, trace, "local")
 
 
 def greedy_next_tau(prefix: Sequence[float], candidates: list[FockDistribution],
                     prior: Posterior, grid: np.ndarray, omega: float,
-                    noise: NoiseParams | None = None) -> float:
+                    noise: NoiseParams | None = None, eject: bool = False) -> float:
     """Single step of the local strategy, for adaptive scheduling."""
     grid = np.sort(np.asarray(grid, dtype=float))
-    return float(grid[np.argmax(_fidelity_over_grid(prefix, grid, candidates, prior, omega, noise))])
+    fidelity = _fidelity_over_grid(prefix, grid, candidates, prior, omega, noise, eject)
+    return float(grid[np.argmax(fidelity)])
 
 
 def optimize_schedule_global(T: int, candidates: list[FockDistribution], prior: Posterior,
-                             grid: np.ndarray, omega: float,
-                             noise: NoiseParams | None = None) -> ScheduleResult:
+                             grid: np.ndarray, omega: float, noise: NoiseParams | None = None,
+                             eject: bool = False) -> ScheduleResult:
     """Exhaustive maximization of F_T over grid^T drive-time tuples."""
     grid = _schedule_grid(T, grid)
     if grid.size**T > MAX_GLOBAL_TUPLES:
         raise ResourceError(f"{grid.size}^{T} schedule tuples exceed the exhaustive-search guard")
     # F_T over the grid^T lattice, one grid of last drive times per prefix
     total = np.concatenate([
-        _fidelity_over_grid(prefix, grid, candidates, prior, omega, noise)
+        _fidelity_over_grid(prefix, grid, candidates, prior, omega, noise, eject)
         for prefix in itertools.product(grid.tolist(), repeat=T - 1)])
     tied = np.nonzero(total >= total.max() - 1e-12)[0]
     # Permutations of one tuple often tie in F_T; report the ordering whose
     # intermediate fidelities F_1, ..., F_{T-1} are largest.
     tuples = [[float(grid[i]) for i in np.unravel_index(k, (grid.size,) * T)] for k in tied]
     best_taus = max(tuples, key=lambda taus: tuple(
-        expected_fidelity(taus[: i + 1], candidates, prior, omega, noise) for i in range(T - 1)))
-    trace = [expected_fidelity(best_taus[: i + 1], candidates, prior, omega, noise)
+        expected_fidelity(taus[: i + 1], candidates, prior, omega, noise, eject)
+        for i in range(T - 1)))
+    trace = [expected_fidelity(best_taus[: i + 1], candidates, prior, omega, noise, eject)
              for i in range(T)]
     return ScheduleResult(best_taus, trace, "global")

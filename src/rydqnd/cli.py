@@ -281,8 +281,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     omega = _freq_rad_s(args.omega_mhz, args.angular)
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
     # checked at any gamma, since posterior.json records tau_eit and N either way
-    noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us), args.n_atoms,
-                                  eject=args.eject)
+    noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us), args.n_atoms)
     trace = inference.posterior_trace(record, cands, prior, omega,
                                       noise=noise if gamma else None, eject=args.eject)
 

@@ -93,6 +93,12 @@ def _rotate(a: np.ndarray, b: np.ndarray, rate, taus) -> tuple[np.ndarray, np.nd
     return a, b
 
 
+def _check_times(taus, what: str = "evolution time") -> None:
+    """`DomainError` unless every time of taus is finite and non-negative."""
+    if not ((np.asarray(taus) >= 0) & np.isfinite(taus)).all():
+        raise DomainError(f"{what} must be finite and non-negative")
+
+
 def _check_norm(norm_sq: np.ndarray) -> None:
     """The unit-norm check of `PureCollectiveState`, for every row; NaN fails it."""
     norm = np.sqrt(norm_sq)
@@ -184,8 +190,7 @@ class PureBatch:
 
 def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCollectiveState:
     """Drive for time tau: within each n, rotate (a_n, b_n) at sqrt(n)*Omega."""
-    if tau < 0:
-        raise DomainError("drive time must be non-negative")
+    _check_times(tau, "drive time")
     rate = np.sqrt(np.arange(state.a.size)) * omega
     return PureCollectiveState(*_rotate(state.a, state.b, rate, tau))
 
@@ -308,8 +313,7 @@ def _spectral(lam: np.ndarray, vecs: np.ndarray, inv: np.ndarray, taus: np.ndarr
 def evolve_block(state: SymmetricBlockState, tau: float, omega: float, gamma: float,
                  drive_on: bool = True) -> SymmetricBlockState:
     """Propagate one block for time tau (drive optionally off, dephasing always on)."""
-    if tau < 0:
-        raise DomainError("evolution time must be non-negative")
+    _check_times(tau)
     prop = _propagator(state.n, state.N, state.j, omega if drive_on else 0.0, gamma, (tau,))[0]
     out = SymmetricBlockState(state.n, state.N, state.j, prop @ state.x)
     drift = abs(out.trace() - state.trace())
@@ -353,8 +357,7 @@ def project_blocks(blocks, outcome: str) -> tuple[float, BlockList]:
 def measure_block(blocks, tau_eit: float, gamma: float, draw: float
                   ) -> tuple[str, BlockList, float]:
     """Drive-off dephasing window of length tau_eit, then projective measurement."""
-    if tau_eit < 0:
-        raise DomainError("measurement window must be non-negative")
+    _check_times(tau_eit, "measurement window")
     blocks = _as_blocks(blocks)
     if tau_eit > 0:
         blocks = evolve_blocks(blocks, tau_eit, 0.0, gamma, drive_on=False)
@@ -420,8 +423,9 @@ def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
 def _check_drift(after: np.ndarray, before: np.ndarray) -> None:
     """The trace-drift bound of `evolve_block`, for arrays of traces."""
     drift = np.abs(after - before)
-    if (drift > 1e-9).any():
-        raise IntegratorError("block propagation lost trace", residual=float(np.nanmax(drift)))
+    bad = ~(drift <= 1e-9)  # NaN fails it
+    if bad.any():
+        raise IntegratorError("block propagation lost trace", residual=float(drift[bad].max()))
 
 
 def _advance(x: np.ndarray, props, spans, traces: np.ndarray) -> np.ndarray:
@@ -506,10 +510,9 @@ def _ejected(sec: Sector, x: np.ndarray) -> np.ndarray:
 
 
 def _times(taus: np.ndarray) -> np.ndarray:
-    """Non-negative drive times of the rows, (rows, points); where every row
+    """Finite, non-negative drive times of the rows, (rows, points); where every row
     has the same times, the first row alone, and a number if it has one."""
-    if (taus < 0).any():
-        raise DomainError("evolution time must be non-negative")
+    _check_times(taus)
     if (taus == taus[0]).all():
         return taus[0, 0] if taus.shape[1] == 1 else taus[0]
     return taus

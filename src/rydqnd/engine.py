@@ -117,9 +117,7 @@ class ProtocolParams:
         return cands, prior
 
     def noise(self) -> NoiseParams | None:
-        if self.mode == NOISELESS_PURE:
-            return None
-        return NoiseParams(self.gamma, self.tau_eit, self.N, eject=self.ejection_enabled)
+        return None if self.mode == NOISELESS_PURE else NoiseParams(self.gamma, self.tau_eit, self.N)
 
     def to_dict(self) -> dict:
         cands, prior = self.resolved_candidates()
@@ -157,7 +155,8 @@ def schedule_next_tau(schedule: Schedule, history: list[float], params: Protocol
         from .analysis import default_tau_grid, greedy_next_tau
         cands, prior = params.resolved_candidates()
         grid = default_tau_grid(params.omega, schedule.grid_points)
-        return greedy_next_tau(history, cands, prior, grid, params.omega, params.noise())
+        return greedy_next_tau(history, cands, prior, grid, params.omega, params.noise(),
+                               params.ejection_enabled)
     raise DomainError(f"unknown schedule kind {schedule.kind!r}")
 
 
@@ -337,7 +336,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             keep = ~done
             ids, draws = ids[keep], draws[keep]
             states.keep(keep)
-            likelihoods.keep(keep)
+            likelihoods.take(keep)
 
     if not n_traj:
         return []

@@ -19,7 +19,7 @@ accumulated in the log domain so long records do not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +38,6 @@ class NoiseParams:
     gamma: float
     tau_eit: float
     N: int
-    eject: bool = False
 
     def __post_init__(self):
         if not (0 <= self.gamma < math.inf and 0 <= self.tau_eit < math.inf and self.N >= 1):
@@ -170,7 +169,7 @@ def _grid_populations(table: dict[str, np.ndarray], g: int, x: np.ndarray, grid:
 
 
 def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
-           rydberg: np.ndarray, omega: float, noise: NoiseParams
+           rydberg: np.ndarray, omega: float, noise: NoiseParams, eject: bool
            ) -> tuple[np.ndarray, np.ndarray]:
     """One record cycle of every item: its j = 0 state x of the (n, N) sector
     (x None: the fresh |S_n><S_n|) driven for its tau, through the window and
@@ -188,8 +187,7 @@ def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
     """
     if not len(n):
         return np.zeros(0), np.zeros((0, _DIM), dtype=complex)
-    if (taus < 0).any():
-        raise DomainError("evolution time must be non-negative")
+    dyn._check_times(taus)
     table, row = _rows(n, N, omega, noise)
     dyn._check_horizon(taus, table["horizon"][row])
     props = dyn._spectral(table["lam"][row], table["vecs"][row], table["inv"][row], taus)
@@ -205,7 +203,7 @@ def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
     live = p > 0.0
     keep = table["keep"][row, rydberg.astype(int)]
     out = dyn._projected(keep, x, np.where(live, p, 1.0))
-    moved = live & rydberg & noise.eject
+    moved = live & rydberg & eject
     if moved.any():  # a live Rydberg item has n >= 1
         ss = out[moved, _RR] * np.sqrt(N[moved])
         ss_trace = [sector(k - 1, M - 1).block(0).trace[_SS]
@@ -216,7 +214,7 @@ def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
 
 
 def _noisy_log_table(record: MeasurementRecord, ns: list[int], omega: float,
-                     noise: NoiseParams) -> np.ndarray:
+                     noise: NoiseParams, eject: bool) -> np.ndarray:
     """log Pr(first t outcomes | n) of a noisy record, shape (T + 1, len(ns)).
 
     The conditional state renews itself: a NoRydberg outcome leaves only ss,
@@ -227,7 +225,7 @@ def _noisy_log_table(record: MeasurementRecord, ns: list[int], omega: float,
     continues the state its predecessor left, and all cycles at run position
     k take one `_cycle` together.
     """
-    taus, rydberg, shift, continued = _decoded(record, noise.eject)
+    taus, rydberg, shift, continued = _decoded(record, eject)
     ns = np.asarray(ns)
     n = ns[None, :] - shift[:, None]
     N = np.broadcast_to((noise.N - shift)[:, None], n.shape)
@@ -243,7 +241,7 @@ def _noisy_log_table(record: MeasurementRecord, ns: list[int], omega: float,
             ready[1:] = log_p[:-1] > -math.inf
         t, c = np.nonzero((run == k)[:, None] & ready)
         p, x = _cycle(None if k == 0 else left[t - 1, c], n[t, c], N[t, c], taus[t],
-                      rydberg[t], omega, noise)
+                      rydberg[t], omega, noise, eject)
         live = p > 0.0
         left[t[live], c[live]] = x[live]
         log_p[t[live], c[live]] = _libm(math.log, p[live])
@@ -255,8 +253,8 @@ class ConditionalState:
     prefix: a one-row, one-candidate view of `NoisyLikelihoods`.  Feeding
     entries one at a time keeps posterior updates incremental."""
 
-    def __init__(self, n: int, omega: float, noise: NoiseParams):
-        self._row = NoisyLikelihoods([n], omega, noise)
+    def __init__(self, n: int, omega: float, noise: NoiseParams, eject: bool = False):
+        self._row = NoisyLikelihoods([n], omega, noise, eject)
 
     def update(self, tau: float, outcome: str) -> float:
         """Advance one observation cycle; returns log of the conditional probability."""
@@ -288,11 +286,10 @@ class ConditionalState:
 
 def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,
                           noise: NoiseParams | None, eject: bool = False) -> np.ndarray:
-    """log Pr(first t outcomes | n), shape (T + 1, len(ns)); ejection is on
-    where ``eject`` or ``noise.eject`` says so."""
+    """log Pr(first t outcomes | n), shape (T + 1, len(ns))."""
     if noise is None:
         return _noiseless_log_table(record, ns, omega, eject)
-    return _noisy_log_table(record, ns, omega, replace(noise, eject=True) if eject else noise)
+    return _noisy_log_table(record, ns, omega, noise, eject)
 
 
 def log_likelihood_noisy(record: MeasurementRecord, n: int, omega: float,
@@ -301,9 +298,9 @@ def log_likelihood_noisy(record: MeasurementRecord, n: int, omega: float,
 
 
 def marginal_likelihood(record: MeasurementRecord, dist: FockDistribution, omega: float,
-                        noise: NoiseParams | None = None) -> float:
+                        noise: NoiseParams | None = None, eject: bool = False) -> float:
     """Pr(M_T | P) = sum_n p_n Pr(M_T | n)."""
-    logs = _log_likelihood_table(record, dist.support(), omega, noise)[-1]
+    logs = _log_likelihood_table(record, dist.support(), omega, noise, eject)[-1]
     return float(dist.p[dist.support()] @ np.exp(logs))
 
 
@@ -378,6 +375,18 @@ class Mixture:
         return weights / total[:, None]
 
 
+@lru_cache(maxsize=64)
+def _noiseless_grid(ns: tuple[int, ...], omega: float, grid: bytes, shift: int) -> np.ndarray:
+    """Noiseless Pr(next outcome | record, n) after shift ejections over a grid, shape
+    (len(ns), 2G): cos^2 for the reference outcome repeated, then sin^2 for it changed;
+    read-only, as every call with this grid and shift shares it."""
+    taus = np.frombuffer(grid)
+    step = _noiseless_factors(ns, omega, np.tile(taus, 2), np.repeat([True, False], taus.size),
+                              np.full(2 * taus.size, shift)).T.copy()  # C order for matmul
+    step.flags.writeable = False
+    return step
+
+
 class NoiselessLikelihoods:
     """log Pr(record | n) of B noiseless records growing together, shape (B, len(ns)).
 
@@ -404,15 +413,28 @@ class NoiselessLikelihoods:
         else:
             self._last = rydberg
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the rows not selected by the boolean mask."""
-        self.log_l, self._last, self._shift = (self.log_l[rows], self._last[rows],
-                                               self._shift[rows])
+    def outcome_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Pr(next outcome | record, n) of the selected rows for every drive time of the
+        grid, shape (rows, len(ns), 2G): the row's reference outcome repeated, then changed,
+        so rows differ in which outcome comes first (`analysis._fidelity_over_grid` only
+        sums the two).  Shape (1, len(ns), 2G), to broadcast, where every selected row has
+        one photon shift (always so without ejection)."""
+        dyn._check_times(grid)
+        key = tuple(self.ns.tolist()), self.omega, grid.tobytes()
+        shifts = self._shift[rows].tolist()
+        if len(set(shifts)) <= 1:
+            return _noiseless_grid(*key, shifts[0] if shifts else 0)[None]
+        return np.array([_noiseless_grid(*key, shift) for shift in shifts])
+
+    def take(self, index: np.ndarray) -> None:
+        """Keep the rows an index array (in its order, repeats allowed) or a mask selects."""
+        self.log_l, self._last, self._shift = (self.log_l[index], self._last[index],
+                                               self._shift[index])
 
 
 class NoisyLikelihoods:
     """log Pr(record | n) of B noisy records growing together, shape (B, len(ns)),
-    the noisy twin of `NoiselessLikelihoods`; ``noise.eject`` sets ejection.
+    the noisy twin of `NoiselessLikelihoods`.
 
     Entry (r, i) holds the conditional j = 0 state of photon number ns[i]
     along row r's record, padded to five families (``x``, shape
@@ -421,10 +443,12 @@ class NoisyLikelihoods:
     and is no longer advanced.
     """
 
-    def __init__(self, ns: list[int], omega: float, noise: NoiseParams, rows: int = 1):
+    def __init__(self, ns: list[int], omega: float, noise: NoiseParams, eject: bool = False,
+                 rows: int = 1):
         self.ns = np.asarray(ns, dtype=int)
         self.omega = omega
         self.noise = noise
+        self.eject = eject
         table, row = _rows(self.ns, np.full(self.ns.size, noise.N), omega, noise)
         self.x = np.tile(table["fresh"][row].reshape(1, -1, _DIM), (rows, 1, 1))
         self.log_l = np.zeros((rows, self.ns.size))
@@ -441,13 +465,14 @@ class NoisyLikelihoods:
         Returns log Pr(outcome | record, n), shape (B, len(ns)), added to
         ``log_l`` left to right."""
         r, c, n, N = self._live()
-        p, x = _cycle(self.x[r, c], n, N, taus[r], rydberg[r], self.omega, self.noise)
+        p, x = _cycle(self.x[r, c], n, N, taus[r], rydberg[r], self.omega, self.noise,
+                      self.eject)
         live = p > 0.0
         self.x[r[live], c[live]] = x[live]
         step = np.full(self.log_l.shape, -math.inf)
         step[r[live], c[live]] = _libm(math.log, p[live])
         self.log_l = self.log_l + step
-        if self.noise.eject:
+        if self.eject:
             self.shift = self.shift + rydberg
         return step
 
@@ -455,8 +480,7 @@ class NoisyLikelihoods:
         """Pr(next outcome | record, n) of the selected rows for every drive time
         of the grid, shape (rows, len(ns), 2G): NoRydberg over the grid, then
         Rydberg; zero where the record already has zero likelihood."""
-        if (grid < 0).any():
-            raise DomainError("evolution time must be non-negative")
+        dyn._check_times(grid)
         r, c, n, N = self._live(rows)
         out = np.zeros(self.log_l[rows].shape + (2, grid.size))
         if r.size:
@@ -469,21 +493,16 @@ class NoisyLikelihoods:
         return out.reshape(out.shape[0], out.shape[1], -1)
 
     def take(self, index: np.ndarray) -> None:
-        """Keep the rows the index array selects, in its order; it may repeat rows."""
+        """Keep the rows an index array (in its order, repeats allowed) or a mask selects."""
         self.log_l, self.x, self.shift = self.log_l[index], self.x[index], self.shift[index]
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the rows not selected by the boolean mask."""
-        self.take(rows)
 
 
 def record_likelihoods(ns: list[int], omega: float, noise: NoiseParams | None = None,
                        eject: bool = False, rows: int = 1):
-    """`NoiselessLikelihoods`, or with noise `NoisyLikelihoods`; ejection is on
-    where ``eject`` or ``noise.eject`` says so."""
+    """`NoiselessLikelihoods`, or with noise `NoisyLikelihoods`."""
     if noise is None:
         return NoiselessLikelihoods(ns, omega, eject, rows)
-    return NoisyLikelihoods(ns, omega, replace(noise, eject=True) if eject else noise, rows)
+    return NoisyLikelihoods(ns, omega, noise, eject, rows)
 
 
 class SequentialInference:

@@ -212,6 +212,28 @@ def test_grid_entries_are_expected_fidelities(case, grid):
     assert np.allclose(vals, expect, rtol=0, atol=1e-12)
 
 
+@given(st.lists(st.floats(0.05, 2.0), max_size=5), st.booleans())
+def test_noiseless_tree_leaves_are_the_likelihoods_of_their_records(taus, eject):
+    """Leaf r of the tree is the record whose outcomes are the bits of r, the
+    first outcome the highest bit; and the next outcome's table, repeated or
+    changed, sums to 1 for every photon shift of the leaves."""
+    ns = [0, 1, 2, 3]
+    like, tree = an._outcome_tree(taus, ns, 1.0, None, eject)
+    assert like.shape == (2 ** len(taus), len(ns))
+    for r, log_l in enumerate(tree.log_l):
+        bits = [(r >> (len(taus) - 1 - t)) & 1 for t in range(len(taus))]
+        record = MeasurementRecord([(tau, RYDBERG if bit else NO_RYDBERG)
+                                    for tau, bit in zip(taus, bits)])
+        table = inf._log_likelihood_table(record, ns, 1.0, None, eject)
+        np.testing.assert_allclose(log_l, table[-1], rtol=1e-12, atol=0)
+    grid = np.array([0.0, 0.3, 1.7, 40.0])
+    step = tree.outcome_grid(grid)
+    assert step.shape[1:] == (len(ns), 2 * grid.size)
+    assert step.shape[0] == (like.shape[0] if eject and taus else 1)  # one shared shift
+    np.testing.assert_allclose(step.reshape(-1, len(ns), 2, grid.size).sum(axis=2), 1.0,
+                               rtol=0, atol=1e-15)
+
+
 def test_grid_step_over_many_chunks_of_leaves():
     # 2^9 leaves times an 800-point grid do not fit in one chunk
     cands, prior = POOL[:3], Posterior(np.array([0.5, 0.3, 0.2]))

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmark" / "tracing.py"
 
 
 def _traced():
@@ -53,10 +54,23 @@ def test_cli_import_alone_loads_every_traced_module():
     # workload's warm-up, which may not touch dense_oracle or call expm; so
     # `import rydqnd.cli` alone must bring in every traced module and both
     # `expm` bindings.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _INSTALL_PROBE, str(TRACING)], env=env,
-                         capture_output=True, text=True)
+    out = _probe(_INSTALL_PROBE, str(TRACING))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+def _probe(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter with src and benchmark first on PYTHONPATH."""
+    paths = (str(ROOT / "src"), str(ROOT / "benchmark"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_the_untraced_benchmark_imports():
+    # workloads builds its schedules and imports from rydqnd when it is
+    # imported, and selftest imports every benchmark module: an API change
+    # that breaks the benchmark fails here first
+    out = _probe("import workloads, selftest; print('ok')")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"

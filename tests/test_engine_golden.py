@@ -93,7 +93,7 @@ CASES = {
 DIGESTS = {
     "fixed-born-eject-trace": "75cdafefb71dfb622d6ea5ece40674329fc628db5709b76849281e790da3443d",
     "fixed-int": "47c0db1be299f53fb1293af96b05bf024a45f8b8df4796474083f0f8c4c62a8f",
-    "greedy-amps-eject-trace": "c6b7060e45bb74d61dfe2686a8c04191295d0ce9c31000f2a443ca1958b5c88d",
+    "greedy-amps-eject-trace": "3206dace1f645e865beaaa0cd4ba2ea5dd2da4b4ee8b5bd9ac36cd3276a5b25a",
     "greedy-born": "55d6aa036b913774e4b0891ad475cfa7832a27d0346ad951351dd57b7f0a279e",
     "noisy-fixed-trace": "0fd139e618e1f74fe5e5d38c60a35d5c2830c9db25a65a2acea724bfa5eba2f0",
     "noisy-greedy": "81022ab44372ff451cb0dbf39a6d51e361fbb8ccdbd8ed8d194359dc5116c774",

@@ -210,8 +210,8 @@ def test_sequential_ejection_tracks_reduced_photon_number():
 def test_ejecting_update_keeps_only_the_j0_block():
     # ejection from a j=0-only state fills only j=0, so the conditional state
     # drops the empty j>0 blocks; the reference propagates all of them
-    noise = inf.NoiseParams(gamma=0.3, tau_eit=0.2, N=10, eject=True)
-    state = inf.ConditionalState(4, OMEGA, noise)
+    noise = inf.NoiseParams(gamma=0.3, tau_eit=0.2, N=10)
+    state = inf.ConditionalState(4, OMEGA, noise, eject=True)
     blocks = dyn.symmetric_state_blocks(4, 10)[:1]
     entries = [(0.9, RYDBERG), (0.5, NO_RYDBERG), (1.1, RYDBERG), (0.7, NO_RYDBERG)]
     for tau, outcome in entries:
@@ -275,8 +275,7 @@ def inference_cases(draw):
     eject = draw(st.booleans())
     noise = None
     if draw(st.booleans()):
-        noise = inf.NoiseParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)),
-                                N, eject=eject)
+        noise = inf.NoiseParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.5)), N)
     entries = draw(st.lists(st.tuples(st.floats(0.05, 2.0),
                                       st.sampled_from((NO_RYDBERG, RYDBERG))), max_size=6))
     return MeasurementRecord(entries), cands, prior, noise, eject
@@ -340,8 +339,8 @@ def test_noisy_ejection_down_to_the_empty_array(tmp_path):
     doc = json.loads(out.read_text())
     assert np.allclose(np.sum(doc["trace"], axis=1), 1.0, rtol=0, atol=1e-12)
     omega = 2 * math.pi * 2.5e6
-    state = inf.ConditionalState(2, omega, inf.NoiseParams(2 * math.pi * 0.3e6, 1e-7, 2,
-                                                           eject=True))
+    state = inf.ConditionalState(2, omega, inf.NoiseParams(2 * math.pi * 0.3e6, 1e-7, 2),
+                                 eject=True)
     for tau, outcome in rec.entries:
         assert state.update(tau, outcome) > -math.inf
     assert (state.blocks[0].n, state.blocks[0].N) == (0, 0)
@@ -350,21 +349,16 @@ def test_noisy_ejection_down_to_the_empty_array(tmp_path):
 
 
 def test_eject_flag_and_noise_eject_agree():
-    """Ejection is on whichever spelling asks for it: the eject argument beside
-    a noise model without ejection gives what a noise model with it gives."""
+    """The eject argument turns noisy ejection on alike in the posterior trace,
+    sequential inference and the likelihood holder."""
     omega = 2 * math.pi * 2.5e6
-    quiet = inf.NoiseParams(2 * math.pi * 0.3e6, 0.3e-6, 10)
-    ejecting = inf.NoiseParams(2 * math.pi * 0.3e6, 0.3e-6, 10, eject=True)
+    noise = inf.NoiseParams(2 * math.pi * 0.3e6, 0.3e-6, 10)
     rec = record_of([2.1e-7, 2.1e-7, 2.1e-7], [RYDBERG, RYDBERG, NO_RYDBERG])
     cands = [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)]
     prior = Posterior.uniform(4)
-    want = inf.posterior_trace(rec, cands, prior, omega, noise=ejecting)
-    assert not np.allclose(want, inf.posterior_trace(rec, cands, prior, omega, noise=quiet))
-    assert np.array_equal(inf.posterior_trace(rec, cands, prior, omega, noise=quiet,
-                                              eject=True), want)
-    for noise, eject in ((quiet, True), (ejecting, False), (ejecting, True)):
-        seq = inf.SequentialInference(cands, prior, omega, noise=noise, eject=eject)
-        rows = [seq.update(tau, outcome).weights for tau, outcome in rec.entries]
-        assert np.allclose(rows, want[1:], rtol=0, atol=1e-12)
-        likelihoods = inf.record_likelihoods([1, 2, 3, 4], omega, noise, eject)
-        assert likelihoods.noise.eject
+    want = inf.posterior_trace(rec, cands, prior, omega, noise=noise, eject=True)
+    assert not np.allclose(want, inf.posterior_trace(rec, cands, prior, omega, noise=noise))
+    seq = inf.SequentialInference(cands, prior, omega, noise=noise, eject=True)
+    rows = [seq.update(tau, outcome).weights for tau, outcome in rec.entries]
+    assert np.allclose(rows, want[1:], rtol=0, atol=1e-12)
+    assert inf.record_likelihoods([1, 2, 3, 4], omega, noise, True).eject

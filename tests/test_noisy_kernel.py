@@ -72,9 +72,9 @@ def test_holder_matches_the_one_state_chain_to_the_bit(batch):
     cycle and the same final state, bit for bit; a candidate that meets an
     impossible outcome stays at -inf (n = 0 at its first Rydberg outcome)."""
     N, gamma, tau_eit, eject, rows = batch
-    noise = inf.NoiseParams(gamma, tau_eit, N, eject=eject)
+    noise = inf.NoiseParams(gamma, tau_eit, N)
     ns = list(range(N + 1))
-    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, rows=len(rows))
+    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, eject, rows=len(rows))
     chains = [[_chain(n, N, gamma, tau_eit, eject, row) for n in ns] for row in rows]
     for t in range(len(rows[0])):
         holder.update(np.array([row[t][0] for row in rows]),
@@ -95,12 +95,12 @@ def test_renewal_table_matches_the_holder(batch):
     """The renewal table of a record equals the holder's log-likelihoods after
     every cycle to 1e-12, with the same impossible cycles."""
     N, gamma, tau_eit, eject, rows = batch
-    noise = inf.NoiseParams(gamma, tau_eit, N, eject=eject)
+    noise = inf.NoiseParams(gamma, tau_eit, N)
     ns = list(range(N + 1))
     for row in rows:
         record = MeasurementRecord([(tau, RYDBERG if ryd else NO_RYDBERG) for tau, ryd in row])
-        table = inf._log_likelihood_table(record, ns, OMEGA, noise)
-        holder = inf.NoisyLikelihoods(ns, OMEGA, noise)
+        table = inf._log_likelihood_table(record, ns, OMEGA, noise, eject)
+        holder = inf.NoisyLikelihoods(ns, OMEGA, noise, eject)
         assert table[0].tolist() == [0.0] * len(ns)
         for t, (tau, ryd) in enumerate(row, start=1):
             holder.update(np.array([tau]), np.array([ryd]))
@@ -115,9 +115,9 @@ def test_spectral_readout_matches_the_windowed_chain(batch, grid):
     eigensystem, equals the sector probabilities after the drive and the
     window to 1e-12; it is zero for a candidate the record ruled out."""
     N, gamma, tau_eit, eject, rows = batch
-    noise = inf.NoiseParams(gamma, tau_eit, N, eject=eject)
+    noise = inf.NoiseParams(gamma, tau_eit, N)
     ns = list(range(N + 1))
-    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, rows=len(rows))
+    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, eject, rows=len(rows))
     for t in range(len(rows[0])):
         holder.update(np.array([row[t][0] for row in rows]),
                       np.array([row[t][1] for row in rows]))
@@ -138,13 +138,13 @@ def test_spectral_readout_matches_the_windowed_chain(batch, grid):
 
 
 def test_take_splits_rows_like_separate_holders():
-    noise = inf.NoiseParams(0.4, 0.2, 4, eject=True)
-    tree = inf.NoisyLikelihoods([1, 2, 3], OMEGA, noise)
+    noise = inf.NoiseParams(0.4, 0.2, 4)
+    tree = inf.NoisyLikelihoods([1, 2, 3], OMEGA, noise, eject=True)
     tree.update(np.array([0.7]), np.array([True]))
     tree.take(np.array([0, 0]))
     tree.update(np.array([0.5, 0.5]), np.array([False, True]))
     for rydberg, log_l in zip((False, True), tree.log_l):
-        lone = inf.NoisyLikelihoods([1, 2, 3], OMEGA, noise)
+        lone = inf.NoisyLikelihoods([1, 2, 3], OMEGA, noise, eject=True)
         lone.update(np.array([0.7]), np.array([True]))
         lone.update(np.array([0.5]), np.array([rydberg]))
         assert log_l.tolist() == lone.log_l[0].tolist()

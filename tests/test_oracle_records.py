@@ -68,7 +68,7 @@ def test_conditional_likelihoods_match_dense_chain(config, uniforms):
     """log Pr(record prefix | n) of every candidate n agrees with the dense
     chain after every cycle, on records sampled from the dense true state."""
     N, n_true, gamma, tau_eit, eject, taus = config
-    noise = inf.NoiseParams(gamma, tau_eit, N, eject=eject)
+    noise = inf.NoiseParams(gamma, tau_eit, N)
     state, n = _dense_start(n_true, N), n_true
     record = []
     for tau, u in zip(taus, uniforms):
@@ -78,7 +78,7 @@ def test_conditional_likelihoods_match_dense_chain(config, uniforms):
         _, state, n = _dense_collapse(windowed, n, outcome, eject)
 
     for n_cand in range(0, N if eject else N + 1):
-        blocks = inf.ConditionalState(n_cand, OMEGA, noise)
+        blocks = inf.ConditionalState(n_cand, OMEGA, noise, eject)
         dense, n = _dense_start(n_cand, N), n_cand
         log_dense = 0.0
         for t, (tau, outcome) in enumerate(record):

@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from rydqnd import analysis as an
 from rydqnd import cli, symbasis
 from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
-from rydqnd.errors import DomainError, ResourceError
+from rydqnd.errors import DomainError, IntegratorError, ResourceError
 from rydqnd.records import FockDistribution, MeasurementRecord, Posterior, RYDBERG
 
 # the paper's parameters, in the CLI's units
@@ -187,6 +188,41 @@ def test_noiseless_infer_refuses_a_drive_phase_past_float_range(tmp_path, capsys
 def test_a_nan_norm_fails_the_norm_check():
     with pytest.raises(DomainError):
         dyn._check_norm(np.array([1.0, math.nan]))
+
+
+def test_a_nan_trace_fails_the_drift_check():
+    with pytest.raises(IntegratorError):
+        dyn._check_drift(np.array([1.0, math.nan]), np.ones(2))
+
+
+_NOISE = inf.NoiseParams(0.3, 0.2, 4)
+_DELTAS = [FockDistribution.delta(n, 3) for n in (1, 2, 3)], Posterior.uniform(3)
+# each kernel entry point that takes a drive time or a window, given that time
+_ENTRY_POINTS = {
+    "evolve_pure": lambda tau: dyn.evolve_pure(
+        dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 0.6, 0.8])), tau, 1.0),
+    "evolve_blocks": lambda tau: dyn.evolve_blocks(dyn.symmetric_state_blocks(2, 4), tau,
+                                                   1.0, 0.3),
+    "measure_block": lambda tau: dyn.measure_block(dyn.symmetric_state_blocks(2, 4), tau,
+                                                   0.3, 0.5),
+    "BlockBatch.drive": lambda tau: dyn.BlockBatch([2, 2], 4, 0.3, 0.2).drive(
+        np.array([0.5, tau]), 1.0),
+    "ConditionalState.update": lambda tau: inf.ConditionalState(2, 1.0, _NOISE).update(
+        tau, RYDBERG),
+    "greedy_next_tau": lambda tau: an.greedy_next_tau([0.4], *_DELTAS, np.array([0.5, tau]),
+                                                      1.0),
+    "greedy_next_tau, noisy": lambda tau: an.greedy_next_tau(
+        [0.4], *_DELTAS, np.array([0.5, tau]), 1.0, _NOISE),
+    "expected_fidelity": lambda tau: an.expected_fidelity([tau], *_DELTAS, 1.0),
+    "expected_fidelity, noisy": lambda tau: an.expected_fidelity([tau], *_DELTAS, 1.0, _NOISE),
+}
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_kernels_refuse_drive_times_that_are_not_finite(entry, tau):
+    with pytest.raises(DomainError, match="must be finite and non-negative"):
+        _ENTRY_POINTS[entry](tau)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
