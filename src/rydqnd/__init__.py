@@ -51,7 +51,7 @@ from .inference import (
     log_likelihood_noisy,
     marginal_likelihood,
     mle,
-    posterior,
+    posterior_trace,
 )
 from .analysis import (
     detection_time,
@@ -118,7 +118,7 @@ __all__ = [
     "mle",
     "optimize_schedule_global",
     "optimize_schedule_local",
-    "posterior",
+    "posterior_trace",
     "project_blocks",
     "realign_for_retrieval",
     "retrieval_fidelity",

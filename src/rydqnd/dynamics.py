@@ -38,8 +38,7 @@ class PureCollectiveState:
             raise DomainError("amplitude arrays must be 1-d and of equal length")
         if abs(self.b[0]) > 0:
             raise DomainError("there is no Rydberg state without excitations (b_0 must be 0)")
-        if abs(self.norm() - 1.0) > 1e-12:
-            raise DomainError(f"state norm is {self.norm()}, expected 1")
+        _check_norm(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.b) ** 2))
 
     @staticmethod
     def from_stored_amplitudes(c: np.ndarray) -> "PureCollectiveState":
@@ -140,6 +139,7 @@ class PureBatch:
     def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
         """Drive row r for taus[r]: within each n, (a_n, b_n) rotates at
         sqrt(n) * omega.  steps as in `BlockBatch.drive`."""
+        _check_times(taus, "drive time")
         rate = np.sqrt(np.arange(self.a.shape[1])) * omega
         if steps is None:
             self.a, self.b = _rotate(self.a, self.b, rate, taus[:, None])
@@ -287,16 +287,24 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
+def _build_propagators(n: int, N: int, j: int, omega: float, gamma: float,
+                       taus: np.ndarray) -> np.ndarray:
+    """The block's propagator at every time of taus, shape taus.shape + (dim, dim), uncached:
+    `_spectral`, or `expm` time by time where the eigenvectors are ill-conditioned."""
+    gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
+    _check_horizon(taus, horizon)
+    if eig is not None:
+        return _spectral(*eig, taus)
+    return np.array([expm(gen * t) for t in taus.ravel().tolist()]).reshape(taus.shape + gen.shape)
+
+
 @lru_cache(maxsize=1024)
 def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
                 taus: tuple[float, ...]) -> np.ndarray:
-    """The block's propagators at the times taus, a read-only (len(taus), dim,
-    dim) stack.  Each is computed on its own, so a time's propagator is the
-    same to the bit in every stack that holds it."""
-    gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
-    _check_horizon(np.array(taus), horizon)
-    props = np.array([expm(gen * tau) if eig is None else _spectral(*eig, np.asarray(tau))
-                      for tau in taus])
+    """The block's propagators at times taus that every row shares, a read-only
+    (len(taus), dim, dim) stack.  Each is built on its own, so a time's
+    propagator is the same to the bit in every stack that holds it."""
+    props = np.array([_build_propagators(n, N, j, omega, gamma, np.asarray(t)) for t in taus])
     props.setflags(write=False)
     return props
 
@@ -408,16 +416,11 @@ def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
                  taus: np.ndarray) -> np.ndarray:
     """The block's propagator at every time of taus, shape taus.shape + (dim,
     dim).  A 0-d or 1-d taus holds times every row shares; a fixed schedule
-    repeats them, so their propagators are cached.  Per-row times are not."""
-    if taus.ndim < 2:
-        props = _propagator(n, N, j, omega, gamma, tuple(taus.ravel().tolist()))
-        return props.reshape(taus.shape + props.shape[1:])
-    gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
-    _check_horizon(taus, horizon)
-    if eig is None:
-        props = np.array([expm(gen * tau) for tau in taus.ravel().tolist()])
-        return props.reshape(taus.shape + props.shape[1:])
-    return _spectral(*eig, taus)
+    repeats them, so `_propagator` caches them.  Per-row times are built uncached."""
+    if taus.ndim >= 2:
+        return _build_propagators(n, N, j, omega, gamma, taus)
+    props = _propagator(n, N, j, omega, gamma, tuple(taus.ravel().tolist()))
+    return props.reshape(taus.shape + props.shape[1:])
 
 
 def _check_drift(after: np.ndarray, before: np.ndarray) -> None:

@@ -139,13 +139,10 @@ class ProtocolParams:
         }
 
 
-def schedule_next_tau(schedule: Schedule, history: list[float], params: ProtocolParams,
-                      rng: np.random.Generator) -> float:
-    """Next drive time under the given strategy; deterministic given the rng state."""
+def schedule_next_tau(schedule: Schedule, history: list[float], params: ProtocolParams) -> float:
+    """Next drive time of a schedule that draws nothing, given the earlier ones."""
     if schedule.kind == "fixed":
         return float(schedule.tau)
-    if schedule.kind == "uniform-random":
-        return float(rng.uniform(schedule.tau_min, schedule.tau_max))
     if schedule.kind == "precomputed-list":
         if len(history) >= len(schedule.taus):
             raise ScheduleExhaustedError(
@@ -157,32 +154,23 @@ def schedule_next_tau(schedule: Schedule, history: list[float], params: Protocol
         grid = default_tau_grid(params.omega, schedule.grid_points)
         return greedy_next_tau(history, cands, prior, grid, params.omega, params.noise(),
                                params.ejection_enabled)
-    raise DomainError(f"unknown schedule kind {schedule.kind!r}")
+    raise DomainError(f"schedule kind {schedule.kind!r} has no drive time every trajectory shares")
 
 
-def sample_initial(dist, mode: str, rng: np.random.Generator, params: ProtocolParams):
-    """Initial state for one trajectory.
-
-    Noiseless-pure mode keeps the full amplitude vector (a FockDistribution is
-    mapped to real sqrt-amplitudes).  Noisy mode samples n classically, which
-    is exact for every logged observable because number-diagonal blocks evolve
-    independently of cross-number coherences.
-    """
-    if mode == NOISELESS_PURE:
-        if isinstance(dist, FockDistribution):
-            amps = np.sqrt(dist.p.astype(float))
-        elif np.isscalar(dist):
-            amps = np.sqrt(FockDistribution.delta(int(dist), max(int(dist), params.n_max)).p)
-        else:
-            amps = np.asarray(dist, dtype=complex)
-        state = dyn.PureCollectiveState.from_stored_amplitudes(amps)
-        return state, None
-    n = _sample_n(dist, rng)
-    return dyn.symmetric_state_blocks(n, params.N), n
+def sample_initial(dist, params: ProtocolParams):
+    """(stored pure state, None: no photon number is drawn) of a noiseless trajectory."""
+    if isinstance(dist, FockDistribution):
+        amps = np.sqrt(dist.p.astype(float))
+    elif np.isscalar(dist):
+        amps = np.sqrt(FockDistribution.delta(int(dist), max(int(dist), params.n_max)).p)
+    else:
+        amps = np.asarray(dist, dtype=complex)
+    return dyn.PureCollectiveState.from_stored_amplitudes(amps), None
 
 
 def _sample_n(dist, rng: np.random.Generator) -> int:
-    """The photon number of a noisy trajectory: drawn from a FockDistribution, else given."""
+    """The photon number of a noisy trajectory, drawn from a FockDistribution (exact for every
+    logged observable: number-diagonal blocks evolve on their own), else given."""
     if isinstance(dist, FockDistribution):
         return int(rng.choice(dist.p.size, p=dist.p))
     return int(dist)
@@ -242,7 +230,7 @@ def _shared_taus(params: ProtocolParams):
 
     def tau_at(cycle: int) -> float:
         while len(table) <= cycle:
-            table.append(schedule_next_tau(params.schedule, table, params, None))
+            table.append(schedule_next_tau(params.schedule, table, params))
         return table[cycle]
 
     return tau_at
@@ -267,7 +255,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     likelihoods = record_likelihoods(mixture.ns, params.omega, params.noise(),
                                      params.ejection_enabled, n_traj)
     if params.mode == NOISELESS_PURE:
-        state, _ = sample_initial(initial, NOISELESS_PURE, None, params)
+        state, _ = sample_initial(initial, params)
         states, n_true = dyn.PureBatch(state, n_traj), [None] * n_traj
     else:
         n_true = [_sample_n(initial, rng) for rng in rngs]

@@ -27,7 +27,7 @@ import numpy as np
 from . import dynamics as dyn
 from .dynamics import SymmetricBlockState
 from .errors import DomainError, ImpossibleOutcomeError, InconsistentRecordError
-from .records import FockDistribution, MeasurementRecord, Posterior, RYDBERG
+from .records import FockDistribution, MeasurementRecord, OUTCOMES, Posterior, RYDBERG
 from .symbasis import sector
 
 
@@ -324,13 +324,6 @@ def posterior_trace(record: MeasurementRecord, candidates: list[FockDistribution
     return weights / total
 
 
-def posterior(record: MeasurementRecord, candidates: list[FockDistribution],
-              prior: Posterior, omega: float,
-              noise: NoiseParams | None = None) -> Posterior:
-    """Bayes update of the prior over candidate distributions."""
-    return Posterior(posterior_trace(record, candidates, prior, omega, noise)[-1])
-
-
 def mle(post: Posterior) -> int:
     """Index of the maximal posterior weight; ties break to the lowest index."""
     return int(np.argmax(post.weights))
@@ -404,6 +397,7 @@ class NoiselessLikelihoods:
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
         """One cycle for every row: drive times and outcomes (True for Rydberg)."""
+        dyn._check_times(taus, "drive time")
         factor = _noiseless_factors(self.ns, self.omega, taus, rydberg == self._last,
                                     self._shift)
         log_f = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
@@ -512,17 +506,12 @@ class SequentialInference:
                  omega: float, noise: NoiseParams | None = None, eject: bool = False):
         self._mix = Mixture(candidates, prior)
         self._likelihoods = record_likelihoods(self._mix.ns, omega, noise, eject)
-        self._record = MeasurementRecord()
 
     def update(self, tau: float, outcome: str) -> Posterior:
-        self._record.append(tau, outcome)
-        self._likelihoods.update(np.array([tau], dtype=float),
-                                 np.array([outcome == RYDBERG]))
+        if outcome not in OUTCOMES:
+            raise DomainError(f"unknown outcome {outcome!r}")
+        self._likelihoods.update(np.array([tau], dtype=float), np.array([outcome == RYDBERG]))
         return self.posterior()
 
     def posterior(self) -> Posterior:
         return Posterior(self._mix.posterior(self._likelihoods.log_l)[0])
-
-    @property
-    def record(self) -> MeasurementRecord:
-        return self._record

@@ -36,16 +36,14 @@ def noiseless_params(**overrides):
 
 def test_fixed_schedule_repeats_tau():
     params = noisy_params()
-    rng = np.random.default_rng(0)
     for hist in ([], [1e-7], [1e-7] * 5):
-        assert eng.schedule_next_tau(params.schedule, hist, params, rng) == 0.21e-6
+        assert eng.schedule_next_tau(params.schedule, hist, params) == 0.21e-6
 
 
 def test_uniform_random_schedule_stays_in_bounds():
     sched = eng.Schedule.uniform_random(0.05e-6, 0.4e-6)
-    params = noisy_params(schedule=sched)
-    rng = np.random.default_rng(3)
-    draws = [eng.schedule_next_tau(sched, [], params, rng) for _ in range(100)]
+    params = noisy_params(schedule=sched, seed=3, max_cycles=1)
+    draws = [log.record.entries[0][0] for log in eng.run_batch(2, params, 100)]
     assert all(0.05e-6 <= t <= 0.4e-6 for t in draws)
     assert len(set(draws)) > 90
 
@@ -53,18 +51,17 @@ def test_uniform_random_schedule_stays_in_bounds():
 def test_precomputed_schedule_exhausts():
     sched = eng.Schedule.precomputed([1e-7, 2e-7])
     params = noisy_params(schedule=sched)
-    rng = np.random.default_rng(0)
-    assert eng.schedule_next_tau(sched, [], params, rng) == 1e-7
-    assert eng.schedule_next_tau(sched, [1e-7], params, rng) == 2e-7
+    assert eng.schedule_next_tau(sched, [], params) == 1e-7
+    assert eng.schedule_next_tau(sched, [1e-7], params) == 2e-7
     with pytest.raises(ScheduleExhaustedError):
-        eng.schedule_next_tau(sched, [1e-7, 2e-7], params, rng)
+        eng.schedule_next_tau(sched, [1e-7, 2e-7], params)
 
 
 def test_unknown_schedule_kind_rejected():
     params = noisy_params()
-    with pytest.raises(DomainError):
-        eng.schedule_next_tau(eng.Schedule("bogus"), [], params,
-                              np.random.default_rng(0))
+    for sched in (eng.Schedule("bogus"), eng.Schedule.uniform_random(0.05e-6, 0.4e-6)):
+        with pytest.raises(DomainError):
+            eng.schedule_next_tau(sched, [], params)
 
 
 def test_invalid_params_rejected():
@@ -157,18 +154,15 @@ def test_ejection_decrements_photon_number():
 def test_noiseless_distribution_sampling_uses_amplitudes():
     dist = FockDistribution(np.array([0.0, 0.5, 0.5]))
     params = noiseless_params(n_max=2)
-    state, n = eng.sample_initial(dist, eng.NOISELESS_PURE,
-                                  np.random.default_rng(0), params)
+    state, n = eng.sample_initial(dist, params)
     assert n is None
     assert np.allclose(np.abs(state.a) ** 2, dist.p)
 
 
 def test_noisy_distribution_sampling_is_classical():
     dist = FockDistribution(np.array([0.0, 0.3, 0.7]))
-    params = noisy_params()
-    rng = np.random.default_rng(1)
-    draws = [eng.sample_initial(dist, eng.NOISY_FIXED_N, rng, params)[1]
-             for _ in range(300)]
+    params = noisy_params(seed=1, max_cycles=1)
+    draws = [log.n_true for log in eng.run_batch(dist, params, 300)]
     freq = np.bincount(draws, minlength=3) / 300
     assert abs(freq[1] - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 300)
 

@@ -109,7 +109,7 @@ def test_posterior_is_bayes_rule():
     cands = [FockDistribution.delta(n, 3) for n in (1, 2, 3)]
     prior = Posterior(np.array([0.5, 0.3, 0.2]))
     rec = record_of([0.4, 0.6], [RYDBERG, NO_RYDBERG])
-    post = inf.posterior(rec, cands, prior, OMEGA)
+    post = Posterior(inf.posterior_trace(rec, cands, prior, OMEGA)[-1])
     raw = np.array([prior.weights[i] * inf.marginal_likelihood(rec, c, OMEGA)
                     for i, c in enumerate(cands)])
     assert np.allclose(post.weights, raw / raw.sum(), atol=1e-12)
@@ -118,7 +118,7 @@ def test_posterior_is_bayes_rule():
 def test_empty_record_returns_prior():
     cands = [FockDistribution.delta(n, 3) for n in (1, 2, 3)]
     prior = Posterior(np.array([0.2, 0.5, 0.3]))
-    post = inf.posterior(MeasurementRecord(), cands, prior, OMEGA)
+    post = Posterior(inf.posterior_trace(MeasurementRecord(), cands, prior, OMEGA)[-1])
     assert np.allclose(post.weights, prior.weights)
 
 
@@ -128,7 +128,7 @@ def test_inconsistent_record_raises():
     # a Rydberg outcome after zero drive time is impossible for every candidate
     rec = record_of([0.0], [RYDBERG])
     with pytest.raises(InconsistentRecordError):
-        inf.posterior(rec, cands, prior, OMEGA)
+        Posterior(inf.posterior_trace(rec, cands, prior, OMEGA)[-1])
 
 
 def test_mle_breaks_ties_toward_lowest_index():
@@ -143,7 +143,7 @@ def test_posterior_is_martingale_noiseless():
     prior = Posterior(np.array([0.3, 0.4, 0.3]))
     prefix = record_of([0.5], [RYDBERG])
     tau = 0.7
-    post = inf.posterior(prefix, cands, prior, OMEGA)
+    post = Posterior(inf.posterior_trace(prefix, cands, prior, OMEGA)[-1])
     marg_prefix = sum(
         prior.weights[i] * inf.marginal_likelihood(prefix, c, OMEGA)
         for i, c in enumerate(cands))
@@ -156,8 +156,8 @@ def test_posterior_is_martingale_noiseless():
                 for i, c in enumerate(cands))
             if branch == 0.0:
                 continue
-            avg += (branch / marg_prefix) * inf.posterior(
-                longer, cands, prior, OMEGA).weights[k]
+            avg += (branch / marg_prefix) * Posterior(inf.posterior_trace(
+                longer, cands, prior, OMEGA)[-1]).weights[k]
         assert avg == pytest.approx(post.weights[k], abs=1e-12)
 
 
@@ -173,7 +173,7 @@ def test_sequential_matches_batch_posterior_noiseless():
     for tau, outcome in [(0.3, RYDBERG), (0.5, RYDBERG), (0.2, NO_RYDBERG)]:
         rec.append(tau, outcome)
         post = seq.update(tau, outcome)
-        batch = inf.posterior(rec, cands, prior, OMEGA)
+        batch = Posterior(inf.posterior_trace(rec, cands, prior, OMEGA)[-1])
         assert np.allclose(post.weights, batch.weights, atol=1e-12)
 
 
@@ -185,7 +185,7 @@ def test_sequential_matches_batch_posterior_noisy():
     for tau, outcome in [(0.3, RYDBERG), (0.4, NO_RYDBERG), (0.6, RYDBERG)]:
         rec.append(tau, outcome)
         post = seq.update(tau, outcome)
-        batch = inf.posterior(rec, cands, prior, OMEGA, noise=NOISE)
+        batch = Posterior(inf.posterior_trace(rec, cands, prior, OMEGA, noise=NOISE)[-1])
         assert np.allclose(post.weights, batch.weights, atol=1e-12)
 
 
@@ -242,7 +242,7 @@ def test_long_noiseless_record_does_not_underflow(tmp_path):
     cands = [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)]
     prior = Posterior.uniform(4)
     trace = inf.posterior_trace(rec, cands, prior, OMEGA)
-    post = inf.posterior(rec, cands, prior, OMEGA)
+    post = Posterior(inf.posterior_trace(rec, cands, prior, OMEGA)[-1])
     seq = inf.SequentialInference(cands, prior, OMEGA)
     for row, (t, outcome) in zip(trace[1:], rec.entries):
         assert np.allclose(seq.update(t, outcome).weights, row, rtol=0, atol=1e-12)

@@ -195,6 +195,17 @@ def test_a_nan_trace_fails_the_drift_check():
         dyn._check_drift(np.array([1.0, math.nan]), np.ones(2))
 
 
+def test_a_nan_amplitude_fails_the_pure_state_norm_check():
+    with pytest.raises(DomainError):
+        dyn.PureCollectiveState(np.array([math.nan, 0.0]), np.zeros(2))
+
+
+def test_sequential_inference_refuses_an_unknown_outcome():
+    seq = inf.SequentialInference([FockDistribution.delta(1, 1)], Posterior.uniform(1), 1.0)
+    with pytest.raises(DomainError):
+        seq.update(0.5, "Rydberg?")
+
+
 _NOISE = inf.NoiseParams(0.3, 0.2, 4)
 _DELTAS = [FockDistribution.delta(n, 3) for n in (1, 2, 3)], Posterior.uniform(3)
 # each kernel entry point that takes a drive time or a window, given that time
@@ -207,6 +218,11 @@ _ENTRY_POINTS = {
                                                    0.3, 0.5),
     "BlockBatch.drive": lambda tau: dyn.BlockBatch([2, 2], 4, 0.3, 0.2).drive(
         np.array([0.5, tau]), 1.0),
+    "PureBatch.drive": lambda tau: dyn.PureBatch(
+        dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 0.6, 0.8])), 2).drive(
+        np.array([0.5, tau]), 1.0),
+    "NoiselessLikelihoods.update": lambda tau: inf.NoiselessLikelihoods([1, 2], 1.0, rows=2).update(
+        np.array([0.5, tau]), np.array([True, False])),
     "ConditionalState.update": lambda tau: inf.ConditionalState(2, 1.0, _NOISE).update(
         tau, RYDBERG),
     "greedy_next_tau": lambda tau: an.greedy_next_tau([0.4], *_DELTAS, np.array([0.5, tau]),
@@ -214,11 +230,13 @@ _ENTRY_POINTS = {
     "greedy_next_tau, noisy": lambda tau: an.greedy_next_tau(
         [0.4], *_DELTAS, np.array([0.5, tau]), 1.0, _NOISE),
     "expected_fidelity": lambda tau: an.expected_fidelity([tau], *_DELTAS, 1.0),
+    "expected_fidelity, tau in the prefix": lambda tau: an.expected_fidelity([tau, 0.5],
+                                                                            *_DELTAS, 1.0),
     "expected_fidelity, noisy": lambda tau: an.expected_fidelity([tau], *_DELTAS, 1.0, _NOISE),
 }
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.5])
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_kernels_refuse_drive_times_that_are_not_finite(entry, tau):
     with pytest.raises(DomainError, match="must be finite and non-negative"):
