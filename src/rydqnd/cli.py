@@ -93,14 +93,15 @@ def _read_json(path: str, what: str, parse=json.loads):
         raise DomainError(f"{path}: line 1: missing or misplaced {what} field ({exc})") from exc
 
 
-def _parse_candidates(spec: str | None, path: str | None, n_max: int
-                      ) -> tuple[list[FockDistribution], Posterior]:
-    """Candidates from a JSON file, an integer range (delta distributions) or,
-    with neither, the deltas at 1..n_max.
+def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution], Posterior]:
+    """Candidates from a JSON file (--candidates-file), an integer range (--candidates,
+    delta distributions) or, with neither, the deltas at 1..n_max; none may put
+    weight on n > N (--n-atoms), the most photons N atoms store.
 
     The file format is {"candidates": [[p0, ...], ...], "prior": [w, ...]}
     where "prior" is optional (uniform if absent).
     """
+    spec, path, n_max, N = args.candidates, args.candidates_file, args.n_max, args.n_atoms
     if path is not None:
         def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
             doc = json.loads(text)
@@ -109,14 +110,21 @@ def _parse_candidates(spec: str | None, path: str | None, n_max: int
                 raise DomainError(f"{path}: the candidate list is empty")
             prior = (Posterior(np.array(doc["prior"])) if "prior" in doc
                      else Posterior.uniform(len(cands)))
+            if prior.weights.size != len(cands):
+                raise DomainError(f"{path}: the prior's length is not the candidate count")
             return cands, prior
-        return _read_json(path, "candidates file", parse)
-    ns = _parse_int_range(spec) if spec is not None else list(range(1, n_max + 1))
-    if not ns:
-        raise DomainError("need --n-max >= 1")
-    top = max(n_max, max(ns))
-    cands = [FockDistribution.delta(n, top) for n in ns]
-    return cands, Posterior.uniform(len(cands))
+        cands, prior = _read_json(path, "candidates file", parse)
+    else:
+        ns = _parse_int_range(spec) if spec is not None else list(range(1, n_max + 1))
+        if not ns:
+            raise DomainError("need --n-max >= 1")
+        cands = [FockDistribution.delta(n, max(n_max, max(ns))) for n in ns]
+        prior = Posterior.uniform(len(cands))
+    n = max(max(c.support()) for c in cands)
+    if n > N:
+        where = f"{path}: " if path is not None else ""
+        raise DomainError(f"{where}need 0 <= n <= N, got n={n}, N={N}")
+    return cands, prior
 
 
 def _config_values(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -203,7 +211,7 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
         schedule = Schedule.uniform_random(_us_to_s(args.tau_min_us), _us_to_s(args.tau_max_us))
     else:
         schedule = Schedule.adaptive_greedy()
-    cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
+    cands, prior = _parse_candidates(args)
     tau_eit = _us_to_s(args.tau_eit_us)
     if not 0 <= tau_eit < math.inf:  # checked at any gamma, as `infer` checks it
         raise DomainError("tau_eit must be finite and non-negative")
@@ -277,7 +285,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     record = _read_json(args.record, "record", MeasurementRecord.from_json)
-    cands, prior = _parse_candidates(args.candidates, args.candidates_file, args.n_max)
+    cands, prior = _parse_candidates(args)
     omega = _freq_rad_s(args.omega_mhz, args.angular)
     gamma = _freq_rad_s(args.gamma_mhz, args.angular)
     # checked at any gamma, since posterior.json records tau_eit and N either way

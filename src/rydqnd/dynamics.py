@@ -122,7 +122,6 @@ class PureBatch:
         self.b = np.tile(state.b, (rows, 1))
         self.width = np.full(rows, state.a.size)
         self.ragged = False  # True once the widths may differ
-        self.kept = None  # readouts of the last drive's sub-steps
 
     def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
@@ -136,19 +135,19 @@ class PureBatch:
             out[width == w] = sq[width == w, :w].sum(axis=1)
         return out
 
-    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
+    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None):
         """Drive row r for taus[r]: within each n, (a_n, b_n) rotates at
-        sqrt(n) * omega.  steps as in `BlockBatch.drive`."""
+        sqrt(n) * omega.  steps and the readouts returned as in `BlockBatch.drive`."""
         _check_times(taus, "drive time")
         rate = np.sqrt(np.arange(self.a.shape[1])) * omega
         if steps is None:
             self.a, self.b = _rotate(self.a, self.b, rate, taus[:, None])
-            return
+            return None
         driven = np.flatnonzero(taus > 0)
         rows, points = driven.repeat(steps.shape[1]), steps.shape[1]
         a, b = _rotate(self.a[rows], self.b[rows], rate, steps.reshape(-1, 1))
-        self.kept = self.sectors(a, b, rows).reshape(3, *steps.shape)
         self.a[driven], self.b[driven] = a[points - 1::points], b[points - 1::points]
+        return self.sectors(a, b, rows).reshape(3, *steps.shape)
 
     def fidelity(self) -> np.ndarray:
         """Retrieval fidelity of every row: a noiseless row is its own ideal."""
@@ -164,9 +163,8 @@ class PureBatch:
 
     def measure(self, draws: np.ndarray, eject: bool = False, dts=None):
         """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no
-        window (dts is unused): the kept sector renormalised; with `eject`, Rydberg rows
-        lose a photon."""
-        kept, self.kept = self.kept, None
+        window (dts is unused, the window readouts None): the kept sector renormalised;
+        with `eject`, Rydberg rows lose a photon."""
         p_s, p_r = self.sum_sq(self.a), self.sum_sq(self.b)
         _check_norm(p_s + p_r)
         rydberg = draws < p_r
@@ -181,9 +179,9 @@ class PureBatch:
             self.b[rydberg] = 0.0
             self.a[rydberg] /= np.sqrt(self.sum_sq(self.a[rydberg], rydberg))[:, None]
         _check_norm(self.sum_sq(self.a) + self.sum_sq(self.b))
-        return rydberg, p, kept, None
+        return rydberg, p, None
 
-    def keep(self, rows: np.ndarray) -> None:
+    def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""
         self.a, self.b, self.width = self.a[rows], self.b[rows], self.width[rows]
 
@@ -202,7 +200,7 @@ def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureColl
     to unit norm.
     """
     batch = PureBatch(state, 1)
-    rydberg, p, _, _ = batch.measure(np.array([draw]))
+    rydberg, p, _ = batch.measure(np.array([draw]))
     return (RYDBERG if rydberg[0] else NO_RYDBERG,
             PureCollectiveState(batch.a[0], batch.b[0]), float(p[0]))
 
@@ -513,9 +511,8 @@ def _ejected(sec: Sector, x: np.ndarray) -> np.ndarray:
 
 
 def _times(taus: np.ndarray) -> np.ndarray:
-    """Finite, non-negative drive times of the rows, (rows, points); where every row
-    has the same times, the first row alone, and a number if it has one."""
-    _check_times(taus)
+    """Drive times of the rows, (rows, points); where every row has the same
+    times, the first row alone, and a number if it has one."""
     if (taus == taus[0]).all():
         return taus[0, 0] if taus.shape[1] == 1 else taus[0]
     return taus
@@ -548,7 +545,6 @@ class BlockBatch:
         self.n = np.asarray(ns, dtype=int)
         self.gamma = gamma
         self.window = window  # the dephasing-only measurement window
-        self.kept = (None, {})  # (shape, sub-steps by group) of the last drive
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
         self.groups = {}
@@ -579,18 +575,19 @@ class BlockBatch:
             out[:, rows] = self._read(sector(*key), x, self.a[rows], self.b[rows])
         return out
 
-    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
+    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None):
         """Drive row r and its twin for taus[r].  steps, if given, are the sub-step
         times (driven rows, points) of the rows with taus > 0, each ending at its
-        tau: those rows keep their last sub-step, and the next `measure` reads all."""
-        _times(taus[:, None])  # the times are valid
+        tau: those rows keep their last sub-step, and their readouts at every
+        sub-step are returned, shape (3, driven rows, points); else None."""
+        _check_times(taus)
         traced, steps = steps is not None, taus[:, None] if steps is None else steps
         driven = np.flatnonzero(taus > 0) if traced else np.arange(taus.size)
         a, b = _twin_driven(self.n[driven, None], self.a[driven, None], self.b[driven, None],
                             omega, steps)
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
-        self.kept = (steps.shape if traced else None, {})
-        for key, (rows, x) in list(self.groups.items()):
+        read = np.empty((3, *steps.shape)) if traced else None
+        for key, (rows, x) in self.groups.items():
             sec = sector(*key)
             slot = np.flatnonzero(taus[rows] > 0) if traced else np.arange(rows.size)
             at = np.searchsorted(driven, rows[slot])  # rows ascend, so do their positions
@@ -598,36 +595,29 @@ class BlockBatch:
                 grid = self._evolved(sec, x[slot], _times(steps[at]), omega)
                 x[slot] = grid[:, -1]
                 if traced:
-                    self.kept[1][(sec.n, sec.N)] = (0, at, grid.reshape(-1, x.shape[1]),
-                                                    a[at].ravel(), b[at].ravel())
+                    read[:, at] = self._read(sec, grid.reshape(-1, x.shape[1]), a[at].ravel(),
+                                             b[at].ravel()).reshape(3, at.size, -1)
+        return read
 
     def measure(self, draws: np.ndarray, eject: bool = False, dts: np.ndarray | None = None):
         """`PureBatch.measure` for block states: the window (through each of dts,
         the last the window itself, if given), the projection of every row and its
         twin; with `eject`, Rydberg rows lose the detected atom and restart from
         the fresh twin |S_n-1>.  Returns the outcomes, their probabilities and the
-        readouts, or None, of the last drive's sub-steps (3, driven, points) and
-        the window's (3, rows, len(dts)), read in one call per group."""
+        window's readouts (3, rows, len(dts)), or None."""
         rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
-        (shape, kept), self.kept, dts = self.kept, (None, {}), dts if self.window > 0 else None
-        reads = [None if shape is None else np.empty((3, *shape)),
-                 None if dts is None else np.empty((3, self.n.size, dts.size))]
+        dts = dts if self.window > 0 else None
+        read = None if dts is None else np.empty((3, self.n.size, dts.size))
         moved = []
         for key, (rows, x) in list(self.groups.items()):
             sec = sector(*key)
-            # (0 for the drive's, 1 for the window's, their rows, flat states, twin amplitudes)
-            parts = [kept[(sec.n, sec.N)]] if (sec.n, sec.N) in kept else []
             if self.window > 0:
                 grid = self._evolved(sec, x, np.asarray(self.window) if dts is None else dts, 0.0)
                 x = grid[:, -1]
-            if dts is not None:
-                parts.append((1, rows, grid.reshape(-1, x.shape[1]),
-                              *(z[rows].repeat(dts.size) for z in (self.a, self.b))))
-            if parts:
-                which, at, xs, a, b = zip(*parts)
-                read = self._read(sec, *map(np.concatenate, (xs, a, b)))
-                for k, to, r in zip(which, at, np.split(read, np.cumsum(list(map(len, a)))[:-1], 1)):
-                    reads[k][:, to] = r.reshape(3, len(to), -1)
+                if dts is not None:
+                    read[:, rows] = self._read(sec, grid.reshape(-1, x.shape[1]),
+                                               *(z[rows].repeat(dts.size) for z in (self.a, self.b))
+                                               ).reshape(3, rows.size, -1)
             blk = sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
@@ -655,7 +645,7 @@ class BlockBatch:
             self._join((sec.n - 1, sec.N - 1), rows, _ejected(sec, x))
             self.n[rows] -= 1
             self.a[rows], self.b[rows] = 1.0, 0.0
-        return rydberg, probs, *reads
+        return rydberg, probs, read
 
     def _join(self, key: tuple[int, int], rows: np.ndarray, x: np.ndarray) -> None:
         """Add rows to the group of sector key, keeping its rows ascending."""
@@ -665,7 +655,7 @@ class BlockBatch:
             rows, x = np.concatenate((old_rows, rows))[order], np.concatenate((old_x, x))[order]
         self.groups[key] = (rows, x)
 
-    def keep(self, rows: np.ndarray) -> None:
+    def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""
         index = np.cumsum(rows) - 1
         groups = {}

@@ -157,15 +157,18 @@ def schedule_next_tau(schedule: Schedule, history: list[float], params: Protocol
     raise DomainError(f"schedule kind {schedule.kind!r} has no drive time every trajectory shares")
 
 
-def sample_initial(dist, params: ProtocolParams):
-    """(stored pure state, None: no photon number is drawn) of a noiseless trajectory."""
+def sample_initial(dist, params: ProtocolParams) -> dyn.PureCollectiveState:
+    """The stored pure state of a noiseless trajectory; N atoms store at most N photons."""
     if isinstance(dist, FockDistribution):
         amps = np.sqrt(dist.p.astype(float))
     elif np.isscalar(dist):
         amps = np.sqrt(FockDistribution.delta(int(dist), max(int(dist), params.n_max)).p)
     else:
         amps = np.asarray(dist, dtype=complex)
-    return dyn.PureCollectiveState.from_stored_amplitudes(amps), None
+    n = np.flatnonzero(amps).max(initial=0)
+    if n > params.N:
+        raise DomainError(f"need 0 <= n <= N, got n={n}, N={params.N}")
+    return dyn.PureCollectiveState.from_stored_amplitudes(amps)
 
 
 def _sample_n(dist, rng: np.random.Generator) -> int:
@@ -255,8 +258,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     likelihoods = record_likelihoods(mixture.ns, params.omega, params.noise(),
                                      params.ejection_enabled, n_traj)
     if params.mode == NOISELESS_PURE:
-        state, _ = sample_initial(initial, params)
-        states, n_true = dyn.PureBatch(state, n_traj), [None] * n_traj
+        states, n_true = dyn.PureBatch(sample_initial(initial, params), n_traj), [None] * n_traj
     else:
         n_true = [_sample_n(initial, rng) for rng in rngs]
         states = dyn.BlockBatch(n_true, params.N, params.gamma, params.tau_eit)
@@ -297,13 +299,12 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         if points:  # linspace is exact for times > 0 and ends at tau
             driven = np.flatnonzero(taus > 0)
             steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
-            steps_at = t_now[ids[driven], None] + steps
-        states.drive(taus, params.omega, steps)
-        t_now[ids] += taus
-        rydberg, _, kept, window = states.measure(draws[:, col + per_cycle - 1],
-                                                  params.ejection_enabled, dts)
+        read = states.drive(taus, params.omega, steps)
         if points:
-            trace("drive", ids[driven], cycle, steps_at, kept)
+            trace("drive", ids[driven], cycle, t_now[ids[driven], None] + steps, read)
+        t_now[ids] += taus
+        rydberg, _, window = states.measure(draws[:, col + per_cycle - 1],
+                                            params.ejection_enabled, dts)
         if window is not None:
             trace("measure", ids, cycle, t_now[ids, None] + dts, window)
         t_now[ids] += states.window
@@ -323,7 +324,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             converged[ids[done]] = True
             keep = ~done
             ids, draws = ids[keep], draws[keep]
-            states.keep(keep)
+            states.take(keep)
             likelihoods.take(keep)
 
     if not n_traj:

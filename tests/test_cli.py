@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydqnd
-from rydqnd import cli
+from rydqnd import analysis, cli
 
 
 def run(argv):
@@ -55,6 +55,24 @@ def test_simulate_noiseless_has_unit_fidelity(tmp_path):
     lines = (out / "trajectories.jsonl").read_text().splitlines()
     doc = json.loads(lines[1])
     assert all(f == 1.0 for f in doc["fidelities"])
+
+
+@pytest.mark.parametrize("gamma_mhz", ["0", "0.3"])
+def test_simulate_adaptive_greedy_draws_shared_taus_from_its_grid(gamma_mhz, tmp_path):
+    """Both trajectories follow one greedy tau sequence, every tau a point of the
+    800-point default grid that the summary records."""
+    out = tmp_path / "run"
+    assert run(["simulate", "--schedule", "adaptive-greedy", "--gamma-mhz", gamma_mhz,
+                "--trajectories", "2", "--max-cycles", "3", "--trace-points", "0",
+                "--outdir", str(out)]) == cli.EXIT_OK
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["schedule"] == {"kind": "adaptive-greedy", "grid_points": 800}
+    header, *docs = map(json.loads, (out / "trajectories.jsonl").read_text().splitlines())
+    taus = [[entry["tau_s"] for entry in doc["record"]] for doc in docs]
+    grid = analysis.default_tau_grid(header["config"]["omega_rad_s"], 800).tolist()
+    assert len(taus) == 2 and all(taus) and set(taus[0] + taus[1]) <= set(grid)
+    shared = min(map(len, taus))
+    assert taus[0][:shared] == taus[1][:shared]
 
 
 def test_angular_flag_changes_frequency_interpretation(tmp_path):
@@ -337,9 +355,13 @@ def test_simulate_without_dephasing_records_no_window(tmp_path):
     (None, None, ["analyze", "fisher", "--n", "0"]),
     (None, None, ["infer", "--n-max", "0"]),
     ("cfg.json", '{"seed": "x"}', ["simulate", "--config"]),
+    ("cands.json", '{"candidates": [[0, 1]], "prior": [0.5, 0.5]}', ["infer", "--candidates-file"]),
+    (None, None, ["infer", "--candidates", "1..11"]),
+    (None, None, ["simulate", "--gamma-mhz", "0", "--n-true", "11"]),
 ], ids=["candidates-bad-json", "candidates-no-key", "candidates-list", "candidates-empty",
         "config-bad-json", "range-not-integer", "range-reversed", "fisher-n-zero",
-        "infer-n-max-zero", "config-wrong-type"])
+        "infer-n-max-zero", "config-wrong-type", "candidates-prior-length",
+        "infer-range-past-n-atoms", "noiseless-n-true-past-n-atoms"])
 def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):
     rec = tmp_path / "rec.json"
     _write_record(rec, [(1e-7, "Rydberg")])

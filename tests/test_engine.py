@@ -154,8 +154,7 @@ def test_ejection_decrements_photon_number():
 def test_noiseless_distribution_sampling_uses_amplitudes():
     dist = FockDistribution(np.array([0.0, 0.5, 0.5]))
     params = noiseless_params(n_max=2)
-    state, n = eng.sample_initial(dist, params)
-    assert n is None
+    state = eng.sample_initial(dist, params)
     assert np.allclose(np.abs(state.a) ** 2, dist.p)
 
 
