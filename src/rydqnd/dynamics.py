@@ -271,10 +271,10 @@ def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
 
 
 def _check_horizon(taus, horizon) -> None:
-    """ResourceError naming the first of taus past its block's horizon."""
+    """ResourceError naming the longest of taus past its block's horizon."""
     long = np.asarray(taus > horizon)
     if long.any():
-        tau = np.broadcast_to(taus, long.shape)[long][0]
+        tau = np.broadcast_to(taus, long.shape)[long].max()
         raise ResourceError(f"drive time {tau} s is too long for a propagator to keep the trace")
 
 
@@ -302,6 +302,7 @@ def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
     """The block's propagators at times taus that every row shares, a read-only
     (len(taus), dim, dim) stack.  Each is built on its own, so a time's
     propagator is the same to the bit in every stack that holds it."""
+    _check_horizon(np.array(taus), _eigensystem(n, N, j, omega, gamma)[1])
     props = np.array([_build_propagators(n, N, j, omega, gamma, np.asarray(t)) for t in taus])
     props.setflags(write=False)
     return props
@@ -531,7 +532,7 @@ class BlockBatch:
     counterpart of `PureBatch`.
 
     Rows are grouped by their sector (n, N).  A group holds the batch indices
-    of its rows, ascending, and their states as one (rows, D) complex array,
+    of its rows and their states as one (rows, D) complex array,
     the j blocks side by side (block j in the columns ``Sector.spans[j]``);
     each block is advanced and read on its own columns.  A row's ideal
     noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and |R_n>,
@@ -576,21 +577,22 @@ class BlockBatch:
         return out
 
     def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None):
-        """Drive row r and its twin for taus[r].  steps, if given, are the sub-step
-        times (driven rows, points) of the rows with taus > 0, each ending at its
-        tau: those rows keep their last sub-step, and their readouts at every
-        sub-step are returned, shape (3, driven rows, points); else None."""
+        """Drive row r and its twin for taus[r]; a row with taus 0 is left as it is.
+        steps, if given, are the sub-step times (driven rows, points) of the rows
+        with taus > 0, each ending at its tau: those rows keep their last sub-step,
+        and their readouts at every sub-step are returned, shape (3, driven rows,
+        points); else None."""
         _check_times(taus)
-        traced, steps = steps is not None, taus[:, None] if steps is None else steps
-        driven = np.flatnonzero(taus > 0) if traced else np.arange(taus.size)
+        driven = np.flatnonzero(taus > 0)
+        traced, steps = steps is not None, taus[driven, None] if steps is None else steps
         a, b = _twin_driven(self.n[driven, None], self.a[driven, None], self.b[driven, None],
                             omega, steps)
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
         read = np.empty((3, *steps.shape)) if traced else None
         for key, (rows, x) in self.groups.items():
             sec = sector(*key)
-            slot = np.flatnonzero(taus[rows] > 0) if traced else np.arange(rows.size)
-            at = np.searchsorted(driven, rows[slot])  # rows ascend, so do their positions
+            slot = np.flatnonzero(taus[rows] > 0)
+            at = np.searchsorted(driven, rows[slot])
             if slot.size:
                 grid = self._evolved(sec, x[slot], _times(steps[at]), omega)
                 x[slot] = grid[:, -1]
@@ -648,11 +650,10 @@ class BlockBatch:
         return rydberg, probs, read
 
     def _join(self, key: tuple[int, int], rows: np.ndarray, x: np.ndarray) -> None:
-        """Add rows to the group of sector key, keeping its rows ascending."""
+        """Add rows to the group of sector key."""
         if key in self.groups:
             old_rows, old_x = self.groups[key]
-            order = np.argsort(np.concatenate((old_rows, rows)))
-            rows, x = np.concatenate((old_rows, rows))[order], np.concatenate((old_x, x))[order]
+            rows, x = np.concatenate((old_rows, rows)), np.concatenate((old_x, x))
         self.groups[key] = (rows, x)
 
     def take(self, rows: np.ndarray) -> None:

@@ -108,6 +108,9 @@ class ProtocolParams:
             raise DomainError("threshold must be a number")
         if self.mode not in (NOISELESS_PURE, NOISY_FIXED_N):
             raise DomainError(f"unknown mode {self.mode!r}")
+        n = max((max(c.support()) for c in self.resolved_candidates()[0]), default=0)
+        if n > self.N:  # N atoms store at most N photons
+            raise DomainError(f"need 0 <= n <= N, got n={n}, N={self.N}")
 
     def resolved_candidates(self) -> tuple[list[FockDistribution], Posterior]:
         cands = self.candidates
@@ -256,7 +259,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     n_traj, points = len(rngs), params.trace_points
     mixture = Mixture(cands, prior)
     likelihoods = record_likelihoods(mixture.ns, params.omega, params.noise(),
-                                     params.ejection_enabled, n_traj)
+                                     params.ejection_enabled, np.zeros(n_traj, dtype=int))
     if params.mode == NOISELESS_PURE:
         states, n_true = dyn.PureBatch(sample_initial(initial, params), n_traj), [None] * n_traj
     else:

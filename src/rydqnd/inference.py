@@ -9,9 +9,10 @@ Measurement and Control*, 2010, on conditional states).  One array kernel,
 `_cycle`, advances any number of such states through a cycle on the cached
 eigensystems of `dynamics`; `NoisyLikelihoods` holds them for records that
 grow together (the engine, sequential inference, the outcome tree of
-`analysis`), and `posterior_trace` uses the renewal structure of a fixed
-record: after a NoRydberg outcome, or an ejection, the state is the fresh
-|S_n><S_n| of its sector again.  The noisy form reduces to the noiseless one
+`analysis`), each row starting at its ejection count `shift`.
+`posterior_trace` runs one over the runs of a fixed record: after a NoRydberg
+outcome, or an ejection, the state is the fresh |S_n><S_n| of its sector
+again, so each run is one row.  The noisy form reduces to the noiseless one
 when gamma = 0 and the measurement window is instantaneous.  Products are
 accumulated in the log domain so long records do not underflow.
 """
@@ -70,20 +71,11 @@ def _decoded(record: MeasurementRecord, eject: bool
     return taus, rydberg, shift, np.concatenate(([False], rydberg))[:-1] & (not eject)
 
 
-def _noiseless_log_table(record: MeasurementRecord, ns: list[int], omega: float,
-                         eject: bool = False) -> np.ndarray:
-    """log Pr(first t outcomes | n) for t = 0..T, shape (T + 1, len(ns))."""
-    taus, rydberg, shift, prev = _decoded(record, eject)
-    with np.errstate(divide="ignore"):
-        log_f = np.log(_noiseless_factors(ns, omega, taus, rydberg == prev, shift))
-    return np.vstack((np.zeros((1, len(ns))), np.cumsum(log_f, axis=0)))
-
-
 def log_likelihood_noiseless(record: MeasurementRecord, n: int, omega: float) -> float:
     """log Pr(M_T | n) for the noiseless protocol."""
     if n < 0:
         raise DomainError("photon number must be non-negative")
-    return float(_noiseless_log_table(record, [n], omega)[-1, 0])
+    return float(_log_likelihood_table(record, [n], omega, None)[-1, 0])
 
 
 def likelihood_noiseless(record: MeasurementRecord, n: int, omega: float) -> float:
@@ -168,13 +160,12 @@ def _grid_populations(table: dict[str, np.ndarray], g: int, x: np.ndarray, grid:
     return np.maximum(raw, 0.0)
 
 
-def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
+def _cycle(x: np.ndarray, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
            rydberg: np.ndarray, omega: float, noise: NoiseParams, eject: bool
            ) -> tuple[np.ndarray, np.ndarray]:
     """One record cycle of every item: its j = 0 state x of the (n, N) sector
-    (x None: the fresh |S_n><S_n|) driven for its tau, through the window and
-    projected on its outcome; with ejection, a Rydberg item is moved to
-    (n - 1, N - 1).  Returns (p, states), with p = 0 where the outcome is
+    driven for its tau, through the window and projected on its outcome; with
+    ejection, a Rydberg item is moved to (n - 1, N - 1).  Returns (p, states), with p = 0 where the outcome is
     impossible.
 
     An item's drive propagator is (V e^{lam tau}) V^-1, or expm where its
@@ -195,7 +186,6 @@ def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
         prop = dyn._propagators(int(n[m]), int(N[m]), 0, omega, noise.gamma, taus[m:m + 1, None])
         props[m] = _padded(prop[0, 0])
     trace = table["trace"][row]
-    x = table["fresh"][row] if x is None else x
     for prop in (props, table["window"][row]) if noise.tau_eit > 0 else (props,):
         x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
     p_s, p_r = dyn._populations(trace, x, _SS, _RR)
@@ -211,41 +201,6 @@ def _cycle(x: np.ndarray | None, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
         out[moved] = 0.0
         out[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[:, None])[:, 0]
     return p, out
-
-
-def _noisy_log_table(record: MeasurementRecord, ns: list[int], omega: float,
-                     noise: NoiseParams, eject: bool) -> np.ndarray:
-    """log Pr(first t outcomes | n) of a noisy record, shape (T + 1, len(ns)).
-
-    The conditional state renews itself: a NoRydberg outcome leaves only ss,
-    and with ejection a Rydberg outcome leaves only the ss of (n - 1, N - 1),
-    so the next cycle starts from the fresh |S_n><S_n| of its sector.  All
-    cycles that start fresh (the first, and every one after such an outcome)
-    take one `_cycle` together; a cycle k Rydberg outcomes into a run
-    continues the state its predecessor left, and all cycles at run position
-    k take one `_cycle` together.
-    """
-    taus, rydberg, shift, continued = _decoded(record, eject)
-    ns = np.asarray(ns)
-    n = ns[None, :] - shift[:, None]
-    N = np.broadcast_to((noise.N - shift)[:, None], n.shape)
-    cycle = np.arange(taus.size)
-    run = cycle - np.maximum.accumulate(np.where(continued, 0, cycle))
-    log_p = np.full(n.shape, -math.inf)
-    left = np.zeros(n.shape + (_DIM,), dtype=complex)  # the state each cycle leaves
-    for k in range(int(run.max(initial=0)) + 1):
-        if k == 0:
-            ready = n >= 0  # not ejected past the vacuum
-        else:  # the predecessor's outcome was possible, so it left a state
-            ready = np.zeros(n.shape, dtype=bool)
-            ready[1:] = log_p[:-1] > -math.inf
-        t, c = np.nonzero((run == k)[:, None] & ready)
-        p, x = _cycle(None if k == 0 else left[t - 1, c], n[t, c], N[t, c], taus[t],
-                      rydberg[t], omega, noise, eject)
-        live = p > 0.0
-        left[t[live], c[live]] = x[live]
-        log_p[t[live], c[live]] = _libm(math.log, p[live])
-    return np.vstack((np.zeros((1, ns.size)), np.cumsum(log_p, axis=0)))
 
 
 class ConditionalState:
@@ -286,10 +241,31 @@ class ConditionalState:
 
 def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,
                           noise: NoiseParams | None, eject: bool = False) -> np.ndarray:
-    """log Pr(first t outcomes | n), shape (T + 1, len(ns))."""
+    """log Pr(first t outcomes | n), shape (T + 1, len(ns)).
+
+    A noisy record's conditional state renews itself: a NoRydberg outcome
+    leaves only ss, and with ejection a Rydberg outcome leaves only the ss of
+    (n - 1, N - 1), so every cycle that does not continue a Rydberg run starts
+    from the fresh |S_n><S_n| of its sector.  Each run is a row of one
+    `NoisyLikelihoods`, started at its ejection count; the rows, longest run
+    first, take their k-th cycles in one update, and a row leaves when its run ends.
+    """
+    taus, rydberg, shift, continued = _decoded(record, eject)
     if noise is None:
-        return _noiseless_log_table(record, ns, omega, eject)
-    return _noisy_log_table(record, ns, omega, noise, eject)
+        with np.errstate(divide="ignore"):
+            log_f = np.log(_noiseless_factors(ns, omega, taus, rydberg == continued, shift))
+    else:
+        starts = np.flatnonzero(~continued)
+        length = np.diff(np.append(starts, taus.size))
+        order = np.argsort(-length, kind="stable")
+        starts, length = starts[order], length[order]
+        runs = NoisyLikelihoods(ns, omega, noise, eject, shift[starts])
+        log_f = np.empty((taus.size, len(ns)))
+        for k in range(length.max(initial=0)):
+            runs.take(slice(np.count_nonzero(length > k)))
+            t = starts[:len(runs.shift)] + k
+            log_f[t] = runs.update(taus[t], rydberg[t])
+    return np.vstack((np.zeros((1, len(ns))), np.cumsum(log_f, axis=0)))
 
 
 def log_likelihood_noisy(record: MeasurementRecord, n: int, omega: float,
@@ -384,16 +360,17 @@ class NoiselessLikelihoods:
     """log Pr(record | n) of B noiseless records growing together, shape (B, len(ns)).
 
     Row r keeps its last outcome (the reference for the cos^2/sin^2 choice,
-    NoRydberg with ejection) and its ejection count (the photon shift).
+    NoRydberg with ejection) and its ejection count (the photon shift), which
+    starts at shift[r]; an entry with more ejections than photons starts at -inf.
     """
 
-    def __init__(self, ns: list[int], omega: float, eject: bool = False, rows: int = 1):
+    def __init__(self, ns: list[int], omega: float, eject: bool = False, shift=(0,)):
         self.ns = np.asarray(ns)
         self.omega = omega
         self.eject = eject
-        self.log_l = np.zeros((rows, len(ns)))
-        self._last = np.zeros(rows, dtype=bool)
-        self._shift = np.zeros(rows, dtype=int)
+        self._shift = np.array(shift, dtype=int)
+        self.log_l = np.where(self.ns >= self._shift[:, None], 0.0, -math.inf)
+        self._last = np.zeros(self._shift.size, dtype=bool)
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
         """One cycle for every row: drive times and outcomes (True for Rydberg)."""
@@ -433,20 +410,24 @@ class NoisyLikelihoods:
     Entry (r, i) holds the conditional j = 0 state of photon number ns[i]
     along row r's record, padded to five families (``x``, shape
     (B, len(ns), 5)), in the sector (ns[i] - shift[r], N - shift[r]) after the
-    row's ejections.  An entry whose record has zero likelihood stays at -inf
-    and is no longer advanced.
+    row's ejections; it starts from the fresh |S_n><S_n| at the given shift,
+    or at -inf where ns[i] < shift[r].  An entry whose record has zero
+    likelihood stays at -inf and is no longer advanced.
     """
 
     def __init__(self, ns: list[int], omega: float, noise: NoiseParams, eject: bool = False,
-                 rows: int = 1):
+                 shift=(0,)):
         self.ns = np.asarray(ns, dtype=int)
         self.omega = omega
         self.noise = noise
         self.eject = eject
-        table, row = _rows(self.ns, np.full(self.ns.size, noise.N), omega, noise)
-        self.x = np.tile(table["fresh"][row].reshape(1, -1, _DIM), (rows, 1, 1))
-        self.log_l = np.zeros((rows, self.ns.size))
-        self.shift = np.zeros(rows, dtype=int)
+        self.shift = np.array(shift, dtype=int)
+        self.log_l = np.where(self.ns >= self.shift[:, None], 0.0, -math.inf)
+        self.x = np.zeros(self.log_l.shape + (_DIM,), dtype=complex)
+        r, c, n, N = self._live()
+        if r.size:
+            table, row = _rows(n, N, omega, noise)
+            self.x[r, c] = table["fresh"][row]
 
     def _live(self, rows=slice(None)):
         """(row, column, n, N) of every entry of the selected rows still alive."""
@@ -462,9 +443,10 @@ class NoisyLikelihoods:
         p, x = _cycle(self.x[r, c], n, N, taus[r], rydberg[r], self.omega, self.noise,
                       self.eject)
         live = p > 0.0
-        self.x[r[live], c[live]] = x[live]
+        r, c = r[live], c[live]
+        self.x[r, c] = x[live]
         step = np.full(self.log_l.shape, -math.inf)
-        step[r[live], c[live]] = _libm(math.log, p[live])
+        step[r, c] = _libm(math.log, p[live])
         self.log_l = self.log_l + step
         if self.eject:
             self.shift = self.shift + rydberg
@@ -487,16 +469,17 @@ class NoisyLikelihoods:
         return out.reshape(out.shape[0], out.shape[1], -1)
 
     def take(self, index: np.ndarray) -> None:
-        """Keep the rows an index array (in its order, repeats allowed) or a mask selects."""
+        """Keep the rows an index array (in its order, repeats allowed), a mask or a
+        slice selects."""
         self.log_l, self.x, self.shift = self.log_l[index], self.x[index], self.shift[index]
 
 
 def record_likelihoods(ns: list[int], omega: float, noise: NoiseParams | None = None,
-                       eject: bool = False, rows: int = 1):
-    """`NoiselessLikelihoods`, or with noise `NoisyLikelihoods`."""
+                       eject: bool = False, shift=(0,)):
+    """`NoiselessLikelihoods`, or with noise `NoisyLikelihoods`, one row per shift."""
     if noise is None:
-        return NoiselessLikelihoods(ns, omega, eject, rows)
-    return NoisyLikelihoods(ns, omega, noise, eject, rows)
+        return NoiselessLikelihoods(ns, omega, eject, shift)
+    return NoisyLikelihoods(ns, omega, noise, eject, shift)
 
 
 class SequentialInference:

@@ -73,6 +73,17 @@ def test_invalid_params_rejected():
         noisy_params(mode="other")
 
 
+@pytest.mark.parametrize("mode", [eng.NOISELESS_PURE, eng.NOISY_FIXED_N])
+def test_candidates_past_the_atom_count_rejected(mode):
+    """N atoms store at most N photons: a candidate with weight on n > N is
+    refused in both modes, in the CLI's wording, before any cycle runs."""
+    cands = [FockDistribution.delta(1, 3), FockDistribution.delta(3, 3)]
+    with pytest.raises(DomainError, match=r"need 0 <= n <= N, got n=3, N=2"):
+        eng.run_batch(1, eng.ProtocolParams(omega=1.0, N=2, n_max=2, mode=mode,
+                                             schedule=eng.Schedule.fixed(0.7),
+                                             candidates=cands, max_cycles=20), 2)
+
+
 @pytest.mark.parametrize("field", ["trace_points", "seed"])
 def test_negative_trace_points_and_seed_rejected(field):
     with pytest.raises(DomainError):

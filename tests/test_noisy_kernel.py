@@ -74,7 +74,7 @@ def test_holder_matches_the_one_state_chain_to_the_bit(batch):
     N, gamma, tau_eit, eject, rows = batch
     noise = inf.NoiseParams(gamma, tau_eit, N)
     ns = list(range(N + 1))
-    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, eject, rows=len(rows))
+    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, eject, shift=[0] * len(rows))
     chains = [[_chain(n, N, gamma, tau_eit, eject, row) for n in ns] for row in rows]
     for t in range(len(rows[0])):
         holder.update(np.array([row[t][0] for row in rows]),
@@ -117,7 +117,7 @@ def test_spectral_readout_matches_the_windowed_chain(batch, grid):
     N, gamma, tau_eit, eject, rows = batch
     noise = inf.NoiseParams(gamma, tau_eit, N)
     ns = list(range(N + 1))
-    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, eject, rows=len(rows))
+    holder = inf.NoisyLikelihoods(ns, OMEGA, noise, eject, shift=[0] * len(rows))
     for t in range(len(rows[0])):
         holder.update(np.array([row[t][0] for row in rows]),
                       np.array([row[t][1] for row in rows]))

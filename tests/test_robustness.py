@@ -154,6 +154,15 @@ def test_simulate_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
     assert "drive time 1.0 s is too long" in capsys.readouterr().err
 
 
+def test_traced_simulate_names_the_drive_time_past_the_horizon(tmp_path, capsys):
+    """With sub-step tracing (the default 8 points) the error names the drive
+    time, the longest sub-step, not the first sub-step past the horizon."""
+    argv = ["simulate", "--n-true", "2", "--trajectories", "1", "--tau-us", "1e6",
+            "--max-cycles", "2", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert "drive time 1.0 s is too long" in capsys.readouterr().err
+
+
 def test_infer_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
     rec = tmp_path / "record.json"
     rec.write_text(MeasurementRecord([(2e-7, RYDBERG), (1e300, RYDBERG)]).to_json())
@@ -221,7 +230,7 @@ _ENTRY_POINTS = {
     "PureBatch.drive": lambda tau: dyn.PureBatch(
         dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 0.6, 0.8])), 2).drive(
         np.array([0.5, tau]), 1.0),
-    "NoiselessLikelihoods.update": lambda tau: inf.NoiselessLikelihoods([1, 2], 1.0, rows=2).update(
+    "NoiselessLikelihoods.update": lambda tau: inf.NoiselessLikelihoods([1, 2], 1.0, shift=[0, 0]).update(
         np.array([0.5, tau]), np.array([True, False])),
     "ConditionalState.update": lambda tau: inf.ConditionalState(2, 1.0, _NOISE).update(
         tau, RYDBERG),
