@@ -35,26 +35,35 @@ def _check_regime(regime: str, gamma: float, n: float) -> None:
         raise DomainError(f"photon number must be positive, got {n}")
 
 
+def _in_range(what: str, formula: Callable[[], float]) -> float:
+    """formula(), or `ResourceError` naming what where it overflows or divides by 0."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ResourceError(f"{what} is past float range")
+    return value
+
+
 def fisher_closed_form(regime: str, n: float, t: float, omega: float, gamma: float = 0.0) -> float:
     """Closed-form Fisher information about n accumulated by time t."""
     _check_regime(regime, gamma, n)
     if not 0 <= t < math.inf:
         raise DomainError("time must be finite and non-negative")
-    if regime == "noiseless":
-        return t**2 * omega**2 / n
-    if regime == "noisy-frequency":
-        return t * omega**2 / (gamma * n)
-    return t * gamma / (n * (1 + n) ** 2)
+    return _in_range("Fisher information", {
+        "noiseless": lambda: t**2 * omega**2 / n,
+        "noisy-frequency": lambda: t * omega**2 / (gamma * n),
+        "steady-state": lambda: t * gamma / (n * (1 + n) ** 2)}[regime])
 
 
 def detection_time(regime: str, n: float, omega: float, gamma: float = 0.0) -> float:
     """Time t_* at which the accumulated Fisher information reaches 1."""
     _check_regime(regime, gamma, n)
-    if regime == "noiseless":
-        return math.sqrt(n) / omega
-    if regime == "noisy-frequency":
-        return gamma * n / omega**2
-    return n * (1 + n) ** 2 / gamma
+    return _in_range("detection time", {
+        "noiseless": lambda: math.sqrt(n) / omega,
+        "noisy-frequency": lambda: gamma * n / omega**2,
+        "steady-state": lambda: n * (1 + n) ** 2 / gamma}[regime])
 
 
 def fisher_numeric(f_same: Callable[[float, float], float],

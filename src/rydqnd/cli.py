@@ -68,11 +68,11 @@ def _us_to_s(value_us: float) -> float:
     return value_us * 1e-6
 
 
-def _parse_int_range(text: str) -> list[int]:
-    """Accept '2', '1..4', or '1,2,5'; the result is never empty."""
+def _parse_int_range(text: str) -> range | list[int]:
+    """Accept '2', '1..4' (a range), or '1,2,5'; the result is never empty."""
     lo, _, hi = text.partition("..")
     try:
-        values = (list(range(int(lo), int(hi) + 1)) if hi
+        values = (range(int(lo), int(hi) + 1) if hi
                   else [int(tok) for tok in text.split(",")])
     except ValueError:
         values = []
@@ -102,7 +102,12 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
     where "prior" is optional (uniform if absent).
     """
     spec, path, n_max, N = args.candidates, args.candidates_file, args.n_max, args.n_atoms
-    if path is not None:
+    if path is None:
+        ns = _parse_int_range(spec) if spec is not None else range(1, n_max + 1)
+        if not ns:
+            raise DomainError("need --n-max >= 1")
+        n = max(ns)
+    else:
         def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
             doc = json.loads(text)
             cands = [FockDistribution(np.array(p)) for p in doc["candidates"]]
@@ -114,16 +119,13 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
                 raise DomainError(f"{path}: the prior's length is not the candidate count")
             return cands, prior
         cands, prior = _read_json(path, "candidates file", parse)
-    else:
-        ns = _parse_int_range(spec) if spec is not None else list(range(1, n_max + 1))
-        if not ns:
-            raise DomainError("need --n-max >= 1")
-        cands = [FockDistribution.delta(n, max(n_max, max(ns))) for n in ns]
-        prior = Posterior.uniform(len(cands))
-    n = max(max(c.support()) for c in cands)
+        n = max(max(c.support()) for c in cands)
     if n > N:
         where = f"{path}: " if path is not None else ""
         raise DomainError(f"{where}need 0 <= n <= N, got n={n}, N={N}")
+    if path is None:  # each delta holds max(ns) + 1 entries, so they come after the check
+        cands = [FockDistribution.delta(k, max(n_max, n)) for k in ns]
+        prior = Posterior.uniform(len(cands))
     return cands, prior
 
 

@@ -192,6 +192,8 @@ def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: floa
     if norm / _THETA_55 > MAX_DENSE_STEPS:
         raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
                             f"{MAX_DENSE_STEPS} expm_multiply steps")
+    if not np.isfinite(sum(liouvillian.diagonal().tolist())):  # expm_multiply shifts L by it
+        raise ResourceError("dense evolution's Liouvillian trace is past float range")
     if abs(liouvillian).max() * t_stop <= 1e-300:  # exp(L t) = 1; scipy's step count rounds to 0
         return [state.copy() for _ in range(points)]
     vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)

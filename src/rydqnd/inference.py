@@ -5,11 +5,11 @@ keyed on whether consecutive outcomes repeat (the record starts from a
 NoRydberg convention).  The noisy likelihood multiplies the conditional
 outcome probabilities of the j = 0 block state of each photon number, the
 only block the outcome probabilities read (Wiseman & Milburn, *Quantum
-Measurement and Control*, 2010, on conditional states).  One array kernel,
-`_cycle`, advances any number of such states through a cycle on the cached
-eigensystems of `dynamics`; `NoisyLikelihoods` holds them for records that
-grow together (the engine, sequential inference, the outcome tree of
-`analysis`), each row starting at its ejection count `shift`.
+Measurement and Control*, 2010, on conditional states).
+`NoisyLikelihoods` holds such states for records that grow together (the
+engine, sequential inference, the outcome tree of `analysis`), each row
+starting at its ejection count `shift`, and advances them all through a
+cycle in stacked products, read from the one `_table` of its sectors.
 `posterior_trace` runs one over the runs of a fixed record: after a NoRydberg
 outcome, or an ejection, the state is the fresh |S_n><S_n| of its sector
 again, so each run is one row.  The noisy form reduces to the noiseless one
@@ -126,81 +126,6 @@ def _table(sectors: tuple[tuple[int, int], ...], omega: float, gamma: float,
                      "lam": _padded(lam.astype(complex)), "vecs": _padded(vecs.astype(complex)),
                      "inv": _padded(inv.astype(complex)), "window": _padded(window.astype(complex))})
     return {key: np.stack([row[key] for row in rows]) for key in rows[0]}
-
-
-def _rows(n: np.ndarray, N: np.ndarray, omega: float,
-          noise: NoiseParams) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The `_table` of the distinct (n, N) sectors of items, and each item's row."""
-    codes = n * (noise.N + 1) + N
-    distinct = np.unique(codes)
-    sectors = tuple(divmod(code, noise.N + 1) for code in distinct.tolist())
-    return (_table(sectors, omega, noise.gamma, noise.tau_eit),
-            np.searchsorted(distinct, codes))
-
-
-def _grid_populations(table: dict[str, np.ndarray], g: int, x: np.ndarray, grid: np.ndarray,
-                      omega: float, gamma: float) -> np.ndarray:
-    """(p_NoRydberg, p_Rydberg) of the states x of the table's sector g were
-    they driven for each time of the grid, shape (len(x), 2, G); the drive-off
-    window leaves both populations as they are.  Spectrally p(tau) = sum_k
-    e^{lam_k tau} (r V)_k (V^-1 x)_k, with r the population's trace row, so no
-    propagator is built per drive time."""
-    trace = table["trace"][g]
-    rows = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
-    rows[0, _SS], rows[1, _RR] = trace[_SS], trace[_RR]
-    dyn._check_horizon(grid, table["horizon"][g])
-    if table["spectral"][g]:
-        coef = (rows @ table["vecs"][g])[None] * (x @ table["inv"][g].T)[:, None, :]
-        raw = (coef @ np.exp(table["lam"][g][:, None] * grid[None, :])).real
-    else:
-        n, N = int(table["n"][g]), int(table["N"][g])
-        props = np.array([_padded(p) for p in dyn._propagators(n, N, 0, omega, gamma, grid)])
-        raw = np.einsum("pi,gij,mj->mpg", rows, props, x).real
-    dyn._check_drift(raw.sum(axis=1), (x.real @ trace)[:, None])
-    return np.maximum(raw, 0.0)
-
-
-def _cycle(x: np.ndarray, n: np.ndarray, N: np.ndarray, taus: np.ndarray,
-           rydberg: np.ndarray, omega: float, noise: NoiseParams, eject: bool
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """One record cycle of every item: its j = 0 state x of the (n, N) sector
-    driven for its tau, through the window and projected on its outcome; with
-    ejection, a Rydberg item is moved to (n - 1, N - 1).  Returns (p, states), with p = 0 where the outcome is
-    impossible.
-
-    An item's drive propagator is (V e^{lam tau}) V^-1, or expm where its
-    block has no well-conditioned eigenbasis, applied as prop @ x; then comes
-    the window's; then the kept families are divided by p, and an ejected
-    item's rr coefficient times sqrt(N) moves to ss, divided by the trace it
-    carries there.  These are the operations of `dynamics.evolve_block`,
-    `project_blocks` and `eject_block`, in their order, so an item matches
-    them to the bit, and so does its trace-drift check.
-    """
-    if not len(n):
-        return np.zeros(0), np.zeros((0, _DIM), dtype=complex)
-    dyn._check_times(taus)
-    table, row = _rows(n, N, omega, noise)
-    dyn._check_horizon(taus, table["horizon"][row])
-    props = dyn._spectral(table["lam"][row], table["vecs"][row], table["inv"][row], taus)
-    for m in np.flatnonzero(~table["spectral"][row]).tolist():
-        prop = dyn._propagators(int(n[m]), int(N[m]), 0, omega, noise.gamma, taus[m:m + 1, None])
-        props[m] = _padded(prop[0, 0])
-    trace = table["trace"][row]
-    for prop in (props, table["window"][row]) if noise.tau_eit > 0 else (props,):
-        x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
-    p_s, p_r = dyn._populations(trace, x, _SS, _RR)
-    p = np.where(rydberg, p_r, p_s)
-    live = p > 0.0
-    keep = table["keep"][row, rydberg.astype(int)]
-    out = dyn._projected(keep, x, np.where(live, p, 1.0))
-    moved = live & rydberg & eject
-    if moved.any():  # a live Rydberg item has n >= 1
-        ss = out[moved, _RR] * np.sqrt(N[moved])
-        ss_trace = [sector(k - 1, M - 1).block(0).trace[_SS]
-                    for k, M in zip(n[moved].tolist(), N[moved].tolist())]
-        out[moved] = 0.0
-        out[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[:, None])[:, 0]
-    return p, out
 
 
 class ConditionalState:
@@ -412,7 +337,10 @@ class NoisyLikelihoods:
     (B, len(ns), 5)), in the sector (ns[i] - shift[r], N - shift[r]) after the
     row's ejections; it starts from the fresh |S_n><S_n| at the given shift,
     or at -inf where ns[i] < shift[r].  An entry whose record has zero
-    likelihood stays at -inf and is no longer advanced.
+    likelihood stays at -inf and is no longer advanced.  ``table`` is the
+    `_table` of the live entries' sectors (None where none is live) and
+    ``row[r, i]`` the entry's row in it, keyed again only after a cycle in
+    which an ejection moved entries to other sectors.
     """
 
     def __init__(self, ns: list[int], omega: float, noise: NoiseParams, eject: bool = False,
@@ -424,54 +352,101 @@ class NoisyLikelihoods:
         self.shift = np.array(shift, dtype=int)
         self.log_l = np.where(self.ns >= self.shift[:, None], 0.0, -math.inf)
         self.x = np.zeros(self.log_l.shape + (_DIM,), dtype=complex)
-        r, c, n, N = self._live()
-        if r.size:
-            table, row = _rows(n, N, omega, noise)
-            self.x[r, c] = table["fresh"][row]
+        self._key()
+        if self.table is not None:
+            live = self.log_l > -math.inf
+            self.x[live] = self.table["fresh"][self.row[live]]
 
-    def _live(self, rows=slice(None)):
-        """(row, column, n, N) of every entry of the selected rows still alive."""
-        r, c = np.nonzero(self.log_l[rows] > -math.inf)
-        shift = self.shift[rows][r]
-        return r, c, self.ns[c] - shift, self.noise.N - shift
+    def _key(self) -> None:
+        """Set ``table`` and ``row`` from the live entries' sectors."""
+        shift = self.shift[:, None]
+        code = (self.ns - shift) * (self.noise.N + 1) + self.noise.N - shift
+        distinct = np.unique(code[self.log_l > -math.inf])
+        sectors = tuple(divmod(k, self.noise.N + 1) for k in distinct.tolist())
+        self.table = (_table(sectors, self.omega, self.noise.gamma, self.noise.tau_eit)
+                      if sectors else None)
+        self.row = np.searchsorted(distinct, code)
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> np.ndarray:
         """One cycle for every row: drive times and outcomes (True for Rydberg).
         Returns log Pr(outcome | record, n), shape (B, len(ns)), added to
-        ``log_l`` left to right."""
-        r, c, n, N = self._live()
-        p, x = _cycle(self.x[r, c], n, N, taus[r], rydberg[r], self.omega, self.noise,
-                      self.eject)
-        live = p > 0.0
-        r, c = r[live], c[live]
-        self.x[r, c] = x[live]
+        ``log_l`` left to right.
+
+        A live entry is driven by (V e^{lam tau}) V^-1 (expm where its block has
+        no well-conditioned eigenbasis), then by the window; its kept families
+        are divided by p, and an ejected entry's rr coefficient times sqrt(N)
+        moves to the ss of (n - 1, N - 1), divided by the trace it carries
+        there: the operations of `dynamics.evolve_block`, `project_blocks` and
+        `eject_block` in their order, so an entry matches them to the bit.
+        """
+        dyn._check_times(taus)
+        r, c = np.nonzero(self.log_l > -math.inf)
         step = np.full(self.log_l.shape, -math.inf)
-        step[r, c] = _libm(math.log, p[live])
+        if r.size:
+            table, g, tau, ryd = self.table, self.row[r, c], taus[r], rydberg[r]
+            dyn._check_horizon(tau, table["horizon"][g])
+            props = dyn._spectral(table["lam"][g], table["vecs"][g], table["inv"][g], tau)
+            for m in np.flatnonzero(~table["spectral"][g]).tolist():
+                n, N = int(table["n"][g[m]]), int(table["N"][g[m]])
+                prop = dyn._propagators(n, N, 0, self.omega, self.noise.gamma, tau[m:m + 1, None])
+                props[m] = _padded(prop[0, 0])
+            trace, x = table["trace"][g], self.x[r, c]
+            for prop in (props, table["window"][g]) if self.noise.tau_eit > 0 else (props,):
+                x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
+            p_s, p_r = dyn._populations(trace, x, _SS, _RR)
+            p = np.where(ryd, p_r, p_s)
+            live = p > 0.0
+            x = dyn._projected(table["keep"][g, ryd.astype(int)], x, np.where(live, p, 1.0))
+            moved = live & ryd & self.eject
+            if moved.any():  # a live Rydberg entry has n >= 1
+                n, N = table["n"][g[moved]], table["N"][g[moved]]
+                ss = x[moved, _RR] * np.sqrt(N)
+                ss_trace = [sector(k - 1, M - 1).block(0).trace[_SS]
+                            for k, M in zip(n.tolist(), N.tolist())]
+                x[moved] = 0.0
+                x[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[:, None])[:, 0]
+            self.x[r[live], c[live]] = x[live]
+            step[r[live], c[live]] = _libm(math.log, p[live])
         self.log_l = self.log_l + step
         if self.eject:
             self.shift = self.shift + rydberg
+            if (step[rydberg] > -math.inf).any():  # entries moved to (n - 1, N - 1)
+                self._key()
         return step
 
     def outcome_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Pr(next outcome | record, n) of the selected rows for every drive time
         of the grid, shape (rows, len(ns), 2G): NoRydberg over the grid, then
-        Rydberg; zero where the record already has zero likelihood."""
+        Rydberg; zero where the record already has zero likelihood.  Spectrally
+        p(tau) = sum_k e^{lam_k tau} (r V)_k (V^-1 x)_k, r the population's trace
+        row (the drive-off window keeps it), else from `dynamics._propagators`."""
         dyn._check_times(grid)
-        r, c, n, N = self._live(rows)
+        r, c = np.nonzero(self.log_l[rows] > -math.inf)
         out = np.zeros(self.log_l[rows].shape + (2, grid.size))
-        if r.size:
-            table, row = _rows(n, N, self.omega, self.noise)
-            x = self.x[rows][r, c]
-            for g in range(len(table["n"])):
-                at = row == g
-                out[r[at], c[at]] = _grid_populations(table, g, x[at], grid, self.omega,
-                                                      self.noise.gamma)
+        table, g, x = self.table, self.row[rows][r, c], self.x[rows][r, c]
+        pops = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
+        for k in np.unique(g).tolist():
+            at = g == k
+            trace = table["trace"][k]
+            pops[0, _SS], pops[1, _RR] = trace[_SS], trace[_RR]
+            dyn._check_horizon(grid, table["horizon"][k])
+            if table["spectral"][k]:
+                coef = (pops @ table["vecs"][k])[None] * (x[at] @ table["inv"][k].T)[:, None, :]
+                raw = (coef @ np.exp(table["lam"][k][:, None] * grid[None, :])).real
+            else:
+                n, N = int(table["n"][k]), int(table["N"][k])
+                props = np.array([_padded(p) for p in
+                                  dyn._propagators(n, N, 0, self.omega, self.noise.gamma, grid)])
+                raw = np.einsum("pi,gij,mj->mpg", pops, props, x[at]).real
+            dyn._check_drift(raw.sum(axis=1), (x[at].real @ trace)[:, None])
+            out[r[at], c[at]] = np.maximum(raw, 0.0)
         return out.reshape(out.shape[0], out.shape[1], -1)
 
     def take(self, index: np.ndarray) -> None:
         """Keep the rows an index array (in its order, repeats allowed), a mask or a
         slice selects."""
-        self.log_l, self.x, self.shift = self.log_l[index], self.x[index], self.shift[index]
+        self.log_l, self.x, self.shift, self.row = (self.log_l[index], self.x[index],
+                                                    self.shift[index], self.row[index])
 
 
 def record_likelihoods(ns: list[int], omega: float, noise: NoiseParams | None = None,

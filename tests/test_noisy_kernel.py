@@ -17,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rydqnd import dynamics as dyn
+from rydqnd import engine as eng
 from rydqnd import inference as inf
 from rydqnd.errors import ImpossibleOutcomeError, InconsistentRecordError
 from rydqnd.records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
@@ -148,6 +149,41 @@ def test_take_splits_rows_like_separate_holders():
         lone.update(np.array([0.7]), np.array([True]))
         lone.update(np.array([0.5]), np.array([rydberg]))
         assert log_l.tolist() == lone.log_l[0].tolist()
+
+
+# 40 cycles with Rydberg runs of two and three outcomes; the first five, with
+# three Rydberg outcomes, for ejection from at most four photons
+_KEYED_ENTRIES = [(0.3 + 0.1 * (t % 7), RYDBERG if t % 10 in (0, 1, 3, 6, 7, 8) else NO_RYDBERG)
+                  for t in range(40)]
+_KEYED_RUNS = {
+    "posterior_trace": lambda noise, eject: inf.posterior_trace(
+        MeasurementRecord(_KEYED_ENTRIES[:5] if eject else _KEYED_ENTRIES),
+        [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)], Posterior.uniform(4), OMEGA,
+        noise, eject),
+    "run_batch": lambda noise, eject: eng.run_batch(3, eng.ProtocolParams(
+        omega=OMEGA, gamma=noise.gamma, tau_eit=noise.tau_eit, N=noise.N, n_max=4,
+        mode=eng.NOISY_FIXED_N, schedule=eng.Schedule.fixed(0.6), seed=5, max_cycles=30,
+        threshold=1.1, ejection_enabled=eject), 3),
+}
+
+
+@pytest.mark.parametrize("eject", [False, True])
+@pytest.mark.parametrize("run", sorted(_KEYED_RUNS))
+def test_the_holder_keys_its_sectors_again_only_after_an_ejection(monkeypatch, run, eject):
+    """Without ejection no entry leaves its sector, so the holder looks up its
+    `_table` once however many cycles it runs; with ejection, once more at most
+    per cycle that had a Rydberg outcome."""
+    keys, rydberg = [], []
+    table, update = inf._table, inf.NoisyLikelihoods.update
+    monkeypatch.setattr(inf, "_table", lambda *key: keys.append(key) or table(*key))
+    monkeypatch.setattr(inf.NoisyLikelihoods, "update", lambda self, taus, ryd: (
+        rydberg.append(bool(ryd.any())) or update(self, taus, ryd)))
+    _KEYED_RUNS[run](inf.NoiseParams(0.3, 0.2, 6), eject)
+    assert any(rydberg)
+    if eject:
+        assert 1 <= len(keys) <= 1 + sum(rydberg)
+    else:
+        assert len(rydberg) >= 3 and len(keys) == 1
 
 
 def test_zero_drive_cannot_give_a_rydberg_outcome():

@@ -92,6 +92,41 @@ def test_inference_builds_only_the_j0_blocks_it_reads(tmp_path, monkeypatch):
     assert sorted(built) == [(498, 1000, 0), (499, 1000, 0), (500, 1000, 0)]
 
 
+def test_candidates_past_the_atom_count_are_refused_before_any_is_built(tmp_path, monkeypatch,
+                                                                         capsys):
+    """`--candidates 9..4000` at N = 10 is refused before any of its 3,992
+    deltas, each 4,001 entries long, is built."""
+    rec, out = tmp_path / "record.json", tmp_path / "posterior.json"
+    rec.write_text(MeasurementRecord([(2e-7, RYDBERG)]).to_json())
+    built = []
+    delta = FockDistribution.delta
+    monkeypatch.setattr(FockDistribution, "delta",
+                        staticmethod(lambda n, n_max: built.append(n) or delta(n, n_max)))
+    argv = ["infer", str(rec), *_noise_flags(), "--candidates", "9..4000", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "got n=4000, N=10" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["analyze", "fisher", "--time-us", "1e300"], "Fisher information"),
+    (["analyze", "fisher", "--omega-mhz", "1e200"], "Fisher information"),
+    (["analyze", "detection-time", "--regime", "noisy-frequency", "--omega-mhz", "1e-300"],
+     "detection time"),
+    (["analyze", "detection-time", "--regime", "steady-state", "--gamma-mhz", "1e-320"],
+     "detection time"),
+    (["oracle-check", "--time-points", "2", "--omega-mhz", "1e300"], "Liouvillian trace"),
+])
+def test_results_past_float_range_exit_5(argv, quantity, tmp_path, capsys):
+    """A closed form that overflows, or divides by a rate whose square underflows
+    to 0, and an oracle Liouvillian whose trace overflows: exit 5 naming the
+    quantity, with no output (an infinite t_star_s would not be valid JSON)."""
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_RESOURCE
+    assert f"{quantity} is past float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gamma_mhz", ["0", str(GAMMA_MHZ)])
 @pytest.mark.parametrize("tau", ["NaN", "Infinity", "-Infinity"])
 def test_infer_rejects_a_drive_time_that_is_not_finite(tmp_path, capsys, tau, gamma_mhz):
