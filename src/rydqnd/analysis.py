@@ -23,6 +23,7 @@ from .records import FockDistribution, Posterior
 REGIMES = ("noiseless", "noisy-frequency", "steady-state")
 
 MAX_ENUMERATED_CYCLES = 20
+MAX_TRACE_POINTS = 1_000  # each traced row costs about 7 KB of memory per point
 MAX_GLOBAL_TUPLES = 2_000_000
 
 

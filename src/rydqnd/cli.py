@@ -39,7 +39,7 @@ from .errors import (
 from .records import FockDistribution, MeasurementRecord, Posterior
 from . import analysis, dense_oracle, dynamics, inference
 from .dynamics import expm
-from .engine import NOISELESS_PURE, NOISY_FIXED_N, ProtocolParams, Schedule, run_batch
+from .engine import NOISELESS_PURE, NOISY_FIXED_N, PHASES, ProtocolParams, Schedule, run_batch
 from .symbasis import build_block, sector
 
 EXIT_OK = 0
@@ -236,16 +236,16 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
     )
 
 
-def _trace_csv(config: dict, trace: list[dict]) -> str:
-    """A trace file; the rows of a cycle share one posterior list, formatted once."""
-    posts = {id(row["posterior"]): row["posterior"] for row in trace}
-    weights = {key: "".join([",%.12e" % w for w in post]) for key, post in posts.items()}
+def _trace_csv(config: dict, trace) -> str:
+    """A trace file from a trajectory's `engine.Trace` columns; each posterior list
+    formatted once."""
+    weights = ["".join([",%.12e" % w for w in post]) for post in trace.posteriors]
+    (times, p_s, p_r, fids), (phases, posts) = trace.values.tolist(), trace.codes.tolist()
     return "".join([f"# schema: {TRACE_SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n",
                     "time_s,phase,p_no_rydberg,p_rydberg,fidelity",
-                    *[f",w_{c}" for c in range(len(trace[0]["posterior"]))], "\r\n",
-                    *["%.12e,%s,%.12e,%.12e,%.12e%s\r\n" % (
-                        row["time_s"], row["phase"], row["p_no_rydberg"], row["p_rydberg"],
-                        row["fidelity"], weights[id(row["posterior"])]) for row in trace]])
+                    *[f",w_{c}" for c in range(len(trace.posteriors[posts[0]]))], "\r\n",
+                    *["%.12e,%s,%.12e,%.12e,%.12e%s\r\n" % (t, PHASES[phase], s, r, f, weights[k])
+                      for t, phase, s, r, f, k in zip(times, phases, p_s, p_r, fids, posts)]])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -122,6 +122,7 @@ class PureBatch:
         self.b = np.tile(state.b, (rows, 1))
         self.width = np.full(rows, state.a.size)
         self.ragged = False  # True once the widths may differ
+        self.queued = None  # the traced drive's readouts, until `readouts`
 
     def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
@@ -131,23 +132,30 @@ class PureBatch:
         if not self.ragged:
             return sq.sum(axis=1)
         width, out = self.width[rows], np.empty(len(x))
-        for w in np.unique(width).tolist():
+        for w in sorted(set(width.tolist())):
             out[width == w] = sq[width == w, :w].sum(axis=1)
         return out
 
-    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None):
+    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
         """Drive row r for taus[r]: within each n, (a_n, b_n) rotates at
-        sqrt(n) * omega.  steps and the readouts returned as in `BlockBatch.drive`."""
+        sqrt(n) * omega.  steps as in `BlockBatch.drive`; their readouts wait
+        for `readouts`."""
         _check_times(taus, "drive time")
         rate = np.sqrt(np.arange(self.a.shape[1])) * omega
         if steps is None:
             self.a, self.b = _rotate(self.a, self.b, rate, taus[:, None])
-            return None
+            return
         driven = np.flatnonzero(taus > 0)
         rows, points = driven.repeat(steps.shape[1]), steps.shape[1]
         a, b = _rotate(self.a[rows], self.b[rows], rate, steps.reshape(-1, 1))
         self.a[driven], self.b[driven] = a[points - 1::points], b[points - 1::points]
-        return self.sectors(a, b, rows).reshape(3, *steps.shape)
+        self.queued = self.sectors(a, b, rows).reshape(3, *steps.shape)
+
+    def readouts(self) -> tuple:
+        """(drive, window, now) as `BlockBatch.readouts` gives them; a projective
+        measurement has no window."""
+        drive, self.queued = self.queued, None
+        return drive, None, self.sectors()
 
     def fidelity(self) -> np.ndarray:
         """Retrieval fidelity of every row: a noiseless row is its own ideal."""
@@ -163,8 +171,8 @@ class PureBatch:
 
     def measure(self, draws: np.ndarray, eject: bool = False, dts=None):
         """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no
-        window (dts is unused, the window readouts None): the kept sector renormalised;
-        with `eject`, Rydberg rows lose a photon."""
+        window (dts is unused): the kept sector renormalised; with `eject`, Rydberg
+        rows lose a photon.  Returns the outcomes and their probabilities."""
         p_s, p_r = self.sum_sq(self.a), self.sum_sq(self.b)
         _check_norm(p_s + p_r)
         rydberg = draws < p_r
@@ -179,7 +187,7 @@ class PureBatch:
             self.b[rydberg] = 0.0
             self.a[rydberg] /= np.sqrt(self.sum_sq(self.a[rydberg], rydberg))[:, None]
         _check_norm(self.sum_sq(self.a) + self.sum_sq(self.b))
-        return rydberg, p, None
+        return rydberg, p
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""
@@ -200,7 +208,7 @@ def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureColl
     to unit norm.
     """
     batch = PureBatch(state, 1)
-    rydberg, p, _ = batch.measure(np.array([draw]))
+    rydberg, p = batch.measure(np.array([draw]))
     return (RYDBERG if rydberg[0] else NO_RYDBERG,
             PureCollectiveState(batch.a[0], batch.b[0]), float(p[0]))
 
@@ -539,7 +547,8 @@ class BlockBatch:
     driven, collapsed and ejected alike; the row's retrieval fidelity is its
     overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A row
     computes what the one-state kernels compute for its block list and its
-    `PureCollectiveState` twin, bit for bit.
+    `PureCollectiveState` twin, bit for bit.  Traced sub-steps are queued per
+    sector, and `readouts` reads each sector once for the whole cycle.
     """
 
     def __init__(self, ns, N: int, gamma: float, window: float):
@@ -549,9 +558,12 @@ class BlockBatch:
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
         self.groups = {}
-        for n in np.unique(self.n).tolist():
+        for n in sorted(set(self.n.tolist())):
             rows = np.flatnonzero(self.n == n)
             self.groups[(n, N)] = (rows, np.tile(sector(n, N).dyads[0], (rows.size, 1)))
+        # per sector, the traced sub-steps (readout, its rows, states (M, D), twins a, b
+        # (M,)) to read, and the drive's and the window's readouts they fill
+        self.queued, self.reads = {}, [None, None]
 
     def _evolved(self, sec: Sector, x: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
         """The states x (rows, D) advanced for each of their times in taus, as
@@ -570,25 +582,45 @@ class BlockBatch:
         return np.array((*_populations(blk.trace, x, blk.ss, blk.rr), fid))
 
     def sectors(self) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3, rows)."""
-        out = np.empty((3, self.n.size))
-        for key, (rows, x) in self.groups.items():
-            out[:, rows] = self._read(sector(*key), x, self.a[rows], self.b[rows])
-        return out
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3,
+        rows); drops any queued sub-steps."""
+        return self.readouts()[2]
 
-    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None):
+    def readouts(self) -> tuple:
+        """(drive, window, now): the readouts of the sub-steps `drive` and `measure`
+        queued since the last call, (3, driven rows, points) and (3, rows, points),
+        None where none were queued, and `sectors`.  Call it before `take`.  Each
+        sector's queued states and rows are read in one `_read`; a sector with
+        nothing queued reads its rows in place."""
+        now, (drive, window) = np.empty((3, self.n.size)), self.reads
+        queued, self.queued, self.reads = self.queued, {}, [None, None]
+        for key, (rows, x) in self.groups.items():
+            queued.setdefault(key, []).append((now, rows, x, self.a[rows], self.b[rows]))
+        for key, items in queued.items():
+            outs, at, x, a, b = zip(*items)
+            if len(items) == 1:  # nothing to join or split
+                parts = [self._read(sector(*key), x[0], a[0], b[0])]
+            else:
+                read = self._read(sector(*key), *map(np.concatenate, (x, a, b)))
+                ends = np.cumsum([len(z) for z in x]).tolist()
+                parts = [read[:, start:stop] for start, stop in zip([0, *ends], ends)]
+            for out, rows, part in zip(outs, at, parts):
+                out[:, rows] = part.reshape((3, len(rows)) + out.shape[2:])
+        return drive, window, now
+
+    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
         """Drive row r and its twin for taus[r]; a row with taus 0 is left as it is.
         steps, if given, are the sub-step times (driven rows, points) of the rows
         with taus > 0, each ending at its tau: those rows keep their last sub-step,
-        and their readouts at every sub-step are returned, shape (3, driven rows,
-        points); else None."""
+        and every sub-step is queued for `readouts`."""
         _check_times(taus)
         driven = np.flatnonzero(taus > 0)
         traced, steps = steps is not None, taus[driven, None] if steps is None else steps
         a, b = _twin_driven(self.n[driven, None], self.a[driven, None], self.b[driven, None],
                             omega, steps)
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
-        read = np.empty((3, *steps.shape)) if traced else None
+        if traced:
+            self.reads[0] = np.empty((3, *steps.shape))
         for key, (rows, x) in self.groups.items():
             sec = sector(*key)
             slot = np.flatnonzero(taus[rows] > 0)
@@ -596,20 +628,20 @@ class BlockBatch:
             if slot.size:
                 grid = self._evolved(sec, x[slot], _times(steps[at]), omega)
                 x[slot] = grid[:, -1]
-                if traced:
-                    read[:, at] = self._read(sec, grid.reshape(-1, x.shape[1]), a[at].ravel(),
-                                             b[at].ravel()).reshape(3, at.size, -1)
-        return read
+                if traced:  # grid and a[at], b[at] are fresh arrays
+                    self.queued.setdefault(key, []).append((self.reads[0], at, grid.reshape(
+                        -1, x.shape[1]), a[at].ravel(), b[at].ravel()))
 
     def measure(self, draws: np.ndarray, eject: bool = False, dts: np.ndarray | None = None):
         """`PureBatch.measure` for block states: the window (through each of dts,
-        the last the window itself, if given), the projection of every row and its
+        the last the window itself, if given, each queued for `readouts` under the
+        row's sector before the measurement), the projection of every row and its
         twin; with `eject`, Rydberg rows lose the detected atom and restart from
-        the fresh twin |S_n-1>.  Returns the outcomes, their probabilities and the
-        window's readouts (3, rows, len(dts)), or None."""
+        the fresh twin |S_n-1>.  Returns the outcomes and their probabilities."""
         rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
         dts = dts if self.window > 0 else None
-        read = None if dts is None else np.empty((3, self.n.size, dts.size))
+        if dts is not None:
+            self.reads[1] = np.empty((3, self.n.size, dts.size))
         moved = []
         for key, (rows, x) in list(self.groups.items()):
             sec = sector(*key)
@@ -617,9 +649,8 @@ class BlockBatch:
                 grid = self._evolved(sec, x, np.asarray(self.window) if dts is None else dts, 0.0)
                 x = grid[:, -1]
                 if dts is not None:
-                    read[:, rows] = self._read(sec, grid.reshape(-1, x.shape[1]),
-                                               *(z[rows].repeat(dts.size) for z in (self.a, self.b))
-                                               ).reshape(3, rows.size, -1)
+                    self.queued.setdefault(key, []).append((self.reads[1], rows, grid.reshape(
+                        -1, x.shape[1]), *(z[rows].repeat(dts.size) for z in (self.a, self.b))))
             blk = sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
@@ -647,7 +678,7 @@ class BlockBatch:
             self._join((sec.n - 1, sec.N - 1), rows, _ejected(sec, x))
             self.n[rows] -= 1
             self.a[rows], self.b[rows] = 1.0, 0.0
-        return rydberg, probs, read
+        return rydberg, probs
 
     def _join(self, key: tuple[int, int], rows: np.ndarray, x: np.ndarray) -> None:
         """Add rows to the group of sector key."""

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import dynamics as dyn
-from .errors import DomainError, ScheduleExhaustedError
+from .analysis import MAX_TRACE_POINTS, default_tau_grid, greedy_next_tau
+from .errors import DomainError, ResourceError, ScheduleExhaustedError
 from .inference import Mixture, NoiseParams, record_likelihoods
 from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
@@ -104,6 +105,9 @@ class ProtocolParams:
             raise DomainError("need max_cycles >= 1")
         if self.trace_points < 0 or self.seed < 0:
             raise DomainError("need trace_points >= 0 and seed >= 0")
+        if self.trace_points > MAX_TRACE_POINTS:
+            raise ResourceError(f"trace_points {self.trace_points} exceeds the guard of "
+                                f"{MAX_TRACE_POINTS} sub-steps per phase")
         if math.isnan(self.threshold):
             raise DomainError("threshold must be a number")
         if self.mode not in (NOISELESS_PURE, NOISY_FIXED_N):
@@ -152,7 +156,6 @@ def schedule_next_tau(schedule: Schedule, history: list[float], params: Protocol
                 f"precomputed schedule has only {len(schedule.taus)} entries")
         return float(schedule.taus[len(history)])
     if schedule.kind == "adaptive-greedy":
-        from .analysis import default_tau_grid, greedy_next_tau
         cands, prior = params.resolved_candidates()
         grid = default_tau_grid(params.omega, schedule.grid_points)
         return greedy_next_tau(history, cands, prior, grid, params.omega, params.noise(),
@@ -182,9 +185,36 @@ def _sample_n(dist, rng: np.random.Generator) -> int:
     return int(dist)
 
 
-# a trace row of `TrajectoryLog.to_json`: keys sorted, the phase one of the engine's names
-_TRACE_ROW = ('{"fidelity": %r, "p_no_rydberg": %r, "p_rydberg": %r, "phase": "%s", '
-              '"posterior": %s, "time_s": %r}')
+# a trace row of `TrajectoryLog.to_json`: keys sorted, the phase one of `PHASES`
+_TRACE_ROW = ('{"fidelity": %s, "p_no_rydberg": %s, "p_rydberg": %s, "phase": "%s", '
+              '"posterior": %s, "time_s": %s}')
+PHASES = ("init", "drive", "measure", "collapse")
+
+
+class Trace:
+    """A trajectory's trace rows as columns: ``values`` (4, rows) holds each row's
+    time_s, p_no_rydberg, p_rydberg and fidelity, ``codes`` (2, rows) its phase (in
+    `PHASES`) and posterior (in ``posteriors``).  Iterating gives the rows as dicts."""
+
+    def __init__(self, values: np.ndarray, codes: np.ndarray, posteriors: list[list[float]]):
+        self.values, self.codes, self.posteriors = values, codes, posteriors
+
+    @classmethod
+    def from_rows(cls, rows: list[dict]) -> "Trace":
+        """The columns of row dicts, each row's posterior list its own."""
+        values = [[row[key] for key in ("time_s", "p_no_rydberg", "p_rydberg", "fidelity")]
+                  for row in rows]
+        codes = [[PHASES.index(row["phase"]), k] for k, row in enumerate(rows)]
+        return cls(np.array(values, dtype=float).reshape(-1, 4).T,
+                   np.array(codes, dtype=int).reshape(-1, 2).T, [row["posterior"] for row in rows])
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def __iter__(self):
+        for t, s, r, f, phase, post in zip(*self.values.tolist(), *self.codes.tolist()):
+            yield {"time_s": t, "phase": PHASES[phase], "p_no_rydberg": s, "p_rydberg": r,
+                   "fidelity": f, "posterior": self.posteriors[post]}
 
 
 @dataclass
@@ -194,7 +224,7 @@ class TrajectoryLog:
     record: MeasurementRecord
     posteriors: list[list[float]]
     fidelities: list[float]
-    trace: list[dict]
+    trace: Trace
     ejections: int
     n_true: int | None
     final_candidate: int
@@ -203,43 +233,16 @@ class TrajectoryLog:
     params: dict
 
     def to_json(self) -> str:
-        """`json.dumps(..., sort_keys=True)` of the fields; "trace", last, in one %-format
-        per row (`%r` is `float.__repr__`; a row whose numbers do not sum to a finite
-        float goes through json), each posterior list (a cycle's rows share one) once."""
+        """`json.dumps(..., sort_keys=True)` of the fields, the trace as its list of
+        rows; "trace", last, in one %-format per row, from its columns and posterior
+        lists each written by json once."""
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
         doc["record"] = [{"tau_s": t, "outcome": m} for t, m in self.record.entries]
-        posts = {id(row["posterior"]): row["posterior"] for row in self.trace}
-        posts = {key: "[%s]" % ", ".join(map(float.__repr__ if math.isfinite(sum(post))
-                                             else json.dumps, post)) for key, post in posts.items()}
-        rows = []
-        for row in self.trace:
-            f, s, r, t = row["fidelity"], row["p_no_rydberg"], row["p_rydberg"], row["time_s"]
-            text = row["phase"], posts[id(row["posterior"])]
-            total = f + s + r + t  # a float subclass (numpy's) sums to its own type
-            rows.append(_TRACE_ROW % (f, s, r, *text, t) if type(total) is float
-                        and math.isfinite(total) else
-                        _TRACE_ROW.replace("%r", "%s") % (*map(json.dumps, (f, s, r)), *text,
-                                                          json.dumps(t)))
+        posts = [json.dumps(post) for post in self.trace.posteriors]
+        columns = (json.dumps(col)[1:-1].split(", ") for col in self.trace.values.tolist())
+        rows = [_TRACE_ROW % (f, s, r, PHASES[phase], posts[post], t)
+                for t, s, r, f, phase, post in zip(*columns, *self.trace.codes.tolist())]
         return '%s, "trace": [%s]}' % (json.dumps(doc, sort_keys=True)[:-1], ", ".join(rows))
-
-
-def _shared_taus(params: ProtocolParams):
-    """Drive time per cycle index for schedules that draw nothing, or None.
-
-    Fixed, precomputed and adaptive-greedy drive times depend only on the
-    earlier drive times, so every trajectory of a batch gets the same
-    sequence; each entry is computed once, when a trajectory first needs it.
-    """
-    if params.schedule.kind == "uniform-random":
-        return None
-    table: list[float] = []
-
-    def tau_at(cycle: int) -> float:
-        while len(table) <= cycle:
-            table.append(schedule_next_tau(params.schedule, table, params))
-        return table[cycle]
-
-    return tau_at
 
 
 def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
@@ -265,9 +268,11 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     else:
         n_true = [_sample_n(initial, rng) for rng in rngs]
         states = dyn.BlockBatch(n_true, params.N, params.gamma, params.tau_eit)
-    tau_at = _shared_taus(params)
-    per_cycle = 1 if tau_at else 2  # the measurement's draw, after the drive time's
-    if not tau_at:  # drawn as Generator.uniform draws them
+    # fixed, precomputed and adaptive-greedy drive times depend only on the earlier
+    # ones, so the trajectories share one sequence, each entry computed once
+    history = None if params.schedule.kind == "uniform-random" else []
+    per_cycle = 2 if history is None else 1  # the measurement's draw, after the drive time's
+    if history is None:  # drawn as Generator.uniform draws them
         lo = float(params.schedule.tau_min)
         span = float(params.schedule.tau_max) - lo
 
@@ -276,17 +281,19 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     ejections, final = np.zeros((2, n_traj), dtype=int)
     converged, t_now = np.zeros(n_traj, dtype=bool), np.zeros(n_traj)
     cycles = []  # per cycle: (ids, taus, rydberg, weights, fidelities) of its rows
-    segments = []  # traced phases: (phase, posterior number, trajectories, their rows)
+    segments = []  # traced phases: (trajectories, phase, posterior number, (4, rows) values)
+    grids = {}  # the sub-step times of each drive time every row shares
 
-    def trace(phase: str, who: np.ndarray, posterior: int, times: np.ndarray, read) -> None:
-        """Trace rows of trajectories who at times, (rows,) or (rows, sub-steps)."""
+    def trace(phase: int, who: np.ndarray, posterior: int, times: np.ndarray, read) -> None:
+        """Trace rows of trajectories who at times, (rows,) or (rows, sub-steps), read
+        (3, *times.shape); times must be an array nothing changes later."""
         if len(who):
-            rows = np.stack((times, *read), axis=-1).reshape(len(who), -1, 4)
-            segments.append((phase, posterior, who.tolist(), rows.tolist()))
+            segments.append((who.repeat(times.size // len(who)), phase, posterior,
+                             np.concatenate((times.reshape(1, -1), read.reshape(3, -1)))))
 
     steps = dts = None
     if points:
-        trace("init", ids, 0, t_now, states.sectors())
+        trace(0, ids, 0, t_now[ids], states.sectors())
         dts = np.linspace(states.window / points, states.window, points) if states.window else None
 
     for cycle in range(params.max_cycles):
@@ -297,29 +304,39 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             first_draw = per_cycle * cycle
             draws = np.array([rngs[i].random(per_cycle * block) for i in ids.tolist()])
         col = per_cycle * cycle - first_draw
-        taus = np.full(ids.size, tau_at(cycle)) if tau_at else lo + span * draws[:, col]
+        if history is None:
+            taus = lo + span * draws[:, col]
+        else:
+            tau = schedule_next_tau(params.schedule, history, params)
+            history.append(tau)
+            taus = np.full(ids.size, tau)
 
         if points:  # linspace is exact for times > 0 and ends at tau
             driven = np.flatnonzero(taus > 0)
-            steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
-        read = states.drive(taus, params.omega, steps)
-        if points:
-            trace("drive", ids[driven], cycle, t_now[ids[driven], None] + steps, read)
+            if history is None:
+                steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
+            else:  # one grid per shared drive time: the bytes of one linspace per row
+                if tau not in grids:
+                    grids[tau] = np.linspace(tau / points, tau, points)
+                steps = np.broadcast_to(grids[tau], (driven.size, points))
+            drive_times = t_now[ids[driven], None] + steps
+        states.drive(taus, params.omega, steps)
         t_now[ids] += taus
-        rydberg, _, window = states.measure(draws[:, col + per_cycle - 1],
-                                            params.ejection_enabled, dts)
-        if window is not None:
-            trace("measure", ids, cycle, t_now[ids, None] + dts, window)
+        rydberg, _ = states.measure(draws[:, col + per_cycle - 1], params.ejection_enabled, dts)
+        window_times = None if dts is None else t_now[ids, None] + dts
         t_now[ids] += states.window
         if params.ejection_enabled:
             ejections[ids] += rydberg
 
         likelihoods.update(taus, rydberg)
         weights = mixture.posterior(likelihoods.log_l)
-        collapse = states.sectors() if points else None
-        cycles.append((ids, taus, rydberg, weights, collapse[2] if points else states.fidelity()))
         if points:
-            trace("collapse", ids, cycle + 1, t_now[ids], collapse)
+            drive, window, collapse = states.readouts()
+            trace(1, ids[driven], cycle, drive_times, drive)
+            if window is not None:
+                trace(2, ids, cycle, window_times, window)
+            trace(3, ids, cycle + 1, t_now[ids], collapse)
+        cycles.append((ids, taus, rydberg, weights, collapse[2] if points else states.fidelity()))
 
         final[ids] = np.argmax(weights, axis=1)
         done = weights.max(axis=1) >= params.threshold
@@ -338,12 +355,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     taus, rydberg, later, fids = ([col[start:stop] for start, stop in zip([0, *bounds], bounds)]
                                   for col in (c[order].tolist() for c in columns))
     posteriors = [[prior.weights.tolist(), *w] for w in later]
-    traces = [[] for _ in range(n_traj)]
-    for phase, k, who, rows in segments:
-        for i, values in zip(who, rows):
-            post = posteriors[i][k]
-            traces[i] += [{"time_s": t, "phase": phase, "p_no_rydberg": p_s, "p_rydberg": p_r,
-                           "fidelity": fid, "posterior": post} for t, p_s, p_r, fid in values]
+    traces = _traces(segments, posteriors)
     config = params.to_dict()
     outcomes = [[RYDBERG if ryd else NO_RYDBERG for ryd in row] for row in rydberg]
     return [TrajectoryLog(record=MeasurementRecord(list(zip(taus[i], outcomes[i]))),
@@ -352,6 +364,21 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
                           final_candidate=int(final[i]), converged=bool(converged[i]),
                           seed_key=list(seed_keys[i]), params=config)
             for i in range(n_traj)]
+
+
+def _traces(segments: list[tuple], posteriors: list[list[list[float]]]) -> list[Trace]:
+    """Each trajectory's `Trace`, a slice of the traced segments' columns sorted
+    by trajectory once (stably, so each keeps the order it was traced in)."""
+    if not segments:
+        return [Trace(np.empty((4, 0)), np.empty((2, 0), dtype=int), [])] * len(posteriors)
+    who, phases, numbers, values = zip(*segments)
+    codes = np.repeat(np.array([phases, numbers]), [len(w) for w in who], axis=1)
+    who = np.concatenate(who)
+    order = np.argsort(who, kind="stable")
+    values, codes = np.concatenate(values, axis=1)[:, order], codes[:, order]
+    bounds = np.cumsum(np.bincount(who, minlength=len(posteriors))).tolist()
+    return [Trace(values[:, start:stop], codes[:, start:stop], post)
+            for start, stop, post in zip([0, *bounds], bounds, posteriors)]
 
 
 def _seeded(params: ProtocolParams, seed_key: tuple[int, ...]) -> np.random.Generator:

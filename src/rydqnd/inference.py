@@ -339,8 +339,9 @@ class NoisyLikelihoods:
     or at -inf where ns[i] < shift[r].  An entry whose record has zero
     likelihood stays at -inf and is no longer advanced.  ``table`` is the
     `_table` of the live entries' sectors (None where none is live) and
-    ``row[r, i]`` the entry's row in it, keyed again only after a cycle in
-    which an ejection moved entries to other sectors.
+    ``row[r, i]`` the entry's row in it.  A cycle in which an ejection moved
+    entries to other sectors sets ``row`` to None, and the next `update` or
+    `outcome_grid` keys both again.
     """
 
     def __init__(self, ns: list[int], omega: float, noise: NoiseParams, eject: bool = False,
@@ -361,7 +362,7 @@ class NoisyLikelihoods:
         """Set ``table`` and ``row`` from the live entries' sectors."""
         shift = self.shift[:, None]
         code = (self.ns - shift) * (self.noise.N + 1) + self.noise.N - shift
-        distinct = np.unique(code[self.log_l > -math.inf])
+        distinct = np.array(sorted(set(code[self.log_l > -math.inf].tolist())), dtype=int)
         sectors = tuple(divmod(k, self.noise.N + 1) for k in distinct.tolist())
         self.table = (_table(sectors, self.omega, self.noise.gamma, self.noise.tau_eit)
                       if sectors else None)
@@ -380,6 +381,8 @@ class NoisyLikelihoods:
         `eject_block` in their order, so an entry matches them to the bit.
         """
         dyn._check_times(taus)
+        if self.row is None:
+            self._key()
         r, c = np.nonzero(self.log_l > -math.inf)
         step = np.full(self.log_l.shape, -math.inf)
         if r.size:
@@ -411,7 +414,7 @@ class NoisyLikelihoods:
         if self.eject:
             self.shift = self.shift + rydberg
             if (step[rydberg] > -math.inf).any():  # entries moved to (n - 1, N - 1)
-                self._key()
+                self.row = None
         return step
 
     def outcome_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -421,11 +424,13 @@ class NoisyLikelihoods:
         p(tau) = sum_k e^{lam_k tau} (r V)_k (V^-1 x)_k, r the population's trace
         row (the drive-off window keeps it), else from `dynamics._propagators`."""
         dyn._check_times(grid)
+        if self.row is None:
+            self._key()
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
         out = np.zeros(self.log_l[rows].shape + (2, grid.size))
         table, g, x = self.table, self.row[rows][r, c], self.x[rows][r, c]
         pops = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
-        for k in np.unique(g).tolist():
+        for k in sorted(set(g.tolist())):
             at = g == k
             trace = table["trace"][k]
             pops[0, _SS], pops[1, _RR] = trace[_SS], trace[_RR]
@@ -445,8 +450,9 @@ class NoisyLikelihoods:
     def take(self, index: np.ndarray) -> None:
         """Keep the rows an index array (in its order, repeats allowed), a mask or a
         slice selects."""
-        self.log_l, self.x, self.shift, self.row = (self.log_l[index], self.x[index],
-                                                    self.shift[index], self.row[index])
+        self.log_l, self.x, self.shift = self.log_l[index], self.x[index], self.shift[index]
+        if self.row is not None:
+            self.row = self.row[index]
 
 
 def record_likelihoods(ns: list[int], omega: float, noise: NoiseParams | None = None,

@@ -145,13 +145,14 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
                               for t in taus_now[driven].tolist()]).reshape(driven.size, points)
             in_drive = [[_Row.read(*active[r].driven(t)) for t in steps[k].tolist()]
                         for k, r in enumerate(driven.tolist())]
-        got_drive = batch.drive(taus_now, OMEGA, steps)
+        batch.drive(taus_now, OMEGA, steps)
         for c, t in zip(active, taus_now.tolist()):
             c.blocks, c.twin = c.driven(t)
         if points and window > 0:
             dts = np.linspace(window / points, window, points)
             in_window = [[_Row.read(*c.in_window(dt)) for dt in dts.tolist()] for c in active]
-        rydberg, probs, got_window = batch.measure(np.array([draws[i] for i in ids]), eject, dts)
+        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]), eject, dts)
+        got_drive, got_window, _ = batch.readouts()
         assert (got_drive is None) == (steps is None)
         if points:
             for k, expected in enumerate(in_drive):
@@ -217,7 +218,7 @@ def test_zero_drive_is_the_identity(gamma):
     batch = dyn.BlockBatch([1], 1, gamma, 0.0)
     batch.drive(np.zeros(1), OMEGA)
     assert batch.sectors()[1].tolist() == [0.0]
-    rydberg, p, _ = batch.measure(np.zeros(1))
+    rydberg, p = batch.measure(np.zeros(1))
     assert rydberg.tolist() == [False] and p.tolist() == [1.0]
     assert batch.sectors()[1].tolist() == [0.0]
     assert batch.fidelity().tolist() == [1.0]

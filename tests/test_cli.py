@@ -408,6 +408,46 @@ def test_python_dash_m_runs_main_and_exits_with_its_code(tmp_path):
     assert out.stderr.startswith("error:")
 
 
+# Run in a fresh interpreter by the test below: prints whether `numpy.ma` is
+# loaded after the import and after each command.
+_NUMPY_MA_PROBE = """
+import json, sys
+from pathlib import Path
+
+import rydqnd.cli as cli
+
+seen = {"import": "numpy.ma" in sys.modules}
+tmp = Path(sys.argv[1])
+record = json.dumps({"entries": [{"tau_s": 2.1e-7, "outcome": m}
+                                 for m in ("Rydberg", "NoRydberg", "Rydberg")]})
+(tmp / "rec.json").write_text(record)
+steps = {
+    "simulate-noisy": ["simulate", "--max-cycles", "3", "--outdir", str(tmp / "noisy")],
+    "simulate-noiseless": ["simulate", "--gamma-mhz", "0", "--outdir", str(tmp / "pure")],
+    "infer-noisy": ["infer", str(tmp / "rec.json"), "--gamma-mhz", "0.3",
+                    "--tau-eit-us", "0.3", "--out", str(tmp / "noisy.json")],
+    "infer-noiseless": ["infer", str(tmp / "rec.json"), "--out", str(tmp / "pure.json")],
+}
+for name, argv in steps.items():
+    assert cli.main(argv) == 0, name
+    seen[name] = "numpy.ma" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_simulate_and_infer_start_without_numpy_ma(tmp_path):
+    """`numpy.ma` costs a cold start about 13 ms; `simulate` and `infer`, noisy
+    and noiseless, never load it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == dict.fromkeys(["import", "simulate-noisy", "simulate-noiseless",
+                                  "infer-noisy", "infer-noiseless"], False)
+
+
 # ---------------------------------------------------------------------------
 # config files, help, and the error-mapping property
 

@@ -206,3 +206,16 @@ def test_traced_run_with_zero_drive_time_writes_no_drive_rows(make, schedule):
         assert len(log.record) == 5 and all(tau == 0.0 for tau, _ in log.record.entries)
         phases = [row["phase"] for row in log.trace]
         assert "drive" not in phases and phases.count("collapse") == 5
+
+
+def test_one_sub_step_grid_per_shared_drive_time_is_the_per_row_grid():
+    """A drive time every row shares gets one `linspace` grid, broadcast over the
+    rows; it has the bytes of the per-row `linspace(..., axis=-1)` grid."""
+    rng = np.random.default_rng(5)
+    for _ in range(5000):
+        tau = float(10.0 ** rng.uniform(-12, 2))
+        points = int(rng.integers(1, 40))
+        rows = np.full(3, tau)
+        per_row = np.linspace(rows / points, rows, points, axis=-1)
+        shared = np.broadcast_to(np.linspace(tau / points, tau, points), per_row.shape)
+        assert per_row.tobytes() == shared.tobytes()

@@ -186,6 +186,22 @@ def test_the_holder_keys_its_sectors_again_only_after_an_ejection(monkeypatch, r
         assert len(rydberg) >= 3 and len(keys) == 1
 
 
+def test_the_holder_keys_its_sectors_only_when_a_cycle_reads_them(monkeypatch):
+    """An ejection marks the sector table stale and the next cycle keys it: on
+    a record that ends with a Rydberg outcome, no `_table` call follows the
+    last update of an ejecting `posterior_trace`."""
+    calls = []
+    table, update = inf._table, inf.NoisyLikelihoods.update
+    monkeypatch.setattr(inf, "_table", lambda *key: calls.append("_table") or table(*key))
+    monkeypatch.setattr(inf.NoisyLikelihoods, "update", lambda self, taus, ryd: (
+        calls.append("update") or update(self, taus, ryd)))
+    record = MeasurementRecord(_KEYED_ENTRIES[:4])
+    assert record.entries[-1][1] == RYDBERG
+    inf.posterior_trace(record, [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)],
+                        Posterior.uniform(4), OMEGA, inf.NoiseParams(0.3, 0.2, 6), True)
+    assert "_table" in calls and calls[-1] == "update"
+
+
 def test_zero_drive_cannot_give_a_rydberg_outcome():
     """A record entry with tau = 0 after a NoRydberg outcome (or at the start)
     leaves every candidate's fresh state in ss exactly: a Rydberg outcome there

@@ -198,6 +198,19 @@ def test_traced_simulate_names_the_drive_time_past_the_horizon(tmp_path, capsys)
     assert "drive time 1.0 s is too long" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma_mhz", ["0", str(GAMMA_MHZ)])
+def test_trace_points_past_the_guard_exit_5_before_any_array_is_built(gamma_mhz, tmp_path,
+                                                                      capsys):
+    """One more sub-step than `MAX_TRACE_POINTS` is refused with exit 5, naming
+    the value, before the output directory or any state exists."""
+    points = an.MAX_TRACE_POINTS + 1
+    argv = ["simulate", "--gamma-mhz", gamma_mhz, "--trajectories", "1", "--max-cycles", "1",
+            "--trace-points", str(points), "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert f"trace_points {points} exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_infer_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
     rec = tmp_path / "record.json"
     rec.write_text(MeasurementRecord([(2e-7, RYDBERG), (1e300, RYDBERG)]).to_json())

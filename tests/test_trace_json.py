@@ -42,12 +42,13 @@ def traces(draw):
 LOG = eng.TrajectoryLog(
     record=MeasurementRecord([(2.1e-07, NO_RYDBERG), (2.1e-07, RYDBERG)]),
     posteriors=[[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
-    fidelities=[0.99, 0.97], trace=[], ejections=0, n_true=2, final_candidate=1,
+    fidelities=[0.99, 0.97], trace=eng.Trace.from_rows([]), ejections=0, n_true=2, final_candidate=1,
     converged=True, seed_key=[0], params={"N": 10, "seed": 3, "tau_eit_s": 3e-07})
 
 
 def _through_json_module(log) -> str:
     doc = {f.name: getattr(log, f.name) for f in fields(log)}
+    doc["trace"] = list(log.trace)
     doc["record"] = [{"tau_s": t, "outcome": m} for t, m in log.record.entries]
     return json.dumps(doc, sort_keys=True)
 
@@ -59,5 +60,5 @@ def _through_json_module(log) -> str:
                  "fidelity": float("nan"), "posterior": post}
                 for t, post in [(0.0, [1e308, float("inf")]), (1e308, [-0.0, float("-inf")])] * 2])
 def test_trajectory_json_matches_the_json_module(trace):
-    log = replace(LOG, trace=trace)
+    log = replace(LOG, trace=eng.Trace.from_rows(trace))
     assert log.to_json() == _through_json_module(log)
