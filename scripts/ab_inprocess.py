@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import statistics
 import subprocess
@@ -58,15 +59,12 @@ print((after - before) / 1024)
 
 
 def export(rev: str, dest: Path, name: str) -> None:
-    """src/rydqnd of rev as the package dest/name."""
+    """src/rydqnd of rev as the package dest/rydqnd_<name>."""
     blob = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/rydqnd"],
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest / name, filter="data")
-    (dest / name / "src" / "rydqnd").rename(dest / name / "pkg")
-    (dest / name / "pkg").rename(dest / f"rydqnd_{name}")
-    (dest / name / "src").rmdir()
-    (dest / name).rmdir()
+    (dest / name / "src" / "rydqnd").rename(dest / f"rydqnd_{name}")
 
 
 def workloads(mods: dict, scratch: Path, rows: int) -> dict:
@@ -118,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             export(getattr(args, side), tmp, side)
         sys.path.insert(0, str(tmp))
-        import importlib
         mods = {side: (importlib.import_module(f"rydqnd_{side}.cli"),
                        importlib.import_module(f"rydqnd_{side}.engine")) for side in SIDES}
         print(f"parent {args.parent}, change {args.change}: {args.ops} ops per workload and side")

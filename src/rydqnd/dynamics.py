@@ -122,7 +122,7 @@ class PureBatch:
         self.b = np.tile(state.b, (rows, 1))
         self.width = np.full(rows, state.a.size)
         self.ragged = False  # True once the widths may differ
-        self.queued = None  # the traced drive's readouts, until `readouts`
+        self.reads = [None, None]  # the traced drive's readouts (no window), until `readouts`
 
     def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
@@ -149,13 +149,13 @@ class PureBatch:
         rows, points = driven.repeat(steps.shape[1]), steps.shape[1]
         a, b = _rotate(self.a[rows], self.b[rows], rate, steps.reshape(-1, 1))
         self.a[driven], self.b[driven] = a[points - 1::points], b[points - 1::points]
-        self.queued = self.sectors(a, b, rows).reshape(3, *steps.shape)
+        self.reads[0] = self.sectors(a, b, rows).reshape(3, *steps.shape)
 
     def readouts(self) -> tuple:
         """(drive, window, now) as `BlockBatch.readouts` gives them; a projective
         measurement has no window."""
-        drive, self.queued = self.queued, None
-        return drive, None, self.sectors()
+        (drive, window), self.reads = self.reads, [None, None]
+        return drive, window, self.sectors()
 
     def fidelity(self) -> np.ndarray:
         """Retrieval fidelity of every row: a noiseless row is its own ideal."""

@@ -362,8 +362,8 @@ class NoisyLikelihoods:
         """Set ``table`` and ``row`` from the live entries' sectors."""
         shift = self.shift[:, None]
         code = (self.ns - shift) * (self.noise.N + 1) + self.noise.N - shift
-        distinct = np.array(sorted(set(code[self.log_l > -math.inf].tolist())), dtype=int)
-        sectors = tuple(divmod(k, self.noise.N + 1) for k in distinct.tolist())
+        distinct = sorted(set(code[self.log_l > -math.inf].tolist()))
+        sectors = tuple(divmod(k, self.noise.N + 1) for k in distinct)
         self.table = (_table(sectors, self.omega, self.noise.gamma, self.noise.tau_eit)
                       if sectors else None)
         self.row = np.searchsorted(distinct, code)
