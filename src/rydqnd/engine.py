@@ -285,8 +285,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     grids = {}  # the sub-step times of each drive time every row shares
 
     def trace(phase: int, who: np.ndarray, posterior: int, times: np.ndarray, read) -> None:
-        """Trace rows of trajectories who at times, (rows,) or (rows, sub-steps), read
-        (3, *times.shape); times must be an array nothing changes later."""
+        """Trace rows of phase PHASES[phase] for trajectories who at times, (rows,) or
+        (rows, sub-steps), read (3, *times.shape); nothing may change times later."""
         if len(who):
             segments.append((who.repeat(times.size // len(who)), phase, posterior,
                              np.concatenate((times.reshape(1, -1), read.reshape(3, -1)))))
