@@ -12,7 +12,10 @@ goes first alternating from op to op, so machine drift hits both alike:
 * ``simulate``: ``rydqnd simulate`` at its defaults with ``--trajectories 2``,
   n_true 1..4 in turn, written to a scratch directory;
 * ``traced_batch`` and ``untraced_batch``: ``engine.run_batch`` of R rows at the
-  simulate defaults (n_true 2), with 8 trace points and with none.
+  simulate defaults (n_true 2), with 8 trace points and with none;
+* ``noiseless_batch``: ``engine.run_batch`` of R noiseless rows of the Born
+  superposition (0, 0.5, 0.3, 0.2) at omega 1 and fixed tau 1.596, candidates
+  1..3, as the benchmark's ``noiseless_distill`` runs its fixed schedule.
 
 For each workload it prints the change's summed time over the parent's and the
 median of the per-op ratios.  For each side it then runs one traced batch of
@@ -69,8 +72,9 @@ def export(rev: str, dest: Path, name: str) -> None:
 
 def workloads(mods: dict, scratch: Path, rows: int) -> dict:
     """name -> {side: op(i)}, each op one unit of timed work."""
-    out = {"simulate": {}, "traced_batch": {}, "untraced_batch": {}}
+    out = {"simulate": {}, "traced_batch": {}, "untraced_batch": {}, "noiseless_batch": {}}
     for side, (cli, engine) in mods.items():
+        records = importlib.import_module(f"rydqnd_{side}.records")
         outdir = scratch / f"out_{side}"
 
         def simulate(i, cli=cli, outdir=outdir):
@@ -89,9 +93,23 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
                 engine.run_batch(2, params, rows)
             return op
 
+        def noiseless(engine=engine, records=records):
+            born = records.FockDistribution([0.0, 0.5, 0.3, 0.2])
+            params = engine.ProtocolParams(
+                omega=1.0, N=6, n_max=3, mode=engine.NOISELESS_PURE,
+                schedule=engine.Schedule.fixed(1.596), max_cycles=500,
+                candidates=[records.FockDistribution.delta(n, 3) for n in (1, 2, 3)],
+                prior=records.Posterior.uniform(3))
+
+            def op(i):
+                params.seed = i
+                engine.run_batch(born, params, rows)
+            return op
+
         out["simulate"][side] = simulate
         out["traced_batch"][side] = batch(8)
         out["untraced_batch"][side] = batch(0)
+        out["noiseless_batch"][side] = noiseless()
     return out
 
 

@@ -181,6 +181,8 @@ def _schedule_grid(T: int, grid: np.ndarray) -> np.ndarray:
         raise DomainError("tau grid must be non-empty")
     if T < 1:
         raise DomainError(f"schedule length must be at least 1, got {T}")
+    if T > MAX_ENUMERATED_CYCLES:  # refused before the first step, not at the last
+        raise ResourceError(f"2^{T} outcome sequences exceed the enumeration guard")
     return np.sort(np.asarray(grid, dtype=float))
 
 

@@ -2,13 +2,14 @@
 superpositions, and noisy fixed-n dynamics in the symmetric block basis.
 
 Pure states carry amplitudes a_n on the stored collective states and b_n on
-the single-Rydberg collective states; noiseless observation cycles are exact
-rotations within each n.  Noisy fixed-n states are lists of block coefficient
-vectors, one per conserved j sector; sector probabilities live in the j = 0
-block while retrieval fidelity needs all of them.  `PureBatch` and
-`BlockBatch` hold the states of a batch of trajectories as arrays;
-`eject_block` and `retrieval_fidelity` run the array kernels of `BlockBatch`
-on one row.
+the single-Rydberg collective states; a noiseless cycle rotates each (a_n, b_n)
+and moves no weight between photon numbers, so `PureBatch` holds a batch of
+trajectories as Born weights read through the closed-form odds
+`_noiseless_factors`, the kernel `inference` runs too.  Noisy fixed-n states
+are lists of block coefficient vectors, one per conserved j sector; sector
+probabilities live in the j = 0 block while retrieval fidelity needs all of
+them.  `BlockBatch` holds them as arrays; `eject_block` and
+`retrieval_fidelity` run its array kernels on one row.
 """
 
 from __future__ import annotations
@@ -78,18 +79,26 @@ def _phases(rate, taus) -> np.ndarray:
     return theta
 
 
+def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
+                       shift: np.ndarray) -> np.ndarray:
+    """Pr(outcome | n) of noiseless cycles, shape (len(taus), len(ns)).
+
+    Cycle t drove for taus[t] after shift[t] ejections: cos^2 of the
+    sqrt(n - shift) * omega * tau phase where repeat[t] (the outcome equals
+    the reference outcome), sin^2 where it changed.  The square is libm's
+    pow, as Python's ``x ** 2`` computes it.
+    """
+    m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
+    phase = _phases(np.sqrt(m) * omega, np.asarray(taus, dtype=float)[:, None])
+    trig = np.where(np.asarray(repeat)[:, None], np.cos(phase), np.sin(phase))
+    return np.float_power(trig, 2.0)
+
+
 def _rotation(a: np.ndarray, b: np.ndarray, rate, taus) -> tuple[np.ndarray, np.ndarray]:
     """Each (a, b) pair rotated by its phase rate * taus (`_phases`)."""
     theta = _phases(rate, taus)
     c, s = np.cos(theta), np.sin(theta)
     return a * c - 1j * b * s, b * c - 1j * a * s
-
-
-def _rotate(a: np.ndarray, b: np.ndarray, rate, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each (a_n, b_n) pair by rate_n * taus, n along the last axis."""
-    a, b = _rotation(a, b, rate, taus)
-    b[..., 0] = 0.0
-    return a, b
 
 
 def _check_times(taus, what: str = "evolution time") -> None:
@@ -99,7 +108,7 @@ def _check_times(taus, what: str = "evolution time") -> None:
 
 
 def _check_norm(norm_sq: np.ndarray) -> None:
-    """The unit-norm check of `PureCollectiveState`, for every row; NaN fails it."""
+    """The unit-norm check of `PureCollectiveState`, per row of squared norms; NaN fails it."""
     norm = np.sqrt(norm_sq)
     bad = ~(np.abs(norm - 1.0) <= 1e-12)
     if bad.any():
@@ -107,49 +116,46 @@ def _check_norm(norm_sq: np.ndarray) -> None:
 
 
 class PureBatch:
-    """Pure collective states of a batch of noiseless trajectories, one row each.
-
-    Amplitudes a, b have shape (rows, n_max + 1), photon number k in column
-    k.  An ejection shifts a row one column left and narrows its width; the
-    columns past a row's width stay zero.  A row computes what a lone
-    `PureCollectiveState` computes, bit for bit.
-    """
+    """Noiseless pure states of a batch of trajectories, one row each, as what their
+    odds depend on: Born weights ``w[r, n]``, whether the last outcome was Rydberg
+    (``last``; not before the first, nor after an ejection), ejections (``shift``)
+    and drive time since that outcome (``elapsed``, at ``omega``).  Every probability
+    is `_noiseless_factors` weighted by ``w``; a measurement keeps the drawn outcome's
+    weighted factors over their sum, the Bayes update of `NoiselessLikelihoods`."""
 
     window = 0.0  # the projective measurement takes no time
 
     def __init__(self, state: PureCollectiveState, rows: int):
-        self.a = np.tile(state.a, (rows, 1))
-        self.b = np.tile(state.b, (rows, 1))
-        self.width = np.full(rows, state.a.size)
-        self.ragged = False  # True once the widths may differ
+        if np.any(state.b != 0):
+            raise PreconditionError("a batch starts from a stored state, without Rydberg amplitude")
+        self.ns, self.w = np.arange(state.a.size), np.tile(state.populations(), (rows, 1))
+        self.last, self.shift = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=int)
+        self.elapsed, self.omega = np.zeros(rows), 0.0
         self.reads = [None, None]  # the traced drive's readouts (no window), until `readouts`
 
-    def sum_sq(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Per row, sum |x_k|^2 over k < width.  Rows of one width are summed
-        together, as numpy sums a vector of that length (pairwise past 8
-        entries, so the length matters)."""
-        sq = np.abs(x) ** 2
-        if not self.ragged:
-            return sq.sum(axis=1)
-        width, out = self.width[rows], np.empty(len(x))
-        for w in sorted(set(width.tolist())):
-            out[width == w] = sq[width == w, :w].sum(axis=1)
-        return out
+    def _weighted(self, rows: np.ndarray, times: np.ndarray, rydberg) -> np.ndarray:
+        """w[rows] times Pr(outcome | n) after times since the last outcome (Rydberg: rydberg)."""
+        return self.w[rows] * _noiseless_factors(self.ns, self.omega, times,
+                                                 rydberg == self.last[rows], self.shift[rows])
+
+    def _read(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows))."""
+        p_r = self._weighted(rows, times, True).sum(axis=1)
+        return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
     def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
-        """Drive row r for taus[r]: within each n, (a_n, b_n) rotates at
-        sqrt(n) * omega.  steps as in `BlockBatch.drive`; their readouts wait
-        for `readouts`."""
+        """Drive row r for taus[r]: its weights stay, its drive time grows.
+        steps as in `BlockBatch.drive`; their readouts wait for `readouts`."""
         _check_times(taus, "drive time")
-        rate = np.sqrt(np.arange(self.a.shape[1])) * omega
-        if steps is None:
-            self.a, self.b = _rotate(self.a, self.b, rate, taus[:, None])
-            return
-        driven = np.flatnonzero(taus > 0)
-        rows, points = driven.repeat(steps.shape[1]), steps.shape[1]
-        a, b = _rotate(self.a[rows], self.b[rows], rate, steps.reshape(-1, 1))
-        self.a[driven], self.b[driven] = a[points - 1::points], b[points - 1::points]
-        self.reads[0] = self.sectors(a, b, rows).reshape(3, *steps.shape)
+        if omega != self.omega and self.elapsed.any():
+            raise DomainError("a row keeps its drive frequency until it is measured")
+        self.omega = omega
+        if steps is not None:
+            driven = np.flatnonzero(taus > 0)
+            times = (self.elapsed[driven, None] + steps).ravel()
+            rows = driven.repeat(steps.shape[1])
+            self.reads[0] = self._read(rows, times).reshape(3, *steps.shape)
+        self.elapsed = self.elapsed + taus
 
     def readouts(self) -> tuple:
         """(drive, window, now) as `BlockBatch.readouts` gives them; a projective
@@ -157,48 +163,39 @@ class PureBatch:
         (drive, window), self.reads = self.reads, [None, None]
         return drive, window, self.sectors()
 
-    def fidelity(self) -> np.ndarray:
-        """Retrieval fidelity of every row: a noiseless row is its own ideal."""
-        return np.ones(len(self.a))
+    def fidelity(self) -> np.ndarray:  # a noiseless row is its own ideal
+        return np.ones(len(self.w))
 
-    def sectors(self, a=None, b=None, rows=slice(None)) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, or of the
-        amplitudes a, b of batch rows `rows`, shape (3, rows)."""
-        a, b = (self.a, self.b) if a is None else (a, b)
-        p_r = self.sum_sq(b, rows)
-        _check_norm(self.sum_sq(a, rows) + p_r)
-        return np.stack((1.0 - p_r, p_r, np.ones(len(p_r))))
+    def sectors(self) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3, rows)."""
+        return self._read(np.arange(len(self.w)), self.elapsed)
 
     def measure(self, draws: np.ndarray, eject: bool = False, dts=None):
-        """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no
-        window (dts is unused): the kept sector renormalised; with `eject`, Rydberg
-        rows lose a photon.  Returns the outcomes and their probabilities."""
-        p_s, p_r = self.sum_sq(self.a), self.sum_sq(self.b)
-        _check_norm(p_s + p_r)
+        """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no window
+        (dts is unused); with `eject`, Rydberg rows lose a photon.  Returns outcomes and odds."""
+        rows = np.arange(len(self.w))
+        both = self._weighted(np.tile(rows, 2), np.tile(self.elapsed, 2),
+                              rows.size <= np.arange(2 * rows.size)).reshape(2, rows.size, -1)
+        p_s, p_r = both.sum(axis=2)
         rydberg = draws < p_r
         p = np.where(rydberg, p_r, p_s)
-        root = np.sqrt(p)[:, None]
-        self.a = np.where(rydberg[:, None], 0.0, self.a / root)
-        self.b = np.where(rydberg[:, None], self.b / root, 0.0)
-        if eject and np.any(rydberg):
-            self.ragged = True
-            self.width[rydberg] -= 1
-            self.a[rydberg, :-1] = self.b[rydberg, 1:]
-            self.b[rydberg] = 0.0
-            self.a[rydberg] /= np.sqrt(self.sum_sq(self.a[rydberg], rydberg))[:, None]
-        _check_norm(self.sum_sq(self.a) + self.sum_sq(self.b))
+        self.w = np.where(rydberg[:, None], both[1], both[0]) / p[:, None]
+        _check_norm(self.w.sum(axis=1))
+        self.last, self.shift = rydberg & (not eject), self.shift + (rydberg & eject)
+        self.elapsed = np.zeros(rows.size)
         return rydberg, p
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""
-        self.a, self.b, self.width = self.a[rows], self.b[rows], self.width[rows]
+        self.w, self.last, self.shift, self.elapsed = (
+            self.w[rows], self.last[rows], self.shift[rows], self.elapsed[rows])
 
 
 def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCollectiveState:
     """Drive for time tau: within each n, rotate (a_n, b_n) at sqrt(n)*Omega."""
     _check_times(tau, "drive time")
     rate = np.sqrt(np.arange(state.a.size)) * omega
-    return PureCollectiveState(*_rotate(state.a, state.b, rate, tau))
+    return PureCollectiveState(*_rotation(state.a, state.b, rate, tau))
 
 
 def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureCollectiveState, float]:
@@ -207,10 +204,12 @@ def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureColl
     The collapsed state keeps the measured sector's amplitudes, renormalized
     to unit norm.
     """
-    batch = PureBatch(state, 1)
-    rydberg, p = batch.measure(np.array([draw]))
-    return (RYDBERG if rydberg[0] else NO_RYDBERG,
-            PureCollectiveState(batch.a[0], batch.b[0]), float(p[0]))
+    p_s, p_r = (float(np.sum(np.abs(x) ** 2)) for x in (state.a, state.b))
+    rydberg = draw < p_r
+    p = p_r if rydberg else p_s
+    kept, zero = (state.b if rydberg else state.a) / np.sqrt(p), np.zeros_like(state.a)
+    collapsed = PureCollectiveState(zero, kept) if rydberg else PureCollectiveState(kept, zero)
+    return (RYDBERG if rydberg else NO_RYDBERG), collapsed, p
 
 
 @dataclass

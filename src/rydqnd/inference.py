@@ -45,21 +45,6 @@ class NoiseParams:
             raise DomainError("gamma and tau_eit must be finite and non-negative, and N >= 1")
 
 
-def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
-                       shift: np.ndarray) -> np.ndarray:
-    """Pr(outcome | n) of noiseless cycles, shape (len(taus), len(ns)).
-
-    Cycle t drove for taus[t] after shift[t] ejections: cos^2 of the
-    sqrt(n - shift) * omega * tau phase where repeat[t] (the outcome equals
-    the reference outcome), sin^2 where it changed.  The square is libm's
-    pow, as Python's ``x ** 2`` computes it.
-    """
-    m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
-    phase = dyn._phases(np.sqrt(m) * omega, np.asarray(taus, dtype=float)[:, None])
-    trig = np.where(np.asarray(repeat)[:, None], np.cos(phase), np.sin(phase))
-    return np.float_power(trig, 2.0)
-
-
 def _decoded(record: MeasurementRecord, eject: bool
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A record's drive times, its Rydberg flags, each cycle's photon shift and
@@ -178,7 +163,7 @@ def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float
     taus, rydberg, shift, continued = _decoded(record, eject)
     if noise is None:
         with np.errstate(divide="ignore"):
-            log_f = np.log(_noiseless_factors(ns, omega, taus, rydberg == continued, shift))
+            log_f = np.log(dyn._noiseless_factors(ns, omega, taus, rydberg == continued, shift))
     else:
         starts = np.flatnonzero(~continued)
         length = np.diff(np.append(starts, taus.size))
@@ -275,8 +260,8 @@ def _noiseless_grid(ns: tuple[int, ...], omega: float, grid: bytes, shift: int) 
     (len(ns), 2G): cos^2 for the reference outcome repeated, then sin^2 for it changed;
     read-only, as every call with this grid and shift shares it."""
     taus = np.frombuffer(grid)
-    step = _noiseless_factors(ns, omega, np.tile(taus, 2), np.repeat([True, False], taus.size),
-                              np.full(2 * taus.size, shift)).T.copy()  # C order for matmul
+    step = dyn._noiseless_factors(ns, omega, np.tile(taus, 2), np.repeat([True, False], taus.size),
+                                  np.full(2 * taus.size, shift)).T.copy()  # C order for matmul
     step.flags.writeable = False
     return step
 
@@ -300,8 +285,8 @@ class NoiselessLikelihoods:
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
         """One cycle for every row: drive times and outcomes (True for Rydberg)."""
         dyn._check_times(taus, "drive time")
-        factor = _noiseless_factors(self.ns, self.omega, taus, rydberg == self._last,
-                                    self._shift)
+        factor = dyn._noiseless_factors(self.ns, self.omega, taus, rydberg == self._last,
+                                        self._shift)
         log_f = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
         self.log_l = self.log_l + np.where(factor > 0.0, log_f, -math.inf)
         if self.eject:

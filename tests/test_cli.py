@@ -229,6 +229,19 @@ def test_analyze_optimize_schedule_toy(capsys):
     assert vals[("global", 2)] == pytest.approx(99.89, abs=0.10)
 
 
+def test_optimize_schedule_past_the_enumeration_guard_fails_before_the_first_step(
+        monkeypatch, tmp_path, capsys):
+    steps = []
+    fidelity_over_grid = analysis._fidelity_over_grid
+    monkeypatch.setattr(analysis, "_fidelity_over_grid",
+                        lambda *args: steps.append(1) or fidelity_over_grid(*args))
+    out = tmp_path / "schedule.json"
+    assert run(["analyze", "optimize-schedule", "--cycles", str(analysis.MAX_ENUMERATED_CYCLES + 1),
+                "--out", str(out)]) == cli.EXIT_RESOURCE
+    assert "2^21 outcome sequences exceed the enumeration guard" in capsys.readouterr().err
+    assert not out.exists() and not steps
+
+
 def test_analyze_csv_output(tmp_path):
     out = tmp_path / "table.csv"
     assert run(["analyze", "detection-time", "--regime", "steady-state",

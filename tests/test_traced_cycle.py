@@ -3,8 +3,9 @@
 The drive's sub-step times end at the drive time and the window's at the
 window, so the state a phase leaves is its last sub-step's: a traced noisy
 batch makes one drive product and one window product per block of every
-group per cycle, and a traced noiseless batch one rotation per cycle.  The
-logs stay those the golden digests pin.
+group per cycle.  A traced noiseless batch reads its odds once per phase:
+one noiseless-kernel call for the drive's sub-steps, one for the measurement
+and one for the collapse.  The logs stay those the golden digests pin.
 """
 
 import pytest
@@ -58,12 +59,25 @@ def test_traced_noisy_cycle_makes_one_product_per_block_and_phase(monkeypatch, n
 
 @pytest.mark.parametrize("name", ["random-born-trace", "fixed-born-eject-trace",
                                   "precomputed-int-eject-trace", "unconverged-int-trace"])
-def test_traced_noiseless_cycle_makes_one_rotation(monkeypatch, name):
+def test_traced_noiseless_cycle_reads_the_odds_once_per_phase(monkeypatch, name):
     initial, params, batch = CASES[name]
-    rotations, drives = [], []
-    rotate = dyn._rotate
-    monkeypatch.setattr(dyn, "_rotate", lambda *args: rotations.append(1) or rotate(*args))
-    _counted(monkeypatch, dyn.PureBatch, "drive", drives, lambda b: None)
+    calls, per_call = [], []  # kernel calls so far; (method, kernel calls in it)
+    factors = dyn._noiseless_factors
+    monkeypatch.setattr(dyn, "_noiseless_factors",
+                        lambda *args: calls.append(1) or factors(*args))
+    for method in ("drive", "measure", "readouts", "sectors"):
+        original = getattr(dyn.PureBatch, method)
+
+        def counted(self, *args, original=original, method=method, **kwargs):
+            before = len(calls)
+            out = original(self, *args, **kwargs)
+            per_call.append((method, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(dyn.PureBatch, method, counted)
     logs = eng.run_batch(initial, params, batch)
     assert _digest(logs) == DIGESTS[name]
-    assert len(rotations) == len(drives) == max(len(log.record) for log in logs)
+    cycles = max(len(log.record) for log in logs)
+    # the initial trace reads the sectors; a cycle's readouts read them once more
+    assert per_call[0] == ("sectors", 1)
+    assert per_call[1:] == [("drive", 1), ("measure", 1), ("sectors", 1), ("readouts", 1)] * cycles
