@@ -91,9 +91,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "fixed-born-eject-trace": "75cdafefb71dfb622d6ea5ece40674329fc628db5709b76849281e790da3443d",
+    "fixed-born-eject-trace": "5a0d1369ef47d7292e845c6ff6334c6c11db653e09e37f788099d12ef4c239a1",
     "fixed-int": "47c0db1be299f53fb1293af96b05bf024a45f8b8df4796474083f0f8c4c62a8f",
-    "greedy-amps-eject-trace": "3206dace1f645e865beaaa0cd4ba2ea5dd2da4b4ee8b5bd9ac36cd3276a5b25a",
+    "greedy-amps-eject-trace": "01f48c3f09ca005284d6ff0eaf15b1a0e876af4187925531b749f3aeff63a877",
     "greedy-born": "55d6aa036b913774e4b0891ad475cfa7832a27d0346ad951351dd57b7f0a279e",
     "noisy-fixed-trace": "0fd139e618e1f74fe5e5d38c60a35d5c2830c9db25a65a2acea724bfa5eba2f0",
     "noisy-greedy": "81022ab44372ff451cb0dbf39a6d51e361fbb8ccdbd8ed8d194359dc5116c774",
@@ -104,11 +104,11 @@ DIGESTS = {
     "noisy-unconverged-no-window-trace": "91f1308100df400f79a14069e5c5599db5647d95364ab0e314868b76d16301e8",
     "precomputed-int-eject-trace": "369f11a27372302fa7996bb326c1aeaba03cf92e4e48c6b94d205ddce4a1a6b1",
     "random-amps-eject": "3a6e8cd8d13bfba19f9d3ca5e0edddaba89213114c699c4c0d95fea3f6156f49",
-    "random-born-trace": "646ff7003d8a839d603af8377674fb775f9b4aa2e6f810457dceab265ed15f64",
+    "random-born-trace": "569cdbc2ef312cc8b81fa7d21abf91e83ec54f42b77cf7c5c12125e05b1a62c4",
     "random-mixtures-prior": "d4e008b1ed9db0cb7b67b2ebfc34c2a268f870ef7530f0ba37787a880470f425",
     "unconverged-int-trace": "7d89701162387660b06deed19598c6c866fb01fd8003a74378b1f997bdaaf49e",
-    "wide-fixed-trace": "ebab4acdae3cf787b19c2aa2e4e9491a40d379644b2bf8de2851183f786363a7",
-    "wide-random-eject-trace": "faa04936071588e356f1baf82b758d3f48309cc658c9616e5cccc1971066fa1c",
+    "wide-fixed-trace": "fae85c26144b32ab582b1da64bf0f6ebb85c6f51dc92789a971d8505072622c7",
+    "wide-random-eject-trace": "4f4093fd40f5fef771d285935e4e859b20ee28ae5ec3fa78377b873c13de1b34",
 }
 
 
