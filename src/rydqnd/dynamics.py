@@ -81,16 +81,17 @@ def _phases(rate, taus) -> np.ndarray:
 
 def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
                        shift: np.ndarray) -> np.ndarray:
-    """Pr(outcome | n) of noiseless cycles, shape (len(taus), len(ns)).
+    """Pr(outcome | n) of noiseless cycles, shape repeat.shape + (len(ns),).
 
     Cycle t drove for taus[t] after shift[t] ejections: cos^2 of the
-    sqrt(n - shift) * omega * tau phase where repeat[t] (the outcome equals
-    the reference outcome), sin^2 where it changed.  The square is libm's
-    pow, as Python's ``x ** 2`` computes it.
+    sqrt(n - shift) * omega * tau phase where repeat[..., t] (the outcome
+    equals the reference outcome), sin^2 where it changed, so a leading axis
+    of repeat reads both outcomes of one phase.  The square is libm's pow,
+    as Python's ``x ** 2`` computes it.
     """
     m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
     phase = _phases(np.sqrt(m) * omega, np.asarray(taus, dtype=float)[:, None])
-    trig = np.where(np.asarray(repeat)[:, None], np.cos(phase), np.sin(phase))
+    trig = np.where(np.asarray(repeat)[..., None], np.cos(phase), np.sin(phase))
     return np.float_power(trig, 2.0)
 
 
@@ -133,14 +134,10 @@ class PureBatch:
         self.elapsed, self.omega = np.zeros(rows), 0.0
         self.reads = [None, None]  # the traced drive's readouts (no window), until `readouts`
 
-    def _weighted(self, rows: np.ndarray, times: np.ndarray, rydberg) -> np.ndarray:
-        """w[rows] times Pr(outcome | n) after times since the last outcome (Rydberg: rydberg)."""
-        return self.w[rows] * _noiseless_factors(self.ns, self.omega, times,
-                                                 rydberg == self.last[rows], self.shift[rows])
-
     def _read(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
         """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows))."""
-        p_r = self._weighted(rows, times, True).sum(axis=1)
+        odds = _noiseless_factors(self.ns, self.omega, times, self.last[rows], self.shift[rows])
+        p_r = (self.w[rows] * odds).sum(axis=1)
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
     def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
@@ -168,21 +165,21 @@ class PureBatch:
 
     def sectors(self) -> np.ndarray:
         """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3, rows)."""
-        return self._read(np.arange(len(self.w)), self.elapsed)
+        return self._read(slice(None), self.elapsed)
 
     def measure(self, draws: np.ndarray, eject: bool = False, dts=None):
-        """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no window
-        (dts is unused); with `eject`, Rydberg rows lose a photon.  Returns outcomes and odds."""
-        rows = np.arange(len(self.w))
-        both = self._weighted(np.tile(rows, 2), np.tile(self.elapsed, 2),
-                              rows.size <= np.arange(2 * rows.size)).reshape(2, rows.size, -1)
+        """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no
+        window (dts is unused); with `eject`, Rydberg rows lose a photon.  Returns the
+        outcomes and their probabilities."""
+        both = self.w * _noiseless_factors(self.ns, self.omega, self.elapsed,
+                                           np.stack((~self.last, self.last)), self.shift)
         p_s, p_r = both.sum(axis=2)
         rydberg = draws < p_r
         p = np.where(rydberg, p_r, p_s)
         self.w = np.where(rydberg[:, None], both[1], both[0]) / p[:, None]
         _check_norm(self.w.sum(axis=1))
         self.last, self.shift = rydberg & (not eject), self.shift + (rydberg & eject)
-        self.elapsed = np.zeros(rows.size)
+        self.elapsed = np.zeros(len(self.w))
         return rydberg, p
 
     def take(self, rows: np.ndarray) -> None:

@@ -7,6 +7,15 @@ trajectory at a time through `PureCollectiveState`, `evolve_pure`,
 posterior bit, a trace row or the stopping cycle changes the digest.  The
 digests hold where they were captured (x86-64 Linux, glibc libm, numpy 2.4):
 the posteriors carry libm's exp, log and pow to the last bit.
+
+Five noiseless digests come from the Born-weight holder instead:
+`fixed-born-eject-trace`, `random-born-trace`, `greedy-amps-eject-trace`,
+`wide-random-eject-trace` and `wide-fixed-trace`.  `dynamics.PureBatch`
+reads a row's trace populations from the closed-form odds weighted by its
+Born weights, not from rotated amplitudes, and over several occupied photon
+numbers the two round differently (by at most 5.6e-16 in these cases;
+`scripts/compare_logs.py`).  Every other field of those logs, and every byte
+of the other cases, is what the per-trajectory engine wrote.
 """
 
 import hashlib
