@@ -235,9 +235,9 @@ def test_optimize_schedule_past_the_enumeration_guard_fails_before_the_first_ste
     fidelity_over_grid = analysis._fidelity_over_grid
     monkeypatch.setattr(analysis, "_fidelity_over_grid",
                         lambda *args: steps.append(1) or fidelity_over_grid(*args))
-    out = tmp_path / "schedule.json"
-    assert run(["analyze", "optimize-schedule", "--cycles", str(analysis.MAX_ENUMERATED_CYCLES + 1),
-                "--out", str(out)]) == cli.EXIT_RESOURCE
+    out, cycles = tmp_path / "schedule.json", str(analysis.MAX_ENUMERATED_CYCLES + 1)
+    assert run(["analyze", "optimize-schedule", "--cycles", cycles, "--out", str(out)]
+               ) == cli.EXIT_RESOURCE
     assert "2^21 outcome sequences exceed the enumeration guard" in capsys.readouterr().err
     assert not out.exists() and not steps
 
