@@ -86,13 +86,13 @@ def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
     Cycle t drove for taus[t] after shift[t] ejections: cos^2 of the
     sqrt(n - shift) * omega * tau phase where repeat[..., t] (the outcome
     equals the reference outcome), sin^2 where it changed, so a leading axis
-    of repeat reads both outcomes of one phase.  The square is libm's pow,
-    as Python's ``x ** 2`` computes it.
+    of repeat reads both outcomes of one phase.  The square is one correctly
+    rounded product, so the two outcomes' factors sum to 1 within a few ulp.
     """
     m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
     phase = _phases(np.sqrt(m) * omega, np.asarray(taus, dtype=float)[:, None])
     trig = np.where(np.asarray(repeat)[..., None], np.cos(phase), np.sin(phase))
-    return np.float_power(trig, 2.0)
+    return trig * trig
 
 
 def _rotation(a: np.ndarray, b: np.ndarray, rate, taus) -> tuple[np.ndarray, np.ndarray]:
