@@ -117,7 +117,7 @@ DIGESTS = {
     "random-mixtures-prior": "d4e008b1ed9db0cb7b67b2ebfc34c2a268f870ef7530f0ba37787a880470f425",
     "unconverged-int-trace": "7d89701162387660b06deed19598c6c866fb01fd8003a74378b1f997bdaaf49e",
     "wide-fixed-trace": "fae85c26144b32ab582b1da64bf0f6ebb85c6f51dc92789a971d8505072622c7",
-    "wide-random-eject-trace": "4f4093fd40f5fef771d285935e4e859b20ee28ae5ec3fa78377b873c13de1b34",
+    "wide-random-eject-trace": "ce2dec2855ce4d3ca3ef4987160cfc97cca0f293dcde1a34df1fb1f7c17ea890",
 }
 
 
