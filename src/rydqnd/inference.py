@@ -215,12 +215,6 @@ def mle(post: Posterior) -> int:
     return int(np.argmax(post.weights))
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """A ``math`` function applied element by element.  numpy's vectorised exp
-    and log differ from libm's by an ulp on some arguments; this does not."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 class Mixture:
     """Candidate distributions weighted by a prior: the photon numbers ns in
     their supports, sorted, and p[k, i] = Pr(ns[i] | candidate k), shape (K, len(ns))."""
@@ -245,7 +239,7 @@ class Mixture:
         """
         top = log_l.max(axis=1, keepdims=True)
         top[top == -math.inf] = 0.0  # every likelihood zero: the total check fails
-        scaled = _libm(math.exp, log_l - top)
+        scaled = np.exp(log_l - top)
         terms = self.p * scaled[:, None, :]
         weights = self.prior * np.add.accumulate(terms, axis=2)[:, :, -1]
         total = np.add.accumulate(weights, axis=1)[:, -1]
@@ -287,8 +281,8 @@ class NoiselessLikelihoods:
         dyn._check_times(taus, "drive time")
         factor = dyn._noiseless_factors(self.ns, self.omega, taus, rydberg == self._last,
                                         self._shift)
-        log_f = _libm(math.log, np.where(factor > 0.0, factor, 1.0))
-        self.log_l = self.log_l + np.where(factor > 0.0, log_f, -math.inf)
+        with np.errstate(divide="ignore"):  # an impossible outcome: log 0 = -inf
+            self.log_l = self.log_l + np.log(factor)
         if self.eject:
             self._shift = self._shift + rydberg
         else:
@@ -394,7 +388,7 @@ class NoisyLikelihoods:
                 x[moved] = 0.0
                 x[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[:, None])[:, 0]
             self.x[r[live], c[live]] = x[live]
-            step[r[live], c[live]] = _libm(math.log, p[live])
+            step[r[live], c[live]] = np.log(p[live])
         self.log_l = self.log_l + step
         if self.eject:
             self.shift = self.shift + rydberg

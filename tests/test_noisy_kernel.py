@@ -45,7 +45,7 @@ def _chain(n, N, gamma, tau_eit, eject, cycles):
             else:
                 if eject and rydberg:
                     blocks = dyn.eject_block(blocks)[:1]
-                log_l += math.log(p)
+                log_l += float(np.log(p))
         logs.append(log_l)
     return logs, blocks[0]
 
