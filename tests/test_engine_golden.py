@@ -100,24 +100,24 @@ CASES = {
 }
 
 DIGESTS = {
-    "fixed-born-eject-trace": "5a0d1369ef47d7292e845c6ff6334c6c11db653e09e37f788099d12ef4c239a1",
-    "fixed-int": "47c0db1be299f53fb1293af96b05bf024a45f8b8df4796474083f0f8c4c62a8f",
+    "fixed-born-eject-trace": "7dfaab5eb4dcb5121c917c93bbdc4509f81aa275f2726e0d153d00c32355d8ed",
+    "fixed-int": "fe6d56f581d4b4124b72ced0592611730a479b5fd3ef829bce6d3399efb87adf",
     "greedy-amps-eject-trace": "01f48c3f09ca005284d6ff0eaf15b1a0e876af4187925531b749f3aeff63a877",
     "greedy-born": "55d6aa036b913774e4b0891ad475cfa7832a27d0346ad951351dd57b7f0a279e",
-    "noisy-fixed-trace": "0fd139e618e1f74fe5e5d38c60a35d5c2830c9db25a65a2acea724bfa5eba2f0",
+    "noisy-fixed-trace": "795555eac5431af83b81b9e8448b2a29862eb1ab1eee3e6a57573bb91ed57ccf",
     "noisy-greedy": "81022ab44372ff451cb0dbf39a6d51e361fbb8ccdbd8ed8d194359dc5116c774",
     "noisy-int-eject-trace": "0eff37cde8f756e82cb9cdf30a8d8ce9240420278c98cd9a5d4c332cea4a6a53",
-    "noisy-mixtures-prior": "c7777bc53fe87d07afd87c187b0b14a37c29f9d5b382d0bab8382d4def8fd57a",
-    "noisy-random-born-eject": "421916438c0f1642fc11740dc51ea0be2882c481100d5239eefe57eb2db64fcc",
-    "noisy-random-born-trace": "1777b1071da9706502dcdf98b172500395e9651ccffcbd296f8c8063f5d130db",
-    "noisy-unconverged-no-window-trace": "91f1308100df400f79a14069e5c5599db5647d95364ab0e314868b76d16301e8",
+    "noisy-mixtures-prior": "c59c2095a198ab4c7355101ad012b662567e51c365df3ffb232ea24a421fd06e",
+    "noisy-random-born-eject": "6a599ce879f805d24999687ab40e2b4857bb8ea0a7e47499527ff35283301f26",
+    "noisy-random-born-trace": "f9c254d5f76ce39397742403709da8a062d59ad103301cf13062ad91dd84b6de",
+    "noisy-unconverged-no-window-trace": "3273cb6307cc1f44f2df506e539a10a97328e0bdee6b19e34ebe6738866f0fd3",
     "precomputed-int-eject-trace": "369f11a27372302fa7996bb326c1aeaba03cf92e4e48c6b94d205ddce4a1a6b1",
-    "random-amps-eject": "3a6e8cd8d13bfba19f9d3ca5e0edddaba89213114c699c4c0d95fea3f6156f49",
-    "random-born-trace": "569cdbc2ef312cc8b81fa7d21abf91e83ec54f42b77cf7c5c12125e05b1a62c4",
-    "random-mixtures-prior": "d4e008b1ed9db0cb7b67b2ebfc34c2a268f870ef7530f0ba37787a880470f425",
-    "unconverged-int-trace": "7d89701162387660b06deed19598c6c866fb01fd8003a74378b1f997bdaaf49e",
-    "wide-fixed-trace": "fae85c26144b32ab582b1da64bf0f6ebb85c6f51dc92789a971d8505072622c7",
-    "wide-random-eject-trace": "ce2dec2855ce4d3ca3ef4987160cfc97cca0f293dcde1a34df1fb1f7c17ea890",
+    "random-amps-eject": "37c07916debc2c9da2269ef26c7ce67c5b5e637b367b8c79815f9479bbc85d8b",
+    "random-born-trace": "67c421ac49535e67e54abc27fa5b86e783d89de7359c815afcb865b9aaa0cb61",
+    "random-mixtures-prior": "7aa7c4bd483d15564e78557234c05b15533d618470fde96570c3c0e91df91dbf",
+    "unconverged-int-trace": "ab559532009e5213479dc894f55dacfd2b0f9300db328c6b6fb6fc504ad7948c",
+    "wide-fixed-trace": "dc3e089c5cd86b8ea08252d05dd2861fb7925e216557c5291f95167f4fa7cd21",
+    "wide-random-eject-trace": "844b1dc4a2551d5b78afc6725c7268b0cb2d53c133ea4102106f8e32f665582a",
 }
 
 
