@@ -232,17 +232,16 @@ class Mixture:
     def posterior(self, log_l: np.ndarray) -> np.ndarray:
         """Posterior over the candidates for each row of log Pr(record | n), shape (B, K).
 
-        Each row leaves the log domain scaled by its largest likelihood.  Sums
-        accumulate left to right, as the scalar code sums, so a row's weights
-        are the same to the last bit; the zero terms outside a candidate's
-        support add exactly nothing.
+        Each row leaves the log domain scaled by its largest likelihood
+        (numpy's ``exp``), so adding one constant to a row changes nothing
+        but rounding; the weights are numpy sums over the photon numbers and
+        then the candidates, and the zero terms outside a candidate's support
+        (a -inf likelihood, or p = 0) add exactly nothing.
         """
         top = log_l.max(axis=1, keepdims=True)
         top[top == -math.inf] = 0.0  # every likelihood zero: the total check fails
-        scaled = np.exp(log_l - top)
-        terms = self.p * scaled[:, None, :]
-        weights = self.prior * np.add.accumulate(terms, axis=2)[:, :, -1]
-        total = np.add.accumulate(weights, axis=1)[:, -1]
+        weights = self.prior * (self.p * np.exp(log_l - top)[:, None, :]).sum(axis=2)
+        total = weights.sum(axis=1)
         if not (total > 0.0).all():
             raise InconsistentRecordError("record has zero likelihood under every candidate")
         return weights / total[:, None]
