@@ -116,8 +116,8 @@ DIGESTS = {
     "random-born-trace": "67c421ac49535e67e54abc27fa5b86e783d89de7359c815afcb865b9aaa0cb61",
     "random-mixtures-prior": "7aa7c4bd483d15564e78557234c05b15533d618470fde96570c3c0e91df91dbf",
     "unconverged-int-trace": "ab559532009e5213479dc894f55dacfd2b0f9300db328c6b6fb6fc504ad7948c",
-    "wide-fixed-trace": "dc3e089c5cd86b8ea08252d05dd2861fb7925e216557c5291f95167f4fa7cd21",
-    "wide-random-eject-trace": "844b1dc4a2551d5b78afc6725c7268b0cb2d53c133ea4102106f8e32f665582a",
+    "wide-fixed-trace": "fbb68b5edc71bc8d1119d7e6c1cf130b178b2e9609e1b12ad0d309d41ebd7c21",
+    "wide-random-eject-trace": "e46fe28608f4e947d269e28aed5c1d41df9f87f8a837c8ee51ea7177bc81501c",
 }
 
 
