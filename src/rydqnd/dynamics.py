@@ -478,14 +478,14 @@ def _renormalised(ss: np.ndarray, ss_trace: np.ndarray) -> np.ndarray:
 def _overlaps(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Retrieval fidelity <psi|rho|psi> of every row of the side-by-side block
     vectors x against psi = a_n |S_n> + b_n |R_n>: the weights of the dyads
-    |S><S|, |R><R|, |S><R|, |R><S| as Python's complex arithmetic and libm
-    compute them, a vdot per block and row, summed over the blocks left to
-    right."""
+    |S><S|, |R><R|, |S><R|, |R><S| (a squared modulus as re^2 + im^2, a
+    cross term as Python's complex product computes it), a vdot per block and
+    row, summed over the blocks left to right."""
     amp = np.stack((a, b))
     re, im = amp.real, amp.imag
     pre, pim = re[::-1], -im[::-1]  # each amplitude's conjugated partner
     weights = np.empty((len(a), 4), dtype=complex)
-    weights[:, :2] = np.float_power(np.hypot(re, im), 2.0).T
+    weights[:, :2] = (re * re + im * im).T
     weights[:, 2:].real, weights[:, 2:].imag = (re * pre - im * pim).T, (re * pim + im * pre).T
     # every family lies in one dyad, so a family's weight is one product however
     # the rows of all blocks' dyads are combined
