@@ -152,10 +152,11 @@ def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
     like, tree = _outcome_tree(prefix, ns, omega, noise, eject)
     chunk = max(1, (1 << 18) // (2 * grid.size * (len(ns) + len(candidates))))
     out = np.zeros(2 * grid.size)
+    read = tree.grid_reader(grid)
     for start in range(0, like.shape[0], chunk):
         rows = slice(start, start + chunk)
         # Pr(candidate k, record continued by m after tau), shape (rows, K, 2G)
-        joint = (like[rows, None, :] * weights) @ tree.outcome_grid(grid, rows)
+        joint = (like[rows, None, :] * weights) @ read(rows)
         out += joint.max(axis=1).sum(axis=0)
     return out.reshape(2, grid.size).sum(axis=0)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -293,8 +293,15 @@ class NoiselessLikelihoods:
         so rows differ in which outcome comes first (`analysis._fidelity_over_grid` only
         sums the two).  Shape (1, len(ns), 2G), to broadcast, where every selected row has
         one photon shift (always so without ejection)."""
+        return self.grid_reader(grid)(rows)
+
+    def grid_reader(self, grid: np.ndarray):
+        """`outcome_grid` over one grid as a function of the rows, the grid
+        checked and keyed once, for a caller that reads it a chunk of rows at a time."""
         dyn._check_times(grid)
-        key = tuple(self.ns.tolist()), self.omega, grid.tobytes()
+        return partial(self._read_grid, (tuple(self.ns.tolist()), self.omega, grid.tobytes()))
+
+    def _read_grid(self, key: tuple, rows=slice(None)) -> np.ndarray:
         shifts = self._shift[rows].tolist()
         if len(set(shifts)) <= 1:
             return _noiseless_grid(*key, shifts[0] if shifts else 0)[None]
@@ -401,7 +408,15 @@ class NoisyLikelihoods:
         Rydberg; zero where the record already has zero likelihood.  Spectrally
         p(tau) = sum_k e^{lam_k tau} (r V)_k (V^-1 x)_k, r the population's trace
         row (the drive-off window keeps it), else from `dynamics._propagators`."""
+        return self.grid_reader(grid)(rows)
+
+    def grid_reader(self, grid: np.ndarray):
+        """`outcome_grid` over one grid as a function of the rows, the grid
+        checked once, for a caller that reads it a chunk of rows at a time."""
         dyn._check_times(grid)
+        return partial(self._read_grid, grid)
+
+    def _read_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
         if self.row is None:
             self._key()
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
