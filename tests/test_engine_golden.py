@@ -5,17 +5,25 @@ by newlines, with a digest captured from the per-trajectory engine (one
 trajectory at a time through `PureCollectiveState`, `evolve_pure`,
 `measure_pure` and `SequentialInference`).  Any change to a record, a
 posterior bit, a trace row or the stopping cycle changes the digest.  The
-digests hold where they were captured (x86-64 Linux, glibc libm, numpy 2.4):
-the posteriors carry libm's exp, log and pow to the last bit.
+digests hold where they were captured (x86-64 Linux with AVX-512, numpy
+2.4): the posteriors carry numpy's vectorised exp and log to the last bit.
 
-Five noiseless digests come from the Born-weight holder instead:
-`fixed-born-eject-trace`, `random-born-trace`, `greedy-amps-eject-trace`,
-`wide-random-eject-trace` and `wide-fixed-trace`.  `dynamics.PureBatch`
-reads a row's trace populations from the closed-form odds weighted by its
-Born weights, not from rotated amplitudes, and over several occupied photon
-numbers the two round differently (by at most 5.6e-16 in these cases;
-`scripts/compare_logs.py`).  Every other field of those logs, and every byte
-of the other cases, is what the per-trajectory engine wrote.
+Some digests were re-pinned since, each after `scripts/compare_logs.py`
+showed that only rounding moved (the comparisons are in `comparisons/`):
+
+* Born-weight noiseless rows: `fixed-born-eject-trace`, `random-born-trace`,
+  `greedy-amps-eject-trace`, `wide-random-eject-trace` and
+  `wide-fixed-trace`.  `dynamics.PureBatch` reads a row's trace populations
+  from the closed-form odds weighted by its Born weights, not from rotated
+  amplitudes (by at most 5.6e-16 in these cases).
+* numpy's square, exp, log and sums in place of libm's pow, exp and log and
+  left-to-right sums: `fixed-born-eject-trace`, `fixed-int`,
+  `noisy-fixed-trace`, `noisy-mixtures-prior`, `noisy-random-born-eject`,
+  `noisy-random-born-trace`, `noisy-unconverged-no-window-trace`,
+  `random-amps-eject`, `random-born-trace`, `random-mixtures-prior`,
+  `unconverged-int-trace`, `wide-fixed-trace` and
+  `wide-random-eject-trace`.  Posteriors moved by at most 3.3e-16 and trace
+  populations by 1.1e-16; no outcome and no drive time changed.
 """
 
 import hashlib
