@@ -130,8 +130,7 @@ class ConditionalState:
         """(p_NoRydberg, p_Rydberg) for the next cycle without committing to it."""
         if self.dead:
             raise ImpossibleOutcomeError("conditional state already has zero likelihood")
-        p_s, p_r = self._row.outcome_grid(np.array([tau], dtype=float))[0, 0].tolist()
-        return p_s, p_r
+        return tuple(self._row.outcome_grid(np.array([tau], dtype=float))[0, 0].tolist())
 
     @property
     def log_l(self) -> float:
@@ -232,11 +231,10 @@ class Mixture:
     def posterior(self, log_l: np.ndarray) -> np.ndarray:
         """Posterior over the candidates for each row of log Pr(record | n), shape (B, K).
 
-        Each row leaves the log domain scaled by its largest likelihood
-        (numpy's ``exp``), so adding one constant to a row changes nothing
-        but rounding; the weights are numpy sums over the photon numbers and
-        then the candidates, and the zero terms outside a candidate's support
-        (a -inf likelihood, or p = 0) add exactly nothing.
+        Each row leaves the log domain scaled by its largest likelihood, so a
+        constant added to a row changes only rounding; the weights are numpy
+        sums over the photon numbers, then the candidates, where a -inf
+        likelihood or a zero p adds exactly nothing.
         """
         top = log_l.max(axis=1, keepdims=True)
         top[top == -math.inf] = 0.0  # every likelihood zero: the total check fails
@@ -296,8 +294,7 @@ class NoiselessLikelihoods:
         return self.grid_reader(grid)(rows)
 
     def grid_reader(self, grid: np.ndarray):
-        """`outcome_grid` over one grid as a function of the rows, the grid
-        checked and keyed once, for a caller that reads it a chunk of rows at a time."""
+        """`outcome_grid` of one grid as a function of the rows, checked and keyed once."""
         dyn._check_times(grid)
         return partial(self._read_grid, (tuple(self.ns.tolist()), self.omega, grid.tobytes()))
 
@@ -408,15 +405,7 @@ class NoisyLikelihoods:
         Rydberg; zero where the record already has zero likelihood.  Spectrally
         p(tau) = sum_k e^{lam_k tau} (r V)_k (V^-1 x)_k, r the population's trace
         row (the drive-off window keeps it), else from `dynamics._propagators`."""
-        return self.grid_reader(grid)(rows)
-
-    def grid_reader(self, grid: np.ndarray):
-        """`outcome_grid` over one grid as a function of the rows, the grid
-        checked once, for a caller that reads it a chunk of rows at a time."""
         dyn._check_times(grid)
-        return partial(self._read_grid, grid)
-
-    def _read_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
         if self.row is None:
             self._key()
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
@@ -439,6 +428,11 @@ class NoisyLikelihoods:
             dyn._check_drift(raw.sum(axis=1), (x[at].real @ trace)[:, None])
             out[r[at], c[at]] = np.maximum(raw, 0.0)
         return out.reshape(out.shape[0], out.shape[1], -1)
+
+    def grid_reader(self, grid: np.ndarray):
+        """`outcome_grid` of one grid as a function of the rows (each read is per
+        sector, so its grid check costs next to nothing)."""
+        return partial(self.outcome_grid, grid)
 
     def take(self, index: np.ndarray) -> None:
         """Keep the rows an index array (in its order, repeats allowed), a mask or a
