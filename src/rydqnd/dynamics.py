@@ -466,10 +466,8 @@ def _projected(keep: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _renormalised(ss: np.ndarray, ss_trace: np.ndarray) -> np.ndarray:
     """The ss coefficients (rows, blocks) an ejection leaves, divided by the
-    trace they carry, summed over the blocks left to right."""
-    tr = 0.0
-    for k in range(ss.shape[1]):
-        tr = tr + ss_trace[..., k] * ss[:, k].real
+    trace they carry, summed over the blocks."""
+    tr = (ss_trace * ss.real).sum(axis=-1)
     if not (tr > 0.0).all():
         raise PreconditionError("ejection produced a zero-trace state")
     return ss / tr[:, None]
@@ -484,9 +482,7 @@ def _overlaps(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
     amp = np.stack((a, b))
     re, im = amp.real, amp.imag
     pre, pim = re[::-1], -im[::-1]  # each amplitude's conjugated partner
-    weights = np.empty((len(a), 4), dtype=complex)
-    weights[:, :2] = (re * re + im * im).T
-    weights[:, 2:].real, weights[:, 2:].imag = (re * pre - im * pim).T, (re * pim + im * pre).T
+    weights = np.concatenate((re * re + im * im, re * pre - im * pim + 1j * (re * pim + im * pre))).T
     # every family lies in one dyad, so a family's weight is one product however
     # the rows of all blocks' dyads are combined
     u = (weights[:, None, :] @ sec.dyads).conj()
