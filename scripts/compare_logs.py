@@ -220,15 +220,14 @@ def _field_deltas(a, b) -> dict[str, float]:
     out: dict[str, float] = {}
     for at in la.keys() | lb.keys():
         if at not in la or at not in lb:
-            field = f"{(la.get(at) or lb.get(at))[0]} (shape)"
-            out[field] = out.get(field, 0) + 1
+            _merge(out, f"{(la.get(at) or lb.get(at))[0]} (shape)", 1)
             continue
         (field, va), (_, vb) = la[at], lb[at]
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb))
         if numeric:
-            out[field] = max(out.get(field, 0.0), abs(float(va) - float(vb)))
+            _merge(out, field, abs(float(va) - float(vb)))
         elif va != vb:
-            out[field] = out.get(field, 0) + 1
+            _merge(out, field, 1)
     return out
 
 
@@ -260,10 +259,10 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str], dict[str,
                     named.append(f"{name} {doc}: {where}")
                     continue
                 for field, delta in _field_deltas(a, b).items():
-                    deltas[field] = max(deltas.get(field, 0.0), delta)
+                    _merge(deltas, field, delta)
         moved = {field: delta for field, delta in sorted(deltas.items()) if delta}
         for field, delta in moved.items():
-            total[field] = max(total.get(field, 0.0), delta)
+            _merge(total, field, delta)
         line = f"{group}: {docs} documents, {same} byte-identical, {len(named)} diverged"
         if moved:
             line += "; max |delta| " + ", ".join(f"{field} {_fmt(delta)}"
@@ -271,6 +270,14 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str], dict[str,
         lines.append(line)
         diverged += named
     return lines, diverged, total
+
+
+def _merge(into: dict[str, float], field: str, delta) -> None:
+    """Fold a document's delta into a running one: counts add, |delta|s take the max."""
+    if isinstance(delta, int):
+        into[field] = into.get(field, 0) + delta
+    else:
+        into[field] = max(into.get(field, 0.0), delta)
 
 
 def _fmt(delta) -> str:

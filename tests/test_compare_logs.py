@@ -31,10 +31,10 @@ def test_a_revision_against_itself_is_byte_identical():
     assert lines[-1] == "fields that moved, largest |delta| over all documents: none"
 
 
-def _log(outcomes, posteriors, taus=None):
+def _log(outcomes, posteriors, taus=None, converged=True):
     taus = taus or [0.5] * len(outcomes)
     return json.dumps({"record": [{"outcome": o, "tau_s": t} for o, t in zip(outcomes, taus)],
-                       "posteriors": posteriors, "converged": True})
+                       "posteriors": posteriors, "converged": converged})
 
 
 def test_moved_fields_and_diverged_logs_are_reported():
@@ -42,14 +42,15 @@ def test_moved_fields_and_diverged_logs_are_reported():
                            "log 1": _log(["Rydberg", "NoRydberg"], [[1.0], [1.0], [1.0]]),
                            "log 2": _log(["Rydberg"], [[1.0], [1.0]], taus=[0.25])},
               "infer b posterior.json": {"file": json.dumps({"weights": [0.5, 0.5]})}}
-    change = {"engine a": {"log 0": _log(["Rydberg"], [[0.5, 0.5], [0.25, 0.75 + 1e-16]]),
+    change = {"engine a": {"log 0": _log(["Rydberg"], [[0.5, 0.5], [0.25, 0.75 + 1e-16]],
+                                         converged=False),
                            "log 1": _log(["Rydberg", "Rydberg"], [[1.0], [1.0], [0.0]]),
                            "log 2": _log(["Rydberg"], [[1.0], [1.0]], taus=[0.3])},
               "infer b posterior.json": {"file": json.dumps({"weights": [0.5, 0.5]})}}
     lines, diverged, total = compare_logs.compare(parent, change)
     assert lines == ["engine a: 3 documents, 0 byte-identical, 2 diverged; "
-                     "max |delta| posteriors 1.11e-16",
+                     "max |delta| converged 1 differ, posteriors 1.11e-16",
                      "infer b posterior.json: 1 documents, 1 byte-identical, 0 diverged"]
     assert diverged == ["engine a log 1: cycle 1 outcome flipped NoRydberg -> Rydberg",
                         "engine a log 2: cycle 0 drive time 0.25 -> 0.3"]
-    assert total == {"posteriors": 0.75 + 1e-16 - 0.75}
+    assert total == {"converged": 1, "posteriors": 0.75 + 1e-16 - 0.75}
