@@ -103,10 +103,6 @@ def _random_noisy_case(rng, eng):
     return int(rng.integers(0, n_max + 1)), params, 2
 
 
-def _files(outdir: Path) -> dict[str, str]:
-    return {path.name: path.read_text() for path in sorted(outdir.iterdir())}
-
-
 def dump(out: str, batches: int) -> None:
     """Write {case: {document name: text}} of every case to out."""
     import test_engine_golden as engine_golden
@@ -135,8 +131,8 @@ def dump(out: str, batches: int) -> None:
                 code = cli.main(argv)
             if code != cli.EXIT_OK:
                 raise SystemExit(f"simulate {name} exited {code}")
-            for file, text in _files(outdir).items():
-                docs[f"simulate {name} {file}"] = _documents(file, text)
+            for path in sorted(outdir.iterdir()):
+                docs[f"simulate {name} {path.name}"] = _documents(path.name, path.read_text())
         (tmp / "record.json").write_text(infer_golden.RECORD.to_json())
         (tmp / "cands.json").write_text(json.dumps(infer_golden.MIXTURES))
         cwd = os.getcwd()
