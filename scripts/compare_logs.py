@@ -10,7 +10,11 @@ own:
 * B seeded random noiseless batches of four trajectories: n_max 1..10, Fock,
   Born and complex amplitude initial states (with and without vacuum weight),
   fixed, uniform-random and adaptive-greedy schedules, ejection on and off,
-  0, 2 or 3 trace points;
+  0, 2 or 3 trace points; a third keep the default candidates 1..n_max, a third
+  take Fock candidates of a random subset of 0..N (so a candidate may hold a
+  photon number the state does not, and the state one no candidate holds), and
+  a third those and a mixture candidate under a non-uniform prior.  A batch
+  that raises is the one document ``error``, its exception's type;
 * B seeded random noisy batches of two trajectories: N 1..6, n_true 0..N,
   the same schedules (a short greedy grid), ejection on and off, 0 or 2
   trace points, with and without a measurement window;
@@ -58,7 +62,7 @@ compare_logs.dump(sys.argv[2], int(sys.argv[3]))
 """
 
 
-def _random_case(rng, eng, FockDistribution):
+def _random_case(rng, eng, FockDistribution, Posterior):
     """(initial state, params, batch size) of one random noiseless batch."""
     n_max = int(rng.integers(1, 11))
     amps = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
@@ -79,11 +83,22 @@ def _random_case(rng, eng, FockDistribution):
                         (eng.Schedule.uniform_random(float(lo), float(hi)), 30),
                         (eng.Schedule.adaptive_greedy(int(rng.integers(8, 40))), 8)][
         int(rng.integers(3))]
-    params = eng.ProtocolParams(
-        omega=1.0, N=n_max + int(rng.integers(0, 3)), n_max=n_max, mode=eng.NOISELESS_PURE,
-        schedule=schedule, seed=int(rng.integers(1 << 30)), max_cycles=cycles,
-        ejection_enabled=bool(rng.random() < 0.5), trace_points=int(rng.choice([0, 2, 3])))
-    return initial, params, 4
+    N = n_max + int(rng.integers(0, 3))
+    params = dict(omega=1.0, N=N, n_max=n_max, mode=eng.NOISELESS_PURE,
+                  schedule=schedule, seed=int(rng.integers(1 << 30)), max_cycles=cycles,
+                  ejection_enabled=bool(rng.random() < 0.5),
+                  trace_points=int(rng.choice([0, 2, 3])))
+    kind = int(rng.integers(3))  # drawn last, so the default-candidate cases stay as they were
+    if kind:
+        ns = np.flatnonzero(rng.random(N + 1) < 0.5).tolist() or [int(rng.integers(N + 1))]
+        cands = [FockDistribution.delta(n, N) for n in ns]
+        if kind == 2:
+            p = rng.random(N + 1) * (rng.random(N + 1) < 0.6)
+            p[int(rng.integers(N + 1))] += 0.1
+            cands.append(FockDistribution(p / p.sum()))
+        prior = rng.dirichlet(np.ones(len(cands))) if kind == 2 else np.ones(len(cands))
+        params.update(candidates=cands, prior=Posterior(prior / prior.sum()))
+    return initial, eng.ProtocolParams(**params), 4
 
 
 def _random_noisy_case(rng, eng):
@@ -110,15 +125,21 @@ def dump(out: str, batches: int) -> None:
     import test_simulate_golden as simulate_golden
     from rydqnd import cli
     from rydqnd import engine as eng
-    from rydqnd.records import FockDistribution
+    from rydqnd.records import FockDistribution, Posterior
 
     cases = {f"engine {name}": case for name, case in engine_golden.CASES.items()}
     for k in range(batches):
         rng = np.random.default_rng(k)
-        cases[f"noiseless sweep {k}"] = _random_case(rng, eng, FockDistribution)
+        cases[f"noiseless sweep {k}"] = _random_case(rng, eng, FockDistribution, Posterior)
         cases[f"noisy sweep {k}"] = _random_noisy_case(np.random.default_rng([k, 1]), eng)
-    docs = {name: {f"log {i}": log.to_json() for i, log in enumerate(eng.run_batch(*case))}
-            for name, case in cases.items()}
+    docs = {}
+    for name, case in cases.items():
+        try:
+            docs[name] = {f"log {i}": log.to_json() for i, log in enumerate(eng.run_batch(*case))}
+        except Exception as exc:  # noqa: BLE001 - a sweep batch may raise on either side
+            if " sweep " not in name:
+                raise
+            docs[name] = {"error": type(exc).__name__}
     with tempfile.TemporaryDirectory(prefix="compare_logs_cli_") as tmp:
         tmp = Path(tmp)
         cands = tmp / "cands.json"
