@@ -3,9 +3,9 @@ superpositions, and noisy fixed-n dynamics in the symmetric block basis.
 
 Pure states carry amplitudes a_n on the stored collective states and b_n on
 the single-Rydberg collective states; a noiseless cycle rotates each (a_n, b_n)
-and moves no weight between photon numbers, so `PureBatch` holds a batch of
-trajectories as Born weights read through the closed-form odds
-`_noiseless_factors`, the kernel `inference` runs too.  Noisy fixed-n states
+and moves no weight between photon numbers, so `PureBatch` reads a batch of
+trajectories as their stored Born weights times the likelihoods of their
+records, kept by `inference.NoiselessLikelihoods`.  Noisy fixed-n states
 are lists of block coefficient vectors, one per conserved j sector; sector
 probabilities live in the j = 0 block while retrieval fidelity needs all of
 them.  `BlockBatch` holds them as arrays; `eject_block` and
@@ -117,27 +117,35 @@ def _check_norm(norm_sq: np.ndarray) -> None:
 
 
 class PureBatch:
-    """Noiseless pure states of a batch of trajectories, one row each, as what their
-    odds depend on: Born weights ``w[r, n]``, whether the last outcome was Rydberg
-    (``last``; not before the first, nor after an ejection), ejections (``shift``)
-    and drive time since that outcome (``elapsed``, at ``omega``).  Every probability
-    is `_noiseless_factors` weighted by ``w``; a measurement keeps the drawn outcome's
-    weighted factors over their sum, the Bayes update of `NoiselessLikelihoods`."""
+    """Noiseless pure states of a batch of trajectories, one row each: a view of their
+    records' likelihoods ``record`` (`inference.NoiselessLikelihoods` over photon
+    numbers that include the state's).  Row r's Born weights are w0 * L[r], L =
+    Pr(record | n), normalised, so every probability is sum(w0 L f) / sum(w0 L), f the
+    `_noiseless_factors` of the record's last outcome and ejections, each row scaled by
+    its largest log w0 + log L.  It keeps ``log_w0``, and ``elapsed``, each row's drive
+    time since its last outcome, at ``omega``."""
 
     window = 0.0  # the projective measurement takes no time
 
-    def __init__(self, state: PureCollectiveState, rows: int):
+    def __init__(self, state: PureCollectiveState, record):
         if np.any(state.b != 0):
             raise PreconditionError("a batch starts from a stored state, without Rydberg amplitude")
-        self.ns, self.w = np.arange(state.a.size), np.tile(state.populations(), (rows, 1))
-        self.last, self.shift = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=int)
-        self.elapsed, self.omega = np.zeros(rows), 0.0
+        w0 = np.zeros(max(state.a.size, record.ns.max(initial=0) + 1))
+        w0[:state.a.size] = state.populations()
+        if np.delete(w0, record.ns).any():
+            raise PreconditionError("the record's photon numbers must include the state's")
+        with np.errstate(divide="ignore"):
+            self.log_w0 = np.log(w0[record.ns])
+        self.record, self.elapsed, self.omega = record, np.zeros(len(record.log_l)), 0.0
         self.reads = [None, None]  # the traced drive's readouts (no window), until `readouts`
 
-    def _read(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def _read(self, rows, times: np.ndarray) -> np.ndarray:
         """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows))."""
-        odds = _noiseless_factors(self.ns, self.omega, times, self.last[rows], self.shift[rows])
-        p_r = (self.w[rows] * odds).sum(axis=1)
+        rec = self.record
+        log_w = self.log_w0 + rec.log_l[rows]
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        odds = _noiseless_factors(rec.ns, self.omega, times, rec.last[rows], rec.shift[rows])
+        p_r = (w * odds).sum(axis=1) / w.sum(axis=1)
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
     def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
@@ -161,31 +169,27 @@ class PureBatch:
         return drive, window, self.sectors()
 
     def fidelity(self) -> np.ndarray:  # a noiseless row is its own ideal
-        return np.ones(len(self.w))
+        return np.ones(self.elapsed.size)
 
     def sectors(self) -> np.ndarray:
         """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3, rows)."""
         return self._read(slice(None), self.elapsed)
 
     def measure(self, draws: np.ndarray, eject: bool = False, dts=None):
-        """Project every row by its uniform [0, 1) draw, as `BlockBatch.measure` with no
-        window (dts is unused); with `eject`, Rydberg rows lose a photon.  Returns the
-        outcomes and their probabilities."""
-        both = self.w * _noiseless_factors(self.ns, self.omega, self.elapsed,
-                                           np.stack((~self.last, self.last)), self.shift)
-        p_s, p_r = both.sum(axis=2)
+        """Draw every row's outcome by its uniform [0, 1) draw, as `BlockBatch.measure`
+        with no window (dts is unused), and end its drive.  The collapse is
+        ``record.update`` of the drive times and these outcomes, to be called before
+        the rows are read again; whether a Rydberg row loses a photon is the holder's
+        ``eject`` (the engine feeds one flag to both), so this eject is unused.
+        Returns the outcomes and their probabilities."""
+        _, p_r, _ = self._read(slice(None), self.elapsed)
         rydberg = draws < p_r
-        p = np.where(rydberg, p_r, p_s)
-        self.w = np.where(rydberg[:, None], both[1], both[0]) / p[:, None]
-        _check_norm(self.w.sum(axis=1))
-        self.last, self.shift = rydberg & (not eject), self.shift + (rydberg & eject)
-        self.elapsed = np.zeros(len(self.w))
-        return rydberg, p
+        self.elapsed = np.zeros(self.elapsed.size)
+        return rydberg, np.where(rydberg, p_r, 1.0 - p_r)
 
     def take(self, rows: np.ndarray) -> None:
-        """Drop the rows not selected by the boolean mask."""
-        self.w, self.last, self.shift, self.elapsed = (
-            self.w[rows], self.last[rows], self.shift[rows], self.elapsed[rows])
+        """Drop the rows not selected by the boolean mask (``record.take`` drops its own)."""
+        self.elapsed = self.elapsed[rows]
 
 
 def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCollectiveState:

@@ -251,20 +251,25 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
     Each cycle drives, measures, collapses, ejects and updates the posterior
     of every active trajectory at once; a trajectory leaves when its
-    posterior reaches the threshold.  The states are a `dynamics.PureBatch`
-    in noiseless mode and a `dynamics.BlockBatch` in noisy mode.  Each generator
-    yields its draws in the order of a lone trajectory: the initial photon
-    number (noisy mode, Fock-distribution input only), then per cycle the
-    drive time (uniform-random schedules only) and the measurement.  Cycle
-    draws are taken in blocks of cycles, one block per generator at a time.
+    posterior reaches the threshold.  The states are a `dynamics.PureBatch` in
+    noiseless mode, a view of the likelihood holder (which then spans the state's
+    photon numbers too; the posterior reads the candidates' columns), and a
+    `dynamics.BlockBatch` in noisy mode.  Each generator yields its draws in the
+    order of a lone trajectory: the initial photon number (noisy mode,
+    Fock-distribution input only), then per cycle the drive time (uniform-random
+    schedules only) and the measurement.  Cycle draws are taken in blocks of
+    cycles, one block per generator at a time.
     """
     cands, prior = params.resolved_candidates()
     n_traj, points = len(rngs), params.trace_points
     mixture = Mixture(cands, prior)
-    likelihoods = record_likelihoods(mixture.ns, params.omega, params.noise(),
-                                     params.ejection_enabled, np.zeros(n_traj, dtype=int))
-    if params.mode == NOISELESS_PURE:
-        states, n_true = dyn.PureBatch(sample_initial(initial, params), n_traj), [None] * n_traj
+    state = sample_initial(initial, params) if params.mode == NOISELESS_PURE else None
+    ns = sorted(set(mixture.ns) | set(range(state.a.size if state is not None else 0)))
+    likelihoods = record_likelihoods(ns, params.omega, params.noise(), params.ejection_enabled,
+                                     np.zeros(n_traj, dtype=int))
+    cols = np.searchsorted(ns, mixture.ns)  # the candidates' photon numbers in the holder
+    if state is not None:
+        states, n_true = dyn.PureBatch(state, likelihoods), [None] * n_traj
     else:
         n_true = [_sample_n(initial, rng) for rng in rngs]
         states = dyn.BlockBatch(n_true, params.N, params.gamma, params.tau_eit)
@@ -329,7 +334,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             ejections[ids] += rydberg
 
         likelihoods.update(taus, rydberg)
-        weights = mixture.posterior(likelihoods.log_l)
+        weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1))  # C order, unlike [:, cols]
         if points:
             drive, window, collapse = states.readouts()
             trace(1, ids[driven], cycle, drive_times, drive)

@@ -260,30 +260,29 @@ def _noiseless_grid(ns: tuple[int, ...], omega: float, grid: bytes, shift: int) 
 class NoiselessLikelihoods:
     """log Pr(record | n) of B noiseless records growing together, shape (B, len(ns)).
 
-    Row r keeps its last outcome (the reference for the cos^2/sin^2 choice,
-    NoRydberg with ejection) and its ejection count (the photon shift), which
-    starts at shift[r]; an entry with more ejections than photons starts at -inf.
+    Row r keeps whether its last outcome was Rydberg (``last``, the reference for the
+    cos^2/sin^2 choice; never with ejection) and its ejection count (``shift``, from
+    shift[r]), which `dynamics.PureBatch` reads too; an entry with more ejections than
+    photons starts at -inf.
     """
 
     def __init__(self, ns: list[int], omega: float, eject: bool = False, shift=(0,)):
         self.ns = np.asarray(ns)
         self.omega = omega
         self.eject = eject
-        self._shift = np.array(shift, dtype=int)
-        self.log_l = np.where(self.ns >= self._shift[:, None], 0.0, -math.inf)
-        self._last = np.zeros(self._shift.size, dtype=bool)
+        self.shift = np.array(shift, dtype=int)
+        self.log_l = np.where(self.ns >= self.shift[:, None], 0.0, -math.inf)
+        self.last = np.zeros(self.shift.size, dtype=bool)
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
         """One cycle for every row: drive times and outcomes (True for Rydberg)."""
         dyn._check_times(taus, "drive time")
-        factor = dyn._noiseless_factors(self.ns, self.omega, taus, rydberg == self._last,
-                                        self._shift)
+        factor = dyn._noiseless_factors(self.ns, self.omega, taus, rydberg == self.last,
+                                        self.shift)
         with np.errstate(divide="ignore"):  # an impossible outcome: log 0 = -inf
             self.log_l = self.log_l + np.log(factor)
-        if self.eject:
-            self._shift = self._shift + rydberg
-        else:
-            self._last = rydberg
+        # the one rule: last = Rydberg unless ejecting; an ejection shifts a photon
+        self.last, self.shift = rydberg & (not self.eject), self.shift + (rydberg & self.eject)
 
     def outcome_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Pr(next outcome | record, n) of the selected rows for every drive time of the
@@ -299,15 +298,14 @@ class NoiselessLikelihoods:
         return partial(self._read_grid, (tuple(self.ns.tolist()), self.omega, grid.tobytes()))
 
     def _read_grid(self, key: tuple, rows=slice(None)) -> np.ndarray:
-        shifts = self._shift[rows].tolist()
+        shifts = self.shift[rows].tolist()
         if len(set(shifts)) <= 1:
             return _noiseless_grid(*key, shifts[0] if shifts else 0)[None]
         return np.array([_noiseless_grid(*key, shift) for shift in shifts])
 
     def take(self, index: np.ndarray) -> None:
         """Keep the rows an index array (in its order, repeats allowed) or a mask selects."""
-        self.log_l, self._last, self._shift = (self.log_l[index], self._last[index],
-                                               self._shift[index])
+        self.log_l, self.last, self.shift = self.log_l[index], self.last[index], self.shift[index]
 
 
 class NoisyLikelihoods:

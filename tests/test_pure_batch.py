@@ -1,13 +1,17 @@
-"""The noiseless engine's array holder, `dynamics.PureBatch`, against the one-state chain.
+"""The noiseless engine's states, `dynamics.PureBatch`, against the one-state chain.
 
-A row of the holder is a noiseless trajectory held as its Born weights, the
-sector of its last outcome, its ejections and its drive time since that
-outcome.  The reference is the explicit chain of one-state kernels per row on
-its amplitudes: `evolve_pure` for the drive and its traced sub-steps,
+A row is a noiseless trajectory held as its stored Born weights and its drive
+time since its last outcome, read through a `NoiselessLikelihoods` holder
+(``record``) that keeps the row's record likelihoods, last outcome and
+ejections: `measure` only draws, and ``record.update`` is the collapse, as in
+the engine.  The reference is the explicit chain of one-state kernels per row
+on its amplitudes: `evolve_pure` for the drive and its traced sub-steps,
 `measure_pure` for the outcome, and, after a Rydberg outcome with ejection,
 the amplitudes shifted one photon number down and renormalised.  Outcomes
 agree exactly; probabilities and readouts agree within 2e-15, as the closed
-form and the rotated amplitudes round differently.
+form and the rotated amplitudes round differently.  A holder whose photon
+numbers reach past the state's, as the engine's union with the candidates
+does, draws the same outcomes.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rydqnd import dynamics as dyn
+from rydqnd import inference as inf
 from rydqnd.errors import DomainError, PreconditionError
 from rydqnd.records import RYDBERG
 
@@ -74,7 +79,8 @@ def test_batch_matches_the_one_state_chain(run):
     2e-15 of the chain's, while rows eject and leave the batch."""
     amps, rows, eject, points, cycles = run
     start = dyn.PureCollectiveState.from_stored_amplitudes(amps)
-    batch, chains = dyn.PureBatch(start, rows), [start] * rows
+    record = inf.NoiselessLikelihoods(list(range(amps.size)), OMEGA, eject, [0] * rows)
+    batch, chains = dyn.PureBatch(start, record), [start] * rows
     ids = list(range(rows))  # the chain of each batch row
     _close(batch.sectors(), [_p_rydberg(c) for c in chains])
     for taus, draws, leave in cycles:
@@ -92,6 +98,7 @@ def test_batch_matches_the_one_state_chain(run):
             chains[ids[r]] = dyn.evolve_pure(chains[ids[r]], t, OMEGA)
         _close(batch.sectors(), [_p_rydberg(chains[i]) for i in ids])
         rydberg, probs = batch.measure(np.array([draws[i] for i in ids]), eject)
+        record.update(taus_now, rydberg)
         got_drive, got_window, now = batch.readouts()
         assert got_window is None and (got_drive is None) == (steps is None)
         for k, expected in enumerate(in_drive if points else []):
@@ -108,19 +115,63 @@ def test_batch_matches_the_one_state_chain(run):
         assert batch.fidelity().tolist() == [1.0] * len(ids)
         stay = np.array([not leave[i] for i in ids])
         batch.take(stay)
+        record.take(stay)
         ids = [i for i, s in zip(ids, stay.tolist()) if s]
+
+
+@given(runs(), st.integers(1, 3))
+def test_photon_numbers_the_state_does_not_hold_change_no_outcome(run, extra):
+    """A holder over the state's occupied photon numbers and `extra` more past its
+    largest (columns with w0 = 0, as the engine's union with the candidates has)
+    draws the outcomes of a holder over the state's own photon numbers, and reads
+    within 2e-15 of it."""
+    amps, rows, eject, points, cycles = run
+    start = dyn.PureCollectiveState.from_stored_amplitudes(amps)
+    wide = [*np.flatnonzero(amps).tolist(), *range(amps.size, amps.size + extra)]
+    records = [inf.NoiselessLikelihoods(ns, OMEGA, eject, [0] * rows)
+               for ns in (list(range(amps.size)), wide)]
+    own, union = (dyn.PureBatch(start, record) for record in records)
+    _close(union.sectors(), own.sectors()[1])
+    alive = np.ones(rows, dtype=bool)
+    for taus, draws, leave in cycles:
+        if not alive.any():
+            break
+        taus_now, draws_now = np.array(taus)[alive], np.array(draws)[alive]
+        steps = None
+        if points:
+            driven = taus_now[taus_now > 0]
+            steps = np.linspace(driven / points, driven, points, axis=-1)
+        outcomes = []
+        for batch, record in zip((own, union), records):
+            batch.drive(taus_now, OMEGA, steps)
+            rydberg, probs = batch.measure(draws_now, eject)
+            record.update(taus_now, rydberg)
+            outcomes.append((rydberg, probs, batch.readouts()))
+        (ryd, p, (drive, _, now)), (ryd_u, p_u, (drive_u, _, now_u)) = outcomes
+        assert ryd.tolist() == ryd_u.tolist()
+        assert np.abs(p - p_u).max() <= TOL
+        _close(now_u, now[1])
+        for k in range(drive.shape[1] if points else 0):
+            _close(drive_u[:, k], drive[1, k])
+        stay = ~np.array(leave)[alive]
+        for batch, record in zip((own, union), records):
+            batch.take(stay)
+            record.take(stay)
+        alive[alive] = stay
 
 
 def test_batch_refuses_a_state_with_rydberg_amplitude():
     state = dyn.PureCollectiveState(np.array([0.0, 0.6, 0.0]), np.array([0.0, 0.0, 0.8]))
     with pytest.raises(PreconditionError):
-        dyn.PureBatch(state, 2)
+        dyn.PureBatch(state, inf.NoiselessLikelihoods([0, 1, 2], OMEGA, shift=[0, 0]))
 
 
 def test_a_row_keeps_its_drive_frequency_until_it_is_measured():
-    batch = dyn.PureBatch(dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 1.0])), 1)
+    record = inf.NoiselessLikelihoods([0, 1], OMEGA)
+    batch = dyn.PureBatch(dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 1.0])),
+                          record)
     batch.drive(np.array([0.3]), OMEGA)
     with pytest.raises(DomainError, match="drive frequency"):
         batch.drive(np.array([0.3]), 2 * OMEGA)
-    batch.measure(np.array([0.5]))
+    record.update(np.array([0.3]), batch.measure(np.array([0.5]))[0])
     batch.drive(np.array([0.3]), 2 * OMEGA)

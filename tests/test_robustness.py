@@ -276,7 +276,8 @@ _ENTRY_POINTS = {
     "BlockBatch.drive": lambda tau: dyn.BlockBatch([2, 2], 4, 0.3, 0.2).drive(
         np.array([0.5, tau]), 1.0),
     "PureBatch.drive": lambda tau: dyn.PureBatch(
-        dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 0.6, 0.8])), 2).drive(
+        dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 0.6, 0.8])),
+        inf.NoiselessLikelihoods([0, 1, 2], 1.0, shift=[0, 0])).drive(
         np.array([0.5, tau]), 1.0),
     "NoiselessLikelihoods.update": lambda tau: inf.NoiselessLikelihoods([1, 2], 1.0, shift=[0, 0]).update(
         np.array([0.5, tau]), np.array([True, False])),
