@@ -192,21 +192,11 @@ def marginal_likelihood(record: MeasurementRecord, dist: FockDistribution, omega
 def posterior_trace(record: MeasurementRecord, candidates: list[FockDistribution],
                     prior: Posterior, omega: float, noise: NoiseParams | None = None,
                     eject: bool = False) -> np.ndarray:
-    """Posterior over the candidates after every prefix of the record, shape (T + 1, K).
-
-    Each row leaves the log domain scaled by its largest finite likelihood, so
-    long records do not underflow.
-    """
+    """Posterior over the candidates after every prefix of the record, shape (T + 1, K):
+    `Mixture.posterior` of each prefix's likelihoods."""
     mixture = Mixture(candidates, prior)
-    log_l = _log_likelihood_table(record, mixture.ns, omega, noise, eject)
-    top = np.max(log_l, axis=1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    weights = np.exp(log_l - top) @ (mixture.p * mixture.prior[:, None]).T
-    total = weights.sum(axis=1, keepdims=True)
-    if np.any(total <= 0.0):
-        raise InconsistentRecordError("record has zero likelihood under every candidate "
-                                      f"from cycle {np.argmax(total <= 0.0)}")
-    return weights / total
+    return mixture.posterior(_log_likelihood_table(record, mixture.ns, omega, noise, eject),
+                             "cycle")
 
 
 def mle(post: Posterior) -> int:
@@ -228,20 +218,22 @@ class Mixture:
                            for c in candidates])
         self.prior = prior.weights.astype(float)
 
-    def posterior(self, log_l: np.ndarray) -> np.ndarray:
+    def posterior(self, log_l: np.ndarray, rows: str = "row") -> np.ndarray:
         """Posterior over the candidates for each row of log Pr(record | n), shape (B, K).
 
         Each row leaves the log domain scaled by its largest likelihood, so a
         constant added to a row changes only rounding; the weights are numpy
         sums over the photon numbers, then the candidates, where a -inf
-        likelihood or a zero p adds exactly nothing.
+        likelihood or a zero p adds exactly nothing.  A row of zero likelihood under
+        every candidate is an error naming the first, as one of ``rows``.
         """
         top = log_l.max(axis=1, keepdims=True)
         top[top == -math.inf] = 0.0  # every likelihood zero: the total check fails
         weights = self.prior * (self.p * np.exp(log_l - top)[:, None, :]).sum(axis=2)
         total = weights.sum(axis=1)
         if not (total > 0.0).all():
-            raise InconsistentRecordError("record has zero likelihood under every candidate")
+            raise InconsistentRecordError("record has zero likelihood under every candidate "
+                                          f"from {rows} {np.argmin(total > 0.0)}")
         return weights / total[:, None]
 
 
