@@ -334,7 +334,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             ejections[ids] += rydberg
 
         likelihoods.update(taus, rydberg)
-        weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1))  # C order, unlike [:, cols]
+        weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1))  # take keeps C order
         if points:
             drive, window, collapse = states.readouts()
             trace(1, ids[driven], cycle, drive_times, drive)
