@@ -45,14 +45,15 @@ def batches(draw, noisy: bool):
         cands.append(FockDistribution(q / q.sum()))
     prior = rng.dirichlet(np.ones(len(cands))) if draw(st.booleans()) else np.ones(len(cands))
     scale = 1e-6 if noisy else 1.0
-    lo, hi = sorted(draw(st.lists(st.floats(0.03, 2.0 if not noisy else 0.5), min_size=2,
+    lo, hi = sorted(draw(st.lists(st.floats(0.03, 0.5 if noisy else 2.0), min_size=2,
                                   max_size=2)))
     schedule = draw(st.sampled_from([eng.Schedule.fixed(hi * scale),
                                      eng.Schedule.uniform_random(lo * scale, hi * scale)]))
-    rates = (dict(omega=2 * math.pi * 2.5e6, gamma=2 * math.pi * 0.3e6,
-                  tau_eit=draw(st.sampled_from([0.0, 0.3e-6])), mode=eng.NOISY_FIXED_N,
-                  max_cycles=8) if noisy else dict(omega=1.0, mode=eng.NOISELESS_PURE,
-                                                   max_cycles=40))
+    if noisy:  # the paper's rates, with and without a measurement window
+        rates = dict(omega=2 * math.pi * 2.5e6, gamma=2 * math.pi * 0.3e6, mode=eng.NOISY_FIXED_N,
+                     tau_eit=draw(st.sampled_from([0.0, 0.3e-6])), max_cycles=8)
+    else:
+        rates = dict(omega=1.0, mode=eng.NOISELESS_PURE, max_cycles=40)
     params = eng.ProtocolParams(N=N, n_max=n_max, schedule=schedule, seed=draw(st.integers(0, 99)),
                                 ejection_enabled=draw(st.booleans()), candidates=cands,
                                 prior=Posterior(prior / prior.sum()), **rates)
