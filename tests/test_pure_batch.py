@@ -166,6 +166,13 @@ def test_batch_refuses_a_state_with_rydberg_amplitude():
         dyn.PureBatch(state, inf.NoiselessLikelihoods([0, 1, 2], OMEGA, shift=[0, 0]))
 
 
+def test_batch_refuses_a_record_without_a_photon_number_the_state_holds():
+    state = dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 0.6, 0.8]))
+    with pytest.raises(PreconditionError, match="photon numbers"):
+        dyn.PureBatch(state, inf.NoiselessLikelihoods([0, 1], OMEGA))
+    dyn.PureBatch(state, inf.NoiselessLikelihoods([1, 2, 5], OMEGA))  # w0 = 0 at 0 and 5
+
+
 def test_a_row_keeps_its_drive_frequency_until_it_is_measured():
     record = inf.NoiselessLikelihoods([0, 1], OMEGA)
     batch = dyn.PureBatch(dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 1.0])),
