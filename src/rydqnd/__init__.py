@@ -37,7 +37,6 @@ from .dynamics import (
     measure_block,
     measure_pure,
     project_blocks,
-    realign_for_retrieval,
     retrieval_fidelity,
     sector_probabilities,
     symmetric_state_blocks,
@@ -46,18 +45,13 @@ from .inference import (
     ConditionalState,
     NoiseParams,
     SequentialInference,
-    likelihood_noiseless,
     log_likelihood_noiseless,
-    log_likelihood_noisy,
-    marginal_likelihood,
-    mle,
     posterior_trace,
 )
 from .analysis import (
     detection_time,
     expected_fidelity,
     fisher_closed_form,
-    fisher_numeric,
     optimize_schedule_global,
     optimize_schedule_local,
     steady_state_populations,
@@ -108,19 +102,13 @@ __all__ = [
     "evolve_pure",
     "expected_fidelity",
     "fisher_closed_form",
-    "fisher_numeric",
-    "likelihood_noiseless",
     "log_likelihood_noiseless",
-    "log_likelihood_noisy",
-    "marginal_likelihood",
     "measure_block",
     "measure_pure",
-    "mle",
     "optimize_schedule_global",
     "optimize_schedule_local",
     "posterior_trace",
     "project_blocks",
-    "realign_for_retrieval",
     "retrieval_fidelity",
     "run_batch",
     "run_protocol",

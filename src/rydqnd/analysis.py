@@ -67,32 +67,6 @@ def detection_time(regime: str, n: float, omega: float, gamma: float = 0.0) -> f
         "steady-state": lambda: n * (1 + n) ** 2 / gamma}[regime])
 
 
-def fisher_numeric(f_same: Callable[[float, float], float],
-                   f_diff: Callable[[float, float], float],
-                   n: float, t: float, step: float | None = None) -> float:
-    """Two-outcome Fisher information with a central finite difference in n.
-
-    ``f_same``/``f_diff`` are the probabilities of repeating/flipping the
-    previous outcome as functions of (t, n); n is treated as continuous.
-    """
-    h = step if step is not None else 1e-4 * n
-    ps, pd = f_same(t, n), f_diff(t, n)
-    if not (0.0 <= ps <= 1.0 and 0.0 <= pd <= 1.0):
-        raise DomainError("signal probabilities must lie in [0, 1]")
-    if abs(ps + pd - 1.0) > 1e-9:
-        raise DomainError("signal probabilities must sum to 1")
-    total = 0.0
-    for f, p in ((f_same, ps), (f_diff, pd)):
-        if p == 0.0:
-            continue
-        hi, lo = f(t, n + h), f(t, n - h)
-        if hi <= 0.0 or lo <= 0.0:
-            raise DomainError("signal vanishes at the finite-difference stencil")
-        dlog = (math.log(hi) - math.log(lo)) / (2 * h)
-        total += p * dlog**2
-    return total
-
-
 def steady_state_populations(n: int) -> tuple[float, float]:
     """Long-time (p_NoRydberg, p_Rydberg) of the dephased driven array."""
     if n < 1:

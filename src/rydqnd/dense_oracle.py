@@ -29,8 +29,7 @@ from math import comb, isfinite, sqrt
 
 import numpy as np
 
-from .errors import DomainError, IntegratorError, ImpossibleOutcomeError, PreconditionError, ResourceError
-from .records import RYDBERG, NO_RYDBERG
+from .errors import DomainError, IntegratorError, ResourceError
 
 G, S, R = 0, 1, 2
 MAX_DENSE_ATOMS = 6
@@ -80,19 +79,6 @@ def build_symmetric_ket(n: int, N: int) -> np.ndarray:
     amp = 1.0 / sqrt(comb(N, n))
     for i, cfg in enumerate(states):
         if cfg.count(S) == n and cfg.count(R) == 0:
-            vec[i] = amp
-    return vec
-
-
-def build_rydberg_ket(n: int, N: int) -> np.ndarray:
-    """Collective state with n-1 s-excitations and one shared r excitation."""
-    if not 1 <= n <= N:
-        raise DomainError(f"need 1 <= n <= N, got n={n}, N={N}")
-    states = basis_states(N)
-    vec = np.zeros(len(states), dtype=complex)
-    amp = 1.0 / sqrt(n * comb(N, n))
-    for i, cfg in enumerate(states):
-        if cfg.count(S) == n - 1 and cfg.count(R) == 1:
             vec[i] = amp
     return vec
 
@@ -213,50 +199,3 @@ def sector_populations_dense(state: DenseState) -> tuple[float, float]:
     p_r = float(diag[mask].sum())
     p_s = float(diag[~mask].sum())
     return p_s, p_r
-
-
-def project_dense(state: DenseState, outcome: str) -> tuple[float, DenseState]:
-    """Project onto one measurement sector; returns (probability, state)."""
-    mask = _rydberg_mask(state.N)
-    keep = mask if outcome == RYDBERG else ~mask
-    if outcome not in (RYDBERG, NO_RYDBERG):
-        raise DomainError(f"unknown outcome {outcome!r}")
-    p = float(np.real(np.diag(state.rho))[keep].sum())
-    if p <= 0:
-        raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
-    sel = np.outer(keep, keep)
-    rho = np.where(sel, state.rho, 0.0) / p
-    return p, DenseState(state.N, rho)
-
-
-def eject_dense(state: DenseState) -> DenseState:
-    """Remove the atom carrying the Rydberg excitation (measure-and-discard).
-
-    Implements sum_i Tr_i[P_i rho P_i] with P_i projecting atom i onto r.
-    Requires the input to live entirely in the Rydberg sector.
-    """
-    N = state.N
-    if N < 2:
-        raise DomainError("cannot eject from a single-atom array")
-    mask = _rydberg_mask(N)
-    off_sector = float(np.abs(np.diag(state.rho))[~mask].sum())
-    if off_sector > 1e-10:
-        raise PreconditionError("state has weight outside the Rydberg sector")
-    states = basis_states(N)
-    out_index = _basis_index(N - 1)
-    dim_out = len(basis_states(N - 1))
-    rho_out = np.zeros((dim_out, dim_out), dtype=complex)
-    for a, cfg_a in enumerate(states):
-        if R not in cfg_a:
-            continue
-        i = cfg_a.index(R)
-        red_a = out_index[cfg_a[:i] + cfg_a[i + 1:]]
-        for b, cfg_b in enumerate(states):
-            if R not in cfg_b or cfg_b.index(R) != i:
-                continue
-            red_b = out_index[cfg_b[:i] + cfg_b[i + 1:]]
-            rho_out[red_a, red_b] += state.rho[a, b]
-    tr = np.trace(rho_out).real
-    if tr <= 0:
-        raise PreconditionError("ejection produced a zero-trace state")
-    return DenseState(N - 1, rho_out / tr)

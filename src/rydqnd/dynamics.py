@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import pi, sqrt
-
 import numpy as np
 
 from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError, ResourceError
@@ -50,9 +48,6 @@ class PureCollectiveState:
     @property
     def n_max(self) -> int:
         return self.a.size - 1
-
-    def norm(self) -> float:
-        return sqrt(float(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.b) ** 2)))
 
     def populations(self) -> np.ndarray:
         return np.abs(self.a) ** 2 + np.abs(self.b) ** 2
@@ -693,19 +688,3 @@ class BlockBatch:
                 groups[key] = (index[idx[sel]], x[sel])
         self.groups = groups
         self.n, self.a, self.b = self.n[rows], self.a[rows], self.b[rows]
-
-
-def realign_for_retrieval(state, omega: float, gamma: float = 0.0):
-    """Drive for pi/(2*sqrt(n)*Omega) to rotate a Rydberg-sector state onto |S_n>."""
-    if isinstance(state, PureCollectiveState):
-        n = state.single_n()
-        if n == 0:
-            raise PreconditionError("vacuum needs no re-alignment")
-        if abs(state.b[n]) ** 2 < 0.5:
-            raise PreconditionError("state is not in the Rydberg sector")
-        return evolve_pure(state, pi / (2 * sqrt(n) * omega), omega)
-    blocks = _as_blocks(state)
-    n = blocks[0].n
-    if n == 0:
-        raise PreconditionError("vacuum needs no re-alignment")
-    return evolve_blocks(blocks, pi / (2 * sqrt(n) * omega), omega, gamma, drive_on=True)

@@ -199,15 +199,6 @@ class Trace:
     def __init__(self, values: np.ndarray, codes: np.ndarray, posteriors: list[list[float]]):
         self.values, self.codes, self.posteriors = values, codes, posteriors
 
-    @classmethod
-    def from_rows(cls, rows: list[dict]) -> "Trace":
-        """The columns of row dicts, each row's posterior list its own."""
-        values = [[row[key] for key in ("time_s", "p_no_rydberg", "p_rydberg", "fidelity")]
-                  for row in rows]
-        codes = [[PHASES.index(row["phase"]), k] for k, row in enumerate(rows)]
-        return cls(np.array(values, dtype=float).reshape(-1, 4).T,
-                   np.array(codes, dtype=int).reshape(-1, 2).T, [row["posterior"] for row in rows])
-
     def __len__(self) -> int:
         return self.values.shape[1]
 

@@ -1,4 +1,4 @@
-"""Measurement-record likelihoods, Bayesian posteriors and MLE readout.
+"""Measurement-record likelihoods and Bayesian posteriors.
 
 The noiseless likelihood is the closed-form product of cos^2/sin^2 factors
 keyed on whether consecutive outcomes repeat (the record starts from a
@@ -61,10 +61,6 @@ def log_likelihood_noiseless(record: MeasurementRecord, n: int, omega: float) ->
     if n < 0:
         raise DomainError("photon number must be non-negative")
     return float(_log_likelihood_table(record, [n], omega, None)[-1, 0])
-
-
-def likelihood_noiseless(record: MeasurementRecord, n: int, omega: float) -> float:
-    return math.exp(log_likelihood_noiseless(record, n, omega))
 
 
 # The j = 0 block holds the families ss, rs, sr, rr and rs_sr, in that order;
@@ -177,18 +173,6 @@ def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float
     return np.vstack((np.zeros((1, len(ns))), np.cumsum(log_f, axis=0)))
 
 
-def log_likelihood_noisy(record: MeasurementRecord, n: int, omega: float,
-                         noise: NoiseParams) -> float:
-    return float(_log_likelihood_table(record, [n], omega, noise)[-1, 0])
-
-
-def marginal_likelihood(record: MeasurementRecord, dist: FockDistribution, omega: float,
-                        noise: NoiseParams | None = None, eject: bool = False) -> float:
-    """Pr(M_T | P) = sum_n p_n Pr(M_T | n)."""
-    logs = _log_likelihood_table(record, dist.support(), omega, noise, eject)[-1]
-    return float(dist.p[dist.support()] @ np.exp(logs))
-
-
 def posterior_trace(record: MeasurementRecord, candidates: list[FockDistribution],
                     prior: Posterior, omega: float, noise: NoiseParams | None = None,
                     eject: bool = False) -> np.ndarray:
@@ -197,11 +181,6 @@ def posterior_trace(record: MeasurementRecord, candidates: list[FockDistribution
     mixture = Mixture(candidates, prior)
     return mixture.posterior(_log_likelihood_table(record, mixture.ns, omega, noise, eject),
                              "cycle")
-
-
-def mle(post: Posterior) -> int:
-    """Index of the maximal posterior weight; ties break to the lowest index."""
-    return int(np.argmax(post.weights))
 
 
 class Mixture:

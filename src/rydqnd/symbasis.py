@@ -111,16 +111,6 @@ def enumerate_basis(n: int, N: int, j: int) -> list[BasisLabel]:
     return [lab for lab in labels if lab.exists()]
 
 
-def normalization(label: BasisLabel) -> float:
-    """Normalization constant making the summed operator string a unit superket.
-
-    Distinct site assignments are orthonormal under the trace inner product,
-    so the constant is 1/sqrt(multinomial count).  The count is computed in
-    exact integer arithmetic.
-    """
-    return _sqrt_ratio(1, label.assignment_count())
-
-
 @dataclass(frozen=True)
 class BlockOperators:
     """Drive and dephasing superoperator matrices of one (n, N, j) block.

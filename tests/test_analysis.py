@@ -13,6 +13,8 @@ from rydqnd import inference as inf
 from rydqnd.errors import DomainError, ResourceError
 from rydqnd.records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
+import refs
+
 OMEGA = 2 * math.pi * 2.5e6
 GAMMA = 2 * math.pi * 0.3e6
 
@@ -65,7 +67,7 @@ def test_fisher_rejects_times_that_are_not_finite_and_non_negative(t):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_numeric_fisher_matches_noiseless_closed_form(n):
     t = 0.5 * math.sqrt(n) / OMEGA
-    numeric = an.fisher_numeric(
+    numeric = refs.fisher_numeric(
         lambda tt, nn: math.cos(math.sqrt(nn) * OMEGA * tt) ** 2,
         lambda tt, nn: math.sin(math.sqrt(nn) * OMEGA * tt) ** 2,
         n, t)
@@ -191,7 +193,7 @@ def _brute_force_fidelity(taus, cands, prior, noise, eject):
     total = 0.0
     for outcomes in itertools.product((NO_RYDBERG, RYDBERG), repeat=len(taus)):
         record = MeasurementRecord(list(zip(taus, outcomes)))
-        total += max(w * inf.marginal_likelihood(record, c, 1.0, noise, eject)
+        total += max(w * refs.marginal_likelihood(record, c, 1.0, noise, eject)
                      for c, w in zip(cands, prior.weights))
     return total
 

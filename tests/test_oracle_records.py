@@ -20,6 +20,8 @@ from rydqnd import inference as inf
 from rydqnd.errors import ImpossibleOutcomeError
 from rydqnd.records import NO_RYDBERG, RYDBERG
 
+import refs
+
 OMEGA = 1.0
 BOUND = 1e-8  # the dense oracle's own trace bound
 
@@ -47,9 +49,9 @@ def _dense_window(state, tau, gamma, tau_eit):
 
 def _dense_collapse(windowed, n, outcome, eject):
     """Projection onto the outcome, then ejection: (probability, state, n)."""
-    p, state = do.project_dense(windowed, outcome)
+    p, state = refs.project_dense(windowed, outcome)
     if eject and outcome == RYDBERG:
-        return p, do.eject_dense(state), n - 1
+        return p, refs.eject_dense(state), n - 1
     return p, state, n
 
 
@@ -110,7 +112,7 @@ def test_noisy_engine_fidelity_matches_dense_overlap(config, seed):
     state, n = _dense_start(n_true, N), n_true
     for t, ((tau, outcome), fid) in enumerate(zip(log.record.entries, log.fidelities)):
         _, state, n = _dense_cycle(state, n, tau, outcome, gamma, tau_eit, eject)
-        ket = (do.build_rydberg_ket(n, state.N) if outcome == RYDBERG and not eject
+        ket = (refs.build_rydberg_ket(n, state.N) if outcome == RYDBERG and not eject
                else do.build_symmetric_ket(n, state.N))
         overlap = float(np.vdot(ket, state.rho @ ket).real)
         assert abs(fid - overlap) <= BOUND, f"cycle {t}: {fid!r} vs dense {overlap!r}"

@@ -18,6 +18,8 @@ from rydqnd import symbasis as sb
 from rydqnd.errors import ResourceError
 from rydqnd.records import NO_RYDBERG, RYDBERG
 
+import refs
+
 ALL_BLOCKS = [(n, N, j) for N in range(1, 13) for n in range(N + 1)
               for j in range(min(n, N - n) + 1)]
 
@@ -34,9 +36,9 @@ def test_sector_matches_per_label_formulas_for_every_small_block():
         labels = sb.enumerate_basis(n, N, j)
         kinds = [lab.kind for lab in labels]
         assert blk.j == j and list(blk.labels) == labels
-        norms = np.array([sb.normalization(lab) for lab in labels])
+        norms = np.array([refs.normalization(lab) for lab in labels])
         np.testing.assert_allclose(blk.norms, norms, rtol=1e-15)
-        trace = [lab.assignment_count() * sb.normalization(lab) if lab.is_diagonal() else 0.0
+        trace = [lab.assignment_count() * refs.normalization(lab) if lab.is_diagonal() else 0.0
                  for lab in labels]
         np.testing.assert_allclose(blk.trace, trace, rtol=1e-14)
         drive = np.zeros((len(labels), len(labels)))
@@ -71,7 +73,7 @@ def test_sector_is_built_once_and_read_only():
 def test_entries_outside_float_range_raise_resource_error():
     # comb(5000, 600) ~ 1e800, so 1/sqrt(count) underflows
     with pytest.raises(ResourceError):
-        sb.normalization(sb.BasisLabel("ss", 0, 600, 5000))
+        refs.normalization(sb.BasisLabel("ss", 0, 600, 5000))
     with pytest.raises(ResourceError):
         sb._sqrt_ratio(10 ** 700, 1)
 

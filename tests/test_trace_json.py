@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from rydqnd import engine as eng
 from rydqnd.records import MeasurementRecord, NO_RYDBERG, RYDBERG
 
+import refs
+
 SPECIAL = [-0.0, 0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
            -1e308, float("inf"), float("-inf"), float("nan"), 1.0, 0.1, -2.5e-7]
 numbers = st.sampled_from(SPECIAL) | st.floats()
@@ -42,7 +44,7 @@ def traces(draw):
 LOG = eng.TrajectoryLog(
     record=MeasurementRecord([(2.1e-07, NO_RYDBERG), (2.1e-07, RYDBERG)]),
     posteriors=[[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
-    fidelities=[0.99, 0.97], trace=eng.Trace.from_rows([]), ejections=0, n_true=2, final_candidate=1,
+    fidelities=[0.99, 0.97], trace=refs.trace_from_rows([]), ejections=0, n_true=2, final_candidate=1,
     converged=True, seed_key=[0], params={"N": 10, "seed": 3, "tau_eit_s": 3e-07})
 
 
@@ -60,5 +62,5 @@ def _through_json_module(log) -> str:
                  "fidelity": float("nan"), "posterior": post}
                 for t, post in [(0.0, [1e308, float("inf")]), (1e308, [-0.0, float("-inf")])] * 2])
 def test_trajectory_json_matches_the_json_module(trace):
-    log = replace(LOG, trace=eng.Trace.from_rows(trace))
+    log = replace(LOG, trace=refs.trace_from_rows(trace))
     assert log.to_json() == _through_json_module(log)

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydqnd import cli
-from rydqnd import engine as eng
+
+import refs
 
 
 def _through_csv_module(config, trace, path) -> str:
@@ -58,4 +59,4 @@ CONFIG = {"N": 10, "candidates": [[0.0, 1.0], [0.0, 0.0, 1.0]], "seed": 3, "tau_
                 for t, post in [(0.0, [1e308, float("inf")]), (1e-7, [-0.0, float("-inf")])] * 2])
 def test_trace_writer_matches_the_csv_module(tmp_path_factory, trace):
     path = tmp_path_factory.getbasetemp() / "trace.csv"
-    assert cli._trace_csv(CONFIG, eng.Trace.from_rows(trace)) == _through_csv_module(CONFIG, trace, path)
+    assert cli._trace_csv(CONFIG, refs.trace_from_rows(trace)) == _through_csv_module(CONFIG, trace, path)
