@@ -274,11 +274,9 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
     ids = np.arange(n_traj)  # trajectory of each active row
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
-    ejections, final = np.zeros((2, n_traj), dtype=int)
-    converged, t_now = np.zeros(n_traj, dtype=bool), np.zeros(n_traj)
+    t_now = np.zeros(n_traj)
     cycles = []  # per cycle: (ids, taus, rydberg, weights, fidelities) of its rows
     segments = []  # traced phases: (trajectories, phase, posterior number, (4, rows) values)
-    grids = {}  # the sub-step times of each drive time every row shares
 
     def trace(phase: int, who: np.ndarray, posterior: int, times: np.ndarray, read) -> None:
         """Trace rows of phase PHASES[phase] for trajectories who at times, (rows,) or
@@ -309,20 +307,13 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
         if points:  # linspace is exact for times > 0 and ends at tau
             driven = np.flatnonzero(taus > 0)
-            if history is None:
-                steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
-            else:  # one grid per shared drive time: the bytes of one linspace per row
-                if tau not in grids:
-                    grids[tau] = np.linspace(tau / points, tau, points)
-                steps = np.broadcast_to(grids[tau], (driven.size, points))
+            steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
             drive_times = t_now[ids[driven], None] + steps
         states.drive(taus, params.omega, steps)
         t_now[ids] += taus
         rydberg, _ = states.measure(draws[:, col + per_cycle - 1], params.ejection_enabled, dts)
         window_times = None if dts is None else t_now[ids, None] + dts
         t_now[ids] += states.window
-        if params.ejection_enabled:
-            ejections[ids] += rydberg
 
         likelihoods.update(taus, rydberg)
         weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1))  # take keeps C order
@@ -334,10 +325,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             trace(3, ids, cycle + 1, t_now[ids], collapse)
         cycles.append((ids, taus, rydberg, weights, collapse[2] if points else states.fidelity()))
 
-        final[ids] = np.argmax(weights, axis=1)
         done = weights.max(axis=1) >= params.threshold
         if np.any(done):
-            converged[ids[done]] = True
             keep = ~done
             ids, draws = ids[keep], draws[keep]
             states.take(keep)
@@ -356,8 +345,9 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     outcomes = [[RYDBERG if ryd else NO_RYDBERG for ryd in row] for row in rydberg]
     return [TrajectoryLog(record=MeasurementRecord(list(zip(taus[i], outcomes[i]))),
                           posteriors=posteriors[i], fidelities=fids[i], trace=traces[i],
-                          ejections=int(ejections[i]), n_true=n_true[i],
-                          final_candidate=int(final[i]), converged=bool(converged[i]),
+                          ejections=sum(rydberg[i]) if params.ejection_enabled else 0,
+                          n_true=n_true[i], final_candidate=int(np.argmax(later[i][-1])),
+                          converged=max(later[i][-1]) >= params.threshold,
                           seed_key=list(seed_keys[i]), params=config)
             for i in range(n_traj)]
 
