@@ -316,7 +316,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         t_now[ids] += states.window
 
         likelihoods.update(taus, rydberg)
-        weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1))  # take keeps C order
+        # take keeps C order; an inconsistent record's error names its trajectory
+        weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", ids)
         if points:
             drive, window, collapse = states.readouts()
             trace(1, ids[driven], cycle, drive_times, drive)

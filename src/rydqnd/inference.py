@@ -197,22 +197,24 @@ class Mixture:
                            for c in candidates])
         self.prior = prior.weights.astype(float)
 
-    def posterior(self, log_l: np.ndarray, rows: str = "row") -> np.ndarray:
+    def posterior(self, log_l: np.ndarray, rows: str = "row", names=None) -> np.ndarray:
         """Posterior over the candidates for each row of log Pr(record | n), shape (B, K).
 
         Each row leaves the log domain scaled by its largest likelihood, so a
         constant added to a row changes only rounding; the weights are numpy
         sums over the photon numbers, then the candidates, where a -inf
         likelihood or a zero p adds exactly nothing.  A row of zero likelihood under
-        every candidate is an error naming the first, as one of ``rows``.
+        every candidate is an error naming the first, as one of ``rows``: by its
+        entry in ``names`` if given, else by its index.
         """
         top = log_l.max(axis=1, keepdims=True)
         top[top == -math.inf] = 0.0  # every likelihood zero: the total check fails
         weights = self.prior * (self.p * np.exp(log_l - top)[:, None, :]).sum(axis=2)
         total = weights.sum(axis=1)
         if not (total > 0.0).all():
+            first = np.argmin(total > 0.0)
             raise InconsistentRecordError("record has zero likelihood under every candidate "
-                                          f"from {rows} {np.argmin(total > 0.0)}")
+                                          f"from {rows} {first if names is None else names[first]}")
         return weights / total[:, None]
 
 

@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rydqnd import engine as eng
-from rydqnd.errors import DomainError, ScheduleExhaustedError
+from rydqnd.errors import DomainError, InconsistentRecordError, ScheduleExhaustedError
 from rydqnd.records import NO_RYDBERG, RYDBERG, FockDistribution, Posterior
 
 OMEGA = 2 * math.pi * 2.5e6
@@ -219,3 +220,22 @@ def test_one_sub_step_grid_per_shared_drive_time_is_the_per_row_grid():
         per_row = np.linspace(rows / points, rows, points, axis=-1)
         shared = np.broadcast_to(np.linspace(tau / points, tau, points), per_row.shape)
         assert per_row.tobytes() == shared.tobytes()
+
+
+def test_an_inconsistent_record_names_its_trajectory():
+    """With ejection, a third Rydberg outcome has zero likelihood under candidates
+    of at most two photons.  Trajectory 0 converges on the vacuum-or-two mixture
+    after two NoRydberg outcomes and leaves the batch; trajectory 2 then gives its
+    third Rydberg outcome in cycle 3, as the batch's row 1, and the error names
+    trajectory 2."""
+    cands = [FockDistribution.delta(2, 2), FockDistribution(np.array([0.5, 0.0, 0.5]))]
+    params = eng.ProtocolParams(omega=1.0, N=6, n_max=3, mode=eng.NOISELESS_PURE,
+                                schedule=eng.Schedule.fixed(1.2), seed=11, max_cycles=80,
+                                ejection_enabled=True, candidates=cands)
+    initial = FockDistribution.delta(3, 3)
+    first = eng.run_protocol(initial, params, (0,))
+    assert first.converged and len(first.record) == 2
+    failing = eng.run_protocol(initial, replace(params, max_cycles=2), (2,))
+    assert [outcome for _, outcome in failing.record.entries] == [RYDBERG, RYDBERG]
+    with pytest.raises(InconsistentRecordError, match="from trajectory 2$"):
+        eng.run_batch(initial, params, 8)
