@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rydqnd import dynamics as dyn
+from rydqnd import inference as inf
 from rydqnd import symbasis as sb
 from rydqnd.errors import ResourceError
 from rydqnd.records import NO_RYDBERG, RYDBERG
@@ -28,6 +29,19 @@ DYAD_REFERENCE = (({"ss"}, lambda n: 1.0),
                   ({"rr", "rs_sr", "rg_gr", "rs_gr", "sr_rg"}, lambda n: float(n)),
                   ({"sr", "gr"}, lambda n: math.sqrt(n)),
                   ({"rs", "rg"}, lambda n: math.sqrt(n)))
+
+
+def test_j0_blocks_fit_the_padded_family_layout():
+    # `inference` pads every j = 0 block to five families at fixed indices
+    # (`_DIM`, `_SS`, `_RR`, `_padded`), so each block's families must be a
+    # prefix of that order (the vacuum has only ss, and n = 1 has no rs_sr)
+    for N in range(1, 13):
+        for n in range(N + 1):
+            blk = sb.sector(n, N).block(0)
+            kinds = tuple(lab.kind for lab in blk.labels)
+            assert kinds == ("ss", "rs", "sr", "rr", "rs_sr")[:len(kinds)], (n, N)
+            assert blk.dim <= inf._DIM and blk.ss == inf._SS
+            assert blk.rr in (None, inf._RR)
 
 
 def test_sector_matches_per_label_formulas_for_every_small_block():
