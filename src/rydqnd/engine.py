@@ -316,7 +316,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         t_now[ids] += states.window
 
         likelihoods.update(taus, rydberg)
-        # take keeps C order; an inconsistent record's error names its trajectory
+        # take keeps C order
         weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", ids)
         if points:
             drive, window, collapse = states.readouts()
