@@ -27,7 +27,7 @@ from .records import (
     MeasurementRecord,
     Posterior,
 )
-from .symbasis import BasisLabel, BlockOperators, build_block, enumerate_basis, trace_vector
+from .symbasis import BasisLabel, build_block, enumerate_basis, trace_vector
 from .dynamics import (
     PureCollectiveState,
     SymmetricBlockState,
@@ -70,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisLabel",
-    "BlockOperators",
     "ConditionalState",
     "DomainError",
     "FockDistribution",

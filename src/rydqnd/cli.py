@@ -340,9 +340,8 @@ def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
     blk = sector(n, N).block(0)
     fresh = blk.dyads[0].astype(complex)
     if corrupt:
-        ops = build_block(n, N, 0, omega, gamma)
-        gen = ops.generator()
-        rows, cols = np.nonzero(ops.H)
+        gen = build_block(n, N, 0, omega, gamma)
+        rows, cols = np.nonzero(blk.drive)
         gen[rows[0], cols[0]] *= 1.001
         x = np.array([expm(gen * t) @ fresh for t in times.tolist()])
     else:

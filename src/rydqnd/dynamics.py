@@ -118,7 +118,7 @@ class PureBatch:
     Pr(record | n), normalised, so every probability is sum(w0 L f) / sum(w0 L), f the
     `_noiseless_factors` of the record's last outcome and ejections, each row scaled by
     its largest log w0 + log L.  It keeps ``log_w0``, and ``elapsed``, each row's drive
-    time since its last outcome, at ``omega``."""
+    time since its last outcome, at the record's ``omega``."""
 
     window = 0.0  # the projective measurement takes no time
 
@@ -131,7 +131,7 @@ class PureBatch:
             raise PreconditionError("the record's photon numbers must include the state's")
         with np.errstate(divide="ignore"):
             self.log_w0 = np.log(w0[record.ns])
-        self.record, self.elapsed, self.omega = record, np.zeros(len(record.log_l)), 0.0
+        self.record, self.elapsed = record, np.zeros(len(record.log_l))
         self.reads = [None, None]  # the traced drive's readouts (no window), until `readouts`
 
     def _read(self, rows, times: np.ndarray) -> np.ndarray:
@@ -139,17 +139,17 @@ class PureBatch:
         rec = self.record
         log_w = self.log_w0 + rec.log_l[rows]
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        odds = _noiseless_factors(rec.ns, self.omega, times, rec.last[rows], rec.shift[rows])
+        odds = _noiseless_factors(rec.ns, rec.omega, times, rec.last[rows], rec.shift[rows])
         p_r = (w * odds).sum(axis=1) / w.sum(axis=1)
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
     def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
-        """Drive row r for taus[r]: its weights stay, its drive time grows.
-        steps as in `BlockBatch.drive`; their readouts wait for `readouts`."""
+        """Drive row r for taus[r] at the record's omega, the only one accepted: its
+        weights stay, its drive time grows.  steps as in `BlockBatch.drive`; their
+        readouts wait for `readouts`."""
         _check_times(taus, "drive time")
-        if omega != self.omega and self.elapsed.any():
-            raise DomainError("a row keeps its drive frequency until it is measured")
-        self.omega = omega
+        if omega != self.record.omega:
+            raise DomainError(f"drive frequency {omega} is not the record's {self.record.omega}")
         if steps is not None:
             driven = np.flatnonzero(taus > 0)
             times = (self.elapsed[driven, None] + steps).ravel()
@@ -264,7 +264,7 @@ def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
     None if V is ill-conditioned.  The horizon is how long the block's
     propagators keep its trace to 1e-10: the modes carrying it are stationary,
     but `eig` (and so `expm`) gets their rate 0 as rounding."""
-    gen = build_block(n, N, j, omega, gamma).generator()
+    gen = build_block(n, N, j, omega, gamma)
     lam, vecs = np.linalg.eig(gen)
     carry = np.abs(sector(n, N).block(j).trace @ vecs)
     horizon = 1e-10 / np.abs(lam.real)[carry > 1e-6 * carry.max()].max(initial=1e-300)

@@ -273,6 +273,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         span = float(params.schedule.tau_max) - lo
 
     ids = np.arange(n_traj)  # trajectory of each active row
+    # each active row's trajectory as errors name it: its seed key, (k,) as k
+    names = np.array([str(key[0]) if len(key) == 1 else str(list(key)) for key in seed_keys])
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
     t_now = np.zeros(n_traj)
     cycles = []  # per cycle: (ids, taus, rydberg, weights, fidelities) of its rows
@@ -317,7 +319,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
         likelihoods.update(taus, rydberg)
         # take keeps C order
-        weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", ids)
+        weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", names)
         if points:
             drive, window, collapse = states.readouts()
             trace(1, ids[driven], cycle, drive_times, drive)
@@ -329,7 +331,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         done = weights.max(axis=1) >= params.threshold
         if np.any(done):
             keep = ~done
-            ids, draws = ids[keep], draws[keep]
+            ids, names, draws = ids[keep], names[keep], draws[keep]
             states.take(keep)
             likelihoods.take(keep)
 

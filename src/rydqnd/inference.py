@@ -26,8 +26,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import dynamics as dyn
-from .dynamics import SymmetricBlockState
-from .errors import DomainError, ImpossibleOutcomeError, InconsistentRecordError
+from .errors import DomainError, InconsistentRecordError
 from .records import FockDistribution, MeasurementRecord, OUTCOMES, Posterior, RYDBERG
 from .symbasis import sector
 
@@ -121,27 +120,6 @@ class ConditionalState:
         """Advance one observation cycle; returns log of the conditional probability."""
         return float(self._row.update(np.array([tau], dtype=float),
                                       np.array([outcome == RYDBERG]))[0, 0])
-
-    def outcome_probabilities(self, tau: float) -> tuple[float, float]:
-        """(p_NoRydberg, p_Rydberg) for the next cycle without committing to it."""
-        if self.dead:
-            raise ImpossibleOutcomeError("conditional state already has zero likelihood")
-        return tuple(self._row.outcome_grid(np.array([tau], dtype=float))[0, 0].tolist())
-
-    @property
-    def log_l(self) -> float:
-        return float(self._row.log_l[0, 0])
-
-    @property
-    def dead(self) -> bool:
-        return self.log_l == -math.inf
-
-    @property
-    def blocks(self) -> list[SymmetricBlockState]:
-        """The state as a one-block list (ejection leaves only j = 0 filled)."""
-        shift = int(self._row.shift[0])
-        n, N = int(self._row.ns[0]) - shift, self._row.noise.N - shift
-        return [SymmetricBlockState(n, N, 0, self._row.x[0, 0, :sector(n, N).block(0).dim])]
 
 
 def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,

@@ -111,34 +111,6 @@ def enumerate_basis(n: int, N: int, j: int) -> list[BasisLabel]:
     return [lab for lab in labels if lab.exists()]
 
 
-@dataclass(frozen=True)
-class BlockOperators:
-    """Drive and dephasing superoperator matrices of one (n, N, j) block.
-
-    ``H`` carries units of angular frequency (proportional to Omega); ``D`` is
-    the dimensionless diagonal multiplying gamma.  The equation of motion for
-    a coefficient vector x is dx/dt = (i*H + gamma*diag(D)) x.
-    """
-
-    n: int
-    N: int
-    j: int
-    labels: tuple[BasisLabel, ...]
-    norms: np.ndarray
-    H: np.ndarray
-    D: np.ndarray
-    omega: float
-    gamma: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def generator(self) -> np.ndarray:
-        """Full block generator i*H + gamma*diag(D)."""
-        return 1j * self.H + self.gamma * np.diag(self.D)
-
-
 # Nonzero entries of the drive superoperator, as (row, col, coefficient
 # function of (n, j)).  The matrix element is
 #   Omega * coeff(n, j) * norm[row] / norm[col],
@@ -231,7 +203,6 @@ class SectorBlock:
 
     j: int
     labels: tuple[BasisLabel, ...]
-    norms: np.ndarray
     drive: np.ndarray
     dephasing: np.ndarray
     trace: np.ndarray
@@ -261,7 +232,6 @@ def _sector_block(n: int, N: int, j: int) -> SectorBlock:
               for kind, count in zip(kinds, counts)] for fams, pairs in _DYAD_TABLE]
     return SectorBlock(
         j=j, labels=labels,
-        norms=_frozen([_sqrt_ratio(1, count) for count in counts]),
         drive=_frozen(drive),
         dephasing=_frozen([-_FAMILY_TABLE[kind][2] for kind in kinds]),
         trace=_frozen([_sqrt_ratio(count, 1) if lab.is_diagonal() else 0.0
@@ -330,8 +300,10 @@ def sector(n: int, N: int) -> Sector:
     return Sector(n, N)
 
 
-def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> BlockOperators:
-    """Assemble the drive and dephasing matrices of one block.
+def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> np.ndarray:
+    """The generator i*Omega*H + gamma*diag(D) of one block, where H is the
+    block's ``drive`` and D its ``dephasing``: dx/dt = generator @ x for a
+    coefficient vector x.
 
     The overall drive prefactor is the single-atom Rabi frequency Omega: the
     sqrt(n) collective enhancement is produced by the normalization ratios
@@ -342,17 +314,13 @@ def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> BlockOper
     if omega < 0 or gamma < 0:
         raise DomainError("omega and gamma must be non-negative")
     blk = sector(n, N).block(j)
-    return BlockOperators(
-        n=n, N=N, j=j, labels=blk.labels, norms=blk.norms.copy(),
-        H=omega * blk.drive.astype(complex), D=blk.dephasing.copy(),
-        omega=omega, gamma=gamma,
-    )
+    return 1j * (omega * blk.drive.astype(complex)) + gamma * np.diag(blk.dephasing)
 
 
-def trace_vector(ops: BlockOperators) -> np.ndarray:
+def trace_vector(n: int, N: int, j: int) -> np.ndarray:
     """Linear functional reading off Tr rho from a block coefficient vector.
 
     Only families built purely from diagonal site operators carry trace; each
     of their assignment terms has unit trace, so the entry is count * norm.
     """
-    return sector(ops.n, ops.N).block(ops.j).trace.copy()
+    return sector(n, N).block(j).trace.copy()

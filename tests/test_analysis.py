@@ -106,6 +106,11 @@ def test_expected_fidelity_empty_schedule_is_prior_best_guess():
     assert an.expected_fidelity([], cands, prior, 1.0) == pytest.approx(0.5)
 
 
+def test_expected_fidelity_of_one_candidate_is_one():
+    cands = [FockDistribution(np.array([0.0, 0.5, 0.5]))]
+    assert an.expected_fidelity([0.7, 0.9], cands, Posterior.uniform(1), 1.0) == 1.0
+
+
 def test_local_optimizer_is_greedy_prefix_of_itself():
     cands, prior = _two_candidates()
     grid = an.default_tau_grid(1.0, 60)

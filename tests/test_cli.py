@@ -143,6 +143,23 @@ def test_infer_inconsistent_record_exits_3(tmp_path):
                 "--candidates", "1..4"]) == cli.EXIT_INCONSISTENT
 
 
+def test_infer_candidates_file_without_prior_takes_the_uniform_prior(tmp_path):
+    rec, cands, out = tmp_path / "rec.json", tmp_path / "cands.json", tmp_path / "post.json"
+    _write_record(rec, [])
+    cands.write_text(json.dumps({"candidates": [[0, 1], [0, 0, 1], [0, 0.5, 0.5]]}))
+    assert run(["infer", str(rec), "--candidates-file", str(cands),
+                "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["trace"] == [[1 / 3, 1 / 3, 1 / 3]]
+
+
+def test_infer_record_with_an_unknown_outcome_names_the_entry(tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    _write_record(rec, [(1e-7, "Rydberg"), (1e-7, "Maybe")])
+    assert run(["infer", str(rec)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "entry 1: unknown outcome 'Maybe'" in err and "Traceback" not in err
+
+
 def test_infer_malformed_record_reports_line(tmp_path, capsys):
     rec = tmp_path / "rec.json"
     rec.write_text('{"entries": [\n  {"tau_s": oops}\n]}')
@@ -363,16 +380,19 @@ def test_simulate_without_dephasing_records_no_window(tmp_path):
     ("cands.json", "[[0, 1]]", ["infer", "--candidates-file"]),
     ("cands.json", '{"candidates": []}', ["infer", "--candidates-file"]),
     ("cfg.json", '{"seed": 3,\n "n_true" 2}', ["simulate", "--config"]),
+    ("cfg.json", '[{"seed": 3}]', ["simulate", "--config"]),
     (None, None, ["simulate", "--candidates", "1..x"]),
     (None, None, ["infer", "--candidates", "3..1"]),
     (None, None, ["analyze", "fisher", "--n", "0"]),
+    (None, None, ["analyze", "steady-state", "--n", "0"]),
     (None, None, ["infer", "--n-max", "0"]),
     ("cfg.json", '{"seed": "x"}', ["simulate", "--config"]),
     ("cands.json", '{"candidates": [[0, 1]], "prior": [0.5, 0.5]}', ["infer", "--candidates-file"]),
     (None, None, ["infer", "--candidates", "1..11"]),
     (None, None, ["simulate", "--gamma-mhz", "0", "--n-true", "11"]),
 ], ids=["candidates-bad-json", "candidates-no-key", "candidates-list", "candidates-empty",
-        "config-bad-json", "range-not-integer", "range-reversed", "fisher-n-zero",
+        "config-bad-json", "config-list", "range-not-integer", "range-reversed",
+        "fisher-n-zero", "steady-state-n-zero",
         "infer-n-max-zero", "config-wrong-type", "candidates-prior-length",
         "infer-range-past-n-atoms", "noiseless-n-true-past-n-atoms"])
 def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):

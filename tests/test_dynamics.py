@@ -234,7 +234,7 @@ def test_propagator_matches_expm(n, N, j, gamma_over_omega, tau_omega):
     j = min(j, len(sector(n, N).blocks) - 1)
     gamma, tau = gamma_over_omega * omega, tau_omega / omega
     prop = dyn._propagator(n, N, j, omega, gamma, (tau,))[0]
-    ref = expm(build_block(n, N, j, omega, gamma).generator() * tau)
+    ref = expm(build_block(n, N, j, omega, gamma) * tau)
     assert np.max(np.abs(prop - ref)) <= 1e-12
 
 

@@ -239,3 +239,8 @@ def test_an_inconsistent_record_names_its_trajectory():
     assert [outcome for _, outcome in failing.record.entries] == [RYDBERG, RYDBERG]
     with pytest.raises(InconsistentRecordError, match="from trajectory 2$"):
         eng.run_batch(initial, params, 8)
+    # a lone trajectory is named by its seed key too
+    with pytest.raises(InconsistentRecordError, match="from trajectory 2$"):
+        eng.run_protocol(initial, params, (2,))
+    with pytest.raises(InconsistentRecordError, match=r"from trajectory \[7, 2\]$"):
+        eng.run_protocol(initial, params, (7, 2))

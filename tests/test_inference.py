@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rydqnd import cli
 from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
-from rydqnd.errors import InconsistentRecordError
+from rydqnd.errors import DomainError, InconsistentRecordError
 from rydqnd.records import (
     NO_RYDBERG,
     RYDBERG,
@@ -87,13 +87,14 @@ def test_noisy_likelihood_reduces_to_noiseless_at_zero_gamma():
 
 
 def test_conditional_state_outcome_probabilities_sum_to_one():
-    state = inf.ConditionalState(2, OMEGA, NOISE)
-    state.update(0.3, RYDBERG)
-    p_no, p_ry = state.outcome_probabilities(0.4)
+    row = inf.NoisyLikelihoods([2], OMEGA, NOISE)
+    row.update(np.array([0.3]), np.array([True]))
+    p_no, p_ry = row.outcome_grid(np.array([0.4]))[0, 0]
     assert p_no + p_ry == pytest.approx(1.0, abs=1e-10)
     # committing to an outcome reproduces the quoted probability
-    step = state.update(0.4, NO_RYDBERG)
-    assert math.exp(step) == pytest.approx(p_no, abs=1e-12)
+    step = inf.ConditionalState(2, OMEGA, NOISE)
+    step.update(0.3, RYDBERG)
+    assert math.exp(step.update(0.4, NO_RYDBERG)) == pytest.approx(p_no, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,14 @@ def test_inconsistent_record_raises():
     rec = record_of([0.0], [RYDBERG])
     with pytest.raises(InconsistentRecordError):
         Posterior(inf.posterior_trace(rec, cands, prior, OMEGA)[-1])
+
+
+def test_mixture_refuses_no_candidates_and_a_prior_of_the_wrong_length():
+    with pytest.raises(DomainError, match="at least one candidate"):
+        inf.Mixture([], Posterior(np.array([1.0])))
+    cands = [FockDistribution.delta(n, 2) for n in (1, 2)]
+    with pytest.raises(DomainError, match="prior size"):
+        inf.Mixture(cands, Posterior.uniform(3))
 
 
 def test_mle_breaks_ties_toward_lowest_index():
@@ -213,12 +222,11 @@ def test_ejecting_update_keeps_only_the_j0_block():
     # ejection from a j=0-only state fills only j=0, so the conditional state
     # drops the empty j>0 blocks; the reference propagates all of them
     noise = inf.NoiseParams(gamma=0.3, tau_eit=0.2, N=10)
-    state = inf.ConditionalState(4, OMEGA, noise, eject=True)
+    row = inf.NoisyLikelihoods([4], OMEGA, noise, eject=True)
     blocks = dyn.symmetric_state_blocks(4, 10)[:1]
     entries = [(0.9, RYDBERG), (0.5, NO_RYDBERG), (1.1, RYDBERG), (0.7, NO_RYDBERG)]
     for tau, outcome in entries:
-        step = state.update(tau, outcome)
-        assert len(state.blocks) == 1
+        step = row.update(np.array([tau]), np.array([outcome == RYDBERG]))[0, 0]
         blocks = dyn.evolve_blocks(blocks, tau, OMEGA, noise.gamma)
         blocks = dyn.evolve_blocks(blocks, noise.tau_eit, 0.0, noise.gamma, drive_on=False)
         p, blocks = dyn.project_blocks(blocks, outcome)
@@ -226,6 +234,9 @@ def test_ejecting_update_keeps_only_the_j0_block():
             blocks = dyn.eject_block(blocks)
             assert len(blocks) > 1
         assert step == pytest.approx(math.log(p), abs=1e-12)
+        j0, shift = blocks[0], int(row.shift[0])
+        assert (j0.j, j0.n, j0.N) == (0, 4 - shift, 10 - shift)
+        np.testing.assert_allclose(row.x[0, 0, :j0.x.size], j0.x, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +352,12 @@ def test_noisy_ejection_down_to_the_empty_array(tmp_path):
     doc = json.loads(out.read_text())
     assert np.allclose(np.sum(doc["trace"], axis=1), 1.0, rtol=0, atol=1e-12)
     omega = 2 * math.pi * 2.5e6
-    state = inf.ConditionalState(2, omega, inf.NoiseParams(2 * math.pi * 0.3e6, 1e-7, 2),
-                                 eject=True)
+    row = inf.NoisyLikelihoods([2], omega, inf.NoiseParams(2 * math.pi * 0.3e6, 1e-7, 2),
+                               eject=True)
     for tau, outcome in rec.entries:
-        assert state.update(tau, outcome) > -math.inf
-    assert (state.blocks[0].n, state.blocks[0].N) == (0, 0)
-    p_s, p_r = state.outcome_probabilities(2e-7)
+        assert row.update(np.array([tau]), np.array([outcome == RYDBERG]))[0, 0] > -math.inf
+    assert row.shift[0] == 2  # the (0, 0) vacuum
+    p_s, p_r = row.outcome_grid(np.array([2e-7]))[0, 0]
     assert p_s == pytest.approx(1.0, abs=1e-12) and p_r == 0.0
 
 

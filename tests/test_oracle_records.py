@@ -5,7 +5,7 @@ window tau_EIT, projects onto the observed sector and, with ejection, removes
 the atom that carried the Rydberg excitation.  The dense chain repeats those
 steps on the product basis (`evolve_dense`, `evolve_dense` at omega = 0,
 `project_dense`, `eject_dense`), sharing no code with the symmetric-block
-kernels behind `inference.ConditionalState` and the noisy engine.
+kernels of `inference.NoisyLikelihoods`, which the noisy engine and `infer` run.
 """
 
 import math
@@ -80,19 +80,20 @@ def test_conditional_likelihoods_match_dense_chain(config, uniforms):
         _, state, n = _dense_collapse(windowed, n, outcome, eject)
 
     for n_cand in range(0, N if eject else N + 1):
-        blocks = inf.ConditionalState(n_cand, OMEGA, noise, eject)
+        row = inf.NoisyLikelihoods([n_cand], OMEGA, noise, eject)
         dense, n = _dense_start(n_cand, N), n_cand
         log_dense = 0.0
         for t, (tau, outcome) in enumerate(record):
-            blocks.update(tau, outcome)
+            row.update(np.array([tau]), np.array([outcome == RYDBERG]))
+            log_l = row.log_l[0, 0]
             try:
                 p, dense, n = _dense_cycle(dense, n, tau, outcome, gamma, tau_eit, eject)
             except ImpossibleOutcomeError:
-                assert blocks.log_l == -math.inf, f"n={n_cand}, cycle {t}"
+                assert log_l == -math.inf, f"n={n_cand}, cycle {t}"
                 break
             log_dense += math.log(p)
-            assert abs(blocks.log_l - log_dense) <= BOUND, (
-                f"n={n_cand}, cycle {t}: {blocks.log_l!r} vs dense {log_dense!r}")
+            assert abs(log_l - log_dense) <= BOUND, (
+                f"n={n_cand}, cycle {t}: {log_l!r} vs dense {log_dense!r}")
 
 
 @settings(max_examples=40)

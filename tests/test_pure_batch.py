@@ -199,12 +199,15 @@ def test_batch_refuses_a_record_without_a_photon_number_the_state_holds():
     dyn.PureBatch(state, inf.NoiselessLikelihoods([1, 2, 5], OMEGA))  # w0 = 0 at 0 and 5
 
 
-def test_a_row_keeps_its_drive_frequency_until_it_is_measured():
-    record = inf.NoiselessLikelihoods([0, 1], OMEGA)
-    batch = dyn.PureBatch(dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 1.0])),
-                          record)
-    batch.drive(np.array([0.3]), OMEGA)
+def test_a_batch_drives_only_at_its_record_frequency():
+    """The record's likelihoods are updated at its own omega, so a drive at any
+    other frequency is refused, before a measurement and after it alike."""
+    record = inf.NoiselessLikelihoods([0, 1, 2], OMEGA)
+    batch = dyn.PureBatch(dyn.PureCollectiveState.from_stored_amplitudes(
+        np.array([0.0, 0.6, 0.8])), record)
     with pytest.raises(DomainError, match="drive frequency"):
-        batch.drive(np.array([0.3]), 2 * OMEGA)
-    record.update(np.array([0.3]), batch.measure(np.array([0.5]))[0])
-    batch.drive(np.array([0.3]), 2 * OMEGA)
+        batch.drive(np.array([0.7]), 2 * OMEGA)
+    batch.drive(np.array([0.7]), OMEGA)
+    record.update(np.array([0.7]), batch.measure(np.array([0.5]))[0])
+    with pytest.raises(DomainError, match="drive frequency"):
+        batch.drive(np.array([0.7]), 2 * OMEGA)

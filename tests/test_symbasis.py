@@ -69,9 +69,9 @@ def test_superkets_are_orthonormal(n, N, j):
 @pytest.mark.parametrize("n,N,j", BLOCK_CASES)
 def test_block_matrices_match_dense_construction(n, N, j):
     _, _, A_h, A_d = dense_generator(n, N, j)
-    blk = sb.build_block(n, N, j, omega=1.0, gamma=1.0)
-    assert np.max(np.abs(A_h - 1j * blk.H)) < 1e-9
-    assert np.max(np.abs(A_d - np.diag(blk.D))) < 1e-12
+    blk = sb.sector(n, N).block(j)
+    assert np.max(np.abs(A_h - 1j * blk.drive)) < 1e-9
+    assert np.max(np.abs(A_d - np.diag(blk.dephasing))) < 1e-12
 
 
 def test_enumeration_keeps_listing_order_and_existence():
@@ -104,8 +104,8 @@ def test_unknown_family_kind_rejected():
 
 
 def test_dissipator_diagonal_values():
-    blk = sb.build_block(3, 6, 1, omega=1.0, gamma=1.0)
-    by_kind = {lab.kind: blk.D[i] for i, lab in enumerate(blk.labels)}
+    blk = sb.sector(3, 6).block(1)
+    by_kind = {lab.kind: blk.dephasing[i] for i, lab in enumerate(blk.labels)}
     assert set(by_kind) == set(sb.FAMILIES)
     assert by_kind["ss"] == 0.0
     assert by_kind["rr"] == 0.0
@@ -117,15 +117,13 @@ def test_dissipator_diagonal_values():
 
 def test_trace_vector_is_left_null_vector_of_the_generator():
     for gamma in (0.0, 0.3, 1.0):
-        blk = sb.build_block(2, 5, 0, omega=1.0, gamma=gamma)
-        v = sb.trace_vector(blk)
-        assert np.max(np.abs(v @ blk.generator())) < 1e-12
+        v = sb.trace_vector(2, 5, 0)
+        assert np.max(np.abs(v @ sb.build_block(2, 5, 0, omega=1.0, gamma=gamma))) < 1e-12
 
 
 def test_trace_vector_weights_diagonal_families_only():
-    blk = sb.build_block(2, 5, 0, omega=1.0, gamma=0.0)
-    v = sb.trace_vector(blk)
-    for i, lab in enumerate(blk.labels):
+    v = sb.trace_vector(2, 5, 0)
+    for i, lab in enumerate(sb.sector(2, 5).block(0).labels):
         if lab.kind in ("ss", "rr"):
             assert v[i] > 0.0
         else:
@@ -133,9 +131,9 @@ def test_trace_vector_weights_diagonal_families_only():
 
 
 def test_generator_combines_drive_and_dephasing():
-    blk = sb.build_block(1, 3, 1, omega=0.7, gamma=0.2)
-    gen = blk.generator()
-    assert np.allclose(gen, 1j * blk.H + 0.2 * np.diag(blk.D))
+    gen = sb.build_block(1, 3, 1, omega=0.7, gamma=0.2)
+    blk = sb.sector(1, 3).block(1)
+    assert np.allclose(gen, 0.7j * blk.drive + 0.2 * np.diag(blk.dephasing))
 
 
 def test_invalid_block_arguments_rejected():
@@ -145,3 +143,6 @@ def test_invalid_block_arguments_rejected():
         sb.build_block(3, 2, 0, omega=1.0, gamma=0.0)
     with pytest.raises(DomainError):
         sb.build_block(2, 4, 5, omega=1.0, gamma=0.0)
+    for omega, gamma in ((-1.0, 0.0), (1.0, -0.1)):
+        with pytest.raises(DomainError, match="non-negative"):
+            sb.build_block(2, 4, 0, omega=omega, gamma=gamma)
