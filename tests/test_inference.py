@@ -92,9 +92,9 @@ def test_conditional_state_outcome_probabilities_sum_to_one():
     p_no, p_ry = row.outcome_grid(np.array([0.4]))[0, 0]
     assert p_no + p_ry == pytest.approx(1.0, abs=1e-10)
     # committing to an outcome reproduces the quoted probability
-    step = inf.ConditionalState(2, OMEGA, NOISE)
-    step.update(0.3, RYDBERG)
-    assert math.exp(step.update(0.4, NO_RYDBERG)) == pytest.approx(p_no, abs=1e-12)
+    state = inf.ConditionalState(2, OMEGA, NOISE)
+    state.update(0.3, RYDBERG)
+    assert math.exp(state.update(0.4, NO_RYDBERG)) == pytest.approx(p_no, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,8 @@ def test_sequential_ejection_tracks_reduced_photon_number():
 
 
 def test_ejecting_update_keeps_only_the_j0_block():
-    # ejection from a j=0-only state fills only j=0, so the conditional state
-    # drops the empty j>0 blocks; the reference propagates all of them
+    # ejection from a j=0-only state fills only j=0, so the likelihood row holds
+    # the j=0 block alone; the reference propagates all of them
     noise = inf.NoiseParams(gamma=0.3, tau_eit=0.2, N=10)
     row = inf.NoisyLikelihoods([4], OMEGA, noise, eject=True)
     blocks = dyn.symmetric_state_blocks(4, 10)[:1]

@@ -116,8 +116,8 @@ def test_dissipator_diagonal_values():
 
 
 def test_trace_vector_is_left_null_vector_of_the_generator():
+    v = sb.trace_vector(2, 5, 0)
     for gamma in (0.0, 0.3, 1.0):
-        v = sb.trace_vector(2, 5, 0)
         assert np.max(np.abs(v @ sb.build_block(2, 5, 0, omega=1.0, gamma=gamma))) < 1e-12
 
 
