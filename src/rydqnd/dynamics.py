@@ -120,7 +120,7 @@ class PureBatch:
     its largest log w0 + log L.  It keeps ``log_w0``, and ``elapsed``, each row's drive
     time since its last outcome, at the record's ``omega``."""
 
-    window = 0.0  # the projective measurement takes no time
+    window, dts = 0.0, None  # the projective measurement takes no time
 
     def __init__(self, state: PureCollectiveState, record):
         if np.any(state.b != 0):
@@ -143,13 +143,10 @@ class PureBatch:
         p_r = (w * odds).sum(axis=1) / w.sum(axis=1)
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
-    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
-        """Drive row r for taus[r] at the record's omega, the only one accepted: its
-        weights stay, its drive time grows.  steps as in `BlockBatch.drive`; their
-        readouts wait for `readouts`."""
+    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
+        """Drive row r for taus[r] at the record's omega: its weights stay, its drive
+        time grows.  steps as in `BlockBatch.drive`; their readouts wait for `readouts`."""
         _check_times(taus, "drive time")
-        if omega != self.record.omega:
-            raise DomainError(f"drive frequency {omega} is not the record's {self.record.omega}")
         if steps is not None:
             driven = np.flatnonzero(taus > 0)
             times = (self.elapsed[driven, None] + steps).ravel()
@@ -161,22 +158,17 @@ class PureBatch:
         """(drive, window, now) as `BlockBatch.readouts` gives them; a projective
         measurement has no window."""
         (drive, window), self.reads = self.reads, [None, None]
-        return drive, window, self.sectors()
+        return drive, window, self._read(slice(None), self.elapsed)
 
     def fidelity(self) -> np.ndarray:  # a noiseless row is its own ideal
         return np.ones(self.elapsed.size)
 
-    def sectors(self) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3, rows)."""
-        return self._read(slice(None), self.elapsed)
-
-    def measure(self, draws: np.ndarray, eject: bool = False, dts=None):
+    def measure(self, draws: np.ndarray):
         """Draw every row's outcome by its uniform [0, 1) draw, as `BlockBatch.measure`
-        with no window (dts is unused), and end its drive.  The collapse is
-        ``record.update`` of the drive times and these outcomes, to be called before
-        the rows are read again; whether a Rydberg row loses a photon is the holder's
-        ``eject`` (the engine feeds one flag to both), so this eject is unused.
-        Returns the outcomes and their probabilities."""
+        with no window, and end its drive.  The collapse is ``record.update`` of the
+        drive times and these outcomes, to be called before the rows are read again;
+        whether a Rydberg row loses a photon is the record's ``eject``.  Returns the
+        outcomes and their probabilities."""
         _, p_r, _ = self._read(slice(None), self.elapsed)
         rydberg = draws < p_r
         self.elapsed = np.zeros(self.elapsed.size)
@@ -540,18 +532,22 @@ class BlockBatch:
     computes what the one-state kernels compute for its block list and its
     `PureCollectiveState` twin, bit for bit.  Traced sub-steps are queued per
     sector, and `readouts` reads each sector once for the whole cycle.
+    Like `inference.NoisyLikelihoods` it takes ``omega``, ``noise`` (`NoiseParams`:
+    gamma, the window tau_eit and N) and ``eject`` once.
     """
 
-    def __init__(self, ns, N: int, gamma: float, window: float):
+    def __init__(self, ns, omega: float, noise, eject: bool = False, points: int = 0):
         self.n = np.asarray(ns, dtype=int)
-        self.gamma = gamma
-        self.window = window  # the dephasing-only measurement window
+        self.omega, self.gamma, self.eject = omega, noise.gamma, eject
+        self.window, self.dts = noise.tau_eit, None  # the dephasing-only measurement window
+        if points and self.window:  # its traced sub-step times, the last the window itself
+            self.dts = np.linspace(self.window / points, self.window, points)
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
         self.groups = {}
         for n in sorted(set(self.n.tolist())):
             rows = np.flatnonzero(self.n == n)
-            self.groups[(n, N)] = (rows, np.tile(sector(n, N).dyads[0], (rows.size, 1)))
+            self.groups[(n, noise.N)] = (rows, np.tile(sector(n, noise.N).dyads[0], (rows.size, 1)))
         # per sector, the traced sub-steps (readout, its rows, states (M, D), twins a, b
         # (M,)) to read, and the drive's and the window's readouts they fill
         self.queued, self.reads = {}, [None, None]
@@ -563,7 +559,7 @@ class BlockBatch:
         return _advance(x[:, None], props, sec.spans, sec.traces)
 
     def fidelity(self) -> np.ndarray:  # 1 in the vacuum, which has no twin
-        return self.sectors()[2]
+        return self.readouts()[2][2]
 
     @staticmethod
     def _read(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -572,15 +568,11 @@ class BlockBatch:
         fid = np.ones(len(x)) if sec.n == 0 else _overlaps(sec, x, a, b)  # vacuum: no twin
         return np.array((*_populations(blk.trace, x, blk.ss, blk.rr), fid))
 
-    def sectors(self) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row, shape (3,
-        rows); drops any queued sub-steps."""
-        return self.readouts()[2]
-
     def readouts(self) -> tuple:
         """(drive, window, now): the readouts of the sub-steps `drive` and `measure`
         queued since the last call, (3, driven rows, points) and (3, rows, points),
-        None where none were queued, and `sectors`.  Call it before `take`.  Each
+        None where none were queued, and (p_NoRydberg, p_Rydberg, retrieval fidelity)
+        of every row now, (3, rows).  Call it before `take`.  Each
         sector's queued states and rows are read in one `_read`; a sector with
         nothing queued reads its rows in place."""
         now, (drive, window) = np.empty((3, self.n.size)), self.reads
@@ -599,7 +591,7 @@ class BlockBatch:
                 out[:, rows] = part.reshape((3, len(rows)) + out.shape[2:])
         return drive, window, now
 
-    def drive(self, taus: np.ndarray, omega: float, steps: np.ndarray | None = None) -> None:
+    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
         """Drive row r and its twin for taus[r]; a row with taus 0 is left as it is.
         steps, if given, are the sub-step times (driven rows, points) of the rows
         with taus > 0, each ending at its tau: those rows keep their last sub-step,
@@ -608,7 +600,7 @@ class BlockBatch:
         driven = np.flatnonzero(taus > 0)
         traced, steps = steps is not None, taus[driven, None] if steps is None else steps
         a, b = _twin_driven(self.n[driven, None], self.a[driven, None], self.b[driven, None],
-                            omega, steps)
+                            self.omega, steps)
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
         if traced:
             self.reads[0] = np.empty((3, *steps.shape))
@@ -617,20 +609,19 @@ class BlockBatch:
             slot = np.flatnonzero(taus[rows] > 0)
             at = np.searchsorted(driven, rows[slot])
             if slot.size:
-                grid = self._evolved(sec, x[slot], _times(steps[at]), omega)
+                grid = self._evolved(sec, x[slot], _times(steps[at]), self.omega)
                 x[slot] = grid[:, -1]
                 if traced:  # grid and a[at], b[at] are fresh arrays
                     self.queued.setdefault(key, []).append((self.reads[0], at, grid.reshape(
                         -1, x.shape[1]), a[at].ravel(), b[at].ravel()))
 
-    def measure(self, draws: np.ndarray, eject: bool = False, dts: np.ndarray | None = None):
-        """`PureBatch.measure` for block states: the window (through each of dts,
-        the last the window itself, if given, each queued for `readouts` under the
-        row's sector before the measurement), the projection of every row and its
-        twin; with `eject`, Rydberg rows lose the detected atom and restart from
-        the fresh twin |S_n-1>.  Returns the outcomes and their probabilities."""
-        rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
-        dts = dts if self.window > 0 else None
+    def measure(self, draws: np.ndarray):
+        """`PureBatch.measure` for block states: the window (through each of ``dts``,
+        if any, each queued for `readouts` under the row's sector before the
+        measurement), the projection of every row and its twin; with ``eject``,
+        Rydberg rows lose the detected atom and restart from the fresh twin
+        |S_n-1>.  Returns the outcomes and their probabilities."""
+        rydberg, probs, dts = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size), self.dts
         if dts is not None:
             self.reads[1] = np.empty((3, self.n.size, dts.size))
         moved = []
@@ -651,7 +642,7 @@ class BlockBatch:
                 raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
             x = _projected(sec.keeps[ryd.astype(int)], x, p)
             rydberg[rows], probs[rows] = ryd, p
-            out = ryd & eject
+            out = ryd & self.eject
             if not out.any():
                 self.groups[(sec.n, sec.N)] = (rows, x)
                 continue

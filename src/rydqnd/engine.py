@@ -252,18 +252,18 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     cycles, one block per generator at a time.
     """
     cands, prior = params.resolved_candidates()
-    n_traj, points = len(rngs), params.trace_points
+    n_traj, points, noise = len(rngs), params.trace_points, params.noise()
     mixture = Mixture(cands, prior)
     state = sample_initial(initial, params) if params.mode == NOISELESS_PURE else None
     ns = sorted(set(mixture.ns) | set(range(state.a.size if state is not None else 0)))
-    likelihoods = record_likelihoods(ns, params.omega, params.noise(), params.ejection_enabled,
+    likelihoods = record_likelihoods(ns, params.omega, noise, params.ejection_enabled,
                                      np.zeros(n_traj, dtype=int))
     cols = np.searchsorted(ns, mixture.ns)  # the candidates' photon numbers in the holder
     if state is not None:
         states, n_true = dyn.PureBatch(state, likelihoods), [None] * n_traj
     else:
         n_true = [_sample_n(initial, rng) for rng in rngs]
-        states = dyn.BlockBatch(n_true, params.N, params.gamma, params.tau_eit)
+        states = dyn.BlockBatch(n_true, params.omega, noise, params.ejection_enabled, points)
     # fixed, precomputed and adaptive-greedy drive times depend only on the earlier
     # ones, so the trajectories share one sequence, each entry computed once
     history = None if params.schedule.kind == "uniform-random" else []
@@ -287,10 +287,9 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             segments.append((who.repeat(times.size // len(who)), phase, posterior,
                              np.concatenate((times.reshape(1, -1), read.reshape(3, -1)))))
 
-    steps = dts = None
+    steps, dts = None, states.dts
     if points:
-        trace(0, ids, 0, t_now[ids], states.sectors())
-        dts = np.linspace(states.window / points, states.window, points) if states.window else None
+        trace(0, ids, 0, t_now[ids], states.readouts()[2])
 
     for cycle in range(params.max_cycles):
         if ids.size == 0:
@@ -311,9 +310,9 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             driven = np.flatnonzero(taus > 0)
             steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
             drive_times = t_now[ids[driven], None] + steps
-        states.drive(taus, params.omega, steps)
+        states.drive(taus, steps)
         t_now[ids] += taus
-        rydberg, _ = states.measure(draws[:, col + per_cycle - 1], params.ejection_enabled, dts)
+        rydberg, _ = states.measure(draws[:, col + per_cycle - 1])
         window_times = None if dts is None else t_now[ids, None] + dts
         t_now[ids] += states.window
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from rydqnd import dynamics as dyn
 from rydqnd import engine as eng
+from rydqnd import inference as inf
 from rydqnd.errors import ImpossibleOutcomeError, PreconditionError
 from rydqnd.records import RYDBERG, FockDistribution
 from rydqnd.symbasis import sector
@@ -129,10 +130,10 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
     A traced drive or window keeps the state of its last sub-step, and that
     state is the chain's after the whole drive or window."""
     N, ns, gamma, window, eject, points, cycles = run
-    batch = dyn.BlockBatch(ns, N, gamma, window)
+    batch = dyn.BlockBatch(ns, OMEGA, inf.NoiseParams(gamma, window, N), eject, points)
     chains = [_Row(n, N, gamma, window) for n in ns]
     ids = list(range(len(ns)))  # the chain of each batch row
-    _same(batch.sectors(), [_Row.read(c.blocks, c.twin) for c in chains])
+    _same(batch.readouts()[2], [_Row.read(c.blocks, c.twin) for c in chains])
     for taus, draws, leave in cycles:
         if not ids:
             break
@@ -145,13 +146,13 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
                               for t in taus_now[driven].tolist()]).reshape(driven.size, points)
             in_drive = [[_Row.read(*active[r].driven(t)) for t in steps[k].tolist()]
                         for k, r in enumerate(driven.tolist())]
-        batch.drive(taus_now, OMEGA, steps)
+        batch.drive(taus_now, steps)
         for c, t in zip(active, taus_now.tolist()):
             c.blocks, c.twin = c.driven(t)
         if points and window > 0:
             dts = np.linspace(window / points, window, points)
             in_window = [[_Row.read(*c.in_window(dt)) for dt in dts.tolist()] for c in active]
-        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]), eject, dts)
+        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]))
         got_drive, got_window, _ = batch.readouts()
         assert (got_drive is None) == (steps is None)
         if points:
@@ -164,8 +165,8 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
         expected = [c.measure(draws[i], eject) for i, c in zip(ids, active)]
         assert rydberg.tolist() == [ryd for ryd, _ in expected]
         assert probs.tolist() == [p for _, p in expected]
-        _same(batch.sectors(), [_Row.read(c.blocks, c.twin) for c in active])
-        assert batch.fidelity().tolist() == batch.sectors()[2].tolist()
+        _same(batch.readouts()[2], [_Row.read(c.blocks, c.twin) for c in active])
+        assert batch.fidelity().tolist() == batch.readouts()[2][2].tolist()
         for r, c in enumerate(active):
             n, N_r, xs = _row_blocks(batch, r)
             assert (n, N_r) == (c.blocks[0].n, c.blocks[0].N)
@@ -188,14 +189,14 @@ def test_batch_raises_what_the_chain_raises():
     and where it goes on, so does the batch: a draw of 0 after a zero drive
     time; a state of zero trace, which has no possible outcome; an ejection
     from a state with weight left in ss."""
-    batch, row = dyn.BlockBatch([1], 1, 0.125, 0.0), _Row(1, 1, 0.125, 0.0)
-    batch.drive(np.zeros(1), OMEGA)
+    batch, row = dyn.BlockBatch([1], OMEGA, inf.NoiseParams(0.125, 0.0, 1)), _Row(1, 1, 0.125, 0.0)
+    batch.drive(np.zeros(1))
     row.blocks, row.twin = row.driven(0.0)
     batch.measure(np.zeros(1))
     row.measure(0.0, False)
-    assert _raised(batch.sectors) is _raised(lambda: _Row.read(row.blocks, row.twin))
+    assert _raised(batch.readouts) is _raised(lambda: _Row.read(row.blocks, row.twin))
 
-    batch, row = dyn.BlockBatch([2], 3, 0.5, 0.1), _Row(2, 3, 0.5, 0.1)
+    batch, row = dyn.BlockBatch([2], OMEGA, inf.NoiseParams(0.5, 0.1, 3)), _Row(2, 3, 0.5, 0.1)
     batch.groups[(2, 3)][1][:] = 0.0
     row.blocks = [dyn.SymmetricBlockState(2, 3, blk.j, 0 * blk.x) for blk in row.blocks]
     assert _raised(lambda: batch.measure(np.full(1, 0.5))) is ImpossibleOutcomeError
@@ -215,12 +216,12 @@ def test_zero_drive_is_the_identity(gamma):
     assert eig is not None
     prop = dyn._propagator(1, 1, 0, OMEGA, gamma, (0.0,))[0]
     assert np.array_equal(prop, np.eye(len(prop)))
-    batch = dyn.BlockBatch([1], 1, gamma, 0.0)
-    batch.drive(np.zeros(1), OMEGA)
-    assert batch.sectors()[1].tolist() == [0.0]
+    batch = dyn.BlockBatch([1], OMEGA, inf.NoiseParams(gamma, 0.0, 1))
+    batch.drive(np.zeros(1))
+    assert batch.readouts()[2][1].tolist() == [0.0]
     rydberg, p = batch.measure(np.zeros(1))
     assert rydberg.tolist() == [False] and p.tolist() == [1.0]
-    assert batch.sectors()[1].tolist() == [0.0]
+    assert batch.readouts()[2][1].tolist() == [0.0]
     assert batch.fidelity().tolist() == [1.0]
 
 

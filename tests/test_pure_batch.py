@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from rydqnd import dynamics as dyn
 from rydqnd import engine as eng
 from rydqnd import inference as inf
-from rydqnd.errors import DomainError, PreconditionError
+from rydqnd.errors import PreconditionError
 from rydqnd.records import RYDBERG
 
 OMEGA = 1.0
@@ -84,7 +84,7 @@ def test_batch_matches_the_one_state_chain(run):
     record = inf.NoiselessLikelihoods(list(range(amps.size)), OMEGA, eject, [0] * rows)
     batch, chains = dyn.PureBatch(start, record), [start] * rows
     ids = list(range(rows))  # the chain of each batch row
-    _close(batch.sectors(), [_p_rydberg(c) for c in chains])
+    _close(batch.readouts()[2], [_p_rydberg(c) for c in chains])
     for taus, draws, leave in cycles:
         if not ids:
             break
@@ -95,11 +95,10 @@ def test_batch_matches_the_one_state_chain(run):
             steps = np.linspace(taus_now[driven] / points, taus_now[driven], points, axis=-1)
             in_drive = [[_p_rydberg(dyn.evolve_pure(chains[ids[r]], t, OMEGA)) for t in steps[k]]
                         for k, r in enumerate(driven.tolist())]
-        batch.drive(taus_now, OMEGA, steps)
+        batch.drive(taus_now, steps)
         for r, t in enumerate(taus_now.tolist()):
             chains[ids[r]] = dyn.evolve_pure(chains[ids[r]], t, OMEGA)
-        _close(batch.sectors(), [_p_rydberg(chains[i]) for i in ids])
-        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]), eject)
+        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]))
         record.update(taus_now, rydberg)
         got_drive, got_window, now = batch.readouts()
         assert got_window is None and (got_drive is None) == (steps is None)
@@ -133,7 +132,7 @@ def test_photon_numbers_the_state_does_not_hold_change_no_outcome(run, extra):
     records = [inf.NoiselessLikelihoods(ns, OMEGA, eject, [0] * rows)
                for ns in (list(range(amps.size)), wide)]
     own, union = (dyn.PureBatch(start, record) for record in records)
-    _close(union.sectors(), own.sectors()[1])
+    _close(union.readouts()[2], own.readouts()[2][1])
     alive = np.ones(rows, dtype=bool)
     for taus, draws, leave in cycles:
         if not alive.any():
@@ -145,8 +144,8 @@ def test_photon_numbers_the_state_does_not_hold_change_no_outcome(run, extra):
             steps = np.linspace(driven / points, driven, points, axis=-1)
         outcomes = []
         for batch, record in zip((own, union), records):
-            batch.drive(taus_now, OMEGA, steps)
-            rydberg, probs = batch.measure(draws_now, eject)
+            batch.drive(taus_now, steps)
+            rydberg, probs = batch.measure(draws_now)
             record.update(taus_now, rydberg)
             outcomes.append((rydberg, probs, batch.readouts()))
         (ryd, p, (drive, _, now)), (ryd_u, p_u, (drive_u, _, now_u)) = outcomes
@@ -197,17 +196,3 @@ def test_batch_refuses_a_record_without_a_photon_number_the_state_holds():
     with pytest.raises(PreconditionError, match="photon numbers"):
         dyn.PureBatch(state, inf.NoiselessLikelihoods([0, 1], OMEGA))
     dyn.PureBatch(state, inf.NoiselessLikelihoods([1, 2, 5], OMEGA))  # w0 = 0 at 0 and 5
-
-
-def test_a_batch_drives_only_at_its_record_frequency():
-    """The record's likelihoods are updated at its own omega, so a drive at any
-    other frequency is refused, before a measurement and after it alike."""
-    record = inf.NoiselessLikelihoods([0, 1, 2], OMEGA)
-    batch = dyn.PureBatch(dyn.PureCollectiveState.from_stored_amplitudes(
-        np.array([0.0, 0.6, 0.8])), record)
-    with pytest.raises(DomainError, match="drive frequency"):
-        batch.drive(np.array([0.7]), 2 * OMEGA)
-    batch.drive(np.array([0.7]), OMEGA)
-    record.update(np.array([0.7]), batch.measure(np.array([0.5]))[0])
-    with pytest.raises(DomainError, match="drive frequency"):
-        batch.drive(np.array([0.7]), 2 * OMEGA)

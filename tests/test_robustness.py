@@ -273,12 +273,12 @@ _ENTRY_POINTS = {
                                                    1.0, 0.3),
     "measure_block": lambda tau: dyn.measure_block(dyn.symmetric_state_blocks(2, 4), tau,
                                                    0.3, 0.5),
-    "BlockBatch.drive": lambda tau: dyn.BlockBatch([2, 2], 4, 0.3, 0.2).drive(
-        np.array([0.5, tau]), 1.0),
+    "BlockBatch.drive": lambda tau: dyn.BlockBatch([2, 2], 1.0, _NOISE).drive(
+        np.array([0.5, tau])),
     "PureBatch.drive": lambda tau: dyn.PureBatch(
         dyn.PureCollectiveState.from_stored_amplitudes(np.array([0.0, 0.6, 0.8])),
         inf.NoiselessLikelihoods([0, 1, 2], 1.0, shift=[0, 0])).drive(
-        np.array([0.5, tau]), 1.0),
+        np.array([0.5, tau])),
     "NoiselessLikelihoods.update": lambda tau: inf.NoiselessLikelihoods([1, 2], 1.0, shift=[0, 0]).update(
         np.array([0.5, tau]), np.array([True, False])),
     "ConditionalState.update": lambda tau: inf.ConditionalState(2, 1.0, _NOISE).update(
@@ -312,9 +312,9 @@ def test_drives_up_to_the_horizon_hold_the_trace(n):
     assert 0.01 < horizon < math.inf
     blocks = dyn.symmetric_state_blocks(n, N_ATOMS)
     dyn.evolve_blocks(blocks, 0.9 * horizon, omega, gamma)
-    batch = dyn.BlockBatch([n, n], N_ATOMS, gamma, 0.0)
-    batch.drive(np.array([0.5, 0.9]) * horizon, omega)
+    batch = dyn.BlockBatch([n, n], omega, inf.NoiseParams(gamma, 0.0, N_ATOMS))
+    batch.drive(np.array([0.5, 0.9]) * horizon)
     with pytest.raises(ResourceError):
         dyn.evolve_blocks(blocks, 1.1 * horizon, omega, gamma)
     with pytest.raises(ResourceError):
-        batch.drive(np.array([0.5, 1.1]) * horizon, omega)
+        batch.drive(np.array([0.5, 1.1]) * horizon)
