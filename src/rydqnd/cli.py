@@ -83,10 +83,12 @@ def _parse_int_range(text: str) -> range | list[int]:
 
 
 def _read_json(path: str, what: str, parse=json.loads):
-    """parse(text of the file); bad JSON and missing or misplaced fields are
-    DomainErrors that name the file and line."""
+    """parse(text of the file); bad JSON, missing or misplaced fields and the
+    DomainErrors of parse are DomainErrors that name the file (and line)."""
     try:
         return parse(Path(path).read_text())
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: line {exc.lineno}: malformed {what} ({exc.msg})") from exc
     except (KeyError, TypeError) as exc:
@@ -110,13 +112,17 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
     else:
         def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
             doc = json.loads(text)
+            named = [(f"candidate {i}", p) for i, p in enumerate(doc["candidates"])]
+            for what, p in named + ([("the prior", doc["prior"])] if "prior" in doc else []):
+                if not isinstance(p, list) or any(type(v) not in (int, float) for v in p):
+                    raise DomainError(f"{what} must be a list of numbers, got {p!r}")
             cands = [FockDistribution(np.array(p)) for p in doc["candidates"]]
             if not cands:
-                raise DomainError(f"{path}: the candidate list is empty")
+                raise DomainError("the candidate list is empty")
             prior = (Posterior(np.array(doc["prior"])) if "prior" in doc
                      else Posterior.uniform(len(cands)))
             if prior.weights.size != len(cands):
-                raise DomainError(f"{path}: the prior's length is not the candidate count")
+                raise DomainError("the prior's length is not the candidate count")
             return cands, prior
         cands, prior = _read_json(path, "candidates file", parse)
         n = max(max(c.support()) for c in cands)
@@ -324,6 +330,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 ORACLE_CELLS = ((2, 1), (3, 1), (4, 2), (5, 2), (5, 3))
 ORACLE_GAMMA_FACTORS = (0.0, 0.1, 1.0)
 ORACLE_TOLERANCE = 1e-6
+MAX_TIME_POINTS = 1_000  # `evolve_dense_grid` keeps a full rho per point, about 0.22 MB each
 
 def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
                               times: np.ndarray,
@@ -354,6 +361,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     omega = _freq_rad_s(args.omega_mhz, args.angular)
     if args.time_points < 1:
         raise DomainError(f"--time-points must be a positive integer, got {args.time_points!r}")
+    if args.time_points > MAX_TIME_POINTS:
+        raise ResourceError(f"--time-points {args.time_points} exceeds the guard of {MAX_TIME_POINTS}")
     corrupt_cell = None
     if args.corrupt_cell:
         try:

@@ -510,14 +510,6 @@ def _times(taus: np.ndarray) -> np.ndarray:
     return taus
 
 
-def _twin_driven(n, a: np.ndarray, b: np.ndarray, omega: float, taus: np.ndarray):
-    """Twin amplitudes (a_n, b_n) after a drive of taus, norm-checked as
-    `evolve_pure` checks its state."""
-    a, b = _rotation(a, b, np.sqrt(n) * omega, taus)
-    _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)
-    return a, b
-
-
 class BlockBatch:
     """Noisy fixed-n states of a batch of trajectories, one row each: the noisy
     counterpart of `PureBatch`.
@@ -599,8 +591,9 @@ class BlockBatch:
         _check_times(taus)
         driven = np.flatnonzero(taus > 0)
         traced, steps = steps is not None, taus[driven, None] if steps is None else steps
-        a, b = _twin_driven(self.n[driven, None], self.a[driven, None], self.b[driven, None],
-                            self.omega, steps)
+        a, b = _rotation(self.a[driven, None], self.b[driven, None],
+                         np.sqrt(self.n[driven, None]) * self.omega, steps)
+        _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
         if traced:
             self.reads[0] = np.empty((3, *steps.shape))
@@ -657,17 +650,14 @@ class BlockBatch:
         self.a, self.b = np.where(rydberg, 0.0, unit), np.where(rydberg, unit, 0.0)
         _check_norm(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
         for sec, rows, x in moved:
-            self._join((sec.n - 1, sec.N - 1), rows, _ejected(sec, x))
             self.n[rows] -= 1
             self.a[rows], self.b[rows] = 1.0, 0.0
+            key, x = (sec.n - 1, sec.N - 1), _ejected(sec, x)
+            if key in self.groups:  # join the rows already in the target sector
+                old_rows, old_x = self.groups[key]
+                rows, x = np.concatenate((old_rows, rows)), np.concatenate((old_x, x))
+            self.groups[key] = (rows, x)
         return rydberg, probs
-
-    def _join(self, key: tuple[int, int], rows: np.ndarray, x: np.ndarray) -> None:
-        """Add rows to the group of sector key."""
-        if key in self.groups:
-            old_rows, old_x = self.groups[key]
-            rows, x = np.concatenate((old_rows, rows)), np.concatenate((old_x, x))
-        self.groups[key] = (rows, x)
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""

@@ -30,6 +30,10 @@ NOISY_FIXED_N = "noisy-fixed-n"
 class Schedule:
     """Drive-time strategy: fixed, uniform-random, precomputed list, or greedy."""
 
+    # each kind, and the fields its drive times come from
+    KINDS = {"fixed": ("tau",), "uniform-random": ("tau_min", "tau_max"),
+             "precomputed-list": ("taus",), "adaptive-greedy": ()}
+
     kind: str
     tau: float | None = None
     tau_min: float | None = None
@@ -38,6 +42,11 @@ class Schedule:
     grid_points: int = 800
 
     def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise DomainError(f"unknown schedule kind {self.kind!r}")
+        for key in self.KINDS[self.kind]:
+            if getattr(self, key) is None:
+                raise DomainError(f"a {self.kind} schedule needs {key}")
         times = [t for t in (self.tau, self.tau_min, self.tau_max) if t is not None]
         if not all(math.isfinite(t) and t >= 0 for t in times + list(self.taus or ())):
             raise DomainError("drive times must be finite and non-negative")
@@ -269,8 +278,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     history = None if params.schedule.kind == "uniform-random" else []
     per_cycle = 2 if history is None else 1  # the measurement's draw, after the drive time's
     if history is None:  # drawn as Generator.uniform draws them
-        lo = float(params.schedule.tau_min)
-        span = float(params.schedule.tau_max) - lo
+        lo, hi = float(params.schedule.tau_min), float(params.schedule.tau_max)
 
     ids = np.arange(n_traj)  # trajectory of each active row
     # each active row's trajectory as errors name it: its seed key, (k,) as k
@@ -300,7 +308,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             draws = np.array([rngs[i].random(per_cycle * block) for i in ids.tolist()])
         col = per_cycle * cycle - first_draw
         if history is None:
-            taus = lo + span * draws[:, col]
+            taus = lo + (hi - lo) * draws[:, col]
         else:
             tau = schedule_next_tau(params.schedule, history, params)
             history.append(tau)

@@ -44,6 +44,9 @@ class MeasurementRecord:
     def from_json(text: str) -> "MeasurementRecord":
         doc = json.loads(text)
         entries = [(e["tau_s"], e["outcome"]) for e in doc["entries"]]
+        for i, (tau, _) in enumerate(entries):  # a JSON true or string is no drive time
+            if type(tau) not in (int, float):
+                raise DomainError(f"entry {i}: drive time must be a number, got {tau!r}")
         return MeasurementRecord(entries)
 
 

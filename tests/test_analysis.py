@@ -164,6 +164,12 @@ def test_enumeration_guards():
         an.optimize_schedule_global(2, cands, prior, big_grid, 1.0)
 
 
+@pytest.mark.parametrize("optimize", [an.optimize_schedule_local, an.optimize_schedule_global])
+def test_optimizers_refuse_an_empty_grid(optimize):
+    with pytest.raises(DomainError, match="tau grid must be non-empty"):
+        optimize(2, *_two_candidates(), np.array([]), 1.0)
+
+
 def test_default_tau_grid_excludes_zero():
     grid = an.default_tau_grid(2.0, 100)
     assert grid.size == 100

@@ -390,11 +390,12 @@ def test_simulate_without_dephasing_records_no_window(tmp_path):
     ("cands.json", '{"candidates": [[0, 1]], "prior": [0.5, 0.5]}', ["infer", "--candidates-file"]),
     (None, None, ["infer", "--candidates", "1..11"]),
     (None, None, ["simulate", "--gamma-mhz", "0", "--n-true", "11"]),
+    (None, None, ["analyze", "optimize-schedule", "--toy", "nope"]),
 ], ids=["candidates-bad-json", "candidates-no-key", "candidates-list", "candidates-empty",
         "config-bad-json", "config-list", "range-not-integer", "range-reversed",
         "fisher-n-zero", "steady-state-n-zero",
         "infer-n-max-zero", "config-wrong-type", "candidates-prior-length",
-        "infer-range-past-n-atoms", "noiseless-n-true-past-n-atoms"])
+        "infer-range-past-n-atoms", "noiseless-n-true-past-n-atoms", "unknown-toy"])
 def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):
     rec = tmp_path / "rec.json"
     _write_record(rec, [(1e-7, "Rydberg")])
@@ -410,6 +411,58 @@ def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
     if name is not None:
         assert name in err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("rec.json", '{"entries": [{"tau_s": true, "outcome": "Rydberg"}]}',
+     "entry 0: drive time must be a number, got True"),
+    ("rec.json", '{"entries": [{"tau_s": 1e-7, "outcome": "Rydberg"}, '
+                 '{"tau_s": "2e-7", "outcome": "Rydberg"}]}',
+     "entry 1: drive time must be a number, got '2e-7'"),
+    ("cands.json", '{"candidates": [[false, true], [0, 0, 1]]}',
+     "candidate 0 must be a list of numbers, got [False, True]"),
+    ("cands.json", '{"candidates": [[0, 1], 0.5]}',
+     "candidate 1 must be a list of numbers, got 0.5"),
+    ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [0.5, "0.5"]}',
+     "the prior must be a list of numbers, got [0.5, '0.5']"),
+    ("cands.json", '{"candidates": [[]]}', "distribution must be a non-empty vector"),
+    ("cands.json", '{"candidates": [[1.5, -0.5]]}',
+     "probabilities must be non-negative"),
+    ("cands.json", '{"candidates": [[0.0, 0.5, 0.4]]}',
+     "probabilities must sum to 1, got 0.9"),
+    ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [1.5, -0.5]}',
+     "posterior weights must be non-negative"),
+    ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [0.5, 0.4]}',
+     "posterior weights must sum to 1"),
+], ids=["tau-true", "tau-string", "candidate-booleans", "candidate-number", "prior-string",
+        "candidate-empty", "candidate-negative", "candidate-sum", "prior-negative", "prior-sum"])
+def test_malformed_input_files_exit_2_naming_the_file_and_entry(name, text, message, tmp_path,
+                                                                capsys):
+    """A JSON true or a string where a number belongs, and each value the
+    distribution types refuse, exit 2 naming the file, before anything is written."""
+    rec, out = tmp_path / "rec.json", tmp_path / "post.json"
+    _write_record(rec, [(1e-7, "Rydberg")])
+    (tmp_path / name).write_text(text)
+    argv = ["infer", str(rec), "--out", str(out)]
+    if name == "cands.json":
+        argv += ["--candidates-file", str(tmp_path / name)]
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / name}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_oracle_check_refuses_time_points_past_the_guard(tmp_path, capsys, monkeypatch):
+    """One more time point than `MAX_TIME_POINTS` exits 5, naming the value,
+    before any dense evolution runs or any file is written."""
+    monkeypatch.setattr(cli.dense_oracle, "evolve_dense_grid",
+                        lambda *args: pytest.fail("the dense evolution ran"))
+    out = tmp_path / "oracle.json"
+    points = cli.MAX_TIME_POINTS + 1
+    assert run(["oracle-check", "--time-points", str(points), "--out", str(out)]) \
+        == cli.EXIT_RESOURCE
+    assert f"--time-points {points} exceeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_large_array_simulation_exits_cleanly(tmp_path):

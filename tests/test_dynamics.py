@@ -252,3 +252,13 @@ def test_an_ill_conditioned_block_is_decomposed_once(monkeypatch):
     state = dyn.symmetric_state_blocks(1, 10)[1]
     dyn.evolve_block(state, 7.3 / omega, omega, 4.0 * omega)
     assert calls == [(state.block.dim, state.block.dim)]
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([[1.0, 0.0]], [[0.0, 0.0]], "1-d and of equal length"),
+    ([1.0, 0.0], [0.0, 0.0, 0.0], "1-d and of equal length"),
+    ([0.0, 0.6], [0.8, 0.0], "b_0 must be 0"),
+], ids=["two-d", "unequal", "rydberg-vacuum"])
+def test_pure_state_refuses_malformed_amplitudes(a, b, message):
+    with pytest.raises(DomainError, match=message):
+        dyn.PureCollectiveState(np.array(a), np.array(b))

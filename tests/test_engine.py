@@ -59,10 +59,23 @@ def test_precomputed_schedule_exhausts():
 
 
 def test_unknown_schedule_kind_rejected():
-    params = noisy_params()
-    for sched in (eng.Schedule("bogus"), eng.Schedule.uniform_random(0.05e-6, 0.4e-6)):
-        with pytest.raises(DomainError):
-            eng.schedule_next_tau(sched, [], params)
+    """An unknown kind is refused where the schedule is made; a uniform-random
+    schedule has no drive time every trajectory shares."""
+    with pytest.raises(DomainError, match="unknown schedule kind 'bogus'"):
+        eng.Schedule("bogus")
+    with pytest.raises(DomainError):
+        eng.schedule_next_tau(eng.Schedule.uniform_random(0.05e-6, 0.4e-6), [], noisy_params())
+
+
+@pytest.mark.parametrize("kind, given, missing", [
+    ("fixed", {}, "tau"), ("uniform-random", {}, "tau_min"),
+    ("uniform-random", {"tau_min": 1e-7}, "tau_max"), ("precomputed-list", {}, "taus")],
+    ids=["fixed", "uniform-random", "uniform-random-no-max", "precomputed-list"])
+def test_schedule_without_its_drive_times_rejected(kind, given, missing):
+    """A kind without the fields its drive times come from is a `DomainError`
+    naming the missing field, before any cycle runs."""
+    with pytest.raises(DomainError, match=f"a {kind} schedule needs {missing}$"):
+        eng.Schedule(kind, **given)
 
 
 def test_invalid_params_rejected():
