@@ -112,15 +112,20 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
     else:
         def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
             doc = json.loads(text)
-            named = [(f"candidate {i}", p) for i, p in enumerate(doc["candidates"])]
-            for what, p in named + ([("the prior", doc["prior"])] if "prior" in doc else []):
+            named = [(f"candidate {i}", c, FockDistribution) for i, c in enumerate(doc["candidates"])]
+            named += [("the prior", doc["prior"], Posterior)] if "prior" in doc else []
+            made = []
+            for what, p, make in named:  # each list checked and built, named if refused
                 if not isinstance(p, list) or any(type(v) not in (int, float) for v in p):
                     raise DomainError(f"{what} must be a list of numbers, got {p!r}")
-            cands = [FockDistribution(np.array(p)) for p in doc["candidates"]]
+                try:  # an integer past float range fails the conversion
+                    made.append(make(np.array(p, dtype=float)))
+                except (DomainError, OverflowError) as exc:
+                    raise DomainError(f"{what}: {exc}") from exc
+            cands = made[:len(doc["candidates"])]
             if not cands:
                 raise DomainError("the candidate list is empty")
-            prior = (Posterior(np.array(doc["prior"])) if "prior" in doc
-                     else Posterior.uniform(len(cands)))
+            prior = made[-1] if "prior" in doc else Posterior.uniform(len(cands))
             if prior.weights.size != len(cands):
                 raise DomainError("the prior's length is not the candidate count")
             return cands, prior
@@ -179,9 +184,7 @@ def _check_rates(args: argparse.Namespace) -> None:
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text)
@@ -202,9 +205,7 @@ def _table_output(doc: dict, rows: list[dict], out: str | None) -> None:
         writer.writerows(rows)
         _write_text(out, buf.getvalue())
     else:
-        doc = dict(doc)
-        doc["rows"] = rows
-        _write_text(out, json.dumps(doc, indent=2, sort_keys=True))
+        _write_text(out, json.dumps({**doc, "rows": rows}, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------

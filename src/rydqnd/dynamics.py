@@ -134,12 +134,14 @@ class PureBatch:
         self.record, self.elapsed = record, np.zeros(len(record.log_l))
         self.reads = [None, None]  # the traced drive's readouts (no window), until `readouts`
 
-    def _read(self, rows, times: np.ndarray) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows))."""
+    def _read(self, rows, times: np.ndarray, odds=None) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows));
+        odds, if given, is their Pr(Rydberg | n) after times."""
         rec = self.record
         log_w = self.log_w0 + rec.log_l[rows]
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        odds = _noiseless_factors(rec.ns, rec.omega, times, rec.last[rows], rec.shift[rows])
+        if odds is None:
+            odds = _noiseless_factors(rec.ns, rec.omega, times, rec.last[rows], rec.shift[rows])
         p_r = (w * odds).sum(axis=1) / w.sum(axis=1)
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
@@ -165,14 +167,16 @@ class PureBatch:
 
     def measure(self, draws: np.ndarray):
         """Draw every row's outcome by its uniform [0, 1) draw, as `BlockBatch.measure`
-        with no window, and end its drive.  The collapse is ``record.update`` of the
-        drive times and these outcomes, to be called before the rows are read again;
-        whether a Rydberg row loses a photon is the record's ``eject``.  Returns the
-        outcomes and their probabilities."""
-        _, p_r, _ = self._read(slice(None), self.elapsed)
+        with no window, and end its drive.  One kernel call reads both outcomes: ``drawn``
+        keeps each row's Pr(drawn outcome | n) for the record's ``_step``, the collapse
+        before the rows are read again (``record.update`` evaluates them anew); ``eject``
+        is the record's.  Returns the outcomes and their probabilities."""
+        rec = self.record  # each row's phase read for both outcomes: Rydberg, then NoRydberg
+        odds = _noiseless_factors(rec.ns, rec.omega, self.elapsed, [rec.last, ~rec.last], rec.shift)
+        p_no, p_r, _ = self._read(slice(None), self.elapsed, odds[0])
         rydberg = draws < p_r
-        self.elapsed = np.zeros(self.elapsed.size)
-        return rydberg, np.where(rydberg, p_r, 1.0 - p_r)
+        self.drawn, self.elapsed = np.where(rydberg[:, None], *odds), np.zeros(self.elapsed.size)
+        return rydberg, np.where(rydberg, p_r, p_no)
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask (``record.take`` drops its own)."""

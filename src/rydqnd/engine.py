@@ -319,19 +319,20 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
             drive_times = t_now[ids[driven], None] + steps
         states.drive(taus, steps)
-        t_now[ids] += taus
         rydberg, _ = states.measure(draws[:, col + per_cycle - 1])
-        window_times = None if dts is None else t_now[ids, None] + dts
-        t_now[ids] += states.window
-
-        likelihoods.update(taus, rydberg)
+        if noise is None:  # `drive` checked the drive times, `measure` drew the factors
+            likelihoods._step(states.drawn, rydberg)
+        else:
+            likelihoods.update(taus, rydberg)
         # take keeps C order
         weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", names)
         if points:
             drive, window, collapse = states.readouts()
             trace(1, ids[driven], cycle, drive_times, drive)
-            if window is not None:
-                trace(2, ids, cycle, window_times, window)
+            t_now[ids] += taus  # the trace's clock: only traced runs read it
+            if window is not None:  # a window traced at ``dts``
+                trace(2, ids, cycle, t_now[ids, None] + dts, window)
+            t_now[ids] += states.window
             trace(3, ids, cycle + 1, t_now[ids], collapse)
         cycles.append((ids, taus, rydberg, weights, collapse[2] if points else states.fidelity()))
 

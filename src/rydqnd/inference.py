@@ -211,10 +211,11 @@ def _noiseless_grid(ns: tuple[int, ...], omega: float, grid: bytes, shift: int) 
 class NoiselessLikelihoods:
     """log Pr(record | n) of B noiseless records growing together, shape (B, len(ns)).
 
-    Row r keeps whether its last outcome was Rydberg (``last``, the reference for the
-    cos^2/sin^2 choice; never with ejection) and its ejection count (``shift``, from
-    shift[r]), which `dynamics.PureBatch` reads too; an entry with more ejections than
-    photons starts at -inf.
+    Row r keeps whether its last outcome was Rydberg (``last``, the cos^2/sin^2 reference;
+    never with ejection) and its ejection count (``shift``, from shift[r]), which
+    `dynamics.PureBatch` reads too; an entry with more ejections than photons starts at
+    -inf.  `update` checks and evaluates a cycle, then takes `_step`, which the engine
+    takes alone on the factors `dynamics.PureBatch.measure` drew.
     """
 
     def __init__(self, ns: list[int], omega: float, eject: bool = False, shift=(0,)):
@@ -228,8 +229,10 @@ class NoiselessLikelihoods:
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
         """One cycle for every row: drive times and outcomes (True for Rydberg)."""
         dyn._check_times(taus, "drive time")
-        factor = dyn._noiseless_factors(self.ns, self.omega, taus, rydberg == self.last,
-                                        self.shift)
+        self._step(dyn._noiseless_factors(self.ns, self.omega, taus, rydberg == self.last,
+                                          self.shift), rydberg)
+
+    def _step(self, factor: np.ndarray, rydberg: np.ndarray) -> None:
         with np.errstate(divide="ignore"):  # an impossible outcome: log 0 = -inf
             self.log_l = self.log_l + np.log(factor)
         # the one rule: last = Rydberg unless ejecting; an ejection shifts a photon

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from sys import float_info
 
 import numpy as np
 
@@ -23,7 +23,7 @@ class MeasurementRecord:
 
     def __post_init__(self):
         for i, (tau, outcome) in enumerate(self.entries):
-            if not 0 <= tau < math.inf:
+            if not 0 <= tau <= float_info.max:  # a JSON integer past it converts to no float
                 raise DomainError(f"entry {i}: drive time must be finite and non-negative")
             if outcome not in OUTCOMES:
                 raise DomainError(f"entry {i}: unknown outcome {outcome!r}")
@@ -32,7 +32,7 @@ class MeasurementRecord:
         return len(self.entries)
 
     def append(self, tau: float, outcome: str) -> None:
-        if not 0 <= tau < math.inf or outcome not in OUTCOMES:
+        if not 0 <= tau <= float_info.max or outcome not in OUTCOMES:
             raise DomainError("invalid record entry")
         self.entries.append((tau, outcome))
 

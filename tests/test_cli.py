@@ -425,21 +425,25 @@ def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):
      "candidate 1 must be a list of numbers, got 0.5"),
     ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [0.5, "0.5"]}',
      "the prior must be a list of numbers, got [0.5, '0.5']"),
-    ("cands.json", '{"candidates": [[]]}', "distribution must be a non-empty vector"),
+    ("cands.json", '{"candidates": [[]]}', "candidate 0: distribution must be a non-empty vector"),
     ("cands.json", '{"candidates": [[1.5, -0.5]]}',
-     "probabilities must be non-negative"),
+     "candidate 0: probabilities must be non-negative"),
     ("cands.json", '{"candidates": [[0.0, 0.5, 0.4]]}',
-     "probabilities must sum to 1, got 0.9"),
+     "candidate 0: probabilities must sum to 1, got 0.9"),
+    ("cands.json", '{"candidates": [[0, 1], [0.0, 0.5, 0.4]]}',
+     "candidate 1: probabilities must sum to 1, got 0.9"),
     ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [1.5, -0.5]}',
-     "posterior weights must be non-negative"),
+     "the prior: posterior weights must be non-negative"),
     ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [0.5, 0.4]}',
-     "posterior weights must sum to 1"),
+     "the prior: posterior weights must sum to 1"),
 ], ids=["tau-true", "tau-string", "candidate-booleans", "candidate-number", "prior-string",
-        "candidate-empty", "candidate-negative", "candidate-sum", "prior-negative", "prior-sum"])
+        "candidate-empty", "candidate-negative", "candidate-sum", "second-candidate-sum",
+        "prior-negative", "prior-sum"])
 def test_malformed_input_files_exit_2_naming_the_file_and_entry(name, text, message, tmp_path,
                                                                 capsys):
     """A JSON true or a string where a number belongs, and each value the
-    distribution types refuse, exit 2 naming the file, before anything is written."""
+    distribution types refuse, exit 2 naming the file and the entry, candidate or
+    prior, before anything is written."""
     rec, out = tmp_path / "rec.json", tmp_path / "post.json"
     _write_record(rec, [(1e-7, "Rydberg")])
     (tmp_path / name).write_text(text)

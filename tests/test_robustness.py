@@ -142,7 +142,44 @@ def test_infer_rejects_a_drive_time_that_is_not_finite(tmp_path, capsys, tau, ga
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -1e-7])
+# a JSON integer past float range: json reads it as a Python int, which no float holds
+PAST_FLOAT_RANGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("gamma_mhz", ["0", str(GAMMA_MHZ)])
+def test_infer_refuses_a_drive_time_past_float_range(tmp_path, capsys, gamma_mhz):
+    """Exit 2 with one error line naming the file and the entry, at any
+    dephasing rate, not an OverflowError where the drive times become floats."""
+    rec, out = tmp_path / "record.json", tmp_path / "posterior.json"
+    rec.write_text('{"entries": [{"tau_s": 2e-07, "outcome": "NoRydberg"}, '
+                   '{"tau_s": %s, "outcome": "Rydberg"}]}' % PAST_FLOAT_RANGE)
+    flags = [*_noise_flags(), "--gamma-mhz", gamma_mhz, "--candidates", "1..4"]
+    assert cli.main(["infer", str(rec), *flags, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rec}: entry 1: drive time must be finite")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("doc, what", [
+    ('{"candidates": [[0, 1], [0, %s, 0]]}' % PAST_FLOAT_RANGE, "candidate 1"),
+    ('{"candidates": [[0, 1], [0, 0, 1]], "prior": [%s, 0]}' % PAST_FLOAT_RANGE, "the prior"),
+], ids=["candidate", "prior"])
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_a_probability_past_float_range_exits_2_naming_its_list(tmp_path, capsys, doc, what,
+                                                                 command):
+    cands, rec, out = tmp_path / "cands.json", tmp_path / "record.json", tmp_path / "out"
+    cands.write_text(doc)
+    rec.write_text(MeasurementRecord([(2e-7, RYDBERG)]).to_json())
+    argv = (["infer", str(rec), "--out", str(out)] if command == "infer" else
+            ["simulate", "--max-cycles", "3", "--trajectories", "1", "--outdir", str(out)])
+    assert cli.main([*argv, "--candidates-file", str(cands)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cands}: {what}: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1e-7,
+                                 pytest.param(10**400, id="int-past-float-range")])
 def test_records_refuse_drive_times_that_are_not_finite_and_non_negative(tau):
     with pytest.raises(DomainError):
         MeasurementRecord([(tau, RYDBERG)])
