@@ -112,20 +112,19 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
     else:
         def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
             doc = json.loads(text)
+            if not doc["candidates"]:
+                raise DomainError("the candidate list is empty")
             named = [(f"candidate {i}", c, FockDistribution) for i, c in enumerate(doc["candidates"])]
             named += [("the prior", doc["prior"], Posterior)] if "prior" in doc else []
-            made = []
+            cands = []
             for what, p, make in named:  # each list checked and built, named if refused
                 if not isinstance(p, list) or any(type(v) not in (int, float) for v in p):
                     raise DomainError(f"{what} must be a list of numbers, got {p!r}")
                 try:  # an integer past float range fails the conversion
-                    made.append(make(np.array(p, dtype=float)))
+                    cands.append(make(np.array(p, dtype=float)))
                 except (DomainError, OverflowError) as exc:
                     raise DomainError(f"{what}: {exc}") from exc
-            cands = made[:len(doc["candidates"])]
-            if not cands:
-                raise DomainError("the candidate list is empty")
-            prior = made[-1] if "prior" in doc else Posterior.uniform(len(cands))
+            prior = cands.pop() if "prior" in doc else Posterior.uniform(len(cands))
             if prior.weights.size != len(cands):
                 raise DomainError("the prior's length is not the candidate count")
             return cands, prior
@@ -184,7 +183,9 @@ def _check_rates(args: argparse.Namespace) -> None:
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
     else:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text)
