@@ -112,9 +112,9 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
     else:
         def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
             doc = json.loads(text)
-            if not doc["candidates"]:
-                raise DomainError("the candidate list is empty")
             named = [(f"candidate {i}", c, FockDistribution) for i, c in enumerate(doc["candidates"])]
+            if not named:
+                raise DomainError("the candidate list is empty")
             named += [("the prior", doc["prior"], Posterior)] if "prior" in doc else []
             cands = []
             for what, p, make in named:  # each list checked and built, named if refused
