@@ -82,6 +82,11 @@ def _parse_int_range(text: str) -> range | list[int]:
     return values
 
 
+def _extent(ns: range | list[int]) -> tuple[int, int]:
+    """(count, largest) of `_parse_int_range`'s values, a range's without walking it."""
+    return (ns.stop - ns.start, ns.stop - 1) if isinstance(ns, range) else (len(ns), max(ns))
+
+
 def _read_json(path: str, what: str, parse=json.loads):
     """parse(text of the file); bad JSON, missing or misplaced fields and the
     DomainErrors of parse are DomainErrors that name the file (and line)."""
@@ -108,7 +113,7 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
         ns = _parse_int_range(spec) if spec is not None else range(1, n_max + 1)
         if not ns:
             raise DomainError("need --n-max >= 1")
-        n = max(ns)
+        count, n = _extent(ns)
     else:
         def parse(text: str) -> tuple[list[FockDistribution], Posterior]:
             doc = json.loads(text)
@@ -133,7 +138,10 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
     if n > N:
         where = f"{path}: " if path is not None else ""
         raise DomainError(f"{where}need 0 <= n <= N, got n={n}, N={N}")
-    if path is None:  # each delta holds max(ns) + 1 entries, so they come after the check
+    if path is None:  # each delta holds max(n_max, n) + 1 entries, so they come after the checks
+        if count * (max(n_max, n) + 1) > MAX_CANDIDATE_ENTRIES:
+            raise ResourceError(f"{count} candidates of {max(n_max, n) + 1} entries exceed the "
+                                f"guard of {MAX_CANDIDATE_ENTRIES} entries")
         cands = [FockDistribution.delta(k, max(n_max, n)) for k in ns]
         prior = Posterior.uniform(len(cands))
     return cands, prior
@@ -333,6 +341,11 @@ ORACLE_CELLS = ((2, 1), (3, 1), (4, 2), (5, 2), (5, 3))
 ORACLE_GAMMA_FACTORS = (0.0, 0.1, 1.0)
 ORACLE_TOLERANCE = 1e-6
 MAX_TIME_POINTS = 1_000  # `evolve_dense_grid` keeps a full rho per point, about 0.22 MB each
+# the delta candidates' K x (n + 1) entries: at K = 1,000 deltas of 1,001 entries `infer` took
+# 0.7 s and 88 MB peak, a three-cycle noiseless `simulate` 2.2 s and 212 MB
+MAX_CANDIDATE_ENTRIES = 1_000_000
+# `analyze --n` rows: 100,000 took 1.3 s and 140 MB peak (steady-state), 1.7 s and 155 MB (fisher)
+MAX_TABLE_ROWS = 100_000
 
 def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
                               times: np.ndarray,
@@ -422,10 +435,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               "subcommand": args.analysis, "version": __version__}
     if args.analysis in ("fisher", "detection-time"):
         config["regime"] = args.regime
+    if args.analysis != "optimize-schedule":
+        ns = _parse_int_range(args.n)
+        if (rows := _extent(ns)[0]) > MAX_TABLE_ROWS:
+            raise ResourceError(f"--n {args.n} gives {rows} rows, more than the guard of "
+                                f"{MAX_TABLE_ROWS}")
 
     if args.analysis == "fisher":
         rows = []
-        for n in _parse_int_range(args.n):
+        for n in ns:
             t = (_us_to_s(args.time_us) if args.time_us is not None
                  else analysis.detection_time(args.regime, n, omega, gamma))
             rows.append({"regime": args.regime, "n": n, "t_s": t,
@@ -434,12 +452,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif args.analysis == "detection-time":
         rows = [{"regime": args.regime, "n": n,
                  "t_star_s": analysis.detection_time(args.regime, n, omega, gamma)}
-                for n in _parse_int_range(args.n)]
+                for n in ns]
     elif args.analysis == "steady-state":
         rows = [{"n": n,
                  "p_no_rydberg": analysis.steady_state_populations(n)[0],
                  "p_rydberg": analysis.steady_state_populations(n)[1]}
-                for n in _parse_int_range(args.n)]
+                for n in ns]
     elif args.analysis == "optimize-schedule":
         if args.toy != "appendix-c":
             raise DomainError(f"unknown toy problem {args.toy!r}")

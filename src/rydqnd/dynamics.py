@@ -269,12 +269,12 @@ def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
     return gen, horizon, (lam, vecs, np.linalg.inv(vecs))
 
 
-def _check_horizon(taus, horizon) -> None:
-    """ResourceError naming the longest of taus past its block's horizon."""
+def _check_horizon(taus, horizon, what: str = "drive time") -> None:
+    """ResourceError naming the longest of taus, `what` they are, past its block's horizon."""
     long = np.asarray(taus > horizon)
     if long.any():
         tau = np.broadcast_to(taus, long.shape)[long].max()
-        raise ResourceError(f"drive time {tau} s is too long for a propagator to keep the trace")
+        raise ResourceError(f"{what} {tau} s is too long for a propagator to keep the trace")
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -301,7 +301,8 @@ def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
     """The block's propagators at times taus that every row shares, a read-only
     (len(taus), dim, dim) stack.  Each is built on its own, so a time's
     propagator is the same to the bit in every stack that holds it."""
-    _check_horizon(np.array(taus), _eigensystem(n, N, j, omega, gamma)[1])
+    _check_horizon(np.array(taus), _eigensystem(n, N, j, omega, gamma)[1],
+                   "measurement window" if omega == 0 else "drive time")  # omega is 0 only there
     props = np.array([_build_propagators(n, N, j, omega, gamma, np.asarray(t)) for t in taus])
     props.setflags(write=False)
     return props

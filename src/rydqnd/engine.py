@@ -30,30 +30,37 @@ NOISY_FIXED_N = "noisy-fixed-n"
 class Schedule:
     """Drive-time strategy: fixed, uniform-random, precomputed list, or greedy."""
 
-    # each kind, and the fields its drive times come from
+    # each kind, and the fields its drive times come from: it takes no other field
     KINDS = {"fixed": ("tau",), "uniform-random": ("tau_min", "tau_max"),
-             "precomputed-list": ("taus",), "adaptive-greedy": ()}
+             "precomputed-list": ("taus",), "adaptive-greedy": ("grid_points",)}
 
     kind: str
     tau: float | None = None
     tau_min: float | None = None
     tau_max: float | None = None
     taus: tuple[float, ...] | None = None
-    grid_points: int = 800
+    grid_points: int | None = None
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DomainError(f"unknown schedule kind {self.kind!r}")
-        for key in self.KINDS[self.kind]:
-            if getattr(self, key) is None:
-                raise DomainError(f"a {self.kind} schedule needs {key}")
+        own = self.KINDS[self.kind]
+        for key in (f.name for f in fields(self)[1:]):
+            if (getattr(self, key) is None) == (key in own):
+                raise DomainError(f"a {self.kind} schedule "
+                                  f"{'needs' if key in own else 'takes no'} {key}")
         times = [t for t in (self.tau, self.tau_min, self.tau_max) if t is not None]
         if not all(math.isfinite(t) and t >= 0 for t in times + list(self.taus or ())):
             raise DomainError("drive times must be finite and non-negative")
-        if self.tau_min is not None and self.tau_max is not None and self.tau_min > self.tau_max:
+        if self.kind == "uniform-random" and self.tau_min > self.tau_max:
             raise DomainError("need tau_min <= tau_max")
-        if self.grid_points < 1:
+        if self.kind == "adaptive-greedy" and self.grid_points < 1:
             raise DomainError("need grid_points >= 1")
+
+    @property
+    def draws(self) -> int:
+        """The drive-time draws a cycle takes per row: 1 for uniform-random, else 0."""
+        return int(self.kind == "uniform-random")
 
     @staticmethod
     def fixed(tau: float) -> "Schedule":
@@ -72,16 +79,8 @@ class Schedule:
         return Schedule("adaptive-greedy", grid_points=grid_points)
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("tau", "tau_min", "tau_max"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.taus is not None:
-            out["taus"] = list(self.taus)
-        if self.kind == "adaptive-greedy":
-            out["grid_points"] = self.grid_points
-        return out
+        own = ((key, getattr(self, key)) for key in self.KINDS[self.kind])
+        return {"kind": self.kind, **{key: list(v) if key == "taus" else v for key, v in own}}
 
 
 @dataclass
@@ -155,8 +154,11 @@ class ProtocolParams:
         }
 
 
-def schedule_next_tau(schedule: Schedule, history: list[float], params: ProtocolParams) -> float:
-    """Next drive time of a schedule that draws nothing, given the earlier ones."""
+def schedule_next_tau(schedule: Schedule, history: list[float], params: ProtocolParams,
+                      draws: np.ndarray | None = None):
+    """The next drive time, given the earlier ones: one float every row shares, or, for
+    a kind that draws (`Schedule.draws`), one per row from the rows' drive-time draws
+    (uniform in [0, 1), as `Generator.uniform` takes them); the others ignore draws."""
     if schedule.kind == "fixed":
         return float(schedule.tau)
     if schedule.kind == "precomputed-list":
@@ -169,7 +171,10 @@ def schedule_next_tau(schedule: Schedule, history: list[float], params: Protocol
         grid = default_tau_grid(params.omega, schedule.grid_points)
         return greedy_next_tau(history, cands, prior, grid, params.omega, params.noise(),
                                params.ejection_enabled)
-    raise DomainError(f"schedule kind {schedule.kind!r} has no drive time every trajectory shares")
+    if draws is None:
+        raise DomainError(f"schedule kind {schedule.kind!r} has no drive time every trajectory shares")
+    lo, hi = float(schedule.tau_min), float(schedule.tau_max)
+    return lo + (hi - lo) * draws
 
 
 def sample_initial(dist, params: ProtocolParams) -> dyn.PureCollectiveState:
@@ -256,8 +261,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     photon numbers too; the posterior reads the candidates' columns), and a
     `dynamics.BlockBatch` in noisy mode.  Each generator yields its draws in the
     order of a lone trajectory: the initial photon number (noisy mode,
-    Fock-distribution input only), then per cycle the drive time (uniform-random
-    schedules only) and the measurement.  Cycle draws are taken in blocks of
+    Fock-distribution input only), then per cycle the drive time (schedules that
+    draw, `Schedule.draws`) and the measurement.  Cycle draws are taken in blocks of
     cycles, one block per generator at a time.
     """
     cands, prior = params.resolved_candidates()
@@ -273,12 +278,9 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     else:
         n_true = [_sample_n(initial, rng) for rng in rngs]
         states = dyn.BlockBatch(n_true, params.omega, noise, params.ejection_enabled, points)
-    # fixed, precomputed and adaptive-greedy drive times depend only on the earlier
+    # a kind that draws nothing gives drive times that depend only on the earlier
     # ones, so the trajectories share one sequence, each entry computed once
-    history = None if params.schedule.kind == "uniform-random" else []
-    per_cycle = 2 if history is None else 1  # the measurement's draw, after the drive time's
-    if history is None:  # drawn as Generator.uniform draws them
-        lo, hi = float(params.schedule.tau_min), float(params.schedule.tau_max)
+    history, per_cycle = [], 1 + params.schedule.draws  # drive-time draws, then the measurement's
 
     ids = np.arange(n_traj)  # trajectory of each active row
     # each active row's trajectory as errors name it: its seed key, (k,) as k
@@ -307,12 +309,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             first_draw = per_cycle * cycle
             draws = np.array([rngs[i].random(per_cycle * block) for i in ids.tolist()])
         col = per_cycle * cycle - first_draw
-        if history is None:
-            taus = lo + (hi - lo) * draws[:, col]
-        else:
-            tau = schedule_next_tau(params.schedule, history, params)
-            history.append(tau)
-            taus = np.full(ids.size, tau)
+        history.append(schedule_next_tau(params.schedule, history, params, draws[:, col]))
+        taus = np.full(ids.size, history[-1])
 
         if points:  # linspace is exact for times > 0 and ends at tau
             driven = np.flatnonzero(taus > 0)

@@ -69,13 +69,56 @@ def test_unknown_schedule_kind_rejected():
 
 @pytest.mark.parametrize("kind, given, missing", [
     ("fixed", {}, "tau"), ("uniform-random", {}, "tau_min"),
-    ("uniform-random", {"tau_min": 1e-7}, "tau_max"), ("precomputed-list", {}, "taus")],
-    ids=["fixed", "uniform-random", "uniform-random-no-max", "precomputed-list"])
+    ("uniform-random", {"tau_min": 1e-7}, "tau_max"), ("precomputed-list", {}, "taus"),
+    ("adaptive-greedy", {}, "grid_points")],
+    ids=["fixed", "uniform-random", "uniform-random-no-max", "precomputed-list",
+         "adaptive-greedy"])
 def test_schedule_without_its_drive_times_rejected(kind, given, missing):
     """A kind without the fields its drive times come from is a `DomainError`
     naming the missing field, before any cycle runs."""
     with pytest.raises(DomainError, match=f"a {kind} schedule needs {missing}$"):
         eng.Schedule(kind, **given)
+
+
+# every schedule field, with a value its own kind would take
+_FIELDS = {"tau": 2e-7, "tau_min": 1e-7, "tau_max": 3e-7, "taus": (1e-7, 2e-7), "grid_points": 10}
+
+
+@pytest.mark.parametrize("kind, foreign", [
+    (kind, key) for kind, own in eng.Schedule.KINDS.items() for key in _FIELDS if key not in own])
+def test_schedule_refuses_a_field_foreign_to_its_kind(kind, foreign):
+    """A kind takes only the fields its drive times come from: a foreign one is a
+    `DomainError` naming the kind and the field, even one that would pass its checks
+    (a fixed schedule's tau_min above its tau_max, say)."""
+    own = {key: _FIELDS[key] for key in eng.Schedule.KINDS[kind]}
+    eng.Schedule(kind, **own)
+    with pytest.raises(DomainError, match=f"^a {kind} schedule takes no {foreign}$"):
+        eng.Schedule(kind, **own, **{foreign: _FIELDS[foreign]})
+
+
+@pytest.mark.parametrize("sched", [
+    eng.Schedule.fixed(2e-7), eng.Schedule.uniform_random(1e-7, 3e-7),
+    eng.Schedule.precomputed([1e-7, 2e-7]), eng.Schedule.adaptive_greedy(12)],
+    ids=lambda sched: sched.kind)
+def test_schedule_to_dict_holds_exactly_its_kinds_fields(sched):
+    own = {key: getattr(sched, key) for key in eng.Schedule.KINDS[sched.kind]}
+    expected = {"kind": sched.kind, **{key: list(v) if key == "taus" else v
+                                       for key, v in own.items()}}
+    assert sched.to_dict() == expected and json.loads(json.dumps(sched.to_dict())) == expected
+
+
+def test_uniform_random_drive_times_come_from_the_rows_draws():
+    """`schedule_next_tau` gives a uniform-random schedule's drive times from the
+    rows' draws as `Generator.uniform` would, bit for bit; it draws 1 per row per cycle
+    and the other kinds none."""
+    sched = eng.Schedule.uniform_random(0.05e-6, 0.4e-6)
+    draws = np.random.default_rng(5).random(1000)
+    taus = eng.schedule_next_tau(sched, [], noisy_params(schedule=sched), draws)
+    lo, hi = 0.05e-6, 0.4e-6
+    assert taus.tobytes() == (lo + (hi - lo) * draws).tobytes()
+    assert taus.tobytes() == np.random.default_rng(5).uniform(lo, hi, 1000).tobytes()
+    assert [s.draws for s in (sched, eng.Schedule.fixed(1e-7), eng.Schedule.precomputed([1e-7]),
+                              eng.Schedule.adaptive_greedy())] == [1, 0, 0, 0]
 
 
 def test_invalid_params_rejected():

@@ -257,6 +257,59 @@ def test_infer_refuses_a_drive_past_the_propagator_horizon(tmp_path, capsys):
     assert "drive time 1e+300 s is too long" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_a_window_past_the_propagator_horizon_is_named_as_the_window(command, tmp_path, capsys):
+    """The measurement window is propagated with the drive off; past the horizon it
+    exits 5 naming the window, not a drive time, and writes nothing."""
+    rec, out = tmp_path / "record.json", tmp_path / "out"
+    rec.write_text(MeasurementRecord([(2e-7, RYDBERG)]).to_json())
+    argv = (["infer", str(rec), "--out", str(out), *_noise_flags()] if command == "infer" else
+            ["simulate", "--trajectories", "1", "--max-cycles", "3", "--outdir", str(out)])
+    assert cli.main([*argv, "--tau-eit-us", "1e300"]) == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: measurement window 1e+294 s is too long for a "
+                                "propagator to keep the trace"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "RECORD", "--n-atoms", "30000", "--n-max", "30000"],
+    ["infer", "RECORD", "--n-atoms", "30000", "--candidates", "1..30000"],
+    ["simulate", "--gamma-mhz", "0", "--n-atoms", "30000", "--n-max", "30000"],
+], ids=["infer-n-max", "infer-candidates", "simulate"])
+def test_a_candidate_table_past_the_guard_exits_5_before_it_is_built(argv, tmp_path, capsys,
+                                                                     monkeypatch):
+    """30,000 delta candidates of 30,001 entries each would be 7 GB of floats: exit 5
+    with one error line, before any delta is built or any file written."""
+    monkeypatch.setattr(FockDistribution, "delta",
+                        lambda *args: pytest.fail("a delta candidate was built"))
+    rec, out = tmp_path / "record.json", tmp_path / "out"
+    rec.write_text(MeasurementRecord([(2e-7, RYDBERG)]).to_json())
+    argv = [str(rec) if a == "RECORD" else a for a in argv]
+    argv += ["--out", str(out)] if argv[0] == "infer" else ["--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: 30000 candidates of 30001 entries exceed the guard of "
+        f"{cli.MAX_CANDIDATE_ENTRIES} entries"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["1..100000000", "5..100000000000000000000000"])
+def test_analyze_rows_past_the_guard_exit_5_before_any_row_is_built(n, tmp_path, capsys,
+                                                                     monkeypatch):
+    """`--n` wider than `MAX_TABLE_ROWS` exits 5 with one error line, before any
+    row is computed (a range past sys.maxsize values too) or the table written."""
+    monkeypatch.setattr(an, "steady_state_populations",
+                        lambda *args: pytest.fail("a row was computed"))
+    out = tmp_path / "table.json"
+    assert cli.main(["analyze", "steady-state", "--n", n, "--out", str(out)]) \
+        == cli.EXIT_RESOURCE
+    lo, hi = (int(v) for v in n.split(".."))
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --n {n} gives {hi - lo + 1} rows, more than the guard of {cli.MAX_TABLE_ROWS}"]
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gamma_mhz", ["0", str(GAMMA_MHZ)])
 def test_simulate_refuses_a_drive_phase_past_float_range(gamma_mhz, tmp_path, capsys):
