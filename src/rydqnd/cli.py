@@ -437,8 +437,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         config["regime"] = args.regime
     if args.analysis != "optimize-schedule":
         ns = _parse_int_range(args.n)
-        if (rows := _extent(ns)[0]) > MAX_TABLE_ROWS:
-            raise ResourceError(f"--n {args.n} gives {rows} rows, more than the guard of "
+        if (count := _extent(ns)[0]) > MAX_TABLE_ROWS:
+            raise ResourceError(f"--n {args.n} gives {count} rows, more than the guard of "
                                 f"{MAX_TABLE_ROWS}")
 
     if args.analysis == "fisher":

@@ -155,7 +155,7 @@ class ProtocolParams:
 
 
 def schedule_next_tau(schedule: Schedule, history: list[float], params: ProtocolParams,
-                      draws: np.ndarray | None = None):
+                      draws: np.ndarray | None = None) -> float | np.ndarray:
     """The next drive time, given the earlier ones: one float every row shares, or, for
     a kind that draws (`Schedule.draws`), one per row from the rows' drive-time draws
     (uniform in [0, 1), as `Generator.uniform` takes them); the others ignore draws."""
