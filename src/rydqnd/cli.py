@@ -268,6 +268,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trajectories < 1:
         raise DomainError("need --trajectories >= 1")
     params = _build_params(args)
+    rows = args.trajectories * params.max_cycles * (1 + 2 * params.trace_points)
+    if rows > MAX_CYCLE_ROWS:
+        raise ResourceError(f"--trajectories {args.trajectories} x --max-cycles "
+                            f"{params.max_cycles} x (1 + 2 x --trace-points "
+                            f"{params.trace_points}) gives {rows} rows, more than the guard "
+                            f"of {MAX_CYCLE_ROWS}")
     logs = run_batch(args.n_true, params, args.trajectories)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -346,6 +352,10 @@ MAX_TIME_POINTS = 1_000  # `evolve_dense_grid` keeps a full rho per point, about
 MAX_CANDIDATE_ENTRIES = 1_000_000
 # `analyze --n` rows: 100,000 took 1.3 s and 140 MB peak (steady-state), 1.7 s and 155 MB (fisher)
 MAX_TABLE_ROWS = 100_000
+# `simulate` rows, trajectories x cycles x (1 + 2 x trace points), each kept to the end: an
+# untraced cycle took about 1.2 KB of peak memory (noiseless) or 1.7 KB (noisy), a noisy one
+# traced at 8 points (17 rows) 14-17 KB, so a run at the guard peaks under 2 GB
+MAX_CYCLE_ROWS = 1_000_000
 
 def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
                               times: np.ndarray,

@@ -132,7 +132,6 @@ class PureBatch:
         with np.errstate(divide="ignore"):
             self.log_w0 = np.log(w0[record.ns])
         self.record, self.elapsed = record, np.zeros(len(record.log_l))
-        self.reads = [None, None]  # the traced drive's readouts (no window), until `readouts`
 
     def _read(self, rows, times: np.ndarray, odds=None) -> np.ndarray:
         """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows));
@@ -145,22 +144,21 @@ class PureBatch:
         p_r = (w * odds).sum(axis=1) / w.sum(axis=1)
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
-    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
+    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray | None:
         """Drive row r for taus[r] at the record's omega: its weights stay, its drive
-        time grows.  steps as in `BlockBatch.drive`; their readouts wait for `readouts`."""
+        time grows.  steps, and what it returns, as in `BlockBatch.drive`."""
         _check_times(taus, "drive time")
+        read = None
         if steps is not None:
             driven = np.flatnonzero(taus > 0)
             times = (self.elapsed[driven, None] + steps).ravel()
-            rows = driven.repeat(steps.shape[1])
-            self.reads[0] = self._read(rows, times).reshape(3, *steps.shape)
+            read = self._read(driven.repeat(steps.shape[1]), times).reshape(3, *steps.shape)
         self.elapsed = self.elapsed + taus
+        return read
 
-    def readouts(self) -> tuple:
-        """(drive, window, now) as `BlockBatch.readouts` gives them; a projective
-        measurement has no window."""
-        (drive, window), self.reads = self.reads, [None, None]
-        return drive, window, self._read(slice(None), self.elapsed)
+    def read(self) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, fidelity 1) of every row now, (3, rows)."""
+        return self._read(slice(None), self.elapsed)
 
     def fidelity(self) -> np.ndarray:  # a noiseless row is its own ideal
         return np.ones(self.elapsed.size)
@@ -170,13 +168,14 @@ class PureBatch:
         with no window, and end its drive.  One kernel call reads both outcomes: ``drawn``
         keeps each row's Pr(drawn outcome | n) for the record's ``_step``, the collapse
         before the rows are read again (``record.update`` evaluates them anew); ``eject``
-        is the record's.  Returns the outcomes and their probabilities."""
+        is the record's.  Returns the outcomes, their probabilities and None: a
+        projective measurement has no window to trace."""
         rec = self.record  # each row's phase read for both outcomes: Rydberg, then NoRydberg
         odds = _noiseless_factors(rec.ns, rec.omega, self.elapsed, [rec.last, ~rec.last], rec.shift)
         p_no, p_r, _ = self._read(slice(None), self.elapsed, odds[0])
         rydberg = draws < p_r
         self.drawn, self.elapsed = np.where(rydberg[:, None], *odds), np.zeros(self.elapsed.size)
-        return rydberg, np.where(rydberg, p_r, p_no)
+        return rydberg, np.where(rydberg, p_r, p_no), None
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask (``record.take`` drops its own)."""
@@ -527,8 +526,8 @@ class BlockBatch:
     driven, collapsed and ejected alike; the row's retrieval fidelity is its
     overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A row
     computes what the one-state kernels compute for its block list and its
-    `PureCollectiveState` twin, bit for bit.  Traced sub-steps are queued per
-    sector, and `readouts` reads each sector once for the whole cycle.
+    `PureCollectiveState` twin, bit for bit.  A traced `drive` or `measure` reads
+    its sub-steps per sector as it makes them and returns what they read.
     Like `inference.NoisyLikelihoods` it takes ``omega``, ``noise`` (`NoiseParams`:
     gamma, the window tau_eit and N) and ``eject`` once.
     """
@@ -545,9 +544,6 @@ class BlockBatch:
         for n in sorted(set(self.n.tolist())):
             rows = np.flatnonzero(self.n == n)
             self.groups[(n, noise.N)] = (rows, np.tile(sector(n, noise.N).dyads[0], (rows.size, 1)))
-        # per sector, the traced sub-steps (readout, its rows, states (M, D), twins a, b
-        # (M,)) to read, and the drive's and the window's readouts they fill
-        self.queued, self.reads = {}, [None, None]
 
     def _evolved(self, sec: Sector, x: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
         """The states x (rows, D) advanced for each of their times in taus, as
@@ -556,7 +552,7 @@ class BlockBatch:
         return _advance(x[:, None], props, sec.spans, sec.traces)
 
     def fidelity(self) -> np.ndarray:  # 1 in the vacuum, which has no twin
-        return self.readouts()[2][2]
+        return self.read()[2]
 
     @staticmethod
     def _read(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -565,43 +561,26 @@ class BlockBatch:
         fid = np.ones(len(x)) if sec.n == 0 else _overlaps(sec, x, a, b)  # vacuum: no twin
         return np.array((*_populations(blk.trace, x, blk.ss, blk.rr), fid))
 
-    def readouts(self) -> tuple:
-        """(drive, window, now): the readouts of the sub-steps `drive` and `measure`
-        queued since the last call, (3, driven rows, points) and (3, rows, points),
-        None where none were queued, and (p_NoRydberg, p_Rydberg, retrieval fidelity)
-        of every row now, (3, rows).  Call it before `take`.  Each
-        sector's queued states and rows are read in one `_read`; a sector with
-        nothing queued reads its rows in place."""
-        now, (drive, window) = np.empty((3, self.n.size)), self.reads
-        queued, self.queued, self.reads = self.queued, {}, [None, None]
+    def read(self) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row now, (3, rows)."""
+        now = np.empty((3, self.n.size))
         for key, (rows, x) in self.groups.items():
-            queued.setdefault(key, []).append((now, rows, x, self.a[rows], self.b[rows]))
-        for key, items in queued.items():
-            outs, at, x, a, b = zip(*items)
-            if len(items) == 1:  # nothing to join or split
-                parts = [self._read(sector(*key), x[0], a[0], b[0])]
-            else:
-                read = self._read(sector(*key), *map(np.concatenate, (x, a, b)))
-                ends = np.cumsum([len(z) for z in x]).tolist()
-                parts = [read[:, start:stop] for start, stop in zip([0, *ends], ends)]
-            for out, rows, part in zip(outs, at, parts):
-                out[:, rows] = part.reshape((3, len(rows)) + out.shape[2:])
-        return drive, window, now
+            now[:, rows] = self._read(sector(*key), x, self.a[rows], self.b[rows])
+        return now
 
-    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
+    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray | None:
         """Drive row r and its twin for taus[r]; a row with taus 0 is left as it is.
-        steps, if given, are the sub-step times (driven rows, points) of the rows
-        with taus > 0, each ending at its tau: those rows keep their last sub-step,
-        and every sub-step is queued for `readouts`."""
+        steps, if given, are the sub-step times (driven rows, points) of the rows with
+        taus > 0, each ending at its tau: those rows keep their last sub-step, and what
+        `read` gives at each is returned, (3, driven rows, points); None untraced."""
         _check_times(taus)
         driven = np.flatnonzero(taus > 0)
-        traced, steps = steps is not None, taus[driven, None] if steps is None else steps
+        read, steps = ((None, taus[driven, None]) if steps is None
+                       else (np.empty((3, *steps.shape)), steps))
         a, b = _rotation(self.a[driven, None], self.b[driven, None],
                          np.sqrt(self.n[driven, None]) * self.omega, steps)
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
-        if traced:
-            self.reads[0] = np.empty((3, *steps.shape))
         for key, (rows, x) in self.groups.items():
             sec = sector(*key)
             slot = np.flatnonzero(taus[rows] > 0)
@@ -609,19 +588,19 @@ class BlockBatch:
             if slot.size:
                 grid = self._evolved(sec, x[slot], _times(steps[at]), self.omega)
                 x[slot] = grid[:, -1]
-                if traced:  # grid and a[at], b[at] are fresh arrays
-                    self.queued.setdefault(key, []).append((self.reads[0], at, grid.reshape(
-                        -1, x.shape[1]), a[at].ravel(), b[at].ravel()))
+                if read is not None:
+                    read[:, at] = self._read(sec, grid.reshape(-1, x.shape[1]), a[at].ravel(),
+                                             b[at].ravel()).reshape(3, at.size, -1)
+        return read
 
     def measure(self, draws: np.ndarray):
-        """`PureBatch.measure` for block states: the window (through each of ``dts``,
-        if any, each queued for `readouts` under the row's sector before the
-        measurement), the projection of every row and its twin; with ``eject``,
-        Rydberg rows lose the detected atom and restart from the fresh twin
-        |S_n-1>.  Returns the outcomes and their probabilities."""
+        """`PureBatch.measure` for block states: the window (through each of ``dts``, if
+        any), the projection of every row and its twin; with ``eject``, Rydberg rows lose
+        the detected atom and restart from the fresh twin |S_n-1>.  Returns the outcomes,
+        their probabilities and `read` at each window sub-step, (3, rows, points), read
+        per sector before any row ejects; None untraced."""
         rydberg, probs, dts = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size), self.dts
-        if dts is not None:
-            self.reads[1] = np.empty((3, self.n.size, dts.size))
+        window = None if dts is None else np.empty((3, self.n.size, dts.size))
         moved = []
         for key, (rows, x) in list(self.groups.items()):
             sec = sector(*key)
@@ -629,8 +608,9 @@ class BlockBatch:
                 grid = self._evolved(sec, x, np.asarray(self.window) if dts is None else dts, 0.0)
                 x = grid[:, -1]
                 if dts is not None:
-                    self.queued.setdefault(key, []).append((self.reads[1], rows, grid.reshape(
-                        -1, x.shape[1]), *(z[rows].repeat(dts.size) for z in (self.a, self.b))))
+                    a, b = (z[rows].repeat(dts.size) for z in (self.a, self.b))
+                    window[:, rows] = self._read(sec, grid.reshape(-1, x.shape[1]), a, b
+                                                 ).reshape(3, rows.size, -1)
             blk = sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
@@ -662,7 +642,7 @@ class BlockBatch:
                 old_rows, old_x = self.groups[key]
                 rows, x = np.concatenate((old_rows, rows)), np.concatenate((old_x, x))
             self.groups[key] = (rows, x)
-        return rydberg, probs
+        return rydberg, probs, window
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""

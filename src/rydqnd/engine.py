@@ -299,7 +299,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
     steps, dts = None, states.dts
     if points:
-        trace(0, ids, 0, t_now[ids], states.readouts()[2])
+        trace(0, ids, 0, t_now[ids], states.read())
 
     for cycle in range(params.max_cycles):
         if ids.size == 0:
@@ -316,8 +316,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             driven = np.flatnonzero(taus > 0)
             steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
             drive_times = t_now[ids[driven], None] + steps
-        states.drive(taus, steps)
-        rydberg, _ = states.measure(draws[:, col + per_cycle - 1])
+        drive = states.drive(taus, steps)
+        rydberg, _, window = states.measure(draws[:, col + per_cycle - 1])
         if noise is None:  # `drive` checked the drive times, `measure` drew the factors
             likelihoods._step(states.drawn, rydberg)
         else:
@@ -325,7 +325,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         # take keeps C order
         weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", names)
         if points:
-            drive, window, collapse = states.readouts()
+            collapse = states.read()
             trace(1, ids[driven], cycle, drive_times, drive)
             t_now[ids] += taus  # the trace's clock: only traced runs read it
             if window is not None:  # a window traced at ``dts``

@@ -238,16 +238,13 @@ class NoiselessLikelihoods:
         # the one rule: last = Rydberg unless ejecting; an ejection shifts a photon
         self.last, self.shift = rydberg & (not self.eject), self.shift + (rydberg & self.eject)
 
-    def outcome_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Pr(next outcome | record, n) of the selected rows for every drive time of the
-        grid, shape (rows, len(ns), 2G): the row's reference outcome repeated, then changed,
+    def grid_reader(self, grid: np.ndarray):
+        """The grid checked and keyed once, and a function of the selected rows (default
+        all) giving their Pr(next outcome | record, n) for every drive time of the grid,
+        shape (rows, len(ns), 2G): the row's reference outcome repeated, then changed,
         so rows differ in which outcome comes first (`analysis._fidelity_over_grid` only
         sums the two).  Shape (1, len(ns), 2G), to broadcast, where every selected row has
         one photon shift (always so without ejection)."""
-        return self.grid_reader(grid)(rows)
-
-    def grid_reader(self, grid: np.ndarray):
-        """`outcome_grid` of one grid as a function of the rows, checked and keyed once."""
         dyn._check_times(grid)
         return partial(self._read_grid, (tuple(self.ns.tolist()), self.omega, grid.tobytes()))
 
@@ -275,7 +272,7 @@ class NoisyLikelihoods:
     `_table` of the live entries' sectors (None where none is live) and
     ``row[r, i]`` the entry's row in it.  A cycle in which an ejection moved
     entries to other sectors sets ``row`` to None, and the next `update` or
-    `outcome_grid` keys both again.
+    grid read keys both again.
     """
 
     def __init__(self, ns: list[int], omega: float, noise: NoiseParams, eject: bool = False,
@@ -351,13 +348,17 @@ class NoisyLikelihoods:
                 self.row = None
         return step
 
-    def outcome_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Pr(next outcome | record, n) of the selected rows for every drive time
-        of the grid, shape (rows, len(ns), 2G): NoRydberg over the grid, then
-        Rydberg; zero where the record already has zero likelihood.  Spectrally
-        p(tau) = sum_k e^{lam_k tau} (r V)_k (V^-1 x)_k, r the population's trace
-        row (the drive-off window keeps it), else from `dynamics._propagators`."""
+    def grid_reader(self, grid: np.ndarray):
+        """The grid checked once, and a function of the selected rows (default all)
+        giving their Pr(next outcome | record, n) for every drive time of the grid,
+        shape (rows, len(ns), 2G): NoRydberg over the grid, then Rydberg; zero where
+        the record already has zero likelihood.  Spectrally p(tau) = sum_k e^{lam_k
+        tau} (r V)_k (V^-1 x)_k, r the population's trace row (the drive-off window
+        keeps it), else from `dynamics._propagators`."""
         dyn._check_times(grid)
+        return partial(self._read_grid, grid)
+
+    def _read_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
         if self.row is None:
             self._key()
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
@@ -380,11 +381,6 @@ class NoisyLikelihoods:
             dyn._check_drift(raw.sum(axis=1), (x[at].real @ trace)[:, None])
             out[r[at], c[at]] = np.maximum(raw, 0.0)
         return out.reshape(out.shape[0], out.shape[1], -1)
-
-    def grid_reader(self, grid: np.ndarray):
-        """`outcome_grid` of one grid as a function of the rows (each read is per
-        sector, so its grid check costs next to nothing)."""
-        return partial(self.outcome_grid, grid)
 
     def take(self, index: np.ndarray) -> None:
         """Keep the rows an index array (in its order, repeats allowed), a mask or a

@@ -240,7 +240,7 @@ def test_noiseless_tree_leaves_are_the_likelihoods_of_their_records(taus, eject)
         table = inf._log_likelihood_table(record, ns, 1.0, None, eject)
         np.testing.assert_allclose(log_l, table[-1], rtol=1e-12, atol=0)
     grid = np.array([0.0, 0.3, 1.7, 40.0])
-    step = tree.outcome_grid(grid)
+    step = tree.grid_reader(grid)()
     assert step.shape[1:] == (len(ns), 2 * grid.size)
     assert step.shape[0] == (like.shape[0] if eject and taus else 1)  # one shared shift
     np.testing.assert_allclose(step.reshape(-1, len(ns), 2, grid.size).sum(axis=2), 1.0,

@@ -126,15 +126,16 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
     """Every row's sector probabilities, fidelities (initial, traced drive and
     window sub-steps, after the collapse), outcomes, outcome probabilities and
     block coefficients equal its one-state chain's, bit for bit, while rows
-    eject into other groups (down to the (0, 0) vacuum) and leave the batch.
-    A traced drive or window keeps the state of its last sub-step, and that
-    state is the chain's after the whole drive or window."""
+    eject into other groups (down to the (0, 0) vacuum) and leave the batch
+    (in odd cycles before the rows that stay are read).  A traced drive or
+    window keeps the state of its last sub-step, and that state is the
+    chain's after the whole drive or window."""
     N, ns, gamma, window, eject, points, cycles = run
     batch = dyn.BlockBatch(ns, OMEGA, inf.NoiseParams(gamma, window, N), eject, points)
     chains = [_Row(n, N, gamma, window) for n in ns]
     ids = list(range(len(ns)))  # the chain of each batch row
-    _same(batch.readouts()[2], [_Row.read(c.blocks, c.twin) for c in chains])
-    for taus, draws, leave in cycles:
+    _same(batch.read(), [_Row.read(c.blocks, c.twin) for c in chains])
+    for cycle, (taus, draws, leave) in enumerate(cycles):
         if not ids:
             break
         active = [chains[i] for i in ids]
@@ -146,14 +147,13 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
                               for t in taus_now[driven].tolist()]).reshape(driven.size, points)
             in_drive = [[_Row.read(*active[r].driven(t)) for t in steps[k].tolist()]
                         for k, r in enumerate(driven.tolist())]
-        batch.drive(taus_now, steps)
+        got_drive = batch.drive(taus_now, steps)
         for c, t in zip(active, taus_now.tolist()):
             c.blocks, c.twin = c.driven(t)
         if points and window > 0:
             dts = np.linspace(window / points, window, points)
             in_window = [[_Row.read(*c.in_window(dt)) for dt in dts.tolist()] for c in active]
-        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]))
-        got_drive, got_window, _ = batch.readouts()
+        rydberg, probs, got_window = batch.measure(np.array([draws[i] for i in ids]))
         assert (got_drive is None) == (steps is None)
         if points:
             for k, expected in enumerate(in_drive):
@@ -165,14 +165,19 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
         expected = [c.measure(draws[i], eject) for i, c in zip(ids, active)]
         assert rydberg.tolist() == [ryd for ryd, _ in expected]
         assert probs.tolist() == [p for _, p in expected]
-        _same(batch.readouts()[2], [_Row.read(c.blocks, c.twin) for c in active])
-        assert batch.fidelity().tolist() == batch.readouts()[2][2].tolist()
-        for r, c in enumerate(active):
+        stay = np.array([not leave[i] for i in ids])
+        early = cycle % 2 == 1  # the leaving rows go between `measure` and `read`
+        if early:
+            batch.take(stay)
+        read = [c for c, s in zip(active, stay.tolist()) if s or not early]
+        _same(batch.read(), [_Row.read(c.blocks, c.twin) for c in read])
+        assert batch.fidelity().tolist() == batch.read()[2].tolist()
+        for r, c in enumerate(read):
             n, N_r, xs = _row_blocks(batch, r)
             assert (n, N_r) == (c.blocks[0].n, c.blocks[0].N)
             assert xs == [blk.x.tolist() for blk in c.blocks]
-        stay = np.array([not leave[i] for i in ids])
-        batch.take(stay)
+        if not early:
+            batch.take(stay)
         ids = [i for i, s in zip(ids, stay.tolist()) if s]
 
 
@@ -194,7 +199,7 @@ def test_batch_raises_what_the_chain_raises():
     row.blocks, row.twin = row.driven(0.0)
     batch.measure(np.zeros(1))
     row.measure(0.0, False)
-    assert _raised(batch.readouts) is _raised(lambda: _Row.read(row.blocks, row.twin))
+    assert _raised(batch.read) is _raised(lambda: _Row.read(row.blocks, row.twin))
 
     batch, row = dyn.BlockBatch([2], OMEGA, inf.NoiseParams(0.5, 0.1, 3)), _Row(2, 3, 0.5, 0.1)
     batch.groups[(2, 3)][1][:] = 0.0
@@ -218,10 +223,10 @@ def test_zero_drive_is_the_identity(gamma):
     assert np.array_equal(prop, np.eye(len(prop)))
     batch = dyn.BlockBatch([1], OMEGA, inf.NoiseParams(gamma, 0.0, 1))
     batch.drive(np.zeros(1))
-    assert batch.readouts()[2][1].tolist() == [0.0]
-    rydberg, p = batch.measure(np.zeros(1))
+    assert batch.read()[1].tolist() == [0.0]
+    rydberg, p, _ = batch.measure(np.zeros(1))
     assert rydberg.tolist() == [False] and p.tolist() == [1.0]
-    assert batch.readouts()[2][1].tolist() == [0.0]
+    assert batch.read()[1].tolist() == [0.0]
     assert batch.fidelity().tolist() == [1.0]
 
 

@@ -89,7 +89,7 @@ def test_noisy_likelihood_reduces_to_noiseless_at_zero_gamma():
 def test_conditional_state_outcome_probabilities_sum_to_one():
     row = inf.NoisyLikelihoods([2], OMEGA, NOISE)
     row.update(np.array([0.3]), np.array([True]))
-    p_no, p_ry = row.outcome_grid(np.array([0.4]))[0, 0]
+    p_no, p_ry = row.grid_reader(np.array([0.4]))()[0, 0]
     assert p_no + p_ry == pytest.approx(1.0, abs=1e-10)
     # committing to an outcome reproduces the quoted probability
     state = inf.ConditionalState(2, OMEGA, NOISE)
@@ -357,7 +357,7 @@ def test_noisy_ejection_down_to_the_empty_array(tmp_path):
     for tau, outcome in rec.entries:
         assert row.update(np.array([tau]), np.array([outcome == RYDBERG]))[0, 0] > -math.inf
     assert row.shift[0] == 2  # the (0, 0) vacuum
-    p_s, p_r = row.outcome_grid(np.array([2e-7]))[0, 0]
+    p_s, p_r = row.grid_reader(np.array([2e-7]))()[0, 0]
     assert p_s == pytest.approx(1.0, abs=1e-12) and p_r == 0.0
 
 

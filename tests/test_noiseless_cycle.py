@@ -90,7 +90,7 @@ def test_measure_and_step_equal_update_bit_for_bit(holder):
         taus = np.array(taus)
         batch.drive(taus)
         dead = stepped.log_l == -math.inf
-        rydberg, _ = batch.measure(np.array(draws))
+        rydberg, _, _ = batch.measure(np.array(draws))
         stepped._step(batch.drawn, rydberg)
         updated.update(taus, rydberg)
         assert stepped.log_l.tobytes() == updated.log_l.tobytes()

@@ -123,7 +123,7 @@ def test_spectral_readout_matches_the_windowed_chain(batch, grid):
         holder.update(np.array([row[t][0] for row in rows]),
                       np.array([row[t][1] for row in rows]))
     grid = np.array(grid)
-    readout = holder.outcome_grid(grid).reshape(len(rows), len(ns), 2, grid.size)
+    readout = holder.grid_reader(grid)().reshape(len(rows), len(ns), 2, grid.size)
     for r, row in enumerate(rows):
         for i, n in enumerate(ns):
             logs, block = _chain(n, N, gamma, tau_eit, eject, row)

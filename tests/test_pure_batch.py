@@ -84,7 +84,7 @@ def test_batch_matches_the_one_state_chain(run):
     record = inf.NoiselessLikelihoods(list(range(amps.size)), OMEGA, eject, [0] * rows)
     batch, chains = dyn.PureBatch(start, record), [start] * rows
     ids = list(range(rows))  # the chain of each batch row
-    _close(batch.readouts()[2], [_p_rydberg(c) for c in chains])
+    _close(batch.read(), [_p_rydberg(c) for c in chains])
     for taus, draws, leave in cycles:
         if not ids:
             break
@@ -95,12 +95,12 @@ def test_batch_matches_the_one_state_chain(run):
             steps = np.linspace(taus_now[driven] / points, taus_now[driven], points, axis=-1)
             in_drive = [[_p_rydberg(dyn.evolve_pure(chains[ids[r]], t, OMEGA)) for t in steps[k]]
                         for k, r in enumerate(driven.tolist())]
-        batch.drive(taus_now, steps)
+        got_drive = batch.drive(taus_now, steps)
         for r, t in enumerate(taus_now.tolist()):
             chains[ids[r]] = dyn.evolve_pure(chains[ids[r]], t, OMEGA)
-        rydberg, probs = batch.measure(np.array([draws[i] for i in ids]))
+        rydberg, probs, got_window = batch.measure(np.array([draws[i] for i in ids]))
         record.update(taus_now, rydberg)
-        got_drive, got_window, now = batch.readouts()
+        now = batch.read()
         assert got_window is None and (got_drive is None) == (steps is None)
         for k, expected in enumerate(in_drive if points else []):
             _close(got_drive[:, k], expected)
@@ -132,7 +132,7 @@ def test_photon_numbers_the_state_does_not_hold_change_no_outcome(run, extra):
     records = [inf.NoiselessLikelihoods(ns, OMEGA, eject, [0] * rows)
                for ns in (list(range(amps.size)), wide)]
     own, union = (dyn.PureBatch(start, record) for record in records)
-    _close(union.readouts()[2], own.readouts()[2][1])
+    _close(union.read(), own.read()[1])
     alive = np.ones(rows, dtype=bool)
     for taus, draws, leave in cycles:
         if not alive.any():
@@ -144,11 +144,11 @@ def test_photon_numbers_the_state_does_not_hold_change_no_outcome(run, extra):
             steps = np.linspace(driven / points, driven, points, axis=-1)
         outcomes = []
         for batch, record in zip((own, union), records):
-            batch.drive(taus_now, steps)
-            rydberg, probs = batch.measure(draws_now)
+            drive = batch.drive(taus_now, steps)
+            rydberg, probs, _ = batch.measure(draws_now)
             record.update(taus_now, rydberg)
-            outcomes.append((rydberg, probs, batch.readouts()))
-        (ryd, p, (drive, _, now)), (ryd_u, p_u, (drive_u, _, now_u)) = outcomes
+            outcomes.append((rydberg, probs, drive, batch.read()))
+        (ryd, p, drive, now), (ryd_u, p_u, drive_u, now_u) = outcomes
         assert ryd.tolist() == ryd_u.tolist()
         assert np.abs(p - p_u).max() <= TOL
         _close(now_u, now[1])

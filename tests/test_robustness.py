@@ -311,6 +311,28 @@ def test_analyze_rows_past_the_guard_exit_5_before_any_row_is_built(n, tmp_path,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma_mhz, trajectories, points", [
+    ("0", 1, 0), (str(GAMMA_MHZ), 1, 0), (str(GAMMA_MHZ), 4, 8)])
+def test_simulate_rows_past_the_guard_exit_5_before_the_run(gamma_mhz, trajectories, points,
+                                                            tmp_path, capsys, monkeypatch):
+    """One cycle more than `MAX_CYCLE_ROWS` allows, trajectories x cycles x (1 + 2
+    x trace points), exits 5 with one error line, before any trajectory is run or
+    any file written: a run that never converges keeps every cycle to the end."""
+    monkeypatch.setattr(cli, "run_batch", lambda *args: pytest.fail("the batch was run"))
+    cycles = cli.MAX_CYCLE_ROWS // (trajectories * (1 + 2 * points)) + 1
+    rows = trajectories * cycles * (1 + 2 * points)
+    out = tmp_path / "out"
+    argv = ["simulate", "--gamma-mhz", gamma_mhz, "--trajectories", str(trajectories),
+            "--max-cycles", str(cycles), "--trace-points", str(points), "--threshold", "2",
+            "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --trajectories {trajectories} x --max-cycles {cycles} x (1 + 2 x "
+        f"--trace-points {points}) gives {rows} rows, more than the guard of "
+        f"{cli.MAX_CYCLE_ROWS}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gamma_mhz", ["0", str(GAMMA_MHZ)])
 def test_simulate_refuses_a_drive_phase_past_float_range(gamma_mhz, tmp_path, capsys):
     """sqrt(n) * omega * tau overflows to inf, whose cos and sin are NaN: exit 5

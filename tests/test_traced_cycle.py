@@ -65,7 +65,7 @@ def test_traced_noiseless_cycle_reads_the_odds_once_per_phase(monkeypatch, name)
     factors = dyn._noiseless_factors
     monkeypatch.setattr(dyn, "_noiseless_factors",
                         lambda *args: calls.append(1) or factors(*args))
-    for method in ("drive", "measure", "readouts"):
+    for method in ("drive", "measure", "read"):
         original = getattr(dyn.PureBatch, method)
 
         def counted(self, *args, original=original, method=method, **kwargs):
@@ -78,6 +78,6 @@ def test_traced_noiseless_cycle_reads_the_odds_once_per_phase(monkeypatch, name)
     logs = eng.run_batch(initial, params, batch)
     assert _digest(logs) == DIGESTS[name]
     cycles = max(len(log.record) for log in logs)
-    # the initial trace reads the rows; a cycle's readouts read them once more
-    assert per_call[0] == ("readouts", 1)
-    assert per_call[1:] == [("drive", 1), ("measure", 1), ("readouts", 1)] * cycles
+    # the initial trace reads the rows; a cycle's collapse reads them once more
+    assert per_call[0] == ("read", 1)
+    assert per_call[1:] == [("drive", 1), ("measure", 1), ("read", 1)] * cycles
