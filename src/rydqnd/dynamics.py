@@ -470,20 +470,12 @@ def _renormalised(ss: np.ndarray, ss_trace: np.ndarray) -> np.ndarray:
 
 def _overlaps(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Retrieval fidelity <psi|rho|psi> of every row of the side-by-side block
-    vectors x against psi = a_n |S_n> + b_n |R_n>: the weights of the dyads
-    |S><S|, |R><R|, |S><R|, |R><S| (a squared modulus as re^2 + im^2, a
-    cross term as Python's complex product computes it), a vdot per block and
-    row, summed over the blocks left to right."""
-    amp = np.stack((a, b))
-    re, im = amp.real, amp.imag
-    pre, pim = re[::-1], -im[::-1]  # each amplitude's conjugated partner
-    weights = np.concatenate((re * re + im * im, re * pre - im * pim + 1j * (re * pim + im * pre))).T
-    # every family lies in one dyad, so a family's weight is one product however
-    # the rows of all blocks' dyads are combined
-    u = (weights[:, None, :] @ sec.dyads).conj()
-    fid = np.zeros(len(a), dtype=complex)
-    for span in sec.spans:
-        fid = fid + (u[..., span] @ x[:, span, None])[:, 0, 0]
+    vectors x against psi = a_n |S_n> + b_n |R_n>: the row's overlaps with the
+    dyads |S><S|, |R><R|, |S><R|, |R><S|, weighted by conj(|a|^2, |b|^2, a b*,
+    b a*).  Each row is its own (1, D) @ (D, 4) product, so it reads the same
+    to the bit whatever rows it is read with."""
+    weights = np.conj([a, b, a, b]) * np.array([a, b, b, a])
+    fid = (x[:, None, :] @ sec.dyads.T @ weights.T[:, :, None])[:, 0, 0]
     if (np.abs(fid.imag) > 1e-8).any():
         raise IntegratorError("fidelity came out complex", residual=float(np.abs(fid.imag).max()))
     return np.minimum(np.maximum(fid.real, 0.0), 1.0)
@@ -628,12 +620,8 @@ class BlockBatch:
             if not out.all():
                 self.groups[(sec.n, sec.N)] = (rows[~out], x[~out])
             moved.append((sec, rows[out], x[out]))
-        amp = np.where(rydberg, self.b, self.a)
-        mag = np.hypot(amp.real, amp.imag)
-        big = mag > 1e-9
-        unit = np.where(big, amp / np.where(big, mag, 1.0), 1.0)
-        self.a, self.b = np.where(rydberg, 0.0, unit), np.where(rydberg, unit, 0.0)
-        _check_norm(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
+        # a twin's global phase changes no <psi|rho|psi>: it collapses onto |S_n> or |R_n>
+        self.a, self.b = (~rydberg).astype(complex), rydberg.astype(complex)
         for sec, rows, x in moved:
             self.n[rows] -= 1
             self.a[rows], self.b[rows] = 1.0, 0.0

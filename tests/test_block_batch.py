@@ -4,7 +4,7 @@ Each row of the holder is a noisy fixed-n trajectory with an ideal noiseless
 twin.  The reference is the explicit chain of one-state kernels per row:
 `evolve_blocks` and `evolve_pure` for the drive and its traced sub-steps,
 `evolve_blocks` with the drive off for the measurement window, `measure_block`
-for the outcome, the twin collapsed onto a unit-modulus amplitude,
+for the outcome, the twin collapsed onto exactly |S_n> or |R_n>,
 `eject_block` and a fresh twin after a Rydberg outcome with ejection, and
 `retrieval_fidelity` against the twin.  The two agree to the bit.
 """
@@ -66,9 +66,8 @@ class _Row:
         if self.twin is not None:
             n, a, b = self.twin.n_max, self.twin.a.copy(), self.twin.b.copy()
             kept, dropped = (b, a) if rydberg else (a, b)
-            amp = kept[n]
             dropped[:] = 0.0
-            kept[n] = amp / abs(amp) if abs(amp) > 1e-9 else 1.0
+            kept[n] = 1.0
             self.twin = dyn.PureCollectiveState(a, b)
         if eject and rydberg:
             self.blocks = dyn.eject_block(self.blocks)

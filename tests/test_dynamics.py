@@ -174,15 +174,22 @@ def _zeroed(blk):
 
 def test_fidelity_of_some_blocks_reads_each_block_by_its_j():
     """A block list may hold any of the sector's blocks in any order: each
-    block is read through its own j, and its overlap is the one of its
-    dyads, as summed block by block; a missing block counts as empty."""
+    block is read through its own j, as the side-by-side read of its blocks
+    placed by j, within rounding of its dyads' overlaps summed block by block;
+    a missing block counts as empty."""
     blocks, _, twin = _partial_state()
+    sec = sector(3, 7)
     a, b = complex(twin.a[3]), complex(twin.b[3])
     weights = np.array([abs(a) ** 2, abs(b) ** 2, a * b.conjugate(), b * a.conjugate()])
     for pick in ([1], [0, 2], [2, 3], [0, 1, 2, 3]):
         some = [blocks[j] for j in pick]
+        x = np.zeros((1, sec.spans[-1].stop), dtype=complex)
+        for blk in some:
+            x[0, sec.spans[blk.j]] = blk.x
+        read = dyn.retrieval_fidelity(some, twin)
+        assert read == dyn._overlaps(sec, x, twin.a[3:], twin.b[3:])[0]
         by_block = sum(complex(np.vdot(weights @ blk.block.dyads, blk.x)) for blk in some)
-        assert dyn.retrieval_fidelity(some, twin) == min(max(by_block.real, 0.0), 1.0)
+        assert abs(read - min(max(by_block.real, 0.0), 1.0)) <= 4.5e-16
         assert dyn.retrieval_fidelity(some[::-1], twin) == dyn.retrieval_fidelity(some, twin)
         filled = [blk if blk.j in pick else _zeroed(blk) for blk in blocks]
         assert dyn.retrieval_fidelity(filled, twin) == dyn.retrieval_fidelity(some, twin)
