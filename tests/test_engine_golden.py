@@ -31,6 +31,10 @@ showed that only rounding moved (the comparisons are in `comparisons/`):
   largest log weight, instead of Born weights renormalised at every outcome;
   only trace populations moved (by at most 2.4e-15), every posterior, outcome,
   drive time and stopping cycle is unchanged.
+* the one-product fidelity read: every noisy case.  `dynamics._overlaps` reads
+  each row's fidelity in one product, weighted in complex arithmetic, and
+  `dynamics.BlockBatch` collapses each twin without a global phase; only
+  fidelities moved (by at most 1.1e-16, trace fidelities by 3.3e-16).
 """
 
 import hashlib
@@ -119,13 +123,13 @@ DIGESTS = {
     "fixed-int": "fe6d56f581d4b4124b72ced0592611730a479b5fd3ef829bce6d3399efb87adf",
     "greedy-amps-eject-trace": "5ce46c832ac67c8052c936adf28a0188bf14bb19b9c2991e2c18753b32e61d8a",
     "greedy-born": "55d6aa036b913774e4b0891ad475cfa7832a27d0346ad951351dd57b7f0a279e",
-    "noisy-fixed-trace": "795555eac5431af83b81b9e8448b2a29862eb1ab1eee3e6a57573bb91ed57ccf",
-    "noisy-greedy": "81022ab44372ff451cb0dbf39a6d51e361fbb8ccdbd8ed8d194359dc5116c774",
-    "noisy-int-eject-trace": "0eff37cde8f756e82cb9cdf30a8d8ce9240420278c98cd9a5d4c332cea4a6a53",
-    "noisy-mixtures-prior": "c59c2095a198ab4c7355101ad012b662567e51c365df3ffb232ea24a421fd06e",
-    "noisy-random-born-eject": "6a599ce879f805d24999687ab40e2b4857bb8ea0a7e47499527ff35283301f26",
-    "noisy-random-born-trace": "f9c254d5f76ce39397742403709da8a062d59ad103301cf13062ad91dd84b6de",
-    "noisy-unconverged-no-window-trace": "3273cb6307cc1f44f2df506e539a10a97328e0bdee6b19e34ebe6738866f0fd3",
+    "noisy-fixed-trace": "223bdb7542daa51e9743f8d5c983044c7c32555a590cbf3dc7647356b21a0357",
+    "noisy-greedy": "bf093c58dc96a9675b724a3c3fa15e82de76c8f28401c465de2c38a0e9d9ccba",
+    "noisy-int-eject-trace": "5b621b1828b76307b2b20a01ef3c0c8c11b46edcc8c839370b0d793b31d3222e",
+    "noisy-mixtures-prior": "167fdb5d078e002cc2e84f9530c2339f33fb25dd9ff1427f7bc7bed67ad30ebe",
+    "noisy-random-born-eject": "fdc5c9004dfad98e8d5959b448612fcd3449a7246e3eb79502c017ec355259d6",
+    "noisy-random-born-trace": "fc9fca7a2f403ecb405390337f94f61aad7420d3fbab765d2b05a7278c813f86",
+    "noisy-unconverged-no-window-trace": "65ce64d33c0c4d47a48caab4560e95b9fd9663e53c59604b453b5381a81b1eca",
     "precomputed-int-eject-trace": "369f11a27372302fa7996bb326c1aeaba03cf92e4e48c6b94d205ddce4a1a6b1",
     "random-amps-eject": "37c07916debc2c9da2269ef26c7ce67c5b5e637b367b8c79815f9479bbc85d8b",
     "random-born-trace": "e7633fc6b56b9df70b0202fe8fe3cf51ab5f34990088f9811795be15b67e54c6",
