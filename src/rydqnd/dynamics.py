@@ -284,11 +284,12 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _build_propagators(n: int, N: int, j: int, omega: float, gamma: float,
-                       taus: np.ndarray) -> np.ndarray:
+                       taus: np.ndarray, what: str = "drive time") -> np.ndarray:
     """The block's propagator at every time of taus, shape taus.shape + (dim, dim), uncached:
-    `_spectral`, or `expm` time by time where the eigenvectors are ill-conditioned."""
+    `_spectral`, or `expm` time by time where the eigenvectors are ill-conditioned.
+    A time past the block's horizon is a `ResourceError` naming it as ``what``."""
     gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
-    _check_horizon(taus, horizon)
+    _check_horizon(taus, horizon, what)
     if eig is not None:
         return _spectral(*eig, taus)
     return np.array([expm(gen * t) for t in taus.ravel().tolist()]).reshape(taus.shape + gen.shape)
@@ -298,11 +299,10 @@ def _build_propagators(n: int, N: int, j: int, omega: float, gamma: float,
 def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
                 taus: tuple[float, ...]) -> np.ndarray:
     """The block's propagators at times taus that every row shares, a read-only
-    (len(taus), dim, dim) stack.  Each is built on its own, so a time's
-    propagator is the same to the bit in every stack that holds it."""
-    _check_horizon(np.array(taus), _eigensystem(n, N, j, omega, gamma)[1],
-                   "measurement window" if omega == 0 else "drive time")  # omega is 0 only there
-    props = np.array([_build_propagators(n, N, j, omega, gamma, np.asarray(t)) for t in taus])
+    (len(taus), dim, dim) stack.  Each is its own product of the stack, so a
+    time's propagator is the same to the bit in every stack that holds it."""
+    what = "measurement window" if omega == 0 else "drive time"  # omega is 0 only there
+    props = _build_propagators(n, N, j, omega, gamma, np.array(taus), what)
     props.setflags(write=False)
     return props
 

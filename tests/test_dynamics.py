@@ -195,6 +195,39 @@ def test_fidelity_of_some_blocks_reads_each_block_by_its_j():
         assert dyn.retrieval_fidelity(filled, twin) == dyn.retrieval_fidelity(some, twin)
 
 
+@st.composite
+def side_by_side_reads(draw):
+    """(sector, rows, a, b, phase): up to five rows of side-by-side block vectors of a
+    sector with n <= 4, N <= 8, each |S_n> driven and then dephased for times of its
+    own, a random twin (a, b) per row and a global phase."""
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(n, 8))
+    gamma = draw(st.sampled_from([0.0, 0.4, 2.0]))
+    rows, a, b = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        blocks = dyn.evolve_blocks(dyn.symmetric_state_blocks(n, N), draw(st.floats(0.0, 3.0)),
+                                   1.0, gamma)
+        blocks = dyn.evolve_blocks(blocks, draw(st.floats(0.0, 1.0)), 0.0, gamma, drive_on=False)
+        rows.append(dyn._side_by_side(blocks)[1][0])
+        mix, phase_a, phase_b = (draw(st.floats(-math.pi, math.pi)) for _ in range(3))
+        a.append(math.cos(mix) * np.exp(1j * phase_a))
+        b.append(math.sin(mix) * np.exp(1j * phase_b))
+    return sector(n, N), np.array(rows), np.array(a), np.array(b), draw(st.floats(-math.pi, math.pi))
+
+
+@given(side_by_side_reads())
+def test_overlaps_read_each_row_alone_whatever_the_twin_phase(read):
+    """`_overlaps` reads rows together as it reads each alone, bit for bit, and a
+    twin's global phase moves its fidelity by rounding only: a twin may collapse
+    onto exactly |S_n> or |R_n>."""
+    sec, x, a, b, phase = read
+    together = dyn._overlaps(sec, x, a, b)
+    alone = [dyn._overlaps(sec, x[r:r + 1], a[r:r + 1], b[r:r + 1])[0] for r in range(len(x))]
+    assert together.tolist() == alone
+    turned = np.exp(1j * phase)
+    assert np.abs(dyn._overlaps(sec, x, a * turned, b * turned) - together).max() <= 1e-15
+
+
 def test_ejection_of_some_blocks_reads_each_block_by_its_j():
     """Ejection maps block j's rr onto the ss of block j of (n - 1, N - 1),
     whatever blocks the list holds and in whatever order; a missing block
@@ -243,6 +276,25 @@ def test_propagator_matches_expm(n, N, j, gamma_over_omega, tau_omega):
     prop = dyn._propagator(n, N, j, omega, gamma, (tau,))[0]
     ref = expm(build_block(n, N, j, omega, gamma) * tau)
     assert np.max(np.abs(prop - ref)) <= 1e-12
+
+
+TIMES = st.sampled_from([0.0, 0.35, 1.2]) | st.floats(0.0, 3.0)
+
+
+@given(st.integers(1, 3), st.integers(0, 3), st.sampled_from([0.0, 1.3, 4.0]), st.booleans(),
+       st.lists(TIMES, min_size=1, max_size=5), st.lists(TIMES, max_size=3))
+@example(1, 1, 0.0, False, [0.0, 0.7, 2.5], [0.7])  # gamma = 0: degenerate drive, expm fallback
+@example(2, 0, 1.3, True, [0.35, 0.0], [1.2, 0.35])  # a measurement-window stack
+def test_a_shared_time_has_one_propagator_in_every_stack(n, j, gamma, window, taus, company):
+    """`_propagator` builds a time's propagator the same to the bit in every stack
+    that holds it: alone, and reversed among other times."""
+    N, omega = 6, 0.0 if window else 2.0
+    j = min(j, len(sector(n, N).blocks) - 1)
+    stack = dyn._propagator(n, N, j, omega, gamma, tuple(taus))
+    other = dyn._propagator(n, N, j, omega, gamma, tuple(company + taus[::-1]))[::-1]
+    for k, tau in enumerate(taus):
+        alone = dyn._propagator(n, N, j, omega, gamma, (tau,))[0].tobytes()
+        assert stack[k].tobytes() == alone == other[k].tobytes()
 
 
 def test_an_ill_conditioned_block_is_decomposed_once(monkeypatch):
