@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -182,7 +183,8 @@ def sample_initial(dist, params: ProtocolParams) -> dyn.PureCollectiveState:
     if isinstance(dist, FockDistribution):
         amps = np.sqrt(dist.p.astype(float))
     elif np.isscalar(dist):
-        amps = np.sqrt(FockDistribution.delta(int(dist), max(int(dist), params.n_max)).p)
+        n = _photon_number(dist, "a photon number must be a whole number")
+        amps = np.sqrt(FockDistribution.delta(n, max(n, params.n_max)).p)
     else:
         amps = np.asarray(dist, dtype=complex)
     n = np.flatnonzero(amps).max(initial=0)
@@ -196,7 +198,14 @@ def _sample_n(dist, rng: np.random.Generator) -> int:
     logged observable: number-diagonal blocks evolve on their own), else given."""
     if isinstance(dist, FockDistribution):
         return int(rng.choice(dist.p.size, p=dist.p))
-    return int(dist)
+    return _photon_number(dist, "noisy mode takes a photon number or a FockDistribution")
+
+
+def _photon_number(dist, refusal: str) -> int:
+    """dist as a whole photon number, else a `DomainError`: refusal, naming dist."""
+    if isinstance(dist, numbers.Real) and float(dist).is_integer():
+        return int(dist)
+    raise DomainError(f"{refusal}, got {dist!r}")
 
 
 # a trace row of `TrajectoryLog.to_json`: keys sorted, the phase one of `PHASES`

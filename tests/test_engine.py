@@ -141,6 +141,23 @@ def test_candidates_past_the_atom_count_rejected(mode):
                                              candidates=cands, max_cycles=20), 2)
 
 
+@pytest.mark.parametrize("make, initial, message", [
+    (noisy_params, np.array([0.0, 1.0, 0.0]),
+     r"^noisy mode takes a photon number or a FockDistribution, got array\(\[0\., 1\., 0\.\]\)$"),
+    (noisy_params, 2.5, r"^noisy mode takes a photon number or a FockDistribution, got 2\.5$"),
+    (noiseless_params, 2.5, r"^a photon number must be a whole number, got 2\.5$"),
+], ids=["noisy-amplitudes", "noisy-fraction", "noiseless-fraction"])
+def test_an_initial_state_its_mode_cannot_take_is_refused(make, initial, message):
+    """Noisy mode takes a photon number or a `FockDistribution`, not amplitudes, and
+    neither mode truncates a fractional photon number: `run_batch` and `run_protocol`
+    refuse both with a `DomainError` naming the value."""
+    params = make(max_cycles=3)
+    with pytest.raises(DomainError, match=message):
+        eng.run_batch(initial, params, 2)
+    with pytest.raises(DomainError, match=message):
+        eng.run_protocol(initial, params)
+
+
 @pytest.mark.parametrize("field", ["trace_points", "seed"])
 def test_negative_trace_points_and_seed_rejected(field):
     with pytest.raises(DomainError):
