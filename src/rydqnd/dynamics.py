@@ -284,12 +284,13 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _build_propagators(n: int, N: int, j: int, omega: float, gamma: float,
-                       taus: np.ndarray, what: str = "drive time") -> np.ndarray:
+                       taus: np.ndarray) -> np.ndarray:
     """The block's propagator at every time of taus, shape taus.shape + (dim, dim), uncached:
     `_spectral`, or `expm` time by time where the eigenvectors are ill-conditioned.
-    A time past the block's horizon is a `ResourceError` naming it as ``what``."""
+    A time past the block's horizon is a `ResourceError` naming it as a drive time,
+    or where omega is 0 (only the measurement window has it) as the window."""
     gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
-    _check_horizon(taus, horizon, what)
+    _check_horizon(taus, horizon, "measurement window" if omega == 0 else "drive time")
     if eig is not None:
         return _spectral(*eig, taus)
     return np.array([expm(gen * t) for t in taus.ravel().tolist()]).reshape(taus.shape + gen.shape)
@@ -301,8 +302,7 @@ def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
     """The block's propagators at times taus that every row shares, a read-only
     (len(taus), dim, dim) stack.  Each is its own product of the stack, so a
     time's propagator is the same to the bit in every stack that holds it."""
-    what = "measurement window" if omega == 0 else "drive time"  # omega is 0 only there
-    props = _build_propagators(n, N, j, omega, gamma, np.array(taus), what)
+    props = _build_propagators(n, N, j, omega, gamma, np.array(taus))
     props.setflags(write=False)
     return props
 
@@ -565,7 +565,7 @@ class BlockBatch:
         steps, if given, are the sub-step times (driven rows, points) of the rows with
         taus > 0, each ending at its tau: those rows keep their last sub-step, and what
         `read` gives at each is returned, (3, driven rows, points); None untraced."""
-        _check_times(taus)
+        _check_times(taus, "drive time")
         driven = np.flatnonzero(taus > 0)
         read, steps = ((None, taus[driven, None]) if steps is None
                        else (np.empty((3, *steps.shape)), steps))

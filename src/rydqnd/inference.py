@@ -81,10 +81,11 @@ def _padded(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _table(sectors: tuple[tuple[int, int], ...], omega: float, gamma: float,
+def _table(ns: tuple[int, ...], N: int, shifts: int, omega: float, gamma: float,
            tau_eit: float) -> dict[str, np.ndarray]:
-    """The j = 0 blocks of the (n, N) sectors at fixed rates, padded to five
-    families and stacked, one row per sector.
+    """The j = 0 blocks at fixed rates of the sectors (max(ns[i] - s, 0), N - s)
+    for s = 0..shifts, padded to five families and stacked: photon number ns[i]
+    after s ejections is row i + len(ns) * s.
 
     ``spectral`` says whether `dynamics._eigensystem` gave the drive generator
     an eigenbasis (``lam``, ``vecs``, ``inv``, padded with eigenvalue 0); where
@@ -94,7 +95,7 @@ def _table(sectors: tuple[tuple[int, int], ...], omega: float, gamma: float,
     outcome m (1 for Rydberg) keeps.
     """
     rows = []
-    for n, N in sectors:
+    for n, N in [(max(n - s, 0), N - s) for s in range(shifts + 1) for n in ns]:
         blk = sector(n, N).block(0)
         _, horizon, eig = dyn._eigensystem(n, N, 0, omega, gamma)
         lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), np.eye(1), np.eye(1))
@@ -245,7 +246,7 @@ class NoiselessLikelihoods:
         so rows differ in which outcome comes first (`analysis._fidelity_over_grid` only
         sums the two).  Shape (1, len(ns), 2G), to broadcast, where every selected row has
         one photon shift (always so without ejection)."""
-        dyn._check_times(grid)
+        dyn._check_times(grid, "drive time")
         return partial(self._read_grid, (tuple(self.ns.tolist()), self.omega, grid.tobytes()))
 
     def _read_grid(self, key: tuple, rows=slice(None)) -> np.ndarray:
@@ -268,11 +269,9 @@ class NoisyLikelihoods:
     (B, len(ns), 5)), in the sector (ns[i] - shift[r], N - shift[r]) after the
     row's ejections; it starts from the fresh |S_n><S_n| at the given shift,
     or at -inf where ns[i] < shift[r].  An entry whose record has zero
-    likelihood stays at -inf and is no longer advanced.  ``table`` is the
-    `_table` of the live entries' sectors (None where none is live) and
-    ``row[r, i]`` the entry's row in it.  A cycle in which an ejection moved
-    entries to other sectors sets ``row`` to None, and the next `update` or
-    grid read keys both again.
+    likelihood stays at -inf and is no longer advanced.  Its sector is row
+    i + len(ns) * shift[r] of the `_table` stacked up to the largest shift,
+    and with ejection one more, as far as the largest photon number.
     """
 
     def __init__(self, ns: list[int], omega: float, noise: NoiseParams, eject: bool = False,
@@ -284,20 +283,17 @@ class NoisyLikelihoods:
         self.shift = np.array(shift, dtype=int)
         self.log_l = np.where(self.ns >= self.shift[:, None], 0.0, -math.inf)
         self.x = np.zeros(self.log_l.shape + (_DIM,), dtype=complex)
-        self._key()
-        if self.table is not None:
-            live = self.log_l > -math.inf
-            self.x[live] = self.table["fresh"][self.row[live]]
+        self._sectors = (tuple(self.ns.tolist()), noise.N)  # the `_table` key's first half
+        table, r, c, g = self._live()
+        self.x[r, c] = table["fresh"][g]
 
-    def _key(self) -> None:
-        """Set ``table`` and ``row`` from the live entries' sectors."""
-        shift = self.shift[:, None]
-        code = (self.ns - shift) * (self.noise.N + 1) + self.noise.N - shift
-        distinct = sorted(set(code[self.log_l > -math.inf].tolist()))
-        sectors = tuple(divmod(k, self.noise.N + 1) for k in distinct)
-        self.table = (_table(sectors, self.omega, self.noise.gamma, self.noise.tau_eit)
-                      if sectors else None)
-        self.row = np.searchsorted(distinct, code)
+    def _live(self, rows=slice(None)):
+        """The sector table, and the live entries (r, c) of the selected rows with
+        their rows in it."""
+        shifts = min(int(self.shift.max(initial=0)) + self.eject, max(self._sectors[0]))
+        table = _table(*self._sectors, shifts, self.omega, self.noise.gamma, self.noise.tau_eit)
+        r, c = np.nonzero(self.log_l[rows] > -math.inf)
+        return table, r, c, c + self.ns.size * self.shift[rows][r]
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> np.ndarray:
         """One cycle for every row: drive times and outcomes (True for Rydberg).
@@ -307,17 +303,16 @@ class NoisyLikelihoods:
         A live entry is driven by (V e^{lam tau}) V^-1 (expm where its block has
         no well-conditioned eigenbasis), then by the window; its kept families
         are divided by p, and an ejected entry's rr coefficient times sqrt(N)
-        moves to the ss of (n - 1, N - 1), divided by the trace it carries
-        there: the operations of `dynamics.evolve_block`, `project_blocks` and
-        `eject_block` in their order, so an entry matches them to the bit.
+        moves to the ss of (n - 1, N - 1), the next shift's row, divided by the
+        trace it carries there: the operations of `dynamics.evolve_block`,
+        `project_blocks` and `eject_block` in their order, so an entry matches
+        them to the bit.
         """
-        dyn._check_times(taus)
-        if self.row is None:
-            self._key()
-        r, c = np.nonzero(self.log_l > -math.inf)
+        dyn._check_times(taus, "drive time")
+        table, r, c, g = self._live()
         step = np.full(self.log_l.shape, -math.inf)
         if r.size:
-            table, g, tau, ryd = self.table, self.row[r, c], taus[r], rydberg[r]
+            tau, ryd = taus[r], rydberg[r]
             dyn._check_horizon(tau, table["horizon"][g])
             props = dyn._spectral(table["lam"][g], table["vecs"][g], table["inv"][g], tau)
             for m in np.flatnonzero(~table["spectral"][g]).tolist():
@@ -332,20 +327,16 @@ class NoisyLikelihoods:
             live = p > 0.0
             x = dyn._projected(table["keep"][g, ryd.astype(int)], x, np.where(live, p, 1.0))
             moved = live & ryd & self.eject
-            if moved.any():  # a live Rydberg entry has n >= 1
-                n, N = table["n"][g[moved]], table["N"][g[moved]]
-                ss = x[moved, _RR] * np.sqrt(N)
-                ss_trace = [sector(k - 1, M - 1).block(0).trace[_SS]
-                            for k, M in zip(n.tolist(), N.tolist())]
+            if moved.any():  # a live Rydberg entry has n >= 1; row g + len(ns) is (n - 1, N - 1)
+                ss = x[moved, _RR] * np.sqrt(table["N"][g[moved]])
                 x[moved] = 0.0
-                x[moved, _SS] = dyn._renormalised(ss[:, None], np.array(ss_trace)[:, None])[:, 0]
+                x[moved, _SS] = dyn._renormalised(
+                    ss[:, None], table["trace"][g[moved] + self.ns.size, _SS, None])[:, 0]
             self.x[r[live], c[live]] = x[live]
             step[r[live], c[live]] = np.log(p[live])
         self.log_l = self.log_l + step
         if self.eject:
             self.shift = self.shift + rydberg
-            if (step[rydberg] > -math.inf).any():  # entries moved to (n - 1, N - 1)
-                self.row = None
         return step
 
     def grid_reader(self, grid: np.ndarray):
@@ -355,15 +346,13 @@ class NoisyLikelihoods:
         the record already has zero likelihood.  Spectrally p(tau) = sum_k e^{lam_k
         tau} (r V)_k (V^-1 x)_k, r the population's trace row (the drive-off window
         keeps it), else from `dynamics._propagators`."""
-        dyn._check_times(grid)
+        dyn._check_times(grid, "drive time")
         return partial(self._read_grid, grid)
 
     def _read_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
-        if self.row is None:
-            self._key()
-        r, c = np.nonzero(self.log_l[rows] > -math.inf)
+        table, r, c, g = self._live(rows)
         out = np.zeros(self.log_l[rows].shape + (2, grid.size))
-        table, g, x = self.table, self.row[rows][r, c], self.x[rows][r, c]
+        x = self.x[rows][r, c]
         pops = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
         for k in sorted(set(g.tolist())):
             at = g == k
@@ -386,8 +375,6 @@ class NoisyLikelihoods:
         """Keep the rows an index array (in its order, repeats allowed), a mask or a
         slice selects."""
         self.log_l, self.x, self.shift = self.log_l[index], self.x[index], self.shift[index]
-        if self.row is not None:
-            self.row = self.row[index]
 
 
 def record_likelihoods(ns: list[int], omega: float, noise: NoiseParams | None = None,

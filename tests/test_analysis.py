@@ -58,6 +58,13 @@ def test_unknown_regime_rejected():
         an.fisher_closed_form("noisy-frequency", 1, 1e-7, OMEGA, 0.0)
 
 
+@pytest.mark.parametrize("regime", ["noisy-frequency", "steady-state"])
+def test_the_dissipative_fisher_forms_need_gamma(regime):
+    """gamma defaults to 0, which the dissipative regimes refuse."""
+    with pytest.raises(DomainError, match="requires gamma > 0"):
+        an.fisher_closed_form(regime, 2, 1e-7, OMEGA)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-7])
 def test_fisher_rejects_times_that_are_not_finite_and_non_negative(t):
     with pytest.raises(DomainError):

@@ -206,6 +206,19 @@ def test_threshold_stops_the_run():
     assert len(log.record) < 25
 
 
+@pytest.mark.parametrize("make", [noisy_params, noiseless_params])
+def test_a_posterior_of_exactly_the_threshold_stops_the_run(make):
+    """At tau = pi / (2 Omega) one photon gives a Rydberg outcome and the
+    vacuum cannot, so the posterior over delta_0 and delta_1 is exactly [0, 1]:
+    at threshold 1.0 every trajectory stops after one cycle, converged."""
+    cands = [FockDistribution.delta(0, 1), FockDistribution.delta(1, 1)]
+    params = make(gamma=0.0, tau_eit=0.0, n_max=1, candidates=cands, threshold=1.0,
+                  schedule=eng.Schedule.fixed(math.pi / (2 * OMEGA)))
+    for log in eng.run_batch(1, params, 8):
+        assert log.posteriors[-1] == [0.0, 1.0]
+        assert len(log.record) == 1 and log.converged
+
+
 def test_determinism_of_serialized_logs():
     params = noisy_params(seed=13, trace_points=3)
     a = eng.run_protocol(2, params).to_json()

@@ -68,6 +68,7 @@ def batches(draw):
 @example((3, 8.0, 0.0, False, [[(0.7, True), (0.5, True), (1.3, False)],
                                [(0.2, False), (1.9, True), (0.6, True)]]))
 @example((1, 0.0, 0.3, False, [[(0.5, False), (0.8, True)]]))
+@example((1, 0.0, 0.0, True, [[(0.5, True), (0.8, True)]]))  # more ejections than photons
 def test_holder_matches_the_one_state_chain_to_the_bit(batch):
     """Every candidate 0..N of every row: the same log-likelihood after every
     cycle and the same final state, bit for bit; a candidate that meets an
@@ -169,37 +170,38 @@ _KEYED_RUNS = {
 
 @pytest.mark.parametrize("eject", [False, True])
 @pytest.mark.parametrize("run", sorted(_KEYED_RUNS))
-def test_the_holder_keys_its_sectors_again_only_after_an_ejection(monkeypatch, run, eject):
-    """Without ejection no entry leaves its sector, so the holder looks up its
+def test_the_holder_builds_its_table_once_per_new_largest_ejection_count(monkeypatch, run,
+                                                                         eject):
+    """Without ejection no entry leaves its sector, so the holder builds its
     `_table` once however many cycles it runs; with ejection, once more at most
-    per cycle that had a Rydberg outcome."""
-    keys, rydberg = [], []
-    table, update = inf._table, inf.NoisyLikelihoods.update
-    monkeypatch.setattr(inf, "_table", lambda *key: keys.append(key) or table(*key))
+    per new largest ejection count of its rows."""
+    largest, update = [], inf.NoisyLikelihoods.update
     monkeypatch.setattr(inf.NoisyLikelihoods, "update", lambda self, taus, ryd: (
-        rydberg.append(bool(ryd.any())) or update(self, taus, ryd)))
+        largest.append(int(self.shift.max(initial=0))) or update(self, taus, ryd)))
+    inf._table.cache_clear()
     _KEYED_RUNS[run](inf.NoiseParams(0.3, 0.2, 6), eject)
-    assert any(rydberg)
+    builds = inf._table.cache_info().misses
     if eject:
-        assert 1 <= len(keys) <= 1 + sum(rydberg)
+        assert max(largest) >= 1 and 1 <= builds <= len(set(largest))
     else:
-        assert len(rydberg) >= 3 and len(keys) == 1
+        assert len(largest) >= 3 and builds == 1
 
 
-def test_the_holder_keys_its_sectors_only_when_a_cycle_reads_them(monkeypatch):
-    """An ejection marks the sector table stale and the next cycle keys it: on
-    a record that ends with a Rydberg outcome, no `_table` call follows the
-    last update of an ejecting `posterior_trace`."""
-    calls = []
-    table, update = inf._table, inf.NoisyLikelihoods.update
-    monkeypatch.setattr(inf, "_table", lambda *key: calls.append("_table") or table(*key))
-    monkeypatch.setattr(inf.NoisyLikelihoods, "update", lambda self, taus, ryd: (
-        calls.append("update") or update(self, taus, ryd)))
-    record = MeasurementRecord(_KEYED_ENTRIES[:4])
-    assert record.entries[-1][1] == RYDBERG
-    inf.posterior_trace(record, [FockDistribution.delta(n, 4) for n in (1, 2, 3, 4)],
-                        Posterior.uniform(4), OMEGA, inf.NoiseParams(0.3, 0.2, 6), True)
-    assert "_table" in calls and calls[-1] == "update"
+def test_the_ejecting_holder_stacks_sectors_up_to_its_largest_photon_number():
+    """Each new largest ejection count stacks one more shift of sectors, in the
+    update that first reads it, until the shifts reach the largest photon
+    number; photon number ns[i] after s ejections is row i + len(ns) * s."""
+    noise = inf.NoiseParams(0.3, 0.2, 6)
+    inf._table.cache_clear()
+    holder = inf.NoisyLikelihoods([1, 2, 3, 4], OMEGA, noise, eject=True)
+    builds = [inf._table.cache_info().misses]
+    for _ in range(6):
+        holder.update(np.array([0.7]), np.array([True]))
+        builds.append(inf._table.cache_info().misses)
+    assert builds == [1, 1, 2, 3, 4, 4, 4] and holder.shift.tolist() == [6]
+    table = inf._table((1, 2, 3, 4), 6, 4, OMEGA, 0.3, 0.2)
+    assert table["n"].tolist() == [max(n - s, 0) for s in range(5) for n in (1, 2, 3, 4)]
+    assert table["N"].tolist() == [6 - s for s in range(5) for _ in range(4)]
 
 
 def test_zero_drive_cannot_give_a_rydberg_outcome():

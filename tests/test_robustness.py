@@ -393,6 +393,9 @@ _ENTRY_POINTS = {
         np.array([0.5, tau])),
     "NoiselessLikelihoods.update": lambda tau: inf.NoiselessLikelihoods([1, 2], 1.0, shift=[0, 0]).update(
         np.array([0.5, tau]), np.array([True, False])),
+    "NoisyLikelihoods.update": lambda tau: inf.NoisyLikelihoods([1, 2], 1.0, _NOISE,
+                                                               shift=[0, 0]).update(
+        np.array([0.5, tau]), np.array([True, False])),
     "ConditionalState.update": lambda tau: inf.ConditionalState(2, 1.0, _NOISE).update(
         tau, RYDBERG),
     "greedy_next_tau": lambda tau: an.greedy_next_tau([0.4], *_DELTAS, np.array([0.5, tau]),
@@ -411,6 +414,16 @@ _ENTRY_POINTS = {
 def test_kernels_refuse_drive_times_that_are_not_finite(entry, tau):
     with pytest.raises(DomainError, match="must be finite and non-negative"):
         _ENTRY_POINTS[entry](tau)
+
+
+@pytest.mark.parametrize("entry", ["BlockBatch.drive", "PureBatch.drive",
+                                   "NoiselessLikelihoods.update", "NoisyLikelihoods.update",
+                                   "greedy_next_tau", "greedy_next_tau, noisy"])
+def test_the_batches_and_holders_refuse_a_time_as_a_drive_time(entry):
+    """The state batches, both likelihood holders and both holders' grid readers
+    name a refused time by one label."""
+    with pytest.raises(DomainError, match="^drive time must be finite and non-negative$"):
+        _ENTRY_POINTS[entry](math.nan)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
