@@ -80,12 +80,12 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)  # a table holds every smaller one's rows, so keep few
 def _table(ns: tuple[int, ...], N: int, shifts: int, omega: float, gamma: float,
            tau_eit: float) -> dict[str, np.ndarray]:
     """The j = 0 blocks at fixed rates of the sectors (max(ns[i] - s, 0), N - s)
     for s = 0..shifts, padded to five families and stacked: photon number ns[i]
-    after s ejections is row i + len(ns) * s.
+    after s ejections is row i + len(ns) * s, of the cached `_shift_rows` of s.
 
     ``spectral`` says whether `dynamics._eigensystem` gave the drive generator
     an eigenbasis (``lam``, ``vecs``, ``inv``, padded with eigenvalue 0); where
@@ -94,8 +94,16 @@ def _table(ns: tuple[int, ...], N: int, shifts: int, omega: float, gamma: float,
     propagator, ``fresh`` the state |S_n><S_n| and ``keep[:, m]`` the families
     outcome m (1 for Rydberg) keeps.
     """
+    parts = [_shift_rows(ns, N, s, omega, gamma, tau_eit) for s in range(shifts + 1)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+@lru_cache(maxsize=1024)
+def _shift_rows(ns: tuple[int, ...], N: int, s: int, omega: float, gamma: float,
+                tau_eit: float) -> dict[str, np.ndarray]:
+    """`_table`'s rows of shift s, so a table one shift larger builds only its own."""
     rows = []
-    for n, N in [(max(n - s, 0), N - s) for s in range(shifts + 1) for n in ns]:
+    for n, N in [(max(n - s, 0), N - s) for n in ns]:
         blk = sector(n, N).block(0)
         _, horizon, eig = dyn._eigensystem(n, N, 0, omega, gamma)
         lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), np.eye(1), np.eye(1))

@@ -190,15 +190,18 @@ def test_the_holder_builds_its_table_once_per_new_largest_ejection_count(monkeyp
 def test_the_ejecting_holder_stacks_sectors_up_to_its_largest_photon_number():
     """Each new largest ejection count stacks one more shift of sectors, in the
     update that first reads it, until the shifts reach the largest photon
-    number; photon number ns[i] after s ejections is row i + len(ns) * s."""
+    number; photon number ns[i] after s ejections is row i + len(ns) * s.
+    Each shift's rows are built once, not again for every larger table."""
     noise = inf.NoiseParams(0.3, 0.2, 6)
     inf._table.cache_clear()
+    inf._shift_rows.cache_clear()
     holder = inf.NoisyLikelihoods([1, 2, 3, 4], OMEGA, noise, eject=True)
     builds = [inf._table.cache_info().misses]
     for _ in range(6):
         holder.update(np.array([0.7]), np.array([True]))
         builds.append(inf._table.cache_info().misses)
     assert builds == [1, 1, 2, 3, 4, 4, 4] and holder.shift.tolist() == [6]
+    assert inf._shift_rows.cache_info().misses == 5
     table = inf._table((1, 2, 3, 4), 6, 4, OMEGA, 0.3, 0.2)
     assert table["n"].tolist() == [max(n - s, 0) for s in range(5) for n in (1, 2, 3, 4)]
     assert table["N"].tolist() == [6 - s for s in range(5) for _ in range(4)]

@@ -85,7 +85,7 @@ def test_inference_builds_only_the_j0_blocks_it_reads(tmp_path, monkeypatch):
     build = symbasis._sector_block
     monkeypatch.setattr(symbasis, "_sector_block",
                         lambda n, N, j: built.append((n, N, j)) or build(n, N, j))
-    for cache in (symbasis.sector, dyn._eigensystem, dyn._propagator, inf._table):
+    for cache in (symbasis.sector, dyn._eigensystem, dyn._propagator, inf._table, inf._shift_rows):
         cache.cache_clear()
     assert cli.main(["infer", str(path), *_noise_flags(1000), "--candidates", "498..500",
                      "--out", str(out)]) == cli.EXIT_OK
