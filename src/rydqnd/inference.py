@@ -85,7 +85,7 @@ def _table(ns: tuple[int, ...], N: int, shifts: int, omega: float, gamma: float,
            tau_eit: float) -> dict[str, np.ndarray]:
     """The j = 0 blocks at fixed rates of the sectors (max(ns[i] - s, 0), N - s)
     for s = 0..shifts, padded to five families and stacked: photon number ns[i]
-    after s ejections is row i + len(ns) * s, of the cached `_shift_rows` of s.
+    after s ejections is row i + len(ns) * s, from the cached `_shift_rows` of s.
 
     ``spectral`` says whether `dynamics._eigensystem` gave the drive generator
     an eigenbasis (``lam``, ``vecs``, ``inv``, padded with eigenvalue 0); where
