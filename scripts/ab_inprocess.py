@@ -13,6 +13,9 @@ goes first alternating from op to op, so machine drift hits both alike:
   n_true 1..4 in turn, written to a scratch directory;
 * ``traced_batch`` and ``untraced_batch``: ``engine.run_batch`` of R rows at the
   simulate defaults (n_true 2), with 8 trace points and with none;
+* ``eject_batch``: ``engine.run_batch`` of R rows at the simulate defaults with
+  ``--eject``, n_true 3 and no trace points, whose rows spread over several
+  ejection counts;
 * ``noiseless_batch``, ``noiseless_random_batch`` and ``noiseless_greedy_batch``:
   ``engine.run_batch`` of R noiseless rows of the Born superposition
   (0, 0.5, 0.3, 0.2) at omega 1, candidates 1..3, with the fixed tau 1.596,
@@ -74,8 +77,8 @@ def export(rev: str, dest: Path, name: str) -> None:
 
 def workloads(mods: dict, scratch: Path, rows: int) -> dict:
     """name -> {side: op(i)}, each op one unit of timed work."""
-    out = {"simulate": {}, "traced_batch": {}, "untraced_batch": {}, "noiseless_batch": {},
-           "noiseless_random_batch": {}, "noiseless_greedy_batch": {}}
+    out = {"simulate": {}, "traced_batch": {}, "untraced_batch": {}, "eject_batch": {},
+           "noiseless_batch": {}, "noiseless_random_batch": {}, "noiseless_greedy_batch": {}}
     for side, (cli, engine) in mods.items():
         records = importlib.import_module(f"rydqnd_{side}.records")
         outdir = scratch / f"out_{side}"
@@ -87,13 +90,13 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
             if code != 0:
                 raise SystemExit(f"simulate exited {code}")
 
-        def batch(points, cli=cli, engine=engine):
+        def batch(n_true, *flags, cli=cli, engine=engine):
             params = cli._build_params(cli.build_parser().parse_args(
-                ["simulate", "--n-true", "2", "--trace-points", str(points)]))
+                ["simulate", "--n-true", str(n_true), *flags]))
 
             def op(i):
                 params.seed = i
-                engine.run_batch(2, params, rows)
+                engine.run_batch(n_true, params, rows)
             return op
 
         def noiseless(schedule, engine=engine, records=records):
@@ -110,8 +113,9 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
             return op
 
         out["simulate"][side] = simulate
-        out["traced_batch"][side] = batch(8)
-        out["untraced_batch"][side] = batch(0)
+        out["traced_batch"][side] = batch(2, "--trace-points", "8")
+        out["untraced_batch"][side] = batch(2, "--trace-points", "0")
+        out["eject_batch"][side] = batch(3, "--eject", "--trace-points", "0")
         out["noiseless_batch"][side] = noiseless(engine.Schedule.fixed(1.596))
         out["noiseless_random_batch"][side] = noiseless(engine.Schedule.uniform_random(0.1, 1.2))
         out["noiseless_greedy_batch"][side] = noiseless(engine.Schedule.adaptive_greedy())

@@ -356,6 +356,8 @@ MAX_TABLE_ROWS = 100_000
 # untraced cycle took about 1.2 KB of peak memory (noiseless) or 1.7 KB (noisy), a noisy one
 # traced at 8 points (17 rows) 14-17 KB, so a run at the guard peaks under 2 GB
 MAX_CYCLE_ROWS = 1_000_000
+# `optimize-schedule --grid-points`: 10^6 took 1.0-1.3 s and 407 MB peak, 10^7 ran out of memory
+MAX_GRID_POINTS = 1_000_000
 
 def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
                               times: np.ndarray,
@@ -471,6 +473,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif args.analysis == "optimize-schedule":
         if args.toy != "appendix-c":
             raise DomainError(f"unknown toy problem {args.toy!r}")
+        if args.grid_points > MAX_GRID_POINTS:
+            raise ResourceError(f"--grid-points {args.grid_points} exceeds the guard of "
+                                f"{MAX_GRID_POINTS}")
         cands, prior = analysis.appendix_toy_candidates()
         grid = analysis.default_tau_grid(omega, args.grid_points)
         rows = []

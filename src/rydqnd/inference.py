@@ -9,7 +9,7 @@ Measurement and Control*, 2010, on conditional states).
 `NoisyLikelihoods` holds such states for records that grow together (the
 engine, sequential inference, the outcome tree of `analysis`), each row
 starting at its ejection count `shift`, and advances them all through a
-cycle in stacked products, read from the one `_table` of its sectors.
+cycle in stacked products, one per ejection count, read from its `_shift_rows`.
 `posterior_trace` runs one over the runs of a fixed record: after a NoRydberg
 outcome, or an ejection, the state is the fresh |S_n><S_n| of its sector
 again, so each run is one row.  The noisy form reduces to the noiseless one
@@ -80,12 +80,12 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=2)  # a table holds every smaller one's rows, so keep few
-def _table(ns: tuple[int, ...], N: int, shifts: int, omega: float, gamma: float,
-           tau_eit: float) -> dict[str, np.ndarray]:
-    """The j = 0 blocks at fixed rates of the sectors (max(ns[i] - s, 0), N - s)
-    for s = 0..shifts, padded to five families and stacked: photon number ns[i]
-    after s ejections is row i + len(ns) * s, from the cached `_shift_rows` of s.
+@lru_cache(maxsize=1024)
+def _shift_rows(ns: tuple[int, ...], N: int, s: int, omega: float, gamma: float,
+                tau_eit: float) -> dict[str, np.ndarray]:
+    """The j = 0 blocks at fixed rates of the sectors (max(n - s, 0), N - s) that
+    the photon numbers n of ns reach after s ejections, padded to five families
+    and stacked: photon number ns[i] is row i.
 
     ``spectral`` says whether `dynamics._eigensystem` gave the drive generator
     an eigenbasis (``lam``, ``vecs``, ``inv``, padded with eigenvalue 0); where
@@ -94,21 +94,13 @@ def _table(ns: tuple[int, ...], N: int, shifts: int, omega: float, gamma: float,
     propagator, ``fresh`` the state |S_n><S_n| and ``keep[:, m]`` the families
     outcome m (1 for Rydberg) keeps.
     """
-    parts = [_shift_rows(ns, N, s, omega, gamma, tau_eit) for s in range(shifts + 1)]
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
-@lru_cache(maxsize=1024)
-def _shift_rows(ns: tuple[int, ...], N: int, s: int, omega: float, gamma: float,
-                tau_eit: float) -> dict[str, np.ndarray]:
-    """`_table`'s rows of shift s, so a table one shift larger builds only its own."""
     rows = []
     for n, N in [(max(n - s, 0), N - s) for n in ns]:
         blk = sector(n, N).block(0)
         _, horizon, eig = dyn._eigensystem(n, N, 0, omega, gamma)
         lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), np.eye(1), np.eye(1))
         window = dyn._propagator(n, N, 0, 0.0, gamma, (tau_eit,))[0] if tau_eit > 0 else np.eye(1)
-        rows.append({"n": n, "N": N, "trace": _padded(blk.trace),
+        rows.append({"n": n, "trace": _padded(blk.trace),
                      "fresh": _padded(blk.dyads[0].astype(complex)),
                      "keep": np.array([_padded(blk.no_rydberg), _padded(blk.rydberg)]),
                      "spectral": eig is not None, "horizon": horizon,
@@ -277,9 +269,9 @@ class NoisyLikelihoods:
     (B, len(ns), 5)), in the sector (ns[i] - shift[r], N - shift[r]) after the
     row's ejections; it starts from the fresh |S_n><S_n| at the given shift,
     or at -inf where ns[i] < shift[r].  An entry whose record has zero
-    likelihood stays at -inf and is no longer advanced.  Its sector is row
-    i + len(ns) * shift[r] of the `_table` stacked up to the largest shift,
-    and with ejection one more, as far as the largest photon number.
+    likelihood stays at -inf and is no longer advanced.  Its sector is row i
+    of the cached `_shift_rows` of ejection count shift[r], built the first
+    time a live entry sits at that count or an ejection moves one there.
     """
 
     def __init__(self, ns: list[int], omega: float, noise: NoiseParams, eject: bool = False,
@@ -291,17 +283,21 @@ class NoisyLikelihoods:
         self.shift = np.array(shift, dtype=int)
         self.log_l = np.where(self.ns >= self.shift[:, None], 0.0, -math.inf)
         self.x = np.zeros(self.log_l.shape + (_DIM,), dtype=complex)
-        self._sectors = (tuple(self.ns.tolist()), noise.N)  # the `_table` key's first half
-        table, r, c, g = self._live()
-        self.x[r, c] = table["fresh"][g]
+        for s, r, c in self._live():
+            self.x[r, c] = self._rows(s)["fresh"][c]
+
+    def _rows(self, s: int) -> dict[str, np.ndarray]:
+        """The `_shift_rows` of this holder's photon numbers after s ejections."""
+        return _shift_rows(tuple(self.ns.tolist()), self.noise.N, s, self.omega,
+                           self.noise.gamma, self.noise.tau_eit)
 
     def _live(self, rows=slice(None)):
-        """The sector table, and the live entries (r, c) of the selected rows with
-        their rows in it."""
-        shifts = min(int(self.shift.max(initial=0)) + self.eject, max(self._sectors[0]))
-        table = _table(*self._sectors, shifts, self.omega, self.noise.gamma, self.noise.tau_eit)
+        """The selected rows' live entries (r, c), as (s, r, c) per ejection count s, in order."""
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
-        return table, r, c, c + self.ns.size * self.shift[rows][r]
+        shift = self.shift[rows][r]
+        for s in sorted(set(shift.tolist())):
+            at = shift == s
+            yield s, r[at], c[at]
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> np.ndarray:
         """One cycle for every row: drive times and outcomes (True for Rydberg).
@@ -311,35 +307,34 @@ class NoisyLikelihoods:
         A live entry is driven by (V e^{lam tau}) V^-1 (expm where its block has
         no well-conditioned eigenbasis), then by the window; its kept families
         are divided by p, and an ejected entry's rr coefficient times sqrt(N)
-        moves to the ss of (n - 1, N - 1), the next shift's row, divided by the
-        trace it carries there: the operations of `dynamics.evolve_block`,
+        moves to the ss of (n - 1, N - 1), its row of the next shift, divided by
+        the trace it carries there: the operations of `dynamics.evolve_block`,
         `project_blocks` and `eject_block` in their order, so an entry matches
         them to the bit.
         """
         dyn._check_times(taus, "drive time")
-        table, r, c, g = self._live()
         step = np.full(self.log_l.shape, -math.inf)
-        if r.size:
+        for s, r, c in self._live():
+            rows, N = self._rows(s), self.noise.N - s
             tau, ryd = taus[r], rydberg[r]
-            dyn._check_horizon(tau, table["horizon"][g])
-            props = dyn._spectral(table["lam"][g], table["vecs"][g], table["inv"][g], tau)
-            for m in np.flatnonzero(~table["spectral"][g]).tolist():
-                n, N = int(table["n"][g[m]]), int(table["N"][g[m]])
-                prop = dyn._propagators(n, N, 0, self.omega, self.noise.gamma, tau[m:m + 1, None])
-                props[m] = _padded(prop[0, 0])
-            trace, x = table["trace"][g], self.x[r, c]
-            for prop in (props, table["window"][g]) if self.noise.tau_eit > 0 else (props,):
+            dyn._check_horizon(tau, rows["horizon"][c])
+            props = dyn._spectral(rows["lam"][c], rows["vecs"][c], rows["inv"][c], tau)
+            for m in np.flatnonzero(~rows["spectral"][c]).tolist():
+                props[m] = _padded(dyn._propagators(int(rows["n"][c[m]]), N, 0, self.omega,
+                                                    self.noise.gamma, tau[m:m + 1, None])[0, 0])
+            trace, x = rows["trace"][c], self.x[r, c]
+            for prop in (props, rows["window"][c]) if self.noise.tau_eit > 0 else (props,):
                 x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
             p_s, p_r = dyn._populations(trace, x, _SS, _RR)
             p = np.where(ryd, p_r, p_s)
             live = p > 0.0
-            x = dyn._projected(table["keep"][g, ryd.astype(int)], x, np.where(live, p, 1.0))
+            x = dyn._projected(rows["keep"][c, ryd.astype(int)], x, np.where(live, p, 1.0))
             moved = live & ryd & self.eject
-            if moved.any():  # a live Rydberg entry has n >= 1; row g + len(ns) is (n - 1, N - 1)
-                ss = x[moved, _RR] * np.sqrt(table["N"][g[moved]])
+            if moved.any():  # a live Rydberg entry has n >= 1, so shift s + 1 holds (n - 1, N - 1)
+                ss = x[moved, _RR] * np.sqrt(N)
                 x[moved] = 0.0
                 x[moved, _SS] = dyn._renormalised(
-                    ss[:, None], table["trace"][g[moved] + self.ns.size, _SS, None])[:, 0]
+                    ss[:, None], self._rows(s + 1)["trace"][c[moved], _SS, None])[:, 0]
             self.x[r[live], c[live]] = x[live]
             step[r[live], c[live]] = np.log(p[live])
         self.log_l = self.log_l + step
@@ -358,25 +353,24 @@ class NoisyLikelihoods:
         return partial(self._read_grid, grid)
 
     def _read_grid(self, grid: np.ndarray, rows=slice(None)) -> np.ndarray:
-        table, r, c, g = self._live(rows)
         out = np.zeros(self.log_l[rows].shape + (2, grid.size))
-        x = self.x[rows][r, c]
         pops = np.zeros((2, _DIM))  # the trace rows of the ss and rr populations
-        for k in sorted(set(g.tolist())):
-            at = g == k
-            trace = table["trace"][k]
-            pops[0, _SS], pops[1, _RR] = trace[_SS], trace[_RR]
-            dyn._check_horizon(grid, table["horizon"][k])
-            if table["spectral"][k]:
-                coef = (pops @ table["vecs"][k])[None] * (x[at] @ table["inv"][k].T)[:, None, :]
-                raw = (coef @ np.exp(table["lam"][k][:, None] * grid[None, :])).real
-            else:
-                n, N = int(table["n"][k]), int(table["N"][k])
-                props = np.array([_padded(p) for p in
-                                  dyn._propagators(n, N, 0, self.omega, self.noise.gamma, grid)])
-                raw = np.einsum("pi,gij,mj->mpg", pops, props, x[at]).real
-            dyn._check_drift(raw.sum(axis=1), (x[at].real @ trace)[:, None])
-            out[r[at], c[at]] = np.maximum(raw, 0.0)
+        for s, r, c in self._live(rows):
+            table, N, x = self._rows(s), self.noise.N - s, self.x[rows][r, c]
+            for k in sorted(set(c.tolist())):
+                at = c == k
+                trace = table["trace"][k]
+                pops[0, _SS], pops[1, _RR] = trace[_SS], trace[_RR]
+                dyn._check_horizon(grid, table["horizon"][k])
+                if table["spectral"][k]:
+                    coef = (pops @ table["vecs"][k])[None] * (x[at] @ table["inv"][k].T)[:, None, :]
+                    raw = (coef @ np.exp(table["lam"][k][:, None] * grid[None, :])).real
+                else:
+                    props = np.array([_padded(p) for p in dyn._propagators(
+                        int(table["n"][k]), N, 0, self.omega, self.noise.gamma, grid)])
+                    raw = np.einsum("pi,gij,mj->mpg", pops, props, x[at]).real
+                dyn._check_drift(raw.sum(axis=1), (x[at].real @ trace)[:, None])
+                out[r[at], c[at]] = np.maximum(raw, 0.0)
         return out.reshape(out.shape[0], out.shape[1], -1)
 
     def take(self, index: np.ndarray) -> None:

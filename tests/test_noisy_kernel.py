@@ -170,41 +170,50 @@ _KEYED_RUNS = {
 
 @pytest.mark.parametrize("eject", [False, True])
 @pytest.mark.parametrize("run", sorted(_KEYED_RUNS))
-def test_the_holder_builds_its_table_once_per_new_largest_ejection_count(monkeypatch, run,
-                                                                         eject):
-    """Without ejection no entry leaves its sector, so the holder builds its
-    `_table` once however many cycles it runs; with ejection, once more at most
-    per new largest ejection count of its rows."""
-    largest, update = [], inf.NoisyLikelihoods.update
+def test_the_holder_builds_each_shift_rows_once(monkeypatch, run, eject):
+    """Without ejection no entry leaves its sector, so the holder builds one
+    `_shift_rows` however many cycles it runs; with ejection, at most one per
+    ejection count a live row reaches or ejects into."""
+    reached, update = set(), inf.NoisyLikelihoods.update
     monkeypatch.setattr(inf.NoisyLikelihoods, "update", lambda self, taus, ryd: (
-        largest.append(int(self.shift.max(initial=0))) or update(self, taus, ryd)))
-    inf._table.cache_clear()
+        reached.update(self.shift.tolist(), (self.shift + ryd * self.eject).tolist())
+        or update(self, taus, ryd)))
+    inf._shift_rows.cache_clear()
     _KEYED_RUNS[run](inf.NoiseParams(0.3, 0.2, 6), eject)
-    builds = inf._table.cache_info().misses
+    builds = inf._shift_rows.cache_info().misses
     if eject:
-        assert max(largest) >= 1 and 1 <= builds <= len(set(largest))
+        assert max(reached) >= 1 and 1 <= builds <= len(reached)
     else:
-        assert len(largest) >= 3 and builds == 1
+        assert reached == {0} and builds == 1
 
 
-def test_the_ejecting_holder_stacks_sectors_up_to_its_largest_photon_number():
-    """Each new largest ejection count stacks one more shift of sectors, in the
-    update that first reads it, until the shifts reach the largest photon
-    number; photon number ns[i] after s ejections is row i + len(ns) * s.
-    Each shift's rows are built once, not again for every larger table."""
+def test_the_ejecting_holder_builds_one_shift_per_ejection_count_it_reaches():
+    """Each ejection builds the rows of the next shift once, in the update that
+    first moves an entry there, until no live entry is left to eject: photon
+    number ns[i] after s ejections is row i of shift s."""
     noise = inf.NoiseParams(0.3, 0.2, 6)
-    inf._table.cache_clear()
     inf._shift_rows.cache_clear()
     holder = inf.NoisyLikelihoods([1, 2, 3, 4], OMEGA, noise, eject=True)
-    builds = [inf._table.cache_info().misses]
+    builds = [inf._shift_rows.cache_info().misses]
     for _ in range(6):
         holder.update(np.array([0.7]), np.array([True]))
-        builds.append(inf._table.cache_info().misses)
-    assert builds == [1, 1, 2, 3, 4, 4, 4] and holder.shift.tolist() == [6]
-    assert inf._shift_rows.cache_info().misses == 5
-    table = inf._table((1, 2, 3, 4), 6, 4, OMEGA, 0.3, 0.2)
-    assert table["n"].tolist() == [max(n - s, 0) for s in range(5) for n in (1, 2, 3, 4)]
-    assert table["N"].tolist() == [6 - s for s in range(5) for _ in range(4)]
+        builds.append(inf._shift_rows.cache_info().misses)
+    assert builds == [1, 2, 3, 4, 5, 5, 5] and holder.shift.tolist() == [6]
+    for s in range(5):
+        rows = inf._shift_rows((1, 2, 3, 4), 6, s, OMEGA, 0.3, 0.2)
+        assert rows["n"].tolist() == [max(n - s, 0) for n in (1, 2, 3, 4)]
+
+
+def test_a_holder_started_past_ejections_builds_only_its_own_shift():
+    """Rows that start after two ejections read the rows of shift 2 alone: no
+    smaller shift is built, and none larger before an ejection reaches it."""
+    inf._shift_rows.cache_clear()
+    holder = inf.NoisyLikelihoods([1, 2, 3, 4], OMEGA, inf.NoiseParams(0.3, 0.2, 6), eject=True,
+                                  shift=(2, 2))
+    assert holder.log_l.tolist() == [[-math.inf, 0.0, 0.0, 0.0]] * 2
+    assert inf._shift_rows.cache_info().misses == 1
+    inf._shift_rows((1, 2, 3, 4), 6, 2, OMEGA, 0.3, 0.2)
+    assert inf._shift_rows.cache_info().misses == 1
 
 
 def test_zero_drive_cannot_give_a_rydberg_outcome():

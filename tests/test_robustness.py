@@ -85,7 +85,7 @@ def test_inference_builds_only_the_j0_blocks_it_reads(tmp_path, monkeypatch):
     build = symbasis._sector_block
     monkeypatch.setattr(symbasis, "_sector_block",
                         lambda n, N, j: built.append((n, N, j)) or build(n, N, j))
-    for cache in (symbasis.sector, dyn._eigensystem, dyn._propagator, inf._table, inf._shift_rows):
+    for cache in (symbasis.sector, dyn._eigensystem, dyn._propagator, inf._shift_rows):
         cache.cache_clear()
     assert cli.main(["infer", str(path), *_noise_flags(1000), "--candidates", "498..500",
                      "--out", str(out)]) == cli.EXIT_OK
@@ -307,6 +307,21 @@ def test_analyze_rows_past_the_guard_exit_5_before_any_row_is_built(n, tmp_path,
     lo, hi = (int(v) for v in n.split(".."))
     assert capsys.readouterr().err.splitlines() == [
         f"error: --n {n} gives {hi - lo + 1} rows, more than the guard of {cli.MAX_TABLE_ROWS}"]
+    assert not out.exists()
+
+
+def test_schedule_grid_past_the_guard_exits_5_before_the_grid_is_built(tmp_path, capsys,
+                                                                       monkeypatch):
+    """`optimize-schedule --grid-points` past `MAX_GRID_POINTS` exits 5 with one
+    error line, before the grid is built or the table written: at 10^7 points the
+    grid odds ran out of memory."""
+    monkeypatch.setattr(an, "default_tau_grid", lambda *args: pytest.fail("the grid was built"))
+    out = tmp_path / "schedule.json"
+    points = cli.MAX_GRID_POINTS + 1
+    argv = ["analyze", "optimize-schedule", "--grid-points", str(points), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --grid-points {points} exceeds the guard of {cli.MAX_GRID_POINTS}"]
     assert not out.exists()
 
 
