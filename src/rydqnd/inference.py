@@ -295,9 +295,9 @@ class NoisyLikelihoods:
         """The selected rows' live entries (r, c), as (s, r, c) per ejection count s, in order."""
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
         shift = self.shift[rows][r]
-        for s in sorted(set(shift.tolist())):
-            at = shift == s
-            yield s, r[at], c[at]
+        for s in sorted(set(self.shift[rows].tolist())):  # fewer rows than entries to hash
+            if (at := shift == s).any():
+                yield s, r[at], c[at]
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> np.ndarray:
         """One cycle for every row: drive times and outcomes (True for Rydberg).
