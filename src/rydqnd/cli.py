@@ -59,11 +59,6 @@ TABLE_SCHEMA = "rydqnd-table-v1"
 # ---------------------------------------------------------------------------
 # unit and argument helpers
 
-def _freq_rad_s(value_mhz: float, angular: bool) -> float:
-    """MHz (ordinary) or 1e6 rad/s (with --angular) to rad/s."""
-    return value_mhz * 1e6 * (1.0 if angular else 2.0 * math.pi)
-
-
 def _us_to_s(value_us: float) -> float:
     return value_us * 1e-6
 
@@ -96,6 +91,8 @@ def _read_json(path: str, what: str, parse=json.loads):
         raise DomainError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: line {exc.lineno}: malformed {what} ({exc.msg})") from exc
+    except ValueError as exc:  # json's refusal of integer text past Python's digit limit
+        raise DomainError(f"{path}: malformed {what} ({str(exc).partition(';')[0]})") from exc
     except (KeyError, TypeError) as exc:
         raise DomainError(f"{path}: line 1: missing or misplaced {what} field ({exc})") from exc
 
@@ -181,12 +178,20 @@ def _config_values(path: str, parser: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _check_rates(args: argparse.Namespace) -> None:
-    """Omega positive and finite, gamma finite and non-negative, for every subcommand."""
-    if not 0 < _freq_rad_s(args.omega_mhz, args.angular) < math.inf:
+def _rates(args: argparse.Namespace) -> tuple[float, float, float]:
+    """(omega, gamma) in rad/s and tau_eit in s, from MHz (1e6 rad/s with --angular)
+    and us; gamma and tau_eit are 0 where the subcommand has no such option.  Omega
+    must be positive and finite, gamma and tau_eit finite and non-negative."""
+    factor = 1.0 if args.angular else 2.0 * math.pi
+    omega, gamma = (mhz * 1e6 * factor for mhz in (args.omega_mhz, getattr(args, "gamma_mhz", 0.0)))
+    tau_eit = _us_to_s(getattr(args, "tau_eit_us", 0.0))
+    if not 0 < omega < math.inf:
         raise DomainError("omega must be positive and finite")
-    if not 0 <= _freq_rad_s(getattr(args, "gamma_mhz", 0.0), args.angular) < math.inf:
+    if not 0 <= gamma < math.inf:
         raise DomainError("gamma must be finite and non-negative")
+    if not 0 <= tau_eit < math.inf:  # checked at any gamma: `infer` records it either way
+        raise DomainError("tau_eit must be finite and non-negative")
+    return omega, gamma, tau_eit
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -221,8 +226,7 @@ def _table_output(doc: dict, rows: list[dict], out: str | None) -> None:
 # simulate
 
 def _build_params(args: argparse.Namespace) -> ProtocolParams:
-    omega = _freq_rad_s(args.omega_mhz, args.angular)
-    gamma = _freq_rad_s(args.gamma_mhz, args.angular)
+    omega, gamma, tau_eit = _rates(args)
     if args.schedule == "fixed":
         schedule = Schedule.fixed(_us_to_s(args.tau_us))
     elif args.schedule == "uniform-random":
@@ -230,9 +234,6 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
     else:
         schedule = Schedule.adaptive_greedy()
     cands, prior = _parse_candidates(args)
-    tau_eit = _us_to_s(args.tau_eit_us)
-    if not 0 <= tau_eit < math.inf:  # checked at any gamma, as `infer` checks it
-        raise DomainError("tau_eit must be finite and non-negative")
     mode = NOISELESS_PURE if gamma == 0.0 else NOISY_FIXED_N
     return ProtocolParams(
         omega=omega,
@@ -308,12 +309,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # infer
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    omega, gamma, tau_eit = _rates(args)
     record = _read_json(args.record, "record", MeasurementRecord.from_json)
     cands, prior = _parse_candidates(args)
-    omega = _freq_rad_s(args.omega_mhz, args.angular)
-    gamma = _freq_rad_s(args.gamma_mhz, args.angular)
-    # checked at any gamma, since posterior.json records tau_eit and N either way
-    noise = inference.NoiseParams(gamma, _us_to_s(args.tau_eit_us), args.n_atoms)
+    # N checked at any gamma, since posterior.json records tau_eit and N either way
+    noise = inference.NoiseParams(gamma, tau_eit, args.n_atoms)
     trace = inference.posterior_trace(record, cands, prior, omega,
                                       noise=noise if gamma else None, eject=args.eject)
 
@@ -385,7 +385,7 @@ def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    omega = _freq_rad_s(args.omega_mhz, args.angular)
+    omega = _rates(args)[0]
     if args.time_points < 1:
         raise DomainError(f"--time-points must be a positive integer, got {args.time_points!r}")
     if args.time_points > MAX_TIME_POINTS:
@@ -441,8 +441,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 # analyze
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    omega = _freq_rad_s(args.omega_mhz, args.angular)
-    gamma = _freq_rad_s(args.gamma_mhz, args.angular)
+    omega, gamma, _ = _rates(args)
     config = {"omega_rad_s": omega, "gamma_rad_s": gamma,
               "subcommand": args.analysis, "version": __version__}
     if args.analysis in ("fisher", "detection-time"):
@@ -478,15 +477,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                 f"{MAX_GRID_POINTS}")
         cands, prior = analysis.appendix_toy_candidates()
         grid = analysis.default_tau_grid(omega, args.grid_points)
-        rows = []
-        for strategy, run in (("local", analysis.optimize_schedule_local),
-                              ("global", analysis.optimize_schedule_global)):
-            result = run(args.cycles, cands, prior, grid, omega)
-            for i, fid in enumerate(result.fidelity_trace):
-                rows.append({"strategy": strategy, "T": i + 1,
-                             "taus_us": ",".join(f"{t * 1e6:.6f}"
-                                                 for t in result.taus[: i + 1]),
-                             "fidelity_percent": 100.0 * fid})
+        task = (args.cycles, cands, prior, grid, omega)
+        best = analysis.optimize_schedule_global(*task)  # its tuple guard before the greedy search
+        rows = [{"strategy": result.strategy, "T": i + 1,
+                 "taus_us": ",".join(f"{t * 1e6:.6f}" for t in result.taus[: i + 1]),
+                 "fidelity_percent": 100.0 * fid}
+                for result in (analysis.optimize_schedule_local(*task), best)
+                for i, fid in enumerate(result.fidelity_trace)]
         config["grid_points"] = int(grid.size)
         config["toy"] = args.toy
     _table_output({"schema": TABLE_SCHEMA, "config": config}, rows, args.out)
@@ -501,6 +498,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--angular", action="store_true",
                         help="frequency values are already angular "
                              "(1e6 rad/s); no 2*pi factor is applied")
+    parser.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded protocol trajectories")
     _add_common(p)
-    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
     p.add_argument("--gamma-mhz", type=float, default=0.3,
                    help="Rydberg dephasing rate (0 = noiseless)")
     p.add_argument("--tau-eit-us", type=float, default=0.3,
@@ -543,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="posterior over candidates from a record file")
     _add_common(p)
     p.add_argument("record", help="measurement record JSON file")
-    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
     p.add_argument("--gamma-mhz", type=float, default=0.0,
                    help="Rydberg dephasing rate (0 = noiseless)")
     p.add_argument("--tau-eit-us", type=float, default=0.0,
@@ -560,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="compare the block solver against the dense oracle")
     _add_common(p)
-    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
     p.add_argument("--time-points", type=int, default=50, help="time points per cell")
     p.add_argument("--corrupt-cell",
                    help="fault-injection hook: 'n,N' cell whose drive matrix "
@@ -573,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("analysis",
                    choices=("fisher", "detection-time", "steady-state",
                             "optimize-schedule"))
-    p.add_argument("--omega-mhz", type=float, default=2.5, help="drive Rabi frequency")
     p.add_argument("--gamma-mhz", type=float, default=0.3, help="Rydberg dephasing rate")
     p.add_argument("--regime", choices=analysis.REGIMES, default="noiseless",
                    help="Fisher-information regime")
@@ -609,7 +603,6 @@ def main(argv: list[str] | None = None) -> int:
                        if isinstance(a, argparse._SubParsersAction)).choices[args.command]
             args = own.parse_args(argv[argv.index(args.command) + 1:],
                                   argparse.Namespace(**_config_values(args.config, own)))
-        _check_rates(args)
         return args.func(args)
     except InconsistentRecordError as exc:
         print(f"error: {exc}", file=sys.stderr)

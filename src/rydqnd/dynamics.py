@@ -322,9 +322,7 @@ def evolve_block(state: SymmetricBlockState, tau: float, omega: float, gamma: fl
     _check_times(tau)
     prop = _propagator(state.n, state.N, state.j, omega if drive_on else 0.0, gamma, (tau,))[0]
     out = SymmetricBlockState(state.n, state.N, state.j, prop @ state.x)
-    drift = abs(out.trace() - state.trace())
-    if drift > 1e-9:
-        raise IntegratorError("block propagation lost trace", residual=drift)
+    _check_drift(out.trace(), state.trace())
     return out
 
 
@@ -421,8 +419,8 @@ def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
     return props.reshape(taus.shape + props.shape[1:])
 
 
-def _check_drift(after: np.ndarray, before: np.ndarray) -> None:
-    """The trace-drift bound of `evolve_block`, for arrays of traces."""
+def _check_drift(after: np.ndarray | float, before: np.ndarray | float) -> None:
+    """`IntegratorError` where a trace (or an array of them) moved by more than 1e-9."""
     drift = np.abs(after - before)
     bad = ~(drift <= 1e-9)  # NaN fails it
     if bad.any():

@@ -136,23 +136,12 @@ class ProtocolParams:
         return None if self.mode == NOISELESS_PURE else NoiseParams(self.gamma, self.tau_eit, self.N)
 
     def to_dict(self) -> dict:
+        """Every field, the rates keyed with their SI units; candidates and prior resolved."""
         cands, prior = self.resolved_candidates()
-        return {
-            "omega_rad_s": self.omega,
-            "gamma_rad_s": self.gamma,
-            "tau_eit_s": self.tau_eit,
-            "N": self.N,
-            "n_max": self.n_max,
-            "mode": self.mode,
-            "schedule": self.schedule.to_dict(),
-            "seed": self.seed,
-            "max_cycles": self.max_cycles,
-            "ejection_enabled": self.ejection_enabled,
-            "threshold": self.threshold,
-            "candidates": [c.tolist() for c in cands],
-            "prior": prior.weights.tolist(),
-            "trace_points": self.trace_points,
-        }
+        units = {"omega": "omega_rad_s", "gamma": "gamma_rad_s", "tau_eit": "tau_eit_s"}
+        doc = {units.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        return {**doc, "schedule": self.schedule.to_dict(),
+                "candidates": [c.tolist() for c in cands], "prior": prior.weights.tolist()}
 
 
 def schedule_next_tau(schedule: Schedule, history: list[float], params: ProtocolParams,

@@ -259,6 +259,19 @@ def test_optimize_schedule_past_the_enumeration_guard_fails_before_the_first_ste
     assert not out.exists() and not steps
 
 
+def test_optimize_schedule_past_the_tuple_guard_fails_before_the_greedy_search(
+        monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the greedy search ran")
+
+    monkeypatch.setattr(analysis, "optimize_schedule_local", refuse)
+    out = tmp_path / "schedule.json"
+    assert run(["analyze", "optimize-schedule", "--grid-points", "1500", "--out", str(out)]
+               ) == cli.EXIT_RESOURCE
+    assert "1500^2 schedule tuples exceed the exhaustive-search guard" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_csv_output(tmp_path):
     out = tmp_path / "table.csv"
     assert run(["analyze", "detection-time", "--regime", "steady-state",

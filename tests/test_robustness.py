@@ -377,6 +377,10 @@ def test_a_nan_norm_fails_the_norm_check():
 def test_a_nan_trace_fails_the_drift_check():
     with pytest.raises(IntegratorError):
         dyn._check_drift(np.array([1.0, math.nan]), np.ones(2))
+    block = dyn.symmetric_state_blocks(2, 4)[0]
+    with pytest.raises(IntegratorError):  # one block's state, as the batch kernels refuse it
+        dyn.evolve_block(dyn.SymmetricBlockState(2, 4, 0, np.full_like(block.x, math.nan)),
+                         1e-7, 1.0, 0.3)
 
 
 def test_a_nan_amplitude_fails_the_pure_state_norm_check():
