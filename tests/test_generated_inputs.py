@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from rydqnd import cli
 
-# json.loads refuses integer text longer than this many digits with a bare ValueError
+# integer text past Python's 4,300-digit conversion limit: json.loads raises a bare ValueError
 HUGE = "9" * 4_400
 HUGE_MARK = "<huge-integer>"
 
