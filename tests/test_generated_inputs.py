@@ -91,7 +91,10 @@ def _call(argv: list[str], out) -> tuple[int, str, str, dict]:
             rc = exc.code
     files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir()
              else {out.name: out.read_bytes()} if out.exists() else {})
-    shutil.rmtree(out) if out.is_dir() else out.unlink(missing_ok=True)
+    if out.is_dir():
+        shutil.rmtree(out)
+    else:
+        out.unlink(missing_ok=True)
     return rc, stdout.getvalue(), stderr.getvalue(), files
 
 
