@@ -83,8 +83,8 @@ def _extent(ns: range | list[int]) -> tuple[int, int]:
 
 
 def _read_json(path: str, what: str, parse=json.loads):
-    """parse(text of the file); bad JSON, missing or misplaced fields and the
-    DomainErrors of parse are DomainErrors that name the file (and line)."""
+    """parse(text of the file); bad JSON, missing or misplaced fields and the DomainErrors
+    of parse are DomainErrors that name the file (and a JSON syntax error's line)."""
     try:
         return parse(Path(path).read_text())
     except DomainError as exc:
@@ -94,7 +94,7 @@ def _read_json(path: str, what: str, parse=json.loads):
     except ValueError as exc:  # json's refusal of integer text past Python's digit limit
         raise DomainError(f"{path}: malformed {what} ({str(exc).partition(';')[0]})") from exc
     except (KeyError, TypeError) as exc:
-        raise DomainError(f"{path}: line 1: missing or misplaced {what} field ({exc})") from exc
+        raise DomainError(f"{path}: missing or misplaced {what} field ({exc})") from exc
 
 
 def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution], Posterior]:
@@ -148,9 +148,9 @@ def _config_values(path: str, parser: argparse.ArgumentParser) -> dict:
     """The config file's values, each converted through the declaration of
     the option it names; keys that name no option of `parser` are ignored.
 
-    A typed option takes the type of the value's text, a flag a JSON boolean
-    and any other option a string; a value must be one of the option's
-    choices, if it has any.
+    A typed option takes the type of the value's text, a flag a JSON boolean and any
+    other option a string; null states a default of None, and a value must be one of
+    the option's choices, if it has any.
     """
     doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
@@ -162,7 +162,9 @@ def _config_values(path: str, parser: argparse.ArgumentParser) -> dict:
         if key not in doc or not (stores and action.option_strings):
             continue
         value = doc[key]
-        if action.type is not None:
+        if value is None and action.default is None:
+            pass
+        elif action.type is not None:
             try:
                 value = action.type(str(value))
             except ValueError:
@@ -390,21 +392,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise DomainError(f"--time-points must be a positive integer, got {args.time_points!r}")
     if args.time_points > MAX_TIME_POINTS:
         raise ResourceError(f"--time-points {args.time_points} exceeds the guard of {MAX_TIME_POINTS}")
-    corrupt_cell = None
-    if args.corrupt_cell:
-        try:
-            n_c, N_c = (int(tok) for tok in args.corrupt_cell.split(","))
-        except ValueError:
-            raise DomainError(
-                f"--corrupt-cell must be 'n,N', got {args.corrupt_cell!r}") from None
-        if (N_c, n_c) not in ORACLE_CELLS:
-            cells = ", ".join(f"{n},{N}" for N, n in ORACLE_CELLS)
-            raise DomainError(
-                f"--corrupt-cell {args.corrupt_cell!r} is not an oracle cell ({cells})")
-        corrupt_cell = (n_c, N_c)
+    cells = [f"{n},{N}" for N, n in ORACLE_CELLS]  # each cell by its --corrupt-cell name
+    if args.corrupt_cell is not None and args.corrupt_cell not in cells:
+        raise DomainError(f"--corrupt-cell {args.corrupt_cell!r} is not an oracle cell "
+                          f"({', '.join(cells)})")
     rows = []
     worst = 0.0
-    for N, n in ORACLE_CELLS:
+    for (N, n), cell in zip(ORACLE_CELLS, cells):
         times = np.linspace(0.0, 5.0 / omega, args.time_points)
         for factor in ORACLE_GAMMA_FACTORS:
             gamma = factor * omega
@@ -413,7 +407,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                                 for state in dense_oracle.evolve_dense_grid(
                                     dense, times[-1], times.size, omega, gamma)])
             p_block = _block_sector_populations(
-                n, N, omega, gamma, times, corrupt=corrupt_cell == (n, N))
+                n, N, omega, gamma, times, corrupt=cell == args.corrupt_cell)
             dev = float(np.max(np.abs(p_block - p_dense)))
             worst = max(worst, dev)
             rows.append({"N": N, "n": n, "gamma_over_omega": factor,

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError, ResourceError
-from .records import NO_RYDBERG, RYDBERG
+from .records import NO_RYDBERG, RYDBERG, is_rydberg
 from .symbasis import Sector, SectorBlock, build_block, sector
 
 
@@ -346,14 +346,14 @@ def project_blocks(blocks, outcome: str) -> tuple[float, BlockList]:
     Returns the pre-projection probability of the outcome and the conditional
     state (all j blocks rescaled by the same 1/p).
     """
-    blocks = _as_blocks(blocks)
+    blocks, rydberg = _as_blocks(blocks), is_rydberg(outcome)
     p_s, p_r = sector_probabilities(blocks)
-    p = p_r if outcome == RYDBERG else p_s
+    p = p_r if rydberg else p_s
     if p <= 0:
         raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
     out = []
     for blk in blocks:
-        keep = blk.block.rydberg if outcome == RYDBERG else blk.block.no_rydberg
+        keep = blk.block.rydberg if rydberg else blk.block.no_rydberg
         out.append(SymmetricBlockState(blk.n, blk.N, blk.j, np.where(keep, blk.x / p, 0.0)))
     return p, out
 

@@ -99,8 +99,8 @@ class ProtocolParams:
     max_cycles: int = 50
     ejection_enabled: bool = False
     threshold: float = 0.99
-    candidates: list[FockDistribution] | None = None
-    prior: Posterior | None = None
+    candidates: list[FockDistribution] | None = None  # None: the deltas at 1..n_max
+    prior: Posterior | None = None  # None: uniform
     trace_points: int = 0
 
     def __post_init__(self):
@@ -121,27 +121,26 @@ class ProtocolParams:
             raise DomainError("threshold must be a number")
         if self.mode not in (NOISELESS_PURE, NOISY_FIXED_N):
             raise DomainError(f"unknown mode {self.mode!r}")
-        n = max((max(c.support()) for c in self.resolved_candidates()[0]), default=0)
+        if self.mode == NOISELESS_PURE and (self.gamma or self.tau_eit):  # it reads neither
+            raise DomainError("noiseless-pure mode takes gamma = 0 and tau_eit = 0")
+        if self.candidates is None:
+            self.candidates = [FockDistribution.delta(n, self.n_max) for n in range(1, self.n_max + 1)]
+        if self.prior is None:
+            self.prior = Posterior.uniform(len(self.candidates))
+        n = max((max(c.support()) for c in self.candidates), default=0)
         if n > self.N:  # N atoms store at most N photons
             raise DomainError(f"need 0 <= n <= N, got n={n}, N={self.N}")
-
-    def resolved_candidates(self) -> tuple[list[FockDistribution], Posterior]:
-        cands = self.candidates
-        if cands is None:
-            cands = [FockDistribution.delta(n, self.n_max) for n in range(1, self.n_max + 1)]
-        prior = self.prior if self.prior is not None else Posterior.uniform(len(cands))
-        return cands, prior
 
     def noise(self) -> NoiseParams | None:
         return None if self.mode == NOISELESS_PURE else NoiseParams(self.gamma, self.tau_eit, self.N)
 
     def to_dict(self) -> dict:
-        """Every field, the rates keyed with their SI units; candidates and prior resolved."""
-        cands, prior = self.resolved_candidates()
+        """Every field, the rates keyed with their SI units."""
         units = {"omega": "omega_rad_s", "gamma": "gamma_rad_s", "tau_eit": "tau_eit_s"}
         doc = {units.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
         return {**doc, "schedule": self.schedule.to_dict(),
-                "candidates": [c.tolist() for c in cands], "prior": prior.weights.tolist()}
+                "candidates": [c.tolist() for c in self.candidates],
+                "prior": self.prior.weights.tolist()}
 
 
 def schedule_next_tau(schedule: Schedule, history: list[float], params: ProtocolParams,
@@ -157,10 +156,9 @@ def schedule_next_tau(schedule: Schedule, history: list[float], params: Protocol
                 f"precomputed schedule has only {len(schedule.taus)} entries")
         return float(schedule.taus[len(history)])
     if schedule.kind == "adaptive-greedy":
-        cands, prior = params.resolved_candidates()
         grid = default_tau_grid(params.omega, schedule.grid_points)
-        return greedy_next_tau(history, cands, prior, grid, params.omega, params.noise(),
-                               params.ejection_enabled)
+        return greedy_next_tau(history, params.candidates, params.prior, grid, params.omega,
+                               params.noise(), params.ejection_enabled)
     if draws is None:
         raise DomainError(f"schedule kind {schedule.kind!r} has no drive time every trajectory shares")
     lo, hi = float(schedule.tau_min), float(schedule.tau_max)
@@ -263,9 +261,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     draw, `Schedule.draws`) and the measurement.  Cycle draws are taken in blocks of
     cycles, one block per generator at a time.
     """
-    cands, prior = params.resolved_candidates()
-    n_traj, points, noise = len(rngs), params.trace_points, params.noise()
-    mixture = Mixture(cands, prior)
+    n_traj, points, noise, prior = len(rngs), params.trace_points, params.noise(), params.prior
+    mixture = Mixture(params.candidates, prior)
     state = sample_initial(initial, params) if params.mode == NOISELESS_PURE else None
     ns = sorted(set(mixture.ns) | set(range(state.a.size if state is not None else 0)))
     likelihoods = record_likelihoods(ns, params.omega, noise, params.ejection_enabled,

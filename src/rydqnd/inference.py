@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DomainError, InconsistentRecordError
-from .records import FockDistribution, MeasurementRecord, OUTCOMES, Posterior, RYDBERG
+from .records import FockDistribution, MeasurementRecord, Posterior, RYDBERG, is_rydberg
 from .symbasis import sector
 
 
@@ -120,7 +120,7 @@ class ConditionalState:
     def update(self, tau: float, outcome: str) -> float:
         """Advance one observation cycle; returns log of the conditional probability."""
         return float(self._row.update(np.array([tau], dtype=float),
-                                      np.array([outcome == RYDBERG]))[0, 0])
+                                      np.array([is_rydberg(outcome)]))[0, 0])
 
 
 def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float,
@@ -396,9 +396,7 @@ class SequentialInference:
         self._likelihoods = record_likelihoods(self._mix.ns, omega, noise, eject)
 
     def update(self, tau: float, outcome: str) -> Posterior:
-        if outcome not in OUTCOMES:
-            raise DomainError(f"unknown outcome {outcome!r}")
-        self._likelihoods.update(np.array([tau], dtype=float), np.array([outcome == RYDBERG]))
+        self._likelihoods.update(np.array([tau], dtype=float), np.array([is_rydberg(outcome)]))
         return self.posterior()
 
     def posterior(self) -> Posterior:

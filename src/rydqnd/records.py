@@ -15,6 +15,27 @@ NO_RYDBERG = "NoRydberg"
 OUTCOMES = (NO_RYDBERG, RYDBERG)
 
 
+def is_rydberg(outcome: str) -> bool:
+    """Whether outcome is RYDBERG; a DomainError unless it is one of `OUTCOMES`."""
+    if outcome not in OUTCOMES:
+        raise DomainError(f"unknown outcome {outcome!r}")
+    return outcome == RYDBERG
+
+
+def _probability_vector(p, vector: str, entries: str) -> np.ndarray:
+    """p as floats clipped at 0; a DomainError unless p is a probability vector."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise DomainError(f"{vector} must be a non-empty vector")
+    if not np.isfinite(p).all():
+        raise DomainError(f"{entries} must be finite")
+    if np.any(p < -1e-15):
+        raise DomainError(f"{entries} must be non-negative")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise DomainError(f"{entries} must sum to 1, got {p.sum()}")
+    return np.clip(p, 0.0, None)
+
+
 @dataclass
 class MeasurementRecord:
     """Ordered list of (drive time, outcome) pairs; cycle 0 convention is NoRydberg."""
@@ -57,16 +78,7 @@ class FockDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.ndim != 1 or self.p.size == 0:
-            raise DomainError("distribution must be a non-empty vector")
-        if not np.isfinite(self.p).all():
-            raise DomainError("probabilities must be finite")
-        if np.any(self.p < -1e-15):
-            raise DomainError("probabilities must be non-negative")
-        if abs(self.p.sum() - 1.0) > 1e-12:
-            raise DomainError(f"probabilities must sum to 1, got {self.p.sum()}")
-        self.p = np.clip(self.p, 0.0, None)
+        self.p = _probability_vector(self.p, "distribution", "probabilities")
 
     @staticmethod
     def delta(n: int, n_max: int) -> "FockDistribution":
@@ -94,14 +106,7 @@ class Posterior:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if not np.isfinite(self.weights).all():
-            raise DomainError("posterior weights must be finite")
-        if np.any(self.weights < -1e-15):
-            raise DomainError("posterior weights must be non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise DomainError("posterior weights must sum to 1")
-        self.weights = np.clip(self.weights, 0.0, None)
+        self.weights = _probability_vector(self.weights, "posterior weights", "posterior weights")
 
     @staticmethod
     def uniform(k: int) -> "Posterior":

@@ -168,6 +168,15 @@ def test_infer_malformed_record_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_a_misplaced_record_field_names_no_line_the_parser_did_not_read(tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    rec.write_text('{"entries": [\n' + '  {"tau_s": 1e-7, "outcome": "Rydberg"},\n' * 3
+                   + '  {"tau": 1e-7, "outcome": "Rydberg"}\n]}')  # "tau" on line 5
+    assert run(["infer", str(rec)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: {rec}: missing or misplaced record field "
+                                       "('tau_s')\n")
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 
@@ -205,6 +214,10 @@ def test_oracle_check_runs_the_simulator_propagator(tmp_path, capsys, monkeypatc
     ["--corrupt-cell", "2"],
     ["--corrupt-cell", "a,b"],
     ["--corrupt-cell", "9,9"],
+    ["--corrupt-cell", "02,4"],
+    ["--corrupt-cell", " 2,4"],
+    ["--corrupt-cell", "2,4,"],
+    ["--corrupt-cell", ""],
     ["--omega-mhz", "0"],
     ["--omega-mhz", "nan"],
 ])
@@ -448,7 +461,7 @@ def test_malformed_auxiliary_inputs_exit_2(name, text, argv, tmp_path, capsys):
     ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [1.5, -0.5]}',
      "the prior: posterior weights must be non-negative"),
     ("cands.json", '{"candidates": [[0, 1], [0, 0, 1]], "prior": [0.5, 0.4]}',
-     "the prior: posterior weights must sum to 1"),
+     "the prior: posterior weights must sum to 1, got 0.9"),
 ], ids=["tau-true", "tau-string", "candidate-booleans", "candidate-number", "prior-string",
         "candidate-empty", "candidate-negative", "candidate-sum", "second-candidate-sum",
         "prior-negative", "prior-sum"])
@@ -596,6 +609,15 @@ def test_config_values_are_converted_by_their_option(doc, key, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_a_config_null_states_the_fisher_time_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"time_us": None}))
+    assert run(["analyze", "fisher", "--n", "1..3"]) == cli.EXIT_OK
+    alone = capsys.readouterr().out
+    assert run(["analyze", "fisher", "--n", "1..3", "--config", str(cfg)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == alone
+
+
 def _simulate_files(argv, outdir):
     assert run(["simulate", "--max-cycles", "4", "--trajectories", "2", "--n-true", "3",
                 *argv, "--outdir", str(outdir)]) == cli.EXIT_OK
@@ -608,6 +630,7 @@ def _simulate_files(argv, outdir):
     ({"angular": True, "omega_mhz": 15.7}, ["--angular", "--omega-mhz", "15.7"]),
     ({"schedule": "uniform-random", "tau_max_us": 0.3},
      ["--schedule", "uniform-random", "--tau-max-us", "0.3"]),
+    ({"candidates": None, "seed": 3}, ["--seed", "3"]),  # null states a default of None
 ])
 def test_config_values_act_like_their_flags(doc, flags, tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -646,15 +669,16 @@ COUNT_FLAGS = {"simulate": ["--n-true", "--n-atoms", "--n-max", "--seed", "--tra
                "analyze": ["--cycles", "--grid-points"],
                "oracle-check": ["--time-points"]}
 RANGE_FLAGS = {"simulate": "--candidates", "infer": "--candidates", "analyze": "--n"}
-# a JSON value of the wrong type for each kind of option
+# a JSON value of the wrong type for each kind of option; null states the default of an
+# option whose default is None ("optional")
 WRONG_JSON = {"typed": [[1], True, None, {}], "flag": ["yes", 1, None, [True]],
-              "string": [[1, 2], False, None, 3, 2.5]}
+              "string": [[1, 2], False, None, 3, 2.5], "optional": [[1, 2], False, 3, 2.5]}
 CONFIG_KEYS = {"simulate": {"seed": "typed", "tau_us": "typed", "eject": "flag",
-                            "angular": "flag", "candidates": "string", "outdir": "string",
+                            "angular": "flag", "candidates": "optional", "outdir": "string",
                             "schedule": "string"},
-               "infer": {"n_max": "typed", "eject": "flag", "candidates": "string"},
+               "infer": {"n_max": "typed", "eject": "flag", "candidates": "optional"},
                "analyze": {"cycles": "typed", "regime": "string", "n": "string"},
-               "oracle-check": {"time_points": "typed", "corrupt_cell": "string"}}
+               "oracle-check": {"time_points": "typed", "corrupt_cell": "optional"}}
 OUT_OF_CHOICES = {"simulate": "schedule", "analyze": "regime"}
 
 

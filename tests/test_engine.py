@@ -130,6 +130,14 @@ def test_invalid_params_rejected():
         noisy_params(mode="other")
 
 
+@pytest.mark.parametrize("rates", [dict(gamma=5.0), dict(tau_eit=0.3),
+                                   dict(gamma=5.0, tau_eit=0.3)])
+def test_noiseless_mode_refuses_the_rates_it_does_not_read(rates):
+    """A noiseless run would log rates that none of its posteriors depends on."""
+    with pytest.raises(DomainError, match="^noiseless-pure mode takes gamma = 0 and tau_eit = 0$"):
+        noiseless_params(**rates)
+
+
 @pytest.mark.parametrize("mode", [eng.NOISELESS_PURE, eng.NOISY_FIXED_N])
 def test_candidates_past_the_atom_count_rejected(mode):
     """N atoms store at most N photons: a candidate with weight on n > N is

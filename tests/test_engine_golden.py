@@ -143,7 +143,7 @@ DIGESTS = {
 def test_greedy_eject_batch_follows_the_ejecting_local_schedule():
     # the shared greedy drive times plan for the ejections the batch performs
     initial, params, batch = CASES["greedy-amps-eject-trace"]
-    cands, prior = params.resolved_candidates()
+    cands, prior = params.candidates, params.prior
     grid = an.default_tau_grid(params.omega, params.schedule.grid_points)
     plan = an.optimize_schedule_local(params.max_cycles, cands, prior, grid, params.omega,
                                       eject=True).taus

@@ -66,7 +66,7 @@ def _posteriors(initial, params):
         logs = eng.run_batch(initial, params, 3)
     except InconsistentRecordError:  # every candidate ruled out: no posterior to compare
         assume(False)
-    cands, prior = params.resolved_candidates()
+    cands, prior = params.candidates, params.prior
     for log in logs:
         trace = inf.posterior_trace(log.record, cands, prior, params.omega, params.noise(),
                                     params.ejection_enabled)

@@ -1,10 +1,13 @@
-"""Generated input files through `cli.main`, in-process.
+"""Generated inputs through `cli.main`, in-process.
 
 `infer` record files, `--candidates-file` files (for `infer` and `simulate`) and
 `simulate --config` files hold JSON values of every type in every field:
 integers past float range and past Python's digit limit for integer text, NaN and
-Infinity literals, missing and extra keys.  Whatever a file holds, a call exits
-0, 2, 3 or 5; a refusal prints exactly one `error:` line, no traceback and no
+Infinity literals, missing and extra keys.  `oracle-check` takes generated
+`--corrupt-cell` text at 1 to 3 time points or past `MAX_TIME_POINTS`, and
+`analyze` generated `--n` text, `--cycles` and `--grid-points`, each in range or
+past its guards.  Whatever the input, a call exits 0, 2, 3 or 5 (or 4, a failed
+oracle check); a refusal prints exactly one `error:` line, no traceback and no
 output file; and a second call gives the same exit code and the same bytes.
 """
 
@@ -98,15 +101,18 @@ def _call(argv: list[str], out) -> tuple[int, str, str, dict]:
     return rc, stdout.getvalue(), stderr.getvalue(), files
 
 
-def _check(argv: list[str], out) -> None:
+def _check(argv: list[str], out) -> int:
+    """The exit code of argv, which holds to the contract of this module."""
     first = _call(argv, out)
     rc, _, err, files = first
-    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INCONSISTENT, cli.EXIT_RESOURCE), err
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INCONSISTENT, cli.EXIT_ORACLE,
+                  cli.EXIT_RESOURCE), err
     assert "Traceback" not in err
-    if rc != cli.EXIT_OK:
+    if rc not in (cli.EXIT_OK, cli.EXIT_ORACLE):  # a failed check writes its table
         assert sum("error:" in line for line in err.splitlines()) == 1, err
         assert not files
     assert _call(argv, out) == first
+    return rc
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +145,49 @@ def test_simulate_on_generated_configs_and_candidates(workdir, config, candidate
     if candidates is not None:
         argv += ["--candidates-file", _write(workdir / "candidates.json", candidates)]
     _check(argv, workdir / "run")
+
+
+CELLS = [f"{n},{N}" for N, n in cli.ORACLE_CELLS]
+
+
+@settings(max_examples=30)
+@given(cell=st.none() | st.sampled_from(CELLS) | st.text(max_size=6)
+       | st.sampled_from(["02,4", " 2,4", "2,4,", "2, 4", "4,2", "9,9", "2,4\n", ""]),
+       points=st.integers(1, 3) | st.integers(-2, 0)
+       | st.integers(cli.MAX_TIME_POINTS + 1, 10**30))
+def test_oracle_check_on_generated_cells_and_time_points(workdir, cell, points):
+    """Exit 5 past the time-point guard, else 2 for a cell that is not an oracle
+    cell's name, else 4 for a corrupted cell (at one point, t = 0, no cell fails)."""
+    out = workdir / "oracle.json"
+    argv = ["oracle-check", f"--time-points={points}", "--out", str(out)]
+    rc = _check(argv + ([] if cell is None else [f"--corrupt-cell={cell}"]), out)
+    expected = (cli.EXIT_USAGE if points < 1 else cli.EXIT_RESOURCE
+                if points > cli.MAX_TIME_POINTS else cli.EXIT_OK if cell is None
+                else cli.EXIT_USAGE if cell not in CELLS else cli.EXIT_ORACLE
+                if points > 1 else cli.EXIT_OK)
+    assert rc == expected
+
+
+def _past(guard: int) -> st.SearchStrategy:
+    return st.integers(guard + 1, 10**30)
+
+
+PHOTON_NUMBERS = st.one_of(
+    st.integers(-3, 12).map(str), st.text(max_size=6),
+    st.tuples(st.integers(-3, 12), st.integers(-3, 12)).map(lambda ab: "%d..%d" % ab),
+    st.lists(st.integers(-3, 12), min_size=1, max_size=4).map(lambda ns: ",".join(map(str, ns))),
+    _past(cli.MAX_TABLE_ROWS).map(lambda k: f"1..{k}"))  # past the row guard
+
+
+@settings(max_examples=60)
+@given(analysis=st.sampled_from(["fisher", "detection-time", "steady-state",
+                                 "optimize-schedule"]),
+       regime=st.sampled_from(cli.analysis.REGIMES), n=PHOTON_NUMBERS,
+       cycles=st.integers(-2, 3) | _past(cli.analysis.MAX_ENUMERATED_CYCLES),
+       grid=st.integers(-2, 12) | st.integers(1_415, 20_000)  # past the tuple guard at T >= 2
+       | _past(cli.MAX_GRID_POINTS))
+def test_analyze_on_generated_photon_numbers_cycles_and_grids(workdir, analysis, regime, n,
+                                                              cycles, grid):
+    out = workdir / "table.json"
+    _check(["analyze", analysis, f"--regime={regime}", f"--n={n}", f"--cycles={cycles}",
+            f"--grid-points={grid}", "--out", str(out)], out)

@@ -4,6 +4,7 @@ or a RuntimeWarning (the test configuration turns those into errors)."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -392,6 +393,25 @@ def test_sequential_inference_refuses_an_unknown_outcome():
     seq = inf.SequentialInference([FockDistribution.delta(1, 1)], Posterior.uniform(1), 1.0)
     with pytest.raises(DomainError):
         seq.update(0.5, "Rydberg?")
+
+
+@pytest.mark.parametrize("outcome", ["rydberg", "Rydberg?", ""])
+def test_the_one_row_updates_refuse_an_unknown_outcome(outcome):
+    """An outcome other than the two names is no NoRydberg outcome."""
+    with pytest.raises(DomainError, match=f"^{re.escape(f'unknown outcome {outcome!r}')}$"):
+        inf.ConditionalState(2, 1.0, _NOISE).update(0.2, outcome)
+    with pytest.raises(DomainError, match=f"^{re.escape(f'unknown outcome {outcome!r}')}$"):
+        dyn.project_blocks(dyn.symmetric_state_blocks(2, 4), outcome)
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.full((2, 2), 0.25), "posterior weights must be a non-empty vector"),
+    (np.array([]), "posterior weights must be a non-empty vector"),
+    (np.array([0.5, 0.4]), "posterior weights must sum to 1, got 0.9"),
+], ids=["matrix", "empty", "sum"])
+def test_posterior_weights_are_checked_as_a_probability_vector(weights, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        Posterior(weights)
 
 
 _NOISE = inf.NoiseParams(0.3, 0.2, 4)
