@@ -214,12 +214,12 @@ def test_oracle_check_runs_the_simulator_propagator(tmp_path, capsys, monkeypatc
     ["--corrupt-cell", "2"],
     ["--corrupt-cell", "a,b"],
     ["--corrupt-cell", "9,9"],
-    ["--corrupt-cell", "02,4"],
+    ["--omega-mhz", "0"],
+    ["--omega-mhz", "nan"],
+    ["--corrupt-cell", "02,4"],  # a cell is named by its one spelling
     ["--corrupt-cell", " 2,4"],
     ["--corrupt-cell", "2,4,"],
     ["--corrupt-cell", ""],
-    ["--omega-mhz", "0"],
-    ["--omega-mhz", "nan"],
 ])
 def test_oracle_check_rejects_bad_input(flags, tmp_path, capsys):
     out = tmp_path / "oracle.json"

@@ -150,22 +150,28 @@ def test_simulate_on_generated_configs_and_candidates(workdir, config, candidate
 CELLS = [f"{n},{N}" for N, n in cli.ORACLE_CELLS]
 
 
+def _oracle_exit(points: int, cell: str | None) -> int:
+    """The exit code oracle-check documents for these inputs."""
+    if points < 1:
+        return cli.EXIT_USAGE
+    if points > cli.MAX_TIME_POINTS:
+        return cli.EXIT_RESOURCE
+    if cell is not None and cell not in CELLS:
+        return cli.EXIT_USAGE
+    # one time point is t = 0 alone, where a corrupted cell still agrees
+    return cli.EXIT_ORACLE if cell is not None and points > 1 else cli.EXIT_OK
+
+
 @settings(max_examples=30)
 @given(cell=st.none() | st.sampled_from(CELLS) | st.text(max_size=6)
        | st.sampled_from(["02,4", " 2,4", "2,4,", "2, 4", "4,2", "9,9", "2,4\n", ""]),
        points=st.integers(1, 3) | st.integers(-2, 0)
        | st.integers(cli.MAX_TIME_POINTS + 1, 10**30))
 def test_oracle_check_on_generated_cells_and_time_points(workdir, cell, points):
-    """Exit 5 past the time-point guard, else 2 for a cell that is not an oracle
-    cell's name, else 4 for a corrupted cell (at one point, t = 0, no cell fails)."""
     out = workdir / "oracle.json"
     argv = ["oracle-check", f"--time-points={points}", "--out", str(out)]
-    rc = _check(argv + ([] if cell is None else [f"--corrupt-cell={cell}"]), out)
-    expected = (cli.EXIT_USAGE if points < 1 else cli.EXIT_RESOURCE
-                if points > cli.MAX_TIME_POINTS else cli.EXIT_OK if cell is None
-                else cli.EXIT_USAGE if cell not in CELLS else cli.EXIT_ORACLE
-                if points > 1 else cli.EXIT_OK)
-    assert rc == expected
+    cell_flag = [] if cell is None else [f"--corrupt-cell={cell}"]
+    assert _check(argv + cell_flag, out) == _oracle_exit(points, cell)
 
 
 def _past(guard: int) -> st.SearchStrategy:
