@@ -256,13 +256,13 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
 
 
 def _trace_csv(config: dict, trace) -> str:
-    """A trace file from a trajectory's `engine.Trace` columns; each posterior list
+    """A trace file from a trajectory's `engine.Trace` columns; each posterior row
     formatted once."""
-    weights = ["".join([",%.12e" % w for w in post]) for post in trace.posteriors]
+    weights = ["".join([",%.12e" % w for w in post]) for post in trace.posteriors.tolist()]
     (times, p_s, p_r, fids), (phases, posts) = trace.values.tolist(), trace.codes.tolist()
     return "".join([f"# schema: {TRACE_SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n",
                     "time_s,phase,p_no_rydberg,p_rydberg,fidelity",
-                    *[f",w_{c}" for c in range(len(trace.posteriors[posts[0]]))], "\r\n",
+                    *[f",w_{c}" for c in range(trace.posteriors.shape[1])], "\r\n",
                     *["%.12e,%s,%.12e,%.12e,%.12e%s\r\n" % (t, PHASES[phase], s, r, f, weights[k])
                       for t, phase, s, r, f, k in zip(times, phases, p_s, p_r, fids, posts)]])
 

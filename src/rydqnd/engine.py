@@ -21,7 +21,7 @@ from . import dynamics as dyn
 from .analysis import MAX_TRACE_POINTS, default_tau_grid, greedy_next_tau
 from .errors import DomainError, ResourceError, ScheduleExhaustedError
 from .inference import Mixture, NoiseParams, record_likelihoods
-from .records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
+from .records import FockDistribution, MeasurementRecord, Posterior
 
 NOISELESS_PURE = "noiseless-pure"
 NOISY_FIXED_N = "noisy-fixed-n"
@@ -170,7 +170,7 @@ def sample_initial(dist, params: ProtocolParams) -> dyn.PureCollectiveState:
     if isinstance(dist, FockDistribution):
         amps = np.sqrt(dist.p.astype(float))
     elif np.isscalar(dist):
-        n = _photon_number(dist, "a photon number must be a whole number")
+        n = _photon_number(dist, "a photon number must be a whole number", params.N)
         amps = np.sqrt(FockDistribution.delta(n, max(n, params.n_max)).p)
     else:
         amps = np.asarray(dist, dtype=complex)
@@ -180,19 +180,23 @@ def sample_initial(dist, params: ProtocolParams) -> dyn.PureCollectiveState:
     return dyn.PureCollectiveState.from_stored_amplitudes(amps)
 
 
-def _sample_n(dist, rng: np.random.Generator) -> int:
+def _sample_n(dist, rng: np.random.Generator, N: int) -> int:
     """The photon number of a noisy trajectory, drawn from a FockDistribution (exact for every
     logged observable: number-diagonal blocks evolve on their own), else given."""
     if isinstance(dist, FockDistribution):
         return int(rng.choice(dist.p.size, p=dist.p))
-    return _photon_number(dist, "noisy mode takes a photon number or a FockDistribution")
+    return _photon_number(dist, "noisy mode takes a photon number or a FockDistribution", N)
 
 
-def _photon_number(dist, refusal: str) -> int:
-    """dist as a whole photon number, else a `DomainError`: refusal, naming dist."""
-    if isinstance(dist, numbers.Real) and float(dist).is_integer():
-        return int(dist)
-    raise DomainError(f"{refusal}, got {dist!r}")
+def _photon_number(dist, refusal: str, N: int) -> int:
+    """dist as a whole photon number, else a `DomainError`: refusal, naming dist; one past
+    0..N is refused before an array holds it (an integer past int64 or float range too)."""
+    if not isinstance(dist, numbers.Integral) and not (isinstance(dist, numbers.Real)
+                                                      and float(dist).is_integer()):
+        raise DomainError(f"{refusal}, got {dist!r}")
+    if not 0 <= dist <= N:
+        raise DomainError(f"need 0 <= n <= N, got n={int(dist)}, N={N}")
+    return int(dist)
 
 
 # a trace row of `TrajectoryLog.to_json`: keys sorted, the phase one of `PHASES`
@@ -204,27 +208,31 @@ PHASES = ("init", "drive", "measure", "collapse")
 class Trace:
     """A trajectory's trace rows as columns: ``values`` (4, rows) holds each row's
     time_s, p_no_rydberg, p_rydberg and fidelity, ``codes`` (2, rows) its phase (in
-    `PHASES`) and posterior (in ``posteriors``).  Iterating gives the rows as dicts."""
+    `PHASES`) and posterior (a row of ``posteriors``, (posteriors, K)).  Iterating
+    gives the rows as dicts."""
 
-    def __init__(self, values: np.ndarray, codes: np.ndarray, posteriors: list[list[float]]):
+    def __init__(self, values: np.ndarray, codes: np.ndarray, posteriors: np.ndarray):
         self.values, self.codes, self.posteriors = values, codes, posteriors
 
     def __len__(self) -> int:
         return self.values.shape[1]
 
     def __iter__(self):
+        posts = self.posteriors.tolist()
         for t, s, r, f, phase, post in zip(*self.values.tolist(), *self.codes.tolist()):
             yield {"time_s": t, "phase": PHASES[phase], "p_no_rydberg": s, "p_rydberg": r,
-                   "fidelity": f, "posterior": self.posteriors[post]}
+                   "fidelity": f, "posterior": posts[post]}
 
 
 @dataclass
 class TrajectoryLog:
-    """Everything observable about one simulated experiment."""
+    """Everything observable about one simulated experiment: its record, posteriors
+    ((T + 1, K), the prior first) and fidelities ((T,)) are read-only views of its batch's
+    cycle table."""
 
     record: MeasurementRecord
-    posteriors: list[list[float]]
-    fidelities: list[float]
+    posteriors: np.ndarray
+    fidelities: np.ndarray
     trace: Trace
     ejections: int
     n_true: int | None
@@ -234,12 +242,13 @@ class TrajectoryLog:
     params: dict
 
     def to_json(self) -> str:
-        """`json.dumps(..., sort_keys=True)` of the fields, the trace as its list of
-        rows; "trace", last, in one %-format per row, from its columns and posterior
-        lists each written by json once."""
+        """`json.dumps(..., sort_keys=True)` of the fields, the arrays as lists and the
+        trace as its list of rows; "trace", last, in one %-format per row, from its
+        columns and posterior rows each written by json once."""
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
-        doc["record"] = [{"tau_s": t, "outcome": m} for t, m in self.record.entries]
-        posts = [json.dumps(post) for post in self.trace.posteriors]
+        doc.update(record=[{"tau_s": t, "outcome": m} for t, m in self.record.entries],
+                   posteriors=self.posteriors.tolist(), fidelities=self.fidelities.tolist())
+        posts = [json.dumps(post) for post in self.trace.posteriors.tolist()] if self.trace else []
         columns = (json.dumps(col)[1:-1].split(", ") for col in self.trace.values.tolist())
         rows = [_TRACE_ROW % (f, s, r, PHASES[phase], posts[post], t)
                 for t, s, r, f, phase, post in zip(*columns, *self.trace.codes.tolist())]
@@ -271,7 +280,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     if state is not None:
         states, n_true = dyn.PureBatch(state, likelihoods), [None] * n_traj
     else:
-        n_true = [_sample_n(initial, rng) for rng in rngs]
+        n_true = [_sample_n(initial, rng, params.N) for rng in rngs]
         states = dyn.BlockBatch(n_true, params.omega, noise, params.ejection_enabled, points)
     # a kind that draws nothing gives drive times that depend only on the earlier
     # ones, so the trajectories share one sequence, each entry computed once
@@ -338,29 +347,33 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
     if not n_traj:
         return []
-    who, *columns = map(np.concatenate, zip(*cycles))  # each trajectory's rows in order
-    order = np.argsort(who, kind="stable")
-    bounds = np.cumsum(np.bincount(who, minlength=n_traj)).tolist()
-    taus, rydberg, later, fids = ([col[start:stop] for start, stop in zip([0, *bounds], bounds)]
-                                  for col in (c[order].tolist() for c in columns))
-    posteriors = [[prior.weights.tolist(), *w] for w in later]
-    traces = _traces(segments, posteriors)
+    columns = [np.concatenate(column) for column in zip(*cycles)]
+    order = np.argsort(columns[0], kind="stable")  # each trajectory's rows, in cycle order
+    who, taus, rydberg, weights, fids = (column[order] for column in columns)
+    ends = np.cumsum(np.bincount(who, minlength=n_traj)).tolist()
+    spans, last = list(zip([0, *ends], ends)), weights[np.subtract(ends, 1)]
+    # each trajectory's posteriors: the prior, then one row per cycle
+    posteriors = np.insert(weights, [0, *ends[:-1]], prior.weights, axis=0)
+    posteriors.flags.writeable = fids.flags.writeable = False
+    posteriors = [posteriors[start + i:stop + i + 1] for i, (start, stop) in enumerate(spans)]
+    ejections = np.bincount(who[rydberg], minlength=n_traj) * params.ejection_enabled
     config = params.to_dict()
-    outcomes = [[RYDBERG if ryd else NO_RYDBERG for ryd in row] for row in rydberg]
-    return [TrajectoryLog(record=MeasurementRecord(list(zip(taus[i], outcomes[i]))),
-                          posteriors=posteriors[i], fidelities=fids[i], trace=traces[i],
-                          ejections=sum(rydberg[i]) if params.ejection_enabled else 0,
-                          n_true=n_true[i], final_candidate=int(np.argmax(later[i][-1])),
-                          converged=max(later[i][-1]) >= params.threshold,
-                          seed_key=list(seed_keys[i]), params=config)
-            for i in range(n_traj)]
+    return [TrajectoryLog(record=record, posteriors=post, fidelities=fid, trace=trace,
+                          ejections=ejected, n_true=n, final_candidate=candidate,
+                          converged=converged, seed_key=list(key), params=config)
+            for record, post, fid, trace, ejected, n, candidate, converged, key in zip(
+                MeasurementRecord.split(taus, rydberg, ends), posteriors,
+                [fids[start:stop] for start, stop in spans], _traces(segments, posteriors),
+                ejections.tolist(), n_true, last.argmax(axis=1).tolist(),
+                (last.max(axis=1) >= params.threshold).tolist(), seed_keys)]
 
 
-def _traces(segments: list[tuple], posteriors: list[list[list[float]]]) -> list[Trace]:
+def _traces(segments: list[tuple], posteriors: list[np.ndarray]) -> list[Trace]:
     """Each trajectory's `Trace`, a slice of the traced segments' columns sorted
     by trajectory once (stably, so each keeps the order it was traced in)."""
     if not segments:
-        return [Trace(np.empty((4, 0)), np.empty((2, 0), dtype=int), [])] * len(posteriors)
+        values, codes = np.empty((4, 0)), np.empty((2, 0), dtype=int)
+        return [Trace(values, codes, post) for post in posteriors]
     who, phases, numbers, values = zip(*segments)
     codes = np.repeat(np.array([phases, numbers]), [len(w) for w in who], axis=1)
     who = np.concatenate(who)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DomainError, InconsistentRecordError
-from .records import FockDistribution, MeasurementRecord, Posterior, RYDBERG, is_rydberg
+from .records import FockDistribution, MeasurementRecord, Posterior, is_rydberg
 from .symbasis import sector
 
 
@@ -42,17 +42,6 @@ class NoiseParams:
     def __post_init__(self):
         if not (0 <= self.gamma < math.inf and 0 <= self.tau_eit < math.inf and self.N >= 1):
             raise DomainError("gamma and tau_eit must be finite and non-negative, and N >= 1")
-
-
-def _decoded(record: MeasurementRecord, eject: bool
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A record's drive times, its Rydberg flags, each cycle's photon shift and
-    whether each cycle's predecessor was a Rydberg outcome that it continues."""
-    taus = np.array([tau for tau, _ in record.entries], dtype=float)
-    rydberg = np.array([outcome == RYDBERG for _, outcome in record.entries], dtype=bool)
-    # ejection removes a photon per Rydberg outcome and resets the reference outcome
-    shift = (np.cumsum(rydberg) - rydberg) * eject
-    return taus, rydberg, shift, np.concatenate(([False], rydberg))[:-1] & (not eject)
 
 
 def log_likelihood_noiseless(record: MeasurementRecord, n: int, omega: float) -> float:
@@ -134,7 +123,10 @@ def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float
     `NoisyLikelihoods`, started at its ejection count; the rows, longest run
     first, take their k-th cycles in one update, and a row leaves when its run ends.
     """
-    taus, rydberg, shift, continued = _decoded(record, eject)
+    taus, rydberg = record.taus, record.rydberg
+    # ejection removes a photon per Rydberg outcome and resets the reference outcome
+    shift = (np.cumsum(rydberg) - rydberg) * eject
+    continued = np.concatenate(([False], rydberg))[:-1] & (not eject)  # a Rydberg run goes on
     if noise is None:
         with np.errstate(divide="ignore"):
             log_f = np.log(dyn._noiseless_factors(ns, omega, taus, rydberg == continued, shift))

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from sys import float_info
 
 import numpy as np
@@ -36,39 +37,67 @@ def _probability_vector(p, vector: str, entries: str) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-@dataclass
 class MeasurementRecord:
-    """Ordered list of (drive time, outcome) pairs; cycle 0 convention is NoRydberg."""
+    """A record's cycles as read-only columns: ``taus``, the drive times (float64), and
+    ``rydberg``, True for a RYDBERG outcome; ``entries`` are its (drive time, outcome)
+    pairs.  Cycle 0 convention is NoRydberg."""
 
-    entries: list[tuple[float, str]] = field(default_factory=list)
+    def __init__(self, entries=()):
+        taus, outcomes = tuple(zip(*entries)) or ((), ())
+        named = np.fromiter(outcomes, object, len(outcomes))
+        rydberg = named == RYDBERG
+        self.taus, self.rydberg = _columns(taus, rydberg, rydberg | (named == NO_RYDBERG), outcomes)
 
-    def __post_init__(self):
-        for i, (tau, outcome) in enumerate(self.entries):
-            if not 0 <= tau <= float_info.max:  # a JSON integer past it converts to no float
-                raise DomainError(f"entry {i}: drive time must be finite and non-negative")
-            if outcome not in OUTCOMES:
-                raise DomainError(f"entry {i}: unknown outcome {outcome!r}")
+    @staticmethod
+    def split(taus, rydberg, ends) -> list["MeasurementRecord"]:
+        """The records of cycles [0, ends[0]), [ends[0], ends[1]), ... of drive-time and
+        Rydberg-flag columns: views of one copy, checked in one pass."""
+        taus, rydberg = _columns(taus, rydberg)
+        pieces = [MeasurementRecord.__new__(MeasurementRecord) for _ in ends]
+        for piece, start, stop in zip(pieces, [0, *ends], ends):
+            piece.taus, piece.rydberg = taus[start:stop], rydberg[start:stop]
+        return pieces
+
+    @property
+    def entries(self) -> list[tuple[float, str]]:
+        return list(zip(self.taus.tolist(), map(OUTCOMES.__getitem__, self.rydberg.tolist())))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.taus.size
 
     def append(self, tau: float, outcome: str) -> None:
         if not 0 <= tau <= float_info.max or outcome not in OUTCOMES:
             raise DomainError("invalid record entry")
-        self.entries.append((tau, outcome))
+        self.taus, self.rydberg = _columns(np.append(self.taus, float(tau)),
+                                           np.append(self.rydberg, outcome == RYDBERG))
 
     def to_json(self) -> str:
-        doc = {"entries": [{"tau_s": tau, "outcome": m} for tau, m in self.entries]}
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps({"entries": [{"tau_s": t, "outcome": m} for t, m in self.entries]},
+                          sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "MeasurementRecord":
-        doc = json.loads(text)
-        entries = [(e["tau_s"], e["outcome"]) for e in doc["entries"]]
-        for i, (tau, _) in enumerate(entries):  # a JSON true or string is no drive time
+        entries = list(map(itemgetter("tau_s", "outcome"), json.loads(text)["entries"]))
+        for i, tau in enumerate(next(zip(*entries), ())):  # a JSON true or string is no drive time
             if type(tau) not in (int, float):
                 raise DomainError(f"entry {i}: drive time must be a number, got {tau!r}")
         return MeasurementRecord(entries)
+
+
+def _columns(taus, rydberg, known=True, outcomes=()) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 drive times and bool Rydberg flags, else a DomainError naming the
+    first entry whose drive time is not finite and non-negative or, that failing, whose
+    outcome is not known.  An integer past int64 stays a Python int, compared exactly."""
+    taus, rydberg = np.array(taus), np.array(rydberg, dtype=bool)
+    with np.errstate(invalid="ignore"):  # NaN in an object array
+        timed = (taus >= 0) & (taus <= float_info.max)
+    if not (timed & known).all():
+        i = int(np.argmin(timed & known))
+        raise DomainError(f"entry {i}: drive time must be finite and non-negative" if not timed[i]
+                          else f"entry {i}: unknown outcome {outcomes[i]!r}")
+    taus = taus.astype(float, copy=False)  # an integer past float range converts to no float
+    taus.flags.writeable = rydberg.flags.writeable = False
+    return taus, rydberg
 
 
 @dataclass

@@ -169,12 +169,13 @@ def fisher_numeric(f_same: Callable[[float, float], float],
 # engine
 
 def trace_from_rows(rows: list[dict]) -> Trace:
-    """The columns of row dicts, each row's posterior list its own."""
+    """The columns of row dicts, each row's posterior its own row."""
     values = [[row[key] for key in ("time_s", "p_no_rydberg", "p_rydberg", "fidelity")]
               for row in rows]
     codes = [[PHASES.index(row["phase"]), k] for k, row in enumerate(rows)]
+    posteriors = np.array([row["posterior"] for row in rows] or np.empty((0, 0)), dtype=float)
     return Trace(np.array(values, dtype=float).reshape(-1, 4).T,
-                 np.array(codes, dtype=int).reshape(-1, 2).T, [row["posterior"] for row in rows])
+                 np.array(codes, dtype=int).reshape(-1, 2).T, posteriors)
 
 
 # ---------------------------------------------------------------------------

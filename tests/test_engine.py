@@ -223,7 +223,7 @@ def test_a_posterior_of_exactly_the_threshold_stops_the_run(make):
     params = make(gamma=0.0, tau_eit=0.0, n_max=1, candidates=cands, threshold=1.0,
                   schedule=eng.Schedule.fixed(math.pi / (2 * OMEGA)))
     for log in eng.run_batch(1, params, 8):
-        assert log.posteriors[-1] == [0.0, 1.0]
+        assert log.posteriors[-1].tolist() == [0.0, 1.0]
         assert len(log.record) == 1 and log.converged
 
 

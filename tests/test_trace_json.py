@@ -10,6 +10,7 @@ infinities and NaN in json's own spelling).
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -43,13 +44,14 @@ def traces(draw):
 
 LOG = eng.TrajectoryLog(
     record=MeasurementRecord([(2.1e-07, NO_RYDBERG), (2.1e-07, RYDBERG)]),
-    posteriors=[[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
-    fidelities=[0.99, 0.97], trace=refs.trace_from_rows([]), ejections=0, n_true=2, final_candidate=1,
+    posteriors=np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
+    fidelities=np.array([0.99, 0.97]), trace=refs.trace_from_rows([]), ejections=0, n_true=2, final_candidate=1,
     converged=True, seed_key=[0], params={"N": 10, "seed": 3, "tau_eit_s": 3e-07})
 
 
 def _through_json_module(log) -> str:
     doc = {f.name: getattr(log, f.name) for f in fields(log)}
+    doc.update(posteriors=log.posteriors.tolist(), fidelities=log.fidelities.tolist())
     doc["trace"] = list(log.trace)
     doc["record"] = [{"tau_s": t, "outcome": m} for t, m in log.record.entries]
     return json.dumps(doc, sort_keys=True)
