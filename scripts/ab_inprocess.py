@@ -11,6 +11,10 @@ goes first alternating from op to op, so machine drift hits both alike:
 
 * ``simulate``: ``rydqnd simulate`` at its defaults with ``--trajectories 2``,
   n_true 1..4 in turn, written to a scratch directory;
+* ``infer``: ``rydqnd infer`` (candidates 1..4) on a noisy record of 300 cycles
+  (at the simulate defaults' rates, N 10) and a noiseless one of 1,000 cycles in
+  turn, drive times uniform in [0.05, 0.4] us and outcomes drawn at random; both
+  sides read the same two files, written once per run with ``json``;
 * ``traced_batch`` and ``untraced_batch``: ``engine.run_batch`` of R rows at the
   simulate defaults (n_true 2), with 8 trace points and with none;
 * ``eject_batch``: ``engine.run_batch`` of R rows at the simulate defaults with
@@ -36,6 +40,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import json
 import statistics
 import subprocess
 import sys
@@ -43,6 +48,8 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -75,12 +82,29 @@ def export(rev: str, dest: Path, name: str) -> None:
     (dest / name / "src" / "rydqnd").rename(dest / f"rydqnd_{name}")
 
 
+def record_files(scratch: Path) -> list[tuple[Path, list[str]]]:
+    """The infer workload's record files, each with the flags of its noise model."""
+    rng = np.random.default_rng(20)
+    files = []
+    for name, cycles, flags in (("noisy", 300, ["--gamma-mhz", "0.3", "--tau-eit-us", "0.3"]),
+                                ("noiseless", 1000, ["--gamma-mhz", "0"])):
+        taus, rydberg = rng.uniform(0.05e-6, 0.4e-6, cycles), rng.random(cycles) < 0.4
+        entries = [{"tau_s": t, "outcome": "Rydberg" if r else "NoRydberg"}
+                   for t, r in zip(taus.tolist(), rydberg.tolist())]
+        path = scratch / f"{name}_record.json"
+        path.write_text(json.dumps({"entries": entries}))
+        files.append((path, flags))
+    return files
+
+
 def workloads(mods: dict, scratch: Path, rows: int) -> dict:
     """name -> {side: op(i)}, each op one unit of timed work."""
-    out = {"simulate": {}, "traced_batch": {}, "untraced_batch": {}, "eject_batch": {},
-           "noiseless_batch": {}, "noiseless_random_batch": {}, "noiseless_greedy_batch": {}}
+    out = {"simulate": {}, "infer": {}, "traced_batch": {}, "untraced_batch": {},
+           "eject_batch": {}, "noiseless_batch": {}, "noiseless_random_batch": {},
+           "noiseless_greedy_batch": {}}
+    records = record_files(scratch)
     for side, (cli, engine) in mods.items():
-        records = importlib.import_module(f"rydqnd_{side}.records")
+        recs = importlib.import_module(f"rydqnd_{side}.records")
         outdir = scratch / f"out_{side}"
 
         def simulate(i, cli=cli, outdir=outdir):
@@ -89,6 +113,13 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
                                  "--seed", str(i), "--outdir", str(outdir)])
             if code != 0:
                 raise SystemExit(f"simulate exited {code}")
+
+        def infer(i, cli=cli, outdir=outdir):
+            path, flags = records[i % len(records)]
+            code = cli.main(["infer", str(path), *flags, "--candidates", "1..4",
+                             "--out", str(outdir / "posterior.json")])
+            if code != 0:
+                raise SystemExit(f"infer exited {code}")
 
         def batch(n_true, *flags, cli=cli, engine=engine):
             params = cli._build_params(cli.build_parser().parse_args(
@@ -99,7 +130,7 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
                 engine.run_batch(n_true, params, rows)
             return op
 
-        def noiseless(schedule, engine=engine, records=records):
+        def noiseless(schedule, engine=engine, records=recs):
             born = records.FockDistribution([0.0, 0.5, 0.3, 0.2])
             params = engine.ProtocolParams(
                 omega=1.0, N=6, n_max=3, mode=engine.NOISELESS_PURE,
@@ -113,6 +144,7 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
             return op
 
         out["simulate"][side] = simulate
+        out["infer"][side] = infer
         out["traced_batch"][side] = batch(2, "--trace-points", "8")
         out["untraced_batch"][side] = batch(2, "--trace-points", "0")
         out["eject_batch"][side] = batch(3, "--eject", "--trace-points", "0")

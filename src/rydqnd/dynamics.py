@@ -65,7 +65,7 @@ class PureCollectiveState:
 def _phases(rate, taus) -> np.ndarray:
     """The drive phases rate * taus; a phase past float range is a
     `ResourceError` naming its drive time."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite rate at time 0: NaN
         theta = rate * taus
     finite = np.isfinite(theta)
     if not finite.all():
@@ -85,7 +85,9 @@ def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
     rounded product, so the two outcomes' factors sum to 1 within a few ulp.
     """
     m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
-    phase = _phases(np.sqrt(m) * omega, np.asarray(taus, dtype=float)[:, None])
+    with np.errstate(over="ignore"):  # an infinite rate gives an infinite phase
+        rate = np.sqrt(m) * omega
+    phase = _phases(rate, np.asarray(taus, dtype=float)[:, None])
     trig = np.where(np.asarray(repeat)[..., None], np.cos(phase), np.sin(phase))
     return trig * trig
 
@@ -261,6 +263,9 @@ def _eigensystem(n: int, N: int, j: int, omega: float, gamma: float):
     but `eig` (and so `expm`) gets their rate 0 as rounding."""
     gen = build_block(n, N, j, omega, gamma)
     lam, vecs = np.linalg.eig(gen)
+    if not np.isfinite(lam).all():  # a finite generator past float range's square root
+        raise ResourceError(f"omega {omega} and gamma {gamma} put the rates of block "
+                            f"(n={n}, N={N}, j={j}) past float range")
     carry = np.abs(sector(n, N).block(j).trace @ vecs)
     horizon = 1e-10 / np.abs(lam.real)[carry > 1e-6 * carry.max()].max(initial=1e-300)
     if np.linalg.cond(vecs) > _EIG_COND_LIMIT:

@@ -314,7 +314,12 @@ def build_block(n: int, N: int, j: int, omega: float, gamma: float) -> np.ndarra
     if omega < 0 or gamma < 0:
         raise DomainError("omega and gamma must be non-negative")
     blk = sector(n, N).block(j)
-    return 1j * (omega * blk.drive.astype(complex)) + gamma * np.diag(blk.dephasing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = 1j * (omega * blk.drive.astype(complex)) + gamma * np.diag(blk.dephasing)
+    if not np.isfinite(gen).all():
+        raise ResourceError(f"omega {omega} and gamma {gamma} put the generator of block "
+                            f"(n={n}, N={N}, j={j}) past float range")
+    return gen
 
 
 def trace_vector(n: int, N: int, j: int) -> np.ndarray:

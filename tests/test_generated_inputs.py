@@ -6,7 +6,8 @@ integers past float range and past Python's digit limit for integer text, NaN an
 Infinity literals, missing and extra keys.  `oracle-check` takes generated
 `--corrupt-cell` text at 1 to 3 time points or past `MAX_TIME_POINTS`, and
 `analyze` generated `--n` text, `--cycles` and `--grid-points`, each in range or
-past its guards.  Whatever the input, a call exits 0, 2, 3 or 5 (or 4, a failed
+past its guards; `simulate` and `infer` take each count and rate flag at and past
+its documented bounds, one flag at a time.  Whatever the input, a call exits 0, 2, 3 or 5 (or 4, a failed
 oracle check); a refusal prints exactly one `error:` line, no traceback and no
 output file; and a second call gives the same exit code and the same bytes.
 """
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import shutil
 
 import pytest
@@ -197,3 +199,84 @@ def test_analyze_on_generated_photon_numbers_cycles_and_grids(workdir, analysis,
     out = workdir / "table.json"
     _check(["analyze", analysis, f"--regime={regime}", f"--n={n}", f"--cycles={cycles}",
             f"--grid-points={grid}", "--out", str(out)], out)
+
+
+# values at and past a rate's documented bounds; the horizon of a noisy drive decides
+# between 0 and 5 for the finite ones
+RATES = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1e308, math.inf,
+                                       -math.inf, math.nan])
+
+
+def _rate_exit(flag: str, value: float) -> int | None:
+    """2 for a rate or time that is not finite and non-negative in SI units, where the
+    program checks it (a negative time that underflows to -0.0 s is a time of 0), or a
+    drive frequency of 0; None (any exit the contract allows) for the others."""
+    si = value * 1e-6 if flag.endswith("-us") else value * 1e6 * (2.0 * math.pi)
+    if not 0 <= si < math.inf or (flag == "--omega-mhz" and si == 0):
+        return cli.EXIT_USAGE
+    return None
+
+
+def _count(low: int, high: int | None, over: int = cli.EXIT_USAGE):
+    """Integers at and past the bounds low..high, far past too, and the documented
+    exit code of a value: 2 below low, over above high, else 0."""
+    values = st.integers(low - 2, low + 1) | st.integers(-10**30, low - 1)
+    if high is not None:
+        values |= st.integers(high - 1, high + 1) | _past(high)
+    return values, lambda v: (cli.EXIT_USAGE if v < low else over
+                              if high is not None and v > high else cli.EXIT_OK)
+
+
+# simulate with CHEAP beside the flag: N = 5 atoms, n_true 2 and n_max 4 by default, and
+# 1 x 2 x (1 + 2 x 1) rows, so --max-cycles meets the row guard at 333,333; --trajectories
+# meets it at 3 beside 100,000 cycles, since each trajectory runs until it converges
+ROWS = cli.MAX_CYCLE_ROWS
+SIMULATE_FLAGS = {
+    "--trajectories": _count(1, ROWS // 300_000, cli.EXIT_RESOURCE),
+    "--max-cycles": _count(1, ROWS // 3, cli.EXIT_RESOURCE),
+    "--trace-points": _count(0, cli.analysis.MAX_TRACE_POINTS, cli.EXIT_RESOURCE),
+    "--n-true": _count(0, 5), "--n-max": _count(1, 5), "--n-atoms": _count(4, None),
+    "--threshold": (st.floats() | st.sampled_from([-math.inf, math.inf, math.nan, 0.25, 1.0]),
+                    lambda v: cli.EXIT_USAGE if math.isnan(v) else cli.EXIT_OK),
+    **{flag: (RATES, None) for flag in ("--omega-mhz", "--gamma-mhz", "--tau-eit-us",
+                                        "--tau-us")},
+}
+# infer at its defaults beside the flag: N = 10 atoms and n_max 4
+INFER_FLAGS = {
+    "--n-max": _count(1, 10), "--n-atoms": _count(4, None),
+    **{flag: (RATES, None) for flag in ("--omega-mhz", "--gamma-mhz", "--tau-eit-us")},
+}
+
+
+def _pushed(flags: dict):
+    """One flag and a value of it, and the exit code documented for that value (None:
+    any exit the contract allows)."""
+    def pair(flag):
+        values, documented = flags[flag]
+        return values.map(lambda v: (flag, v, _rate_exit(flag, v) if documented is None
+                                     else documented(v)))
+    return st.sampled_from(sorted(flags)).flatmap(pair)
+
+
+@settings(max_examples=60)
+@given(pushed=_pushed(SIMULATE_FLAGS), noisy=st.booleans())
+def test_simulate_count_and_rate_flags_at_and_past_their_bounds(workdir, pushed, noisy):
+    flag, value, expected = pushed
+    out = workdir / "run"
+    argv = ["simulate", *CHEAP, *([] if noisy else ["--gamma-mhz=0"]), f"{flag}={value}",
+            "--outdir", str(out)]
+    argv += ["--max-cycles=100000"] if flag == "--trajectories" else []
+    assert _check(argv, out) == expected or expected is None
+
+
+@settings(max_examples=40)
+@given(pushed=_pushed(INFER_FLAGS), noisy=st.booleans())
+def test_infer_count_and_rate_flags_at_and_past_their_bounds(workdir, pushed, noisy):
+    flag, value, expected = pushed
+    out = workdir / "posterior.json"
+    record = {"entries": [{"tau_s": 2e-7, "outcome": outcome}
+                          for outcome in ("NoRydberg", "Rydberg", "NoRydberg")]}
+    argv = ["infer", _write(workdir / "record.json", record),
+            *(["--gamma-mhz=0.3", "--tau-eit-us=0.3"] if noisy else []), f"{flag}={value}",
+            "--out", str(out)]
+    assert _check(argv, out) == expected or expected is None
