@@ -43,10 +43,7 @@ class MeasurementRecord:
     pairs.  Cycle 0 convention is NoRydberg."""
 
     def __init__(self, entries=()):
-        taus, outcomes = tuple(zip(*entries)) or ((), ())
-        named = np.fromiter(outcomes, object, len(outcomes))
-        rydberg = named == RYDBERG
-        self.taus, self.rydberg = _columns(taus, rydberg, rydberg | (named == NO_RYDBERG), outcomes)
+        self.taus, self.rydberg = _entry_columns(*(tuple(zip(*entries)) or ((), ())))
 
     @staticmethod
     def split(taus, rydberg, ends) -> list["MeasurementRecord"]:
@@ -77,11 +74,21 @@ class MeasurementRecord:
 
     @staticmethod
     def from_json(text: str) -> "MeasurementRecord":
-        entries = list(map(itemgetter("tau_s", "outcome"), json.loads(text)["entries"]))
-        for i, tau in enumerate(next(zip(*entries), ())):  # a JSON true or string is no drive time
-            if type(tau) not in (int, float):
-                raise DomainError(f"entry {i}: drive time must be a number, got {tau!r}")
-        return MeasurementRecord(entries)
+        entries = map(itemgetter("tau_s", "outcome"), json.loads(text)["entries"])
+        taus, outcomes = tuple(zip(*entries)) or ((), ())
+        if not set(map(type, taus)) <= {int, float}:  # a JSON true or string is no drive time
+            i, tau = next((i, t) for i, t in enumerate(taus) if type(t) not in (int, float))
+            raise DomainError(f"entry {i}: drive time must be a number, got {tau!r}")
+        record = MeasurementRecord.__new__(MeasurementRecord)
+        record.taus, record.rydberg = _entry_columns(taus, outcomes)
+        return record
+
+
+def _entry_columns(taus: tuple, outcomes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """`_columns` of the entries' drive times and outcome names."""
+    named = np.fromiter(outcomes, object, len(outcomes))
+    rydberg = named == RYDBERG
+    return _columns(taus, rydberg, rydberg | (named == NO_RYDBERG), outcomes)
 
 
 def _columns(taus, rydberg, known=True, outcomes=()) -> tuple[np.ndarray, np.ndarray]:
