@@ -372,8 +372,7 @@ def _traces(segments: list[tuple], posteriors: list[np.ndarray]) -> list[Trace]:
     """Each trajectory's `Trace`, a slice of the traced segments' columns sorted
     by trajectory once (stably, so each keeps the order it was traced in)."""
     if not segments:
-        values, codes = np.empty((4, 0)), np.empty((2, 0), dtype=int)
-        return [Trace(values, codes, post) for post in posteriors]
+        return [Trace(np.empty((4, 0)), np.empty((2, 0), dtype=int), post) for post in posteriors]
     who, phases, numbers, values = zip(*segments)
     codes = np.repeat(np.array([phases, numbers]), [len(w) for w in who], axis=1)
     who = np.concatenate(who)

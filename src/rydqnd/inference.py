@@ -126,7 +126,8 @@ def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float
     taus, rydberg = record.taus, record.rydberg
     # ejection removes a photon per Rydberg outcome and resets the reference outcome
     shift = (np.cumsum(rydberg) - rydberg) * eject
-    continued = np.concatenate(([False], rydberg))[:-1] & (not eject)  # a Rydberg run goes on
+    # whether each cycle's predecessor was a Rydberg outcome that it continues
+    continued = np.concatenate(([False], rydberg))[:-1] & (not eject)
     if noise is None:
         with np.errstate(divide="ignore"):
             log_f = np.log(dyn._noiseless_factors(ns, omega, taus, rydberg == continued, shift))
