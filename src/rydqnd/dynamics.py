@@ -62,11 +62,11 @@ class PureCollectiveState:
         return int(occupied[0])
 
 
-def _phases(rate, taus) -> np.ndarray:
-    """The drive phases rate * taus; a phase past float range is a
-    `ResourceError` naming its drive time."""
+def _phases(root, omega: float, taus) -> np.ndarray:
+    """The drive phases (root * omega) * taus, root the sqrt(n) of each row; a phase
+    past float range (a rate past it too) is a `ResourceError` naming its drive time."""
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite rate at time 0: NaN
-        theta = rate * taus
+        theta = root * omega * taus
     finite = np.isfinite(theta)
     if not finite.all():
         tau = np.broadcast_to(taus, theta.shape)[~finite][0]
@@ -85,16 +85,15 @@ def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
     rounded product, so the two outcomes' factors sum to 1 within a few ulp.
     """
     m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
-    with np.errstate(over="ignore"):  # an infinite rate gives an infinite phase
-        rate = np.sqrt(m) * omega
-    phase = _phases(rate, np.asarray(taus, dtype=float)[:, None])
+    phase = _phases(np.sqrt(m), omega, np.asarray(taus, dtype=float)[:, None])
     trig = np.where(np.asarray(repeat)[..., None], np.cos(phase), np.sin(phase))
     return trig * trig
 
 
-def _rotation(a: np.ndarray, b: np.ndarray, rate, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Each (a, b) pair rotated by its phase rate * taus (`_phases`)."""
-    theta = _phases(rate, taus)
+def _rotation(a: np.ndarray, b: np.ndarray, root, omega: float,
+              taus) -> tuple[np.ndarray, np.ndarray]:
+    """Each (a, b) pair rotated by its phase (root * omega) * taus (`_phases`)."""
+    theta = _phases(root, omega, taus)
     c, s = np.cos(theta), np.sin(theta)
     return a * c - 1j * b * s, b * c - 1j * a * s
 
@@ -187,8 +186,8 @@ class PureBatch:
 def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCollectiveState:
     """Drive for time tau: within each n, rotate (a_n, b_n) at sqrt(n)*Omega."""
     _check_times(tau, "drive time")
-    rate = np.sqrt(np.arange(state.a.size)) * omega
-    return PureCollectiveState(*_rotation(state.a, state.b, rate, tau))
+    root = np.sqrt(np.arange(state.a.size))
+    return PureCollectiveState(*_rotation(state.a, state.b, root, omega, tau))
 
 
 def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureCollectiveState, float]:
@@ -573,7 +572,7 @@ class BlockBatch:
         read, steps = ((None, taus[driven, None]) if steps is None
                        else (np.empty((3, *steps.shape)), steps))
         a, b = _rotation(self.a[driven, None], self.b[driven, None],
-                         np.sqrt(self.n[driven, None]) * self.omega, steps)
+                         np.sqrt(self.n[driven, None]), self.omega, steps)
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
         for key, (rows, x) in self.groups.items():
