@@ -201,8 +201,8 @@ def test_analyze_on_generated_photon_numbers_cycles_and_grids(workdir, analysis,
             f"--grid-points={grid}", "--out", str(out)], out)
 
 
-# values at and past a rate's documented bounds; the horizon of a noisy drive decides
-# between 0 and 5 for the finite ones
+# values at and past a rate's documented bounds; for the finite ones the horizon of a noisy
+# drive decides between 0 and 5, and a record no candidate allows exits 3
 RATES = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1e308, math.inf,
                                        -math.inf, math.nan])
 
