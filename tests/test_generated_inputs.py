@@ -7,9 +7,11 @@ Infinity literals, missing and extra keys.  `oracle-check` takes generated
 `--corrupt-cell` text at 1 to 3 time points or past `MAX_TIME_POINTS`, and
 `analyze` generated `--n` text, `--cycles` and `--grid-points`, each in range or
 past its guards; `simulate` and `infer` take each count and rate flag at and past
-its documented bounds, one flag at a time.  Whatever the input, a call exits 0, 2, 3 or 5 (or 4, a failed
-oracle check); a refusal prints exactly one `error:` line, no traceback and no
-output file; and a second call gives the same exit code and the same bytes.
+its documented bounds, one flag at a time, with the exact exit code where the
+flag's rule alone decides it.  Whatever the input, a call exits 0, 2, 3 or 5 (or
+4, a failed oracle check); a refusal prints exactly one `error:` line, no
+traceback and no output file; and a second call gives the same exit code and the
+same bytes.
 """
 
 import argparse
