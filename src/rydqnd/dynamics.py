@@ -74,18 +74,16 @@ def _phases(root, omega: float, taus) -> np.ndarray:
     return theta
 
 
-def _noiseless_factors(ns, omega: float, taus: np.ndarray, repeat: np.ndarray,
-                       shift: np.ndarray) -> np.ndarray:
-    """Pr(outcome | n) of noiseless cycles, shape repeat.shape + (len(ns),).
+def _noiseless_factors(root: np.ndarray, omega: float, taus: np.ndarray,
+                       repeat: np.ndarray) -> np.ndarray:
+    """Pr(outcome | n) of noiseless cycles, shape repeat.shape + root.shape[-1:].
 
-    Cycle t drove for taus[t] after shift[t] ejections: cos^2 of the
-    sqrt(n - shift) * omega * tau phase where repeat[..., t] (the outcome
-    equals the reference outcome), sin^2 where it changed, so a leading axis
-    of repeat reads both outcomes of one phase.  The square is one correctly
-    rounded product, so the two outcomes' factors sum to 1 within a few ulp.
-    """
-    m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
-    phase = _phases(np.sqrt(m), omega, np.asarray(taus, dtype=float)[:, None])
+    Cycle t drove for taus[t] after s ejections, root[t] (or root) holding sqrt(max(n - s, 0))
+    of each photon number n: cos^2 of the root * omega * tau phase where repeat[..., t] (the
+    outcome equals the reference outcome), sin^2 where it changed, so a leading axis of repeat
+    reads both outcomes of one phase.  The square is one correctly rounded product, so the
+    two outcomes' factors sum to 1 within a few ulp."""
+    phase = _phases(root, omega, np.asarray(taus, dtype=float)[:, None])
     trig = np.where(np.asarray(repeat)[..., None], np.cos(phase), np.sin(phase))
     return trig * trig
 
@@ -117,7 +115,7 @@ class PureBatch:
     records' likelihoods ``record`` (`inference.NoiselessLikelihoods` over photon
     numbers that include the state's).  Row r's Born weights are w0 * L[r], L =
     Pr(record | n), normalised, so every probability is sum(w0 L f) / sum(w0 L), f the
-    `_noiseless_factors` of the record's last outcome and ejections, each row scaled by
+    `_noiseless_factors` of the record's last outcome and ``root``, each row scaled by
     its largest log w0 + log L.  It keeps ``log_w0``, and ``elapsed``, each row's drive
     time since its last outcome, at the record's ``omega``."""
 
@@ -134,15 +132,17 @@ class PureBatch:
             self.log_w0 = np.log(w0[record.ns])
         self.record, self.elapsed = record, np.zeros(len(record.log_l))
 
-    def _read(self, rows, times: np.ndarray, odds=None) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows));
-        odds, if given, is their Pr(Rydberg | n) after times."""
-        rec = self.record
-        log_w = self.log_w0 + rec.log_l[rows]
+    def _p_rydberg(self, rows, odds: np.ndarray) -> np.ndarray:
+        """p_Rydberg of batch rows whose Pr(Rydberg | n) is odds, (len(rows),)."""
+        log_w = self.log_w0 + self.record.log_l[rows]
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        if odds is None:
-            odds = _noiseless_factors(rec.ns, rec.omega, times, rec.last[rows], rec.shift[rows])
-        p_r = (w * odds).sum(axis=1) / w.sum(axis=1)
+        return (w * odds).sum(axis=1) / w.sum(axis=1)
+
+    def _read(self, rows, times: np.ndarray) -> np.ndarray:
+        """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows))."""
+        rec = self.record
+        p_r = self._p_rydberg(rows, _noiseless_factors(rec.root[rows], rec.omega, times,
+                                                       rec.last[rows]))
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
     def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray | None:
@@ -165,18 +165,16 @@ class PureBatch:
         return np.ones(self.elapsed.size)
 
     def measure(self, draws: np.ndarray):
-        """Draw every row's outcome by its uniform [0, 1) draw, as `BlockBatch.measure`
-        with no window, and end its drive.  One kernel call reads both outcomes: ``drawn``
-        keeps each row's Pr(drawn outcome | n) for the record's ``_step``, the collapse
-        before the rows are read again (``record.update`` evaluates them anew); ``eject``
-        is the record's.  Returns the outcomes, their probabilities and None: a
-        projective measurement has no window to trace."""
+        """Draw every row's outcome by its uniform [0, 1) draw, as `BlockBatch.measure` with
+        no window, and end its drive.  One kernel call reads both outcomes: ``drawn`` keeps
+        each row's Pr(drawn outcome | n), the collapse, for the record's ``_step``.  Returns
+        the outcomes, their probabilities and None: a projective measurement has no window."""
         rec = self.record  # each row's phase read for both outcomes: Rydberg, then NoRydberg
-        odds = _noiseless_factors(rec.ns, rec.omega, self.elapsed, [rec.last, ~rec.last], rec.shift)
-        p_no, p_r, _ = self._read(slice(None), self.elapsed, odds[0])
+        odds = _noiseless_factors(rec.root, rec.omega, self.elapsed, [rec.last, ~rec.last])
+        p_r = self._p_rydberg(slice(None), odds[0])
         rydberg = draws < p_r
         self.drawn, self.elapsed = np.where(rydberg[:, None], *odds), np.zeros(self.elapsed.size)
-        return rydberg, np.where(rydberg, p_r, p_no), None
+        return rydberg, np.where(rydberg, p_r, 1.0 - p_r), None
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask (``record.take`` drops its own)."""

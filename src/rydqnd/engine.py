@@ -339,7 +339,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         cycles.append((ids, taus, rydberg, weights, collapse[2] if points else states.fidelity()))
 
         done = weights.max(axis=1) >= params.threshold
-        if np.any(done):
+        if done.any():
             keep = ~done
             ids, names, draws = ids[keep], names[keep], draws[keep]
             states.take(keep)
@@ -394,6 +394,6 @@ def run_protocol(initial, params: ProtocolParams,
 
 
 def run_batch(initial, params: ProtocolParams, n_trajectories: int) -> list[TrajectoryLog]:
-    """Independent seeded trajectories; trajectory i uses spawn key (i,)."""
-    keys = [(i,) for i in range(n_trajectories)]
-    return _run(initial, params, [_seeded(params, key) for key in keys], keys)
+    """Independent seeded trajectories; trajectory i uses spawn key (i,), as `_seeded` does."""
+    seeds = np.random.SeedSequence(params.seed).spawn(n_trajectories)  # child i has key (i,)
+    return _run(initial, params, [*map(np.random.default_rng, seeds)], [s.spawn_key for s in seeds])

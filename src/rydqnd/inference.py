@@ -130,7 +130,8 @@ def _log_likelihood_table(record: MeasurementRecord, ns: list[int], omega: float
     continued = np.concatenate(([False], rydberg))[:-1] & (not eject)
     if noise is None:
         with np.errstate(divide="ignore"):
-            log_f = np.log(dyn._noiseless_factors(ns, omega, taus, rydberg == continued, shift))
+            log_f = np.log(dyn._noiseless_factors(_roots(ns, shift), omega, taus,
+                                                  rydberg == continued))
     else:
         starts = np.flatnonzero(~continued)
         length = np.diff(np.append(starts, taus.size))
@@ -196,41 +197,46 @@ def _noiseless_grid(ns: tuple[int, ...], omega: float, grid: bytes, shift: int) 
     (len(ns), 2G): cos^2 for the reference outcome repeated, then sin^2 for it changed;
     read-only, as every call with this grid and shift shares it."""
     taus = np.frombuffer(grid)
-    step = dyn._noiseless_factors(ns, omega, np.tile(taus, 2), np.repeat([True, False], taus.size),
-                                  np.full(2 * taus.size, shift)).T.copy()  # C order for matmul
+    step = dyn._noiseless_factors(_roots(ns, shift), omega, np.tile(taus, 2),
+                                  np.arange(2 * taus.size) < taus.size).T.copy()  # C order
     step.flags.writeable = False
     return step
+
+
+def _roots(ns, shift) -> np.ndarray:
+    """sqrt(max(n - s, 0)) of the photon numbers ns at each ejection count s of shift."""
+    return np.sqrt(np.maximum(np.asarray(ns) - np.asarray(shift)[..., None], 0))
 
 
 class NoiselessLikelihoods:
     """log Pr(record | n) of B noiseless records growing together, shape (B, len(ns)).
 
     Row r keeps whether its last outcome was Rydberg (``last``, the cos^2/sin^2 reference;
-    never with ejection) and its ejection count (``shift``, from shift[r]), which
-    `dynamics.PureBatch` reads too; an entry with more ejections than photons starts at
-    -inf.  `update` checks and evaluates a cycle, then takes `_step`, which the engine
-    takes alone on the factors `dynamics.PureBatch.measure` drew.
+    never with ejection), its ejection count (``shift``, from shift[r]) and its `_roots`
+    (``root``, renewed only when a row ejects), which `dynamics.PureBatch` reads too; an
+    entry with more ejections than photons starts at -inf.  `update` checks and evaluates a
+    cycle, then takes `_step`, which the engine takes alone on `PureBatch.measure`'s factors.
     """
 
     def __init__(self, ns: list[int], omega: float, eject: bool = False, shift=(0,)):
-        self.ns = np.asarray(ns)
-        self.omega = omega
-        self.eject = eject
+        self.ns, self.omega, self.eject = np.asarray(ns), omega, eject
         self.shift = np.array(shift, dtype=int)
         self.log_l = np.where(self.ns >= self.shift[:, None], 0.0, -math.inf)
-        self.last = np.zeros(self.shift.size, dtype=bool)
+        self.last, self.root = np.zeros(self.shift.size, dtype=bool), _roots(self.ns, self.shift)
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
         """One cycle for every row: drive times and outcomes (True for Rydberg)."""
         dyn._check_times(taus, "drive time")
-        self._step(dyn._noiseless_factors(self.ns, self.omega, taus, rydberg == self.last,
-                                          self.shift), rydberg)
+        self._step(dyn._noiseless_factors(self.root, self.omega, taus, rydberg == self.last),
+                   rydberg)
 
     def _step(self, factor: np.ndarray, rydberg: np.ndarray) -> None:
         with np.errstate(divide="ignore"):  # an impossible outcome: log 0 = -inf
             self.log_l = self.log_l + np.log(factor)
-        # the one rule: last = Rydberg unless ejecting; an ejection shifts a photon
-        self.last, self.shift = rydberg & (not self.eject), self.shift + (rydberg & self.eject)
+        self.last = rydberg & (not self.eject)  # the one rule: last = Rydberg unless ejecting;
+        if self.eject and rydberg.any():  # an ejection shifts a photon
+            self.shift = self.shift + rydberg
+            self.root = _roots(self.ns, self.shift)
 
     def grid_reader(self, grid: np.ndarray):
         """The grid checked and keyed once, and a function of the selected rows (default
@@ -251,6 +257,7 @@ class NoiselessLikelihoods:
     def take(self, index: np.ndarray) -> None:
         """Keep the rows an index array (in its order, repeats allowed) or a mask selects."""
         self.log_l, self.last, self.shift = self.log_l[index], self.last[index], self.shift[index]
+        self.root = self.root[index]
 
 
 class NoisyLikelihoods:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rydqnd import dynamics as dyn
-from rydqnd.inference import Mixture
+from rydqnd.inference import Mixture, _roots
 from rydqnd.records import FockDistribution, Posterior
 
 EPS = np.finfo(float).eps
@@ -21,7 +21,7 @@ EPS = np.finfo(float).eps
 def test_the_two_outcomes_odds_sum_to_one(ns, omega, cycles):
     taus, shift = (np.array(column) for column in zip(*cycles))
     both = np.array([[True] * len(cycles), [False] * len(cycles)])
-    factors = dyn._noiseless_factors(ns, omega, taus, both, shift)
+    factors = dyn._noiseless_factors(_roots(ns, shift), omega, taus, both)
     assert factors.shape == (2, len(cycles), len(ns))
     assert (factors >= 0.0).all()
     assert np.abs(factors.sum(axis=0) - 1.0).max() <= 2 * EPS
