@@ -60,7 +60,8 @@ TABLE_SCHEMA = "rydqnd-table-v1"
 # unit and argument helpers
 
 def _us_to_s(value_us: float) -> float:
-    return value_us * 1e-6
+    """value_us in seconds; a negative time whose product underflows stays negative."""
+    return min(value_us * 1e-6, -math.ulp(0.0)) if value_us < 0 else value_us * 1e-6
 
 
 def _parse_int_range(text: str) -> range | list[int]:

@@ -567,6 +567,25 @@ def test_simulate_and_infer_start_without_numpy_ma(tmp_path):
 # ---------------------------------------------------------------------------
 # config files, help, and the error-mapping property
 
+@pytest.mark.parametrize("flag", ["--tau-us", "--tau-eit-us", "--tau-min-us", "--time-us"])
+@pytest.mark.parametrize("value, code", [("-5e-324", cli.EXIT_USAGE), ("-1e-320", cli.EXIT_USAGE),
+                                         ("-0.0", cli.EXIT_OK)])
+def test_a_negative_time_stays_negative_where_its_seconds_underflow(flag, value, code, tmp_path,
+                                                                   capsys):
+    """A negative microsecond value whose product with 1e-6 underflows to -0.0 s exits 2,
+    as any negative time does; -0.0 itself is a time of 0."""
+    outdir = tmp_path / "run"
+    if flag == "--time-us":
+        argv = ["analyze", "fisher", "--n", "2", "--out", str(tmp_path / "fisher.json")]
+    else:
+        argv = ["simulate", "--n-true", "1", "--max-cycles", "3", "--outdir", str(outdir)]
+        argv += ["--schedule", "uniform-random"] if flag == "--tau-min-us" else []
+    assert run([*argv, f"{flag}={value}"]) == code
+    err = capsys.readouterr().err
+    assert ("error:" in err) == (code == cli.EXIT_USAGE) and "Traceback" not in err
+    assert outdir.exists() == (code == cli.EXIT_OK and flag != "--time-us")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--gamma-mhz", "0", "--n-true", "-1"],
     ["simulate", "--n-true", "-1"],

@@ -210,11 +210,11 @@ RATES = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1e308, 
 
 
 def _rate_exit(flag: str, value: float) -> int | None:
-    """2 for a rate or time that is not finite and non-negative in SI units, where the
-    program checks it (a negative time that underflows to -0.0 s is a time of 0), or a
-    drive frequency of 0; None (any exit the contract allows) for the others."""
+    """2 for a negative rate or time (one whose conversion to seconds underflows too; -0.0
+    is 0), one that is not finite in SI units, where the program checks it, or a drive
+    frequency of 0; None (any exit the contract allows) for the others."""
     si = value * 1e-6 if flag.endswith("-us") else value * 1e6 * (2.0 * math.pi)
-    if not 0 <= si < math.inf or (flag == "--omega-mhz" and si == 0):
+    if not (0 <= value and 0 <= si < math.inf) or (flag == "--omega-mhz" and si == 0):
         return cli.EXIT_USAGE
     return None
 
