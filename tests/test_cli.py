@@ -208,6 +208,23 @@ def test_oracle_check_runs_the_simulator_propagator(tmp_path, capsys, monkeypatc
     assert "FAIL cell" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega_mhz", ["3e300", "1e301"])
+def test_oracle_check_refuses_a_dense_series_past_float_range_without_warnings(omega_mhz,
+                                                                              tmp_path):
+    """A drive frequency whose dense Liouvillian overflows scipy's Taylor series exits 5
+    with one error line and no warning text, in an interpreter that prints every warning."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "oracle.json"
+    proc = subprocess.run([sys.executable, "-W", "always", "-m", "rydqnd", "oracle-check",
+                          "--time-points", "2", "--omega-mhz", omega_mhz, "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_RESOURCE
+    assert proc.stderr == "error: dense evolution's Taylor series passes float range\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--time-points", "0"],
     ["--time-points", "-3"],
