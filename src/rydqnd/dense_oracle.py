@@ -18,8 +18,7 @@ eigendecomposition is used, so the oracle stays independent of the
 symmetric-block solver it checks.  The states at equally spaced times come
 from one `expm_multiply` call over the whole interval; `evolve_dense` is the
 last of two.  An evolution that would need more than `MAX_DENSE_STEPS` scaling
-steps raises `ResourceError` instead of running for hours, and so does one whose
-series overflows float range.
+steps (hours of work), or whose series overflows float range, raises `ResourceError`.
 """
 
 from __future__ import annotations
@@ -186,8 +185,7 @@ def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: floa
     vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)
     try:  # a Liouvillian near float range overflows the series: refused, not warned
         with np.errstate(over="raise", invalid="raise"):
-            vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points,
-                                 endpoint=True)
+            vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points, endpoint=True)
     except FloatingPointError:
         raise ResourceError("dense evolution's Taylor series passes float range") from None
     return [_scattered(state, idx, v) for v in vecs]

@@ -198,7 +198,7 @@ def _noiseless_grid(ns: tuple[int, ...], omega: float, grid: bytes, shift: int) 
     read-only, as every call with this grid and shift shares it."""
     taus = np.frombuffer(grid)
     step = dyn._noiseless_factors(_roots(ns, shift), omega, np.tile(taus, 2),
-                                  np.arange(2 * taus.size) < taus.size).T.copy()  # C order
+                                  np.repeat([True, False], taus.size)).T.copy()  # C order
     step.flags.writeable = False
     return step
 
