@@ -248,6 +248,24 @@ def test_batch_uses_independent_spawned_streams():
     assert [log.to_json() for log in again] == [log.to_json() for log in logs]
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 7])
+@pytest.mark.parametrize("n_trajectories", [1, 3, 200])
+def test_batch_generators_draw_the_streams_of_their_spawn_keys(monkeypatch, seed,
+                                                                n_trajectories):
+    """Generator i of a batch draws what `_seeded` gives for spawn key (i,): the
+    batch's streams are those of per-trajectory seeding, whatever the batch size."""
+    taken = {}
+    monkeypatch.setattr(eng, "_run", lambda initial, params, rngs, keys:
+                        taken.update(rngs=rngs, keys=keys) or [])
+    params = noiseless_params(seed=seed)
+    eng.run_batch(2, params, n_trajectories)
+    assert [tuple(key) for key in taken["keys"]] == [(i,) for i in range(n_trajectories)]
+    for i, rng in enumerate(taken["rngs"]):
+        expected = eng._seeded(params, (i,))
+        assert rng.random(8).tolist() == expected.random(8).tolist()
+        assert rng.integers(0, 2**63, 4).tolist() == expected.integers(0, 2**63, 4).tolist()
+
+
 def test_ejection_decrements_photon_number():
     params = noisy_params(ejection_enabled=True, seed=2, max_cycles=15,
                           threshold=1.1)  # never stop early

@@ -1,5 +1,6 @@
-"""Invariants of the noiseless odds kernel and of the candidate posterior,
-which compute with numpy's vectorised square, exp and sums."""
+"""Invariants of the noiseless odds kernel, of the drive-rate roots its holder
+keeps, and of the candidate posterior, which compute with numpy's vectorised
+square, exp and sums."""
 
 import copy
 import math
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rydqnd import dynamics as dyn
-from rydqnd.inference import Mixture, _roots
+from rydqnd.inference import Mixture, NoiselessLikelihoods, _roots
 from rydqnd.records import FockDistribution, Posterior
 
 EPS = np.finfo(float).eps
@@ -25,6 +26,44 @@ def test_the_two_outcomes_odds_sum_to_one(ns, omega, cycles):
     assert factors.shape == (2, len(cycles), len(ns))
     assert (factors >= 0.0).all()
     assert np.abs(factors.sum(axis=0) - 1.0).max() <= 2 * EPS
+
+
+def _kernel(ns, shift, omega, taus, repeat):
+    """The noiseless odds recomputed from the photon numbers and ejection counts."""
+    m = np.maximum(np.asarray(ns)[None, :] - np.asarray(shift)[:, None], 0)
+    phase = np.sqrt(m) * omega * np.asarray(taus, dtype=float)[:, None]
+    trig = np.where(np.asarray(repeat)[..., None], np.cos(phase), np.sin(phase))
+    return trig * trig
+
+
+def _times(data, rows: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=rows, max_size=rows)))
+
+
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True), st.booleans(),
+       st.lists(st.integers(0, 4), min_size=1, max_size=4), st.floats(0.01, 10.0), st.data())
+def test_the_holders_roots_follow_its_updates_and_takes(ns, eject, shift, omega, data):
+    """After any sequence of updates (ejecting or not) and takes (index arrays with
+    repeats, or masks), ``root`` is sqrt(max(n - shift, 0)) of every row, and the
+    kernel on it gives the recomputed odds of both outcomes, bit for bit."""
+    holder = NoiselessLikelihoods(sorted(ns), omega, eject, shift)
+    for _ in range(data.draw(st.integers(1, 8))):
+        rows = len(holder.shift)
+        flags = st.lists(st.booleans(), min_size=rows, max_size=rows)
+        step = data.draw(st.sampled_from(["update", "index", "mask"]))
+        if step == "update":
+            holder.update(_times(data, rows), np.array(data.draw(flags), dtype=bool))
+        elif step == "index":
+            index = data.draw(st.lists(st.integers(0, rows - 1), max_size=5)) if rows else []
+            holder.take(np.array(index, dtype=int))
+        else:
+            holder.take(np.array(data.draw(flags), dtype=bool))
+        expected = np.sqrt(np.maximum(holder.ns[None, :] - holder.shift[:, None], 0))
+        assert holder.root.shape == expected.shape
+        assert holder.root.tobytes() == expected.tobytes()
+        taus, both = _times(data, len(holder.shift)), np.array([holder.last, ~holder.last])
+        got = dyn._noiseless_factors(holder.root, omega, taus, both)
+        assert got.tobytes() == _kernel(holder.ns, holder.shift, omega, taus, both).tobytes()
 
 
 @st.composite
