@@ -27,10 +27,12 @@ goes first alternating from op to op, so machine drift hits both alike:
   schedules the benchmark's ``noiseless_distill`` runs in turn.
 
 For each workload it prints the change's summed time over the parent's and the
-median of the per-op ratios.  For each side it then runs one traced batch of
-``--rss-rows`` rows (n_true 3, ``--rss-cycles`` cycles at most) in a subprocess
-of its own and prints the growth of its peak RSS over the process's peak just
-before the batch.  Run it also with one revision as both sides: the spread of
+median of the per-op ratios, and then the summed time ratio of the three
+noiseless workloads together: the mix that the benchmark's ``noiseless_distill``
+items_per_s weighs, one op of each schedule in turn.  For each side it then runs
+one traced batch of ``--rss-rows`` rows (n_true 3, ``--rss-cycles`` cycles at
+most) in a subprocess of its own and prints the growth of its peak RSS over the
+process's peak just before the batch.  Run it also with one revision as both sides: the spread of
 that A/A run is the noise a ratio must clear.
 """
 
@@ -53,6 +55,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+NOISELESS = ("noiseless_batch", "noiseless_random_batch", "noiseless_greedy_batch")
 
 # one traced batch in a fresh process: peak RSS growth in MB on stdout
 _RSS_PROBE = """
@@ -178,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         mods = {side: (importlib.import_module(f"rydqnd_{side}.cli"),
                        importlib.import_module(f"rydqnd_{side}.engine")) for side in SIDES}
         print(f"parent {args.parent}, change {args.change}: {args.ops} ops per workload and side")
+        totals = {}
         for name, ops in workloads(mods, tmp, args.rows).items():
             for side in SIDES:  # warm caches and lazy imports
                 ops[side](args.ops)
@@ -185,12 +189,15 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.ops):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     times[side].append(timed(ops[side], i))
-            total = {side: sum(times[side]) for side in SIDES}
+            totals[name] = total = {side: sum(times[side]) for side in SIDES}
             ratios = [c / p for p, c in zip(times["parent"], times["change"])]
             print(f"{name}: parent {1e3 * total['parent'] / args.ops:.2f} ms/op, "
                   f"change {1e3 * total['change'] / args.ops:.2f} ms/op; summed time ratio "
                   f"{total['change'] / total['parent']:.3f}, median op ratio "
                   f"{statistics.median(ratios):.3f}")
+        mix = {side: sum(totals[name][side] for name in NOISELESS) for side in SIDES}
+        print(f"noiseless mix ({' + '.join(NOISELESS)}): summed time ratio "
+              f"{mix['change'] / mix['parent']:.3f}")
         for side in SIDES:
             probe = subprocess.run(
                 [sys.executable, "-c", _RSS_PROBE, str(tmp), f"rydqnd_{side}",

@@ -1,5 +1,5 @@
 """The in-process A/B harness, `scripts/ab_inprocess.py`, on a tiny setting:
-HEAD against itself, one op per workload, a two-row RSS batch."""
+HEAD against itself, two ops per workload, a two-row RSS batch."""
 
 import subprocess
 import sys
@@ -18,5 +18,10 @@ def test_the_harness_reports_every_workload_and_both_sides():
                  "noiseless_batch", "noiseless_random_batch", "noiseless_greedy_batch"):
         line = next(text for text in lines if text.startswith(f"{name}: "))
         assert "summed time ratio" in line and "median op ratio" in line
+    mix = [text for text in lines if text.startswith("noiseless mix (")]
+    assert len(mix) == 1
+    assert ("noiseless_batch + noiseless_random_batch + noiseless_greedy_batch"
+            in mix[0]) and "summed time ratio" in mix[0]
+    assert float(mix[0].rsplit(" ", 1)[1]) > 0
     for side in ("parent", "change"):
         assert any(text.startswith(f"rss {side}: ") and "MB" in text for text in lines)
