@@ -484,7 +484,8 @@ def _overlaps(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 def _ejected(sec: Sector, x: np.ndarray) -> np.ndarray:
     """Every row of the side-by-side block vectors x after the ejection: the
     rr coefficient of block j times sqrt(N) moves to the ss of block j of
-    (n - 1, N - 1), and the result is divided by its trace."""
+    (n - 1, N - 1), and the result is divided by its trace.  The rows keep the
+    width of x, zero past the columns of (n - 1, N - 1)."""
     if sec.n < 1:
         raise PreconditionError("nothing to eject")
     if (np.abs(x[:, sec.block(0).ss]) > 1e-9).any():
@@ -493,7 +494,7 @@ def _ejected(sec: Sector, x: np.ndarray) -> np.ndarray:
     pairs = list(zip(target.blocks, target.spans, sec.blocks, sec.spans))
     ss = [span.start + blk.ss for blk, span, _, _ in pairs]
     rr = [span.start + blk.rr for _, _, blk, span in pairs]
-    out = np.zeros((len(x), target.spans[-1].stop), dtype=complex)
+    out = np.zeros(x.shape, dtype=complex)
     out[:, ss] = _renormalised(x[:, rr] * factor, np.array([blk.trace[blk.ss] for blk, *_ in pairs]))
     return out
 
@@ -510,12 +511,12 @@ class BlockBatch:
     """Noisy fixed-n states of a batch of trajectories, one row each: the noisy
     counterpart of `PureBatch`.
 
-    Rows are grouped by their sector (n, N).  A group holds the batch indices
-    of its rows and their states as one (rows, D) complex array,
-    the j blocks side by side (block j in the columns ``Sector.spans[j]``);
-    each block is advanced and read on its own columns.  A row's ideal
-    noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and |R_n>,
-    driven, collapsed and ejected alike; the row's retrieval fidelity is its
+    Row r of ``x`` holds the j blocks of its sector (``n[r]``, ``N[r]``) side by
+    side (block j in the columns ``Sector.spans[j]``), zero past them.  ``groups``
+    lists each sector with its rows; drive, window and reads gather a sector's
+    rows, advance and read each block on its own columns, and write them back.
+    A row's ideal noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and
+    |R_n>, driven, collapsed and ejected alike; the row's retrieval fidelity is its
     overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A row
     computes what the one-state kernels compute for its block list and its
     `PureCollectiveState` twin, bit for bit.  A traced `drive` or `measure` reads
@@ -526,38 +527,54 @@ class BlockBatch:
 
     def __init__(self, ns, omega: float, noise, eject: bool = False, points: int = 0):
         self.n = np.asarray(ns, dtype=int)
+        self.N = np.full(self.n.size, noise.N)
         self.omega, self.gamma, self.eject = omega, noise.gamma, eject
         self.window, self.dts = noise.tau_eit, None  # the dephasing-only measurement window
         if points and self.window:  # its traced sub-step times, the last the window itself
             self.dts = np.linspace(self.window / points, self.window, points)
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
-        self.groups = {}
-        for n in sorted(set(self.n.tolist())):
-            rows = np.flatnonzero(self.n == n)
-            self.groups[(n, noise.N)] = (rows, np.tile(sector(n, noise.N).dyads[0], (rows.size, 1)))
+        self._regroup()
+        self.x = np.zeros((self.n.size, max((sec.spans[-1].stop for sec, _ in self.groups),
+                                            default=0)), dtype=complex)
+        for sec, rows in self.groups:
+            self.x[rows, :sec.spans[-1].stop] = sec.dyads[0]
 
-    def _evolved(self, sec: Sector, x: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
-        """The states x (rows, D) advanced for each of their times in taus, as
-        `_times` gives them: (rows, points, D)."""
+    def _regroup(self) -> None:
+        """``groups``: each sector (n, N) of the rows, with its rows."""
+        keys = sorted(set(zip(self.n.tolist(), self.N.tolist())))
+        self.groups = [(sector(n, N), np.flatnonzero((self.n == n) & (self.N == N)))
+                       for n, N in keys]
+
+    def _states(self, sec: Sector, rows: np.ndarray) -> np.ndarray:
+        """The states of rows of sector sec, (rows, D): the columns of its blocks."""
+        return self.x[rows, :sec.spans[-1].stop]
+
+    def _advanced(self, sec: Sector, rows: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
+        """The rows (of sector sec) advanced for each of their times in taus, as `_times`
+        gives them, (rows, points, D); the rows keep the last."""
+        x = self._states(sec, rows)
         props = [_propagators(sec.n, sec.N, blk.j, omega, self.gamma, taus) for blk in sec.blocks]
-        return _advance(x[:, None], props, sec.spans, sec.traces)
+        grid = _advance(x[:, None], props, sec.spans, sec.traces)
+        self.x[rows, :x.shape[1]] = grid[:, -1]
+        return grid
 
     def fidelity(self) -> np.ndarray:  # 1 in the vacuum, which has no twin
         return self.read()[2]
 
     @staticmethod
     def _read(sec: Sector, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, fidelity) of states x (M, D) with twins a, b (M,)."""
+        """(p_NoRydberg, p_Rydberg, fidelity) of states x (..., D) with twins a, b (...)."""
         blk = sec.block(0)
-        fid = np.ones(len(x)) if sec.n == 0 else _overlaps(sec, x, a, b)  # vacuum: no twin
+        fid = (np.ones(a.shape) if sec.n == 0 else  # the vacuum has no twin
+               _overlaps(sec, x.reshape(-1, x.shape[-1]), a.ravel(), b.ravel()).reshape(a.shape))
         return np.array((*_populations(blk.trace, x, blk.ss, blk.rr), fid))
 
     def read(self) -> np.ndarray:
         """(p_NoRydberg, p_Rydberg, retrieval fidelity) of every row now, (3, rows)."""
         now = np.empty((3, self.n.size))
-        for key, (rows, x) in self.groups.items():
-            now[:, rows] = self._read(sector(*key), x, self.a[rows], self.b[rows])
+        for sec, rows in self.groups:
+            now[:, rows] = self._read(sec, self._states(sec, rows), self.a[rows], self.b[rows])
         return now
 
     def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray | None:
@@ -573,16 +590,12 @@ class BlockBatch:
                          np.sqrt(self.n[driven, None]), self.omega, steps)
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
-        for key, (rows, x) in self.groups.items():
-            sec = sector(*key)
-            slot = np.flatnonzero(taus[rows] > 0)
-            at = np.searchsorted(driven, rows[slot])
-            if slot.size:
-                grid = self._evolved(sec, x[slot], _times(steps[at]), self.omega)
-                x[slot] = grid[:, -1]
+        for sec, rows in self.groups:
+            at = np.searchsorted(driven, rows[taus[rows] > 0])
+            if at.size:
+                grid = self._advanced(sec, driven[at], _times(steps[at]), self.omega)
                 if read is not None:
-                    read[:, at] = self._read(sec, grid.reshape(-1, x.shape[1]), a[at].ravel(),
-                                             b[at].ravel()).reshape(3, at.size, -1)
+                    read[:, at] = self._read(sec, grid, a[at], b[at])
         return read
 
     def measure(self, draws: np.ndarray):
@@ -593,17 +606,13 @@ class BlockBatch:
         per sector before any row ejects; None untraced."""
         rydberg, probs, dts = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size), self.dts
         window = None if dts is None else np.empty((3, self.n.size, dts.size))
-        moved = []
-        for key, (rows, x) in list(self.groups.items()):
-            sec = sector(*key)
+        for sec, rows in self.groups:
             if self.window > 0:
-                grid = self._evolved(sec, x, np.asarray(self.window) if dts is None else dts, 0.0)
-                x = grid[:, -1]
-                if dts is not None:
-                    a, b = (z[rows].repeat(dts.size) for z in (self.a, self.b))
-                    window[:, rows] = self._read(sec, grid.reshape(-1, x.shape[1]), a, b
-                                                 ).reshape(3, rows.size, -1)
-            blk = sec.block(0)
+                grid = self._advanced(sec, rows, np.asarray(self.window) if dts is None else dts, 0.0)
+                if dts is not None:  # the twins wait out the window
+                    a, b = (z[rows, None].repeat(dts.size, axis=1) for z in (self.a, self.b))
+                    window[:, rows] = self._read(sec, grid, a, b)
+            x, blk = self._states(sec, rows), sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
             p = np.where(ryd, p_r, p_s)
@@ -611,34 +620,21 @@ class BlockBatch:
                 outcome = RYDBERG if ryd[p <= 0.0][0] else NO_RYDBERG
                 raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
             x = _projected(sec.keeps[ryd.astype(int)], x, p)
+            if self.eject and ryd.any():  # into the columns of (n - 1, N - 1), zero past them
+                x[ryd] = _ejected(sec, x[ryd])
+            self.x[rows, :x.shape[1]] = x
             rydberg[rows], probs[rows] = ryd, p
-            out = ryd & self.eject
-            if not out.any():
-                self.groups[(sec.n, sec.N)] = (rows, x)
-                continue
-            del self.groups[(sec.n, sec.N)]
-            if not out.all():
-                self.groups[(sec.n, sec.N)] = (rows[~out], x[~out])
-            moved.append((sec, rows[out], x[out]))
-        # a twin's global phase changes no <psi|rho|psi>: it collapses onto |S_n> or |R_n>
-        self.a, self.b = (~rydberg).astype(complex), rydberg.astype(complex)
-        for sec, rows, x in moved:
-            self.n[rows] -= 1
-            self.a[rows], self.b[rows] = 1.0, 0.0
-            key, x = (sec.n - 1, sec.N - 1), _ejected(sec, x)
-            if key in self.groups:  # join the rows already in the target sector
-                old_rows, old_x = self.groups[key]
-                rows, x = np.concatenate((old_rows, rows)), np.concatenate((old_x, x))
-            self.groups[key] = (rows, x)
+        # a twin's global phase changes no <psi|rho|psi>: it collapses onto |S_n> or |R_n>,
+        # and restarts from |S_n-1> where its row ejects
+        kept = rydberg & (not self.eject)
+        self.a, self.b = (~kept).astype(complex), kept.astype(complex)
+        if self.eject and rydberg.any():
+            self.n, self.N = self.n - rydberg, self.N - rydberg
+            self._regroup()
         return rydberg, probs, window
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""
-        index = np.cumsum(rows) - 1
-        groups = {}
-        for key, (idx, x) in self.groups.items():
-            sel = rows[idx]
-            if sel.any():
-                groups[key] = (index[idx[sel]], x[sel])
-        self.groups = groups
-        self.n, self.a, self.b = self.n[rows], self.a[rows], self.b[rows]
+        self.n, self.N, self.x, self.a, self.b = (z[rows] for z in (self.n, self.N, self.x,
+                                                                    self.a, self.b))
+        self._regroup()

@@ -76,12 +76,11 @@ class _Row:
 
 
 def _row_blocks(batch, r):
-    """The block coefficient vectors of batch row r."""
-    for (n, N), (rows, x) in batch.groups.items():
-        if r in rows.tolist():
-            row = x[rows.tolist().index(r)]
-            return n, N, [row[span].tolist() for span in sector(n, N).spans]
-    raise AssertionError(f"row {r} is in no group")
+    """The sector of batch row r and its block coefficient vectors; zero past them."""
+    n, N, row = int(batch.n[r]), int(batch.N[r]), batch.x[r]
+    spans = sector(n, N).spans
+    assert not row[spans[-1].stop:].any()
+    return n, N, [row[span].tolist() for span in spans]
 
 
 def _same(batch_out, chain_out):
@@ -201,7 +200,7 @@ def test_batch_raises_what_the_chain_raises():
     assert _raised(batch.read) is _raised(lambda: _Row.read(row.blocks, row.twin))
 
     batch, row = dyn.BlockBatch([2], OMEGA, inf.NoiseParams(0.5, 0.1, 3)), _Row(2, 3, 0.5, 0.1)
-    batch.groups[(2, 3)][1][:] = 0.0
+    batch.x[:] = 0.0
     row.blocks = [dyn.SymmetricBlockState(2, 3, blk.j, 0 * blk.x) for blk in row.blocks]
     assert _raised(lambda: batch.measure(np.full(1, 0.5))) is ImpossibleOutcomeError
     assert _raised(lambda: row.measure(0.5, False)) is ImpossibleOutcomeError

@@ -13,7 +13,6 @@ from test_engine_golden import CASES, DIGESTS, _digest
 
 from rydqnd import dynamics as dyn
 from rydqnd import engine as eng
-from rydqnd.symbasis import sector
 
 
 def _counted(monkeypatch, cls, name, seen, what):
@@ -29,7 +28,7 @@ def _counted(monkeypatch, cls, name, seen, what):
 
 def _groups(batch) -> tuple[int, int]:
     """The batch's groups, and their blocks."""
-    return len(batch.groups), sum(len(sector(*key).blocks) for key in batch.groups)
+    return len(batch.groups), sum(len(sec.blocks) for sec, _ in batch.groups)
 
 
 @pytest.mark.parametrize("name", ["noisy-fixed-trace", "noisy-int-eject-trace",
