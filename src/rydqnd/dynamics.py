@@ -612,7 +612,7 @@ class BlockBatch:
                 if dts is not None:  # the twins wait out the window
                     a, b = (z[rows, None].repeat(dts.size, axis=1) for z in (self.a, self.b))
                     window[:, rows] = self._read(sec, grid, a, b)
-            x, blk = self._states(sec, rows), sec.block(0)
+            x, blk = grid[:, -1] if self.window > 0 else self._states(sec, rows), sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
             p = np.where(ryd, p_r, p_s)
