@@ -33,6 +33,7 @@ from . import __version__
 from .errors import (
     DomainError,
     InconsistentRecordError,
+    IntegratorError,
     PreconditionError,
     ResourceError,
 )
@@ -604,6 +605,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INCONSISTENT
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except IntegratorError as exc:  # a numerical limit: propagation outside its tolerance
+        print(f"error: {exc} (residual {exc.residual})", file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

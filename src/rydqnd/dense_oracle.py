@@ -174,7 +174,10 @@ def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: floa
     nonzero = state.rho != 0
     idx = np.flatnonzero(np.isin(exc, exc[nonzero.any(axis=0) | nonzero.any(axis=1)]))
     liouvillian = _liouvillian(state.N, tuple(idx.tolist()), omega, gamma)
-    norm = float(abs(liouvillian).sum(axis=0).max()) * t_stop
+    norm = float(abs(liouvillian).sum(axis=0).max())
+    if not isfinite(norm):
+        raise ResourceError("dense evolution's ||L||_1 is past float range")
+    norm *= t_stop
     if norm / _THETA_55 > MAX_DENSE_STEPS:
         raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
                             f"{MAX_DENSE_STEPS} expm_multiply steps")

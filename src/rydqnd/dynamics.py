@@ -63,12 +63,16 @@ class PureCollectiveState:
 
 
 def _phases(root, omega: float, taus) -> np.ndarray:
-    """The drive phases (root * omega) * taus, root the sqrt(n) of each row; a phase
-    past float range (a rate past it too) is a `ResourceError` naming its drive time."""
+    """The drive phases (root * omega) * taus, root the sqrt(n) of each row; a rate
+    past float range is a `ResourceError` naming omega, a phase past it one naming
+    its drive time."""
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite rate at time 0: NaN
-        theta = root * omega * taus
+        rate = root * omega
+        theta = rate * taus
     finite = np.isfinite(theta)
     if not finite.all():
+        if not np.isfinite(rate).all():
+            raise ResourceError(f"omega {omega} puts the drive rate sqrt(n) omega past float range")
         tau = np.broadcast_to(taus, theta.shape)[~finite][0]
         raise ResourceError(f"drive time {tau} s puts the drive phase past float range")
     return theta
@@ -311,8 +315,10 @@ def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
 
 def _spectral(lam: np.ndarray, vecs: np.ndarray, inv: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """(V e^{lam tau}) V^-1 at every time of taus, the eigensystems (V^-1 is
-    inv) broadcast against the times; exactly I where tau is 0."""
-    props = (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
+    inv) broadcast against the times; exactly I where tau is 0.  A rate times tau
+    past float range leaves inf or NaN, which the trace-drift check refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        props = (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
     if np.count_nonzero(taus) < taus.size:  # V V^-1 is not I; count_nonzero is cheap
         props[taus == 0] = np.eye(lam.shape[-1])
     return props

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -208,20 +209,53 @@ def test_oracle_check_runs_the_simulator_propagator(tmp_path, capsys, monkeypatc
     assert "FAIL cell" in capsys.readouterr().err
 
 
+def _run_printing_warnings(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m rydqnd`` with argv, in an interpreter that prints every warning."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-W", "always", "-m", "rydqnd", *argv],
+                          env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("omega_mhz", ["3e300", "1e301"])
 def test_oracle_check_refuses_a_dense_series_past_float_range_without_warnings(omega_mhz,
                                                                               tmp_path):
     """A drive frequency whose dense Liouvillian overflows scipy's Taylor series exits 5
     with one error line and no warning text, in an interpreter that prints every warning."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = tmp_path / "oracle.json"
-    proc = subprocess.run([sys.executable, "-W", "always", "-m", "rydqnd", "oracle-check",
-                          "--time-points", "2", "--omega-mhz", omega_mhz, "--out", str(out)],
-                         env=env, capture_output=True, text=True)
+    proc = _run_printing_warnings("oracle-check", "--time-points", "2", "--omega-mhz", omega_mhz,
+                                  "--out", str(out))
     assert proc.returncode == cli.EXIT_RESOURCE
     assert proc.stderr == "error: dense evolution's Taylor series passes float range\n"
+    assert not out.exists()
+
+
+_SMALL_RUN = ["--n-atoms", "5", "--trajectories", "1", "--max-cycles", "2", "--trace-points", "1"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    # a gamma whose eigenvalues' rounding overflows e^{lam tau}: NaN propagators
+    (["simulate", *_SMALL_RUN, "--gamma-mhz=6.484830584414532e+135"],
+     r"error: block propagation lost trace \(residual nan\)"),
+    # an omega whose rounding leaves the twin overlap far from real
+    (["simulate", *_SMALL_RUN, "--omega-mhz=4.944867994558508e+16"],
+     r"error: fidelity came out complex \(residual [0-9.e+-]+\)"),
+    # ||L||_1 itself past float range, not a long evolution: t = 5 / omega
+    (["oracle-check", "--time-points", "2", "--omega-mhz", "2e301"],
+     r"error: dense evolution's \|\|L\|\|_1 is past float range"),
+    # sqrt(n) omega past float range, named before the traced read at t = 0
+    (["simulate", "--gamma-mhz", "0", "--omega-mhz", "1.5e301"],
+     r"error: omega [0-9.e+]+ puts the drive rate sqrt\(n\) omega past float range"),
+], ids=["gamma-lost-trace", "omega-complex-fidelity", "oracle-norm", "noiseless-rate"])
+def test_numerical_limits_exit_5_with_one_error_line(argv, line, tmp_path):
+    """A rate at which the propagation leaves its tolerance (`IntegratorError`) or
+    passes float range exits 5 with one error line naming what went wrong, with no
+    traceback and no warning text, and writes nothing."""
+    out = tmp_path / "out"
+    proc = _run_printing_warnings(*argv, "--outdir" if argv[0] == "simulate" else "--out", str(out))
+    assert proc.returncode == cli.EXIT_RESOURCE
+    assert re.fullmatch(line + "\n", proc.stderr)
     assert not out.exists()
 
 
