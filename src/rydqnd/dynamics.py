@@ -8,8 +8,8 @@ trajectories as their stored Born weights times the likelihoods of their
 records, kept by `inference.NoiselessLikelihoods`.  Noisy fixed-n states
 are lists of block coefficient vectors, one per conserved j sector; sector
 probabilities live in the j = 0 block while retrieval fidelity needs all of
-them.  `BlockBatch` holds them as arrays; `eject_block` and
-`retrieval_fidelity` run its array kernels on one row.
+them.  `BlockBatch` holds them as the rows of one array, each row's blocks side
+by side; `eject_block` and `retrieval_fidelity` run its array kernels on one row.
 """
 
 from __future__ import annotations

@@ -8,15 +8,15 @@ cos^2/sin^2 odds, Born weights and the holder's shift rule on the other
 photon number, candidates, schedule and ejection, they give the same records;
 their posteriors, and their traced probabilities, agree within POSTERIOR_BOUND,
 and every noisy fidelity lies within FIDELITY_BOUND of 1 (a noiseless row's is 1).
-The bounds are about ten times the worst seen over 400 random runs of each
-schedule kind (9.8e-14 and 4.8e-13).
+The bounds are about ten times the worst seen over 400 random runs, a hundred
+of each schedule kind (9.8e-14 and 4.8e-13).
 
 Two things part the records where the physics does not, and the property checks
 that nothing else does, comparing the runs up to that cycle:
 
 * a measurement draw within TIE of its Rydberg odds may fall on either side of
   the two engines' odds.  A uniform draw does so with probability 2e-12 per
-  cycle: about once in 10^9 examples of this property.
+  cycle, and an example has at most 36 cycles: about once in 10^10 examples.
 * the adaptive-greedy schedule drives for the first grid time of the largest
   expected fidelity.  Where grid times tie within TIE (one candidate alone, or
   candidates whose sqrt(n) periods overlap on the grid), the engines may pick
@@ -36,7 +36,8 @@ from rydqnd.records import FockDistribution, is_rydberg
 
 OMEGA = 2 * math.pi * 2.5e6
 POSTERIOR_BOUND, FIDELITY_BOUND, TIE = 1e-12, 1e-11, 1e-12
-ROWS, CYCLES, GRID = 3, 12, 15  # an odd grid holds no time together with it one period on
+# an odd grid on (0, 4 pi / omega] never holds both a time and the time 2 pi / omega later
+ROWS, CYCLES, GRID = 3, 12, 15
 
 
 @st.composite
