@@ -24,7 +24,7 @@ def test_a_revision_against_itself_is_byte_identical():
                    "simulate no-trace trajectories.jsonl: 3 ", "infer noisy posterior.json: 1 "):
         assert any(line.startswith(prefix) for line in lines), prefix
     cases = lines[:lines.index("diverged: 0")]
-    assert len(cases) == 18 + 2 + 26 + 6
+    assert len(cases) == 20 + 2 + 26 + 6
     for line in cases:
         docs = line.split(": ")[1].split(" documents")[0]
         assert line.endswith(f"{docs} documents, {docs} byte-identical, 0 diverged")

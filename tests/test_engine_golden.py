@@ -116,6 +116,14 @@ CASES = {
                                                     trace_points=2, max_cycles=6), 2),
     "noisy-random-born-trace": (BORN, _noisy(
         schedule=eng.Schedule.uniform_random(0.05e-6, 0.4e-6), trace_points=2), 3),
+    # drive times of 0 among the entries: those cycles drive no row, so their trace
+    # rows are the window's and the collapse's alone; rows eject between them
+    "noisy-precomputed-zero-eject-trace": (3, _noisy(
+        schedule=eng.Schedule.precomputed([0.21e-6, 0.0, 0.35e-6, 0.0, 0.0, 0.12e-6] * 2),
+        ejection_enabled=True, trace_points=2, seed=7), 3),
+    "precomputed-born-zero-trace": (BORN, _noiseless(
+        schedule=eng.Schedule.precomputed([0.4, 0.0, 1.1, 0.0, 0.0, 1.596] * 5),
+        trace_points=3, max_cycles=30), 4),
 }
 
 DIGESTS = {
@@ -127,9 +135,12 @@ DIGESTS = {
     "noisy-greedy": "bf093c58dc96a9675b724a3c3fa15e82de76c8f28401c465de2c38a0e9d9ccba",
     "noisy-int-eject-trace": "5b621b1828b76307b2b20a01ef3c0c8c11b46edcc8c839370b0d793b31d3222e",
     "noisy-mixtures-prior": "167fdb5d078e002cc2e84f9530c2339f33fb25dd9ff1427f7bc7bed67ad30ebe",
+    "noisy-precomputed-zero-eject-trace":
+        "b66e4902a30b43020e443f5eaa24292abeb169138c95c4f41cc83f433c631a44",
     "noisy-random-born-eject": "fdc5c9004dfad98e8d5959b448612fcd3449a7246e3eb79502c017ec355259d6",
     "noisy-random-born-trace": "fc9fca7a2f403ecb405390337f94f61aad7420d3fbab765d2b05a7278c813f86",
     "noisy-unconverged-no-window-trace": "65ce64d33c0c4d47a48caab4560e95b9fd9663e53c59604b453b5381a81b1eca",
+    "precomputed-born-zero-trace": "335d2da23bb2036a0412ea25456e8bb181578a4b0028ba8c4f95bbfb58d065c8",
     "precomputed-int-eject-trace": "369f11a27372302fa7996bb326c1aeaba03cf92e4e48c6b94d205ddce4a1a6b1",
     "random-amps-eject": "37c07916debc2c9da2269ef26c7ce67c5b5e637b367b8c79815f9479bbc85d8b",
     "random-born-trace": "e7633fc6b56b9df70b0202fe8fe3cf51ab5f34990088f9811795be15b67e54c6",
