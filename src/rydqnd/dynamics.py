@@ -123,7 +123,7 @@ class PureBatch:
     its largest log w0 + log L.  It keeps ``log_w0``, and ``elapsed``, each row's drive
     time since its last outcome, at the record's ``omega``."""
 
-    window, dts = 0.0, None  # the projective measurement takes no time
+    window, dts = 0.0, np.empty(0)  # the projective measurement takes no time
 
     def __init__(self, state: PureCollectiveState, record):
         if np.any(state.b != 0):
@@ -135,6 +135,7 @@ class PureBatch:
         with np.errstate(divide="ignore"):
             self.log_w0 = np.log(w0[record.ns])
         self.record, self.elapsed = record, np.zeros(len(record.log_l))
+        self._held = None  # the last traced drive's read, a column left for the collapse
 
     def _p_rydberg(self, rows, odds: np.ndarray) -> np.ndarray:
         """p_Rydberg of batch rows whose Pr(Rydberg | n) is odds, (len(rows),)."""
@@ -149,17 +150,18 @@ class PureBatch:
                                                        rec.last[rows]))
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
 
-    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray | None:
+    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
         """Drive row r for taus[r] at the record's omega: its weights stay, its drive
-        time grows.  steps, and what it returns, as in `BlockBatch.drive`."""
+        time grows.  steps as in `BlockBatch.drive`: what `read` gives at each is held
+        for `measure`."""
         _check_times(taus, "drive time")
-        read = None
+        self._held = None if steps is None else np.zeros((3, taus.size, steps.shape[1] + 1))
         if steps is not None:
             driven = np.flatnonzero(taus > 0)
             times = (self.elapsed[driven, None] + steps).ravel()
-            read = self._read(driven.repeat(steps.shape[1]), times).reshape(3, *steps.shape)
+            self._held[:, driven, :-1] = self._read(driven.repeat(steps.shape[1]),
+                                                    times).reshape(3, *steps.shape)
         self.elapsed = self.elapsed + taus
-        return read
 
     def read(self) -> np.ndarray:
         """(p_NoRydberg, p_Rydberg, fidelity 1) of every row now, (3, rows)."""
@@ -170,15 +172,18 @@ class PureBatch:
 
     def measure(self, draws: np.ndarray):
         """Draw every row's outcome by its uniform [0, 1) draw, as `BlockBatch.measure` with
-        no window, and end its drive.  One kernel call reads both outcomes: ``drawn`` keeps
-        each row's Pr(drawn outcome | n), the collapse, for the record's ``_step``.  Returns
-        the outcomes, their probabilities and None: a projective measurement has no window."""
+        no window, and end its drive.  One kernel call reads both outcomes; the drawn one's
+        factors are the record's ``_step``, the collapse.  Returns the outcomes, their
+        probabilities and, as `BlockBatch.measure` does, the traced cycle's `read`."""
         rec = self.record  # each row's phase read for both outcomes: Rydberg, then NoRydberg
         odds = _noiseless_factors(rec.root, rec.omega, self.elapsed, [rec.last, ~rec.last])
         p_r = self._p_rydberg(slice(None), odds[0])
         rydberg = draws < p_r
-        self.drawn, self.elapsed = np.where(rydberg[:, None], *odds), np.zeros(self.elapsed.size)
-        return rydberg, np.where(rydberg, p_r, 1.0 - p_r), None
+        rec._step(np.where(rydberg[:, None], *odds), rydberg)
+        self.elapsed, read = np.zeros(self.elapsed.size), self._held
+        if read is not None:
+            read[:, :, -1] = self._read(slice(None), self.elapsed)
+        return rydberg, np.where(rydberg, p_r, 1.0 - p_r), read
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask (``record.take`` drops its own)."""
@@ -525,8 +530,8 @@ class BlockBatch:
     |R_n>, driven, collapsed and ejected alike; the row's retrieval fidelity is its
     overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A row
     computes what the one-state kernels compute for its block list and its
-    `PureCollectiveState` twin, bit for bit.  A traced `drive` or `measure` reads
-    its sub-steps per sector as it makes them and returns what they read.
+    `PureCollectiveState` twin, bit for bit.  A traced `drive` holds its sub-steps;
+    `measure` reads them, the window's and the collapsed rows in one call per sector.
     Like `inference.NoisyLikelihoods` it takes ``omega``, ``noise`` (`NoiseParams`:
     gamma, the window tau_eit and N) and ``eject`` once.
     """
@@ -535,11 +540,12 @@ class BlockBatch:
         self.n = np.asarray(ns, dtype=int)
         self.N = np.full(self.n.size, noise.N)
         self.omega, self.gamma, self.eject = omega, noise.gamma, eject
-        self.window, self.dts = noise.tau_eit, None  # the dephasing-only measurement window
+        self.window, self.dts = noise.tau_eit, np.empty(0)  # the dephasing-only measurement window
         if points and self.window:  # its traced sub-step times, the last the window itself
             self.dts = np.linspace(self.window / points, self.window, points)
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
+        self._held = None  # a traced drive's read to fill and, per group, its states and twins
         self._regroup()
         self.x = np.zeros((self.n.size, max((sec.spans[-1].stop for sec, _ in self.groups),
                                             default=0)), dtype=complex)
@@ -583,41 +589,42 @@ class BlockBatch:
             now[:, rows] = self._read(sec, self._states(sec, rows), self.a[rows], self.b[rows])
         return now
 
-    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> np.ndarray | None:
+    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
         """Drive row r and its twin for taus[r]; a row with taus 0 is left as it is.
         steps, if given, are the sub-step times (driven rows, points) of the rows with
-        taus > 0, each ending at its tau: those rows keep their last sub-step, and what
-        `read` gives at each is returned, (3, driven rows, points); None untraced."""
+        taus > 0, each ending at its tau: those rows keep their last sub-step, and each
+        group holds its rows' sub-step states and twins for `measure` to read."""
         _check_times(taus, "drive time")
         driven = np.flatnonzero(taus > 0)
-        read, steps = ((None, taus[driven, None]) if steps is None
-                       else (np.empty((3, *steps.shape)), steps))
+        # traced: the cycle's read, for `measure` to fill, and each group's states and twins
+        self._held, steps = ((None, taus[driven, None]) if steps is None else (
+            (np.empty((3, taus.size, steps.shape[1] + self.dts.size + 1)), []), steps))
         a, b = _rotation(self.a[driven, None], self.b[driven, None],
                          np.sqrt(self.n[driven, None]), self.omega, steps)
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
         for sec, rows in self.groups:
-            at = np.searchsorted(driven, rows[taus[rows] > 0])
-            if at.size:
-                grid = self._advanced(sec, driven[at], _times(steps[at]), self.omega)
-                if read is not None:
-                    read[:, at] = self._read(sec, grid, a[at], b[at])
-        return read
+            on = taus[rows] > 0
+            at = np.searchsorted(driven, rows[on])
+            grid = self._advanced(sec, driven[at], _times(steps[at]), self.omega) if at.size else 0
+            if self._held is not None:  # zero where undriven; `measure` fills the other columns
+                y = np.zeros((rows.size, self._held[0].shape[2], sec.spans[-1].stop), dtype=complex)
+                twins = np.zeros((2, *y.shape[:2]), dtype=complex)
+                y[on, :steps.shape[1]], twins[:, on, :steps.shape[1]] = grid, (a[at], b[at])
+                self._held[1].append((y, twins))
 
     def measure(self, draws: np.ndarray):
         """`PureBatch.measure` for block states: the window (through each of ``dts``, if
         any), the projection of every row and its twin; with ``eject``, Rydberg rows lose
         the detected atom and restart from the fresh twin |S_n-1>.  Returns the outcomes,
-        their probabilities and `read` at each window sub-step, (3, rows, points), read
-        per sector before any row ejects; None untraced."""
+        their probabilities and, after a traced drive, `read` at its sub-steps (zero where
+        undriven), the window's and after the collapse, (3, rows, columns), one `_read` per
+        group and one of its ejected rows in their new sector; None untraced."""
         rydberg, probs, dts = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size), self.dts
-        window = None if dts is None else np.empty((3, self.n.size, dts.size))
-        for sec, rows in self.groups:
+        read, held = self._held or (None, None)
+        for k, (sec, rows) in enumerate(self.groups):
             if self.window > 0:
-                grid = self._advanced(sec, rows, np.asarray(self.window) if dts is None else dts, 0.0)
-                if dts is not None:  # the twins wait out the window
-                    a, b = (z[rows, None].repeat(dts.size, axis=1) for z in (self.a, self.b))
-                    window[:, rows] = self._read(sec, grid, a, b)
+                grid = self._advanced(sec, rows, dts if dts.size else np.asarray(self.window), 0.0)
             x, blk = grid[:, -1] if self.window > 0 else self._states(sec, rows), sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
@@ -626,8 +633,19 @@ class BlockBatch:
                 outcome = RYDBERG if ryd[p <= 0.0][0] else NO_RYDBERG
                 raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
             x = _projected(sec.keeps[ryd.astype(int)], x, p)
+            if read is not None:  # the twins wait out the window, then collapse
+                (y, twins), window = held[k], slice(-1 - dts.size, -1)
+                if dts.size:
+                    y[:, window], twins[:, :, window] = grid, (self.a[rows, None],
+                                                               self.b[rows, None])
+                y[:, -1], twins[:, :, -1] = x, (~ryd, ryd)
+                read[:, rows] = self._read(sec, y, *twins)
             if self.eject and ryd.any():  # into the columns of (n - 1, N - 1), zero past them
                 x[ryd] = _ejected(sec, x[ryd])
+                if read is not None:  # in their new sector, with the fresh twin
+                    target, twin = sec.ejection[0], np.ones(ryd.sum(), dtype=complex)
+                    read[:, rows[ryd], -1] = self._read(target, x[ryd, :target.spans[-1].stop],
+                                                        twin, 0 * twin)
             self.x[rows, :x.shape[1]] = x
             rydberg[rows], probs[rows] = ryd, p
         # a twin's global phase changes no <psi|rho|psi>: it collapses onto |S_n> or |R_n>,
@@ -637,7 +655,7 @@ class BlockBatch:
         if self.eject and rydberg.any():
             self.n, self.N = self.n - rydberg, self.N - rydberg
             self._regroup()
-        return rydberg, probs, window
+        return rydberg, probs, read
 
     def take(self, rows: np.ndarray) -> None:
         """Drop the rows not selected by the boolean mask."""

@@ -292,18 +292,13 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
     t_now = np.zeros(n_traj)
     cycles = []  # per cycle: (ids, taus, rydberg, weights, fidelities) of its rows
-    segments = []  # traced phases: (trajectories, phase, posterior number, (4, rows) values)
-
-    def trace(phase: int, who: np.ndarray, posterior: int, times: np.ndarray, read) -> None:
-        """Trace rows of phase PHASES[phase] for trajectories who at times, (rows,) or
-        (rows, sub-steps), read (3, *times.shape); nothing may change times later."""
-        if len(who):
-            segments.append((who.repeat(times.size // len(who)), phase, posterior,
-                             np.concatenate((times.reshape(1, -1), read.reshape(3, -1)))))
+    segments = []  # traced rows, (7, rows): `Trace` values, then trajectory, phase, posterior
 
     steps, dts = None, states.dts
     if points:
-        trace(0, ids, 0, t_now[ids], states.read())
+        segments.append(np.vstack((t_now, states.read(), ids, np.zeros((2, n_traj)))))
+        # the phases of a cycle's columns: the drive's sub-steps, the window's, the collapse
+        phases = np.repeat([1, 2, 3], [points, dts.size, 1])
 
     for cycle in range(params.max_cycles):
         if ids.size == 0:
@@ -318,25 +313,28 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
         if points:  # linspace is exact for times > 0 and ends at tau
             driven = np.flatnonzero(taus > 0)
-            steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
-            drive_times = t_now[ids[driven], None] + steps
-        drive = states.drive(taus, steps)
-        rydberg, _, window = states.measure(draws[:, col + per_cycle - 1])
-        if noise is None:  # `drive` checked the drive times, `measure` drew the factors
-            likelihoods._step(states.drawn, rydberg)
-        else:
+            if np.ndim(history[-1]) or history[-2:-1] != history[-1:]:  # once while tau repeats
+                sub = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
+            steps = sub[:driven.size]  # a shared tau's rows are all alike, and rows only leave
+        states.drive(taus, steps)
+        rydberg, _, read = states.measure(draws[:, col + per_cycle - 1])
+        if noise is not None:  # `PureBatch.measure` stepped the noiseless holder
             likelihoods.update(taus, rydberg)
         # take keeps C order
         weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", names)
         if points:
-            collapse = states.read()
-            trace(1, ids[driven], cycle, drive_times, drive)
-            t_now[ids] += taus  # the trace's clock: only traced runs read it
-            if window is not None:  # a window traced at ``dts``
-                trace(2, ids, cycle, t_now[ids, None] + dts, window)
+            rows = np.empty((7, *read.shape[1:]))
+            rows[0, driven, :points] = t_now[ids[driven], None] + steps  # the trace's clock:
+            t_now[ids] += taus  # only traced runs read it
+            rows[0, :, points:-1] = t_now[ids, None] + dts
             t_now[ids] += states.window
-            trace(3, ids, cycle + 1, t_now[ids], collapse)
-        cycles.append((ids, taus, rydberg, weights, collapse[2] if points else states.fidelity()))
+            rows[0, :, -1], rows[1:4], rows[4] = t_now[ids], read, ids[:, None]
+            rows[5], rows[6] = phases, cycle + (phases == 3)  # the collapse's posterior is new
+            if driven.size < ids.size:  # an undriven row has no drive sub-steps
+                rows = rows[:, (taus > 0)[:, None] | (np.arange(rows.shape[2]) >= points)]
+            segments.append(rows.reshape(7, -1))
+        fidelity = read[2, :, -1] if points else states.fidelity()
+        cycles.append((ids, taus, rydberg, weights, fidelity))
 
         done = weights.max(axis=1) >= params.threshold
         if done.any():
@@ -373,11 +371,10 @@ def _traces(segments: list[tuple], posteriors: list[np.ndarray]) -> list[Trace]:
     by trajectory once (stably, so each keeps the order it was traced in)."""
     if not segments:
         return [Trace(np.empty((4, 0)), np.empty((2, 0), dtype=int), post) for post in posteriors]
-    who, phases, numbers, values = zip(*segments)
-    codes = np.repeat(np.array([phases, numbers]), [len(w) for w in who], axis=1)
-    who = np.concatenate(who)
+    table = np.concatenate(segments, axis=1)
+    who = table[4].astype(int)
     order = np.argsort(who, kind="stable")
-    values, codes = np.concatenate(values, axis=1)[:, order], codes[:, order]
+    values, codes = table[:4, order], table[5:, order].astype(int)
     bounds = np.cumsum(np.bincount(who, minlength=len(posteriors))).tolist()
     return [Trace(values[:, start:stop], codes[:, start:stop], post)
             for start, stop, post in zip([0, *bounds], bounds, posteriors)]

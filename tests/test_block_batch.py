@@ -127,7 +127,8 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
     eject into other groups (down to the (0, 0) vacuum) and leave the batch
     (in odd cycles before the rows that stay are read).  A traced drive or
     window keeps the state of its last sub-step, and that state is the
-    chain's after the whole drive or window."""
+    chain's after the whole drive or window.  A traced cycle's reads come
+    from `measure`, the collapse's too."""
     N, ns, gamma, window, eject, points, cycles = run
     batch = dyn.BlockBatch(ns, OMEGA, inf.NoiseParams(gamma, window, N), eject, points)
     chains = [_Row(n, N, gamma, window) for n in ns]
@@ -145,24 +146,27 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
                               for t in taus_now[driven].tolist()]).reshape(driven.size, points)
             in_drive = [[_Row.read(*active[r].driven(t)) for t in steps[k].tolist()]
                         for k, r in enumerate(driven.tolist())]
-        got_drive = batch.drive(taus_now, steps)
+        assert batch.drive(taus_now, steps) is None
         for c, t in zip(active, taus_now.tolist()):
             c.blocks, c.twin = c.driven(t)
         if points and window > 0:
             dts = np.linspace(window / points, window, points)
             in_window = [[_Row.read(*c.in_window(dt)) for dt in dts.tolist()] for c in active]
-        rydberg, probs, got_window = batch.measure(np.array([draws[i] for i in ids]))
-        assert (got_drive is None) == (steps is None)
-        if points:
+        rydberg, probs, got = batch.measure(np.array([draws[i] for i in ids]))
+        assert (got is None) == (steps is None)
+        if points:  # the drive's sub-steps, the window's, the collapse
+            assert got.shape == (3, len(ids), points + (0 if dts is None else points) + 1)
+            got_drive, got_window = got[:, driven, :points], got[:, :, points:-1]
             for k, expected in enumerate(in_drive):
                 _same([x[k] for x in got_drive], expected)
-        assert (got_window is None) == (dts is None)
         if dts is not None:
             for r, expected in enumerate(in_window):
                 _same([x[r] for x in got_window], expected)
         expected = [c.measure(draws[i], eject) for i, c in zip(ids, active)]
         assert rydberg.tolist() == [ryd for ryd, _ in expected]
         assert probs.tolist() == [p for _, p in expected]
+        if points:
+            _same(got[:, :, -1], [_Row.read(c.blocks, c.twin) for c in active])
         stay = np.array([not leave[i] for i in ids])
         early = cycle % 2 == 1  # the leaving rows go between `measure` and `read`
         if early:
@@ -177,6 +181,33 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
         if not early:
             batch.take(stay)
         ids = [i for i, s in zip(ids, stay.tolist()) if s]
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda N: st.tuples(st.integers(0, N), st.just(N))),
+       st.sampled_from([0.0, 0.5, 8.0]), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_a_read_of_rows_together_is_the_reads_of_its_parts(cell, gamma, parts, points, seed):
+    """`BlockBatch._read` of states and twins stacked along the rows equals the reads
+    of its parts, and of a (rows, points, D) grid each sub-step read alone, bit for
+    bit: `_populations` is elementwise and `_overlaps` one product per row.  So a
+    traced cycle's drive, window and collapsed rows can be read in one call."""
+    (n, N), rng = cell, np.random.default_rng(seed)
+    sec, rows = sector(n, N), sum(parts)
+    props = [dyn._propagators(n, N, blk.j, OMEGA, gamma, rng.uniform(0.0, 2.0, (rows, points)))
+             for blk in sec.blocks]
+    grid = dyn._advance(sec.dyads[:1].astype(complex)[None], props, sec.spans, sec.traces)
+    theta, phi = rng.uniform(0.0, 2 * math.pi, (2, rows, points))
+    a, b = np.cos(theta) + 0j, np.sin(theta) * np.exp(1j * phi)
+    whole = dyn.BlockBatch._read(sec, grid, a, b)
+    assert whole.shape == (3, rows, points)
+    for k in range(points):
+        assert dyn.BlockBatch._read(sec, grid[:, k], a[:, k], b[:, k]).tobytes() == \
+            whole[:, :, k].copy().tobytes()
+    ends = np.cumsum(parts)[:-1]
+    one = [dyn.BlockBatch._read(sec, *part)
+           for part in zip(*(np.split(w[:, -1], ends) for w in (grid, a, b)))]
+    assert np.concatenate(one, axis=1).tobytes() == whole[:, :, -1].copy().tobytes()
 
 
 def _raised(call):

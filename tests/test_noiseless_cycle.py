@@ -1,9 +1,8 @@
 """An untraced noiseless cycle checks and evaluates its odds once.
 
 `dynamics.PureBatch.measure` reads both outcomes of every row's phase in one
-`_noiseless_factors` call and keeps the drawn outcome's factors; the engine
-hands them to the likelihood holder's `_step`, and `drive` is the cycle's one
-drive-time check.  The step leaves the holder, bit for bit, where `update` of
+`_noiseless_factors` call and hands the drawn outcome's factors to the
+likelihood holder's `_step`, and `drive` is the cycle's one drive-time check.  The step leaves the holder, bit for bit, where `update` of
 the same drive times and outcomes (which checks and evaluates them again)
 leaves a copy.
 """
@@ -73,7 +72,7 @@ def holders(draw):
           np.array([[-math.inf, -2.0, 0.0], [0.0, -math.inf, -1.0], [-5.0, -5.0, -0.5]]),
           [([0.0, 1.1, 2.0], [0.999, 0.0, 0.5]), ([0.7, 0.0, 0.3], [0.2, 0.2, 0.2])]))
 def test_measure_and_step_equal_update_bit_for_bit(holder):
-    """After the engine's measure and `_step`, the holder's log_l, last and shift
+    """After `PureBatch.measure`, which takes `_step`, the holder's log_l, last and shift
     are those of a copy advanced by `update(taus, rydberg)`, to the bit, and
     entries at -inf (drawn so, or past the row's shift) stay there."""
     ns, eject, shift, last, log_l, cycles = holder
@@ -91,7 +90,6 @@ def test_measure_and_step_equal_update_bit_for_bit(holder):
         batch.drive(taus)
         dead = stepped.log_l == -math.inf
         rydberg, _, _ = batch.measure(np.array(draws))
-        stepped._step(batch.drawn, rydberg)
         updated.update(taus, rydberg)
         assert stepped.log_l.tobytes() == updated.log_l.tobytes()
         assert stepped.last.tolist() == updated.last.tolist()

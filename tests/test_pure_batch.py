@@ -3,8 +3,8 @@
 A row is a noiseless trajectory held as its stored Born weights and its drive
 time since its last outcome, read through a `NoiselessLikelihoods` holder
 (``record``) that keeps the row's record likelihoods, last outcome and
-ejections: `measure` only draws, and ``record.update`` is the collapse, as in
-the engine.  The reference is the explicit chain of one-state kernels per row
+ejections: `measure` draws and steps ``record`` with the drawn outcome's
+factors, the collapse, as in the engine.  The reference is the explicit chain of one-state kernels per row
 on its amplitudes: `evolve_pure` for the drive and its traced sub-steps,
 `measure_pure` for the outcome, and, after a Rydberg outcome with ejection,
 the amplitudes shifted one photon number down and renormalised.  Outcomes
@@ -95,13 +95,16 @@ def test_batch_matches_the_one_state_chain(run):
             steps = np.linspace(taus_now[driven] / points, taus_now[driven], points, axis=-1)
             in_drive = [[_p_rydberg(dyn.evolve_pure(chains[ids[r]], t, OMEGA)) for t in steps[k]]
                         for k, r in enumerate(driven.tolist())]
-        got_drive = batch.drive(taus_now, steps)
+        assert batch.drive(taus_now, steps) is None
         for r, t in enumerate(taus_now.tolist()):
             chains[ids[r]] = dyn.evolve_pure(chains[ids[r]], t, OMEGA)
-        rydberg, probs, got_window = batch.measure(np.array([draws[i] for i in ids]))
-        record.update(taus_now, rydberg)
+        rydberg, probs, got = batch.measure(np.array([draws[i] for i in ids]))
         now = batch.read()
-        assert got_window is None and (got_drive is None) == (steps is None)
+        assert (got is None) == (steps is None)
+        if points:  # the drive's sub-steps, then the collapse
+            assert got.shape == (3, len(ids), points + 1)
+            assert got[:, :, -1].tolist() == now.tolist()
+            got_drive = got[:, driven, :points]
         for k, expected in enumerate(in_drive if points else []):
             _close(got_drive[:, k], expected)
         expected = []
@@ -144,9 +147,9 @@ def test_photon_numbers_the_state_does_not_hold_change_no_outcome(run, extra):
             steps = np.linspace(driven / points, driven, points, axis=-1)
         outcomes = []
         for batch, record in zip((own, union), records):
-            drive = batch.drive(taus_now, steps)
-            rydberg, probs, _ = batch.measure(draws_now)
-            record.update(taus_now, rydberg)
+            batch.drive(taus_now, steps)
+            rydberg, probs, got = batch.measure(draws_now)
+            drive = None if got is None else got[:, taus_now > 0, :-1]
             outcomes.append((rydberg, probs, drive, batch.read()))
         (ryd, p, drive, now), (ryd_u, p_u, drive_u, now_u) = outcomes
         assert ryd.tolist() == ryd_u.tolist()

@@ -4,8 +4,9 @@ The drive's sub-step times end at the drive time and the window's at the
 window, so the state a phase leaves is its last sub-step's: a traced noisy
 batch makes one drive product and one window product per block of every
 group per cycle.  A traced noiseless batch reads its odds once per phase:
-one noiseless-kernel call for the drive's sub-steps, one for the measurement
-and one for the collapse.  The logs stay those the golden digests pin.
+one noiseless-kernel call for the drive's sub-steps, and in `measure` one for
+the measurement and one for the collapse.  The logs stay those the golden
+digests pin.
 """
 
 import pytest
@@ -77,6 +78,6 @@ def test_traced_noiseless_cycle_reads_the_odds_once_per_phase(monkeypatch, name)
     logs = eng.run_batch(initial, params, batch)
     assert _digest(logs) == DIGESTS[name]
     cycles = max(len(log.record) for log in logs)
-    # the initial trace reads the rows; a cycle's collapse reads them once more
+    # the initial trace reads the rows; a cycle's measure reads them once more, collapsed
     assert per_call[0] == ("read", 1)
-    assert per_call[1:] == [("drive", 1), ("measure", 1), ("read", 1)] * cycles
+    assert per_call[1:] == [("drive", 1), ("measure", 2)] * cycles
