@@ -294,8 +294,12 @@ class NoisyLikelihoods:
     def _live(self, rows=slice(None)):
         """The selected rows' live entries (r, c), as (s, r, c) per ejection count s, in order."""
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
-        shift = self.shift[rows][r]
-        for s in sorted(set(self.shift[rows].tolist())):  # fewer rows than entries to hash
+        shifts = self.shift[rows]
+        if r.size and (shifts == shifts[0]).all():  # one count: always so without ejection
+            yield int(shifts[0]), r, c
+            return
+        shift = shifts[r]
+        for s in sorted(set(shifts.tolist())):  # fewer rows than entries to hash
             if (at := shift == s).any():
                 yield s, r[at], c[at]
 
@@ -318,11 +322,16 @@ class NoisyLikelihoods:
             rows, N = self._rows(s), self.noise.N - s
             tau, ryd = taus[r], rydberg[r]
             dyn._check_horizon(tau, rows["horizon"][c])
-            props = dyn._spectral(rows["lam"][c], rows["vecs"][c], rows["inv"][c], tau)
-            for m in np.flatnonzero(~rows["spectral"][c]).tolist():
-                props[m] = _padded(dyn._propagators(int(rows["n"][c[m]]), N, 0, self.omega,
-                                                    self.noise.gamma, tau[m:m + 1, None])[0, 0])
-            trace, x = rows["trace"][c], self.x[r, c]
+            # entries that share one tau, no fewer than the table's rows: one propagator a row
+            shared = len(c) >= len(rows["n"]) and (tau == tau[0]).all()
+            k, t = (slice(None), np.full(len(rows["n"]), tau[0])) if shared else (c, tau)
+            props = dyn._spectral(rows["lam"][k], rows["vecs"][k], rows["inv"][k], t)
+            for m in np.flatnonzero(~rows["spectral"][k]).tolist():
+                if not shared or (c == m).any():  # a live entry's row
+                    props[m] = _padded(dyn._propagators(int(rows["n"][k][m]), N, 0, self.omega,
+                                                        self.noise.gamma, t[m:m + 1, None])[0, 0])
+            props = props.take(c, axis=0) if shared else props  # `take` outpaces indexing
+            trace, x = rows["trace"].take(c, axis=0), self.x[r, c]
             for prop in (props, rows["window"][c]) if self.noise.tau_eit > 0 else (props,):
                 x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
             p_s, p_r = dyn._populations(trace, x, _SS, _RR)
