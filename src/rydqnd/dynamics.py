@@ -87,7 +87,7 @@ def _noiseless_factors(root: np.ndarray, omega: float, taus: np.ndarray,
     outcome equals the reference outcome), sin^2 where it changed, so a leading axis of repeat
     reads both outcomes of one phase.  The square is one correctly rounded product, so the
     two outcomes' factors sum to 1 within a few ulp."""
-    phase = _phases(root, omega, np.asarray(taus, dtype=float)[:, None])
+    phase = _phases(root, omega, np.asarray(taus, dtype=float)[..., None])
     trig = np.where(np.asarray(repeat)[..., None], np.cos(phase), np.sin(phase))
     return trig * trig
 
@@ -138,17 +138,18 @@ class PureBatch:
         self._held = None  # the last traced drive's read, a column left for the collapse
 
     def _p_rydberg(self, rows, odds: np.ndarray) -> np.ndarray:
-        """p_Rydberg of batch rows whose Pr(Rydberg | n) is odds, (len(rows),)."""
+        """p_Rydberg of batch rows whose Pr(Rydberg | n) is odds, odds.shape[:-1]."""
         log_w = self.log_w0 + self.record.log_l[rows]
-        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        return (w * odds).sum(axis=1) / w.sum(axis=1)
+        w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+        return (w * odds).sum(axis=-1) / w.sum(axis=-1)
 
     def _read(self, rows, times: np.ndarray) -> np.ndarray:
-        """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, len(rows))."""
+        """(p_NoRydberg, p_Rydberg, fidelity 1) of batch rows after times, (3, *times.shape):
+        rows (rows, 1) reads each row at its times (rows, points)."""
         rec = self.record
         p_r = self._p_rydberg(rows, _noiseless_factors(rec.root[rows], rec.omega, times,
                                                        rec.last[rows]))
-        return np.stack((1.0 - p_r, p_r, np.ones(p_r.size)))
+        return np.stack((1.0 - p_r, p_r, np.ones(p_r.shape)))
 
     def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
         """Drive row r for taus[r] at the record's omega: its weights stay, its drive
@@ -158,9 +159,7 @@ class PureBatch:
         self._held = None if steps is None else np.zeros((3, taus.size, steps.shape[1] + 1))
         if steps is not None:
             driven = np.flatnonzero(taus > 0)
-            times = (self.elapsed[driven, None] + steps).ravel()
-            self._held[:, driven, :-1] = self._read(driven.repeat(steps.shape[1]),
-                                                    times).reshape(3, *steps.shape)
+            self._held[:, driven, :-1] = self._read(driven[:, None], self.elapsed[driven, None] + steps)
         self.elapsed = self.elapsed + taus
 
     def read(self) -> np.ndarray:

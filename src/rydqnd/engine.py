@@ -366,12 +366,10 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
                 (last.max(axis=1) >= params.threshold).tolist(), seed_keys)]
 
 
-def _traces(segments: list[tuple], posteriors: list[np.ndarray]) -> list[Trace]:
+def _traces(segments: list[np.ndarray], posteriors: list[np.ndarray]) -> list[Trace]:
     """Each trajectory's `Trace`, a slice of the traced segments' columns sorted
     by trajectory once (stably, so each keeps the order it was traced in)."""
-    if not segments:
-        return [Trace(np.empty((4, 0)), np.empty((2, 0), dtype=int), post) for post in posteriors]
-    table = np.concatenate(segments, axis=1)
+    table = np.concatenate([np.empty((7, 0)), *segments], axis=1)
     who = table[4].astype(int)
     order = np.argsort(who, kind="stable")
     values, codes = table[:4, order], table[5:, order].astype(int)

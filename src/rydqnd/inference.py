@@ -296,12 +296,9 @@ class NoisyLikelihoods:
         r, c = np.nonzero(self.log_l[rows] > -math.inf)
         shifts = self.shift[rows]
         if r.size and (shifts == shifts[0]).all():  # one count: always so without ejection
-            yield int(shifts[0]), r, c
-            return
-        shift = shifts[r]
-        for s in sorted(set(shifts.tolist())):  # fewer rows than entries to hash
-            if (at := shift == s).any():
-                yield s, r[at], c[at]
+            return [(int(shifts[0]), r, c)]
+        shift = shifts[r]  # `set` hashes the rows' counts, fewer than the entries'
+        return [(s, r[at], c[at]) for s in sorted(set(shifts.tolist())) if (at := shift == s).any()]
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> np.ndarray:
         """One cycle for every row: drive times and outcomes (True for Rydberg).
@@ -326,11 +323,10 @@ class NoisyLikelihoods:
             shared = len(c) >= len(rows["n"]) and (tau == tau[0]).all()
             k, t = (slice(None), np.full(len(rows["n"]), tau[0])) if shared else (c, tau)
             props = dyn._spectral(rows["lam"][k], rows["vecs"][k], rows["inv"][k], t)
-            for m in np.flatnonzero(~rows["spectral"][k]).tolist():
-                if not shared or (c == m).any():  # a live entry's row
-                    props[m] = _padded(dyn._propagators(int(rows["n"][k][m]), N, 0, self.omega,
-                                                        self.noise.gamma, t[m:m + 1, None])[0, 0])
             props = props.take(c, axis=0) if shared else props  # `take` outpaces indexing
+            for m in np.flatnonzero(~rows["spectral"][c]).tolist():
+                props[m] = _padded(dyn._propagators(int(rows["n"][c[m]]), N, 0, self.omega,
+                                                    self.noise.gamma, tau[m:m + 1, None])[0, 0])
             trace, x = rows["trace"].take(c, axis=0), self.x[r, c]
             for prop in (props, rows["window"][c]) if self.noise.tau_eit > 0 else (props,):
                 x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
