@@ -15,6 +15,9 @@ goes first alternating from op to op, so machine drift hits both alike:
   (at the simulate defaults' rates, N 10) and a noiseless one of 1,000 cycles in
   turn, drive times uniform in [0.05, 0.4] us and outcomes drawn at random; both
   sides read the same two files, written once per run with ``json``;
+* ``fixed_infer``: ``rydqnd infer`` as above on a noisy record of 3,000 cycles
+  that all drive for the fixed 0.21 us of the simulate defaults, where every
+  entry of a likelihood update shares one drive time;
 * ``traced_batch`` and ``untraced_batch``: ``engine.run_batch`` of R rows at the
   simulate defaults (n_true 2), with 8 trace points and with none;
 * ``eject_batch``: ``engine.run_batch`` of R rows at the simulate defaults with
@@ -49,6 +52,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -86,12 +90,14 @@ def export(rev: str, dest: Path, name: str) -> None:
 
 
 def record_files(scratch: Path) -> list[tuple[Path, list[str]]]:
-    """The infer workload's record files, each with the flags of its noise model."""
+    """The infer workloads' record files, each with the flags of its noise model: the
+    infer workload's two, then fixed_infer's."""
     rng = np.random.default_rng(20)
-    files = []
-    for name, cycles, flags in (("noisy", 300, ["--gamma-mhz", "0.3", "--tau-eit-us", "0.3"]),
-                                ("noiseless", 1000, ["--gamma-mhz", "0"])):
-        taus, rydberg = rng.uniform(0.05e-6, 0.4e-6, cycles), rng.random(cycles) < 0.4
+    files, noisy = [], ["--gamma-mhz", "0.3", "--tau-eit-us", "0.3"]
+    for name, cycles, flags in (("noisy", 300, noisy), ("noiseless", 1000, ["--gamma-mhz", "0"]),
+                                ("fixed", 3000, noisy)):
+        taus = np.full(cycles, 0.21e-6) if name == "fixed" else rng.uniform(0.05e-6, 0.4e-6, cycles)
+        rydberg = rng.random(cycles) < 0.4
         entries = [{"tau_s": t, "outcome": "Rydberg" if r else "NoRydberg"}
                    for t, r in zip(taus.tolist(), rydberg.tolist())]
         path = scratch / f"{name}_record.json"
@@ -102,10 +108,10 @@ def record_files(scratch: Path) -> list[tuple[Path, list[str]]]:
 
 def workloads(mods: dict, scratch: Path, rows: int) -> dict:
     """name -> {side: op(i)}, each op one unit of timed work."""
-    out = {"simulate": {}, "infer": {}, "traced_batch": {}, "untraced_batch": {},
-           "eject_batch": {}, "noiseless_batch": {}, "noiseless_random_batch": {},
-           "noiseless_greedy_batch": {}}
-    records = record_files(scratch)
+    out = {"simulate": {}, "infer": {}, "fixed_infer": {}, "traced_batch": {},
+           "untraced_batch": {}, "eject_batch": {}, "noiseless_batch": {},
+           "noiseless_random_batch": {}, "noiseless_greedy_batch": {}}
+    *records, fixed = record_files(scratch)
     for side, (cli, engine) in mods.items():
         recs = importlib.import_module(f"rydqnd_{side}.records")
         outdir = scratch / f"out_{side}"
@@ -117,8 +123,8 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
             if code != 0:
                 raise SystemExit(f"simulate exited {code}")
 
-        def infer(i, cli=cli, outdir=outdir):
-            path, flags = records[i % len(records)]
+        def infer(i, cli=cli, outdir=outdir, files=records):
+            path, flags = files[i % len(files)]
             code = cli.main(["infer", str(path), *flags, "--candidates", "1..4",
                              "--out", str(outdir / "posterior.json")])
             if code != 0:
@@ -148,6 +154,7 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
 
         out["simulate"][side] = simulate
         out["infer"][side] = infer
+        out["fixed_infer"][side] = partial(infer, files=[fixed])
         out["traced_batch"][side] = batch(2, "--trace-points", "8")
         out["untraced_batch"][side] = batch(2, "--trace-points", "0")
         out["eject_batch"][side] = batch(3, "--eject", "--trace-points", "0")

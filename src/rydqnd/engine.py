@@ -333,7 +333,8 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             if driven.size < ids.size:  # an undriven row has no drive sub-steps
                 rows = rows[:, (taus > 0)[:, None] | (np.arange(rows.shape[2]) >= points)]
             segments.append(rows.reshape(7, -1))
-        fidelity = read[2, :, -1] if points else states.fidelity()
+        # a copy: a view would keep each cycle's whole read alive to the end of the run
+        fidelity = read[2, :, -1].copy() if points else states.fidelity()
         cycles.append((ids, taus, rydberg, weights, fidelity))
 
         done = weights.max(axis=1) >= params.threshold
@@ -368,12 +369,14 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
 
 def _traces(segments: list[np.ndarray], posteriors: list[np.ndarray]) -> list[Trace]:
     """Each trajectory's `Trace`, a slice of the traced segments' columns sorted
-    by trajectory once (stably, so each keeps the order it was traced in)."""
+    by trajectory once (stably, so each keeps the order it was traced in).  It
+    empties ``segments`` into one table before sorting, so they are not held
+    beside the sorted copies."""
     table = np.concatenate([np.empty((7, 0)), *segments], axis=1)
-    who = table[4].astype(int)
-    order = np.argsort(who, kind="stable")
+    segments.clear()
+    order = np.argsort(table[4], kind="stable")
+    bounds = np.cumsum(np.bincount(table[4].astype(int), minlength=len(posteriors))).tolist()
     values, codes = table[:4, order], table[5:, order].astype(int)
-    bounds = np.cumsum(np.bincount(who, minlength=len(posteriors))).tolist()
     return [Trace(values[:, start:stop], codes[:, start:stop], post)
             for start, stop, post in zip([0, *bounds], bounds, posteriors)]
 

@@ -14,8 +14,9 @@ def test_the_harness_reports_every_workload_and_both_sides():
          "--change", "HEAD", "--ops", "2", "--rows", "2", "--rss-rows", "2", "--rss-cycles", "2"],
         capture_output=True, text=True, check=True, timeout=300)
     lines = out.stdout.splitlines()
-    for name in ("simulate", "infer", "traced_batch", "untraced_batch", "eject_batch",
-                 "noiseless_batch", "noiseless_random_batch", "noiseless_greedy_batch"):
+    for name in ("simulate", "infer", "fixed_infer", "traced_batch", "untraced_batch",
+                 "eject_batch", "noiseless_batch", "noiseless_random_batch",
+                 "noiseless_greedy_batch"):
         line = next(text for text in lines if text.startswith(f"{name}: "))
         assert "summed time ratio" in line and "median op ratio" in line
     mix = [text for text in lines if text.startswith("noiseless mix (")]

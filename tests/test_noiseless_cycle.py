@@ -2,9 +2,9 @@
 
 `dynamics.PureBatch.measure` reads both outcomes of every row's phase in one
 `_noiseless_factors` call and hands the drawn outcome's factors to the
-likelihood holder's `_step`, and `drive` is the cycle's one drive-time check.  The step leaves the holder, bit for bit, where `update` of
-the same drive times and outcomes (which checks and evaluates them again)
-leaves a copy.
+likelihood holder's `_step`, and `drive` is the cycle's one drive-time check.
+The step leaves the holder, bit for bit, where `update` of the same drive
+times and outcomes (which checks and evaluates them again) leaves a copy.
 """
 
 import math

@@ -4,15 +4,15 @@ A row is a noiseless trajectory held as its stored Born weights and its drive
 time since its last outcome, read through a `NoiselessLikelihoods` holder
 (``record``) that keeps the row's record likelihoods, last outcome and
 ejections: `measure` draws and steps ``record`` with the drawn outcome's
-factors, the collapse, as in the engine.  The reference is the explicit chain of one-state kernels per row
-on its amplitudes: `evolve_pure` for the drive and its traced sub-steps,
-`measure_pure` for the outcome, and, after a Rydberg outcome with ejection,
-the amplitudes shifted one photon number down and renormalised.  Outcomes
-agree exactly; probabilities and readouts agree within 2e-15, as the closed
-form and the rotated amplitudes round differently.  A holder whose photon
-numbers reach past the state's, as the engine's union with the candidates
-does, draws the same outcomes.  Over long records the readouts drift from the
-chain as the record's |log L| grows, about 1e-16 per cycle.
+factors, the collapse, as in the engine.  The reference is the explicit chain
+of one-state kernels per row on its amplitudes: `evolve_pure` for the drive
+and its traced sub-steps, `measure_pure` for the outcome, and, after a Rydberg
+outcome with ejection, the amplitudes shifted one photon number down and
+renormalised.  Outcomes agree exactly; probabilities and readouts agree within
+2e-15, as the closed form and the rotated amplitudes round differently.  A
+holder whose photon numbers reach past the state's, as the engine's union with
+the candidates does, draws the same outcomes.  Over long records the readouts
+drift from the chain as the record's |log L| grows, about 1e-16 per cycle.
 """
 
 import numpy as np
