@@ -292,7 +292,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
     t_now = np.zeros(n_traj)
     cycles = []  # per cycle: (ids, taus, rydberg, weights, fidelities) of its rows
-    segments = []  # traced rows, (7, rows): `Trace` values, then trajectory, phase, posterior
+    segments = []  # per traced cycle, (7, columns): `Trace` values, trajectory, phase, posterior
 
     steps, dts = None, states.dts
     if points:
