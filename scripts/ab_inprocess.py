@@ -27,7 +27,9 @@ goes first alternating from op to op, so machine drift hits both alike:
   ``engine.run_batch`` of R noiseless rows of the Born superposition
   (0, 0.5, 0.3, 0.2) at omega 1, candidates 1..3, with the fixed tau 1.596,
   uniform-random tau in [0.1, 1.2] and adaptive-greedy (800-point grid)
-  schedules the benchmark's ``noiseless_distill`` runs in turn.
+  schedules the benchmark's ``noiseless_distill`` runs in turn;
+* ``oracle``: ``rydqnd oracle-check --time-points 3``, the op of the benchmark's
+  ``oracle_check``.
 
 For each workload it prints the change's summed time over the parent's and the
 median of the per-op ratios, and then the summed time ratio of the three
@@ -110,7 +112,7 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
     """name -> {side: op(i)}, each op one unit of timed work."""
     out = {"simulate": {}, "infer": {}, "fixed_infer": {}, "traced_batch": {},
            "untraced_batch": {}, "eject_batch": {}, "noiseless_batch": {},
-           "noiseless_random_batch": {}, "noiseless_greedy_batch": {}}
+           "noiseless_random_batch": {}, "noiseless_greedy_batch": {}, "oracle": {}}
     *records, fixed = record_files(scratch)
     for side, (cli, engine) in mods.items():
         recs = importlib.import_module(f"rydqnd_{side}.records")
@@ -129,6 +131,12 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
                              "--out", str(outdir / "posterior.json")])
             if code != 0:
                 raise SystemExit(f"infer exited {code}")
+
+        def oracle(i, cli=cli, outdir=outdir):
+            code = cli.main(["oracle-check", "--time-points", "3",
+                             "--out", str(outdir / "oracle.json")])
+            if code != 0:
+                raise SystemExit(f"oracle-check exited {code}")
 
         def batch(n_true, *flags, cli=cli, engine=engine):
             params = cli._build_params(cli.build_parser().parse_args(
@@ -161,6 +169,7 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
         out["noiseless_batch"][side] = noiseless(engine.Schedule.fixed(1.596))
         out["noiseless_random_batch"][side] = noiseless(engine.Schedule.uniform_random(0.1, 1.2))
         out["noiseless_greedy_batch"][side] = noiseless(engine.Schedule.adaptive_greedy())
+        out["oracle"][side] = oracle
     return out
 
 

@@ -18,9 +18,9 @@ own:
 * B seeded random noisy batches of two trajectories: N 1..6, n_true 0..N,
   the same schedules (a short greedy grid), ejection on and off, 0 or 2
   trace points, with and without a measurement window;
-* every case of ``tests/test_simulate_golden.py`` and
-  ``tests/test_infer_golden.py``, writing the files ``rydqnd simulate`` and
-  ``rydqnd infer`` write.
+* every case of ``tests/test_simulate_golden.py``, ``tests/test_infer_golden.py``
+  and ``tests/test_oracle_golden.py``, writing the files ``rydqnd simulate``,
+  ``rydqnd infer`` and ``rydqnd oracle-check`` write.
 
 Both sides run the cases of this checkout.  Each document (a log, a line of
 ``trajectories.jsonl``, ``summary.json``, a trace CSV, ``posterior.json``) is
@@ -32,8 +32,10 @@ each numeric field that moved (the count of entries, for other fields).  A
 log whose record differs (a flipped outcome, a changed drive time such as a
 greedy tau, or another stopping cycle) diverged: it is named with its first
 differing cycle and left out of the field maxima, since everything after
-that cycle follows another record.  The last lines give each field's
-largest |delta| over all documents.
+that cycle follows another record.  Then, per oracle cell (N, n,
+gamma/omega), the largest |delta| of its ``max_deviation`` over the
+``oracle-check`` files, and every ``pass`` or ``passed`` that flipped.  The
+last lines give each field's largest |delta| over all documents.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ def dump(out: str, batches: int) -> None:
     """Write {case: {document name: text}} of every case to out."""
     import test_engine_golden as engine_golden
     import test_infer_golden as infer_golden
+    import test_oracle_golden as oracle_golden
     import test_simulate_golden as simulate_golden
     from rydqnd import cli
     from rydqnd import engine as eng
@@ -168,6 +171,12 @@ def dump(out: str, batches: int) -> None:
                     "file": (tmp / f"posterior-{name}.json").read_text()}
         finally:
             os.chdir(cwd)
+        for name, (flags, file, code, _) in oracle_golden.CASES.items():
+            path = tmp / f"oracle-{name}-{file}"
+            with contextlib.redirect_stderr(io.StringIO()):  # a failing cell's FAIL lines
+                if cli.main(["oracle-check", *flags, "--out", str(path)]) != code:
+                    raise SystemExit(f"oracle-check {name} did not exit {code}")
+            docs[f"oracle {name} {file}"] = {"file": path.read_text()}
     Path(out).write_text(json.dumps(docs))
 
 
@@ -290,6 +299,36 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str], dict[str,
     return lines, diverged, total
 
 
+def oracle_cells(parent: dict, change: dict) -> tuple[dict[str, float], list[str]]:
+    """Per oracle cell, in the order of the first ``oracle-check`` file, the largest
+    |delta| of its max_deviation over those files; and each flipped pass or passed, named."""
+    cells: dict[str, float] = {}
+    flips = []
+    for name in (name for name in parent if name.startswith("oracle ")):
+        (rows_a, passed_a), (rows_b, passed_b) = (_oracle_rows(side[name]["file"])
+                                                  for side in (parent, change))
+        if passed_a != passed_b:
+            flips.append(f"{name}: passed {passed_a} -> {passed_b}")
+        for cell, (dev, ok) in rows_a.items():
+            dev_b, ok_b = rows_b[cell]
+            cells[cell] = max(cells.get(cell, 0.0), abs(dev_b - dev))
+            if ok != ok_b:
+                flips.append(f"{name} {cell}: pass {ok} -> {ok_b}")
+    return cells, flips
+
+
+def _oracle_rows(text: str) -> tuple[dict[str, tuple], object]:
+    """An oracle-check file's {cell: (max_deviation, pass)} and its passed (None in a CSV)."""
+    doc = _parsed(text)
+    if "rows" in doc:
+        rows, passed = doc["rows"], doc["passed"]
+    else:  # a CSV's columns
+        columns = {key: values for key, values in doc.items() if key != "#"}
+        rows, passed = [dict(zip(columns, row)) for row in zip(*columns.values())], None
+    return {f"N={r['N']:g} n={r['n']:g} gamma/omega={r['gamma_over_omega']:g}":
+            (r["max_deviation"], r["pass"]) for r in rows}, passed
+
+
 def _merge(into: dict[str, float], field: str, delta) -> None:
     """Fold a document's delta into a running one: counts add, |delta|s take the max."""
     if isinstance(delta, int):
@@ -329,6 +368,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"diverged: {len(diverged)}")
     for line in diverged:
         print(f"  {line}")
+    cells, flips = oracle_cells(docs["parent"], docs["change"])
+    print("oracle cells, largest |delta| of max_deviation over the oracle-check files:")
+    for cell, delta in cells.items():
+        print(f"  {cell}: {_fmt(delta)}")
+    print("oracle pass or passed flipped: " + (", ".join(flips) or "none"))
     print("fields that moved, largest |delta| over all documents:" + ("" if total else " none"))
     for field, delta in sorted(total.items()):
         print(f"  {field}: {_fmt(delta)}")

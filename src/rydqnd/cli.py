@@ -350,7 +350,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 ORACLE_CELLS = ((2, 1), (3, 1), (4, 2), (5, 2), (5, 3))
 ORACLE_GAMMA_FACTORS = (0.0, 0.1, 1.0)
 ORACLE_TOLERANCE = 1e-6
-MAX_TIME_POINTS = 1_000  # `evolve_dense_grid` keeps a full rho per point, about 0.22 MB each
+MAX_TIME_POINTS = 1_000  # the five cells' joint series keeps about 0.05 MB per point
 # the delta candidates' K x (n + 1) entries: at K = 1,000 deltas of 1,001 entries `infer` took
 # 0.7 s and 88 MB peak, a three-cycle noiseless `simulate` 2.2 s and 212 MB
 MAX_CANDIDATE_ENTRIES = 1_000_000
@@ -398,19 +398,21 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.corrupt_cell is not None and args.corrupt_cell not in cells:
         raise DomainError(f"--corrupt-cell {args.corrupt_cell!r} is not an oracle cell "
                           f"({', '.join(cells)})")
-    rows = []
-    worst = 0.0
+    times = np.linspace(0.0, 5.0 / omega, args.time_points)
+    dense = [dense_oracle.pure_state(dense_oracle.build_symmetric_ket(n, N), N)
+             for N, n in ORACLE_CELLS]
+    p_dense = {}  # (cell, gamma factor) -> p_R(t), the five cells in one series per factor
+    for factor in ORACLE_GAMMA_FACTORS:
+        grids = dense_oracle.evolve_dense_grid(dense, times[-1], times.size, omega, factor * omega)
+        for cell, grid in zip(cells, grids):
+            p_dense[cell, factor] = [dense_oracle.sector_populations_dense(s)[1] for s in grid]
+    rows, worst = [], 0.0
     for (N, n), cell in zip(ORACLE_CELLS, cells):
-        times = np.linspace(0.0, 5.0 / omega, args.time_points)
         for factor in ORACLE_GAMMA_FACTORS:
             gamma = factor * omega
-            dense = dense_oracle.pure_state(dense_oracle.build_symmetric_ket(n, N), N)
-            p_dense = np.array([dense_oracle.sector_populations_dense(state)[1]
-                                for state in dense_oracle.evolve_dense_grid(
-                                    dense, times[-1], times.size, omega, gamma)])
             p_block = _block_sector_populations(
                 n, N, omega, gamma, times, corrupt=cell == args.corrupt_cell)
-            dev = float(np.max(np.abs(p_block - p_dense)))
+            dev = float(np.max(np.abs(p_block - p_dense[cell, factor])))
             worst = max(worst, dev)
             rows.append({"N": N, "n": n, "gamma_over_omega": factor,
                          "max_deviation": dev,

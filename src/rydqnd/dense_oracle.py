@@ -15,16 +15,18 @@ conserves the excitation number and the dephasing term acts elementwise, so
 an entry rho_ab only ever feeds entries in the same (exc(a), exc(b)) block,
 and a block that starts at zero stays zero.  No permutation symmetry and no
 eigendecomposition is used, so the oracle stays independent of the
-symmetric-block solver it checks.  The states at equally spaced times come
-from one `expm_multiply` call over the whole interval; `evolve_dense` is the
-last of two.  An evolution that would need more than `MAX_DENSE_STEPS` scaling
-steps (hours of work), or whose series overflows float range, raises `ResourceError`.
+symmetric-block solver it checks.  States that share omega and gamma evolve in
+one `expm_multiply` call over their block-diagonal Liouvillian, at equally
+spaced times over the whole interval; `evolve_dense` is one state's last of
+two.  An evolution that would need more than `MAX_DENSE_STEPS` scaling steps
+(hours of work), or whose Liouvillian or series passes float range, raises `ResourceError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, isfinite, sqrt
 
 import numpy as np
@@ -150,17 +152,19 @@ def _scattered(state: DenseState, idx: np.ndarray, vec: np.ndarray) -> DenseStat
 
 def evolve_dense(state: DenseState, t: float, omega: float, gamma: float) -> DenseState:
     """exp(L t) applied to the occupied sectors (module docstring): the last
-    state of a two-point `evolve_dense_grid`."""
-    return evolve_dense_grid(state, t, 2, omega, gamma)[-1]
+    state of a one-state, two-point `evolve_dense_grid`."""
+    return list(evolve_dense_grid([state], t, 2, omega, gamma)[0])[-1]
 
 
-def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: float,
-                      gamma: float) -> list[DenseState]:
-    """exp(L t) applied to the occupied sectors at `points` equally spaced
-    times t from 0 to t_stop (both included, as np.linspace places them), from
-    one expm_multiply call over the whole grid; every other entry of a result
-    is exactly zero, and each result's trace and Hermiticity are checked."""
+def evolve_dense_grid(states: list[DenseState], t_stop: float, points: int, omega: float,
+                      gamma: float) -> list[Iterator[DenseState]]:
+    """exp(L t) applied to each state's occupied sectors at `points` equally spaced times
+    t from 0 to t_stop (both included, as np.linspace places them), one iterator per
+    state, from one expm_multiply call over the states' block-diagonal Liouvillian (its
+    blocks never couple; its 1-norm is the largest block's).  Every other entry of a
+    result is exactly zero; each is scattered, its trace and Hermiticity checked, as read."""
     # before the early returns, so a one-point call (oracle-check's warm-up) loads scipy
+    from scipy.sparse import block_diag
     from scipy.sparse.linalg import expm_multiply
     if points < 1:
         raise DomainError(f"need at least one time point, got {points}")
@@ -169,11 +173,13 @@ def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: floa
     if t_stop < 0:
         raise DomainError("evolution time must be non-negative")
     if points == 1 or t_stop == 0:
-        return [state.copy() for _ in range(points)]
-    exc = _excitation_numbers(state.N)
-    nonzero = state.rho != 0
-    idx = np.flatnonzero(np.isin(exc, exc[nonzero.any(axis=0) | nonzero.any(axis=1)]))
-    liouvillian = _liouvillian(state.N, tuple(idx.tolist()), omega, gamma)
+        return [map(DenseState.copy, [state] * points) for state in states]
+    idxs = []  # each state's basis states at an excitation number of an occupied row or column
+    for state in states:
+        exc, nonzero = _excitation_numbers(state.N), state.rho != 0
+        idxs.append(np.flatnonzero(np.isin(exc, exc[nonzero.any(axis=0) | nonzero.any(axis=1)])))
+    liouvillian = block_diag([_liouvillian(state.N, tuple(idx.tolist()), omega, gamma)
+                              for state, idx in zip(states, idxs)], format="csr")
     norm = float(abs(liouvillian).sum(axis=0).max())
     if not isfinite(norm):
         raise ResourceError("dense evolution's ||L||_1 is past float range")
@@ -184,14 +190,18 @@ def evolve_dense_grid(state: DenseState, t_stop: float, points: int, omega: floa
     if not np.isfinite(sum(liouvillian.diagonal().tolist())):  # expm_multiply shifts L by it
         raise ResourceError("dense evolution's Liouvillian trace is past float range")
     if abs(liouvillian).max() * t_stop <= 1e-300:  # exp(L t) = 1; scipy's step count rounds to 0
-        return [state.copy() for _ in range(points)]
-    vec = state.rho[np.ix_(idx, idx)].ravel().astype(complex)
+        return [map(DenseState.copy, [state] * points) for state in states]
+    vec = np.concatenate([state.rho[np.ix_(idx, idx)].ravel()
+                          for state, idx in zip(states, idxs)]).astype(complex)
     try:  # a Liouvillian near float range overflows the series: refused, not warned
         with np.errstate(over="raise", invalid="raise"):
             vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points, endpoint=True)
     except FloatingPointError:
         raise ResourceError("dense evolution's Taylor series passes float range") from None
-    return [_scattered(state, idx, v) for v in vecs]
+    ends = np.cumsum([idx.size ** 2 for idx in idxs]).tolist()
+    # partial binds each state now; the map reads its columns of vecs one point at a time
+    return [map(partial(_scattered, state, idx), vecs[:, start:stop])
+            for state, idx, start, stop in zip(states, idxs, [0, *ends], ends)]
 
 
 @lru_cache(maxsize=None)

@@ -292,11 +292,12 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     draws, first_draw, block = np.empty((n_traj, 0)), 0, 8
     t_now = np.zeros(n_traj)
     cycles = []  # per cycle: (ids, taus, rydberg, weights, fidelities) of its rows
-    segments = []  # per traced cycle, (7, columns): `Trace` values, trajectory, phase, posterior
+    segments = []  # per traced cycle, (4, columns) `Trace` values, (3, columns) int32 codes
 
     steps, dts = None, states.dts
     if points:
-        segments.append(np.vstack((t_now, states.read(), ids, np.zeros((2, n_traj)))))
+        segments.append((np.vstack((t_now, states.read())),
+                         np.stack((ids, 0 * ids, 0 * ids)).astype(np.int32)))
         # the phases of a cycle's columns: the drive's sub-steps, the window's, the collapse
         phases = np.repeat([1, 2, 3], [points, dts.size, 1])
 
@@ -323,16 +324,17 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
         # take keeps C order
         weights = mixture.posterior(likelihoods.log_l.take(cols, axis=1), "trajectory", names)
         if points:
-            rows = np.empty((7, *read.shape[1:]))
+            rows, code = np.empty((4, *read.shape[1:])), np.empty((3, *read.shape[1:]), np.int32)
             rows[0, driven, :points] = t_now[ids[driven], None] + steps  # the trace's clock:
             t_now[ids] += taus  # only traced runs read it
             rows[0, :, points:-1] = t_now[ids, None] + dts
             t_now[ids] += states.window
-            rows[0, :, -1], rows[1:4], rows[4] = t_now[ids], read, ids[:, None]
-            rows[5], rows[6] = phases, cycle + (phases == 3)  # the collapse's posterior is new
+            rows[0, :, -1], rows[1:], code[0] = t_now[ids], read, ids[:, None]
+            code[1], code[2] = phases, cycle + (phases == 3)  # the collapse's posterior is new
             if driven.size < ids.size:  # an undriven row has no drive sub-steps
-                rows = rows[:, (taus > 0)[:, None] | (np.arange(rows.shape[2]) >= points)]
-            segments.append(rows.reshape(7, -1))
+                kept = (taus > 0)[:, None] | (np.arange(rows.shape[2]) >= points)
+                rows, code = rows[:, kept], code[:, kept]
+            segments.append((rows.reshape(4, -1), code.reshape(3, -1)))
         # a copy: a view would keep each cycle's whole read alive to the end of the run
         fidelity = read[2, :, -1].copy() if points else states.fidelity()
         cycles.append((ids, taus, rydberg, weights, fidelity))
@@ -367,16 +369,17 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
                 (last.max(axis=1) >= params.threshold).tolist(), seed_keys)]
 
 
-def _traces(segments: list[np.ndarray], posteriors: list[np.ndarray]) -> list[Trace]:
-    """Each trajectory's `Trace`, a slice of the traced segments' columns sorted
-    by trajectory once (stably, so each keeps the order it was traced in).  It
-    empties ``segments`` into one table before sorting, so they are not held
-    beside the sorted copies."""
-    table = np.concatenate([np.empty((7, 0)), *segments], axis=1)
+def _traces(segments: list[tuple], posteriors: list[np.ndarray]) -> list[Trace]:
+    """Each trajectory's `Trace`, a slice of the traced segments' columns (values, and
+    codes: trajectory, phase, posterior) sorted by trajectory once (stably, so each keeps
+    the order it was traced in).  It empties ``segments`` into two tables before
+    sorting, so they are not held beside the sorted copies."""
+    table = np.concatenate([np.empty((4, 0)), *(values for values, _ in segments)], axis=1)
+    coded = np.concatenate([np.empty((3, 0), np.int32), *(codes for _, codes in segments)], axis=1)
     segments.clear()
-    order = np.argsort(table[4], kind="stable")
-    bounds = np.cumsum(np.bincount(table[4].astype(int), minlength=len(posteriors))).tolist()
-    values, codes = table[:4, order], table[5:, order].astype(int)
+    order = np.argsort(coded[0], kind="stable")
+    bounds = np.cumsum(np.bincount(coded[0], minlength=len(posteriors))).tolist()
+    values, codes = table[:, order], coded[1:, order]
     return [Trace(values[:, start:stop], codes[:, start:stop], post)
             for start, stop, post in zip([0, *bounds], bounds, posteriors)]
 

@@ -16,7 +16,7 @@ def test_the_harness_reports_every_workload_and_both_sides():
     lines = out.stdout.splitlines()
     for name in ("simulate", "infer", "fixed_infer", "traced_batch", "untraced_batch",
                  "eject_batch", "noiseless_batch", "noiseless_random_batch",
-                 "noiseless_greedy_batch"):
+                 "noiseless_greedy_batch", "oracle"):
         line = next(text for text in lines if text.startswith(f"{name}: "))
         assert "summed time ratio" in line and "median op ratio" in line
     mix = [text for text in lines if text.startswith("noiseless mix (")]

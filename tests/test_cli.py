@@ -218,16 +218,18 @@ def _run_printing_warnings(*argv: str) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("omega_mhz", ["3e300", "1e301"])
-def test_oracle_check_refuses_a_dense_series_past_float_range_without_warnings(omega_mhz,
+@pytest.mark.parametrize("omega_mhz, what", [("3e300", "Liouvillian trace is"),
+                                              ("1e301", "||L||_1 is")])
+def test_oracle_check_refuses_a_dense_series_past_float_range_without_warnings(omega_mhz, what,
                                                                               tmp_path):
-    """A drive frequency whose dense Liouvillian overflows scipy's Taylor series exits 5
-    with one error line and no warning text, in an interpreter that prints every warning."""
+    """A drive frequency whose five cells' joint dense Liouvillian passes float range exits
+    5 with one error line and no warning text, in an interpreter that prints every warning:
+    the joint series' guards refuse it before any series runs."""
     out = tmp_path / "oracle.json"
     proc = _run_printing_warnings("oracle-check", "--time-points", "2", "--omega-mhz", omega_mhz,
                                   "--out", str(out))
     assert proc.returncode == cli.EXIT_RESOURCE
-    assert proc.stderr == "error: dense evolution's Taylor series passes float range\n"
+    assert proc.stderr == f"error: dense evolution's {what} past float range\n"
     assert not out.exists()
 
 

@@ -186,9 +186,9 @@ def test_restricted_evolution_matches_full_master_equation():
 
 
 @st.composite
-def symmetric_mixtures(draw):
+def symmetric_mixtures(draw, max_atoms=4):
     """Random mixtures of superpositions of the collective S_n and R_n kets."""
-    N = draw(st.integers(1, 4))
+    N = draw(st.integers(1, max_atoms))
     kets = [do.build_symmetric_ket(n, N) for n in range(N + 1)]
     kets += [refs.build_rydberg_ket(n, N) for n in range(1, N + 1)]
     unit = st.floats(-1.0, 1.0)
@@ -307,7 +307,7 @@ def test_unbounded_evolution_raises_resource_error_quickly():
     with pytest.raises(ResourceError):
         do.evolve_dense(state, 1e12, 1.0, 0.3)
     with pytest.raises(ResourceError):
-        do.evolve_dense_grid(state, 1e12, 3, 1.0, 0.3)
+        do.evolve_dense_grid([state], 1e12, 3, 1.0, 0.3)
     assert time.perf_counter() - start < 1.0
 
 
@@ -324,7 +324,7 @@ def test_step_guard_sits_far_above_the_oracle_check_horizon():
 @given(symmetric_mixtures(), st.floats(0.1, 3.0), st.integers(1, 6),
        st.floats(0.2, 2.0), st.floats(0.0, 1.0))
 def test_grid_evolution_matches_single_evolutions(state, t_stop, points, omega, gamma):
-    grid = do.evolve_dense_grid(state, t_stop, points, omega, gamma)
+    grid = list(do.evolve_dense_grid([state], t_stop, points, omega, gamma)[0])
     assert len(grid) == points
     for t, evolved in zip(np.linspace(0.0, t_stop, points), grid):
         single = do.evolve_dense(state, float(t), omega, gamma)
@@ -335,11 +335,52 @@ def test_grid_evolution_rejects_bad_inputs():
     state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
     for args in ((1.0, 0, 1.0, 0.3), (-1.0, 3, 1.0, 0.3), (math.nan, 3, 1.0, 0.3)):
         with pytest.raises(DomainError):
-            do.evolve_dense_grid(state, *args)
+            do.evolve_dense_grid([state], *args)
 
 
 def test_vanishing_grid_leaves_state_unchanged():
     # as `evolve_dense` with a subnormal L*t: every grid point is the input
     state = do.evolve_dense(do.pure_state(do.build_symmetric_ket(2, 3), 3), 0.7, 1.0, 0.4)
-    for evolved in do.evolve_dense_grid(state, 5e-324, 3, 1.0, 0.4):
+    for evolved in do.evolve_dense_grid([state], 5e-324, 3, 1.0, 0.4)[0]:
         assert np.max(np.abs(evolved.rho - state.rho)) < 1e-15
+
+
+@given(st.lists(symmetric_mixtures(max_atoms=5), min_size=1, max_size=4), st.randoms(),
+       st.floats(0.1, 3.0), st.integers(1, 5), st.floats(0.2, 2.0), st.floats(0.0, 1.0))
+def test_stacked_grids_match_one_state_grids(states, random, t_stop, points, omega, gamma):
+    """Each state's grid from one list call, in the given order and permuted, is
+    its own one-state grid: the stacked blocks never couple."""
+    alone = [list(do.evolve_dense_grid([state], t_stop, points, omega, gamma)[0])
+             for state in states]
+    order = random.sample(range(len(states)), len(states))
+    for indices in (range(len(states)), order):
+        stacked = do.evolve_dense_grid([states[i] for i in indices], t_stop, points, omega, gamma)
+        assert len(stacked) == len(states)
+        for i, grid in zip(indices, stacked):
+            grid = list(grid)
+            assert len(grid) == points
+            for mine, own in zip(grid, alone[i]):
+                assert mine.N == own.N
+                assert np.max(np.abs(mine.rho - own.rho)) < 1e-13
+
+
+def test_one_state_past_a_guard_refuses_the_whole_stack():
+    """A one-atom ground state has a zero Liouvillian and evolves alone under any
+    drive; stacked with a state whose ||L t||_1 needs too many steps, or whose
+    ||L||_1 passes float range, the whole call is refused."""
+    ground = do.pure_state(do.build_symmetric_ket(0, 1), 1)
+    driven = do.pure_state(do.build_symmetric_ket(2, 5), 5)
+    for t_stop, omega in ((1e6, 1.0), (1.0, 1e308)):
+        assert len(list(do.evolve_dense_grid([ground], t_stop, 3, omega, 0.3)[0])) == 3
+        for stack in ([ground, driven], [driven, ground], [ground, ground, driven]):
+            with pytest.raises(ResourceError, match="steps|past float range"):
+                do.evolve_dense_grid(stack, t_stop, 3, omega, 0.3)
+
+
+def test_one_state_taylor_series_past_float_range_is_refused():
+    """A drive whose Liouvillian and trace are finite, but whose Taylor series
+    overflows, is refused as a resource limit, not warned about."""
+    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
+    omega = 2 * math.pi * 3e306
+    with pytest.raises(ResourceError, match="Taylor series passes float range"):
+        do.evolve_dense(state, 5 / omega, omega, 0.0)
