@@ -1,10 +1,11 @@
 """Golden `oracle-check` output files: the bytes of every file are pinned.
 
 Each case runs `rydqnd oracle-check` in-process and compares the sha256 of
-its output file with a digest captured while the block side still read p_R
-through the one-state `evolve_blocks`/`sector_probabilities` chain.  The
-deviations are printed to the last digit, so any change in how the block or
-the dense side computes a population changes a digest.  Like the engine
+its output file with a digest captured once the dense side evolved the five
+cells together, one series per dephasing rate
+(`comparisons/23_dense_per_rate.txt` compares them with the per-cell series).
+The deviations are printed to the last digit, so any change in how the block
+or the dense side computes a population changes a digest.  Like the engine
 digests, these hold where they were captured (x86-64 Linux, glibc libm,
 numpy 2.4).
 """
@@ -18,14 +19,14 @@ from rydqnd import cli, dynamics
 # name -> (oracle-check flags, output file name, exit code, sha256 of the file)
 CASES = {
     "json-3": (["--time-points", "3"], "oracle.json", cli.EXIT_OK,
-               "f45d871d96e0107f656a35af198bb846fc1274c1d81ce28edcac868c0f855cc8"),
+               "7c7e77e8d794460973b41b515d61cf256b93de6b22bd658aae0f66c57c4b4468"),
     "json-50": (["--time-points", "50"], "oracle.json", cli.EXIT_OK,
-                "40817fbc744891f974c213e4aee8733eedd0a2c115816d6bab7e67f3bfb94ddf"),
+                "df03ce35798a0954b99eaf7d1b96280e5ece087389c25e51d0aa9855527e8e25"),
     "csv-7": (["--time-points", "7"], "oracle.csv", cli.EXIT_OK,
-              "cf3bbcc576a4f880e4d0ae46e533fcf7dddf89049be57679541f987fcbf63a51"),
+              "d1bfa2bec16294db0116c8ba7042146b1d18707c46401f2dceadec312ddce5fd"),
     "corrupt-2-4": (["--corrupt-cell", "2,4", "--time-points", "5"], "oracle.json",
                     cli.EXIT_ORACLE,
-                    "57613ea08c65bc3f5247f543e7c6af133127529e54ba3d167a8db0c28f332d3d"),
+                    "bac5643c582827d0c51eeeba7c34344a73ef86911a5b1e29b4784c85c22599ca"),
 }
 
 
