@@ -297,7 +297,7 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     steps, dts = None, states.dts
     if points:
         segments.append((np.vstack((t_now, states.read())),
-                         np.stack((ids, 0 * ids, 0 * ids)).astype(np.int32)))
+                         np.array((ids, 0 * ids, 0 * ids), np.int32)))
         # the phases of a cycle's columns: the drive's sub-steps, the window's, the collapse
         phases = np.repeat([1, 2, 3], [points, dts.size, 1])
 

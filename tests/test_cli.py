@@ -219,7 +219,7 @@ def _run_printing_warnings(*argv: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("omega_mhz, what", [("3e300", "Liouvillian trace is"),
-                                              ("1e301", "||L||_1 is")])
+                                              ("1e301", "||L||_1 is")], ids=["3e300", "1e301"])
 def test_oracle_check_refuses_a_dense_series_past_float_range_without_warnings(omega_mhz, what,
                                                                               tmp_path):
     """A drive frequency whose five cells' joint dense Liouvillian passes float range exits
