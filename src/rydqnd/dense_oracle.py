@@ -15,11 +15,11 @@ conserves the excitation number and the dephasing term acts elementwise, so
 an entry rho_ab only ever feeds entries in the same (exc(a), exc(b)) block,
 and a block that starts at zero stays zero.  No permutation symmetry and no
 eigendecomposition is used, so the oracle stays independent of the
-symmetric-block solver it checks.  States that share omega and gamma evolve in
-one `expm_multiply` call over their block-diagonal Liouvillian, at equally
-spaced times over the whole interval; `evolve_dense` is one state's last of
-two.  An evolution that would need more than `MAX_DENSE_STEPS` scaling steps
-(hours of work), or whose Liouvillian or series passes float range, raises `ResourceError`.
+symmetric-block solver it checks.  A list of states, each at its own gamma, evolves in
+one `expm_multiply` call over the cached block-diagonal Liouvillian of their sectors,
+at equally spaced times over the whole interval; `evolve_dense` is one state's last of
+two.  An evolution that would need more than `MAX_DENSE_STEPS` scaling steps (hours of
+work), or whose Liouvillian or series passes float range, raises `ResourceError`.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ def _excitation_numbers(N: int) -> np.ndarray:
     return np.array([cfg.count(S) + cfg.count(R) for cfg in basis_states(N)])
 
 
-@lru_cache(maxsize=64)
 def _liouvillian(N: int, idx: tuple[int, ...], omega: float, gamma: float):
     """L = -i (h x I - I x h^T) + gamma diag(vec W) on row-major vec(rho) over idx, as CSR."""
     from scipy import sparse
@@ -129,6 +128,14 @@ def _liouvillian(N: int, idx: tuple[int, ...], omega: float, gamma: float):
     eye = sparse.identity(len(idx))
     return (-1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
             + sparse.diags(gamma * _dephasing_weights(N)[np.ix_(idx, idx)].ravel())).tocsr()
+
+
+@lru_cache(maxsize=64)
+def _joint_liouvillian(blocks: tuple[tuple[int, tuple[int, ...], float], ...], omega: float):
+    """Block-diagonal CSR of the (N, idx, gamma) blocks' L, its 1-norm, trace and largest |entry|."""
+    from scipy.sparse import block_diag
+    L = block_diag([_liouvillian(N, idx, omega, gamma) for N, idx, gamma in blocks], format="csr")
+    return L, float(abs(L).sum(axis=0).max()), sum(L.diagonal().tolist()), abs(L).max()
 
 
 # expm_multiply scales L t down by at least ||L t||_1 / theta_55 steps, theta_55 = 9.9
@@ -139,12 +146,12 @@ MAX_DENSE_STEPS = 1000
 
 
 def _scattered(state: DenseState, idx: np.ndarray, vec: np.ndarray) -> DenseState:
-    """vec(rho) over idx scattered into a full-size zero rho, its trace and
-    Hermiticity checked against the input's."""
+    """vec(rho) over idx scattered into a full-size zero rho, the trace and
+    Hermiticity of its idx x idx block checked against the input's."""
     rho = np.zeros(state.rho.shape, dtype=complex)
-    rho[np.ix_(idx, idx)] = vec.reshape(idx.size, idx.size)
-    residual = max(abs(np.trace(rho).real - np.trace(state.rho).real),
-                   np.max(np.abs(rho - rho.conj().T)))
+    rho[np.ix_(idx, idx)] = block = vec.reshape(idx.size, idx.size)  # rho is zero outside it
+    residual = max(abs(np.trace(block).real - np.trace(state.rho).real),
+                   np.max(np.abs(block - block.conj().T)))
     if residual > 1e-8:
         raise IntegratorError("dense evolution outside tolerance", residual=residual)
     return DenseState(state.N, rho)
@@ -157,18 +164,19 @@ def evolve_dense(state: DenseState, t: float, omega: float, gamma: float) -> Den
 
 
 def evolve_dense_grid(states: list[DenseState], t_stop: float, points: int, omega: float,
-                      gamma: float) -> list[Iterator[DenseState]]:
+                      gamma: float | list[float]) -> list[Iterator[DenseState]]:
     """exp(L t) applied to each state's occupied sectors at `points` equally spaced times
     t from 0 to t_stop (both included, as np.linspace places them), one iterator per
     state, from one expm_multiply call over the states' block-diagonal Liouvillian (its
-    blocks never couple; its 1-norm is the largest block's).  Every other entry of a
-    result is exactly zero; each is scattered, its trace and Hermiticity checked, as read."""
+    blocks never couple; its 1-norm is the largest block's) at one gamma or one per state.
+    Every other entry of a result is exactly zero; each is scattered, its trace and
+    Hermiticity checked, as read."""
     # before the early returns, so a one-point call (oracle-check's warm-up) loads scipy
-    from scipy.sparse import block_diag
     from scipy.sparse.linalg import expm_multiply
+    gammas = [gamma] * len(states) if np.ndim(gamma) == 0 else list(gamma)
     if points < 1:
         raise DomainError(f"need at least one time point, got {points}")
-    if not all(map(isfinite, (t_stop, omega, gamma))):
+    if not all(map(isfinite, (t_stop, omega, *gammas))):
         raise DomainError("evolution time, omega and gamma must be finite")
     if t_stop < 0:
         raise DomainError("evolution time must be non-negative")
@@ -178,18 +186,17 @@ def evolve_dense_grid(states: list[DenseState], t_stop: float, points: int, omeg
     for state in states:
         exc, nonzero = _excitation_numbers(state.N), state.rho != 0
         idxs.append(np.flatnonzero(np.isin(exc, exc[nonzero.any(axis=0) | nonzero.any(axis=1)])))
-    liouvillian = block_diag([_liouvillian(state.N, tuple(idx.tolist()), omega, gamma)
-                              for state, idx in zip(states, idxs)], format="csr")
-    norm = float(abs(liouvillian).sum(axis=0).max())
+    liouvillian, norm, trace, largest = _joint_liouvillian(tuple(
+        (state.N, tuple(idx.tolist()), g) for state, idx, g in zip(states, idxs, gammas)), omega)
     if not isfinite(norm):
         raise ResourceError("dense evolution's ||L||_1 is past float range")
     norm *= t_stop
     if norm / _THETA_55 > MAX_DENSE_STEPS:
         raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
                             f"{MAX_DENSE_STEPS} expm_multiply steps")
-    if not np.isfinite(sum(liouvillian.diagonal().tolist())):  # expm_multiply shifts L by it
+    if not np.isfinite(trace):  # expm_multiply shifts L by it
         raise ResourceError("dense evolution's Liouvillian trace is past float range")
-    if abs(liouvillian).max() * t_stop <= 1e-300:  # exp(L t) = 1; scipy's step count rounds to 0
+    if largest * t_stop <= 1e-300:  # exp(L t) = 1; scipy's step count rounds to 0
         return [map(DenseState.copy, [state] * points) for state in states]
     vec = np.concatenate([state.rho[np.ix_(idx, idx)].ravel()
                           for state, idx in zip(states, idxs)]).astype(complex)
@@ -198,10 +205,9 @@ def evolve_dense_grid(states: list[DenseState], t_stop: float, points: int, omeg
             vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points, endpoint=True)
     except FloatingPointError:
         raise ResourceError("dense evolution's Taylor series passes float range") from None
-    ends = np.cumsum([idx.size ** 2 for idx in idxs]).tolist()
     # partial binds each state now; the map reads its columns of vecs one point at a time
-    return [map(partial(_scattered, state, idx), vecs[:, start:stop])
-            for state, idx, start, stop in zip(states, idxs, [0, *ends], ends)]
+    columns = np.split(vecs, np.cumsum([idx.size ** 2 for idx in idxs])[:-1], axis=1)
+    return [map(partial(_scattered, *args), cols) for *args, cols in zip(states, idxs, columns)]
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +217,5 @@ def _rydberg_mask(N: int) -> np.ndarray:
 
 def sector_populations_dense(state: DenseState) -> tuple[float, float]:
     """(p_NoRydberg, p_Rydberg) of a dense state."""
-    mask = _rydberg_mask(state.N)
-    diag = np.real(np.diag(state.rho))
-    p_r = float(diag[mask].sum())
-    p_s = float(diag[~mask].sum())
-    return p_s, p_r
+    diag, mask = np.real(np.diag(state.rho)), _rydberg_mask(state.N)
+    return float(diag[~mask].sum()), float(diag[mask].sum())
