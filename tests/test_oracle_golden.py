@@ -1,9 +1,9 @@
 """Golden `oracle-check` output files: the bytes of every file are pinned.
 
 Each case runs `rydqnd oracle-check` in-process and compares the sha256 of
-its output file with a digest captured once the dense side evolved the five
-cells together, one series per dephasing rate
-(`comparisons/23_dense_per_rate.txt` compares them with the per-cell series).
+its output file with a digest captured once the dense side evolved all fifteen
+(cell, dephasing rate) pairs in one series (`comparisons/24_dense_one_series.txt`
+compares them with the series per dephasing rate).
 The deviations are printed to the last digit, so any change in how the block
 or the dense side computes a population changes a digest.  Like the engine
 digests, these hold where they were captured (x86-64 Linux, glibc libm,
@@ -19,14 +19,14 @@ from rydqnd import cli, dynamics
 # name -> (oracle-check flags, output file name, exit code, sha256 of the file)
 CASES = {
     "json-3": (["--time-points", "3"], "oracle.json", cli.EXIT_OK,
-               "7c7e77e8d794460973b41b515d61cf256b93de6b22bd658aae0f66c57c4b4468"),
+               "3294dd3fbada222d7574f9c6af6421027d9ba6adc48f3b6932d1ad06cc220544"),
     "json-50": (["--time-points", "50"], "oracle.json", cli.EXIT_OK,
-                "df03ce35798a0954b99eaf7d1b96280e5ece087389c25e51d0aa9855527e8e25"),
+                "68a0c81e6ae0e33f31cba56c71591bbdffe8ec4c6eb32388b13ef3920202f8ae"),
     "csv-7": (["--time-points", "7"], "oracle.csv", cli.EXIT_OK,
-              "d1bfa2bec16294db0116c8ba7042146b1d18707c46401f2dceadec312ddce5fd"),
+              "79d94fbddce17f7077e96faef9e796ea7030f5f64634f2045ab0dc45ae976201"),
     "corrupt-2-4": (["--corrupt-cell", "2,4", "--time-points", "5"], "oracle.json",
                     cli.EXIT_ORACLE,
-                    "bac5643c582827d0c51eeeba7c34344a73ef86911a5b1e29b4784c85c22599ca"),
+                    "b75268882424c1486496dd34637e75951af78c8fa1adcc5c5d4a2a1830730ed8"),
 }
 
 
