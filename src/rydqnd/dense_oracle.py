@@ -174,13 +174,17 @@ def evolve_dense_grid(states: list[DenseState], t_stop: float, points: int, omeg
     # before the early returns, so a one-point call (oracle-check's warm-up) loads scipy
     from scipy.sparse.linalg import expm_multiply
     gammas = [gamma] * len(states) if np.ndim(gamma) == 0 else list(gamma)
+    if len(gammas) != len(states):
+        raise DomainError(f"need one gamma or one per state, got {len(gammas)} for {len(states)}")
     if points < 1:
         raise DomainError(f"need at least one time point, got {points}")
     if not all(map(isfinite, (t_stop, omega, *gammas))):
         raise DomainError("evolution time, omega and gamma must be finite")
     if t_stop < 0:
         raise DomainError("evolution time must be non-negative")
-    if points == 1 or t_stop == 0:
+    if min(gammas, default=0.0) < 0:
+        raise DomainError("gamma must be non-negative")
+    if points == 1 or t_stop == 0 or not states:
         return [map(DenseState.copy, [state] * points) for state in states]
     idxs = []  # each state's basis states at an excitation number of an occupied row or column
     for state in states:

@@ -338,6 +338,30 @@ def test_grid_evolution_rejects_bad_inputs():
             do.evolve_dense_grid([state], *args)
 
 
+@pytest.mark.parametrize("points", [1, 3])
+def test_grid_evolution_refuses_a_negative_gamma(points):
+    # a negative dephasing rate is not a Lindblad evolution: refused as symbasis refuses it,
+    # alone or beside a valid rate, before any series runs
+    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
+    for stack, gamma in (([state], -300.0), ([state], -1e-300), ([state, state], [0.3, -300.0])):
+        with pytest.raises(DomainError, match="gamma must be non-negative"):
+            do.evolve_dense_grid(stack, 1.0, points, 1.0, gamma)
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_grid_evolution_refuses_a_gamma_list_of_another_length(points):
+    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
+    for stack, gammas in (([state, state], [0.3]), ([state], [0.3, 0.3]), ([], [0.3])):
+        with pytest.raises(DomainError, match=f"got {len(gammas)} for {len(stack)}"):
+            do.evolve_dense_grid(stack, 1.0, points, 1.0, gammas)
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_an_empty_stack_evolves_to_no_grids(points):
+    assert do.evolve_dense_grid([], 1.0, points, 1.0, 0.3) == []
+    assert do.evolve_dense_grid([], 1.0, points, 1.0, []) == []
+
+
 def test_vanishing_grid_leaves_state_unchanged():
     # as `evolve_dense` with a subnormal L*t: every grid point is the input
     state = do.evolve_dense(do.pure_state(do.build_symmetric_ket(2, 3), 3), 0.7, 1.0, 0.4)
@@ -345,17 +369,26 @@ def test_vanishing_grid_leaves_state_unchanged():
         assert np.max(np.abs(evolved.rho - state.rho)) < 1e-15
 
 
-@given(st.lists(symmetric_mixtures(max_atoms=5), min_size=1, max_size=4), st.randoms(),
-       st.floats(0.1, 3.0), st.integers(1, 5), st.floats(0.2, 2.0), st.floats(0.0, 1.0))
-def test_stacked_grids_match_one_state_grids(states, random, t_stop, points, omega, gamma):
-    """Each state's grid from one list call, in the given order and permuted, is
-    its own one-state grid: the stacked blocks never couple."""
+@st.composite
+def stacks(draw):
+    """1-4 states, each at 1-3 dephasing rates: the same state at several rates, as
+    oracle-check stacks its cells."""
+    return [(state, gamma)
+            for state in draw(st.lists(symmetric_mixtures(max_atoms=5), min_size=1, max_size=4))
+            for gamma in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))]
+
+
+@given(stacks(), st.randoms(), st.floats(0.1, 3.0), st.integers(1, 5), st.floats(0.2, 2.0))
+def test_stacked_grids_match_one_state_grids(pairs, random, t_stop, points, omega):
+    """Each state's grid from one list call with one gamma per state, in the given
+    order and permuted, is its own one-state grid: the stacked blocks never couple."""
     alone = [list(do.evolve_dense_grid([state], t_stop, points, omega, gamma)[0])
-             for state in states]
-    order = random.sample(range(len(states)), len(states))
-    for indices in (range(len(states)), order):
-        stacked = do.evolve_dense_grid([states[i] for i in indices], t_stop, points, omega, gamma)
-        assert len(stacked) == len(states)
+             for state, gamma in pairs]
+    order = random.sample(range(len(pairs)), len(pairs))
+    for indices in (range(len(pairs)), order):
+        stacked = do.evolve_dense_grid([pairs[i][0] for i in indices], t_stop, points, omega,
+                                       [pairs[i][1] for i in indices])
+        assert len(stacked) == len(pairs)
         for i, grid in zip(indices, stacked):
             grid = list(grid)
             assert len(grid) == points
@@ -367,15 +400,23 @@ def test_stacked_grids_match_one_state_grids(states, random, t_stop, points, ome
 def test_one_state_past_a_guard_refuses_the_whole_stack():
     """A one-atom ground state has a zero Liouvillian and evolves alone under any
     drive; stacked with a state whose ||L t||_1 needs too many steps, or whose
-    ||L||_1 passes float range, the whole call is refused."""
+    ||L||_1 passes float range, the whole call is refused, at one gamma or at one
+    gamma per state."""
     ground = do.pure_state(do.build_symmetric_ket(0, 1), 1)
     driven = do.pure_state(do.build_symmetric_ket(2, 5), 5)
     for t_stop, omega, refusal in ((1e6, 1.0, "expm_multiply steps"),
                                    (1.0, 1e308, r"\|\|L\|\|_1 is past float range")):
         assert len(list(do.evolve_dense_grid([ground], t_stop, 3, omega, 0.3)[0])) == 3
         for stack in ([ground, driven], [driven, ground], [ground, ground, driven]):
-            with pytest.raises(ResourceError, match=refusal):
-                do.evolve_dense_grid(stack, t_stop, 3, omega, 0.3)
+            mixed = [(0.0, 0.3, 1.0)[i % 3] for i in range(len(stack))]
+            for gamma in (0.3, mixed):
+                with pytest.raises(ResourceError, match=refusal):
+                    do.evolve_dense_grid(stack, t_stop, 3, omega, gamma)
+    # the same state at two rates: within the step guard at the first, past it at the second
+    assert len(list(do.evolve_dense_grid([driven], 1.0, 3, 1.0, 0.3)[0])) == 3
+    for gammas in ([0.3, 1e5], [1e5, 0.3]):
+        with pytest.raises(ResourceError, match="expm_multiply steps"):
+            do.evolve_dense_grid([driven, driven], 1.0, 3, 1.0, gammas)
 
 
 def test_one_state_taylor_series_past_float_range_is_refused():
