@@ -399,16 +399,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise DomainError(f"--corrupt-cell {args.corrupt_cell!r} is not an oracle cell "
                           f"({', '.join(cells)})")
     times = np.linspace(0.0, 5.0 / omega, args.time_points)
-    dense = [dense_oracle.pure_state(dense_oracle.build_symmetric_ket(n, N), N)
-             for N, n in ORACLE_CELLS for _ in ORACLE_GAMMA_FACTORS]  # cell-major, as the rows
-    grids = iter(dense_oracle.evolve_dense_grid(  # all fifteen (cell, gamma) pairs in one series
-        dense, times[-1], times.size, omega, [f * omega for f in ORACLE_GAMMA_FACTORS] * len(cells)))
+    pairs = [(dense_oracle.pure_state(dense_oracle.build_symmetric_ket(n, N), N), f * omega)
+             for N, n in ORACLE_CELLS for f in ORACLE_GAMMA_FACTORS]  # cell-major, as the rows
+    grids = iter(dense_oracle.evolve_dense_grid(pairs, times[-1], times.size, omega))  # one series
     rows, worst = [], 0.0
     for (N, n), cell in zip(ORACLE_CELLS, cells):
-        for factor, grid in zip(ORACLE_GAMMA_FACTORS, grids):  # factors first: 3 grids a cell
+        for factor, (idx, blocks) in zip(ORACLE_GAMMA_FACTORS, grids):  # 3 grids a cell
             p_block = _block_sector_populations(
                 n, N, omega, factor * omega, times, corrupt=cell == args.corrupt_cell)
-            p_dense = [dense_oracle.sector_populations_dense(s)[1] for s in grid]
+            p_dense = dense_oracle.sector_populations_dense(N, blocks, idx)[1]
             dev = float(np.max(np.abs(p_block - p_dense)))
             worst = max(worst, dev)
             rows.append({"N": N, "n": n, "gamma_over_omega": factor,

@@ -15,18 +15,19 @@ conserves the excitation number and the dephasing term acts elementwise, so
 an entry rho_ab only ever feeds entries in the same (exc(a), exc(b)) block,
 and a block that starts at zero stays zero.  No permutation symmetry and no
 eigendecomposition is used, so the oracle stays independent of the
-symmetric-block solver it checks.  A list of states, each at its own gamma, evolves in
-one `expm_multiply` call over the cached block-diagonal Liouvillian of their sectors,
-at equally spaced times over the whole interval; `evolve_dense` is one state's last of
-two.  An evolution that would need more than `MAX_DENSE_STEPS` scaling steps (hours of
+symmetric-block solver it checks.  A list of (state, gamma) pairs evolves in one
+`expm_multiply` call over the cached block-diagonal Liouvillian of their sectors, at
+equally spaced times over the whole interval; each pair gets its occupied basis states
+and a read-only view of its blocks of the one series, which `sector_populations_dense`
+reads.  `evolve_dense` scatters the last block of a one-pair, two-point grid into a full
+rho.  An evolution that would need more than `MAX_DENSE_STEPS` scaling steps (hours of
 work), or whose Liouvillian or series passes float range, raises `ResourceError`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, isfinite, sqrt
 
 import numpy as np
@@ -67,9 +68,6 @@ class DenseState:
 
     N: int
     rho: np.ndarray
-
-    def copy(self) -> "DenseState":
-        return DenseState(self.N, self.rho.copy())
 
 
 def build_symmetric_ket(n: int, N: int) -> np.ndarray:
@@ -145,73 +143,66 @@ _THETA_55 = 9.9
 MAX_DENSE_STEPS = 1000
 
 
-def _scattered(state: DenseState, idx: np.ndarray, vec: np.ndarray) -> DenseState:
-    """vec(rho) over idx scattered into a full-size zero rho, the trace and
-    Hermiticity of its idx x idx block checked against the input's."""
+def evolve_dense(state: DenseState, t: float, omega: float, gamma: float) -> DenseState:
+    """exp(L t) applied to the occupied sectors (module docstring): the last block of
+    a one-pair, two-point `evolve_dense_grid`, scattered into a full-size zero rho."""
+    [(idx, blocks)] = evolve_dense_grid([(state, gamma)], t, 2, omega)
     rho = np.zeros(state.rho.shape, dtype=complex)
-    rho[np.ix_(idx, idx)] = block = vec.reshape(idx.size, idx.size)  # rho is zero outside it
-    residual = max(abs(np.trace(block).real - np.trace(state.rho).real),
-                   np.max(np.abs(block - block.conj().T)))
-    if residual > 1e-8:
-        raise IntegratorError("dense evolution outside tolerance", residual=residual)
+    rho[np.ix_(idx, idx)] = blocks[-1]
     return DenseState(state.N, rho)
 
 
-def evolve_dense(state: DenseState, t: float, omega: float, gamma: float) -> DenseState:
-    """exp(L t) applied to the occupied sectors (module docstring): the last
-    state of a one-state, two-point `evolve_dense_grid`."""
-    return list(evolve_dense_grid([state], t, 2, omega, gamma)[0])[-1]
-
-
-def evolve_dense_grid(states: list[DenseState], t_stop: float, points: int, omega: float,
-                      gamma: float | list[float]) -> list[Iterator[DenseState]]:
-    """exp(L t) applied to each state's occupied sectors at `points` equally spaced times
-    t from 0 to t_stop (both included, as np.linspace places them), one iterator per
-    state, from one expm_multiply call over the states' block-diagonal Liouvillian (its
-    blocks never couple; its 1-norm is the largest block's) at one gamma or one per state.
-    Every other entry of a result is exactly zero; each is scattered, its trace and
-    Hermiticity checked, as read."""
-    # before the early returns, so a one-point call (oracle-check's warm-up) loads scipy
-    from scipy.sparse.linalg import expm_multiply
-    gammas = [gamma] * len(states) if np.ndim(gamma) == 0 else list(gamma)
-    if len(gammas) != len(states):
-        raise DomainError(f"need one gamma or one per state, got {len(gammas)} for {len(states)}")
+def evolve_dense_grid(pairs: list[tuple[DenseState, float]], t_stop: float, points: int,
+                      omega: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(L t) applied to each (state, gamma) pair's occupied sectors at `points` equally
+    spaced times t from 0 to t_stop (both included, as np.linspace places them), from one
+    expm_multiply call over the pairs' block-diagonal Liouvillian (its blocks never couple;
+    its 1-norm is the largest block's).  Each pair gets (idx, blocks): its occupied basis
+    states and a read-only (points, len(idx), len(idx)) view of its columns of the series,
+    outside which rho is exactly zero; every block's trace and Hermiticity are checked."""
+    from scipy.sparse.linalg import expm_multiply  # first, so a one-point call loads scipy
     if points < 1:
         raise DomainError(f"need at least one time point, got {points}")
-    if not all(map(isfinite, (t_stop, omega, *gammas))):
+    if not all(map(isfinite, (t_stop, omega, *(gamma for _, gamma in pairs)))):
         raise DomainError("evolution time, omega and gamma must be finite")
     if t_stop < 0:
         raise DomainError("evolution time must be non-negative")
-    if min(gammas, default=0.0) < 0:
+    if min((gamma for _, gamma in pairs), default=0.0) < 0:
         raise DomainError("gamma must be non-negative")
-    if points == 1 or t_stop == 0 or not states:
-        return [map(DenseState.copy, [state] * points) for state in states]
     idxs = []  # each state's basis states at an excitation number of an occupied row or column
-    for state in states:
+    for state, _ in pairs:
         exc, nonzero = _excitation_numbers(state.N), state.rho != 0
         idxs.append(np.flatnonzero(np.isin(exc, exc[nonzero.any(axis=0) | nonzero.any(axis=1)])))
-    liouvillian, norm, trace, largest = _joint_liouvillian(tuple(
-        (state.N, tuple(idx.tolist()), g) for state, idx, g in zip(states, idxs, gammas)), omega)
-    if not isfinite(norm):
-        raise ResourceError("dense evolution's ||L||_1 is past float range")
-    norm *= t_stop
-    if norm / _THETA_55 > MAX_DENSE_STEPS:
-        raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
-                            f"{MAX_DENSE_STEPS} expm_multiply steps")
-    if not np.isfinite(trace):  # expm_multiply shifts L by it
-        raise ResourceError("dense evolution's Liouvillian trace is past float range")
-    if largest * t_stop <= 1e-300:  # exp(L t) = 1; scipy's step count rounds to 0
-        return [map(DenseState.copy, [state] * points) for state in states]
-    vec = np.concatenate([state.rho[np.ix_(idx, idx)].ravel()
-                          for state, idx in zip(states, idxs)]).astype(complex)
-    try:  # a Liouvillian near float range overflows the series: refused, not warned
-        with np.errstate(over="raise", invalid="raise"):
-            vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points, endpoint=True)
-    except FloatingPointError:
-        raise ResourceError("dense evolution's Taylor series passes float range") from None
-    # partial binds each state now; the map reads its columns of vecs one point at a time
-    columns = np.split(vecs, np.cumsum([idx.size ** 2 for idx in idxs])[:-1], axis=1)
-    return [map(partial(_scattered, *args), cols) for *args, cols in zip(states, idxs, columns)]
+    vec = np.concatenate([np.zeros(0), *(state.rho[np.ix_(idx, idx)].ravel()
+                                         for (state, _), idx in zip(pairs, idxs))], dtype=complex)
+    vecs = np.broadcast_to(vec, (points, vec.size))  # every point the input, until evolved
+    if points > 1 and t_stop > 0 and vec.size:
+        liouvillian, norm, trace, largest = _joint_liouvillian(tuple(
+            (state.N, tuple(idx.tolist()), gamma) for (state, gamma), idx in zip(pairs, idxs)), omega)
+        if not isfinite(norm):
+            raise ResourceError("dense evolution's ||L||_1 is past float range")
+        norm *= t_stop
+        if norm / _THETA_55 > MAX_DENSE_STEPS:
+            raise ResourceError(f"dense evolution with ||L t||_1 = {norm:.3g} needs more than "
+                                f"{MAX_DENSE_STEPS} expm_multiply steps")
+        if not np.isfinite(trace):  # expm_multiply shifts L by it
+            raise ResourceError("dense evolution's Liouvillian trace is past float range")
+        if largest * t_stop > 1e-300:  # else exp(L t) = 1; scipy's step count rounds to 0
+            try:  # a Liouvillian near float range overflows the series: refused, not warned
+                with np.errstate(over="raise", invalid="raise"):
+                    vecs = expm_multiply(liouvillian, vec, start=0.0, stop=t_stop, num=points)
+            except FloatingPointError:
+                raise ResourceError("dense evolution's Taylor series passes float range") from None
+    vecs.flags.writeable = False
+    grids = [(idx, cols.reshape(points, idx.size, idx.size)) for idx, cols in zip(idxs, np.split(
+        vecs, np.cumsum([idx.size ** 2 for idx in idxs])[:-1], axis=1))]
+    for (state, _), (_, blocks) in zip(pairs, grids):  # one point at a time: no temporary per grid
+        for block in blocks:
+            residual = max(abs(np.trace(block).real - np.trace(state.rho).real),
+                           np.max(np.abs(block - block.conj().T), initial=0.0))
+            if residual > 1e-8:
+                raise IntegratorError("dense evolution outside tolerance", residual=residual)
+    return grids
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +210,12 @@ def _rydberg_mask(N: int) -> np.ndarray:
     return np.array([R in cfg for cfg in basis_states(N)])
 
 
-def sector_populations_dense(state: DenseState) -> tuple[float, float]:
-    """(p_NoRydberg, p_Rydberg) of a dense state."""
-    diag, mask = np.real(np.diag(state.rho)), _rydberg_mask(state.N)
-    return float(diag[~mask].sum()), float(diag[mask].sum())
+def sector_populations_dense(N: int, rho: np.ndarray, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(p_NoRydberg, p_Rydberg) of a rho over the basis of N atoms, or of each idx x idx block
+    of a grid, one pair per leading index.  The diagonals go into zero diagonals over the
+    whole basis and each sector's entries are summed as one contiguous row: summing over idx
+    alone, or along a strided row, groups the terms otherwise and moves the last bits."""
+    diag = np.zeros((*rho.shape[:-2], len(basis_states(N))))
+    diag[..., idx] = np.diagonal(rho, axis1=-2, axis2=-1).real
+    mask = _rydberg_mask(N)
+    return diag.compress(~mask, axis=-1).sum(axis=-1), diag.compress(mask, axis=-1).sum(axis=-1)

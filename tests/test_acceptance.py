@@ -58,7 +58,7 @@ def test_01_oracle_equivalence():
                     pb = dyn.sector_probabilities(
                         dyn.evolve_blocks(blocks, float(t), omega, gamma))
                     pd = do.sector_populations_dense(
-                        do.evolve_dense(dense, float(t), omega, gamma))
+                        N, do.evolve_dense(dense, float(t), omega, gamma).rho)
                     worst = max(worst, abs(pb[0] - pd[0]), abs(pb[1] - pd[1]))
         assert worst <= 1e-6, f"max sector-population deviation {worst:.3e}"
 
@@ -214,7 +214,7 @@ def test_09_ejection_consistency():
             pb = dyn.sector_probabilities(
                 dyn.evolve_blocks(ejected_b, float(t), omega, gamma))
             pd = do.sector_populations_dense(
-                do.evolve_dense(ejected_d, float(t), omega, gamma))
+                N - 1, do.evolve_dense(ejected_d, float(t), omega, gamma).rho)
             assert abs(pb[1] - pd[1]) <= 1e-8, f"t={t}"
         # a freshly prepared (n-1, N-1) state follows the same trajectory
         # after a no-noise ejection from the pure Rydberg state
@@ -223,9 +223,9 @@ def test_09_ejection_consistency():
         fresh = do.pure_state(do.build_symmetric_ket(n - 1, N - 1), N - 1)
         for t in np.linspace(0.0, 2.0, 9):
             pe = do.sector_populations_dense(
-                do.evolve_dense(from_eject, float(t), omega, gamma))
+                N - 1, do.evolve_dense(from_eject, float(t), omega, gamma).rho)
             pf = do.sector_populations_dense(
-                do.evolve_dense(fresh, float(t), omega, gamma))
+                N - 1, do.evolve_dense(fresh, float(t), omega, gamma).rho)
             assert abs(pe[1] - pf[1]) <= 1e-8, f"fresh comparison t={t}"
 
 

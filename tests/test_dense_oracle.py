@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from rydqnd import dense_oracle as do
-from rydqnd.errors import DomainError, ImpossibleOutcomeError, ResourceError
+from rydqnd.errors import DomainError, ImpossibleOutcomeError, IntegratorError, ResourceError
 from rydqnd.records import NO_RYDBERG, RYDBERG
 
 import refs
@@ -58,7 +58,7 @@ def test_noiseless_rabi_oscillation():
     state = do.pure_state(do.build_symmetric_ket(n, N), N)
     for t in np.linspace(0.0, 2.0, 7):
         evolved = do.evolve_dense(state, float(t), omega, 0.0)
-        _, p_r = do.sector_populations_dense(evolved)
+        _, p_r = do.sector_populations_dense(N, evolved.rho)
         assert p_r == pytest.approx(math.sin(math.sqrt(n) * omega * t) ** 2, abs=1e-9)
 
 
@@ -94,7 +94,7 @@ def test_projection_normalizes_and_partitions():
     assert p_no + p_ry == pytest.approx(1.0, abs=1e-10)
     assert np.trace(kept_no.rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.trace(kept_ry.rho).real == pytest.approx(1.0, abs=1e-10)
-    assert do.sector_populations_dense(kept_ry)[1] == pytest.approx(1.0, abs=1e-12)
+    assert do.sector_populations_dense(N, kept_ry.rho)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_impossible_projection_rejected():
@@ -307,7 +307,7 @@ def test_unbounded_evolution_raises_resource_error_quickly():
     with pytest.raises(ResourceError):
         do.evolve_dense(state, 1e12, 1.0, 0.3)
     with pytest.raises(ResourceError):
-        do.evolve_dense_grid([state], 1e12, 3, 1.0, 0.3)
+        do.evolve_dense_grid([(state, 0.3)], 1e12, 3, 1.0)
     assert time.perf_counter() - start < 1.0
 
 
@@ -321,21 +321,37 @@ def test_step_guard_sits_far_above_the_oracle_check_horizon():
     assert np.trace(do.evolve_dense(state, 5.0, 1.0, 1.0).rho).real == pytest.approx(1.0)
 
 
+def _scattered(state, idx, block):
+    """An idx x idx block in a full-size zero rho of the state's shape."""
+    rho = np.zeros(state.rho.shape, dtype=complex)
+    rho[np.ix_(idx, idx)] = block
+    return rho
+
+
 @given(symmetric_mixtures(), st.floats(0.1, 3.0), st.integers(1, 6),
        st.floats(0.2, 2.0), st.floats(0.0, 1.0))
 def test_grid_evolution_matches_single_evolutions(state, t_stop, points, omega, gamma):
-    grid = list(do.evolve_dense_grid([state], t_stop, points, omega, gamma)[0])
-    assert len(grid) == points
-    for t, evolved in zip(np.linspace(0.0, t_stop, points), grid):
+    """A one-pair grid is a read-only (points, len(idx), len(idx)) array whose blocks,
+    scattered into a full rho, are `evolve_dense` at each time; `evolve_dense` is the
+    scattered last block of a two-point grid."""
+    [(idx, blocks)] = do.evolve_dense_grid([(state, gamma)], t_stop, points, omega)
+    assert blocks.shape == (points, idx.size, idx.size)
+    assert not blocks.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[0, 0, 0] = 0.0
+    for t, block in zip(np.linspace(0.0, t_stop, points), blocks):
         single = do.evolve_dense(state, float(t), omega, gamma)
-        assert np.max(np.abs(evolved.rho - single.rho)) < 1e-12
+        assert np.max(np.abs(_scattered(state, idx, block) - single.rho)) < 1e-12
+    [(idx, blocks)] = do.evolve_dense_grid([(state, gamma)], t_stop, 2, omega)
+    assert np.array_equal(do.evolve_dense(state, t_stop, omega, gamma).rho,
+                          _scattered(state, idx, blocks[-1]))
 
 
 def test_grid_evolution_rejects_bad_inputs():
     state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
-    for args in ((1.0, 0, 1.0, 0.3), (-1.0, 3, 1.0, 0.3), (math.nan, 3, 1.0, 0.3)):
+    for args in ((1.0, 0, 1.0), (-1.0, 3, 1.0), (math.nan, 3, 1.0)):
         with pytest.raises(DomainError):
-            do.evolve_dense_grid([state], *args)
+            do.evolve_dense_grid([(state, 0.3)], *args)
 
 
 @pytest.mark.parametrize("points", [1, 3])
@@ -343,30 +359,24 @@ def test_grid_evolution_refuses_a_negative_gamma(points):
     # a negative dephasing rate is not a Lindblad evolution: refused as symbasis refuses it,
     # alone or beside a valid rate, before any series runs
     state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
-    for stack, gamma in (([state], -300.0), ([state], -1e-300), ([state, state], [0.3, -300.0])):
+    for pairs in ([(state, -300.0)], [(state, -1e-300)], [(state, 0.3), (state, -300.0)]):
         with pytest.raises(DomainError, match="gamma must be non-negative"):
-            do.evolve_dense_grid(stack, 1.0, points, 1.0, gamma)
-
-
-@pytest.mark.parametrize("points", [1, 3])
-def test_grid_evolution_refuses_a_gamma_list_of_another_length(points):
-    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
-    for stack, gammas in (([state, state], [0.3]), ([state], [0.3, 0.3]), ([], [0.3])):
-        with pytest.raises(DomainError, match=f"got {len(gammas)} for {len(stack)}"):
-            do.evolve_dense_grid(stack, 1.0, points, 1.0, gammas)
+            do.evolve_dense_grid(pairs, 1.0, points, 1.0)
 
 
 @pytest.mark.parametrize("points", [1, 3])
 def test_an_empty_stack_evolves_to_no_grids(points):
-    assert do.evolve_dense_grid([], 1.0, points, 1.0, 0.3) == []
-    assert do.evolve_dense_grid([], 1.0, points, 1.0, []) == []
+    assert do.evolve_dense_grid([], 1.0, points, 1.0) == []
 
 
 def test_vanishing_grid_leaves_state_unchanged():
-    # as `evolve_dense` with a subnormal L*t: every grid point is the input
+    # as `evolve_dense` with a subnormal L*t: every block is the input's, read-only
     state = do.evolve_dense(do.pure_state(do.build_symmetric_ket(2, 3), 3), 0.7, 1.0, 0.4)
-    for evolved in do.evolve_dense_grid([state], 5e-324, 3, 1.0, 0.4)[0]:
-        assert np.max(np.abs(evolved.rho - state.rho)) < 1e-15
+    [(idx, blocks)] = do.evolve_dense_grid([(state, 0.4)], 5e-324, 3, 1.0)
+    assert blocks.shape == (3, idx.size, idx.size)
+    assert not blocks.flags.writeable
+    for block in blocks:
+        assert np.max(np.abs(_scattered(state, idx, block) - state.rho)) < 1e-15
 
 
 @st.composite
@@ -380,43 +390,64 @@ def stacks(draw):
 
 @given(stacks(), st.randoms(), st.floats(0.1, 3.0), st.integers(1, 5), st.floats(0.2, 2.0))
 def test_stacked_grids_match_one_state_grids(pairs, random, t_stop, points, omega):
-    """Each state's grid from one list call with one gamma per state, in the given
-    order and permuted, is its own one-state grid: the stacked blocks never couple."""
-    alone = [list(do.evolve_dense_grid([state], t_stop, points, omega, gamma)[0])
-             for state, gamma in pairs]
+    """Each pair's grid from one list call, in the given order and permuted, is its own
+    one-pair grid: the stacked blocks never couple.  Every grid is a read-only view of
+    the one series."""
+    alone = [do.evolve_dense_grid([pair], t_stop, points, omega)[0] for pair in pairs]
     order = random.sample(range(len(pairs)), len(pairs))
     for indices in (range(len(pairs)), order):
-        stacked = do.evolve_dense_grid([pairs[i][0] for i in indices], t_stop, points, omega,
-                                       [pairs[i][1] for i in indices])
+        stacked = do.evolve_dense_grid([pairs[i] for i in indices], t_stop, points, omega)
         assert len(stacked) == len(pairs)
-        for i, grid in zip(indices, stacked):
-            grid = list(grid)
-            assert len(grid) == points
-            for mine, own in zip(grid, alone[i]):
-                assert mine.N == own.N
-                assert np.max(np.abs(mine.rho - own.rho)) < 1e-13
+        for i, (idx, blocks) in zip(indices, stacked):
+            own_idx, own = alone[i]
+            assert np.array_equal(idx, own_idx)
+            assert blocks.shape == own.shape == (points, idx.size, idx.size)
+            assert not blocks.flags.writeable and blocks.base is stacked[0][1].base
+            assert np.max(np.abs(blocks - own)) < 1e-13
 
 
 def test_one_state_past_a_guard_refuses_the_whole_stack():
     """A one-atom ground state has a zero Liouvillian and evolves alone under any
     drive; stacked with a state whose ||L t||_1 needs too many steps, or whose
-    ||L||_1 passes float range, the whole call is refused, at one gamma or at one
-    gamma per state."""
+    ||L||_1 passes float range, the whole call is refused, at one gamma for every
+    pair or at several."""
     ground = do.pure_state(do.build_symmetric_ket(0, 1), 1)
     driven = do.pure_state(do.build_symmetric_ket(2, 5), 5)
     for t_stop, omega, refusal in ((1e6, 1.0, "expm_multiply steps"),
                                    (1.0, 1e308, r"\|\|L\|\|_1 is past float range")):
-        assert len(list(do.evolve_dense_grid([ground], t_stop, 3, omega, 0.3)[0])) == 3
+        assert len(do.evolve_dense_grid([(ground, 0.3)], t_stop, 3, omega)[0][1]) == 3
         for stack in ([ground, driven], [driven, ground], [ground, ground, driven]):
             mixed = [(0.0, 0.3, 1.0)[i % 3] for i in range(len(stack))]
-            for gamma in (0.3, mixed):
+            for gammas in ([0.3] * len(stack), mixed):
                 with pytest.raises(ResourceError, match=refusal):
-                    do.evolve_dense_grid(stack, t_stop, 3, omega, gamma)
+                    do.evolve_dense_grid(list(zip(stack, gammas)), t_stop, 3, omega)
     # the same state at two rates: within the step guard at the first, past it at the second
-    assert len(list(do.evolve_dense_grid([driven], 1.0, 3, 1.0, 0.3)[0])) == 3
+    assert len(do.evolve_dense_grid([(driven, 0.3)], 1.0, 3, 1.0)[0][1]) == 3
     for gammas in ([0.3, 1e5], [1e5, 0.3]):
         with pytest.raises(ResourceError, match="expm_multiply steps"):
-            do.evolve_dense_grid([driven, driven], 1.0, 3, 1.0, gammas)
+            do.evolve_dense_grid([(driven, gamma) for gamma in gammas], 1.0, 3, 1.0)
+
+
+@pytest.mark.parametrize("fault, residual", [("trace", 0.1), ("hermiticity", 1e-6)])
+def test_a_series_outside_tolerance_is_refused_with_its_residual(fault, residual, monkeypatch):
+    """A series whose last point loses a tenth of the trace, or whose first block is not
+    Hermitian there by 1e-6, is refused as an integrator fault naming that residual."""
+    import scipy.sparse.linalg
+    exact = scipy.sparse.linalg.expm_multiply
+
+    def faulty(*args, **kwargs):
+        vecs = exact(*args, **kwargs)
+        if fault == "trace":
+            vecs[-1] *= 1.0 - residual
+        else:
+            vecs[-1, 1] += residual  # entry (0, 1) of the first block, but not (1, 0)
+        return vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", faulty)
+    state = do.pure_state(do.build_symmetric_ket(1, 2), 2)
+    with pytest.raises(IntegratorError, match="dense evolution outside tolerance") as err:
+        do.evolve_dense_grid([(state, 0.0), (state, 0.3)], 1.0, 3, 1.0)
+    assert err.value.residual == pytest.approx(residual, rel=1e-6)
 
 
 def test_one_state_taylor_series_past_float_range_is_refused():

@@ -68,7 +68,7 @@ def test_sector_populations_match_dense(n, N, gamma):
         eb = dyn.evolve_blocks(blocks, float(t), omega, gamma)
         ed = do.evolve_dense(dense, float(t), omega, gamma)
         pb = dyn.sector_probabilities(eb)
-        pd = do.sector_populations_dense(ed)
+        pd = do.sector_populations_dense(N, ed.rho)
         assert pb[0] == pytest.approx(pd[0], abs=1e-8)
         assert pb[1] == pytest.approx(pd[1], abs=1e-8)
 
@@ -99,7 +99,7 @@ def test_projection_matches_dense_oracle():
         assert p_b == pytest.approx(p_d, abs=1e-8)
         for t in (0.3, 0.9):
             pb = dyn.sector_probabilities(dyn.evolve_blocks(kept_b, t, omega, gamma))
-            pd = do.sector_populations_dense(do.evolve_dense(kept_d, t, omega, gamma))
+            pd = do.sector_populations_dense(N, do.evolve_dense(kept_d, t, omega, gamma).rho)
             assert pb[1] == pytest.approx(pd[1], abs=1e-8)
 
 
@@ -134,7 +134,8 @@ def test_ejection_matches_dense_partial_trace():
     assert ejected_b[0].n == n - 1 and ejected_b[0].N == N - 1
     for t in (0.0, 0.4, 1.1):
         pb = dyn.sector_probabilities(dyn.evolve_blocks(ejected_b, t, omega, gamma))
-        pd = do.sector_populations_dense(do.evolve_dense(ejected_d, t, omega, gamma))
+        pd = do.sector_populations_dense(
+            N - 1, do.evolve_dense(ejected_d, t, omega, gamma).rho)
         assert pb[1] == pytest.approx(pd[1], abs=1e-8)
 
 

@@ -75,7 +75,8 @@ def test_conditional_likelihoods_match_dense_chain(config, uniforms):
     record = []
     for tau, u in zip(taus, uniforms):
         windowed = _dense_window(state, tau, gamma, tau_eit)
-        outcome = RYDBERG if u < do.sector_populations_dense(windowed)[1] else NO_RYDBERG
+        p_rydberg = do.sector_populations_dense(windowed.N, windowed.rho)[1]
+        outcome = RYDBERG if u < p_rydberg else NO_RYDBERG
         record.append((tau, outcome))
         _, state, n = _dense_collapse(windowed, n, outcome, eject)
 
