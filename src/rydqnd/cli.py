@@ -398,6 +398,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.corrupt_cell is not None and args.corrupt_cell not in cells:
         raise DomainError(f"--corrupt-cell {args.corrupt_cell!r} is not an oracle cell "
                           f"({', '.join(cells)})")
+    if 5.0 / omega == math.inf:
+        raise ResourceError(f"omega {omega:g} puts the horizon 5 / omega past float range")
     times = np.linspace(0.0, 5.0 / omega, args.time_points)
     pairs = [(dense_oracle.pure_state(dense_oracle.build_symmetric_ket(n, N), N), f * omega)
              for N, n in ORACLE_CELLS for f in ORACLE_GAMMA_FACTORS]  # cell-major, as the rows

@@ -249,7 +249,11 @@ _SMALL_RUN = ["--n-atoms", "5", "--trajectories", "1", "--max-cycles", "2", "--t
     # sqrt(n) omega past float range, named before the traced read at t = 0
     (["simulate", "--gamma-mhz", "0", "--omega-mhz", "1.5e301"],
      r"error: omega [0-9.e+]+ puts the drive rate sqrt\(n\) omega past float range"),
-], ids=["gamma-lost-trace", "omega-complex-fidelity", "oracle-norm", "noiseless-rate"])
+    # a subnormal omega: the horizon 5 / omega is infinite, refused before np.linspace warns
+    (["oracle-check", "--angular", "--omega-mhz", "1e-320", "--time-points", "2"],
+     r"error: omega [0-9.e-]+ puts the horizon 5 / omega past float range"),
+], ids=["gamma-lost-trace", "omega-complex-fidelity", "oracle-norm", "noiseless-rate",
+        "oracle-horizon"])
 def test_numerical_limits_exit_5_with_one_error_line(argv, line, tmp_path):
     """A rate at which the propagation leaves its tolerance (`IntegratorError`) or
     passes float range exits 5 with one error line naming what went wrong, with no
