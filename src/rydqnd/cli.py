@@ -350,7 +350,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 ORACLE_CELLS = ((2, 1), (3, 1), (4, 2), (5, 2), (5, 3))
 ORACLE_GAMMA_FACTORS = (0.0, 0.1, 1.0)
 ORACLE_TOLERANCE = 1e-6
-MAX_TIME_POINTS = 1_000  # one 15-cell dense series: 0.14 MB a point (3x one per rate), 205 MB peak
+MAX_TIME_POINTS = 1_000  # one 15-cell dense series: 0.14 MB a point (3x one per rate), 206 MB peak
 # the delta candidates' K x (n + 1) entries: at K = 1,000 deltas of 1,001 entries `infer` took
 # 0.7 s and 88 MB peak, a three-cycle noiseless `simulate` 2.2 s and 212 MB
 MAX_CANDIDATE_ENTRIES = 1_000_000
