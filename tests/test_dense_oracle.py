@@ -321,7 +321,7 @@ def test_step_guard_sits_far_above_the_oracle_check_horizon():
     assert np.trace(do.evolve_dense(state, 5.0, 1.0, 1.0).rho).real == pytest.approx(1.0)
 
 
-def _scattered(state, idx, block):
+def _full_rho(state, idx, block):
     """An idx x idx block in a full-size zero rho of the state's shape."""
     rho = np.zeros(state.rho.shape, dtype=complex)
     rho[np.ix_(idx, idx)] = block
@@ -341,10 +341,10 @@ def test_grid_evolution_matches_single_evolutions(state, t_stop, points, omega, 
         blocks[0, 0, 0] = 0.0
     for t, block in zip(np.linspace(0.0, t_stop, points), blocks):
         single = do.evolve_dense(state, float(t), omega, gamma)
-        assert np.max(np.abs(_scattered(state, idx, block) - single.rho)) < 1e-12
+        assert np.max(np.abs(_full_rho(state, idx, block) - single.rho)) < 1e-12
     [(idx, blocks)] = do.evolve_dense_grid([(state, gamma)], t_stop, 2, omega)
     assert np.array_equal(do.evolve_dense(state, t_stop, omega, gamma).rho,
-                          _scattered(state, idx, blocks[-1]))
+                          _full_rho(state, idx, blocks[-1]))
 
 
 def test_grid_evolution_rejects_bad_inputs():
@@ -376,7 +376,7 @@ def test_vanishing_grid_leaves_state_unchanged():
     assert blocks.shape == (3, idx.size, idx.size)
     assert not blocks.flags.writeable
     for block in blocks:
-        assert np.max(np.abs(_scattered(state, idx, block) - state.rho)) < 1e-15
+        assert np.max(np.abs(_full_rho(state, idx, block) - state.rho)) < 1e-15
 
 
 @st.composite
