@@ -38,7 +38,7 @@ from .errors import (
     ResourceError,
 )
 from .records import FockDistribution, MeasurementRecord, Posterior
-from . import analysis, dense_oracle, dynamics, inference
+from . import analysis, dense_oracle, dynamics, engine, inference
 from .dynamics import expm
 from .engine import NOISELESS_PURE, NOISY_FIXED_N, PHASES, ProtocolParams, Schedule, run_batch
 from .symbasis import build_block, sector
@@ -258,15 +258,20 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
 
 
 def _trace_csv(config: dict, trace) -> str:
-    """A trace file from a trajectory's `engine.Trace` columns; each posterior row
-    formatted once."""
-    weights = ["".join([",%.12e" % w for w in post]) for post in trace.posteriors.tolist()]
-    (times, p_s, p_r, fids), (phases, posts) = trace.values.tolist(), trace.codes.tolist()
-    return "".join([f"# schema: {TRACE_SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n",
-                    "time_s,phase,p_no_rydberg,p_rydberg,fidelity",
-                    *[f",w_{c}" for c in range(trace.posteriors.shape[1])], "\r\n",
-                    *["%.12e,%s,%.12e,%.12e,%.12e%s\r\n" % (t, PHASES[phase], s, r, f, weights[k])
-                      for t, phase, s, r, f, k in zip(times, phases, p_s, p_r, fids, posts)]])
+    """A trace file from a trajectory's `engine.Trace` columns: `_trace_csvs` of it alone."""
+    return next(_trace_csvs(config, [trace], *engine.spell([trace], "%.12e")))
+
+
+def _trace_csvs(config: dict, traces: list, columns: list):
+    """Each trace's file, its values from columns (`engine.spell`'s "%.12e" rows of each)."""
+    head = (f"# schema: {TRACE_SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n"
+            "time_s,phase,p_no_rydberg,p_rydberg,fidelity")
+    for trace, (times, p_s, p_r, fids) in zip(traces, columns):
+        weights = ["".join([",%.12e" % w for w in post]) for post in trace.posteriors.tolist()]
+        yield "".join([head, *[f",w_{c}" for c in range(trace.posteriors.shape[1])], "\r\n",
+                       *["%s,%s,%s,%s,%s%s\r\n" % (t, PHASES[phase], s, r, f, weights[k])
+                         for t, s, r, f, phase, k in zip(times, p_s, p_r, fids,
+                                                         *trace.codes.tolist())]])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -286,12 +291,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "version": __version__}
 
     header = json.dumps({"schema": TRAJECTORY_SCHEMA, "config": config}, sort_keys=True)
-    (outdir / "trajectories.jsonl").write_text(
-        header + "\n" + "\n".join(log.to_json() for log in logs) + "\n")
-
-    for i, log in enumerate(logs):
-        if log.trace:  # every trajectory has rows when trace points are on, none otherwise
-            (outdir / f"trace_{i:03d}.csv").write_text(_trace_csv(config, log.trace))
+    with open(outdir / "trajectories.jsonl", "w") as jsonl:
+        jsonl.write(header + "\n")
+        for start in range(0, len(logs), WRITE_CHUNK):  # each chunk's distinct values spelled once
+            chunk = logs[start:start + WRITE_CHUNK]
+            traces = [log.trace for log in chunk]
+            json_columns, csv_columns = engine.spell(traces, "json", "%.12e")
+            jsonl.writelines(line + "\n" for line in engine.json_lines(chunk, json_columns))
+            if params.trace_points:  # every trajectory has rows then, none otherwise
+                for i, text in enumerate(_trace_csvs(config, traces, csv_columns), start):
+                    (outdir / f"trace_{i:03d}.csv").write_text(text)
 
     counts = Counter(log.final_candidate for log in logs if log.converged)
     summary = {
@@ -360,6 +369,9 @@ MAX_TABLE_ROWS = 100_000
 # untraced cycle took about 1.2 KB of peak memory (noiseless) or 1.7 KB (noisy), a noisy one
 # traced at 8 points (17 rows) 14-17 KB, so a run at the guard peaks under 2 GB
 MAX_CYCLE_ROWS = 1_000_000
+# `simulate` trajectories spelled and written at a time: the chunk, not the batch, bounds
+# the writer's strings (traced 2,000 trajectories peaked at 88, 90, 108 MB at 16, 64, 256)
+WRITE_CHUNK = 64
 # `optimize-schedule --grid-points`: 10^6 took 1.0-1.3 s and 407 MB peak, 10^7 ran out of memory
 MAX_GRID_POINTS = 1_000_000
 

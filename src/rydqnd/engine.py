@@ -243,16 +243,34 @@ class TrajectoryLog:
 
     def to_json(self) -> str:
         """`json.dumps(..., sort_keys=True)` of the fields, the arrays as lists and the
-        trace as its list of rows; "trace", last, in one %-format per row, from its
-        columns and posterior rows each written by json once."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
-        doc.update(record=[{"tau_s": t, "outcome": m} for t, m in self.record.entries],
-                   posteriors=self.posteriors.tolist(), fidelities=self.fidelities.tolist())
-        posts = [json.dumps(post) for post in self.trace.posteriors.tolist()] if self.trace else []
-        columns = (json.dumps(col)[1:-1].split(", ") for col in self.trace.values.tolist())
-        rows = [_TRACE_ROW % (f, s, r, PHASES[phase], posts[post], t)
-                for t, s, r, f, phase, post in zip(*columns, *self.trace.codes.tolist())]
-        return '%s, "trace": [%s]}' % (json.dumps(doc, sort_keys=True)[:-1], ", ".join(rows))
+        trace as its list of rows: `json_lines` of this log alone."""
+        return next(json_lines([self], *spell([self.trace], "json")))
+
+
+def spell(traces: list[Trace], *formats: str) -> list[list]:
+    """Per format, "json" (json's spelling) or a %-format, each trace's four ``values`` rows
+    as lists of strings: each distinct float of the traces, told apart by its bits (so -0.0
+    and 0.0, and NaN payloads, stay apart), spelled once per format and handed out by index."""
+    values = np.concatenate([np.empty((4, 0)), *(trace.values for trace in traces)], axis=1)
+    bits, back = np.unique(values.view(np.int64), return_inverse=True)
+    floats, back = bits.view(float).tolist(), back.reshape(values.shape)
+    words = (json.dumps(floats)[1:-1].split(", ") if fmt == "json" else [fmt % v for v in floats]
+             for fmt in formats)
+    ends = np.cumsum([len(trace) for trace in traces], dtype=int)[:-1]
+    return [[part.tolist() for part in np.split(np.array(w, object)[back], ends, 1)] for w in words]
+
+
+def json_lines(logs: list[TrajectoryLog], columns: list):
+    """Each log as `TrajectoryLog.to_json` writes it, its trace values from columns (`spell`'s
+    "json" rows of each trace): "trace" last, one %-format per row, each posterior json once."""
+    for log, (times, p_s, p_r, fids) in zip(logs, columns):
+        doc = {f.name: getattr(log, f.name) for f in fields(log) if f.name != "trace"}
+        doc.update(record=[{"tau_s": t, "outcome": m} for t, m in log.record.entries],
+                   posteriors=log.posteriors.tolist(), fidelities=log.fidelities.tolist())
+        posts = [json.dumps(post) for post in log.trace.posteriors.tolist()] if log.trace else []
+        rows = [_TRACE_ROW % (f, s, r, PHASES[phase], posts[post], t) for t, s, r, f, phase, post
+                in zip(times, p_s, p_r, fids, *log.trace.codes.tolist())]
+        yield '%s, "trace": [%s]}' % (json.dumps(doc, sort_keys=True)[:-1], ", ".join(rows))
 
 
 def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
