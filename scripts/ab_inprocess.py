@@ -1,7 +1,7 @@
 """In-process A/B timing of two revisions of ``rydqnd``.
 
     python scripts/ab_inprocess.py --parent REV --change REV [--ops N] [--rows R]
-        [--rss-rows R] [--rss-cycles C]
+        [--rss-rows R] [--rss-cycles C] [--sim-trajectories T]
 
 Exports ``src/rydqnd`` of both revisions with ``git archive`` into a temporary
 directory, as the packages ``rydqnd_parent`` and ``rydqnd_change`` (the package
@@ -37,14 +37,18 @@ noiseless workloads together: the mix that the benchmark's ``noiseless_distill``
 items_per_s weighs, one op of each schedule in turn.  For each side it then runs
 one traced batch of ``--rss-rows`` rows (n_true 3, ``--rss-cycles`` cycles at
 most) in a subprocess of its own and prints the growth of its peak RSS over the
-process's peak just before the batch.  Run it also with one revision as both sides: the spread of
-that A/A run is the noise a ratio must clear.
+process's peak just before the batch.  That batch never reaches the writer, so for each
+side it also runs one whole traced ``rydqnd simulate --trajectories T`` at the defaults in a
+fresh process, and prints its wall time and peak RSS (``ru_maxrss``) and whether the two
+sides wrote the same files, byte for byte.  Run it also with one revision as both sides:
+the spread of that A/A run is the noise a ratio must clear.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import filecmp
 import importlib
 import io
 import json
@@ -79,6 +83,22 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 engine.run_batch(3, params, rows)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) / 1024)
+"""
+
+# one whole traced simulate at the defaults in a fresh process: wall time in s and peak RSS
+# in MB on stdout
+_SIMULATE_PROBE = """
+import contextlib, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import importlib
+cli = importlib.import_module(sys.argv[2] + ".cli")
+start = time.perf_counter()
+with contextlib.redirect_stdout(sys.stderr):
+    code = cli.main(["simulate", "--trajectories", sys.argv[3], "--outdir", sys.argv[4]])
+wall = time.perf_counter() - start
+if code != 0:
+    raise SystemExit(f"simulate exited {code}")
+print(wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
@@ -187,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rows", type=int, default=200, help="rows of a run_batch op")
     parser.add_argument("--rss-rows", type=int, default=400, help="rows of the RSS batch")
     parser.add_argument("--rss-cycles", type=int, default=60, help="its cycles at most")
+    parser.add_argument("--sim-trajectories", type=int, default=2000,
+                        help="trajectories of the fresh-process simulate")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as tmp:
@@ -221,6 +243,21 @@ def main(argv: list[str] | None = None) -> int:
                 check=True, capture_output=True, text=True)
             print(f"rss {side}: {float(probe.stdout):.1f} MB peak growth over a traced "
                   f"{args.rss_rows}-row batch")
+        for side in SIDES:
+            probe = subprocess.run(
+                [sys.executable, "-c", _SIMULATE_PROBE, str(tmp), f"rydqnd_{side}",
+                 str(args.sim_trajectories), str(tmp / f"simulate_{side}")],
+                check=True, capture_output=True, text=True)
+            wall, rss = map(float, probe.stdout.split())
+            print(f"simulate {side}: {wall:.2f} s, {rss:.1f} MB peak RSS over a traced "
+                  f"{args.sim_trajectories}-trajectory simulate in a fresh process")
+        files = sorted(path.name for path in (tmp / "simulate_parent").iterdir())
+        _, differ, unread = filecmp.cmpfiles(tmp / "simulate_parent", tmp / "simulate_change",
+                                             files, shallow=False)
+        same = files == sorted(path.name for path in (tmp / "simulate_change").iterdir()) \
+            and not differ and not unread
+        print(f"simulate files: {len(files)} written, {'identical' if same else 'DIFFERENT'} "
+              f"on the two sides")
     return 0
 
 

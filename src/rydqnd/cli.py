@@ -257,13 +257,9 @@ def _build_params(args: argparse.Namespace) -> ProtocolParams:
     )
 
 
-def _trace_csv(config: dict, trace) -> str:
-    """A trace file from a trajectory's `engine.Trace` columns: `_trace_csvs` of it alone."""
-    return next(_trace_csvs(config, [trace], *engine.spell([trace], "%.12e")))
-
-
 def _trace_csvs(config: dict, traces: list, columns: list):
-    """Each trace's file, its values from columns (`engine.spell`'s "%.12e" rows of each)."""
+    """Each `engine.Trace`'s file, its values from columns (`engine.spell`'s "%.12e" rows of
+    each trace); each posterior row formatted once."""
     head = (f"# schema: {TRACE_SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n"
             "time_s,phase,p_no_rydberg,p_rydberg,fidelity")
     for trace, (times, p_s, p_r, fids) in zip(traces, columns):
@@ -369,8 +365,9 @@ MAX_TABLE_ROWS = 100_000
 # untraced cycle took about 1.2 KB of peak memory (noiseless) or 1.7 KB (noisy), a noisy one
 # traced at 8 points (17 rows) 14-17 KB, so a run at the guard peaks under 2 GB
 MAX_CYCLE_ROWS = 1_000_000
-# `simulate` trajectories spelled and written at a time: the chunk, not the batch, bounds
-# the writer's strings (traced 2,000 trajectories peaked at 88, 90, 108 MB at 16, 64, 256)
+# `simulate` trajectories spelled and written at a time: the chunk, not the batch, bounds the
+# writer's strings, and its trajectories share spellings (a traced 2,000 at the defaults: 88 MB
+# peak and 1.7-1.8 s at 16-64, 91 MB at 256, 138 MB as one chunk, 3.0 s one at a time)
 WRITE_CHUNK = 64
 # `optimize-schedule --grid-points`: 10^6 took 1.0-1.3 s and 407 MB peak, 10^7 ran out of memory
 MAX_GRID_POINTS = 1_000_000

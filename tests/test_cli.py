@@ -49,6 +49,25 @@ def test_simulate_writes_deterministic_outputs(tmp_path):
                                        "p_rydberg", "fidelity"]
 
 
+@pytest.mark.parametrize("flags, traced", [(["--eject"], True),
+                                           (["--gamma-mhz", "0", "--trace-points", "0"], False)],
+                         ids=["traced-noisy-eject", "untraced-noiseless"])
+def test_simulate_writes_the_same_files_in_chunks_of_any_size(flags, traced, tmp_path,
+                                                               monkeypatch):
+    """Five trajectories written one at a time, two at a time (a last chunk of one) and in
+    one default chunk give the same bytes in every file."""
+    files = []
+    for chunk in (1, 2, cli.WRITE_CHUNK):
+        monkeypatch.setattr(cli, "WRITE_CHUNK", chunk)
+        outdir = tmp_path / str(chunk)
+        assert run(["simulate", "--trajectories", "5", *flags, "--outdir", str(outdir)]) == 0
+        files.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    assert files[0] == files[1] == files[2]
+    traces = {f"trace_{i:03d}.csv" for i in range(5)} if traced else set()
+    assert set(files[0]) == {"trajectories.jsonl", "summary.json", *traces}
+    assert len(files[0]["trajectories.jsonl"].decode().splitlines()) == 6
+
+
 def test_simulate_noiseless_has_unit_fidelity(tmp_path):
     out = tmp_path / "run"
     assert run(["simulate", "--gamma-mhz", "0", "--n-true", "1", "--seed", "3",

@@ -4,10 +4,13 @@
 formats each trace row with one `%`-format string.  On any log it writes the
 string `json.dumps(..., sort_keys=True)` writes for the whole document: the
 same key order, separators and numbers (signed zeros, subnormals, 1e308,
-infinities and NaN in json's own spelling).
+infinities and NaN in json's own spelling).  So does `engine.json_lines` for
+each log of a chunk whose traces `engine.spell` spells together, where one
+trace holds -0.0 and another 0.0, or two hold NaNs of different payloads.
 """
 
 import json
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,8 +22,10 @@ from rydqnd.records import MeasurementRecord, NO_RYDBERG, RYDBERG
 
 import refs
 
+# a NaN with the sign bit and a payload: its bits differ from float("nan")'s
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]
 SPECIAL = [-0.0, 0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
-           -1e308, float("inf"), float("-inf"), float("nan"), 1.0, 0.1, -2.5e-7]
+           -1e308, float("inf"), float("-inf"), float("nan"), NAN_PAYLOAD, 1.0, 0.1, -2.5e-7]
 numbers = st.sampled_from(SPECIAL) | st.floats()
 
 
@@ -57,12 +62,25 @@ def _through_json_module(log) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+# two traces that share special numbers: -0.0 in one and 0.0 in the other, NaNs of two
+# payloads, and the infinities
+SHARING = [[{"time_s": -0.0, "phase": "drive", "p_no_rydberg": float("nan"),
+             "p_rydberg": float("inf"), "fidelity": 0.0, "posterior": [1.0, -0.0]}],
+           [{"time_s": 0.0, "phase": "measure", "p_no_rydberg": NAN_PAYLOAD,
+             "p_rydberg": float("-inf"), "fidelity": -0.0, "posterior": [0.0, float("nan")]}] * 2]
+
+
 @settings(max_examples=100)  # cheap examples, so more of them
-@given(trace=traces())
-@example(trace=[])
-@example(trace=[{"time_s": t, "phase": "collapse", "p_no_rydberg": -0.0, "p_rydberg": 5e-324,
-                 "fidelity": float("nan"), "posterior": post}
-                for t, post in [(0.0, [1e308, float("inf")]), (1e308, [-0.0, float("-inf")])] * 2])
-def test_trajectory_json_matches_the_json_module(trace):
-    log = replace(LOG, trace=refs.trace_from_rows(trace))
-    assert log.to_json() == _through_json_module(log)
+@given(chunk=st.lists(traces(), min_size=1, max_size=4))
+@example(chunk=[[]])
+@example(chunk=[[{"time_s": t, "phase": "collapse", "p_no_rydberg": -0.0, "p_rydberg": 5e-324,
+                  "fidelity": float("nan"), "posterior": post}
+                 for t, post in [(0.0, [1e308, float("inf")]), (1e308, [-0.0, float("-inf")])] * 2]])
+@example(chunk=SHARING)
+def test_trajectory_json_matches_the_json_module(chunk):
+    """Each log alone (`to_json`) and the chunk's logs spelled together (`json_lines`)."""
+    logs = [replace(LOG, trace=refs.trace_from_rows(trace), seed_key=[i])
+            for i, trace in enumerate(chunk)]
+    expected = [_through_json_module(log) for log in logs]
+    assert [log.to_json() for log in logs] == expected
+    assert list(eng.json_lines(logs, *eng.spell([log.trace for log in logs], "json"))) == expected
