@@ -362,8 +362,8 @@ MAX_CANDIDATE_ENTRIES = 1_000_000
 # `analyze --n` rows: 100,000 took 1.3 s and 140 MB peak (steady-state), 1.7 s and 155 MB (fisher)
 MAX_TABLE_ROWS = 100_000
 # `simulate` rows, trajectories x cycles x (1 + 2 x trace points), each kept to the end: an
-# untraced cycle took about 1.2 KB of peak memory (noiseless) or 1.7 KB (noisy), a noisy one
-# traced at 8 points (17 rows) 14-17 KB, so a run at the guard peaks under 2 GB
+# untraced cycle took at most 0.9 KB of peak memory (noiseless) or 1.7 KB (noisy, 4 cycles a
+# trajectory), a noisy one traced at 8 points (17 rows) 2.7-14 KB, so the guard's peak < 2 GB
 MAX_CYCLE_ROWS = 1_000_000
 # `simulate` trajectories spelled and written at a time: the chunk, not the batch, bounds the
 # writer's strings, and its trajectories share spellings (a traced 2,000 at the defaults: 88 MB
