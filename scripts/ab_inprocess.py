@@ -1,13 +1,14 @@
 """In-process A/B timing of two revisions of ``rydqnd``.
 
     python scripts/ab_inprocess.py --parent REV --change REV [--ops N] [--rows R]
-        [--rss-rows R] [--rss-cycles C] [--sim-trajectories T]
+        [--rss-rows R] [--rss-cycles C] [--sim-trajectories T] [--workloads NAME[,NAME]]
 
 Exports ``src/rydqnd`` of both revisions with ``git archive`` into a temporary
 directory, as the packages ``rydqnd_parent`` and ``rydqnd_change`` (the package
 imports itself only relatively), and imports both into this interpreter.  Each
-named workload then runs its ops alternately on the two sides, the side that
-goes first alternating from op to op, so machine drift hits both alike:
+workload named by ``--workloads`` (default all) then runs its ops alternately on
+the two sides, the side that goes first alternating from op to op, so machine
+drift hits both alike:
 
 * ``simulate``: ``rydqnd simulate`` at its defaults with ``--trajectories 2``,
   n_true 1..4 in turn, written to a scratch directory;
@@ -32,8 +33,8 @@ goes first alternating from op to op, so machine drift hits both alike:
   ``oracle_check``.
 
 For each workload it prints the change's summed time over the parent's and the
-median of the per-op ratios, and then the summed time ratio of the three
-noiseless workloads together: the mix that the benchmark's ``noiseless_distill``
+median of the per-op ratios, and then, if all three noiseless workloads ran, the
+summed time ratio of the three together: the mix that the benchmark's ``noiseless_distill``
 items_per_s weighs, one op of each schedule in turn.  For each side it then runs
 one traced batch of ``--rss-rows`` rows (n_true 3, ``--rss-cycles`` cycles at
 most) in a subprocess of its own and prints the growth of its peak RSS over the
@@ -66,6 +67,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 NOISELESS = ("noiseless_batch", "noiseless_random_batch", "noiseless_greedy_batch")
+WORKLOADS = ("simulate", "infer", "fixed_infer", "traced_batch", "untraced_batch", "eject_batch",
+             *NOISELESS, "oracle")
 
 # one traced batch in a fresh process: peak RSS growth in MB on stdout
 _RSS_PROBE = """
@@ -130,9 +133,7 @@ def record_files(scratch: Path) -> list[tuple[Path, list[str]]]:
 
 def workloads(mods: dict, scratch: Path, rows: int) -> dict:
     """name -> {side: op(i)}, each op one unit of timed work."""
-    out = {"simulate": {}, "infer": {}, "fixed_infer": {}, "traced_batch": {},
-           "untraced_batch": {}, "eject_batch": {}, "noiseless_batch": {},
-           "noiseless_random_batch": {}, "noiseless_greedy_batch": {}, "oracle": {}}
+    out = {name: {} for name in WORKLOADS}
     *records, fixed = record_files(scratch)
     for side, (cli, engine) in mods.items():
         recs = importlib.import_module(f"rydqnd_{side}.records")
@@ -209,7 +210,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rss-cycles", type=int, default=60, help="its cycles at most")
     parser.add_argument("--sim-trajectories", type=int, default=2000,
                         help="trajectories of the fresh-process simulate")
+    parser.add_argument("--workloads", help="comma-separated workloads to time (default all)")
     args = parser.parse_args(argv)
+    names = WORKLOADS if args.workloads is None else args.workloads.split(",")
+    if unknown := sorted(set(names) - set(WORKLOADS)):
+        parser.error(f"unknown workloads {', '.join(unknown)}; choose from {', '.join(WORKLOADS)}")
 
     with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as tmp:
         tmp = Path(tmp)
@@ -221,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parent {args.parent}, change {args.change}: {args.ops} ops per workload and side")
         totals = {}
         for name, ops in workloads(mods, tmp, args.rows).items():
+            if name not in names:
+                continue
             for side in SIDES:  # warm caches and lazy imports
                 ops[side](args.ops)
             times = {side: [] for side in SIDES}
@@ -233,9 +240,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"change {1e3 * total['change'] / args.ops:.2f} ms/op; summed time ratio "
                   f"{total['change'] / total['parent']:.3f}, median op ratio "
                   f"{statistics.median(ratios):.3f}")
-        mix = {side: sum(totals[name][side] for name in NOISELESS) for side in SIDES}
-        print(f"noiseless mix ({' + '.join(NOISELESS)}): summed time ratio "
-              f"{mix['change'] / mix['parent']:.3f}")
+        if set(NOISELESS) <= set(totals):
+            mix = {side: sum(totals[name][side] for name in NOISELESS) for side in SIDES}
+            print(f"noiseless mix ({' + '.join(NOISELESS)}): summed time ratio "
+                  f"{mix['change'] / mix['parent']:.3f}")
         for side in SIDES:
             probe = subprocess.run(
                 [sys.executable, "-c", _RSS_PROBE, str(tmp), f"rydqnd_{side}",

@@ -323,6 +323,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     cands, prior = _parse_candidates(args)
     # N checked at any gamma, since posterior.json records tau_eit and N either way
     noise = inference.NoiseParams(gamma, tau_eit, args.n_atoms)
+    taus = record.taus[record.taus > 0]
+    with np.errstate(over="ignore"):  # a phase past float range: the kernels name its drive time
+        small = taus[(omega * taus) ** 2 == 0.0]
+    if small.size:  # sin^2 of such a phase underflows to 0, read as a zero-likelihood record
+        raise ResourceError(f"--omega-mhz {args.omega_mhz} and drive time {float(small[0])} s give "
+                            "a drive phase omega * tau whose square underflows to 0")
     trace = inference.posterior_trace(record, cands, prior, omega,
                                       noise=noise if gamma else None, eject=args.eject)
 

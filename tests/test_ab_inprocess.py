@@ -34,3 +34,18 @@ def test_the_harness_reports_every_workload_and_both_sides():
                    for text in lines) == 1
     # the same revision on both sides writes the same files: two traces, the log, the summary
     assert "simulate files: 4 written, identical on the two sides" in lines
+
+
+def test_the_harness_times_only_the_named_workloads():
+    """``--workloads`` times the named workloads alone, and the noiseless mix's line
+    needs all three noiseless workloads; an unknown name is a usage error."""
+    tiny = [sys.executable, str(ROOT / "scripts" / "ab_inprocess.py"), "--parent", "HEAD",
+            "--change", "HEAD", "--ops", "2", "--rows", "2", "--rss-rows", "2",
+            "--rss-cycles", "2", "--sim-trajectories", "2"]
+    out = subprocess.run([*tiny, "--workloads", "noiseless_batch,traced_batch"],
+                         capture_output=True, text=True, check=True, timeout=300)
+    timed = [text.split(":")[0] for text in out.stdout.splitlines() if "summed time ratio" in text]
+    assert timed == ["traced_batch", "noiseless_batch"]  # in the harness's order, no mix line
+    bad = subprocess.run([*tiny, "--workloads", "simulate,nope"], capture_output=True, text=True,
+                         timeout=300)
+    assert bad.returncode == 2 and "unknown workloads nope" in bad.stderr

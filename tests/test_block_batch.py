@@ -120,6 +120,21 @@ def runs(draw):
            ([0.7] * 5, [0.001] * 5, [False] * 5),
            ([0.7] * 5, [0.9, 0.9, 0.9, 0.9, 0.9], [False] * 5)]))
 @example((2, [2, 1], 0.0, 0.3, False, 0, [([0.4, 1.1], [0.2, 0.7], [False, False])]))
+# every row shares each tau, which repeats, changes (to 0 too) and comes back, after rows
+# eject and after rows leave: the held block stacks and twin phases are reused and rebuilt
+@example((3, [1, 2, 3, 2], 0.5, 0.3, True, 3,
+          [([0.6] * 4, [0.3, 0.6, 0.2, 0.9], [False] * 4),
+           ([0.6] * 4, [0.5] * 4, [False, False, True, False]),
+           ([1.2] * 4, [0.5] * 4, [False] * 4),
+           ([0.0] * 4, [0.5] * 4, [False] * 4),
+           ([0.6] * 4, [0.5] * 4, [False] * 4),
+           ([0.6] * 4, [0.5] * 4, [False] * 4)]))
+@example((2, [2, 2, 1], 8.0, 0.0, False, 0,
+          [([0.8] * 3, [0.4, 0.6, 0.5], [False] * 3),
+           ([0.8] * 3, [0.4, 0.6, 0.5], [True, False, False]),
+           ([0.3] * 3, [0.4, 0.6, 0.5], [False] * 3),
+           ([0.8] * 3, [0.4, 0.6, 0.5], [False] * 3),
+           ([0.8] * 3, [0.4, 0.6, 0.5], [False] * 3)]))
 def test_batch_matches_the_one_state_chain_to_the_bit(run):
     """Every row's sector probabilities, fidelities (initial, traced drive and
     window sub-steps, after the collapse), outcomes, outcome probabilities and

@@ -271,13 +271,21 @@ _SMALL_RUN = ["--n-atoms", "5", "--trajectories", "1", "--max-cycles", "2", "--t
     # a subnormal omega: the horizon 5 / omega is infinite, refused before np.linspace warns
     (["oracle-check", "--angular", "--omega-mhz", "1e-320", "--time-points", "2"],
      r"error: omega [0-9.e-]+ puts the horizon 5 / omega past float range"),
+    # a subnormal omega on a one-cycle Rydberg record: (omega tau)^2 underflows to 0, in both
+    # noise models, which would read as a record of zero likelihood
+    *[(["infer", "rec.json", "--angular", "--omega-mhz", "1e-320", "--gamma-mhz", gamma],
+       r"error: --omega-mhz 1e-320 and drive time 2\.1e-07 s give a drive phase omega \* tau "
+       r"whose square underflows to 0") for gamma in ("0", "0.3")],
 ], ids=["gamma-lost-trace", "omega-complex-fidelity", "oracle-norm", "noiseless-rate",
-        "oracle-horizon"])
+        "oracle-horizon", "infer-underflow-noiseless", "infer-underflow-noisy"])
 def test_numerical_limits_exit_5_with_one_error_line(argv, line, tmp_path):
     """A rate at which the propagation leaves its tolerance (`IntegratorError`) or
-    passes float range exits 5 with one error line naming what went wrong, with no
-    traceback and no warning text, and writes nothing."""
-    out = tmp_path / "out"
+    passes float range, or a drive phase whose square underflows, exits 5 with one
+    error line naming what went wrong, with no traceback and no warning text, and
+    writes nothing."""
+    out, record = tmp_path / "out", tmp_path / "rec.json"
+    record.write_text('{"entries": [{"tau_s": 2.1e-7, "outcome": "Rydberg"}]}')
+    argv = [str(record) if arg == "rec.json" else arg for arg in argv]
     proc = _run_printing_warnings(*argv, "--outdir" if argv[0] == "simulate" else "--out", str(out))
     assert proc.returncode == cli.EXIT_RESOURCE
     assert re.fullmatch(line + "\n", proc.stderr)

@@ -69,6 +69,16 @@ def batches(draw):
                                [(0.2, False), (1.9, True), (0.6, True)]]))
 @example((1, 0.0, 0.3, False, [[(0.5, False), (0.8, True)]]))
 @example((1, 0.0, 0.0, True, [[(0.5, True), (0.8, True)]]))  # more ejections than photons
+# every row shares each tau, which repeats, changes and comes back, before and after
+# the rows eject: each shift's held stack is built, reused and rebuilt
+@example((3, 0.4, 0.2, True, [[(0.5, True), (0.5, False), (0.9, False), (0.5, False), (0.5, True),
+                               (0.5, False)],
+                              [(0.5, True), (0.5, False), (0.9, False), (0.5, False), (0.5, True),
+                               (0.5, True)]]))
+@example((2, 0.0, 0.3, True, [[(0.7, True), (0.7, False), (1.3, False), (0.7, False), (0.7, True)],
+                              [(0.7, True), (0.7, False), (1.3, False), (0.7, False), (0.7, False)]]))
+@example((2, 8.0, 0.0, False, [[(0.6, False), (0.6, True), (1.1, True), (0.6, True), (0.6, False)],
+                               [(0.6, True), (0.6, True), (1.1, False), (0.6, False), (0.6, True)]]))
 def test_holder_matches_the_one_state_chain_to_the_bit(batch):
     """Every candidate 0..N of every row: the same log-likelihood after every
     cycle and the same final state, bit for bit; a candidate that meets an
@@ -93,6 +103,9 @@ def test_holder_matches_the_one_state_chain_to_the_bit(batch):
 @given(batches())
 @example((2, 0.3, 0.2, True, [[(0.9, True), (1.1, True), (0.4, False)]]))
 @example((4, 8.0, 0.1, False, [[(0.7, True)] * 6 + [(0.3, False)] + [(1.2, True)] * 3]))
+# the runs share each tau, which changes and comes back while runs leave the holder
+@example((3, 0.5, 0.2, False, [[(0.6, True), (0.6, True), (0.6, False), (1.1, True), (0.6, True),
+                                (0.6, True), (0.6, False), (0.6, True), (1.1, True)]]))
 def test_renewal_table_matches_the_holder(batch):
     """The renewal table of a record equals the holder's log-likelihoods after
     every cycle to 1e-12, with the same impossible cycles."""

@@ -9,11 +9,14 @@ the measurement and one for the collapse.  The logs stay those the golden
 digests pin.
 """
 
+import math
+
 import pytest
 from test_engine_golden import CASES, DIGESTS, _digest
 
 from rydqnd import dynamics as dyn
 from rydqnd import engine as eng
+from rydqnd.symbasis import sector
 
 
 def _counted(monkeypatch, cls, name, seen, what):
@@ -81,3 +84,34 @@ def test_traced_noiseless_cycle_reads_the_odds_once_per_phase(monkeypatch, name)
     # the initial trace reads the rows; a cycle's measure reads them once more, collapsed
     assert per_call[0] == ("read", 1)
     assert per_call[1:] == [("drive", 1), ("measure", 2)] * cycles
+
+
+@pytest.mark.parametrize("points", [0, 8])
+@pytest.mark.parametrize("taus, runs", [((0.21e-6,) * 12, 1),
+                                        ((0.21e-6,) * 4 + (0.3e-6,) * 4 + (0.21e-6,) * 4, 3)],
+                         ids=["fixed", "changed-and-back"])
+def test_a_repeated_drive_time_builds_its_operators_once(monkeypatch, points, taus, runs):
+    """A noisy batch whose rows share each drive time and stay, at the CLI's noisy rates:
+    the likelihood holder makes its stacked `_spectral` call once per run of one drive
+    time (one ejection count here), `BlockBatch` computes its twins' phases once per run
+    and builds each block's drive stack once per run and its window stack once, not once
+    per cycle."""
+    spectral, phases, stacks = [], [], []
+    for name, seen, mine in (("_spectral", spectral, lambda lam, *_: lam.ndim == 2),
+                             ("_phases", phases, lambda *_: True),
+                             ("_propagators", stacks, lambda *args: args[5].ndim < 2)):
+        def counted(*args, original=getattr(dyn, name), seen=seen, mine=mine):
+            if mine(*args):
+                seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dyn, name, counted)
+    omega = 2 * math.pi * 2.5e6
+    params = eng.ProtocolParams(omega=omega, gamma=0.12 * omega, tau_eit=0.3e-6, N=10,
+                                schedule=eng.Schedule.precomputed(taus), max_cycles=len(taus),
+                                threshold=2.0, trace_points=points)
+    logs = eng.run_batch(2, params, 2)
+    assert [len(log.record) for log in logs] == [len(taus)] * 2
+    assert (len(spectral), len(phases)) == (runs, runs)
+    blocks = len(sector(2, 10).blocks)
+    assert len(stacks) == (runs + 1) * blocks  # each run's drive stacks, one window stack
