@@ -323,11 +323,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
     cands, prior = _parse_candidates(args)
     # N checked at any gamma, since posterior.json records tau_eit and N either way
     noise = inference.NoiseParams(gamma, tau_eit, args.n_atoms)
-    taus = record.taus[record.taus > 0]
-    with np.errstate(over="ignore"):  # a phase past float range: the kernels name its drive time
-        small = taus[(omega * taus) ** 2 == 0.0]
-    if small.size:  # sin^2 of such a phase underflows to 0, read as a zero-likelihood record
-        raise ResourceError(f"--omega-mhz {args.omega_mhz} and drive time {float(small[0])} s give "
+    tau = float(record.taus[record.taus > 0].min(initial=math.inf))  # the smallest phase's
+    if (omega * tau) * (omega * tau) == 0.0:  # sin^2 of it underflows to 0: zero likelihood
+        raise ResourceError(f"--omega-mhz {args.omega_mhz} and drive time {tau} s give "
                             "a drive phase omega * tau whose square underflows to 0")
     trace = inference.posterior_trace(record, cands, prior, omega,
                                       noise=noise if gamma else None, eject=args.eject)

@@ -92,14 +92,8 @@ def _noiseless_factors(root: np.ndarray, omega: float, taus: np.ndarray,
     return trig * trig
 
 
-def _turn(root, omega: float, taus) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the phases (root * omega) * taus (`_phases`)."""
-    theta = _phases(root, omega, taus)
-    return np.cos(theta), np.sin(theta)
-
-
 def _rotation(a: np.ndarray, b: np.ndarray, c, s) -> tuple[np.ndarray, np.ndarray]:
-    """Each (a, b) pair rotated by the phase whose cos and sin are c and s (`_turn`)."""
+    """Each (a, b) pair rotated by the phase whose cos and sin are c and s (`_phases`)."""
     return a * c - 1j * b * s, b * c - 1j * a * s
 
 
@@ -195,8 +189,8 @@ class PureBatch:
 def evolve_pure(state: PureCollectiveState, tau: float, omega: float) -> PureCollectiveState:
     """Drive for time tau: within each n, rotate (a_n, b_n) at sqrt(n)*Omega."""
     _check_times(tau, "drive time")
-    root = np.sqrt(np.arange(state.a.size))
-    return PureCollectiveState(*_rotation(state.a, state.b, *_turn(root, omega, tau)))
+    theta = _phases(np.sqrt(np.arange(state.a.size)), omega, tau)
+    return PureCollectiveState(*_rotation(state.a, state.b, np.cos(theta), np.sin(theta)))
 
 
 def measure_pure(state: PureCollectiveState, draw: float) -> tuple[str, PureCollectiveState, float]:
@@ -548,9 +542,7 @@ class BlockBatch:
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
         self._held = None  # a traced drive's read to fill and, per group, its states and twins
-        # held while they repeat: the twins' (cos, sin) per (photon numbers, times), and per
-        # rate (omega; 0 the window) each sector's block stacks at the times its rows share
-        self._turns, self._stacks = (None, None), {}
+        self._turns, self._stacks = (None, None), {}  # held while what they come from repeats
         self._regroup()
         self.x = np.zeros((self.n.size, max((sec.spans[-1].stop for sec, _ in self.groups),
                                             default=0)), dtype=complex)
@@ -569,8 +561,8 @@ class BlockBatch:
 
     def _advanced(self, sec: Sector, rows: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
         """The rows (of sector sec) advanced for each of their times in taus, as `_times`
-        gives them, (rows, points, D); the rows keep the last.  Each sector's block stacks
-        at times every row shares are held until the rate's times change."""
+        gives them, (rows, points, D); the rows keep the last.  The block stacks of times
+        every row shares are held per rate (omega, 0 the window) until its times change."""
         x = self._states(sec, rows)
         key = (taus.shape, taus.tobytes()) if taus.ndim < 2 else None  # per-row times: none held
         times, held = self._stacks.get(omega, (None, {}))
@@ -612,8 +604,9 @@ class BlockBatch:
         self._held, steps = ((None, taus[driven, None]) if steps is None else (
             (np.empty((3, taus.size, steps.shape[1] + self.dts.size + 1)), []), steps))
         key = (self.n[driven].tobytes(), steps.shape, steps.tobytes())
-        if self._turns[0] != key:
-            self._turns = key, _turn(np.sqrt(self.n[driven, None]), self.omega, steps)
+        if self._turns[0] != key:  # the photon numbers and times they are the phases of
+            theta = _phases(np.sqrt(self.n[driven, None]), self.omega, steps)  # twins' cos, sin
+            self._turns = key, (np.cos(theta), np.sin(theta))
         a, b = _rotation(self.a[driven, None], self.b[driven, None], *self._turns[1])
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]

@@ -262,23 +262,21 @@ def spell(traces: list[Trace], *formats: str) -> list[list]:
 
 def json_lines(logs: list[TrajectoryLog], columns: list):
     """Each log as `TrajectoryLog.to_json` writes it, its trace values from columns (`spell`'s
-    "json" rows of each trace): "params" spliced in at its sorted place, encoded once per
-    distinct dict (a batch's logs share one), "trace" last, one %-format per row, each
-    posterior json once."""
+    "json" rows of each trace): "params" encoded once per distinct dict (a batch's logs share
+    one) and put in for the 0 that holds its place (the keys before it hold no strings),
+    "trace" last, one %-format per row, each posterior json once."""
     params = spelled = None
     for log, (times, p_s, p_r, fids) in zip(logs, columns):
         if log.params is not params:
-            params, spelled = log.params, json.dumps(log.params, sort_keys=True)
-        doc = {f.name: getattr(log, f.name) for f in fields(log)
-               if f.name not in ("params", "trace")}
-        doc.update(record=[{"tau_s": t, "outcome": m} for t, m in log.record.entries],
+            params, spelled = log.params, '"params": ' + json.dumps(log.params, sort_keys=True)
+        doc = {f.name: getattr(log, f.name) for f in fields(log) if f.name != "trace"}
+        doc.update(params=0, record=[{"tau_s": t, "outcome": m} for t, m in log.record.entries],
                    posteriors=log.posteriors.tolist(), fidelities=log.fidelities.tolist())
-        before = json.dumps({key: doc.pop(key) for key in sorted(doc) if key < "params"})
+        text = json.dumps(doc, sort_keys=True).replace('"params": 0', spelled, 1)
         posts = [json.dumps(post) for post in log.trace.posteriors.tolist()] if log.trace else []
         rows = [_TRACE_ROW % (f, s, r, PHASES[phase], posts[post], t) for t, s, r, f, phase, post
                 in zip(times, p_s, p_r, fids, *log.trace.codes.tolist())]
-        yield '%s, "params": %s, %s, "trace": [%s]}' % (
-            before[:-1], spelled, json.dumps(doc, sort_keys=True)[1:-1], ", ".join(rows))
+        yield '%s, "trace": [%s]}' % (text[:-1], ", ".join(rows))
 
 
 def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],

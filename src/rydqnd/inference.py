@@ -319,17 +319,21 @@ class NoisyLikelihoods:
         for s, r, c in self._live():
             rows, N = self._rows(s), self.noise.N - s
             tau, ryd = taus[r], rydberg[r]
-            # entries that share one tau, no fewer than the table's rows: one propagator a
-            # row, held while tau repeats with whether a row is past its horizon at tau
+            # a tau all entries share, no fewer than the table's rows: each row's, held per count
             shared = len(c) >= len(rows["n"]) and (tau == tau[0]).all()
-            if shared and self._drive.get(s, (None,))[0] != tau[0]:
-                t = np.full(len(rows["n"]), tau[0])
-                self._drive[s] = (tau[0], self._props(rows, slice(None), t, N),
-                                  (t > rows["horizon"]).any())
-            if not shared or self._drive[s][2]:
+            held = self._drive.get(s, (None,)) if shared else (None,)
+            if held[0] != tau[0]:
+                k, t = (slice(None), np.full(len(rows["n"]), tau[0])) if shared else (c, tau)
+                props = dyn._spectral(rows["lam"][k], rows["vecs"][k], rows["inv"][k], t)
+                for m in np.flatnonzero(~rows["spectral"][k] & (t <= rows["horizon"][k])).tolist():
+                    props[m] = _padded(dyn._propagators(int(rows["n"][k][m]), N, 0, self.omega,
+                                                        self.noise.gamma, t[m:m + 1, None])[0, 0])
+                held = tau[0], props, (t > rows["horizon"][k]).any()
+                if shared:
+                    self._drive[s] = held
+            if held[2]:  # a row past its horizon, left unbuilt: refused if an entry is live there
                 dyn._check_horizon(tau, rows["horizon"][c])
-            # `take` outpaces indexing
-            props = self._drive[s][1].take(c, axis=0) if shared else self._props(rows, c, tau, N)
+            props = held[1].take(c, axis=0) if shared else held[1]  # `take` outpaces indexing
             trace, x = rows["trace"].take(c, axis=0), self.x[r, c]
             for prop in (props, rows["window"][c]) if self.noise.tau_eit > 0 else (props,):
                 x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
@@ -349,16 +353,6 @@ class NoisyLikelihoods:
         if self.eject:
             self.shift = self.shift + rydberg
         return step
-
-    def _props(self, rows: dict, k, t: np.ndarray, N: int) -> np.ndarray:
-        """The drive propagators at times t of rows k of a `_shift_rows` table: `_spectral`,
-        or expm where a row has no eigenbasis and t is within its horizon (`update` refuses a
-        live entry past it, so a held stack's other rows may stay unbuilt)."""
-        props = dyn._spectral(rows["lam"][k], rows["vecs"][k], rows["inv"][k], t)
-        for m in np.flatnonzero(~rows["spectral"][k] & (t <= rows["horizon"][k])).tolist():
-            props[m] = _padded(dyn._propagators(int(rows["n"][k][m]), N, 0, self.omega,
-                                                self.noise.gamma, t[m:m + 1, None])[0, 0])
-        return props
 
     def grid_reader(self, grid: np.ndarray):
         """The grid checked once, and a function of the selected rows (default all)
