@@ -32,17 +32,17 @@ drift hits both alike:
 * ``oracle``: ``rydqnd oracle-check --time-points 3``, the op of the benchmark's
   ``oracle_check``.
 
-For each workload it prints the change's summed time over the parent's and the
-median of the per-op ratios, and then, if all three noiseless workloads ran, the
-summed time ratio of the three together: the mix that the benchmark's ``noiseless_distill``
-items_per_s weighs, one op of each schedule in turn.  For each side it then runs
-one traced batch of ``--rss-rows`` rows (n_true 3, ``--rss-cycles`` cycles at
-most) in a subprocess of its own and prints the growth of its peak RSS over the
-process's peak just before the batch.  That batch never reaches the writer, so for each
-side it also runs one whole traced ``rydqnd simulate --trajectories T`` at the defaults in a
-fresh process, and prints its wall time and peak RSS (``ru_maxrss``) and whether the two
-sides wrote the same files, byte for byte.  Run it also with one revision as both sides:
-the spread of that A/A run is the noise a ratio must clear.
+For each workload it prints the change's summed time over the parent's and the median of
+the per-op ratios, and then, if all three noiseless workloads ran, the summed time ratio
+of the three together: the mix that the benchmark's ``noiseless_distill`` items_per_s
+weighs, one op of each schedule in turn.  For each side it then runs one traced batch of
+``--rss-rows`` rows (n_true 3, ``--rss-cycles`` cycles at most) in a subprocess of its
+own and prints the growth of its peak RSS over the process's peak just before the batch.
+That batch never reaches the writer, so for each side it also runs one whole traced
+``rydqnd simulate --trajectories T`` at the defaults in a fresh process, and prints its
+wall time and peak RSS (``ru_maxrss``) and whether the two sides wrote the same files,
+byte for byte.  Run it also with one revision as both sides: the spread of that A/A run
+is the noise a ratio must clear.
 """
 
 from __future__ import annotations

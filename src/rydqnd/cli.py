@@ -323,8 +323,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     cands, prior = _parse_candidates(args)
     # N checked at any gamma, since posterior.json records tau_eit and N either way
     noise = inference.NoiseParams(gamma, tau_eit, args.n_atoms)
-    tau = float(record.taus[record.taus > 0].min(initial=math.inf))  # the smallest phase's
-    if (omega * tau) * (omega * tau) == 0.0:  # sin^2 of it underflows to 0: zero likelihood
+    tau = float(record.taus[record.taus > 0].min(initial=math.inf))  # the smallest phase's time
+    if (omega * tau) * (omega * tau) == 0.0:  # sin^2 would underflow: a zero-likelihood record
         raise ResourceError(f"--omega-mhz {args.omega_mhz} and drive time {tau} s give "
                             "a drive phase omega * tau whose square underflows to 0")
     trace = inference.posterior_trace(record, cands, prior, omega,

@@ -564,7 +564,7 @@ class BlockBatch:
         gives them, (rows, points, D); the rows keep the last.  The block stacks of times
         every row shares are held per rate (omega, 0 the window) until its times change."""
         x = self._states(sec, rows)
-        key = (taus.shape, taus.tobytes()) if taus.ndim < 2 else None  # per-row times: none held
+        key = (taus.shape, taus.tobytes()) if taus.ndim < 2 else None  # per-row: built each call
         times, held = self._stacks.get(omega, (None, {}))
         if key is None or times != key:
             self._stacks[omega] = key, (held := {})
@@ -603,9 +603,9 @@ class BlockBatch:
         # traced: the cycle's read, for `measure` to fill, and each group's states and twins
         self._held, steps = ((None, taus[driven, None]) if steps is None else (
             (np.empty((3, taus.size, steps.shape[1] + self.dts.size + 1)), []), steps))
-        key = (self.n[driven].tobytes(), steps.shape, steps.tobytes())
-        if self._turns[0] != key:  # the photon numbers and times they are the phases of
-            theta = _phases(np.sqrt(self.n[driven, None]), self.omega, steps)  # twins' cos, sin
+        key = (self.n[driven].tobytes(), steps.shape, steps.tobytes())  # the twins' phases'
+        if self._turns[0] != key:
+            theta = _phases(np.sqrt(self.n[driven, None]), self.omega, steps)
             self._turns = key, (np.cos(theta), np.sin(theta))
         a, b = _rotation(self.a[driven, None], self.b[driven, None], *self._turns[1])
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
