@@ -564,10 +564,11 @@ class BlockBatch:
         gives them, (rows, points, D); the rows keep the last.  The block stacks of times
         every row shares are held per rate (omega, 0 the window) until its times change."""
         x = self._states(sec, rows)
-        key = (taus.shape, taus.tobytes()) if taus.ndim < 2 else None  # per-row: built each call
+        key = (taus.shape, taus.tobytes()) if taus.ndim < 2 else None  # per-row times: not kept
         times, held = self._stacks.get(omega, (None, {}))
         if key is None or times != key:
-            self._stacks[omega] = key, (held := {})
+            held = {}
+            self._stacks[omega] = key, (held if key else {})
         if sec not in held:
             held[sec] = [_propagators(sec.n, sec.N, blk.j, omega, self.gamma, taus)
                          for blk in sec.blocks]
@@ -603,9 +604,8 @@ class BlockBatch:
         # traced: the cycle's read, for `measure` to fill, and each group's states and twins
         self._held, steps = ((None, taus[driven, None]) if steps is None else (
             (np.empty((3, taus.size, steps.shape[1] + self.dts.size + 1)), []), steps))
-        key = (self.n[driven].tobytes(), steps.shape, steps.tobytes())  # the twins' phases'
-        if self._turns[0] != key:
-            theta = _phases(np.sqrt(self.n[driven, None]), self.omega, steps)
+        if self._turns[0] != (key := (self.n[driven].tobytes(), steps.shape, steps.tobytes())):
+            theta = _phases(np.sqrt(self.n[driven, None]), self.omega, steps)  # the twins'
             self._turns = key, (np.cos(theta), np.sin(theta))
         a, b = _rotation(self.a[driven, None], self.b[driven, None], *self._turns[1])
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
