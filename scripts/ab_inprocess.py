@@ -8,7 +8,8 @@ directory, as the packages ``rydqnd_parent`` and ``rydqnd_change`` (the package
 imports itself only relatively), and imports both into this interpreter.  Each
 workload named by ``--workloads`` (default all) then runs its ops alternately on
 the two sides, the side that goes first alternating from op to op, so machine
-drift hits both alike:
+drift hits both alike, each op after an untimed full garbage collection, so the
+cyclic collector's work is billed to no op of a later workload:
 
 * ``simulate``: ``rydqnd simulate`` at its defaults with ``--trajectories 2``,
   n_true 1..4 in turn, written to a scratch directory;
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import filecmp
+import gc
 import importlib
 import io
 import json
@@ -195,6 +197,7 @@ def workloads(mods: dict, scratch: Path, rows: int) -> dict:
 
 
 def timed(op, i: int) -> float:
+    gc.collect()  # untimed, so no op pays for a full collection its predecessors built up
     start = time.perf_counter()
     op(i)
     return time.perf_counter() - start

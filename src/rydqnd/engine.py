@@ -4,8 +4,10 @@ A trajectory interleaves driven oscillation windows with projective Rydberg
 measurements, optionally ejecting the detected Rydberg atom, while a
 sequential Bayesian posterior over candidate initial distributions and (in
 the noisy mode) a retrieval-fidelity trace are logged.  Trajectory i of a
-batch draws its generator from spawn i of the batch seed, so results do not
-depend on how a batch is partitioned.
+batch draws the stream of spawn key (i,) of the batch seed, so results do not
+depend on how a batch is partitioned.  One pass seeds a whole batch: NumPy's
+`SeedSequence` hash runs over uint32 columns, one row per spawn key, and each
+row's state seeds a `PCG64` through NumPy's `ISeedSequence` interface.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from itertools import product
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import dynamics as dyn
 from .analysis import MAX_TRACE_POINTS, default_tau_grid, greedy_next_tau
@@ -112,6 +116,8 @@ class ProtocolParams:
             raise DomainError("need 1 <= n_max <= N")
         if self.max_cycles < 1:
             raise DomainError("need max_cycles >= 1")
+        if not isinstance(self.seed, numbers.Integral):
+            raise DomainError(f"seed must be a whole number, got {self.seed!r}")
         if self.trace_points < 0 or self.seed < 0:
             raise DomainError("need trace_points >= 0 and seed >= 0")
         if self.trace_points > MAX_TRACE_POINTS:
@@ -408,17 +414,92 @@ def _traces(segments: list[tuple], posteriors: list[np.ndarray]) -> list[Trace]:
             for start, stop, post in zip([0, *bounds], bounds, posteriors)]
 
 
-def _seeded(params: ProtocolParams, seed_key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=seed_key))
+# NumPy's `SeedSequence` hash (O'Neill's seed-sequence design for PCG, kept stable by
+# NEP 19): its pool size and the constants of its two hashes and its mix, as Python ints
+_POOL, _MASK = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative integer's 32-bit words, least significant first (0 has one)."""
+    return [(n >> shift) & _MASK for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """`SeedSequence`'s hashmix over uint32 arrays: its hash constant starts at const and
+    is multiplied by mult at every call."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64: row r is `SeedSequence(seed, spawn_key=key).generate_state(4,
+    np.uint64)` for the key whose 32-bit words are keys[r] ((rows, words) uint32), hashed
+    over uint32 columns, all rows at once.  The seed's words are padded with zeros to the
+    pool size; NumPy pads only when there is a key, but hashes a missing pool word as 0."""
+    run = _words(int(seed))
+    columns = [np.full(len(keys), word, np.uint32) for word in run + [0] * (_POOL - len(run))]
+    columns += list(keys.T)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in columns[:_POOL]]
+    for src, dst in product(range(_POOL), repeat=2):  # every pool word into every other
+        if src != dst:
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in product(columns[_POOL:], range(_POOL)):  # each later word into each
+        pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)  # eight uint32 words, read as four little-endian uint64
+    state = np.stack([hashmix(pool[i % _POOL]) for i in range(2 * _POOL)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A row of `_seed_states`, the four uint64 words `np.random.PCG64` asks for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seed: int, keys: np.ndarray) -> list[np.random.Generator]:
+    """One generator per row of keys (as `_seed_states` takes them): the stream of
+    `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))`."""
+    return [np.random.Generator(np.random.PCG64(_SeedState(row)))
+            for row in _seed_states(seed, keys)]
+
+
+def _key_words(seed_key: tuple[int, ...]) -> np.ndarray:
+    """(1, words) uint32: a seed key's elements' `_words`, one after another, as
+    `SeedSequence` reads a spawn key; an element that is not a whole number >= 0 is a
+    `DomainError`."""
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in seed_key):
+        raise DomainError(f"a seed key holds whole numbers >= 0, got {seed_key!r}")
+    return np.array([[word for k in seed_key for word in _words(int(k))]], np.uint32)
 
 
 def run_protocol(initial, params: ProtocolParams,
                  seed_key: tuple[int, ...] = ()) -> TrajectoryLog:
     """Simulate one experiment; deterministic given params.seed and seed_key."""
-    return _run(initial, params, [_seeded(params, seed_key)], [seed_key])[0]
+    return _run(initial, params, _generators(params.seed, _key_words(seed_key)), [seed_key])[0]
 
 
 def run_batch(initial, params: ProtocolParams, n_trajectories: int) -> list[TrajectoryLog]:
-    """Independent seeded trajectories; trajectory i uses spawn key (i,), as `_seeded` does."""
-    seeds = np.random.SeedSequence(params.seed).spawn(n_trajectories)  # child i has key (i,)
-    return _run(initial, params, [*map(np.random.default_rng, seeds)], [s.spawn_key for s in seeds])
+    """Independent seeded trajectories; trajectory i uses seed key (i,), as `run_protocol`
+    takes it."""
+    if n_trajectories > _MASK:  # each key one word
+        raise ResourceError(f"{n_trajectories} trajectories: a batch runs fewer than 2**32")
+    keys = [(i,) for i in range(n_trajectories)]
+    words = np.arange(len(keys), dtype=np.uint32)[:, None]
+    return _run(initial, params, _generators(params.seed, words), keys)

@@ -252,8 +252,8 @@ def test_batch_uses_independent_spawned_streams():
 @pytest.mark.parametrize("n_trajectories", [1, 3, 200])
 def test_batch_generators_draw_the_streams_of_their_spawn_keys(monkeypatch, seed,
                                                                 n_trajectories):
-    """Generator i of a batch draws what `_seeded` gives for spawn key (i,): the
-    batch's streams are those of per-trajectory seeding, whatever the batch size."""
+    """Generator i of a batch draws what NumPy's own `SeedSequence` gives for spawn key
+    (i,): the batch's streams are those of per-trajectory seeding, whatever the batch size."""
     taken = {}
     monkeypatch.setattr(eng, "_run", lambda initial, params, rngs, keys:
                         taken.update(rngs=rngs, keys=keys) or [])
@@ -261,7 +261,7 @@ def test_batch_generators_draw_the_streams_of_their_spawn_keys(monkeypatch, seed
     eng.run_batch(2, params, n_trajectories)
     assert [tuple(key) for key in taken["keys"]] == [(i,) for i in range(n_trajectories)]
     for i, rng in enumerate(taken["rngs"]):
-        expected = eng._seeded(params, (i,))
+        expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         assert rng.random(8).tolist() == expected.random(8).tolist()
         assert rng.integers(0, 2**63, 4).tolist() == expected.integers(0, 2**63, 4).tolist()
 
