@@ -498,7 +498,7 @@ def run_protocol(initial, params: ProtocolParams,
 def run_batch(initial, params: ProtocolParams, n_trajectories: int) -> list[TrajectoryLog]:
     """Independent seeded trajectories; trajectory i uses seed key (i,), as `run_protocol`
     takes it."""
-    if n_trajectories > _MASK:  # each key one word
+    if n_trajectories > _MASK:  # every key, and the count, one uint32 word
         raise ResourceError(f"{n_trajectories} trajectories: a batch runs fewer than 2**32")
     keys = [(i,) for i in range(n_trajectories)]
     words = np.arange(len(keys), dtype=np.uint32)[:, None]

@@ -248,7 +248,7 @@ def test_batch_uses_independent_spawned_streams():
     assert [log.to_json() for log in again] == [log.to_json() for log in logs]
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**32 + 7])
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 7, 2**160 + 1])
 @pytest.mark.parametrize("n_trajectories", [1, 3, 200])
 def test_batch_generators_draw_the_streams_of_their_spawn_keys(monkeypatch, seed,
                                                                 n_trajectories):

@@ -40,14 +40,6 @@ def test_seeding_matches_numpy(seed, key):
     _matches_numpy(seed, key)
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**96 + 3])
-def test_a_batch_hashes_every_spawned_child_in_one_pass(seed):
-    """Row i of a batch's states is what `SeedSequence(seed).spawn(n)[i]` generates."""
-    states = eng._seed_states(seed, np.arange(300, dtype=np.uint32)[:, None])
-    children = np.random.SeedSequence(seed).spawn(300)
-    assert states.tolist() == [child.generate_state(4, np.uint64).tolist() for child in children]
-
-
 @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None])
 def test_a_seed_that_is_not_a_whole_number_is_refused_at_construction(seed):
     with pytest.raises(DomainError, match="seed must be a whole number"):
