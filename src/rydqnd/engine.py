@@ -16,10 +16,10 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import dynamics as dyn
 from .analysis import MAX_TRACE_POINTS, default_tau_grid, greedy_next_tau
@@ -463,20 +463,26 @@ def _seed_states(seed: int, keys: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedState(ISeedSequence):
-    """A row of `_seed_states`, the four uint64 words `np.random.PCG64` asks for."""
+@lru_cache(maxsize=1)
+def _seed_state() -> type:
+    """The `ISeedSequence` that hands `np.random.PCG64` a row of `_seed_states`, the four
+    uint64 words it asks for; made at first use, so numpy.random loads then, not at import."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class SeedState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return SeedState
 
 
 def _generators(seed: int, keys: np.ndarray) -> list[np.random.Generator]:
     """One generator per row of keys (as `_seed_states` takes them): the stream of
     `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))`."""
-    return [np.random.Generator(np.random.PCG64(_SeedState(row)))
+    seed_state = _seed_state()
+    return [np.random.Generator(np.random.PCG64(seed_state(row)))
             for row in _seed_states(seed, keys)]
 
 

@@ -1,9 +1,11 @@
 """Batch seeding: `engine._seed_states` and `engine._generators` against NumPy's own
 `SeedSequence`, and the refusals of seeds and seed keys it cannot take."""
 
+import os
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from rydqnd.errors import DomainError
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1]
 KEYS = [(), (0,), (2**32 - 1,), (2**32,), (7, 2)]
+# a fresh interpreter's environment that imports this package
+SRC = str(Path(eng.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def _matches_numpy(seed: int, key: tuple[int, ...]) -> None:
@@ -72,8 +78,19 @@ except ResourceError as exc:
 
 def test_a_batch_of_2_to_the_32_trajectories_is_refused_before_any_array():
     """Keys past one 32-bit word are refused before any array or key list is built."""
-    probe = subprocess.run([sys.executable, "-c", _COUNT_PROBE], capture_output=True,
+    probe = subprocess.run([sys.executable, "-c", _COUNT_PROBE], env=ENV, capture_output=True,
                            text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
     word, peak, *_ = probe.stdout.split()
     assert word == "refused" and int(peak) < 100_000, probe.stdout
+
+
+def test_numpy_random_loads_at_the_first_seeding_not_at_import():
+    """`import rydqnd` leaves numpy.random unloaded (about 10 ms of every cold start, and
+    `infer` never draws); the first seeding loads it."""
+    probe = subprocess.run([sys.executable, "-c", "import sys, rydqnd; "
+                            "loaded = 'numpy.random' in sys.modules; "
+                            "rydqnd.engine._generators(0, rydqnd.engine._key_words(())); "
+                            "print(loaded, 'numpy.random' in sys.modules)"],
+                           env=ENV, capture_output=True, text=True, check=True)
+    assert probe.stdout.split() == ["False", "True"]
