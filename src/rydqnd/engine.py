@@ -118,6 +118,7 @@ class ProtocolParams:
             raise DomainError("need max_cycles >= 1")
         if not isinstance(self.seed, numbers.Integral):
             raise DomainError(f"seed must be a whole number, got {self.seed!r}")
+        self.seed = int(self.seed)  # a NumPy integer too: the logs spell it as json
         if self.trace_points < 0 or self.seed < 0:
             raise DomainError("need trace_points >= 0 and seed >= 0")
         if self.trace_points > MAX_TRACE_POINTS:
@@ -443,7 +444,7 @@ def _seed_states(seed: int, keys: np.ndarray) -> np.ndarray:
     np.uint64)` for the key whose 32-bit words are keys[r] ((rows, words) uint32), hashed
     over uint32 columns, all rows at once.  The seed's words are padded with zeros to the
     pool size; NumPy pads only when there is a key, but hashes a missing pool word as 0."""
-    run = _words(int(seed))
+    run = _words(seed)
     columns = [np.full(len(keys), word, np.uint32) for word in run + [0] * (_POOL - len(run))]
     columns += list(keys.T)
     hashmix = _hasher(_INIT_A, _MULT_A)

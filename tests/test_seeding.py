@@ -1,6 +1,7 @@
 """Batch seeding: `engine._seed_states` and `engine._generators` against NumPy's own
 `SeedSequence`, and the refusals of seeds and seed keys it cannot take."""
 
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +51,13 @@ def test_seeding_matches_numpy(seed, key):
 def test_a_seed_that_is_not_a_whole_number_is_refused_at_construction(seed):
     with pytest.raises(DomainError, match="seed must be a whole number"):
         eng.ProtocolParams(omega=1.0, seed=seed)
+
+
+def test_a_numpy_integer_seed_runs_and_its_logs_spell_it_as_an_int():
+    params = eng.ProtocolParams(omega=1.0, mode=eng.NOISELESS_PURE, seed=np.int64(5))
+    assert type(params.seed) is int
+    [log] = eng.run_batch(1, params, 1)
+    assert json.loads(log.to_json())["params"]["seed"] == 5
 
 
 @pytest.mark.parametrize("key", [(-1,), (1.5,), (2, -3), ("1",), (np.float64(1.0),)])
