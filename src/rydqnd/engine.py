@@ -440,9 +440,9 @@ def _hasher(const: int, mult: int):
 
 
 def _seed_states(seed: int, keys: np.ndarray) -> np.ndarray:
-    """(rows, 4) uint64: row r is `SeedSequence(seed, spawn_key=key).generate_state(4,
-    np.uint64)` for the key whose 32-bit words are keys[r] ((rows, words) uint32), hashed
-    over uint32 columns, all rows at once.  The seed's words are padded with zeros to the
+    """(rows, 4) uint64: row r is the `generate_state(4, np.uint64)` of NumPy's
+    `SeedSequence` of seed with the spawn key whose 32-bit words are keys[r] ((rows,
+    words) uint32), hashed over uint32 columns, all rows at once.  The seed's words are padded with zeros to the
     pool size; NumPy pads only when there is a key, but hashes a missing pool word as 0."""
     run = _words(seed)
     columns = [np.full(len(keys), word, np.uint32) for word in run + [0] * (_POOL - len(run))]
@@ -480,8 +480,8 @@ def _seed_state() -> type:
 
 
 def _generators(seed: int, keys: np.ndarray) -> list[np.random.Generator]:
-    """One generator per row of keys (as `_seed_states` takes them): the stream of
-    `np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))`."""
+    """One generator per row of keys (as `_seed_states` takes them): the stream NumPy's
+    default generator draws when seeded by the `SeedSequence` of seed and that key."""
     seed_state = _seed_state()
     return [np.random.Generator(np.random.PCG64(seed_state(row)))
             for row in _seed_states(seed, keys)]
