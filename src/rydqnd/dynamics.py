@@ -417,17 +417,6 @@ def retrieval_fidelity(blocks, ideal: PureCollectiveState) -> float:
     return float(_overlaps(sec, x, ideal.a[n:n + 1], ideal.b[n:n + 1])[0])
 
 
-def _propagators(n: int, N: int, j: int, omega: float, gamma: float,
-                 taus: np.ndarray) -> np.ndarray:
-    """The block's propagator at every time of taus, shape taus.shape + (dim,
-    dim).  A 0-d or 1-d taus holds times every row shares; a fixed schedule
-    repeats them, so `_propagator` caches them.  Per-row times are built uncached."""
-    if taus.ndim >= 2:
-        return _build_propagators(n, N, j, omega, gamma, taus)
-    props = _propagator(n, N, j, omega, gamma, tuple(taus.ravel().tolist()))
-    return props.reshape(taus.shape + props.shape[1:])
-
-
 def _check_drift(after: np.ndarray | float, before: np.ndarray | float) -> None:
     """`IntegratorError` where a trace (or an array of them) moved by more than 1e-9."""
     drift = np.abs(after - before)
@@ -506,14 +495,6 @@ def _ejected(sec: Sector, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times(taus: np.ndarray) -> np.ndarray:
-    """Drive times of the rows, (rows, points); where every row has the same
-    times, the first row alone, and a number if it has one."""
-    if (taus == taus[0]).all():
-        return taus[0, 0] if taus.shape[1] == 1 else taus[0]
-    return taus
-
-
 class BlockBatch:
     """Noisy fixed-n states of a batch of trajectories, one row each: the noisy
     counterpart of `PureBatch`.
@@ -560,18 +541,19 @@ class BlockBatch:
         return self.x[rows, :sec.spans[-1].stop]
 
     def _advanced(self, sec: Sector, rows: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
-        """The rows (of sector sec) advanced for each of their times in taus, as `_times`
-        gives them, (rows, points, D); the rows keep the last.  The block stacks of times
-        every row shares are held per rate (omega, 0 the window) until its times change."""
+        """The rows (of sector sec) advanced for each of their times, (rows, points, D); the
+        rows keep the last.  taus holds the times every row shares (points,), whose block
+        stacks (`_propagator`) are held per rate (omega, 0 the window) until they change,
+        or each row's own (rows, points), built (`_build_propagators`) for this call alone."""
         x = self._states(sec, rows)
-        key = (taus.shape, taus.tobytes()) if taus.ndim < 2 else None  # per-row times: not kept
-        times, held = self._stacks.get(omega, (None, {}))
-        if key is None or times != key:
-            held = {}
-            self._stacks[omega] = key, (held if key else {})
+        if taus.ndim == 2:
+            held, build, times = {}, _build_propagators, taus
+        else:
+            if self._stacks.get(omega, (None,))[0] != (times := tuple(taus.tolist())):
+                self._stacks[omega] = times, {}
+            held, build = self._stacks[omega][1], _propagator
         if sec not in held:
-            held[sec] = [_propagators(sec.n, sec.N, blk.j, omega, self.gamma, taus)
-                         for blk in sec.blocks]
+            held[sec] = [build(sec.n, sec.N, blk.j, omega, self.gamma, times) for blk in sec.blocks]
         grid = _advance(x[:, None], held[sec], sec.spans, sec.traces)
         self.x[rows, :x.shape[1]] = grid[:, -1]
         return grid
@@ -610,10 +592,12 @@ class BlockBatch:
         a, b = _rotation(self.a[driven, None], self.b[driven, None], *self._turns[1])
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
+        shared = driven.size and (steps == steps[0]).all()  # then every group takes one row
         for sec, rows in self.groups:
             on = taus[rows] > 0
             at = np.searchsorted(driven, rows[on])
-            grid = self._advanced(sec, driven[at], _times(steps[at]), self.omega) if at.size else 0
+            grid = (self._advanced(sec, driven[at], steps[0] if shared else steps[at], self.omega)
+                    if at.size else 0)
             if self._held is not None:  # zero where undriven; `measure` fills the other columns
                 y = np.zeros((rows.size, self._held[0].shape[2], sec.spans[-1].stop), dtype=complex)
                 twins = np.zeros((2, *y.shape[:2]), dtype=complex)
@@ -631,7 +615,7 @@ class BlockBatch:
         read, held = self._held or (None, None)
         for k, (sec, rows) in enumerate(self.groups):
             if self.window > 0:
-                grid = self._advanced(sec, rows, dts if dts.size else np.asarray(self.window), 0.0)
+                grid = self._advanced(sec, rows, dts if dts.size else np.array([self.window]), 0.0)
             x, blk = grid[:, -1] if self.window > 0 else self._states(sec, rows), sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r

@@ -78,7 +78,7 @@ def _shift_rows(ns: tuple[int, ...], N: int, s: int, omega: float, gamma: float,
 
     ``spectral`` says whether `dynamics._eigensystem` gave the drive generator
     an eigenbasis (``lam``, ``vecs``, ``inv``, padded with eigenvalue 0); where
-    it did not, each drive time takes the ``expm`` of `dynamics._propagators`.
+    it did not, each drive time takes the ``expm`` of `dynamics._build_propagators`.
     ``horizon`` bounds the drive times, ``window`` is the measurement window's
     propagator, ``fresh`` the state |S_n><S_n| and ``keep[:, m]`` the families
     outcome m (1 for Rydberg) keeps.
@@ -326,8 +326,8 @@ class NoisyLikelihoods:
                 k, t = (slice(None), np.full(len(rows["n"]), tau[0])) if shared else (c, tau)
                 props = dyn._spectral(rows["lam"][k], rows["vecs"][k], rows["inv"][k], t)
                 for m in np.flatnonzero(~rows["spectral"][k] & (t <= rows["horizon"][k])).tolist():
-                    props[m] = _padded(dyn._propagators(int(rows["n"][k][m]), N, 0, self.omega,
-                                                        self.noise.gamma, t[m:m + 1, None])[0, 0])
+                    props[m] = _padded(dyn._build_propagators(
+                        int(rows["n"][k][m]), N, 0, self.omega, self.noise.gamma, t[m:m + 1])[0])
                 held = tau[0], props, (t > rows["horizon"][k]).any()
                 if shared:
                     self._drive[s] = held
@@ -360,7 +360,7 @@ class NoisyLikelihoods:
         shape (rows, len(ns), 2G): NoRydberg over the grid, then Rydberg; zero where
         the record already has zero likelihood.  Spectrally p(tau) = sum_k e^{lam_k
         tau} (r V)_k (V^-1 x)_k, r the population's trace row (the drive-off window
-        keeps it), else from `dynamics._propagators`."""
+        keeps it), else from the grid's cached stack, `dynamics._propagator`."""
         dyn._check_times(grid, "drive time")
         return partial(self._read_grid, grid)
 
@@ -378,8 +378,9 @@ class NoisyLikelihoods:
                     coef = (pops @ table["vecs"][k])[None] * (x[at] @ table["inv"][k].T)[:, None, :]
                     raw = (coef @ np.exp(table["lam"][k][:, None] * grid[None, :])).real
                 else:
-                    props = np.array([_padded(p) for p in dyn._propagators(
-                        int(table["n"][k]), N, 0, self.omega, self.noise.gamma, grid)])
+                    props = np.array([_padded(p) for p in dyn._propagator(
+                        int(table["n"][k]), N, 0, self.omega, self.noise.gamma,
+                        tuple(grid.tolist()))])
                     raw = np.einsum("pi,gij,mj->mpg", pops, props, x[at]).real
                 dyn._check_drift(raw.sum(axis=1), (x[at].real @ trace)[:, None])
                 out[r[at], c[at]] = np.maximum(raw, 0.0)

@@ -209,8 +209,8 @@ def test_a_read_of_rows_together_is_the_reads_of_its_parts(cell, gamma, parts, p
     traced cycle's drive, window and collapsed rows can be read in one call."""
     (n, N), rng = cell, np.random.default_rng(seed)
     sec, rows = sector(n, N), sum(parts)
-    props = [dyn._propagators(n, N, blk.j, OMEGA, gamma, rng.uniform(0.0, 2.0, (rows, points)))
-             for blk in sec.blocks]
+    taus = rng.uniform(0.0, 2.0, (rows, points))
+    props = [dyn._build_propagators(n, N, blk.j, OMEGA, gamma, taus) for blk in sec.blocks]
     grid = dyn._advance(sec.dyads[:1].astype(complex)[None], props, sec.spans, sec.traces)
     theta, phi = rng.uniform(0.0, 2 * math.pi, (2, rows, points))
     a, b = np.cos(theta) + 0j, np.sin(theta) * np.exp(1j * phi)
@@ -284,7 +284,7 @@ def test_eigenbasis_just_inside_the_limit_keeps_the_trace_for_ten_thousand_cycle
     assert eig is not None and 900 < np.linalg.cond(eig[1]) < dyn._EIG_COND_LIMIT
     blk = sector(n, N).block(0)
     taus = np.random.default_rng(n).uniform(0.05, 2.0, (10_000, 1))
-    props = dyn._propagators(n, N, 0, OMEGA, gamma, taus)
+    props = dyn._build_propagators(n, N, 0, OMEGA, gamma, taus)
     x = blk.dyads[0].astype(complex)[None, None]
     start, worst = (x.real @ blk.trace).item(), 0.0
     for prop in props:

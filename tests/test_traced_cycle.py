@@ -11,6 +11,7 @@ digests pin.
 
 import math
 
+import numpy as np
 import pytest
 from test_engine_golden import CASES, DIGESTS, _digest
 
@@ -94,24 +95,59 @@ def test_a_repeated_drive_time_builds_its_operators_once(monkeypatch, points, ta
     """A noisy batch whose rows share each drive time and stay, at the CLI's noisy rates:
     the likelihood holder makes its stacked `_spectral` call once per run of one drive
     time (one ejection count here), `BlockBatch` computes its twins' phases once per run
-    and builds each block's drive stack once per run and its window stack once, not once
-    per cycle."""
+    and reads each block's drive stack once per run and its window stack once, not once
+    per cycle.  A warm-up run first fills the holder's cached tables, whose window
+    propagators would add `_propagator` calls of their own."""
+    omega = 2 * math.pi * 2.5e6
+    params = eng.ProtocolParams(omega=omega, gamma=0.12 * omega, tau_eit=0.3e-6, N=10,
+                                schedule=eng.Schedule.precomputed(taus), max_cycles=len(taus),
+                                threshold=2.0, trace_points=points)
+    eng.run_batch(2, params, 2)
     spectral, phases, stacks = [], [], []
     for name, seen, mine in (("_spectral", spectral, lambda lam, *_: lam.ndim == 2),
                              ("_phases", phases, lambda *_: True),
-                             ("_propagators", stacks, lambda *args: args[5].ndim < 2)):
+                             ("_propagator", stacks, lambda *_: True)):
         def counted(*args, original=getattr(dyn, name), seen=seen, mine=mine):
             if mine(*args):
                 seen.append(args)
             return original(*args)
 
         monkeypatch.setattr(dyn, name, counted)
-    omega = 2 * math.pi * 2.5e6
-    params = eng.ProtocolParams(omega=omega, gamma=0.12 * omega, tau_eit=0.3e-6, N=10,
-                                schedule=eng.Schedule.precomputed(taus), max_cycles=len(taus),
-                                threshold=2.0, trace_points=points)
     logs = eng.run_batch(2, params, 2)
     assert [len(log.record) for log in logs] == [len(taus)] * 2
     assert (len(spectral), len(phases)) == (runs, runs)
     blocks = len(sector(2, 10).blocks)
     assert len(stacks) == (runs + 1) * blocks  # each run's drive stacks, one window stack
+
+
+def test_rows_with_their_own_drive_times_build_per_row_stacks(monkeypatch):
+    """A traced uniform-random batch whose rows eject into different sectors: two or more
+    driven rows never share a drive time, so `BlockBatch.drive` builds every group's
+    stacks per row, a group of one row too, and reads no `_propagator` stack."""
+    params = eng.ProtocolParams(omega=2 * math.pi * 2.5e6, gamma=0.3e6, tau_eit=0.3e-6, N=6,
+                                n_max=3, schedule=eng.Schedule.uniform_random(0.05e-6, 0.4e-6),
+                                ejection_enabled=True, trace_points=2, max_cycles=12, seed=5)
+    several, cached, per_row, lone = [], [], [], []  # `several`: the drive under way has 2+ rows
+    drive, build, propagator = dyn.BlockBatch.drive, dyn._build_propagators, dyn._propagator
+
+    def counted_drive(self, taus, steps=None):
+        several.append(np.count_nonzero(taus > 0) > 1)
+        lone.append(several[-1] and any(rows.size == 1 and taus[rows[0]] > 0
+                                        for _, rows in self.groups))
+        try:
+            return drive(self, taus, steps)
+        finally:
+            several.pop()
+
+    def counted_build(*args):
+        if several and several[-1] and args[5].ndim == 2:
+            per_row.append(args[5].shape)
+        return build(*args)
+
+    monkeypatch.setattr(dyn.BlockBatch, "drive", counted_drive)
+    monkeypatch.setattr(dyn, "_build_propagators", counted_build)
+    monkeypatch.setattr(dyn, "_propagator", lambda *args: (
+        cached.append(args) if several and several[-1] else None) or propagator(*args))
+    logs = eng.run_batch(3, params, 4)
+    assert any(log.ejections for log in logs) and any(lone)
+    assert per_row and cached == []
