@@ -83,6 +83,8 @@ def default_tau_grid(omega: float, points: int = 800) -> np.ndarray:
     if points < 1:
         raise DomainError(f"need at least one grid point, got {points}")
     upper = 4 * math.pi / omega
+    if upper == math.inf:
+        raise ResourceError(f"omega {omega:g} puts the grid's end 4 pi / omega past float range")
     return np.linspace(upper / points, upper, points)
 
 

@@ -411,6 +411,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.corrupt_cell is not None and args.corrupt_cell not in cells:
         raise DomainError(f"--corrupt-cell {args.corrupt_cell!r} is not an oracle cell "
                           f"({', '.join(cells)})")
+    if args.corrupt_cell is not None and args.time_points < 2:  # t = 0 alone: every cell agrees
+        raise DomainError("--corrupt-cell needs --time-points of at least 2")
     if 5.0 / omega == math.inf:
         raise ResourceError(f"omega {omega:g} puts the horizon 5 / omega past float range")
     times = np.linspace(0.0, 5.0 / omega, args.time_points)

@@ -276,8 +276,17 @@ _SMALL_RUN = ["--n-atoms", "5", "--trajectories", "1", "--max-cycles", "2", "--t
     *[(["infer", "rec.json", "--angular", "--omega-mhz", "1e-320", "--gamma-mhz", gamma],
        r"error: --omega-mhz 1e-320 and drive time 2\.1e-07 s give a drive phase omega \* tau "
        r"whose square underflows to 0") for gamma in ("0", "0.3")],
+    # a subnormal omega: the greedy grid's end 4 pi / omega is infinite, refused before
+    # np.linspace warns, in simulate's greedy step at either gamma and in analyze's search
+    *[(["simulate", "--schedule", "adaptive-greedy", "--angular", "--omega-mhz", "1e-320",
+        "--gamma-mhz", gamma],
+       r"error: omega [0-9.e-]+ puts the grid's end 4 pi / omega past float range")
+      for gamma in ("0", "0.3")],
+    (["analyze", "optimize-schedule", "--angular", "--omega-mhz", "1e-320"],
+     r"error: omega [0-9.e-]+ puts the grid's end 4 pi / omega past float range"),
 ], ids=["gamma-lost-trace", "omega-complex-fidelity", "oracle-norm", "noiseless-rate",
-        "oracle-horizon", "infer-underflow-noiseless", "infer-underflow-noisy"])
+        "oracle-horizon", "infer-underflow-noiseless", "infer-underflow-noisy",
+        "greedy-grid-noiseless", "greedy-grid-noisy", "optimize-schedule-grid"])
 def test_numerical_limits_exit_5_with_one_error_line(argv, line, tmp_path):
     """A rate at which the propagation leaves its tolerance (`IntegratorError`) or
     passes float range, or a drive phase whose square underflows, exits 5 with one
@@ -304,6 +313,7 @@ def test_numerical_limits_exit_5_with_one_error_line(argv, line, tmp_path):
     ["--corrupt-cell", " 2,4"],
     ["--corrupt-cell", "2,4,"],
     ["--corrupt-cell", ""],
+    ["--time-points", "1", "--corrupt-cell", "2,4"],  # t = 0 alone, where every cell agrees
 ])
 def test_oracle_check_rejects_bad_input(flags, tmp_path, capsys):
     out = tmp_path / "oracle.json"

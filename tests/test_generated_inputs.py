@@ -160,10 +160,9 @@ def _oracle_exit(points: int, cell: str | None) -> int:
         return cli.EXIT_USAGE
     if points > cli.MAX_TIME_POINTS:
         return cli.EXIT_RESOURCE
-    if cell is not None and cell not in CELLS:
-        return cli.EXIT_USAGE
-    # one time point is t = 0 alone, where a corrupted cell still agrees
-    return cli.EXIT_ORACLE if cell is not None and points > 1 else cli.EXIT_OK
+    if cell is not None and (cell not in CELLS or points < 2):  # one point: t = 0 alone,
+        return cli.EXIT_USAGE  # where a corrupted cell still agrees, so the gate refuses it
+    return cli.EXIT_OK if cell is None else cli.EXIT_ORACLE
 
 
 @settings(max_examples=30)
