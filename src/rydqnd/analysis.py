@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import _check_times
 from .errors import DomainError, ResourceError
 from .inference import Mixture, NoiseParams, record_likelihoods
 from .records import FockDistribution, Posterior
@@ -50,8 +51,7 @@ def _in_range(what: str, formula: Callable[[], float]) -> float:
 def fisher_closed_form(regime: str, n: float, t: float, omega: float, gamma: float = 0.0) -> float:
     """Closed-form Fisher information about n accumulated by time t."""
     _check_regime(regime, gamma, n)
-    if not 0 <= t < math.inf:
-        raise DomainError("time must be finite and non-negative")
+    _check_times(t, "time")
     return _in_range("Fisher information", {
         "noiseless": lambda: t**2 * omega**2 / n,
         "noisy-frequency": lambda: t * omega**2 / (gamma * n),

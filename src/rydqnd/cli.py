@@ -41,7 +41,7 @@ from .records import FockDistribution, MeasurementRecord, Posterior
 from . import analysis, dense_oracle, dynamics, engine, inference
 from .dynamics import expm
 from .engine import NOISELESS_PURE, NOISY_FIXED_N, PHASES, ProtocolParams, Schedule, run_batch
-from .symbasis import build_block, sector
+from .symbasis import _check_block_args, build_block, sector
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,19 +131,15 @@ def _parse_candidates(args: argparse.Namespace) -> tuple[list[FockDistribution],
             prior = cands.pop() if "prior" in doc else Posterior.uniform(len(cands))
             if prior.weights.size != len(cands):
                 raise DomainError("the prior's length is not the candidate count")
+            _check_block_args(max(max(c.support()) for c in cands), N, 0)
             return cands, prior
-        cands, prior = _read_json(path, "candidates file", parse)
-        n = max(max(c.support()) for c in cands)
-    if n > N:
-        where = f"{path}: " if path is not None else ""
-        raise DomainError(f"{where}need 0 <= n <= N, got n={n}, N={N}")
-    if path is None:  # each delta holds max(n_max, n) + 1 entries, so they come after the checks
-        if count * (max(n_max, n) + 1) > MAX_CANDIDATE_ENTRIES:
-            raise ResourceError(f"{count} candidates of {max(n_max, n) + 1} entries exceed the "
-                                f"guard of {MAX_CANDIDATE_ENTRIES} entries")
-        cands = [FockDistribution.delta(k, max(n_max, n)) for k in ns]
-        prior = Posterior.uniform(len(cands))
-    return cands, prior
+        return _read_json(path, "candidates file", parse)
+    _check_block_args(n, N, 0)
+    # each delta holds max(n_max, n) + 1 entries, so they come after the checks
+    if count * (max(n_max, n) + 1) > MAX_CANDIDATE_ENTRIES:
+        raise ResourceError(f"{count} candidates of {max(n_max, n) + 1} entries exceed the "
+                            f"guard of {MAX_CANDIDATE_ENTRIES} entries")
+    return [FockDistribution.delta(k, max(n_max, n)) for k in ns], Posterior.uniform(count)
 
 
 def _config_values(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -394,7 +390,7 @@ def _block_sector_populations(n: int, N: int, omega: float, gamma: float,
         gen = build_block(n, N, 0, omega, gamma)
         rows, cols = np.nonzero(blk.drive)
         gen[rows[0], cols[0]] *= 1.001
-        x = np.array([expm(gen * t) @ fresh for t in times.tolist()])
+        x = expm(gen * times[:, None, None]) @ fresh
     else:
         props = dynamics._propagator(n, N, 0, omega, gamma, tuple(times.tolist()))
         x = dynamics._advance(fresh, (props,), (slice(None),), blk.trace[:, None])

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from sys import float_info
+
 import numpy as np
 
 from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError, ResourceError
 from .records import NO_RYDBERG, RYDBERG, is_rydberg
-from .symbasis import Sector, SectorBlock, build_block, sector
+from .symbasis import Sector, SectorBlock, _check_block_args, build_block, sector
 
 
 @dataclass
@@ -98,9 +100,12 @@ def _rotation(a: np.ndarray, b: np.ndarray, c, s) -> tuple[np.ndarray, np.ndarra
 
 
 def _check_times(taus, what: str = "evolution time") -> None:
-    """`DomainError` unless every time of taus is finite and non-negative."""
-    if not ((np.asarray(taus) >= 0) & np.isfinite(taus)).all():
-        raise DomainError(f"{what} must be finite and non-negative")
+    """`DomainError` unless every time of taus is finite and non-negative (as `records._columns`
+    reads each entry: an integer past float range is compared exactly, so refused)."""
+    taus = np.asarray(taus)
+    with np.errstate(invalid="ignore"):  # NaN in an object array
+        if not ((taus >= 0) & (taus <= float_info.max)).all():
+            raise DomainError(f"{what} must be finite and non-negative")
 
 
 def _check_norm(norm_sq: np.ndarray) -> None:
@@ -219,10 +224,8 @@ class SymmetricBlockState:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=complex)
-        sec = sector(self.n, self.N)
-        if not 0 <= self.j <= min(self.n, self.N - self.n):
-            raise DomainError(f"need 0 <= j <= {min(self.n, self.N - self.n)}, got j={self.j}")
-        self.block = sec.block(self.j)
+        _check_block_args(self.n, self.N, self.j)
+        self.block = sector(self.n, self.N).block(self.j)
         if self.x.shape != (self.block.dim,):
             raise DomainError(
                 f"coefficient vector has length {self.x.size}, block needs {self.block.dim}")
@@ -293,14 +296,15 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _build_propagators(n: int, N: int, j: int, omega: float, gamma: float,
                        taus: np.ndarray) -> np.ndarray:
     """The block's propagator at every time of taus, shape taus.shape + (dim, dim), uncached:
-    `_spectral`, or `expm` time by time where the eigenvectors are ill-conditioned.
+    `_spectral`, or one `expm` of the stack of generator-times-time where the eigenvectors
+    are ill-conditioned.
     A time past the block's horizon is a `ResourceError` naming it as a drive time,
     or where omega is 0 (only the measurement window has it) as the window."""
     gen, horizon, eig = _eigensystem(n, N, j, omega, gamma)
     _check_horizon(taus, horizon, "measurement window" if omega == 0 else "drive time")
     if eig is not None:
         return _spectral(*eig, taus)
-    return np.array([expm(gen * t) for t in taus.ravel().tolist()]).reshape(taus.shape + gen.shape)
+    return expm(gen * taus[..., None, None])
 
 
 @lru_cache(maxsize=1024)

@@ -26,6 +26,7 @@ from .analysis import MAX_TRACE_POINTS, default_tau_grid, greedy_next_tau
 from .errors import DomainError, ResourceError, ScheduleExhaustedError
 from .inference import Mixture, NoiseParams, record_likelihoods
 from .records import FockDistribution, MeasurementRecord, Posterior
+from .symbasis import _check_block_args
 
 NOISELESS_PURE = "noiseless-pure"
 NOISY_FIXED_N = "noisy-fixed-n"
@@ -55,8 +56,7 @@ class Schedule:
                 raise DomainError(f"a {self.kind} schedule "
                                   f"{'needs' if key in own else 'takes no'} {key}")
         times = [t for t in (self.tau, self.tau_min, self.tau_max) if t is not None]
-        if not all(math.isfinite(t) and t >= 0 for t in times + list(self.taus or ())):
-            raise DomainError("drive times must be finite and non-negative")
+        dyn._check_times(times + list(self.taus or ()), "drive times")
         if self.kind == "uniform-random" and self.tau_min > self.tau_max:
             raise DomainError("need tau_min <= tau_max")
         if self.kind == "adaptive-greedy" and self.grid_points < 1:
@@ -134,9 +134,7 @@ class ProtocolParams:
             self.candidates = [FockDistribution.delta(n, self.n_max) for n in range(1, self.n_max + 1)]
         if self.prior is None:
             self.prior = Posterior.uniform(len(self.candidates))
-        n = max((max(c.support()) for c in self.candidates), default=0)
-        if n > self.N:  # N atoms store at most N photons
-            raise DomainError(f"need 0 <= n <= N, got n={n}, N={self.N}")
+        _check_block_args(max((max(c.support()) for c in self.candidates), default=0), self.N, 0)
 
     def noise(self) -> NoiseParams | None:
         return None if self.mode == NOISELESS_PURE else NoiseParams(self.gamma, self.tau_eit, self.N)
@@ -172,38 +170,34 @@ def schedule_next_tau(schedule: Schedule, history: list[float], params: Protocol
     return lo + (hi - lo) * draws
 
 
-def sample_initial(dist, params: ProtocolParams) -> dyn.PureCollectiveState:
-    """The stored pure state of a noiseless trajectory; N atoms store at most N photons."""
-    if isinstance(dist, FockDistribution):
-        amps = np.sqrt(dist.p.astype(float))
-    elif np.isscalar(dist):
-        n = _photon_number(dist, "a photon number must be a whole number", params.N)
-        amps = np.sqrt(FockDistribution.delta(n, max(n, params.n_max)).p)
+def initial_state(initial, params: ProtocolParams, rngs: list[np.random.Generator]):
+    """(state, n_true) of a batch whose rows draw from rngs, checked before any draw.
+    Noiseless: the stored `dynamics.PureCollectiveState` of a whole photon number, a
+    `FockDistribution` (its weights' square roots) or amplitudes; no n_true.  Noisy: no
+    state; each row's photon number, given or drawn from the `FockDistribution` (exact for
+    every logged observable: number-diagonal blocks evolve on their own).  A fraction,
+    noisy amplitudes, or a number or weight past N (N atoms store at most N photons; one
+    past int64 before an array holds it) is a `DomainError`."""
+    noiseless = params.mode == NOISELESS_PURE
+    if isinstance(initial, FockDistribution):
+        n, amps = max(initial.support()), np.sqrt(initial.p)
+    elif np.isscalar(initial):
+        if not isinstance(initial, numbers.Integral) and not (isinstance(initial, numbers.Real)
+                                                             and float(initial).is_integer()):
+            raise DomainError(f"a photon number must be a whole number, got {initial!r}")
+        n, amps = int(initial), None
+    elif noiseless:
+        amps = np.asarray(initial, dtype=complex)
+        n = int(np.flatnonzero(amps).max(initial=0))
     else:
-        amps = np.asarray(dist, dtype=complex)
-    n = np.flatnonzero(amps).max(initial=0)
-    if n > params.N:
-        raise DomainError(f"need 0 <= n <= N, got n={n}, N={params.N}")
-    return dyn.PureCollectiveState.from_stored_amplitudes(amps)
-
-
-def _sample_n(dist, rng: np.random.Generator, N: int) -> int:
-    """The photon number of a noisy trajectory, drawn from a FockDistribution (exact for every
-    logged observable: number-diagonal blocks evolve on their own), else given."""
-    if isinstance(dist, FockDistribution):
-        return int(rng.choice(dist.p.size, p=dist.p))
-    return _photon_number(dist, "noisy mode takes a photon number or a FockDistribution", N)
-
-
-def _photon_number(dist, refusal: str, N: int) -> int:
-    """dist as a whole photon number, else a `DomainError`: refusal, naming dist; one past
-    0..N is refused before an array holds it (an integer past int64 or float range too)."""
-    if not isinstance(dist, numbers.Integral) and not (isinstance(dist, numbers.Real)
-                                                      and float(dist).is_integer()):
-        raise DomainError(f"{refusal}, got {dist!r}")
-    if not 0 <= dist <= N:
-        raise DomainError(f"need 0 <= n <= N, got n={int(dist)}, N={N}")
-    return int(dist)
+        raise DomainError(f"noisy mode takes a photon number or a FockDistribution, got {initial!r}")
+    _check_block_args(n, params.N, 0)
+    if not noiseless:
+        drawn = isinstance(initial, FockDistribution)
+        return None, [int(rng.choice(initial.p.size, p=initial.p)) if drawn else n for rng in rngs]
+    if amps is None:
+        amps = np.eye(max(n, params.n_max) + 1)[n]
+    return dyn.PureCollectiveState.from_stored_amplitudes(amps), [None] * len(rngs)
 
 
 # a trace row of `TrajectoryLog.to_json`: keys sorted, the phase one of `PHASES`
@@ -303,16 +297,13 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
     """
     n_traj, points, noise, prior = len(rngs), params.trace_points, params.noise(), params.prior
     mixture = Mixture(params.candidates, prior)
-    state = sample_initial(initial, params) if params.mode == NOISELESS_PURE else None
+    state, n_true = initial_state(initial, params, rngs)
     ns = sorted(set(mixture.ns) | set(range(state.a.size if state is not None else 0)))
     likelihoods = record_likelihoods(ns, params.omega, noise, params.ejection_enabled,
                                      np.zeros(n_traj, dtype=int))
     cols = np.searchsorted(ns, mixture.ns)  # the candidates' photon numbers in the holder
-    if state is not None:
-        states, n_true = dyn.PureBatch(state, likelihoods), [None] * n_traj
-    else:
-        n_true = [_sample_n(initial, rng, params.N) for rng in rngs]
-        states = dyn.BlockBatch(n_true, params.omega, noise, params.ejection_enabled, points)
+    states = (dyn.PureBatch(state, likelihoods) if state is not None else
+              dyn.BlockBatch(n_true, params.omega, noise, params.ejection_enabled, points))
     # a kind that draws nothing gives drive times that depend only on the earlier
     # ones, so the trajectories share one sequence, each entry computed once
     history, per_cycle = [], 1 + params.schedule.draws  # drive-time draws, then the measurement's

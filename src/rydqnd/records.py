@@ -63,10 +63,9 @@ class MeasurementRecord:
         return self.taus.size
 
     def append(self, tau: float, outcome: str) -> None:
-        if not 0 <= tau <= float_info.max or outcome not in OUTCOMES:
-            raise DomainError("invalid record entry")
-        self.taus, self.rydberg = _columns(np.append(self.taus, float(tau)),
-                                           np.append(self.rydberg, outcome == RYDBERG))
+        rydberg = is_rydberg(outcome)  # the outcome first, then the drive time, as `_columns` reads
+        self.taus, self.rydberg = _columns([*self.taus.tolist(), tau],
+                                           [*self.rydberg.tolist(), rydberg])
 
     def to_json(self) -> str:
         return json.dumps({"entries": [{"tau_s": t, "outcome": m} for t, m in self.entries]},

@@ -152,7 +152,7 @@ def test_candidates_past_the_atom_count_rejected(mode):
 @pytest.mark.parametrize("make, initial, message", [
     (noisy_params, np.array([0.0, 1.0, 0.0]),
      r"^noisy mode takes a photon number or a FockDistribution, got array\(\[0\., 1\., 0\.\]\)$"),
-    (noisy_params, 2.5, r"^noisy mode takes a photon number or a FockDistribution, got 2\.5$"),
+    (noisy_params, 2.5, r"^a photon number must be a whole number, got 2\.5$"),
     (noiseless_params, 2.5, r"^a photon number must be a whole number, got 2\.5$"),
 ], ids=["noisy-amplitudes", "noisy-fraction", "noiseless-fraction"])
 def test_an_initial_state_its_mode_cannot_take_is_refused(make, initial, message):
@@ -278,7 +278,7 @@ def test_ejection_decrements_photon_number():
 def test_noiseless_distribution_sampling_uses_amplitudes():
     dist = FockDistribution(np.array([0.0, 0.5, 0.5]))
     params = noiseless_params(n_max=2)
-    state = eng.sample_initial(dist, params)
+    state, n_true = eng.initial_state(dist, params, [])
     assert np.allclose(np.abs(state.a) ** 2, dist.p)
 
 

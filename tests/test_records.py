@@ -69,16 +69,21 @@ def test_columns_refuse_what_entries_refused_and_keep_what_they_kept(entries):
 
 @given(entries=ENTRIES, data=st.data())
 def test_append_builds_what_the_longer_list_builds(entries, data):
-    """Each entry appended to a record of the ones before it: refused ("invalid record
-    entry", the record unchanged) exactly where the longer list is refused."""
+    """Each entry appended to a record of the ones before it: refused (the record
+    unchanged) exactly where the longer list is refused, an unknown outcome as
+    `is_rydberg` words it, else with the longer list's message."""
     start = data.draw(st.integers(0, len(entries)))
     if _refusal(entries[:start]) is not None:
         return
     record = MeasurementRecord(entries[:start])
     for k in range(start, len(entries)):
         before = _columns(record)
-        if _refusal(entries[:k + 1]) is not None:
-            with pytest.raises(DomainError, match="^invalid record entry$"):
+        refusal = _refusal(entries[:k + 1])
+        if refusal is not None:
+            outcome = entries[k][1]
+            if outcome not in OUTCOMES:
+                refusal = f"unknown outcome {outcome!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(refusal)}$"):
                 record.append(*entries[k])
             assert _columns(record) == before
             return
