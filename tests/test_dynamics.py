@@ -279,6 +279,25 @@ def test_propagator_matches_expm(n, N, j, gamma_over_omega, tau_omega):
     assert np.max(np.abs(prop - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, N, j, gamma", [
+    (1, 2, 0, 0.0), (1, 3, 0, 0.0),  # oracle-check's expm-fallback cells
+    (1, 10, 1, 8.0),  # critical damping: a defective generator
+])
+@pytest.mark.parametrize("shape", [(1000,), (3, 7)])
+def test_an_expm_fallback_stack_is_each_time_exponentiated_alone(n, N, j, gamma, shape):
+    """Where the eigenvectors are ill-conditioned, `_build_propagators` hands the whole
+    stack of generator-times-time to one `expm` call: each propagator is, to the bit, the
+    `expm` of its time alone, for 1-d and 2-d times."""
+    omega = 2.0
+    gen, horizon, eig = dyn._eigensystem(n, N, j, omega, gamma)
+    assert eig is None
+    taus = np.random.default_rng(7).uniform(0.0, min(horizon, 30.0 / omega), shape)
+    taus.flat[0] = 0.0
+    stack = dyn._build_propagators(n, N, j, omega, gamma, taus)
+    assert stack.shape == shape + gen.shape
+    assert stack.tobytes() == np.array([expm(gen * t) for t in taus.ravel().tolist()]).tobytes()
+
+
 TIMES = st.sampled_from([0.0, 0.35, 1.2]) | st.floats(0.0, 3.0)
 
 

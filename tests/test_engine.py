@@ -1,7 +1,9 @@
 """Protocol engine: scheduling, trajectory simulation, determinism."""
 
+import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -164,6 +166,110 @@ def test_an_initial_state_its_mode_cannot_take_is_refused(make, initial, message
         eng.run_batch(initial, params, 2)
     with pytest.raises(DomainError, match=message):
         eng.run_protocol(initial, params)
+
+
+# ---------------------------------------------------------------------------
+# the one initial-state path: every kind in both modes, through both entry points
+
+FOCK = FockDistribution(np.array([0.0, 0.5, 0.3, 0.2]))
+AMPLITUDES = np.array([0.0, 0.6, 0.8j])
+MODES = {"noiseless": eng.NOISELESS_PURE, "noisy": eng.NOISY_FIXED_N}
+# sha256 of the logs of `run_batch(initial, params, 3)` and of `run_protocol(initial, params,
+# (4, 1))` under `_initial_params`, captured before the two modes shared one initial path
+INITIAL_DIGESTS = {
+    ("noiseless", "whole"): ("8354b71040b794f457ba562f1c4ad3f5bd17f651911d301e4ab18304b74cf11c",
+                             "1b6135da9cd33646bb3bd455fbfa972609f4ae2836d9eaea2e5eb4a7bcd3a1d4"),
+    ("noiseless", "fock"): ("dd00400c72e730e9cd452eb08fea5f0efd0970ee1a09887f03b900660ce75d27",
+                            "a79130f7ef4e46764eecf2447d3d1f4cdd4cce1f564bb218132f171f6f897337"),
+    ("noiseless", "amplitudes"): ("aea97aa74c6ee7f25f907244940537e38b40a41eec9b440eecda0af5d44df310",
+                                  "b1792895d63e14d5067a2af00f5f7600a310a4cc0e49034d1f4c2e7f4cf58854"),
+    ("noisy", "whole"): ("b5f34b1e2ec6e9f1f20ca8830eab7b9c6c1b8cb65ac0be80faad836b64e05f1b",
+                         "978568fcc452115b986ad5ba8160106a220521931e560fdd9bb48399a5c34436"),
+    ("noisy", "fock"): ("34ad115d23afeed6b04b92700ac3df7c9b283412651a12c8d91040cb8628db05",
+                        "3566d646c801358135192f4edae6483de7a431f6b34fdfa019d7c26fcb0f49c4"),
+}
+INITIALS = {"whole": 2, "integral-float": 2.0, "fock": FOCK, "amplitudes": AMPLITUDES,
+            "fraction": 2.5, "past-N": 4, "past-int64": 2**70,
+            "fock-past-N": FockDistribution(np.array([0.0, 0.5, 0.0, 0.0, 0.5]))}
+# each refused kind's one message, per mode (an entry of neither runs)
+REFUSALS = {
+    ("noisy", "amplitudes"): f"noisy mode takes a photon number or a FockDistribution, "
+                             f"got {AMPLITUDES!r}",
+    **{(mode, "fraction"): "a photon number must be a whole number, got 2.5" for mode in MODES},
+    **{(mode, "past-N"): "need 0 <= n <= N, got n=4, N=3" for mode in MODES},
+    **{(mode, "past-int64"): f"need 0 <= n <= N, got n={2**70}, N=3" for mode in MODES},
+    **{(mode, "fock-past-N"): "need 0 <= n <= N, got n=4, N=3" for mode in MODES},
+}
+
+
+def _initial_params(mode: str, **overrides) -> eng.ProtocolParams:
+    noisy = MODES[mode] == eng.NOISY_FIXED_N
+    base = dict(omega=OMEGA, gamma=GAMMA if noisy else 0.0, tau_eit=TAU_EIT if noisy else 0.0,
+                N=3, n_max=3, mode=MODES[mode], schedule=eng.Schedule.uniform_random(0.05e-6, 0.4e-6),
+                seed=3, max_cycles=6, trace_points=2)
+    base.update(overrides)
+    return eng.ProtocolParams(**base)
+
+
+def _digest(logs) -> str:
+    return hashlib.sha256("\n".join(log.to_json() for log in logs).encode()).hexdigest()
+
+
+class _Untouched:
+    """A generator that fails any draw: a refusal raised through it came before the draws."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a draw ({name}) before the initial state was read")
+
+
+def _undrawn(monkeypatch) -> None:
+    """Make every batch's generators fail on their first draw."""
+    monkeypatch.setattr(eng, "_generators", lambda seed, keys: [_Untouched() for _ in keys])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", INITIALS)
+def test_each_initial_kind_runs_the_earlier_bytes_or_is_refused_before_any_draw(
+        monkeypatch, mode, kind):
+    """One path reads the initial state in both modes, through `run_batch` (3 trajectories,
+    and none) and `run_protocol`: a refused kind raises its rule's one message before any
+    generator draws, whatever the batch size; an accepted one gives the logs it gave when
+    each mode had its own path (an integral float those of its whole number)."""
+    initial, params = INITIALS[kind], _initial_params(mode)
+    refusal = REFUSALS.get((mode, kind))
+    if refusal is None:
+        digests = INITIAL_DIGESTS[mode, "whole" if kind == "integral-float" else kind]
+        assert _digest(eng.run_batch(initial, params, 3)) == digests[0]
+        assert _digest([eng.run_protocol(initial, params, (4, 1))]) == digests[1]
+        assert eng.run_batch(initial, params, 0) == []
+        return
+    _undrawn(monkeypatch)
+    for run in (lambda: eng.run_batch(initial, params, 3), lambda: eng.run_batch(initial, params, 0),
+                lambda: eng.run_protocol(initial, params, (4, 1))):
+        with pytest.raises(DomainError, match=f"^{re.escape(refusal)}$"):
+            run()
+
+
+def test_noisy_rows_draw_their_photon_numbers_from_their_own_streams():
+    """A noisy `FockDistribution` row draws its photon number first, by `Generator.choice`
+    on the stream of its spawn key, as a lone trajectory does."""
+    params = _initial_params("noisy")
+    drawn = [log.n_true for log in eng.run_batch(FOCK, params, 8)]
+    assert drawn == [int(np.random.default_rng(np.random.SeedSequence(3, spawn_key=(i,)))
+                         .choice(4, p=FOCK.p)) for i in range(8)]
+    assert drawn == [2, 1, 1, 1, 2, 3, 1, 3]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", range(20))
+def test_a_weight_past_n_is_refused_on_every_seed_before_any_draw(monkeypatch, mode, seed):
+    """N = 2 atoms and weight on n = 3: refused on every seed in both modes before any
+    generator draws.  When the noisy mode checked N only on each row's drawn photon
+    number, seeds 5, 9, 15 and 18 drew n <= 2 for their one row and ran."""
+    _undrawn(monkeypatch)
+    params = _initial_params(mode, N=2, n_max=2, seed=seed)
+    with pytest.raises(DomainError, match=r"^need 0 <= n <= N, got n=3, N=2$"):
+        eng.run_batch(FockDistribution(np.array([0.0, 0.5, 0.0, 0.5])), params, 1)
 
 
 @pytest.mark.parametrize("field", ["trace_points", "seed"])
