@@ -103,9 +103,8 @@ def _check_times(taus, what: str = "evolution time") -> None:
     """`DomainError` unless every time of taus is finite and non-negative (as `records._columns`
     reads each entry: an integer past float range is compared exactly, so refused)."""
     taus = np.asarray(taus)
-    with np.errstate(invalid="ignore"):  # NaN in an object array
-        if not ((taus >= 0) & (taus <= float_info.max)).all():
-            raise DomainError(f"{what} must be finite and non-negative")
+    if not ((taus >= 0) & (taus <= float_info.max)).all():
+        raise DomainError(f"{what} must be finite and non-negative")
 
 
 def _check_norm(norm_sq: np.ndarray) -> None:

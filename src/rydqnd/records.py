@@ -63,9 +63,8 @@ class MeasurementRecord:
         return self.taus.size
 
     def append(self, tau: float, outcome: str) -> None:
-        rydberg = is_rydberg(outcome)  # the outcome first, then the drive time, as `_columns` reads
         self.taus, self.rydberg = _columns([*self.taus.tolist(), tau],
-                                           [*self.rydberg.tolist(), rydberg])
+                                           [*self.rydberg.tolist(), is_rydberg(outcome)])
 
     def to_json(self) -> str:
         return json.dumps({"entries": [{"tau_s": t, "outcome": m} for t, m in self.entries]},
