@@ -264,17 +264,25 @@ def spell(traces: list[Trace], *formats: str) -> list[list]:
 def json_lines(logs: list[TrajectoryLog], columns: list):
     """Each log as `TrajectoryLog.to_json` writes it, its trace values from columns (`spell`'s
     "json" rows of each trace): "params" encoded once per distinct dict (a batch's logs share
-    one) and put in for the 0 that holds its place (the keys before it hold no strings),
-    "trace" last, one %-format per row, each posterior json once."""
+    one) and, with the "posteriors" after it, put in for the 0s that hold their places (the
+    keys before them hold no strings), "trace" last, one %-format per row.  The posteriors
+    are spelled once, for "posteriors" and, split into rows, the trace rows that share them."""
     params = spelled = None
     for log, (times, p_s, p_r, fids) in zip(logs, columns):
         if log.params is not params:
             params, spelled = log.params, '"params": ' + json.dumps(log.params, sort_keys=True)
         doc = {f.name: getattr(log, f.name) for f in fields(log) if f.name != "trace"}
-        doc.update(params=0, record=[{"tau_s": t, "outcome": m} for t, m in log.record.entries],
-                   posteriors=log.posteriors.tolist(), fidelities=log.fidelities.tolist())
-        text = json.dumps(doc, sort_keys=True).replace('"params": 0', spelled, 1)
-        posts = [json.dumps(post) for post in log.trace.posteriors.tolist()] if log.trace else []
+        doc.update(params=0, posteriors=0, fidelities=log.fidelities.tolist(),
+                   record=[{"tau_s": t, "outcome": m} for t, m in log.record.entries])
+        own = json.dumps(log.posteriors.tolist())  # rows of numbers: "[[a, b], [c, d]]"
+        text = json.dumps(doc, sort_keys=True).replace(
+            '"params": 0, "posteriors": 0', f'{spelled}, "posteriors": {own}', 1)
+        if not log.trace:
+            posts = []
+        elif log.trace.posteriors is log.posteriors:
+            posts = ["[%s]" % row for row in own[2:-2].split("], [")]
+        else:
+            posts = [json.dumps(post) for post in log.trace.posteriors.tolist()]
         rows = [_TRACE_ROW % (f, s, r, PHASES[phase], posts[post], t) for t, s, r, f, phase, post
                 in zip(times, p_s, p_r, fids, *log.trace.codes.tolist())]
         yield '%s, "trace": [%s]}' % (text[:-1], ", ".join(rows))

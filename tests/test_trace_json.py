@@ -14,6 +14,7 @@ import struct
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +85,18 @@ def test_trajectory_json_matches_the_json_module(chunk):
     expected = [_through_json_module(log) for log in logs]
     assert [log.to_json() for log in logs] == expected
     assert list(eng.json_lines(logs, *eng.spell([log.trace for log in logs], "json"))) == expected
+
+
+@pytest.mark.parametrize("points", [0, 2])
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_an_engine_log_spells_the_posteriors_its_trace_shares_as_the_json_module_does(points,
+                                                                                      n_max):
+    """The engine's trace rows read the log's own posteriors, which `json_lines` spells
+    once and splits into rows: one candidate (rows of one number) or several, traced
+    or not."""
+    params = eng.ProtocolParams(omega=2e7, gamma=3e6, tau_eit=3e-7, N=4, n_max=n_max,
+                                schedule=eng.Schedule.fixed(2e-7), max_cycles=4, seed=3,
+                                trace_points=points)
+    logs = eng.run_batch(1, params, 3)
+    assert all(log.trace.posteriors is log.posteriors for log in logs)
+    assert [log.to_json() for log in logs] == [_through_json_module(log) for log in logs]
