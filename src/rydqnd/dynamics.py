@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from sys import float_info
 
 import numpy as np
 
 from .errors import DomainError, ImpossibleOutcomeError, IntegratorError, PreconditionError, ResourceError
-from .records import NO_RYDBERG, RYDBERG, is_rydberg
+from .records import NO_RYDBERG, RYDBERG, _timed, is_rydberg
 from .symbasis import Sector, SectorBlock, _check_block_args, build_block, sector
 
 
@@ -100,10 +99,9 @@ def _rotation(a: np.ndarray, b: np.ndarray, c, s) -> tuple[np.ndarray, np.ndarra
 
 
 def _check_times(taus, what: str = "evolution time") -> None:
-    """`DomainError` unless every time of taus is finite and non-negative (as `records._columns`
-    reads each entry: an integer past float range is compared exactly, so refused)."""
-    taus = np.asarray(taus)
-    if not ((taus >= 0) & (taus <= float_info.max)).all():
+    """`DomainError` unless every time of taus is a finite non-negative number, as
+    `records._columns` reads each entry (`records._timed`)."""
+    if not _timed(np.asarray(taus)).all():
         raise DomainError(f"{what} must be finite and non-negative")
 
 

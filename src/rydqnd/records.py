@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 from operator import itemgetter
 from sys import float_info
 
@@ -94,8 +95,7 @@ def _columns(taus, rydberg, known=True, outcomes=()) -> tuple[np.ndarray, np.nda
     first entry whose drive time is not finite and non-negative or, that failing, whose
     outcome is not known.  An integer past int64 stays a Python int, compared exactly."""
     taus, rydberg = np.array(taus), np.array(rydberg, dtype=bool)
-    with np.errstate(invalid="ignore"):  # NaN in an object array
-        timed = (taus >= 0) & (taus <= float_info.max)
+    timed = _timed(taus)
     if not (timed & known).all():
         i = int(np.argmin(timed & known))
         raise DomainError(f"entry {i}: drive time must be finite and non-negative" if not timed[i]
@@ -103,6 +103,19 @@ def _columns(taus, rydberg, known=True, outcomes=()) -> tuple[np.ndarray, np.nda
     taus = taus.astype(float, copy=False)  # an integer past float range converts to no float
     taus.flags.writeable = rydberg.flags.writeable = False
     return taus, rydberg
+
+
+def _timed(taus: np.ndarray) -> np.ndarray:
+    """Whether each drive time of taus is a finite non-negative number, compared exactly (an
+    integer past float range is refused, not converted).  An object or string array is
+    library input: an entry that is no real number (a string, None) is not timed."""
+    if taus.dtype.kind not in "OSU":
+        return (taus >= 0) & (taus <= float_info.max)
+    if taus.dtype.kind != "O":
+        return np.zeros(taus.shape, dtype=bool)
+    real = np.array([isinstance(t, Real) for t in taus.ravel().tolist()]).reshape(taus.shape)
+    with np.errstate(invalid="ignore"):  # NaN beside an integer past int64
+        return real & (np.where(real, taus, -1) >= 0) & (np.where(real, taus, -1) <= float_info.max)
 
 
 @dataclass

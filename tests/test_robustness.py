@@ -12,6 +12,7 @@ import pytest
 from rydqnd import analysis as an
 from rydqnd import cli, symbasis
 from rydqnd import dynamics as dyn
+from rydqnd import engine as eng
 from rydqnd import inference as inf
 from rydqnd.errors import DomainError, IntegratorError, ResourceError
 from rydqnd.records import FockDistribution, MeasurementRecord, Posterior, RYDBERG
@@ -482,3 +483,25 @@ def test_drives_up_to_the_horizon_hold_the_trace(n):
         dyn.evolve_blocks(blocks, 1.1 * horizon, omega, gamma)
     with pytest.raises(ResourceError):
         batch.drive(np.array([0.5, 1.1]) * horizon)
+
+
+_NOT_NUMBERS = {
+    "Schedule.fixed, a string": lambda: eng.Schedule.fixed("1"),
+    "Schedule.precomputed, None": lambda: eng.Schedule.precomputed([1e-7, None]),
+    "Schedule.precomputed, NaN beside an integer past int64":
+        lambda: eng.Schedule.precomputed([math.nan, 2**70]),
+    "MeasurementRecord.append, None": lambda: MeasurementRecord().append(None, RYDBERG),
+    "MeasurementRecord, a string": lambda: MeasurementRecord([(2e-7, RYDBERG), ("1", RYDBERG)]),
+    "evolve_pure, bytes": lambda: dyn.evolve_pure(
+        dyn.PureCollectiveState(np.array([0, 1]), np.array([0, 0])), np.array([b"1"]), 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", sorted(_NOT_NUMBERS))
+def test_a_drive_time_that_is_no_number_is_a_domain_error(call):
+    """Library input only (the CLI parses floats, and a record file's entries are
+    checked for numbers): an object or string array's entries are read as numbers or
+    refused, with no NumPy warning and no TypeError on the way."""
+    with pytest.raises(DomainError, match="drive times? must be finite and non-negative"):
+        _NOT_NUMBERS[call]()
