@@ -155,7 +155,8 @@ class PureBatch:
         time grows.  steps as in `BlockBatch.drive`: what `read` gives at each is held
         for `measure`."""
         _check_times(taus, "drive time")
-        self._held = None if steps is None else np.zeros((3, taus.size, steps.shape[1] + 1))
+        taus = np.broadcast_to(taus, self.elapsed.shape)
+        self._held = None if steps is None else np.zeros((3, taus.size, steps.shape[-1] + 1))
         if steps is not None:
             driven = np.flatnonzero(taus > 0)
             self._held[:, driven, :-1] = self._read(driven[:, None], self.elapsed[driven, None] + steps)
@@ -315,14 +316,18 @@ def _propagator(n: int, N: int, j: int, omega: float, gamma: float,
     return props
 
 
-def _spectral(lam: np.ndarray, vecs: np.ndarray, inv: np.ndarray, taus: np.ndarray) -> np.ndarray:
+def _spectral(lam: np.ndarray, vecs: np.ndarray, inv: np.ndarray, taus: np.ndarray,
+              start=None) -> np.ndarray:
     """(V e^{lam tau}) V^-1 at every time of taus, the eigensystems (V^-1 is
-    inv) broadcast against the times; exactly I where tau is 0.  A rate times tau
+    inv) broadcast against the times; exactly start (default I) where tau is 0.
+    With W V for V it is the composed W U(tau), and start W.  A rate times tau
     past float range leaves inf or NaN, which the trace-drift check refuses."""
     with np.errstate(over="ignore", invalid="ignore"):
         props = (vecs * np.exp(lam * taus[..., None])[..., None, :]) @ inv
     if np.count_nonzero(taus) < taus.size:  # V V^-1 is not I; count_nonzero is cheap
-        props[taus == 0] = np.eye(lam.shape[-1])
+        zero = np.broadcast_to(taus == 0, props.shape[:-2])
+        props[zero] = np.broadcast_to(np.eye(lam.shape[-1]) if start is None else start,
+                                      props.shape)[zero]
     return props
 
 
@@ -433,8 +438,8 @@ def _advance(x: np.ndarray, props, spans, traces: np.ndarray) -> np.ndarray:
     out = [(prop @ x[..., span, None])[..., 0] for prop, span in zip(props, spans)]
     out = out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
-    def traced(y):
-        return (y.real[..., None, :] @ traces)[..., 0, :]
+    def traced(y):  # one product per stack of rows where traces is one matrix
+        return y.real @ traces if traces.ndim == 2 else (y.real[..., None, :] @ traces)[..., 0, :]
 
     _check_drift(traced(out), traced(x))
     return out
@@ -496,22 +501,55 @@ def _ejected(sec: Sector, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _operators(sec: Sector, omega: float, gamma: float, taus: np.ndarray,
+               steps: np.ndarray | None, ends: tuple[float, ...]) -> list[np.ndarray]:
+    """Each block's operators of a cycle of sector sec at drive times taus (...), taus.shape +
+    (points, dim, dim): U at each drive sub-step time of steps (..., k), if given, then
+    K = W(w) U(tau) at each window time w of ends, (W V) e^{lam tau} V^-1 or W expm(G tau)
+    where V is ill-conditioned, W where tau is 0; U(tau) alone with neither."""
+    steps = taus[..., None] if steps is None and not ends else steps
+    ops = []
+    for blk in sec.blocks:
+        ops.append([] if steps is None else [_build_propagators(sec.n, sec.N, blk.j, omega, gamma, steps)])
+        if ends:  # W, the drive-off window's propagator
+            window = _propagator(sec.n, sec.N, blk.j, 0.0, gamma, ends)
+            gen, horizon, eig = _eigensystem(sec.n, sec.N, blk.j, omega, gamma)
+            _check_horizon(taus, horizon)
+            ops[-1].append(window @ expm(gen * taus[..., None, None])[..., None, :, :] if eig is None
+                           else _spectral(eig[0], window @ eig[1], eig[2], taus[..., None], window))
+    return [np.concatenate(parts, axis=-3) for parts in ops]
+
+
+@lru_cache(maxsize=64)
+def _cycle(n: int, N: int, omega: float, gamma: float, tau: float,
+           steps: tuple[float, ...] | None, ends: tuple[float, ...]) -> np.ndarray:
+    """`_operators` of sector (n, N) at a drive time every row shares, as one read-only
+    block-diagonal (points, D, D) stack: one product advances a group through a cycle."""
+    sec = sector(n, N)
+    ops = _operators(sec, omega, gamma, np.array(tau), steps and np.array(steps), ends)
+    stack = np.zeros((ops[0].shape[0], sec.spans[-1].stop, sec.spans[-1].stop), dtype=complex)
+    for op, span in zip(ops, sec.spans):
+        stack[:, span, span] = op
+    stack.setflags(write=False)
+    return stack
+
+
 class BlockBatch:
     """Noisy fixed-n states of a batch of trajectories, one row each: the noisy
     counterpart of `PureBatch`.
 
     Row r of ``x`` holds the j blocks of its sector (``n[r]``, ``N[r]``) side by
     side (block j in the columns ``Sector.spans[j]``), zero past them.  ``groups``
-    lists each sector with its rows; drive, window and reads gather a sector's
-    rows, advance and read each block on its own columns, and write them back.
+    lists each sector with its rows; a cycle and the reads gather a sector's rows,
+    advance or read them and write them back.  A cycle is one instrument: `drive`
+    applies K(tau) = W(tau_EIT) U(tau), the drive and then the drive-off window, in one
+    product per group, and `measure` projects and reads (outcome m leaves P_m K x).
     A row's ideal noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and
     |R_n>, driven, collapsed and ejected alike; the row's retrieval fidelity is its
-    overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A row
-    computes what the one-state kernels compute for its block list and its
-    `PureCollectiveState` twin, bit for bit.  A traced `drive` holds its sub-steps;
-    `measure` reads them, the window's and the collapsed rows in one call per sector.
-    Like `inference.NoisyLikelihoods` it takes ``omega``, ``noise`` (`NoiseParams`:
-    gamma, the window tau_eit and N) and ``eject`` once.
+    overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A traced `drive`
+    holds its drive and window sub-steps; `measure` reads them and the collapsed rows
+    in one call per sector.  Like `inference.NoisyLikelihoods` it takes ``omega``,
+    ``noise`` (`NoiseParams`: gamma, the window tau_eit and N) and ``eject`` once.
     """
 
     def __init__(self, ns, omega: float, noise, eject: bool = False, points: int = 0):
@@ -521,10 +559,11 @@ class BlockBatch:
         self.window, self.dts = noise.tau_eit, np.empty(0)  # the dephasing-only measurement window
         if points and self.window:  # its traced sub-step times, the last the window itself
             self.dts = np.linspace(self.window / points, self.window, points)
+        self._ends = tuple(self.dts.tolist()) or (float(self.window),) * bool(self.window)  # W's times
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
         self._held = None  # a traced drive's read to fill and, per group, its states and twins
-        self._turns, self._stacks = (None, None), {}  # held while what they come from repeats
+        self._turns = None, None  # the twins' cos and sin, held while what they come from repeats
         self._regroup()
         self.x = np.zeros((self.n.size, max((sec.spans[-1].stop for sec, _ in self.groups),
                                             default=0)), dtype=complex)
@@ -540,24 +579,6 @@ class BlockBatch:
     def _states(self, sec: Sector, rows: np.ndarray) -> np.ndarray:
         """The states of rows of sector sec, (rows, D): the columns of its blocks."""
         return self.x[rows, :sec.spans[-1].stop]
-
-    def _advanced(self, sec: Sector, rows: np.ndarray, taus: np.ndarray, omega: float) -> np.ndarray:
-        """The rows (of sector sec) advanced for each of their times, (rows, points, D); the
-        rows keep the last.  taus holds the times every row shares (points,), whose block
-        stacks (`_propagator`) are held per rate (omega, 0 the window) until they change,
-        or each row's own (rows, points), built (`_build_propagators`) for this call alone."""
-        x = self._states(sec, rows)
-        if taus.ndim == 2:
-            held, build, times = {}, _build_propagators, taus
-        else:
-            if self._stacks.get(omega, (None,))[0] != (times := tuple(taus.tolist())):
-                self._stacks[omega] = times, {}
-            held, build = self._stacks[omega][1], _propagator
-        if sec not in held:
-            held[sec] = [build(sec.n, sec.N, blk.j, omega, self.gamma, times) for blk in sec.blocks]
-        grid = _advance(x[:, None], held[sec], sec.spans, sec.traces)
-        self.x[rows, :x.shape[1]] = grid[:, -1]
-        return grid
 
     def fidelity(self) -> np.ndarray:  # 1 in the vacuum, which has no twin
         return self.read()[2]
@@ -577,47 +598,59 @@ class BlockBatch:
             now[:, rows] = self._read(sec, self._states(sec, rows), self.a[rows], self.b[rows])
         return now
 
-    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
-        """Drive row r and its twin for taus[r]; a row with taus 0 is left as it is.
-        steps, if given, are the sub-step times (driven rows, points) of the rows with
-        taus > 0, each ending at its tau: those rows keep their last sub-step, and each
-        group holds its rows' sub-step states and twins for `measure` to read."""
+    def drive(self, taus, steps: np.ndarray | None = None) -> None:
+        """Drive every row and its twin for taus, a float every row shares (one block-diagonal
+        `_cycle` product per group) or each row's (rows,) (one product per block), then wait
+        out the window: K(tau) = W U(tau); a row with tau 0 only waits.  steps, if given, are
+        the drive's sub-step times ending at tau, (points,) shared, else (driven rows, points):
+        each group then holds its states and twins at every sub-step for `measure` to read."""
         _check_times(taus, "drive time")
-        driven = np.flatnonzero(taus > 0)
-        # traced: the cycle's read, for `measure` to fill, and each group's states and twins
-        self._held, steps = ((None, taus[driven, None]) if steps is None else (
-            (np.empty((3, taus.size, steps.shape[1] + self.dts.size + 1)), []), steps))
-        if self._turns[0] != (key := (self.n[driven].tobytes(), steps.shape, steps.tobytes())):
-            theta = _phases(np.sqrt(self.n[driven, None]), self.omega, steps)  # the twins'
+        own = np.ndim(taus) > 0  # each row's own drive time
+        every = taus if own else np.full(self.n.size, taus)
+        driven, k = np.flatnonzero(every > 0), 0 if steps is None else steps.shape[-1]
+        self._held = None if steps is None else (
+            np.empty((3, self.n.size, k + self.dts.size + 1)), [])
+        turns = every[driven, None] if steps is None else steps  # the twins'
+        if self._turns[0] != (key := (self.n[driven].tobytes(), turns.shape, turns.tobytes())):
+            theta = _phases(np.sqrt(self.n[driven, None]), self.omega, turns)
             self._turns = key, (np.cos(theta), np.sin(theta))
         a, b = _rotation(self.a[driven, None], self.b[driven, None], *self._turns[1])
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
-        shared = driven.size and (steps == steps[0]).all()  # then every group takes one row
         for sec, rows in self.groups:
-            on = taus[rows] > 0
-            at = np.searchsorted(driven, rows[on])
-            grid = (self._advanced(sec, driven[at], steps[0] if shared else steps[at], self.omega)
-                    if at.size else 0)
-            if self._held is not None:  # zero where undriven; `measure` fills the other columns
-                y = np.zeros((rows.size, self._held[0].shape[2], sec.spans[-1].stop), dtype=complex)
-                twins = np.zeros((2, *y.shape[:2]), dtype=complex)
-                y[on, :steps.shape[1]], twins[:, on, :steps.shape[1]] = grid, (a[at], b[at])
+            x, on = self._states(sec, rows), every[rows] > 0
+            at = np.searchsorted(driven, rows[on])  # the driven rows' places in steps, a and b
+            if own:  # each row's own stacks, an undriven row's sub-steps at time 0
+                sub = None if steps is None else np.zeros((rows.size, k))
+                if sub is not None:
+                    sub[on] = steps[at]
+                ops, spans = _operators(sec, self.omega, self.gamma, every[rows], sub,
+                                        self._ends), sec.spans
+            else:  # every row driven, or every row only waits
+                ops, spans = [_cycle(sec.n, sec.N, self.omega, self.gamma, float(taus) * bool(at.size),
+                                     tuple(steps.tolist()) if k and at.size else None,
+                                     self._ends)], [slice(None)]
+            grid = _advance(x[:, None], ops, spans, sec.traces)
+            self.x[rows, :x.shape[1]] = grid[:, -1]
+            if self._held is not None:  # `measure` adds the collapse
+                y = np.zeros((rows.size, self._held[0].shape[2], x.shape[1]), dtype=complex)
+                y[:, -1 - grid.shape[1]:-1] = grid  # an undriven row only waits
+                twins = np.empty((2, *y.shape[:2]), dtype=complex)
+                twins[:] = self.a[rows, None], self.b[rows, None]
+                twins[:, on, :k] = a[at], b[at]
                 self._held[1].append((y, twins))
 
     def measure(self, draws: np.ndarray):
-        """`PureBatch.measure` for block states: the window (through each of ``dts``, if
-        any), the projection of every row and its twin; with ``eject``, Rydberg rows lose
-        the detected atom and restart from the fresh twin |S_n-1>.  Returns the outcomes,
+        """`PureBatch.measure` for block states that `drive` took through the window: the
+        projection of every row and its twin; with ``eject``, Rydberg rows lose the
+        detected atom and restart from the fresh twin |S_n-1>.  Returns the outcomes,
         their probabilities and, after a traced drive, `read` at its sub-steps (zero where
         undriven), the window's and after the collapse, (3, rows, columns), one `_read` per
         group and one of its ejected rows in their new sector; None untraced."""
-        rydberg, probs, dts = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size), self.dts
+        rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
         read, held = self._held or (None, None)
         for k, (sec, rows) in enumerate(self.groups):
-            if self.window > 0:
-                grid = self._advanced(sec, rows, dts if dts.size else np.array([self.window]), 0.0)
-            x, blk = grid[:, -1] if self.window > 0 else self._states(sec, rows), sec.block(0)
+            x, blk = self._states(sec, rows), sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
             ryd = draws[rows] * (p_s + p_r) < p_r
             p = np.where(ryd, p_r, p_s)
@@ -625,11 +658,8 @@ class BlockBatch:
                 outcome = RYDBERG if ryd[p <= 0.0][0] else NO_RYDBERG
                 raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
             x = _projected(sec.keeps[ryd.astype(int)], x, p)
-            if read is not None:  # the twins wait out the window, then collapse
-                (y, twins), window = held[k], slice(-1 - dts.size, -1)
-                if dts.size:
-                    y[:, window], twins[:, :, window] = grid, (self.a[rows, None],
-                                                               self.b[rows, None])
+            if read is not None:  # the collapse
+                y, twins = held[k]
                 y[:, -1], twins[:, :, -1] = x, (~ryd, ryd)
                 read[:, rows] = self._read(sec, y, *twins)
             if self.eject and ryd.any():  # into the columns of (n - 1, N - 1), zero past them

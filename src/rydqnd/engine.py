@@ -339,15 +339,16 @@ def _run(initial, params: ProtocolParams, rngs: list[np.random.Generator],
             first_draw = per_cycle * cycle
             draws = np.array([rngs[i].random(per_cycle * block) for i in ids.tolist()])
         col = per_cycle * cycle - first_draw
-        history.append(schedule_next_tau(params.schedule, history, params, draws[:, col]))
-        taus = np.full(ids.size, history[-1])
+        history.append(tau := schedule_next_tau(params.schedule, history, params, draws[:, col]))
+        taus = np.full(ids.size, tau)
 
         if points:  # linspace is exact for times > 0 and ends at tau
             driven = np.flatnonzero(taus > 0)
-            if np.ndim(history[-1]) or history[-2:-1] != history[-1:]:  # once while tau repeats
-                sub = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
-            steps = sub[:driven.size]  # a shared tau's rows are all alike, and rows only leave
-        states.drive(taus, steps)
+            if np.ndim(tau):  # each driven row's own, (driven, points)
+                steps = np.linspace(taus[driven] / points, taus[driven], points, axis=-1)
+            elif history[-2:-1] != history[-1:]:  # one row every row shares, made once while tau repeats
+                steps = np.linspace(tau / points, tau, points)
+        states.drive(tau, steps)  # a float: one tau every row shares
         rydberg, _, read = states.measure(draws[:, col + per_cycle - 1])
         if noise is not None:  # `PureBatch.measure` stepped the noiseless holder
             likelihoods.update(taus, rydberg)

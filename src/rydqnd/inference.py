@@ -80,21 +80,23 @@ def _shift_rows(ns: tuple[int, ...], N: int, s: int, omega: float, gamma: float,
     an eigenbasis (``lam``, ``vecs``, ``inv``, padded with eigenvalue 0); where
     it did not, each drive time takes the ``expm`` of `dynamics._build_propagators`.
     ``horizon`` bounds the drive times, ``window`` is the measurement window's
-    propagator, ``fresh`` the state |S_n><S_n| and ``keep[:, m]`` the families
-    outcome m (1 for Rydberg) keeps.
+    propagator W and ``wvecs`` is W V, so a cycle's K(tau) = W U(tau) is
+    (W V) e^{lam tau} V^-1 (`dynamics._spectral`).  ``fresh`` is the state
+    |S_n><S_n| and ``keep[:, m]`` the families outcome m (1 for Rydberg) keeps.
     """
     rows = []
     for n, N in [(max(n - s, 0), N - s) for n in ns]:
         blk = sector(n, N).block(0)
         _, horizon, eig = dyn._eigensystem(n, N, 0, omega, gamma)
-        lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), np.eye(1), np.eye(1))
-        window = dyn._propagator(n, N, 0, 0.0, gamma, (tau_eit,))[0] if tau_eit > 0 else np.eye(1)
+        lam, vecs, inv = eig if eig is not None else (np.zeros(blk.dim), *[np.eye(blk.dim)] * 2)
+        window = dyn._propagator(n, N, 0, 0.0, gamma, (tau_eit,))[0] if tau_eit > 0 else np.eye(blk.dim)
         rows.append({"n": n, "trace": _padded(blk.trace),
                      "fresh": _padded(blk.dyads[0].astype(complex)),
                      "keep": np.array([_padded(blk.no_rydberg), _padded(blk.rydberg)]),
                      "spectral": eig is not None, "horizon": horizon,
                      "lam": _padded(lam.astype(complex)), "vecs": _padded(vecs.astype(complex)),
-                     "inv": _padded(inv.astype(complex)), "window": _padded(window.astype(complex))})
+                     "inv": _padded(inv.astype(complex)), "wvecs": _padded(window @ vecs + 0j),
+                     "window": _padded(window.astype(complex))})
     return {key: np.stack([row[key] for row in rows]) for key in rows[0]}
 
 
@@ -322,11 +324,12 @@ class NoisyLikelihoods:
             # a tau all entries share, no fewer than the table's rows: each row's, held per count
             shared = len(c) >= len(rows["n"]) and (tau == tau[0]).all()
             held = self._drive.get(s, (None,)) if shared else (None,)
-            if held[0] != tau[0]:
+            if held[0] != tau[0]:  # K(tau) = W U(tau) of each row, W itself where tau is 0
                 k, t = (slice(None), np.full(len(rows["n"]), tau[0])) if shared else (c, tau)
-                props = dyn._spectral(rows["lam"][k], rows["vecs"][k], rows["inv"][k], t)
+                window = rows["window"][k]
+                props = dyn._spectral(rows["lam"][k], rows["wvecs"][k], rows["inv"][k], t, window)
                 for m in np.flatnonzero(~rows["spectral"][k] & (t <= rows["horizon"][k])).tolist():
-                    props[m] = _padded(dyn._build_propagators(
+                    props[m] = window[m] @ _padded(dyn._build_propagators(
                         int(rows["n"][k][m]), N, 0, self.omega, self.noise.gamma, t[m:m + 1])[0])
                 held = tau[0], props, (t > rows["horizon"][k]).any()
                 if shared:
@@ -334,9 +337,8 @@ class NoisyLikelihoods:
             if held[2]:  # a row past its horizon, left unbuilt: refused if an entry is live there
                 dyn._check_horizon(tau, rows["horizon"][c])
             props = held[1].take(c, axis=0) if shared else held[1]  # `take` outpaces indexing
-            trace, x = rows["trace"].take(c, axis=0), self.x[r, c]
-            for prop in (props, rows["window"][c]) if self.noise.tau_eit > 0 else (props,):
-                x = dyn._advance(x, (prop,), (slice(None),), trace[:, :, None])
+            trace = rows["trace"].take(c, axis=0)
+            x = dyn._advance(self.x[r, c], (props,), (slice(None),), trace[:, :, None])
             p_s, p_r = dyn._populations(trace, x, _SS, _RR)
             p = np.where(ryd, p_r, p_s)
             live = p > 0.0

@@ -49,6 +49,50 @@ def realign_for_retrieval(state, omega: float, gamma: float = 0.0):
     return dyn.evolve_blocks(blocks, pi / (2 * sqrt(n) * omega), omega, gamma, drive_on=True)
 
 
+def cycle_operators(n: int, N: int, j: int, omega: float, gamma: float, tau: float,
+                    steps=(), ends=()) -> np.ndarray:
+    """Block (n, N, j)'s operators of one noisy cycle, composed as the state holders
+    compose them, (points, dim, dim): U(t) at each drive sub-step time t of steps, then
+    K = W(w) U(tau) at each window time w of ends, (W V) e^{lam tau} V^-1 from the
+    block's eigensystem or, where it has none, W expm(G tau); W itself where tau is 0,
+    and U(tau) alone where there is neither a sub-step nor a window."""
+    parts = []
+    if steps or not ends:
+        parts.append(dyn._propagator(n, N, j, omega, gamma, tuple(steps) or (tau,)))
+    if ends:
+        window = dyn._propagator(n, N, j, 0.0, gamma, tuple(ends))
+        gen, _, eig = dyn._eigensystem(n, N, j, omega, gamma)
+        if tau == 0:
+            parts.append(window)
+        elif eig is None:
+            parts.append(window @ dyn.expm(gen * tau))
+        else:
+            lam, vecs, inv = eig
+            parts.append(((window @ vecs) * np.exp(lam * tau)) @ inv)
+    return np.concatenate(parts)
+
+
+def block_diagonal(ops: list[np.ndarray], spans) -> np.ndarray:
+    """Each block's (points, d, d) operators as one block-diagonal (points, D, D) stack."""
+    width = spans[-1].stop
+    out = np.zeros((ops[0].shape[0], width, width), dtype=complex)
+    for op, span in zip(ops, spans):
+        out[:, span, span] = op
+    return out
+
+
+def cycle_blocks(blocks, tau: float, omega: float, gamma: float, tau_eit: float):
+    """One-state blocks after a drive of tau and the window tau_eit as one operator per
+    block, K = W U(tau) (`cycle_operators`), with `evolve_block`'s trace-drift check."""
+    out = []
+    for blk in dyn._as_blocks(blocks):
+        k = cycle_operators(blk.n, blk.N, blk.j, omega, gamma, tau,
+                            ends=(tau_eit,) if tau_eit > 0 else ())[-1]
+        out.append(dyn.SymmetricBlockState(blk.n, blk.N, blk.j, k @ blk.x))
+        dyn._check_drift(out[-1].trace(), blk.trace())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # inference
 

@@ -1,10 +1,12 @@
 """The noisy engine's array holder, `dynamics.BlockBatch`, against the one-state chain.
 
 Each row of the holder is a noisy fixed-n trajectory with an ideal noiseless
-twin.  The reference is the explicit chain of one-state kernels per row:
-`evolve_blocks` and `evolve_pure` for the drive and its traced sub-steps,
-`evolve_blocks` with the drive off for the measurement window, `measure_block`
-for the outcome, the twin collapsed onto exactly |S_n> or |R_n>,
+twin.  The reference is the explicit chain of one-state kernels per row: the
+cycle's operators composed as the holder composes them (`refs.cycle_operators`:
+the drive's traced sub-steps, then the window's, each W(w) U(tau)), applied in
+one block-diagonal product where the rows share their drive time and one per
+block where each has its own; `evolve_pure` for the twin, `measure_block` (no
+window left) for the outcome, the twin collapsed onto exactly |S_n> or |R_n>,
 `eject_block` and a fresh twin after a Rydberg outcome with ejection, and
 `retrieval_fidelity` against the twin.  The two agree to the bit.
 """
@@ -22,6 +24,8 @@ from rydqnd import inference as inf
 from rydqnd.errors import ImpossibleOutcomeError, PreconditionError
 from rydqnd.records import RYDBERG, FockDistribution
 from rydqnd.symbasis import sector
+
+import refs
 
 OMEGA = 1.0
 # Six j = 0 blocks at gamma / omega just beside an exceptional point, where the
@@ -57,11 +61,27 @@ class _Row:
         twin = None if self.twin is None else dyn.evolve_pure(self.twin, tau, OMEGA)
         return dyn.evolve_blocks(self.blocks, tau, OMEGA, self.gamma), twin
 
-    def in_window(self, dt):
-        return dyn.evolve_blocks(self.blocks, dt, 0.0, self.gamma, drive_on=False), self.twin
+    def cycle(self, tau, steps, ends, shared):
+        """The row's block lists at each point of its cycle, the drive's sub-steps (steps)
+        and then the window's (ends), each its operator (`refs.cycle_operators`) applied
+        to the start state: one block-diagonal product where the batch's rows share tau,
+        else one per block.  The row keeps the last."""
+        n, N = self.blocks[0].n, self.blocks[0].N
+        sec, (_, x) = sector(n, N), dyn._side_by_side(self.blocks)
+        ops = [refs.cycle_operators(n, N, blk.j, OMEGA, self.gamma, tau, steps, ends)
+               for blk in sec.blocks]
+        if shared:
+            grid = (refs.block_diagonal(ops, sec.spans) @ x[:, None, :, None])[0, :, :, 0]
+        else:
+            grid = np.concatenate([(op @ x[:, None, span, None])[0, :, :, 0]
+                                   for op, span in zip(ops, sec.spans)], axis=-1)
+        states = [[dyn.SymmetricBlockState(n, N, blk.j, y[span].copy())
+                   for blk, span in zip(sec.blocks, sec.spans)] for y in grid]
+        self.blocks = states[-1]
+        return states
 
     def measure(self, draw, eject):
-        outcome, self.blocks, p = dyn.measure_block(self.blocks, self.window, self.gamma, draw)
+        outcome, self.blocks, p = dyn.measure_block(self.blocks, 0.0, self.gamma, draw)
         rydberg = outcome == RYDBERG
         if self.twin is not None:
             n, a, b = self.twin.n_max, self.twin.a.copy(), self.twin.b.copy()
@@ -140,10 +160,10 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
     window sub-steps, after the collapse), outcomes, outcome probabilities and
     block coefficients equal its one-state chain's, bit for bit, while rows
     eject into other groups (down to the (0, 0) vacuum) and leave the batch
-    (in odd cycles before the rows that stay are read).  A traced drive or
-    window keeps the state of its last sub-step, and that state is the
-    chain's after the whole drive or window.  A traced cycle's reads come
-    from `measure`, the collapse's too."""
+    (in odd cycles before the rows that stay are read).  A traced cycle keeps
+    the state of its last sub-step, and that state is the chain's after the
+    whole drive and window.  A traced cycle's reads come from `measure`, the
+    collapse's too."""
     N, ns, gamma, window, eject, points, cycles = run
     batch = dyn.BlockBatch(ns, OMEGA, inf.NoiseParams(gamma, window, N), eject, points)
     chains = [_Row(n, N, gamma, window) for n in ns]
@@ -154,29 +174,36 @@ def test_batch_matches_the_one_state_chain_to_the_bit(run):
             break
         active = [chains[i] for i in ids]
         taus_now = np.array([taus[i] for i in ids])
-        steps = dts = None
-        if points:
-            driven = np.flatnonzero(taus_now > 0)
-            steps = np.array([np.linspace(t / points, t, points)
-                              for t in taus_now[driven].tolist()]).reshape(driven.size, points)
-            in_drive = [[_Row.read(*active[r].driven(t)) for t in steps[k].tolist()]
-                        for k, r in enumerate(driven.tolist())]
-        assert batch.drive(taus_now, steps) is None
-        for c, t in zip(active, taus_now.tolist()):
-            c.blocks, c.twin = c.driven(t)
-        if points and window > 0:
-            dts = np.linspace(window / points, window, points)
-            in_window = [[_Row.read(*c.in_window(dt)) for dt in dts.tolist()] for c in active]
+        # rows that share a drive time take it as one float (and one row of sub-steps), but
+        # in every third cycle as an array, each row's own
+        shared = len(set(taus_now.tolist())) == 1 and cycle % 3 != 2
+        driven = np.flatnonzero(taus_now > 0)
+        own = [np.linspace(t / points, t, points) for t in taus_now.tolist()] if points else []
+        steps = None if not points else own[0] if shared else np.array(
+            [own[r] for r in driven.tolist()]).reshape(driven.size, points)
+        dts = np.linspace(window / points, window, points) if points and window > 0 else None
+        ends = tuple(dts.tolist()) if dts is not None else (window,) * (window > 0)
+        expected_reads = []  # each row's traced reads but the collapse's, None where undriven
+        for r, (c, t) in enumerate(zip(active, taus_now.tolist())):
+            kept = tuple(own[r].tolist()) if points and (t > 0 or not shared) else ()
+            start = c.twin
+            states = c.cycle(t, kept, ends, shared)
+            c.twin = None if start is None else dyn.evolve_pure(start, t, OMEGA)
+            if points:
+                drive = [_Row.read(states[k], None if start is None else
+                                   dyn.evolve_pure(start, s, OMEGA)) if t > 0 else None
+                         for k, s in enumerate(own[r].tolist())]
+                waits = [_Row.read(state, c.twin) for state in states[len(kept):]] if ends else []
+                expected_reads.append(drive + waits)
+        assert batch.drive(float(taus_now[0]) if shared else taus_now, steps) is None
         rydberg, probs, got = batch.measure(np.array([draws[i] for i in ids]))
-        assert (got is None) == (steps is None)
+        assert (got is None) == (not points)
         if points:  # the drive's sub-steps, the window's, the collapse
             assert got.shape == (3, len(ids), points + (0 if dts is None else points) + 1)
-            got_drive, got_window = got[:, driven, :points], got[:, :, points:-1]
-            for k, expected in enumerate(in_drive):
-                _same([x[k] for x in got_drive], expected)
-        if dts is not None:
-            for r, expected in enumerate(in_window):
-                _same([x[r] for x in got_window], expected)
+            for r, reads in enumerate(expected_reads):
+                for col, expected in enumerate(reads):
+                    if expected is not None:
+                        _same([x[r, col:col + 1] for x in got], [expected])
         expected = [c.measure(draws[i], eject) for i, c in zip(ids, active)]
         assert rydberg.tolist() == [ryd for ryd, _ in expected]
         assert probs.tolist() == [p for _, p in expected]

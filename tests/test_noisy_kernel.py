@@ -2,10 +2,10 @@
 
 `inference.NoisyLikelihoods` advances every (record, photon number) entry of
 a batch with stacked matrix products.  The reference here is the explicit
-chain of `dynamics` one-state kernels per entry: `evolve_blocks` for the
-drive, again with the drive off for the measurement window, `project_blocks`,
-and `eject_block` after a Rydberg outcome with ejection.  The two agree to the
-bit.  The renewal table behind `posterior_trace` and the spectral readout
+chain of one-state kernels per entry: the drive and the measurement window as
+one operator per cycle, K = W U(tau), composed as the holder composes it
+(`refs.cycle_blocks`), then `project_blocks`, and `eject_block` after a
+Rydberg outcome with ejection.  The two agree to the bit.  The renewal table behind `posterior_trace` and the spectral readout
 behind the greedy step agree with them to 1e-12.
 """
 
@@ -22,6 +22,8 @@ from rydqnd import inference as inf
 from rydqnd.errors import ImpossibleOutcomeError, InconsistentRecordError
 from rydqnd.records import FockDistribution, MeasurementRecord, NO_RYDBERG, Posterior, RYDBERG
 
+import refs
+
 OMEGA = 1.0
 # At n = 1 the j = 0 generator has no well-conditioned eigenbasis at gamma = 0
 # and at the exceptional point gamma = 8 omega: those take the expm path.
@@ -35,9 +37,7 @@ def _chain(n, N, gamma, tau_eit, eject, cycles):
     log_l, logs = 0.0, []
     for tau, rydberg in cycles:
         if log_l > -math.inf:
-            blocks = dyn.evolve_blocks(blocks, tau, OMEGA, gamma)
-            if tau_eit > 0:
-                blocks = dyn.evolve_blocks(blocks, tau_eit, 0.0, gamma, drive_on=False)
+            blocks = refs.cycle_blocks(blocks, tau, OMEGA, gamma, tau_eit)
             try:
                 p, blocks = dyn.project_blocks(blocks, RYDBERG if rydberg else NO_RYDBERG)
             except ImpossibleOutcomeError:

@@ -1,9 +1,9 @@
 """A traced cycle evolves each phase once.
 
 The drive's sub-step times end at the drive time and the window's at the
-window, so the state a phase leaves is its last sub-step's: a traced noisy
-batch makes one drive product and one window product per block of every
-group per cycle.  A traced noiseless batch reads its odds once per phase:
+window, so the state a cycle leaves is its last sub-step's: a traced noisy
+batch advances each group once per cycle, through the drive's sub-steps and
+then the window's, each of these W(w) U(tau).  A traced noiseless batch reads its odds once per phase:
 one noiseless-kernel call for the drive's sub-steps, and in `measure` one for
 the measurement and one for the collapse.  The logs stay those the golden
 digests pin.
@@ -38,9 +38,12 @@ def _groups(batch) -> tuple[int, int]:
 
 @pytest.mark.parametrize("name", ["noisy-fixed-trace", "noisy-int-eject-trace",
                                   "noisy-random-born-trace", "noisy-unconverged-no-window-trace"])
-def test_traced_noisy_cycle_makes_one_product_per_block_and_phase(monkeypatch, name):
+def test_traced_noisy_cycle_makes_one_product_per_group(monkeypatch, name):
+    """Every cycle advances each sector group once, through the drive's sub-steps and
+    the window's, with one drift check: one block-diagonal product where the rows share
+    their drive time, one product per block where each row has its own (uniform-random)."""
     initial, params, batch = CASES[name]
-    products, drives, windows = [], [], []
+    products, drives = [], []
     advance = dyn._advance
 
     def counted(x, props, spans, traces):
@@ -50,15 +53,13 @@ def test_traced_noisy_cycle_makes_one_product_per_block_and_phase(monkeypatch, n
 
     monkeypatch.setattr(dyn, "_advance", counted)
     _counted(monkeypatch, dyn.BlockBatch, "drive", drives, _groups)
-    _counted(monkeypatch, dyn.BlockBatch, "measure", windows,
-             lambda b: _groups(b) if b.window > 0 else (0, 0))
     logs = eng.run_batch(initial, params, batch)
     assert _digest(logs) == DIGESTS[name]
     assert len(drives) == max(len(log.record) for log in logs)
-    # every drive time is positive here, so every group drives in every cycle:
-    # one `_advance` per group and phase, one product in it per block
-    expected = [sum(z) for z in zip(*drives, *windows)]
-    assert [len(products), sum(products)] == expected
+    # every drive time is positive here, so every group drives in every cycle
+    own = params.schedule.draws  # each row's own drive time: one product per block
+    assert [len(products), sum(products)] == [sum(g for g, _ in drives),
+                                              sum(b if own else g for g, b in drives)]
 
 
 @pytest.mark.parametrize("name", ["random-born-trace", "fixed-born-eject-trace",
@@ -95,18 +96,19 @@ def test_a_repeated_drive_time_builds_its_operators_once(monkeypatch, points, ta
     """A noisy batch whose rows share each drive time and stay, at the CLI's noisy rates:
     the likelihood holder makes its stacked `_spectral` call once per run of one drive
     time (one ejection count here), `BlockBatch` computes its twins' phases once per run
-    and reads each block's drive stack once per run and its window stack once, not once
-    per cycle.  A warm-up run first fills the holder's cached tables, whose window
-    propagators would add `_propagator` calls of their own."""
+    and builds each drive time's block-diagonal cycle stack (`_cycle`, the window in it)
+    once, not once per cycle.  A warm-up run first fills the holder's cached tables, and
+    the cycle stacks it cached are then dropped."""
     omega = 2 * math.pi * 2.5e6
     params = eng.ProtocolParams(omega=omega, gamma=0.12 * omega, tau_eit=0.3e-6, N=10,
                                 schedule=eng.Schedule.precomputed(taus), max_cycles=len(taus),
                                 threshold=2.0, trace_points=points)
     eng.run_batch(2, params, 2)
+    dyn._cycle.cache_clear()
     spectral, phases, stacks = [], [], []
     for name, seen, mine in (("_spectral", spectral, lambda lam, *_: lam.ndim == 2),
                              ("_phases", phases, lambda *_: True),
-                             ("_propagator", stacks, lambda *_: True)):
+                             ("_operators", stacks, lambda *_: True)):
         def counted(*args, original=getattr(dyn, name), seen=seen, mine=mine):
             if mine(*args):
                 seen.append(args)
@@ -116,38 +118,28 @@ def test_a_repeated_drive_time_builds_its_operators_once(monkeypatch, points, ta
     logs = eng.run_batch(2, params, 2)
     assert [len(log.record) for log in logs] == [len(taus)] * 2
     assert (len(spectral), len(phases)) == (runs, runs)
-    blocks = len(sector(2, 10).blocks)
-    assert len(stacks) == (runs + 1) * blocks  # each run's drive stacks, one window stack
+    assert len(stacks) == len(set(taus))  # one sector, each drive time's stack once
 
 
 def test_rows_with_their_own_drive_times_build_per_row_stacks(monkeypatch):
-    """A traced uniform-random batch whose rows eject into different sectors: two or more
-    driven rows never share a drive time, so `BlockBatch.drive` builds every group's
-    stacks per row, a group of one row too, and reads no `_propagator` stack."""
+    """A traced uniform-random batch whose rows eject into different sectors: the engine
+    hands `BlockBatch.drive` each row's own drive time as an array, so every group builds
+    its rows' stacks per row and block (`_operators` of a 1-d array of times), a group of
+    one row too, and no shared block-diagonal `_cycle` stack is read."""
     params = eng.ProtocolParams(omega=2 * math.pi * 2.5e6, gamma=0.3e6, tau_eit=0.3e-6, N=6,
                                 n_max=3, schedule=eng.Schedule.uniform_random(0.05e-6, 0.4e-6),
                                 ejection_enabled=True, trace_points=2, max_cycles=12, seed=5)
-    several, cached, per_row, lone = [], [], [], []  # `several`: the drive under way has 2+ rows
-    drive, build, propagator = dyn.BlockBatch.drive, dyn._build_propagators, dyn._propagator
+    per_row, shared, lone = [], [], []
+    drive, operators, cycle = dyn.BlockBatch.drive, dyn._operators, dyn._cycle
 
     def counted_drive(self, taus, steps=None):
-        several.append(np.count_nonzero(taus > 0) > 1)
-        lone.append(several[-1] and any(rows.size == 1 and taus[rows[0]] > 0
-                                        for _, rows in self.groups))
-        try:
-            return drive(self, taus, steps)
-        finally:
-            several.pop()
-
-    def counted_build(*args):
-        if several and several[-1] and args[5].ndim == 2:
-            per_row.append(args[5].shape)
-        return build(*args)
+        lone.append(any(rows.size == 1 for _, rows in self.groups) and len(self.groups) > 1)
+        return drive(self, taus, steps)
 
     monkeypatch.setattr(dyn.BlockBatch, "drive", counted_drive)
-    monkeypatch.setattr(dyn, "_build_propagators", counted_build)
-    monkeypatch.setattr(dyn, "_propagator", lambda *args: (
-        cached.append(args) if several and several[-1] else None) or propagator(*args))
+    monkeypatch.setattr(dyn, "_operators", lambda sec, omega, gamma, taus, *rest: (
+        per_row.append(np.shape(taus)) or operators(sec, omega, gamma, taus, *rest)))
+    monkeypatch.setattr(dyn, "_cycle", lambda *args: shared.append(args) or cycle(*args))
     logs = eng.run_batch(3, params, 4)
     assert any(log.ejections for log in logs) and any(lone)
-    assert per_row and cached == []
+    assert per_row and all(len(shape) == 1 for shape in per_row) and shared == []
