@@ -35,6 +35,12 @@ showed that only rounding moved (the comparisons are in `comparisons/`):
   each row's fidelity in one product, weighted in complex arithmetic, and
   `dynamics.BlockBatch` collapses each twin without a global phase; only
   fidelities moved (by at most 1.1e-16, trace fidelities by 3.3e-16).
+* one operator per noisy cycle: every noisy case but `noisy-random-born-eject`,
+  whose bytes stayed.  Both noisy holders advance a cycle by K = W U(tau), the
+  window composed into the drive, and `dynamics.BlockBatch` applies a shared
+  drive time's operators as one block-diagonal product per sector group;
+  posteriors moved by at most 2.2e-16, fidelities and trace values by
+  2.2e-16, and no record changed (`comparisons/31_one_cycle_operator.txt`).
 """
 
 import hashlib
@@ -131,15 +137,15 @@ DIGESTS = {
     "fixed-int": "fe6d56f581d4b4124b72ced0592611730a479b5fd3ef829bce6d3399efb87adf",
     "greedy-amps-eject-trace": "5ce46c832ac67c8052c936adf28a0188bf14bb19b9c2991e2c18753b32e61d8a",
     "greedy-born": "55d6aa036b913774e4b0891ad475cfa7832a27d0346ad951351dd57b7f0a279e",
-    "noisy-fixed-trace": "223bdb7542daa51e9743f8d5c983044c7c32555a590cbf3dc7647356b21a0357",
-    "noisy-greedy": "bf093c58dc96a9675b724a3c3fa15e82de76c8f28401c465de2c38a0e9d9ccba",
-    "noisy-int-eject-trace": "5b621b1828b76307b2b20a01ef3c0c8c11b46edcc8c839370b0d793b31d3222e",
-    "noisy-mixtures-prior": "167fdb5d078e002cc2e84f9530c2339f33fb25dd9ff1427f7bc7bed67ad30ebe",
+    "noisy-fixed-trace": "45c3aec1b0ea0db28742e5a9782654f37959846fdd6e0a68642072c5c04bc616",
+    "noisy-greedy": "991a1ec537501302df5a54b7e6b02002abfac8986ad6bc0da3f936909af20601",
+    "noisy-int-eject-trace": "9c8170bcf40d3ff38e68b9dc7257f8d4e59941ac4266a683fd78f232247bf6a6",
+    "noisy-mixtures-prior": "0fc273c31f2c09264a6ff74e327c1643cf8cf3e6d19657dff5ba6bf34cf5d6bc",
     "noisy-precomputed-zero-eject-trace":
-        "b66e4902a30b43020e443f5eaa24292abeb169138c95c4f41cc83f433c631a44",
+        "543159904a17d2217e806d057c27284d320a550d90c90990bbe884c75506c546",
     "noisy-random-born-eject": "fdc5c9004dfad98e8d5959b448612fcd3449a7246e3eb79502c017ec355259d6",
-    "noisy-random-born-trace": "fc9fca7a2f403ecb405390337f94f61aad7420d3fbab765d2b05a7278c813f86",
-    "noisy-unconverged-no-window-trace": "65ce64d33c0c4d47a48caab4560e95b9fd9663e53c59604b453b5381a81b1eca",
+    "noisy-random-born-trace": "266eacc1446a8972b4bbdc617d6da9e80ae5ef1b65e240a99e45019e18a3a972",
+    "noisy-unconverged-no-window-trace": "21f873163b9654d3d2df48287c8406e47d017498ce26e9cdeac7a33758be60e9",
     "precomputed-born-zero-trace": "335d2da23bb2036a0412ea25456e8bb181578a4b0028ba8c4f95bbfb58d065c8",
     "precomputed-int-eject-trace": "369f11a27372302fa7996bb326c1aeaba03cf92e4e48c6b94d205ddce4a1a6b1",
     "random-amps-eject": "37c07916debc2c9da2269ef26c7ce67c5b5e637b367b8c79815f9479bbc85d8b",

@@ -11,7 +11,9 @@ Like the engine and `simulate` digests, these hold where they were captured
 when `posterior_trace` came to compute its posterior with `Mixture.posterior`
 (numpy sums over the photon numbers, then the candidates, in place of one
 matrix product): its posterior trace moved by 1.1e-16
-(`comparisons/7_posterior_fold.txt`).
+(`comparisons/7_posterior_fold.txt`).  `noisy` and `noisy-mixture-prior` were
+re-pinned when the likelihood holder composed the window into each cycle's
+operator, K = W U(tau) (`comparisons/31_one_cycle_operator.txt`).
 """
 
 import hashlib
@@ -46,9 +48,9 @@ DIGESTS = {
     "expm-fallback": "8d62b611f05705630656d3709d0d081ccc2d16fb8ccffdd574e29d8c84fac500",
     "noiseless": "7903a287f0289163fea9e5d1eda7692aa431f86c07214ebc706bced9dc9c5f32",
     "noiseless-eject": "1f7edd0dae3211623917fb73d3abbc76255b5a6b71d301912687da163364bc92",
-    "noisy": "06d64cb958811bd517361b6e0c39ab50673a6a65dda85bb4a3a692ec2d06a136",
+    "noisy": "d537274dc032935ee625c844db2ceb63ad269feabf3faf04c4bc9a739e033801",
     "noisy-eject": "20cdbf9bb926d8517f82af3755a3ed4c275632b561c06ae9a0f078c952d58f6d",
-    "noisy-mixture-prior": "29dabbf7ab61c21f2db6073588820becd1e532d0720cf3b5ccee80c8dea7bd14",
+    "noisy-mixture-prior": "b3eeb86ddf8e41a71369117cfa523a38dadc8f4f2ad371bbe95cae025138e544",
 }
 
 
