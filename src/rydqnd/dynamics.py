@@ -150,15 +150,14 @@ class PureBatch:
                                                        rec.last[rows]))
         return np.stack((1.0 - p_r, p_r, np.ones(p_r.shape)))
 
-    def drive(self, taus: np.ndarray, steps: np.ndarray | None = None) -> None:
-        """Drive row r for taus[r] at the record's omega: its weights stay, its drive
-        time grows.  steps as in `BlockBatch.drive`: what `read` gives at each is held
-        for `measure`."""
+    def drive(self, taus, steps: np.ndarray | None = None) -> None:
+        """Drive every row for taus (as in `BlockBatch.drive`) at the record's omega: its
+        weights stay, its drive time grows.  steps as in `BlockBatch.drive`: what `read`
+        gives at each is held for `measure`."""
         _check_times(taus, "drive time")
-        taus = np.broadcast_to(taus, self.elapsed.shape)
-        self._held = None if steps is None else np.zeros((3, taus.size, steps.shape[-1] + 1))
+        self._held = None if steps is None else np.zeros((3, self.elapsed.size, steps.shape[-1] + 1))
         if steps is not None:
-            driven = np.flatnonzero(taus > 0)
+            driven = np.flatnonzero(np.broadcast_to(taus, self.elapsed.shape) > 0)
             self._held[:, driven, :-1] = self._read(driven[:, None], self.elapsed[driven, None] + steps)
         self.elapsed = self.elapsed + taus
 
@@ -510,14 +509,15 @@ def _operators(sec: Sector, omega: float, gamma: float, taus: np.ndarray,
     steps = taus[..., None] if steps is None and not ends else steps
     ops = []
     for blk in sec.blocks:
-        ops.append([] if steps is None else [_build_propagators(sec.n, sec.N, blk.j, omega, gamma, steps)])
-        if ends:  # W, the drive-off window's propagator
-            window = _propagator(sec.n, sec.N, blk.j, 0.0, gamma, ends)
-            gen, horizon, eig = _eigensystem(sec.n, sec.N, blk.j, omega, gamma)
+        args = sec.n, sec.N, blk.j, omega, gamma
+        parts = [] if steps is None else [_build_propagators(*args, steps)]
+        if ends:  # each W, the drive-off window's propagator, after U(tau)
+            w, (gen, horizon, eig) = _propagator(*args[:3], 0.0, gamma, ends), _eigensystem(*args)
             _check_horizon(taus, horizon)
-            ops[-1].append(window @ expm(gen * taus[..., None, None])[..., None, :, :] if eig is None
-                           else _spectral(eig[0], window @ eig[1], eig[2], taus[..., None], window))
-    return [np.concatenate(parts, axis=-3) for parts in ops]
+            parts.append(w @ expm(gen * taus[..., None, None, None]) if eig is None
+                         else _spectral(eig[0], w @ eig[1], eig[2], taus[..., None], w))
+        ops.append(np.concatenate(parts, axis=-3))
+    return ops
 
 
 @lru_cache(maxsize=64)
@@ -540,16 +540,14 @@ class BlockBatch:
 
     Row r of ``x`` holds the j blocks of its sector (``n[r]``, ``N[r]``) side by
     side (block j in the columns ``Sector.spans[j]``), zero past them.  ``groups``
-    lists each sector with its rows; a cycle and the reads gather a sector's rows,
-    advance or read them and write them back.  A cycle is one instrument: `drive`
-    applies K(tau) = W(tau_EIT) U(tau), the drive and then the drive-off window, in one
-    product per group, and `measure` projects and reads (outcome m leaves P_m K x).
-    A row's ideal noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and
-    |R_n>, driven, collapsed and ejected alike; the row's retrieval fidelity is its
-    overlap with the twin (1 in the vacuum, whose twin stays |S_0>).  A traced `drive`
-    holds its drive and window sub-steps; `measure` reads them and the collapsed rows
-    in one call per sector.  Like `inference.NoisyLikelihoods` it takes ``omega``,
-    ``noise`` (`NoiseParams`: gamma, the window tau_eit and N) and ``eject`` once.
+    lists each sector with its rows.  A cycle is one instrument, outcome m leaving
+    P_m K x: `drive` applies K(tau) = W(tau_EIT) U(tau), the drive and then the drive-off
+    window, in one product per group, and `measure` projects and reads.  A row's ideal
+    noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and |R_n>, driven,
+    collapsed and ejected alike; the row's retrieval fidelity is its overlap with the
+    twin (1 in the vacuum, whose twin stays |S_0>).  Like `inference.NoisyLikelihoods`
+    it takes ``omega``, ``noise`` (`NoiseParams`: gamma, the window tau_eit and N) and
+    ``eject`` once.
     """
 
     def __init__(self, ns, omega: float, noise, eject: bool = False, points: int = 0):
@@ -562,7 +560,7 @@ class BlockBatch:
         self._ends = tuple(self.dts.tolist()) or (float(self.window),) * bool(self.window)  # W's times
         self.a = np.ones(self.n.size, dtype=complex)
         self.b = np.zeros(self.n.size, dtype=complex)
-        self._held = None  # a traced drive's read to fill and, per group, its states and twins
+        self._held = None  # a traced drive's read to fill, its twins and each group's states
         self._turns = None, None  # the twins' cos and sin, held while what they come from repeats
         self._regroup()
         self.x = np.zeros((self.n.size, max((sec.spans[-1].stop for sec, _ in self.groups),
@@ -605,50 +603,45 @@ class BlockBatch:
         the drive's sub-step times ending at tau, (points,) shared, else (driven rows, points):
         each group then holds its states and twins at every sub-step for `measure` to read."""
         _check_times(taus, "drive time")
-        own = np.ndim(taus) > 0  # each row's own drive time
-        every = taus if own else np.full(self.n.size, taus)
-        driven, k = np.flatnonzero(every > 0), 0 if steps is None else steps.shape[-1]
-        self._held = None if steps is None else (
-            np.empty((3, self.n.size, k + self.dts.size + 1)), [])
-        turns = every[driven, None] if steps is None else steps  # the twins'
+        driven = np.flatnonzero((every := np.broadcast_to(taus, self.n.shape)) > 0)
+        turns = every[driven, None] if steps is None else steps  # the twins' times
         if self._turns[0] != (key := (self.n[driven].tobytes(), turns.shape, turns.tobytes())):
             theta = _phases(np.sqrt(self.n[driven, None]), self.omega, turns)
             self._turns = key, (np.cos(theta), np.sin(theta))
         a, b = _rotation(self.a[driven, None], self.b[driven, None], *self._turns[1])
         _check_norm(np.abs(a) ** 2 + np.abs(b) ** 2)  # the twins, as `evolve_pure` checks
         self.a[driven], self.b[driven] = a[:, -1], b[:, -1]
+        self._held = None
+        if steps is not None:  # the twins at each column of the cycle's read; states per group
+            k = steps.shape[-1]
+            twins = np.empty((2, self.n.size, k + self.dts.size + 1), dtype=complex)
+            twins[:], twins[:, driven, :k] = (self.a[:, None], self.b[:, None]), (a, b)
+            self._held = np.empty((3, *twins.shape[1:])), twins, []
+            if np.ndim(taus):  # each row's own, an undriven row's at time 0
+                steps = np.zeros((self.n.size, k))
+                steps[driven] = turns
         for sec, rows in self.groups:
-            x, on = self._states(sec, rows), every[rows] > 0
-            at = np.searchsorted(driven, rows[on])  # the driven rows' places in steps, a and b
-            if own:  # each row's own stacks, an undriven row's sub-steps at time 0
-                sub = None if steps is None else np.zeros((rows.size, k))
-                if sub is not None:
-                    sub[on] = steps[at]
-                ops, spans = _operators(sec, self.omega, self.gamma, every[rows], sub,
-                                        self._ends), sec.spans
+            x = self._states(sec, rows)
+            if np.ndim(taus):  # each row's own stacks
+                ops, spans = _operators(sec, self.omega, self.gamma, taus[rows],
+                                        None if steps is None else steps[rows], self._ends), sec.spans
             else:  # every row driven, or every row only waits
-                ops, spans = [_cycle(sec.n, sec.N, self.omega, self.gamma, float(taus) * bool(at.size),
-                                     tuple(steps.tolist()) if k and at.size else None,
-                                     self._ends)], [slice(None)]
+                ops, spans = [_cycle(sec.n, sec.N, self.omega, self.gamma, float(taus), tuple(
+                    steps.tolist()) if steps is not None and taus else None, self._ends)], [slice(None)]
             grid = _advance(x[:, None], ops, spans, sec.traces)
             self.x[rows, :x.shape[1]] = grid[:, -1]
-            if self._held is not None:  # `measure` adds the collapse
-                y = np.zeros((rows.size, self._held[0].shape[2], x.shape[1]), dtype=complex)
-                y[:, -1 - grid.shape[1]:-1] = grid  # an undriven row only waits
-                twins = np.empty((2, *y.shape[:2]), dtype=complex)
-                twins[:] = self.a[rows, None], self.b[rows, None]
-                twins[:, on, :k] = a[at], b[at]
-                self._held[1].append((y, twins))
+            if self._held:  # an undriven row only waits; `measure` adds the collapse
+                self._held[2].append(np.zeros((rows.size, twins.shape[2], x.shape[1]), dtype=complex))
+                self._held[2][-1][:, -1 - grid.shape[1]:-1] = grid
 
     def measure(self, draws: np.ndarray):
-        """`PureBatch.measure` for block states that `drive` took through the window: the
-        projection of every row and its twin; with ``eject``, Rydberg rows lose the
-        detected atom and restart from the fresh twin |S_n-1>.  Returns the outcomes,
-        their probabilities and, after a traced drive, `read` at its sub-steps (zero where
-        undriven), the window's and after the collapse, (3, rows, columns), one `_read` per
-        group and one of its ejected rows in their new sector; None untraced."""
+        """`PureBatch.measure` for the block states `drive` left: every row and its twin
+        projected; with ``eject``, Rydberg rows lose the detected atom and restart from the
+        fresh twin |S_n-1>.  Returns the outcomes, their probabilities and, after a traced
+        drive, `read` at its columns and after the collapse (an ejected row in its new
+        sector), (3, rows, columns), zero at an undriven row's drive columns; None untraced."""
         rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
-        read, held = self._held or (None, None)
+        read, twins, held = self._held or (None, None, None)
         for k, (sec, rows) in enumerate(self.groups):
             x, blk = self._states(sec, rows), sec.block(0)
             p_s, p_r = _populations(blk.trace, x, blk.ss, blk.rr)
@@ -659,9 +652,8 @@ class BlockBatch:
                 raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
             x = _projected(sec.keeps[ryd.astype(int)], x, p)
             if read is not None:  # the collapse
-                y, twins = held[k]
-                y[:, -1], twins[:, :, -1] = x, (~ryd, ryd)
-                read[:, rows] = self._read(sec, y, *twins)
+                held[k][:, -1], twins[:, rows, -1] = x, (~ryd, ryd)
+                read[:, rows] = self._read(sec, held[k], *twins[:, rows])
             if self.eject and ryd.any():  # into the columns of (n - 1, N - 1), zero past them
                 x[ryd] = _ejected(sec, x[ryd])
                 if read is not None:  # in their new sector, with the fresh twin

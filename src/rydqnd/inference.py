@@ -308,13 +308,12 @@ class NoisyLikelihoods:
         Returns log Pr(outcome | record, n), shape (B, len(ns)), added to
         ``log_l`` left to right.
 
-        A live entry is driven by (V e^{lam tau}) V^-1 (expm where its block has
-        no well-conditioned eigenbasis), then by the window; its kept families
-        are divided by p, and an ejected entry's rr coefficient times sqrt(N)
-        moves to the ss of (n - 1, N - 1), its row of the next shift, divided by
-        the trace it carries there: the operations of `dynamics.evolve_block`,
-        `project_blocks` and `eject_block` in their order, so an entry matches
-        them to the bit.
+        A live entry takes the cycle's one operator K(tau) = W U(tau), (W V)
+        e^{lam tau} V^-1 (W expm(G tau) where its block has no well-conditioned
+        eigenbasis); its kept families are divided by p, and an ejected entry's
+        rr coefficient times sqrt(N) moves to the ss of (n - 1, N - 1), its row
+        of the next shift, divided by the trace it carries there, as
+        `dynamics.project_blocks` and `eject_block` do.
         """
         dyn._check_times(taus, "drive time")
         step = np.full(self.log_l.shape, -math.inf)

@@ -111,11 +111,9 @@ def _timed(taus: np.ndarray) -> np.ndarray:
     library input: an entry that is no real number (a string, None) is not timed."""
     if taus.dtype.kind not in "OSU":
         return (taus >= 0) & (taus <= float_info.max)
-    if taus.dtype.kind != "O":
-        return np.zeros(taus.shape, dtype=bool)
-    real = np.array([isinstance(t, Real) for t in taus.ravel().tolist()]).reshape(taus.shape)
+    real = np.array([t if isinstance(t, Real) else -1 for t in taus.ravel().tolist()], dtype=object)
     with np.errstate(invalid="ignore"):  # NaN beside an integer past int64
-        return real & (np.where(real, taus, -1) >= 0) & (np.where(real, taus, -1) <= float_info.max)
+        return ((real >= 0) & (real <= float_info.max)).reshape(taus.shape)
 
 
 @dataclass
