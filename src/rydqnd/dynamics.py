@@ -520,18 +520,29 @@ def _operators(sec: Sector, omega: float, gamma: float, taus: np.ndarray,
     return ops
 
 
+# A block-diagonal stack holds D^2 entries against the blocks' sum of d_j^2, about n times
+# as many: past this ratio (n > 8 or so) the blocks' own products are the faster ones, and
+# at n = 500 a traced block-diagonal cycle would take gigabytes
+_DIAGONAL_LIMIT = 8
+
+
 @lru_cache(maxsize=64)
 def _cycle(n: int, N: int, omega: float, gamma: float, tau: float,
-           steps: tuple[float, ...] | None, ends: tuple[float, ...]) -> np.ndarray:
-    """`_operators` of sector (n, N) at a drive time every row shares, as one read-only
-    block-diagonal (points, D, D) stack: one product advances a group through a cycle."""
+           steps: tuple[float, ...] | None, ends: tuple[float, ...]):
+    """`_operators` of sector (n, N) at a drive time every row shares, read-only, and the
+    columns each advances: one block-diagonal (points, D, D) stack, so that one product
+    advances a group through a cycle, or past `_DIAGONAL_LIMIT` each block's own."""
     sec = sector(n, N)
     ops = _operators(sec, omega, gamma, np.array(tau), steps and np.array(steps), ends)
-    stack = np.zeros((ops[0].shape[0], sec.spans[-1].stop, sec.spans[-1].stop), dtype=complex)
-    for op, span in zip(ops, sec.spans):
-        stack[:, span, span] = op
-    stack.setflags(write=False)
-    return stack
+    spans = sec.spans
+    if (width := spans[-1].stop) ** 2 <= _DIAGONAL_LIMIT * sum(op[0].size for op in ops):
+        stack = np.zeros((ops[0].shape[0], width, width), dtype=complex)
+        for op, span in zip(ops, spans):
+            stack[:, span, span] = op
+        ops, spans = [stack], [slice(None)]
+    for op in ops:
+        op.setflags(write=False)
+    return ops, spans
 
 
 class BlockBatch:
@@ -542,10 +553,10 @@ class BlockBatch:
     side (block j in the columns ``Sector.spans[j]``), zero past them.  ``groups``
     lists each sector with its rows.  A cycle is one instrument, outcome m leaving
     P_m K x: `drive` applies K(tau) = W(tau_EIT) U(tau), the drive and then the drive-off
-    window, in one product per group, and `measure` projects and reads.  A row's ideal
-    noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and |R_n>, driven,
-    collapsed and ejected alike; the row's retrieval fidelity is its overlap with the
-    twin (1 in the vacuum, whose twin stays |S_0>).  Like `inference.NoisyLikelihoods`
+    window, in one product per group (`_cycle`), and `measure` projects and reads.  A
+    row's ideal noiseless twin is its pair of amplitudes (a_n, b_n) on |S_n> and |R_n>,
+    driven, collapsed and ejected alike; the row's retrieval fidelity is its overlap with
+    the twin (1 in the vacuum, whose twin stays |S_0>).  Like `inference.NoisyLikelihoods`
     it takes ``omega``, ``noise`` (`NoiseParams`: gamma, the window tau_eit and N) and
     ``eject`` once.
     """
@@ -597,8 +608,8 @@ class BlockBatch:
         return now
 
     def drive(self, taus, steps: np.ndarray | None = None) -> None:
-        """Drive every row and its twin for taus, a float every row shares (one block-diagonal
-        `_cycle` product per group) or each row's (rows,) (one product per block), then wait
+        """Drive every row and its twin for taus, a float every row shares (the held `_cycle`
+        stack, one product per group) or each row's (rows,) (one product per block), then wait
         out the window: K(tau) = W U(tau); a row with tau 0 only waits.  steps, if given, are
         the drive's sub-step times ending at tau, (points,) shared, else (driven rows, points):
         each group then holds its states and twins at every sub-step for `measure` to read."""
@@ -626,8 +637,8 @@ class BlockBatch:
                 ops, spans = _operators(sec, self.omega, self.gamma, taus[rows],
                                         None if steps is None else steps[rows], self._ends), sec.spans
             else:  # every row driven, or every row only waits
-                ops, spans = [_cycle(sec.n, sec.N, self.omega, self.gamma, float(taus), tuple(
-                    steps.tolist()) if steps is not None and taus else None, self._ends)], [slice(None)]
+                ops, spans = _cycle(sec.n, sec.N, self.omega, self.gamma, float(taus), tuple(
+                    steps.tolist()) if steps is not None and taus else None, self._ends)
             grid = _advance(x[:, None], ops, spans, sec.traces)
             self.x[rows, :x.shape[1]] = grid[:, -1]
             if self._held:  # an undriven row only waits; `measure` adds the collapse

@@ -4,15 +4,15 @@ window applied one after the other.
 Both noisy holders advance a cycle with the composed operator: the likelihood
 holder `inference.NoisyLikelihoods` as (W V) e^{lam tau} V^-1 on its padded j = 0
 rows, and `dynamics.BlockBatch` as one block-diagonal product per sector group (a
-shared drive time) or one per block (each row's own).  The reference is the
-one-state chain that drives (`evolve_blocks`) and then waits out the window with the
-drive off, before `project_blocks` and `eject_block`.  The two differ only in
-rounding: every outcome probability and block coefficient agrees within 1e-14 while
-each outcome so far had probability 0.05 or more (a conditional state divides
-rounding by its outcome's probability), through drive times of 0, no window
-(K = U), blocks without an eigenbasis (`expm`) and ejections down several counts; a
-2,000-example run of each property saw at most 3.3e-16.  A drive time or a window past its block's horizon
-is still refused by its own `ResourceError`.
+shared drive time, but in a large sector) or one per block (each row's own).  The
+reference is the one-state chain that drives (`evolve_blocks`) and then waits out the
+window with the drive off, before `project_blocks` and `eject_block`.  The two differ
+only in rounding: every outcome probability and block coefficient agrees within 1e-14
+while each outcome so far had probability 0.05 or more (a conditional state divides
+rounding by its outcome's probability), through drive times of 0, no window (K = U),
+blocks without an eigenbasis (`expm`) and ejections down several counts; a
+2,000-example run of each property saw at most 3.3e-16.  A drive time or a window
+past its block's horizon is still refused by its own `ResourceError`.
 """
 
 import math
@@ -26,6 +26,7 @@ from rydqnd import dynamics as dyn
 from rydqnd import inference as inf
 from rydqnd.errors import ResourceError
 from rydqnd.records import NO_RYDBERG, RYDBERG
+from rydqnd.symbasis import sector
 
 OMEGA = 1.0
 BOUND = 1e-14
@@ -141,6 +142,25 @@ def test_the_block_batch_composes_the_cycle(batch):
             assert (n, N_r) == (blocks[0].n, blocks[0].N)
             _, x = dyn._side_by_side(blocks)
             assert np.abs(holder.x[r, :x.shape[1]] - x[0]).max() <= BOUND
+
+
+def test_a_large_sector_keeps_its_blocks_apart():
+    """A shared drive time's cycle is one block-diagonal stack while its D^2 entries stay
+    within `dynamics._DIAGONAL_LIMIT` times the blocks' own, and each block's own stack past
+    that (a traced block-diagonal cycle at n = 500 of N = 1000 would hold gigabytes); either
+    way a batch's rows follow the drive-then-window chain."""
+    steps, ends = (0.35, 0.7), (0.15, 0.3)  # four points a cycle
+    for (n, N), diagonal in (((4, 10), True), ((10, 20), False)):
+        sec = sector(n, N)
+        ops, spans = dyn._cycle(n, N, OMEGA, 0.4, 0.7, steps, ends)
+        assert len(ops) == (1 if diagonal else len(sec.blocks))
+        assert list(spans) == ([slice(None)] if diagonal else list(sec.spans))
+        assert sum(op.size for op in ops) <= 4 * dyn._DIAGONAL_LIMIT * sum(
+            blk.dim ** 2 for blk in sec.blocks)
+        holder = dyn.BlockBatch([n, n], OMEGA, inf.NoiseParams(0.4, 0.3, N))
+        holder.drive(0.7)
+        _, x = dyn._side_by_side(_drive_then_window(dyn.symmetric_state_blocks(n, N), 0.7, 0.4, 0.3))
+        assert np.abs(holder.x[:, :x.shape[1]] - x).max() <= BOUND
 
 
 def test_a_drive_time_or_a_window_past_the_horizon_is_refused_by_name():
