@@ -614,7 +614,7 @@ class BlockBatch:
         the drive's sub-step times ending at tau, (points,) shared, else (driven rows, points):
         each group then holds its states and twins at every sub-step for `measure` to read."""
         _check_times(taus, "drive time")
-        driven = np.flatnonzero((every := np.broadcast_to(taus, self.n.shape)) > 0)
+        driven = np.flatnonzero((every := np.full(self.n.size, taus)) > 0)
         turns = every[driven, None] if steps is None else steps  # the twins' times
         if self._turns[0] != (key := (self.n[driven].tobytes(), turns.shape, turns.tobytes())):
             theta = _phases(np.sqrt(self.n[driven, None]), self.omega, turns)
