@@ -526,7 +526,7 @@ def _operators(sec: Sector, omega: float, gamma: float, taus: np.ndarray,
 _DIAGONAL_LIMIT = 8
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)  # a run's sectors at a fixed drive time; a stack of n = 500 is 13 MB
 def _cycle(n: int, N: int, omega: float, gamma: float, tau: float,
            steps: tuple[float, ...] | None, ends: tuple[float, ...]):
     """`_operators` of sector (n, N) at a drive time every row shares, read-only, and the
