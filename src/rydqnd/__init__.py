@@ -27,27 +27,9 @@ from .records import (
     MeasurementRecord,
     Posterior,
 )
-from .symbasis import BasisLabel, build_block, enumerate_basis, trace_vector
-from .dynamics import (
-    PureCollectiveState,
-    SymmetricBlockState,
-    eject_block,
-    evolve_blocks,
-    evolve_pure,
-    measure_block,
-    measure_pure,
-    project_blocks,
-    retrieval_fidelity,
-    sector_probabilities,
-    symmetric_state_blocks,
-)
-from .inference import (
-    ConditionalState,
-    NoiseParams,
-    SequentialInference,
-    log_likelihood_noiseless,
-    posterior_trace,
-)
+from .symbasis import BasisLabel, build_block, enumerate_basis
+from .dynamics import PureCollectiveState
+from .inference import NoiseParams, SequentialInference, posterior_trace
 from .analysis import (
     detection_time,
     expected_fidelity,
@@ -56,21 +38,12 @@ from .analysis import (
     optimize_schedule_local,
     steady_state_populations,
 )
-from .engine import (
-    NOISELESS_PURE,
-    NOISY_FIXED_N,
-    ProtocolParams,
-    Schedule,
-    TrajectoryLog,
-    run_batch,
-    run_protocol,
-)
+from .engine import NOISELESS_PURE, NOISY_FIXED_N, ProtocolParams, Schedule, TrajectoryLog, run_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisLabel",
-    "ConditionalState",
     "DomainError",
     "FockDistribution",
     "ImpossibleOutcomeError",
@@ -91,28 +64,15 @@ __all__ = [
     "Schedule",
     "ScheduleExhaustedError",
     "SequentialInference",
-    "SymmetricBlockState",
     "TrajectoryLog",
     "build_block",
     "detection_time",
-    "eject_block",
     "enumerate_basis",
-    "evolve_blocks",
-    "evolve_pure",
     "expected_fidelity",
     "fisher_closed_form",
-    "log_likelihood_noiseless",
-    "measure_block",
-    "measure_pure",
     "optimize_schedule_global",
     "optimize_schedule_local",
     "posterior_trace",
-    "project_blocks",
-    "retrieval_fidelity",
     "run_batch",
-    "run_protocol",
-    "sector_probabilities",
     "steady_state_populations",
-    "symmetric_state_blocks",
-    "trace_vector",
 ]
