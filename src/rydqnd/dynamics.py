@@ -105,6 +105,14 @@ def _check_times(taus, what: str = "evolution time") -> None:
         raise DomainError(f"{what} must be finite and non-negative")
 
 
+def _check_rows(rows: int, **inputs) -> None:
+    """`DomainError` unless each input, by its name, holds one entry per row, shape (rows,);
+    a drive time ``taus`` may also be one number every row shares."""
+    for name, values in inputs.items():
+        if (shape := np.shape(values)) != (rows,) and (name != "taus" or shape):
+            raise DomainError(f"{name} has shape {shape}, not one entry for each of {rows} rows")
+
+
 def _check_norm(norm_sq: np.ndarray) -> None:
     """The unit-norm check of `PureCollectiveState`, per row of squared norms; NaN fails it."""
     norm = np.sqrt(norm_sq)
@@ -154,6 +162,7 @@ class PureBatch:
         """Drive every row for taus (as in `BlockBatch.drive`) at the record's omega: its
         weights stay, its drive time grows.  steps as in `BlockBatch.drive`: what `read`
         gives at each is held for `measure`."""
+        _check_rows(self.elapsed.size, taus=taus)
         _check_times(taus, "drive time")
         self._held = None if steps is None else np.zeros((3, self.elapsed.size, steps.shape[-1] + 1))
         if steps is not None:
@@ -173,6 +182,7 @@ class PureBatch:
         no window, and end its drive.  One kernel call reads both outcomes; the drawn one's
         factors are the record's ``_step``, the collapse.  Returns the outcomes, their
         probabilities and, as `BlockBatch.measure` does, the traced cycle's `read`."""
+        _check_rows(self.elapsed.size, draws=draws)
         rec = self.record  # each row's phase read for both outcomes: Rydberg, then NoRydberg
         odds = _noiseless_factors(rec.root, rec.omega, self.elapsed, [rec.last, ~rec.last])
         p_r = self._p_rydberg(slice(None), odds[0])
@@ -613,6 +623,7 @@ class BlockBatch:
         out the window: K(tau) = W U(tau); a row with tau 0 only waits.  steps, if given, are
         the drive's sub-step times ending at tau, (points,) shared, else (driven rows, points):
         each group then holds its states and twins at every sub-step for `measure` to read."""
+        _check_rows(self.n.size, taus=taus)
         _check_times(taus, "drive time")
         driven = np.flatnonzero((every := np.full(self.n.size, taus)) > 0)
         turns = every[driven, None] if steps is None else steps  # the twins' times
@@ -651,6 +662,7 @@ class BlockBatch:
         fresh twin |S_n-1>.  Returns the outcomes, their probabilities and, after a traced
         drive, `read` at its columns and after the collapse (an ejected row in its new
         sector), (3, rows, columns), zero at an undriven row's drive columns; None untraced."""
+        _check_rows(self.n.size, draws=draws)
         rydberg, probs = np.zeros(self.n.size, dtype=bool), np.empty(self.n.size)
         read, twins, held = self._held or (None, None, None)
         for k, (sec, rows) in enumerate(self.groups):

@@ -228,6 +228,7 @@ class NoiselessLikelihoods:
 
     def update(self, taus: np.ndarray, rydberg: np.ndarray) -> None:
         """One cycle for every row: drive times and outcomes (True for Rydberg)."""
+        dyn._check_rows(len(self.log_l), taus=taus, rydberg=rydberg)
         dyn._check_times(taus, "drive time")
         self._step(dyn._noiseless_factors(self.root, self.omega, taus, rydberg == self.last),
                    rydberg)
@@ -315,11 +316,12 @@ class NoisyLikelihoods:
         of the next shift, divided by the trace it carries there, as
         `dynamics.project_blocks` and `eject_block` do.
         """
+        dyn._check_rows(len(self.log_l), taus=taus, rydberg=rydberg)
         dyn._check_times(taus, "drive time")
         step = np.full(self.log_l.shape, -math.inf)
         for s, r, c in self._live():
             rows, N = self._rows(s), self.noise.N - s
-            tau, ryd = taus[r], rydberg[r]
+            tau, ryd = np.broadcast_to(taus, self.shift.shape)[r], rydberg[r]
             # a tau all entries share, no fewer than the table's rows: each row's, held per count
             shared = len(c) >= len(rows["n"]) and (tau == tau[0]).all()
             held = self._drive.get(s, (None,)) if shared else (None,)

@@ -505,3 +505,50 @@ def test_a_drive_time_that_is_no_number_is_a_domain_error(call):
     refused, with no NumPy warning and no TypeError on the way."""
     with pytest.raises(DomainError, match="drive times? must be finite and non-negative"):
         _NOT_NUMBERS[call]()
+
+
+_PAPER_NOISE = inf.NoiseParams(2 * math.pi * GAMMA_MHZ * 1e6, TAU_EIT_US * 1e-6, N_ATOMS)
+_PAPER_OMEGA = 2 * math.pi * OMEGA_MHZ * 1e6
+# each holder of two rows, by a call of one of its per-row inputs at a given length
+_HOLDERS = {
+    "BlockBatch": lambda: dyn.BlockBatch([2, 2], _PAPER_OMEGA, _PAPER_NOISE),
+    "PureBatch": lambda: dyn.PureBatch(dyn.PureCollectiveState.from_stored_amplitudes(
+        np.eye(3)[2]), inf.NoiselessLikelihoods([0, 1, 2], _PAPER_OMEGA, shift=np.zeros(2, int))),
+    "NoisyLikelihoods": lambda: inf.NoisyLikelihoods([1, 2], _PAPER_OMEGA, _PAPER_NOISE,
+                                                     shift=np.zeros(2, int)),
+    "NoiselessLikelihoods": lambda: inf.NoiselessLikelihoods([1, 2], _PAPER_OMEGA,
+                                                             shift=np.zeros(2, int)),
+}
+_INPUTS = {
+    ("BlockBatch", "taus"): lambda h, k: h.drive(np.full(k, 1e-7)),
+    ("BlockBatch", "draws"): lambda h, k: h.measure(np.full(k, 0.5)),
+    ("PureBatch", "taus"): lambda h, k: h.drive(np.full(k, 1e-7)),
+    ("PureBatch", "draws"): lambda h, k: h.measure(np.full(k, 0.5)),
+    ("NoisyLikelihoods", "taus"): lambda h, k: h.update(np.full(k, 1e-7), np.ones(2, bool)),
+    ("NoisyLikelihoods", "rydberg"): lambda h, k: h.update(np.full(2, 1e-7), np.ones(k, bool)),
+    ("NoiselessLikelihoods", "taus"): lambda h, k: h.update(np.full(k, 1e-7), np.ones(2, bool)),
+    ("NoiselessLikelihoods", "rydberg"): lambda h, k: h.update(np.full(2, 1e-7),
+                                                               np.ones(k, bool)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("holder, name", sorted(_INPUTS))
+def test_a_per_row_input_of_another_length_is_a_domain_error(holder, name, length):
+    """Library input only (the engine hands one entry per active row): an array of
+    another length than the rows is refused by name, neither broadcast nor indexed."""
+    with pytest.raises(DomainError, match=rf"^{name} has shape \({length},\), not one "
+                                          r"entry for each of 2 rows$"):
+        _INPUTS[holder, name](_HOLDERS[holder](), length)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("holder", sorted(_HOLDERS))
+def test_one_drive_time_every_row_shares_stays_allowed(holder):
+    held = _HOLDERS[holder]()
+    if holder.endswith("Batch"):
+        held.drive(1e-7)
+    else:
+        held.update(1e-7, np.ones(2, bool))
+        assert held.log_l[0].tolist() == held.log_l[1].tolist()
