@@ -120,9 +120,8 @@ def _fidelity_over_grid(prefix: Sequence[float], grid: np.ndarray,
                         noise: NoiseParams | None, eject: bool = False) -> np.ndarray:
     """F_{T+1}(tau) over the grid for the schedules prefix + [tau]: the sum of
     max_k w_k sum_n p_kn Pr(record | n) Pr(m | record, n, tau) over the leaves of
-    the prefix's outcome tree, a chunk at a time, and both next outcomes m."""
-    if len(prefix) >= MAX_ENUMERATED_CYCLES:
-        raise ResourceError(f"2^{len(prefix) + 1} outcome sequences exceed the enumeration guard")
+    the prefix's outcome tree, a chunk at a time, and both next outcomes m; its callers
+    check the grid and the enumeration guard (`_schedule_grid`)."""
     mixture = Mixture(candidates, prior)
     ns, weights = mixture.ns, mixture.prior[:, None] * mixture.p
     like, tree = _outcome_tree(prefix, ns, omega, noise, eject)
@@ -149,18 +148,22 @@ def expected_fidelity(taus: Sequence[float], candidates: list[FockDistribution],
         return 1.0
     if len(taus) == 0:
         return float(np.max(prior.weights))
-    grid = np.array([taus[-1]], dtype=float)
+    grid = _schedule_grid(len(taus), [taus[-1]])
     return float(_fidelity_over_grid(taus[:-1], grid, candidates, prior, omega, noise, eject)[0])
 
 
-def _schedule_grid(T: int, grid: np.ndarray) -> np.ndarray:
+def _schedule_grid(T: int, grid) -> np.ndarray:
+    """The sorted grid of a schedule of T cycles: every optimiser's one check of both."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError(f"tau grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise DomainError("tau grid must be non-empty")
     if T < 1:
         raise DomainError(f"schedule length must be at least 1, got {T}")
     if T > MAX_ENUMERATED_CYCLES:  # refused before the first step, not at the last
         raise ResourceError(f"2^{T} outcome sequences exceed the enumeration guard")
-    return np.sort(np.asarray(grid, dtype=float))
+    return np.sort(grid)
 
 
 def optimize_schedule_local(T: int, candidates: list[FockDistribution], prior: Posterior,
@@ -183,7 +186,7 @@ def greedy_next_tau(prefix: Sequence[float], candidates: list[FockDistribution],
                     prior: Posterior, grid: np.ndarray, omega: float,
                     noise: NoiseParams | None = None, eject: bool = False) -> float:
     """Single step of the local strategy, for adaptive scheduling."""
-    grid = np.sort(np.asarray(grid, dtype=float))
+    grid = _schedule_grid(len(prefix) + 1, grid)
     fidelity = _fidelity_over_grid(prefix, grid, candidates, prior, omega, noise, eject)
     return float(grid[np.argmax(fidelity)])
 

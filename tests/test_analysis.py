@@ -171,10 +171,34 @@ def test_enumeration_guards():
         an.optimize_schedule_global(2, cands, prior, big_grid, 1.0)
 
 
-@pytest.mark.parametrize("optimize", [an.optimize_schedule_local, an.optimize_schedule_global])
-def test_optimizers_refuse_an_empty_grid(optimize):
-    with pytest.raises(DomainError, match="tau grid must be non-empty"):
-        optimize(2, *_two_candidates(), np.array([]), 1.0)
+_GRID_ENTRIES = {
+    "optimize_schedule_local": lambda grid: an.optimize_schedule_local(
+        2, *_two_candidates(), grid, 1.0),
+    "optimize_schedule_global": lambda grid: an.optimize_schedule_global(
+        2, *_two_candidates(), grid, 1.0),
+    "greedy_next_tau": lambda grid: an.greedy_next_tau([0.3], *_two_candidates(), grid, 1.0),
+    "greedy_next_tau, noisy": lambda grid: an.greedy_next_tau(
+        [0.3], *_two_candidates(), grid, 1.0, inf.NoiseParams(0.1, 0.2, 4)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, message", [
+    (np.array([]), "tau grid must be non-empty"),
+    (np.array([[0.1, 0.2]]), r"tau grid must be one-dimensional, got shape \(1, 2\)"),
+], ids=["empty", "2-d"])
+@pytest.mark.parametrize("entry", sorted(_GRID_ENTRIES))
+def test_every_schedule_optimiser_checks_its_grid_by_one_rule(entry, grid, message):
+    """The greedy step takes the optimisers' grid rule: an empty grid was a
+    ZeroDivisionError there, a 2-d one an IndexError."""
+    with pytest.raises(DomainError, match=message):
+        _GRID_ENTRIES[entry](grid)
+
+
+@pytest.mark.filterwarnings("error")
+def test_expected_fidelity_checks_its_last_drive_time_as_a_grid():
+    with pytest.raises(DomainError, match=r"one-dimensional, got shape \(1, 2\)"):
+        an.expected_fidelity([0.3, [0.1, 0.2]], *_two_candidates(), 1.0)
 
 
 def test_default_tau_grid_excludes_zero():
