@@ -318,10 +318,11 @@ class NoisyLikelihoods:
         """
         dyn._check_rows(len(self.log_l), taus=taus, rydberg=rydberg)
         dyn._check_times(taus, "drive time")
+        taus = taus if np.ndim(taus) else np.full(rydberg.shape, taus)  # one every row shares
         step = np.full(self.log_l.shape, -math.inf)
         for s, r, c in self._live():
             rows, N = self._rows(s), self.noise.N - s
-            tau, ryd = np.broadcast_to(taus, self.shift.shape)[r], rydberg[r]
+            tau, ryd = taus[r], rydberg[r]
             # a tau all entries share, no fewer than the table's rows: each row's, held per count
             shared = len(c) >= len(rows["n"]) and (tau == tau[0]).all()
             held = self._drive.get(s, (None,)) if shared else (None,)
