@@ -153,7 +153,7 @@ def expected_fidelity(taus: Sequence[float], candidates: list[FockDistribution],
 
 
 def _schedule_grid(T: int, grid) -> np.ndarray:
-    """The sorted grid of a schedule of T cycles: every optimiser's one check of both."""
+    """The sorted grid of a schedule of T cycles, the grid and T checked by one rule."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise DomainError(f"tau grid must be one-dimensional, got shape {grid.shape}")
