@@ -56,10 +56,10 @@ def _predictions(logs, params) -> tuple[np.ndarray, np.ndarray]:
     for t in range(lengths.max()):
         live = int(np.count_nonzero(lengths > t))
         holder.take(slice(live))
-        before = holder.log_l
+        log_l = holder.log_l
         holder.update(taus[:live, t], rydberg[:live, t])
         with np.errstate(invalid="ignore"):  # -inf - -inf: a candidate already ruled out
-            p = np.exp(holder.log_l - before)  # of the outcome that came
+            p = np.exp(holder.log_l - log_l)  # of the outcome that came
         p_r = np.where(rydberg[:live, t, None], p, 1.0 - p)
         before = np.array([log.posteriors[t] for log in order[:live]])
         # a candidate ruled out (an ejection past its photons) has weight 0 and no prediction
